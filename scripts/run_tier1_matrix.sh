@@ -1,12 +1,8 @@
 #!/bin/sh
-# Tier-1 matrix: the full test suite under both execution paths.
+# Tier-1 gate: lint, txn smoke, the full test suite, perf smoke.
 #
-# The fast path's contract is bit-identical RunResults, so every tier-1
-# test must pass with REPRO_FASTPATH=0 (the per-event reference path)
-# and with REPRO_FASTPATH=1 (batched all-hit execution ambient in every
-# process, farm workers included).  CI should run this instead of a
-# single bare pytest; locally it is the pre-merge check for any change
-# touching repro.fastpath, repro.common.batch, or the model hot loops.
+# CI should run this instead of a single bare pytest; locally it is the
+# pre-merge check for any change touching the model hot loops.
 #
 # Usage: scripts/run_tier1_matrix.sh [extra pytest args...]
 
@@ -29,23 +25,21 @@ rm -f "$lint_json"
 # Txn smoke (hard gate): one traced tiny run must record transactions,
 # observe remote-dirty misses, and account every picosecond (residual 0).
 # Cheap, and it exercises the whole anatomy pipeline -- hooks, segment
-# cuts, wait attribution, histogram fold -- before the matrix runs.
+# cuts, wait attribution, histogram fold -- before the suite runs.
 echo "=== txn smoke: python -m repro.obs txn fft --check ==="
 PYTHONPATH=src python -m repro.obs txn fft --config hardware \
     --scale tiny --cpus 4 --check > /dev/null
 
-for mode in 0 1; do
-    echo "=== tier-1 with REPRO_FASTPATH=$mode ==="
-    REPRO_FASTPATH=$mode PYTHONPATH=src python -m pytest -x -q "$@"
-done
+echo "=== tier-1 ==="
+PYTHONPATH=src python -m pytest -x -q "$@"
 
 # Perf smoke (report-only): one profiled tiny run diffed against the
 # committed BENCH ledger.  A regression prints its report but does not
-# fail the matrix -- wall clocks on shared CI boxes are too noisy for a
+# fail the gate -- wall clocks on shared CI boxes are too noisy for a
 # hard gate; drop --report-only in a dedicated perf lane to enforce it.
 echo "=== perf smoke: python -m repro.obs perf fft (report-only) ==="
 PYTHONPATH=src python -m repro.obs perf fft --config simos-mipsy-150 \
     --scale tiny --baseline benchmarks/BENCH_engine_hotpath.json \
     --report-only
 
-echo "=== tier-1 matrix: both modes passed ==="
+echo "=== tier-1 gate passed ==="

@@ -58,8 +58,8 @@ class Checkpointable(Protocol):
     exactly on a freshly constructed component or raise -- never
     silently restore a subset.  Live events may be captured as fired/
     pending markers for digesting, but only states free of them are
-    injectable.  ``scripts/check_ckpt_coverage.py`` lints that every
-    stateful simulator class implements this protocol.
+    injectable.  Lint rule L3 checks that every stateful simulator class
+    implements this protocol.
     """
 
     def ckpt_state(self) -> dict: ...

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import batch as batch_hooks
 from repro.common import gate as ckpt_gate
 from repro.common.errors import SimulationError
 from repro.common.stats import CounterSet, StatsRegistry
@@ -147,59 +146,19 @@ class CpuCore:
             tracer.record(self._start_ps, obs_hooks.CPU, "total",
                           self.time_ps() - self._start_ps, self.node)
 
-    def _exec_rows(self, ce: ChunkExec, per_rep: float, exec_row):
-        """Run every address row of *ce* through *exec_row*, batching
-        all-hit prefixes when the ambient fast path is installed.
-
-        *exec_row* is the model's scalar reference generator for one row.
-        The batch filter (``repro.common.batch`` slot, provided by
-        ``repro.fastpath``) proves windows of rows that the scalar path
-        would execute without touching the engine, the memory system, or
-        the write buffer; each proven row advances the local clock by
-        exactly *per_rep* -- bit-identical to the scalar fall-through
-        ``cycles = base + per_rep + 0.0`` -- and the filter commits the
-        TLB/L1 recency and hit-counter effects wholesale.  Every other
-        row, and every row while an obs tracer, topo recorder, txn
-        recorder, or checkpoint gate is active, runs through *exec_row*
-        unchanged.
-        """
-        fast = batch_hooks.active
-        if fast is None or self.iface is None:
-            perf = obs_hooks.perf
-            if perf is None:
-                for row in ce.addrs.tolist():
-                    yield from exec_row(row)
-                return
+    def _exec_rows(self, ce: ChunkExec, exec_row):
+        """Run every address row of *ce* through *exec_row*, the model's
+        generator for one row."""
+        perf = obs_hooks.perf
+        if perf is not None:
             t0 = perf.begin()
-            for row in ce.addrs.tolist():
-                yield from exec_row(row)
+        for row in ce.addrs.tolist():
+            yield from exec_row(row)
+        if perf is not None:
             # Inclusive host time: the segment spans every engine dispatch
             # its memory events trigger while a row blocks (see
             # repro.obs.perf -- phases are overlapping views).
             perf.commit("cpu.rows_scalar", t0, ce.reps)
-            return
-        addrs = ce.addrs
-        n_rows = ce.reps
-        consume = fast.consume
-        iface = self.iface
-        i = 0
-        while i < n_rows:
-            n_fast, n_scalar = consume(iface, ce, i)
-            for _ in range(n_fast):
-                self.cycles += per_rep
-            i += n_fast
-            if n_scalar:
-                stop = i + n_scalar
-                perf = obs_hooks.perf
-                if perf is None:
-                    for row in addrs[i:stop].tolist():
-                        yield from exec_row(row)
-                else:
-                    t0 = perf.begin()
-                    for row in addrs[i:stop].tolist():
-                        yield from exec_row(row)
-                    perf.commit("cpu.rows_scalar", t0, n_scalar)
-                i = stop
 
     def _drain_writes(self):
         """Wait out the write buffer (stores must be globally visible at

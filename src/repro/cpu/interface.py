@@ -93,21 +93,6 @@ class CpuMemInterface:
         self._icache: "OrderedDict[int, int]" = OrderedDict()
         self._icache_bytes = 0
 
-    def batch_view(self) -> Tuple[int, int, dict, Optional[dict], dict]:
-        """Read-only structure view for the batch fast path's hit proofs.
-
-        Returns ``(page_shift, l1_shift, page_frames, tlb_map, l1_state)``
-        -- everything :meth:`classify` consults *before* any side effect:
-        the address shifts, the page table's vpn->pfn dict, the TLB's
-        residency map (``None`` when no TLB is modelled), and the L1's
-        line->state dict.  The caller must treat all three dicts as
-        immutable; ``repro.fastpath`` only probes membership against them
-        and commits recency through the ``batch_touch`` methods.
-        """
-        return (self._page_shift, self._l1_shift, self.page_table._map,
-                None if self.tlb is None else self.tlb._map,
-                self.l1d._state)
-
     # ------------------------------------------------------------------
     # Core-facing: data references
     # ------------------------------------------------------------------

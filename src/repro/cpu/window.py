@@ -158,9 +158,6 @@ class WindowCore(CpuCore):
         start_ps = self._start_ps
 
         def exec_row(row):
-            # The scalar reference path for one repetition.  The batch fast
-            # path (CpuCore._exec_rows) only ever skips rows it proves would
-            # run the all-hit fall-through of this exact code.
             base = self.cycles
             stall = 0.0
             for j in range(n_mem):
@@ -265,7 +262,7 @@ class WindowCore(CpuCore):
                                           int(exposed * cycle_ps), node)
             self.cycles = base + per_rep + stall
 
-        yield from self._exec_rows(ce, per_rep, exec_row)
+        yield from self._exec_rows(ce, exec_row)
         if tracer is not None:
             tracer.record(start_ps + int(chunk_start_cycles * cycle_ps),
                           obs_hooks.CPU, f"chunk:{chunk.name}",

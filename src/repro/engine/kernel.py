@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Optional
 
-from repro.common import batch as batch_hooks
 from repro.common.errors import SimulationError
 from repro.engine.events import AllOf, AnyOf, Event, Timeout
 from repro.obs import hooks as obs_hooks
@@ -178,16 +177,6 @@ class Engine:
         """
         stop_after = (None if max_events is None
                       else self.events_processed + max_events)
-        if (until is not None and max_ps is None and stop_after is None
-                and self.tracer is None and batch_hooks.active is not None
-                and obs_hooks.perf is None):
-            # Batched mode, no limits, no tracer, no host profiler: the
-            # per-iteration limit and tracer checks below are all
-            # statically false, so run the hoisted loop.  Semantics are
-            # identical (proven by the fastpath differential suite).  A
-            # profiled run deliberately takes the instrumented general
-            # loop instead, so the phase breakdown covers every dispatch.
-            return self._run_until(until)
         self._drain_dispatch()
         while True:
             if until is not None and until.fired:
@@ -206,34 +195,6 @@ class Engine:
                 "(deadlock: a process is blocked forever)"
             )
         return None if until is None else until.value
-
-    def _run_until(self, until: Event) -> Any:
-        """The calendar-bypassing inner loop of :meth:`run` for batched mode.
-
-        Exactly ``run(until=event)`` with no ``max_ps``/``max_events`` and
-        no engine tracer, with the per-step checks for those hoisted out of
-        the loop and :meth:`step`'s call overhead inlined away.  The event
-        *sequence* is untouched -- same heap, same ``(when, seq)`` tie
-        order, same dispatch drains, same ``events_processed`` count -- so
-        results are bit-identical to the reference loop.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        self._drain_dispatch()
-        while not until.fired:
-            if not heap:
-                raise SimulationError(
-                    f"event queue drained at t={self.now} ps before target "
-                    "fired (deadlock: a process is blocked forever)"
-                )
-            when, _seq, fn, arg = pop(heap)
-            self.now = when
-            self.events_processed += 1
-            fn(arg)
-            self._drain_dispatch()
-        if until._failed is not None:
-            raise until._failed
-        return until.value
 
     # -- checkpoint contract ---------------------------------------------
 

@@ -19,12 +19,6 @@ the closing-the-loop reporting adds::
     --ledger P     append a metrics-ledger record per farm-dispatched run
                    (default <D>/ledger.jsonl when --dashboard is given)
 
-and the batched fast path (``repro.fastpath``) adds::
-
-    --fastpath     batch-prove all-hit rows (bit-identical results;
-                   default from $REPRO_FASTPATH)
-    --no-fastpath  force the per-event reference path
-
 Results are identical whichever combination is used: requests execute in
 deterministic per-request-seeded isolation and are collected in order, and
 cache entries are keyed by the full canonicalized request plus the package
@@ -70,14 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--ledger", metavar="PATH", default=None,
                         help="metrics-ledger file to append run records to "
                              "(default DIR/ledger.jsonl with --dashboard)")
-    parser.add_argument("--fastpath", dest="fastpath", action="store_true",
-                        default=None,
-                        help="run batched fast-path execution "
-                             "(bit-identical results; default from "
-                             "$REPRO_FASTPATH)")
-    parser.add_argument("--no-fastpath", dest="fastpath",
-                        action="store_false",
-                        help="force the per-event reference path")
     return parser
 
 
@@ -123,7 +109,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_experiments_md,
     )
     from repro.obs import metrics as obs_metrics
-    from repro import fastpath
 
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -131,24 +116,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     scale = get_scale(args.scale)
     farm = make_farm(args)
 
-    use_fastpath = (fastpath.enabled_from_env() if args.fastpath is None
-                    else args.fastpath)
-    # Farm workers resolve the same variable via ensure_ambient, so the
-    # CLI decision (explicit or inherited) covers every process.
-    os.environ[fastpath.ENV] = "1" if use_fastpath else "0"
-
     ledger_path = args.ledger
     if ledger_path is None and args.dashboard is not None:
         ledger_path = os.path.join(args.dashboard, "ledger.jsonl")
     writer = (obs_metrics.MetricsWriter(ledger_path)
               if ledger_path is not None else None)
 
-    filt = None
     with ExitStack() as stack:
-        if use_fastpath:
-            filt = stack.enter_context(fastpath.enabled())
-        else:
-            stack.enter_context(fastpath.disabled())
         stack.enter_context(obs_metrics.recording(writer))
         stack.enter_context(farm.activate())
         if args.checkpoint_dir is not None:
@@ -162,8 +136,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             results = [run_experiment(args.experiment, scale)]
             print(results[0].format())
     print(farm.summary())
-    if filt is not None:
-        print(filt.summary())
     if args.markdown:
         write_experiments_md(results, args.markdown)
         print(f"wrote {args.markdown}")

@@ -115,23 +115,6 @@ class ResultCache:
         return sum(1 for _ in self.root.glob("*/*.json"))
 
 
-def _worker_init() -> None:
-    """Pool worker initializer: each worker makes its own fastpath decision.
-
-    Workers fork on Linux, so they inherit whatever batch decision the
-    parent process had already frozen -- usually "off", frozen by some
-    earlier unrelated run.  The activation contract says workers resolve
-    ``REPRO_FASTPATH`` per process (the harness CLI exports its explicit
-    choice through that variable), so forget the inherited decision and
-    re-resolve it here.
-    """
-    from repro import fastpath
-    from repro.common import batch as batch_hooks
-
-    batch_hooks.reset()
-    fastpath.ensure_ambient()
-
-
 def _execute_request(request: RunRequest) -> Tuple[RunResult, float]:
     """Pool worker body: run one request, report its wall time.
 
@@ -223,8 +206,7 @@ class Farm:
         if pending:
             todo = [request for _key, request in pending]
             if self.jobs > 1 and len(todo) > 1:
-                with multiprocessing.Pool(min(self.jobs, len(todo)),
-                                          initializer=_worker_init) as pool:
+                with multiprocessing.Pool(min(self.jobs, len(todo))) as pool:
                     outcomes = pool.map(_execute_request, todo)
                 self.counters.add("batches.parallel")
             else:

@@ -84,8 +84,7 @@ class Chunk:
 
     __slots__ = (
         "uid", "name", "ops", "dst", "src1", "src2", "n_instr",
-        "mem_index", "mem_kind", "n_mem", "mem_store_mask",
-        "mem_cacheop_mask", "pointer_chase", "interlock_pairs",
+        "mem_index", "mem_kind", "n_mem", "pointer_chase", "interlock_pairs",
         "op_counts", "n_branches", "branch_profile", "code_bytes",
         "_sched_cache",
     )
@@ -120,10 +119,6 @@ class Chunk:
         self.mem_index = np.nonzero(mem_mask)[0]
         self.mem_kind = self.ops[self.mem_index]
         self.n_mem = int(len(self.mem_index))
-        # Per-memory-slot op masks, precomputed for the batch fast path's
-        # vectorized classification (repro.fastpath).
-        self.mem_store_mask = self.mem_kind == int(Op.STORE)
-        self.mem_cacheop_mask = self.mem_kind == int(Op.CACHEOP)
 
         self.pointer_chase = self._find_pointer_chases()
         self.interlock_pairs = self._count_interlock_pairs()

@@ -1,9 +1,9 @@
 """The unified lint allowlist: ``rule-id:qualname -> reason``.
 
-One file (``lint_allow.toml``) replaces the per-script allowlists the
-old ``scripts/check_*.py`` checkers each grew.  The format is the
-restricted TOML subset below -- parsed here directly so the lint engine
-works on every supported interpreter without a TOML dependency::
+One file (``lint_allow.toml``) holds every rule's deliberate exceptions.
+The format is the restricted TOML subset below -- parsed here directly
+so the lint engine works on every supported interpreter without a TOML
+dependency::
 
     # comments and blank lines are ignored
     [allow]

@@ -1,9 +1,8 @@
-"""The rule registry: ported contract checks (L1-L5) and determinism
-hazards (D1-D5).
+"""The rule registry: contract checks (L1-L5) and determinism hazards
+(D1-D5).
 
-The L rules port the four historical ``scripts/check_*.py`` checkers
-onto the shared engine; the D rules are new and guard the property the
-whole reproduction stands on -- bit-identical replay -- at its weakest
+The L rules pin the subsystem contracts; the D rules guard the property
+the whole reproduction stands on -- bit-identical replay -- at its weakest
 points: hash-order-dependent iteration, ambient wall-clock/environment
 reads inside the simulated machine, undisciplined ambient-hook calls,
 ``id()``-keyed ordering of simulated objects, and host-clock reads
@@ -49,7 +48,7 @@ AMBIENT_BANNED_PACKAGES = (
 
 class HotPathGuardRule(Rule):
     """Every tracer call in the hot path sits behind an ``is not None``
-    guard on a local (ported from check_no_tracer_in_hot_path.py)."""
+    guard on a local."""
 
     id = "L1"
     title = "hot-path tracer calls must be guarded"
@@ -102,22 +101,20 @@ class HotPathGuardRule(Rule):
 # ---------------------------------------------------------------------------
 
 class ImportBanRule(Rule):
-    """Harness-side subsystems stay importable-free from model code
-    (ported from check_no_tracer_in_hot_path.py, bans 2-5)."""
+    """Harness-side subsystems stay importable-free from model code."""
 
     id = "L2"
     title = "model code must not import harness-side subsystems"
     rationale = (
-        "The models' only channels to observability, checkpointing, and "
-        "the batch fast path are the ambient hook slots (repro.obs.hooks, "
-        "repro.common.gate, repro.common.batch): one attribute read and a "
-        "None test when disabled.  Importing the subsystems themselves "
-        "couples reference semantics to optional machinery and "
-        "re-introduces cost and cycles into the dependency graph.")
+        "The models' only channels to observability and checkpointing "
+        "are the ambient hook slots (repro.obs.hooks, repro.common.gate): "
+        "one attribute read and a None test when disabled.  Importing "
+        "the subsystems themselves couples reference semantics to "
+        "optional machinery and re-introduces cost and cycles into the "
+        "dependency graph.")
     hint = ("reach the subsystem through its sanctioned slot instead: "
-            "repro.obs.hooks (tracer/topo), repro.common.gate "
-            "(checkpoints), repro.common.batch (fast path)")
-    subsystem = "repro.obs / repro.ckpt / repro.fastpath"
+            "repro.obs.hooks (tracer/topo), repro.common.gate (checkpoints)")
+    subsystem = "repro.obs / repro.ckpt"
 
     #: banned module -> (packages it is banned in, what to use instead).
     BANS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
@@ -135,10 +132,6 @@ class ImportBanRule(Rule):
         ("repro.ckpt",
          ("repro.cpu", "repro.mem", "repro.engine"),
          "the models' checkpoint hook is repro.common.gate"),
-        ("repro.fastpath",
-         ("repro.cpu", "repro.mem", "repro.engine", "repro.memsys",
-          "repro.network"),
-         "the accelerator hook is the repro.common.batch slot"),
     )
 
     def scope(self, module: str) -> bool:
@@ -216,8 +209,8 @@ def _base_name(base: ast.AST) -> str:
 
 
 class CkptCoverageRule(Rule):
-    """Every stateful simulator class implements the checkpoint contract
-    (ported from check_ckpt_coverage.py)."""
+    """Every stateful simulator class implements the checkpoint
+    contract."""
 
     id = "L3"
     title = "stateful simulator classes must implement ckpt_state"
@@ -293,8 +286,7 @@ class CkptCoverageRule(Rule):
 # ---------------------------------------------------------------------------
 
 class LedgerSchemaRule(Rule):
-    """The metrics-ledger record schema is frozen and round-trips
-    (ported from check_metrics_schema.py)."""
+    """The metrics-ledger record schema is frozen and round-trips."""
 
     id = "L4"
     title = "the metrics-ledger schema is frozen"
@@ -425,8 +417,7 @@ class LedgerSchemaRule(Rule):
 # ---------------------------------------------------------------------------
 
 class PicklabilityRule(Rule):
-    """Result objects survive process boundaries (ported from
-    check_runresult_picklable.py)."""
+    """Result objects survive process boundaries."""
 
     id = "L5"
     title = "result objects must survive a process boundary"
@@ -731,9 +722,8 @@ class HookSlotRule(Rule):
     title = "hook slots: read into a local, guard, then call"
     rationale = (
         "The ambient slots (repro.obs.hooks.active/.topo/.perf/.txn, "
-        "repro.common.gate.active, repro.common.batch.active) can be "
-        "swapped between any two statements by a context manager in "
-        "another layer.  Calling through the module attribute "
+        "repro.common.gate.active) can be swapped between any two "
+        "statements by a context manager in another layer.  Calling through the module attribute "
         "(`obs_hooks.active.record(...)`) re-reads the slot per use: it "
         "crashes when the slot is None, tears when the slot changes "
         "mid-sequence, and costs an extra attribute load per event.  The "
@@ -749,7 +739,6 @@ class HookSlotRule(Rule):
         "repro.obs.hooks.perf",
         "repro.obs.hooks.txn",
         "repro.common.gate.active",
-        "repro.common.batch.active",
     }
 
     def scope(self, module: str) -> bool:
@@ -826,7 +815,7 @@ class HostClockRule(Rule):
         "that machinery ad hoc -- unguarded, so it costs every run -- or "
         "creeps toward making simulated behaviour depend on host timing.  "
         "D2 already bans the machine's core packages; this rule closes "
-        "the rest of the tree (sim, fastpath, ckpt, validation, ...), so "
+        "the rest of the tree (sim, ckpt, validation, ...), so "
         "'where does the wall time go' has one answer: the perf hook.")
     hint = ("profile through repro.obs.perf (the repro.obs.hooks.perf "
             "slot), or time whole runs in repro.harness; hot code reads "

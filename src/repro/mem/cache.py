@@ -73,27 +73,6 @@ class SetAssocCache:
             ways.append(line)
         return state
 
-    def batch_touch(self, lines_last_order, n_hits: float) -> None:
-        """Commit *n_hits* proven hits' side effects wholesale.
-
-        *lines_last_order* holds the access stream's unique line numbers
-        ordered by last occurrence; the caller (``repro.fastpath``)
-        guarantees every one is resident.  One move-to-MRU per unique line
-        in that order produces the same per-set order as per-access
-        ``lookup`` calls (moving the MRU way is an order no-op, so the
-        conditional matches the scalar guard exactly), and one counter add
-        of *n_hits* equals *n_hits* unit adds while counters stay below
-        2**53.  States never change on a hit, so membership is untouched.
-        """
-        self.stats.add("hits", n_hits)
-        sets = self._sets
-        mask = self._set_mask
-        for line in lines_last_order:
-            ways = sets[line & mask]
-            if ways[-1] != line:
-                ways.remove(line)
-                ways.append(line)
-
     def peek(self, line: int) -> Optional[str]:
         """State of *line* without touching LRU or stats."""
         return self._state.get(line)

@@ -59,19 +59,6 @@ class Tlb:
             self.stats.add("evictions")
         self._map[vpn] = True
 
-    def batch_touch(self, vpns_last_order) -> None:
-        """Commit a proven all-hit access stream's LRU effect wholesale.
-
-        *vpns_last_order* holds the stream's unique VPNs ordered by last
-        occurrence; the caller (``repro.fastpath``) guarantees every one is
-        resident.  One move-to-back per unique VPN in that order produces
-        the same final recency order as per-access ``lookup`` calls, and a
-        hit records no stats, so this is the scalar path's exact effect.
-        """
-        move = self._map.move_to_end
-        for vpn in vpns_last_order:
-            move(vpn)
-
     def flush(self) -> None:
         self._map.clear()
         self.stats.add("flushes")

@@ -22,8 +22,8 @@ the reproduction the same visibility into itself:
 * :mod:`repro.obs.hotspot` -- folds a topo recording into the NUMA
   traffic matrix, top-K hot regions with sharer sets, and contention heat;
 * :mod:`repro.obs.perf` -- the host-time axis: the guarded phase profiler
-  (where the wall-clock seconds go), fastpath fallback forensics, and the
-  frozen-schema BENCH perf ledger with its regression gate;
+  (where the wall-clock seconds go) and the frozen-schema BENCH perf
+  ledger with its regression gate;
 * :mod:`repro.obs.cli` -- ``python -m repro.obs trace|diff|hotspot|perf|watch``.
 """
 
@@ -47,8 +47,6 @@ from repro.obs.perf import (
     PerfDiffReport,
     PerfProfiler,
     diff_bench,
-    dominant_reason,
-    fastpath_stats,
     make_case,
     merge_bench,
     profiling,
@@ -89,8 +87,6 @@ __all__ = [
     "PerfDiffReport",
     "PerfProfiler",
     "diff_bench",
-    "dominant_reason",
-    "fastpath_stats",
     "make_case",
     "merge_bench",
     "profiling",

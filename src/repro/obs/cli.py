@@ -21,9 +21,8 @@ Six subcommands::
     python -m repro.obs txn fft --config hardware
 
     # the host-time axis: run one workload under the phase profiler and
-    # print where the wall-clock seconds went (dispatch, calendar,
-    # fastpath probe/commit, scalar rows) plus the fallback forensics;
-    # optionally diff against a committed BENCH baseline and gate
+    # print where the wall-clock seconds went (dispatch, calendar, row
+    # loop); optionally diff against a committed BENCH baseline and gate
     python -m repro.obs perf fft --config simos-mipsy-150 --scale tiny \\
         --baseline benchmarks/BENCH_engine_hotpath.json
 
@@ -46,7 +45,6 @@ import json
 import sys
 from typing import List, Optional
 
-from repro import fastpath
 from repro.common.config import get_scale
 from repro.obs import hooks
 from repro.obs import perf as obs_perf
@@ -200,12 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="profile host time: phase breakdown, fallback forensics, "
-             "perf gate")
+        help="profile host time: phase breakdown, perf gate")
     add_run_args(perf, default_cpus=1, config_default=DEFAULT_CONFIG)
-    perf.add_argument("--no-fastpath", action="store_true",
-                      help="profile the scalar reference path instead of "
-                           "the batched fast path")
     perf.add_argument("--json", metavar="PATH", default=None,
                       help="merge this run's BenchRecord into a BENCH "
                            "ledger file here")
@@ -216,10 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=obs_perf.TIME_THRESHOLD,
                       help="relative events/sec drop that counts as a "
                            f"regression (default {obs_perf.TIME_THRESHOLD:g})")
-    perf.add_argument("--batch-threshold", type=float,
-                      default=obs_perf.BATCH_THRESHOLD,
-                      help="absolute batch-fraction drop that counts as a "
-                           f"regression (default {obs_perf.BATCH_THRESHOLD:g})")
     perf.add_argument("--report-only", action="store_true",
                       help="print the gate verdict but always exit 0")
     perf.set_defaults(func=cmd_perf)
@@ -363,15 +353,12 @@ def cmd_perf(args: argparse.Namespace) -> int:
     # profiler needs the machine's engine for the event count.
     machine = Machine(config, args.cpus, scale)
     profiler = obs_perf.PerfProfiler()
-    mode_ctx = fastpath.disabled() if args.no_fastpath else fastpath.enabled()
-    with mode_ctx:
-        with obs_perf.profiling(profiler):
-            result = machine.run(workload)
+    with obs_perf.profiling(profiler):
+        result = machine.run(workload)
     wall_s = profiler.wall_s
     events = machine.env.events_processed
-    mode = "ref" if args.no_fastpath else "fast"
     case = obs_perf.make_case(args.workload, config.name, args.cpus,
-                              scale.name, mode)
+                              scale.name, "ref")
     record = obs_perf.run_record("obs_perf", case, wall_s,
                                  result=result, events=events,
                                  profiler=profiler)
@@ -379,18 +366,6 @@ def cmd_perf(args: argparse.Namespace) -> int:
     print(result.describe())
     per_sec = f"{events / wall_s:,.0f} events/s" if wall_s > 0 else "n/a"
     print(f"host: {wall_s:.3f} s wall, {events:,} events ({per_sec})")
-    if record.batch_fraction is not None:
-        print(f"batch fraction: {record.batch_fraction:.1%}")
-    reasons = record.fallback_reasons or {}
-    dominant = obs_perf.dominant_reason(reasons)
-    if dominant is not None:
-        total = sum(reasons.values())
-        parts = ", ".join(
-            f"{name} {int(rows)} ({rows / total:.1%})"
-            for name, rows in sorted(reasons.items(),
-                                     key=lambda kv: (-kv[1], kv[0])))
-        print(f"dominant fallback reason: {dominant}")
-        print(f"fallback reasons (scalar rows): {parts}")
     print()
     print(profiler.breakdown().format_table())
 
@@ -400,9 +375,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     if args.baseline:
         baseline = obs_perf.read_bench(args.baseline)
         report = obs_perf.diff_bench(
-            baseline, [record],
-            time_threshold=args.time_threshold,
-            batch_threshold=args.batch_threshold)
+            baseline, [record], time_threshold=args.time_threshold)
         print()
         print(report.format())
         if not report.ok and not args.report_only:

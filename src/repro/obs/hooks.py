@@ -12,7 +12,7 @@ Hot simulator code never imports the recorder directly; it does::
 With tracing disabled (the default) ``active`` is ``None`` and every hook
 collapses to a local/module load plus an ``is not None`` test -- the no-op
 fast path the overhead benchmark (``benchmarks/bench_obs_overhead.py``)
-verifies.  ``scripts/check_no_tracer_in_hot_path.py`` lints that no
+verifies.  Lint rule L1 (``python -m repro.lint``) checks that no
 ``record`` call in the engine dispatch loop skips that guard.
 
 Categories map onto the paper's error-source taxonomy (see DESIGN.md):
@@ -61,23 +61,19 @@ topo = None
 #: The active host-phase profiler (:class:`repro.obs.perf.PerfProfiler`),
 #: or None when host profiling is disabled (the default).  Same slot
 #: discipline as ``active``/``topo``: read into a local, test
-#: ``is not None``, then call methods on the local.  Unlike those hooks
-#: the perf slot does *not* auto-disable the batch fast path -- it exists
-#: to observe it -- and it never changes simulated behaviour: the profiler
-#: only reads the host clock (inside ``repro.obs.perf``, never here or in
-#: the machine), so results are bit-identical with it on or off.
+#: ``is not None``, then call methods on the local.  It never changes
+#: simulated behaviour: the profiler only reads the host clock (inside
+#: ``repro.obs.perf``, never here or in the machine), so results are
+#: bit-identical with it on or off.
 #: Deliberately untyped at runtime (no perf import) to stay cycle-free.
 perf = None
 
 #: The active transaction recorder (:class:`repro.obs.txn.TxnRecorder`),
 #: or None when per-transaction tracing is disabled (the default).  Same
 #: slot discipline as ``active``/``topo``: hot code reads the slot into a
-#: local, tests ``is not None``, then calls methods on the local.  Like
-#: the tracer and topo slots -- and unlike ``perf`` -- an installed txn
-#: recorder auto-disables the batch fast path, so every memory reference
-#: runs the unmodified reference path and each DSM transaction can be
-#: followed end-to-end.  Deliberately untyped at runtime (no txn import)
-#: to keep this module cycle-free and the disabled path a bare load.
+#: local, tests ``is not None``, then calls methods on the local.
+#: Deliberately untyped at runtime (no txn import) to keep this module
+#: cycle-free and the disabled path a bare load.
 txn = None
 
 

@@ -14,13 +14,12 @@ The writer mirrors :mod:`repro.obs.hooks` and :mod:`repro.sim.farm_hooks`:
 a module-level ``active`` slot, ``install``/``uninstall``, and a context
 manager.  With no writer installed the farm pays a single ``is not None``
 test per request -- the ledger adds no cost to the simulator itself, which
-never imports this module (``scripts/check_no_tracer_in_hot_path.py``
-enforces that).
+never imports this module (lint rule L2 enforces that).
 
 Record layout is a **frozen schema** (:data:`LEDGER_SCHEMA`): records
 round-trip exactly through :meth:`LedgerRecord.to_dict` /
-:meth:`LedgerRecord.from_dict`, and ``scripts/check_metrics_schema.py``
-fails if either the schema constant or the round trip drifts.
+:meth:`LedgerRecord.from_dict`, and lint rule L4 fails if either the
+schema constant or the round trip drifts.
 """
 
 from __future__ import annotations
@@ -36,8 +35,8 @@ from typing import Dict, List, Optional, Tuple
 SCHEMA_VERSION = 1
 
 #: The frozen ledger-record schema: field -> (type, required).  Optional
-#: fields may also be null.  ``scripts/check_metrics_schema.py`` pins this
-#: constant; changing it is an explicit, reviewed act.
+#: fields may also be null.  Lint rule L4 pins this constant; changing it
+#: is an explicit, reviewed act.
 LEDGER_SCHEMA: Dict[str, Tuple[type, bool]] = {
     "schema": (int, True),         # SCHEMA_VERSION of the writing code
     "ts": (float, True),           # wall-clock unix time of the append

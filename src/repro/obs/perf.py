@@ -1,37 +1,33 @@
 """Host-side performance observability: where the *wall-clock* time goes.
 
 The rest of ``repro.obs`` explains simulated cycles; this module explains
-host seconds -- the axis ROADMAP item 1 needs before any compiled backend
-or miss-tolerant proof is worth building.  Three pieces:
+host seconds -- the axis ROADMAP item 1 needs before any scalar-path
+optimisation or compiled backend is worth building.  Three pieces:
 
 * :class:`PerfProfiler` -- guarded, off-by-default host-time hooks.  The
-  engine dispatch loop, the calendar, the batch filter, and the scalar
-  row loop each bracket their work with ``begin()``/``commit()`` *only*
-  after reading the :data:`repro.obs.hooks.perf` slot into a local and
-  testing ``is not None`` (the same discipline lint rule D3 enforces for
-  every other ambient hook).  With the slot empty -- the default -- each
+  engine dispatch loop, the calendar, and the row loop each bracket
+  their work with ``begin()``/``commit()`` *only* after reading the
+  :data:`repro.obs.hooks.perf` slot into a local and testing ``is not
+  None`` (the same discipline lint rule D3 enforces for every other
+  ambient hook).  With the slot empty -- the default -- each
   site costs one module attribute load plus a ``None`` test, verified by
   ``benchmarks/bench_obs_overhead.py``.  All ``perf_counter_ns`` reads
   live *here*, never in the machine, so lint rules D2/D5 stay clean and
   replay determinism cannot depend on the host clock.
 * :class:`HostBreakdown` -- the folded per-phase table, the host-time
   sibling of :class:`repro.obs.profile.RunBreakdown`.  Phases are
-  *overlapping views*, not a partition: calendar pushes and fastpath
-  probes happen inside event dispatch, and a scalar row segment spans
-  every dispatch its memory events trigger, so shares need not sum to
-  100%.
+  *overlapping views*, not a partition: calendar pushes happen inside
+  event dispatch, and a row segment spans every dispatch its memory
+  events trigger, so shares need not sum to 100%.
 * the **BENCH perf ledger** -- a frozen-schema JSON format
   (``BENCH_<name>.json``) for simulator-speed trajectories: host wall
-  time, simulated picoseconds, events/sec, batch fraction, the
-  fallback-reason histogram, and the host-phase breakdown.
+  time, simulated picoseconds, events/sec, and the host-phase breakdown.
   ``python -m repro.obs perf`` records one profiled run and diffs it
   against a committed baseline (:func:`diff_bench`), exiting nonzero
   beyond threshold -- the host-time sibling of ``repro.obs watch``.
 
-Profiling is pure host-side observation: unlike the tracer/topo/gate
-hooks it does **not** auto-disable the batch fast path (profiling exists
-to observe it), and cycle counts, stats, and goldens are bit-identical
-with the profiler on or off (``tests/test_obs_perf.py``).
+Profiling is pure host-side observation: cycle counts, stats, and goldens
+are bit-identical with the profiler on or off (``tests/test_obs_perf.py``).
 """
 
 from __future__ import annotations
@@ -49,12 +45,10 @@ from repro.obs import hooks
 
 DISPATCH = "engine.dispatch"       #: one event callback (fn(arg) + drain)
 CALENDAR = "engine.calendar"       #: one heap push in schedule_at
-PROBE = "fastpath.probe"           #: one window classification (numpy)
-COMMIT = "fastpath.commit"         #: one window's LRU/hit-counter commit
-ROWS_SCALAR = "cpu.rows_scalar"    #: one scalar row segment (inclusive)
+ROWS_SCALAR = "cpu.rows_scalar"    #: one chunk's row loop (inclusive)
 
 #: Every phase the instrumented sites report, in display order.
-PHASES = (DISPATCH, CALENDAR, PROBE, COMMIT, ROWS_SCALAR)
+PHASES = (DISPATCH, CALENDAR, ROWS_SCALAR)
 
 
 class PerfProfiler:
@@ -121,8 +115,8 @@ class PerfProfiler:
 @dataclass
 class HostBreakdown:
     """Per-phase host time for one run; see the module docstring caveat:
-    phases overlap (probe/commit/calendar run inside dispatch, scalar row
-    segments span dispatches), so fractions need not sum to 1."""
+    phases overlap (calendar pushes run inside dispatch, row segments
+    span dispatches), so fractions need not sum to 1."""
 
     wall_s: float
     phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
@@ -159,9 +153,9 @@ class HostBreakdown:
                 f"{100.0 * self.fraction(phase):>6.1f}%")
         lines.append(f"{'(wall)':<18s} {'':>10s} {self.wall_s * 1e3:>10.1f} "
                      f"{'100.0':>6s}%")
-        lines.append("phases overlap (probe/commit/calendar nest inside "
-                     "dispatch; scalar rows span dispatches) -- shares need "
-                     "not sum to 100%")
+        lines.append("phases overlap (calendar pushes nest inside dispatch; "
+                     "row segments span dispatches) -- shares need not sum "
+                     "to 100%")
         return "\n".join(lines)
 
 
@@ -171,8 +165,7 @@ def profiling(profiler: Optional[PerfProfiler] = None):
 
     Installs *profiler* (a fresh one by default) into the
     :data:`repro.obs.hooks.perf` slot and runs the wall clock across the
-    block.  Unlike the tracer/topo/gate hooks this does *not* disable the
-    batch fast path.
+    block.
     """
     prof = profiler if profiler is not None else PerfProfiler()
     previous = hooks.perf
@@ -185,41 +178,10 @@ def profiling(profiler: Optional[PerfProfiler] = None):
         hooks.perf = previous
 
 
-# -- fastpath forensics helpers --------------------------------------------
-
-def fastpath_stats(counters: Optional[Dict[str, float]],
-                   ) -> Tuple[Optional[float], Dict[str, float]]:
-    """(batch fraction, reason -> scalar rows) from a fastpath delta.
-
-    *counters* is the flat per-run counter delta a profiled run attaches
-    to ``RunResult.fastpath`` (``fastpath.rows_fast``,
-    ``fastpath.reason_rows.<reason>``, ...).  Rows a hook-ambient window
-    handed back wholesale count against the batch fraction too (they ran
-    scalar), via ``reason_rows.hook_disabled``.
-    """
-    counters = counters or {}
-    fast = counters.get("fastpath.rows_fast", 0.0)
-    scalar = counters.get("fastpath.rows_scalar", 0.0)
-    prefix = "fastpath.reason_rows."
-    reasons = {key[len(prefix):]: value for key, value in counters.items()
-               if key.startswith(prefix) and value}
-    total = fast + scalar + reasons.get("hook_disabled", 0.0)
-    fraction = fast / total if total else None
-    return fraction, reasons
-
-
-def dominant_reason(reasons: Dict[str, float]) -> Optional[str]:
-    """The fallback reason charged the most scalar rows (ties: first
-    alphabetically, so the answer is deterministic)."""
-    if not reasons:
-        return None
-    return max(sorted(reasons.items()), key=lambda kv: kv[1])[0]
-
-
 # -- the BENCH perf ledger (frozen schema) ---------------------------------
 
 #: Bumped on any incompatible record change; readers skip foreign versions.
-BENCH_SCHEMA_VERSION = 1
+BENCH_SCHEMA_VERSION = 2
 
 #: The frozen BENCH-record schema: field -> (type, required).  Optional
 #: fields may also be null.  Extending it is an explicit, reviewed act
@@ -233,8 +195,6 @@ BENCH_SCHEMA: Dict[str, Tuple[type, bool]] = {
     "events": (int, False),            # engine events processed
     "events_per_sec": (float, False),  # the headline simulator-speed metric
     "speedup": (float, False),         # vs. this case's own reference run
-    "batch_fraction": (float, False),  # rows batched / rows examined
-    "fallback_reasons": (dict, False),  # reason -> scalar rows
     "host_phases": (dict, False),      # HostBreakdown.to_dict()
 }
 
@@ -281,8 +241,6 @@ class BenchRecord:
     events: Optional[int] = None
     events_per_sec: Optional[float] = None
     speedup: Optional[float] = None
-    batch_fraction: Optional[float] = None
-    fallback_reasons: Optional[Dict[str, float]] = None
     host_phases: Optional[Dict] = None
     schema: int = BENCH_SCHEMA_VERSION
 
@@ -296,16 +254,12 @@ class BenchRecord:
             "events": self.events,
             "events_per_sec": self.events_per_sec,
             "speedup": self.speedup,
-            "batch_fraction": self.batch_fraction,
-            "fallback_reasons": (None if self.fallback_reasons is None
-                                 else dict(self.fallback_reasons)),
             "host_phases": (None if self.host_phases is None
                             else dict(self.host_phases)),
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "BenchRecord":
-        reasons = data.get("fallback_reasons")
         phases = data.get("host_phases")
         return cls(
             bench=data["bench"],
@@ -315,8 +269,6 @@ class BenchRecord:
             events=data.get("events"),
             events_per_sec=data.get("events_per_sec"),
             speedup=data.get("speedup"),
-            batch_fraction=data.get("batch_fraction"),
-            fallback_reasons=None if reasons is None else dict(reasons),
             host_phases=None if phases is None else dict(phases),
             schema=data.get("schema", BENCH_SCHEMA_VERSION),
         )
@@ -329,30 +281,17 @@ def run_record(bench: str, case: str, wall_s: float, result=None,
     """Fold one measured run into a :class:`BenchRecord`.
 
     *result* (a :class:`~repro.sim.results.RunResult`) supplies the
-    simulated time and -- when the run executed under an ambient batch
-    filter -- the batch fraction and fallback-reason histogram from its
-    per-run ``fastpath`` counter delta.
+    simulated time.
     """
-    batch_fraction = None
-    reasons = None
-    sim_ps = None
-    if result is not None:
-        sim_ps = result.total_ps
-        fraction, histogram = fastpath_stats(
-            getattr(result, "fastpath", None))
-        batch_fraction = fraction
-        reasons = histogram or None
     return BenchRecord(
         bench=bench,
         case=case,
         wall_s=wall_s,
-        sim_ps=sim_ps,
+        sim_ps=None if result is None else result.total_ps,
         events=events,
         events_per_sec=(events / wall_s
                         if events is not None and wall_s > 0 else None),
         speedup=speedup,
-        batch_fraction=batch_fraction,
-        fallback_reasons=reasons,
         host_phases=(None if profiler is None
                      else profiler.breakdown().to_dict()),
     )
@@ -413,11 +352,9 @@ def merge_bench(path, bench: str, records: List[BenchRecord]) -> Path:
 
 #: Default relative events/sec (or wall-time) slowdown that counts as a
 #: regression.  Deliberately generous: BENCH baselines travel between
-#: machines, so only collapses (a disabled fast path, an accidentally
-#: quadratic loop), not noise, should trip the gate.
+#: machines, so only collapses (an accidentally quadratic loop), not
+#: noise, should trip the gate.
 TIME_THRESHOLD = 0.5
-#: Default absolute drop in batch fraction that counts as a regression.
-BATCH_THRESHOLD = 0.10
 
 
 @dataclass
@@ -425,20 +362,15 @@ class PerfFlag:
     """One case that moved past a threshold against its baseline."""
 
     case: str
-    kind: str                  #: "throughput" or "batch"
     baseline: float
     latest: float
-    change: float              #: relative (throughput) or absolute (batch)
+    change: float              #: relative throughput change
     threshold: float
 
     def format(self) -> str:
-        if self.kind == "throughput":
-            return (f"PERF[throughput] {self.case}: "
-                    f"{self.baseline:,.0f} -> {self.latest:,.0f} events/s "
-                    f"({self.change:+.1%}, threshold -{self.threshold:.0%})")
-        return (f"PERF[batch] {self.case}: batch fraction "
-                f"{self.baseline:.1%} -> {self.latest:.1%} "
-                f"({self.change:+.3f}, threshold -{self.threshold:.2f})")
+        return (f"PERF[throughput] {self.case}: "
+                f"{self.baseline:,.0f} -> {self.latest:,.0f} events/s "
+                f"({self.change:+.1%}, threshold -{self.threshold:.0%})")
 
 
 @dataclass
@@ -464,15 +396,11 @@ class PerfDiffReport:
 
 
 def diff_bench(baseline: List[BenchRecord], current: List[BenchRecord],
-               time_threshold: float = TIME_THRESHOLD,
-               batch_threshold: float = BATCH_THRESHOLD) -> PerfDiffReport:
+               time_threshold: float = TIME_THRESHOLD) -> PerfDiffReport:
     """Compare *current* records against same-case *baseline* records.
 
     Throughput compares events/sec when both sides carry it (the
-    machine-independent-ish metric), else inverse wall time.  The batch
-    fraction is compared absolutely: a drop beyond *batch_threshold*
-    means the proof stopped firing, which no amount of host noise
-    explains.
+    machine-independent-ish metric), else inverse wall time.
     """
     report = PerfDiffReport()
     by_case = {record.case: record for record in baseline}
@@ -487,7 +415,7 @@ def diff_bench(baseline: List[BenchRecord], current: List[BenchRecord],
             change = record.events_per_sec / base.events_per_sec - 1.0
             if change < -time_threshold:
                 report.flags.append(PerfFlag(
-                    case=record.case, kind="throughput",
+                    case=record.case,
                     baseline=base.events_per_sec,
                     latest=record.events_per_sec,
                     change=change, threshold=time_threshold))
@@ -495,16 +423,7 @@ def diff_bench(baseline: List[BenchRecord], current: List[BenchRecord],
             change = base.wall_s / record.wall_s - 1.0
             if change < -time_threshold:
                 report.flags.append(PerfFlag(
-                    case=record.case, kind="throughput",
+                    case=record.case,
                     baseline=1.0 / base.wall_s, latest=1.0 / record.wall_s,
                     change=change, threshold=time_threshold))
-        if (record.batch_fraction is not None
-                and base.batch_fraction is not None):
-            drop = base.batch_fraction - record.batch_fraction
-            if drop > batch_threshold:
-                report.flags.append(PerfFlag(
-                    case=record.case, kind="batch",
-                    baseline=base.batch_fraction,
-                    latest=record.batch_fraction,
-                    change=-drop, threshold=batch_threshold))
     return report

@@ -14,8 +14,7 @@ The design mirrors :mod:`repro.obs.hooks` exactly:
   hot simulator code already imports ``obs.hooks`` and only ever pays a
   load plus an ``is not None`` test when spatial recording is disabled;
 * nothing under ``cpu/``, ``mem/``, ``engine/``, ``memsys/`` or
-  ``network/`` may import *this* module
-  (``scripts/check_no_tracer_in_hot_path.py`` enforces it);
+  ``network/`` may import *this* module (lint rule L2 enforces it);
 * enabled-mode memory is bounded: counters are dicts keyed by touched
   regions/links (bounded by the footprint), and the periodic sampler
   writes into fixed-size :class:`RingBuffer`\\ s that overwrite their

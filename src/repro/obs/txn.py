@@ -16,9 +16,6 @@ The design mirrors :mod:`repro.obs.topo` exactly:
   an ``is not None`` test when transaction tracing is disabled;
 * nothing under ``cpu/``, ``mem/``, ``memsys/``, ``proto/``,
   ``network/`` or ``engine/`` may import *this* module (lint rule L2);
-* an installed recorder auto-disables the batch fast path (like the
-  tracer, unlike ``perf``), so every reference runs the unmodified
-  scalar path and each DSM transaction is followed end-to-end;
 * recording never perturbs the simulation: the recorder only reads
   ``env.now`` and appends to its own lists -- no events, no timeouts --
   so a recording-enabled run is cycle-bit-identical to a disabled one.

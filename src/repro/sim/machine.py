@@ -20,7 +20,6 @@ from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.cpu import CpuMemInterface, make_core
 from repro.engine import Engine
-from repro.fastpath import ensure_ambient
 from repro.isa.trace import ChunkExec
 from repro.mem.page_table import PageTable
 from repro.memsys.dsm import DsmMemorySystem
@@ -80,8 +79,6 @@ class Machine:
         self._tracer = None
         self._topo = None
         self._txn = None
-        self._filt = None
-        self._fastpath_base: Optional[dict] = None
 
     # -- lifecycle -------------------------------------------------------
     #
@@ -95,9 +92,6 @@ class Machine:
         if self._ran:
             raise SimulationError("a Machine is single-use; build a new one")
         self._ran = True
-        # Resolve REPRO_FASTPATH once per process (no-op when a caller
-        # already decided); results are bit-identical either way.
-        self._snapshot_fastpath(ensure_ambient())
         tracer = obs_hooks.active
         if tracer is not None:
             tracer.bind_engine(self.env)
@@ -131,28 +125,6 @@ class Machine:
             )
         self._processes = processes
         self._done = self.env.all_of(processes)
-
-    def _snapshot_fastpath(self, filt) -> None:
-        """Remember the ambient filter's counters at run start.
-
-        The per-process shared filter accumulates across runs; snapshotting
-        here and attaching the delta in :meth:`finish` gives each RunResult
-        *its own* fallback forensics -- bit-identical whether runs execute
-        serially in one process or spread over farm workers (``--jobs``),
-        since each worker's delta covers exactly its own run.
-        """
-        snapshot = getattr(filt, "snapshot", None)
-        if snapshot is not None:
-            self._filt = filt
-            self._fastpath_base = snapshot()
-
-    def _fastpath_delta(self) -> Optional[dict]:
-        if self._filt is None or self._fastpath_base is None:
-            return None
-        base = self._fastpath_base
-        return {k: v - base.get(k, 0.0)
-                for k, v in self._filt.snapshot().items()
-                if v - base.get(k, 0.0)}
 
     def advance(self, max_ps: Optional[int] = None,
                 max_events: Optional[int] = None) -> bool:
@@ -201,7 +173,6 @@ class Machine:
         )
         if self._tracer is not None:
             result.breakdown = build_breakdown(self._tracer)
-        result.fastpath = self._fastpath_delta()
         if self._topo is not None:
             self._topo.finish(self.env.now)
         if self._txn is not None:
@@ -298,7 +269,6 @@ class Machine:
         """
         if self._ran:
             raise SimulationError("a Machine is single-use; build a new one")
-        self._snapshot_fastpath(ensure_ambient())
         if obs_hooks.topo is not None:
             raise SimulationError(
                 "checkpoint restore cannot run under a topo recorder "

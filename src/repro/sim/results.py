@@ -28,18 +28,10 @@ class RunResult:
     #: Per-CPU cycle attribution (repro.obs); populated when the run
     #: executed under an active tracer, else None.
     breakdown: Optional["RunBreakdown"] = None
-    #: Host-side fastpath forensics (repro.obs.perf): this run's delta of
-    #: the ambient batch filter's counters (rows batched/scalar, the
-    #: fallback-reason histogram), or None when no filter was ambient.
-    #: Observability only -- excluded from equality and from to_dict, so
-    #: results stay bit-identical with the fast path off and cache
-    #: replays stay indistinguishable (replays carry None: the counters
-    #: are a side effect the result cache deliberately does not store).
-    fastpath: Optional[Dict[str, float]] = field(default=None, compare=False)
     #: Transactions recorded by an ambient txn recorder (repro.obs.txn)
-    #: during this run, or None when none was installed.  Same contract
-    #: as :attr:`fastpath`: observability only, excluded from equality
-    #: and serialization -- the anatomy itself lives in the recorder (and
+    #: during this run, or None when none was installed.  Observability
+    #: only: excluded from equality and serialization, so cache replays
+    #: stay indistinguishable -- the anatomy itself lives in the recorder (and
     #: travels as a ``"kind": "txn"`` payload on Finding/ExperimentResult
     #: attributions), never inside the cached result.
     txn_total: Optional[int] = field(default=None, compare=False)

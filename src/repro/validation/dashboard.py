@@ -214,8 +214,6 @@ def _md_txn(exp_id: str, owner: str, payload: Dict) -> List[str]:
 
 
 def _md_bench(bench_records: Sequence) -> List[str]:
-    from repro.obs.perf import dominant_reason
-
     lines = [
         "## How fast is the simulator", "",
         "Headline wall clocks from the committed BENCH perf ledgers "
@@ -223,19 +221,15 @@ def _md_bench(bench_records: Sequence) -> List[str]:
         "`repro.obs.perf`); `python -m repro.obs perf --baseline ...` "
         "gates regressions against these numbers.",
         "",
-        "| bench | case | wall (s) | events/s | speedup | batched "
-        "| dominant fallback |",
-        "|---|---|---:|---:|---:|---:|---|",
+        "| bench | case | wall (s) | events/s | speedup |",
+        "|---|---|---:|---:|---:|",
     ]
     for r in sorted(bench_records, key=lambda r: (r.bench, r.case)):
         eps = ("" if r.events_per_sec is None
                else f"{r.events_per_sec:,.0f}")
         speedup = "" if r.speedup is None else f"{r.speedup:.1f}x"
-        batched = ("" if r.batch_fraction is None
-                   else f"{100 * r.batch_fraction:.1f}%")
-        reason = dominant_reason(r.fallback_reasons or {}) or ""
         lines.append(f"| {r.bench} | `{r.case}` | {r.wall_s:.3f} | {eps} "
-                     f"| {speedup} | {batched} | {reason} |")
+                     f"| {speedup} |")
     lines.append("")
     return lines
 
@@ -711,8 +705,6 @@ def render_html(results: Sequence, ledger_records: Sequence = (),
         parts.append("</table>")
 
     if bench_records:
-        from repro.obs.perf import dominant_reason
-
         parts.append(
             "<h2>How fast is the simulator</h2>"
             "<p class=legend>headline wall clocks from the committed "
@@ -721,23 +713,17 @@ def render_html(results: Sequence, ledger_records: Sequence = (),
             "regressions against these numbers</p>"
             "<table><tr><th>bench</th><th>case</th>"
             "<th class=num>wall (s)</th><th class=num>events/s</th>"
-            "<th class=num>speedup</th><th class=num>batched</th>"
-            "<th>dominant fallback</th></tr>")
+            "<th class=num>speedup</th></tr>")
         for r in sorted(bench_records, key=lambda r: (r.bench, r.case)):
             eps = ("" if r.events_per_sec is None
                    else f"{r.events_per_sec:,.0f}")
             speedup = "" if r.speedup is None else f"{r.speedup:.1f}x"
-            batched = ("" if r.batch_fraction is None
-                       else f"{100 * r.batch_fraction:.1f}%")
-            reason = dominant_reason(r.fallback_reasons or {}) or ""
             parts.append(
                 f"<tr><td>{_esc(r.bench)}</td>"
                 f"<td><code>{_esc(r.case)}</code></td>"
                 f"<td class=num>{r.wall_s:.3f}</td>"
                 f"<td class=num>{eps}</td>"
-                f"<td class=num>{speedup}</td>"
-                f"<td class=num>{batched}</td>"
-                f"<td>{_esc(reason)}</td></tr>")
+                f"<td class=num>{speedup}</td></tr>")
         parts.append("</table>")
 
     parts.append('<p class=sub>generated by <code>python -m repro.harness '

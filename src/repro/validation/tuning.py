@@ -150,7 +150,8 @@ class Tuner:
     """Fits an untuned simulator to reference microbenchmark measurements."""
 
     def __init__(self, reference: Optional[SimulatorConfig] = None,
-                 scale: MachineScale = REPRO_SCALE, n_loads: int = 200,
+                 scale: MachineScale = REPRO_SCALE,
+                 n_loads: Optional[int] = None,
                  max_rounds: int = 4, tolerance: float = 0.02):
         self.reference = reference or hardware_config()
         self.scale = scale

@@ -3,7 +3,6 @@
 from repro.workloads.base import Workload
 from repro.workloads.builder import ChunkBuilder
 from repro.workloads.fft import FftWorkload
-from repro.workloads.hotloop import HotLoopWorkload
 from repro.workloads.lu import LuWorkload
 from repro.workloads.microbench import (
     DependentLoads,
@@ -21,7 +20,6 @@ __all__ = [
     "Workload",
     "ChunkBuilder",
     "FftWorkload",
-    "HotLoopWorkload",
     "LuWorkload",
     "DependentLoads",
     "TlbTimer",

@@ -93,13 +93,20 @@ def _store_chunk(name: str):
 
 
 class DependentLoads(Workload):
-    """One Table 3 protocol case as a runnable workload."""
+    """One Table 3 protocol case as a runnable workload.
+
+    *n_loads* defaults to 200 chase lines, or as many as the owner's L2
+    holds beside the placement-touch line when the scale's L2 is smaller.
+    """
 
     def __init__(self, case: str, scale: MachineScale = REPRO_SCALE,
-                 n_loads: int = 200, spacing_ops: int = 0):
+                 n_loads: Optional[int] = None, spacing_ops: int = 0):
         super().__init__(microbench_scale(scale))
         if case not in _CASE_ACTORS:
             raise WorkloadError(f"unknown protocol case {case!r}")
+        if n_loads is None:
+            l2 = self.scale.l2
+            n_loads = min(200, l2.size_bytes // l2.line_bytes - 1)
         self.case = case
         self.n_loads = n_loads
         self.spacing_ops = spacing_ops
@@ -215,7 +222,7 @@ class TlbTimer(Workload):
 
 def measure_dependent_loads(config, case: str,
                             scale: MachineScale = REPRO_SCALE,
-                            n_loads: int = 200) -> float:
+                            n_loads: Optional[int] = None) -> float:
     """Measured nanoseconds per dependent load for one protocol case."""
     from repro.sim import farm_hooks  # local import: layer order
     from repro.sim.request import RunRequest
@@ -223,11 +230,11 @@ def measure_dependent_loads(config, case: str,
     workload = DependentLoads(case, scale, n_loads)
     result = farm_hooks.run(
         RunRequest(config, workload, n_cpus=MICROBENCH_CPUS))
-    return result.parallel_ps / n_loads / 1000.0
+    return result.parallel_ps / workload.n_loads / 1000.0
 
 
 def measure_all_cases(config, scale: MachineScale = REPRO_SCALE,
-                      n_loads: int = 200) -> Dict[str, float]:
+                      n_loads: Optional[int] = None) -> Dict[str, float]:
     """The full Table 3 row for one simulator configuration.
 
     All five protocol cases dispatch as one farm batch (they are
@@ -236,14 +243,15 @@ def measure_all_cases(config, scale: MachineScale = REPRO_SCALE,
     from repro.sim import farm_hooks  # local import: layer order
     from repro.sim.request import RunRequest
 
+    workloads = [DependentLoads(case, scale, n_loads)
+                 for case in PROTOCOL_CASES]
     results = farm_hooks.dispatch([
-        RunRequest(config, DependentLoads(case, scale, n_loads),
-                   n_cpus=MICROBENCH_CPUS)
-        for case in PROTOCOL_CASES
+        RunRequest(config, workload, n_cpus=MICROBENCH_CPUS)
+        for workload in workloads
     ])
     return {
-        case: result.parallel_ps / n_loads / 1000.0
-        for case, result in zip(PROTOCOL_CASES, results)
+        workload.case: result.parallel_ps / workload.n_loads / 1000.0
+        for workload, result in zip(workloads, results)
     }
 
 

@@ -3,7 +3,6 @@
 import repro.obs.metrics                  # L2: ledger in model code
 from repro.obs import topo                # L2: spatial recorder import
 from repro.ckpt import store              # L2: checkpoint subsystem
-from repro.fastpath import filter as _f   # L2: accelerator import
 from repro.obs import txn as _txn         # L2: txn anatomy import
 from repro.obs import hooks as obs_hooks  # sanctioned: must NOT fire
 from repro.common.gate import CheckpointGate  # sanctioned: must NOT fire

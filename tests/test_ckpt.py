@@ -24,9 +24,6 @@ This module pins that contract:
 
 import json
 import math
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -48,8 +45,6 @@ from repro.obs.trace import TraceRecorder
 from repro.sim import RunRequest, simos_mipsy
 from repro.workloads import TlbTimer, make_app
 
-REPO = Path(__file__).resolve().parent.parent
-COVERAGE_SHIM = REPO / "scripts" / "check_ckpt_coverage.py"
 
 _SETTINGS = settings(max_examples=6, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -523,13 +518,6 @@ class TestLints:
         from repro.lint.engine import repo_root, run_lint
         report = run_lint(repo_root(), rules=["L2"], runtime=False)
         assert report.ok, report.format()
-
-    def test_legacy_coverage_script_is_a_delegating_shim(self):
-        proc = subprocess.run(
-            [sys.executable, str(COVERAGE_SHIM)],
-            capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "repro.lint --rule L3" in proc.stderr
 
     def test_ckpt_import_ban_catches_violations(self, tmp_path):
         from repro.lint.engine import run_lint

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
 from repro.engine import Engine, Resource
@@ -40,6 +42,25 @@ def test_same_time_events_fire_fifo():
         env.process(proc(tag))
     env.run()
     assert order == [0, 1, 2, 3, 4]
+
+
+@given(delays=st.lists(st.integers(0, 3), min_size=1, max_size=12))
+@settings(max_examples=8, deadline=None)
+def test_engine_tie_order_preserved(delays):
+    """Engine.run pops in (when, seq) order: same-tick callbacks fire in
+    the order they were scheduled, whatever the interleaving of ticks."""
+    engine = Engine()
+    log = []
+    done = engine.event()
+    for index, delay in enumerate(delays):
+        engine.schedule_at(delay, lambda tag: log.append((engine.now, tag)),
+                           index)
+    engine.schedule_at(max(delays) + 1, lambda _: done.succeed(None), None)
+    engine.run(until=done)
+    assert log == sorted((delay, index) for index, delay in enumerate(delays))
+    assert engine.now == max(delays) + 1
+    assert engine.events_processed == len(delays) + 1
+    assert engine._heap == []
 
 
 def test_process_return_value_propagates():

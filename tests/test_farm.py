@@ -14,9 +14,6 @@ that contract:
 """
 
 import pickle
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -28,13 +25,6 @@ from repro.harness.findings import ExperimentResult
 from repro.sim import RunRequest, simos_mipsy
 from repro.sim import farm_hooks
 from repro.workloads import make_app
-
-REPO = Path(__file__).resolve().parent.parent
-GUARD_SHIM = REPO / "scripts" / "check_runresult_picklable.py"
-
-#: Experiments whose microbenchmarks need a realistically sized L2 (the
-#: pointer chase does not fit the tiny scale's cache).
-NEEDS_REPRO_SCALE = {"table3", "tuning_loop"}
 
 
 def tiny_request(mhz=150, n_cpus=1, seed=None, scale=TINY_SCALE):
@@ -217,13 +207,6 @@ class TestPicklableGuard:
         report = run_lint(repo_root(), rules=["L5"], runtime=True)
         assert report.ok, report.format()
 
-    def test_legacy_script_is_a_delegating_shim(self):
-        proc = subprocess.run(
-            [sys.executable, str(GUARD_SHIM)], capture_output=True,
-            text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "repro.lint --rule L5" in proc.stderr
-
     def test_detects_stream_field(self, tmp_path):
         from repro.lint.engine import run_lint
         bad = tmp_path / "src" / "repro" / "sim" / "results.py"
@@ -256,9 +239,7 @@ def test_every_experiment_result_pickles(tmp_path):
     farm = Farm(jobs=1, cache=ResultCache(tmp_path / "cache"))
     with farm.activate():
         for exp_id in experiment_ids():
-            scale = (REPRO_SCALE if exp_id in NEEDS_REPRO_SCALE
-                     else TINY_SCALE)
-            result = run_experiment(exp_id, scale)
+            result = run_experiment(exp_id, TINY_SCALE)
             clone = pickle.loads(pickle.dumps(result))
             assert clone.to_dict() == result.to_dict(), exp_id
             restored = ExperimentResult.from_dict(result.to_dict())

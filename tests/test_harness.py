@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.config import REPRO_SCALE
+from repro.common.config import REPRO_SCALE, TINY_SCALE
 from repro.common.errors import ConfigurationError
 from repro.harness import (
     DEFAULT_ORDER,
@@ -42,6 +42,15 @@ class TestCheapExperiments:
     def test_table2_lists_four_apps(self):
         result = run_experiment("table2", REPRO_SCALE)
         assert result.rendered.count("\n") >= 5
+
+    @pytest.mark.parametrize("exp_id", ["table3", "tuning_loop"])
+    def test_dependent_load_chase_fits_the_tiny_l2(self, exp_id):
+        # Regression: a fixed 200-line chase overflowed tiny's 64-line L2
+        # (WorkloadError) and crashed `repro.harness all --scale tiny`.
+        result = run_experiment(exp_id, TINY_SCALE)
+        assert result.scale_name == "tiny"
+        assert result.findings
+
 
 
 class TestFindings:

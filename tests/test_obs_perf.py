@@ -1,71 +1,43 @@
-"""repro.obs.perf lock-down net: host profiling, forensics, BENCH ledger.
+"""repro.obs.perf lock-down net: host profiling and the BENCH ledger.
 
-Four contracts:
+Three contracts:
 
 * **profiling is pure observation** -- a run with the perf hook
   installed is bit-identical (full ``RunResult.to_dict()``) to one
-  without, on both execution paths, and it does *not* disable the batch
-  fast path (unlike the tracer/topo/gate hooks); the ``engine.dispatch``
-  phase covers exactly ``events_processed`` events;
-* **fallback forensics** -- every fast-path run carries a per-run delta
-  of the ambient filter's counters on ``RunResult.fastpath`` (never in
-  ``to_dict()``: goldens and cache entries are unchanged), the streaming
-  applications' dominant fallback reason is a residency proof, the
-  resident hot loop batches >99% of its rows, and the counters are
-  bit-identical between a serial loop and a ``jobs=2`` farm pool;
+  without, and the ``engine.dispatch`` phase covers exactly
+  ``events_processed`` events;
 * **the BENCH perf ledger** -- the frozen record schema validates,
   round-trips, merges idempotently, and tolerates missing/foreign/corrupt
   baselines by gating nothing;
 * **the regression gate** -- :func:`repro.obs.perf.diff_bench` flags
-  throughput collapses and batch-fraction drops beyond threshold and
-  nothing else, and ``python -m repro.obs perf`` wires it to exit codes.
+  throughput collapses beyond threshold and nothing else, and
+  ``python -m repro.obs perf`` wires it to exit codes.
 """
 
 import json
 
 import pytest
 
-from repro import fastpath
-from repro.common.config import REPRO_SCALE, TINY_SCALE
-from repro.fastpath.filter import BatchFilter
-from repro.harness import Farm
+from repro.common.config import TINY_SCALE
 from repro.obs import hooks as obs_hooks
 from repro.obs import perf
 from repro.obs.cli import main as obs_main
-from repro.sim import RunRequest, simos_mipsy
 from repro.sim.configs import get_config
 from repro.sim.machine import Machine
-from repro.sim.results import RunResult
 from repro.workloads import make_app
-from repro.workloads.hotloop import HotLoopWorkload
-
-#: The proofs that fail because state is simply not resident yet -- the
-#: expected story for streaming kernels (touch a block once, move on).
-RESIDENCY_REASONS = {"page_unmapped", "tlb_nonresident", "l1_nonresident"}
 
 
 def tiny_machine(n_cpus=1):
     return Machine(get_config("simos-mipsy-150"), n_cpus, TINY_SCALE)
 
 
-def run_fast(workload, n_cpus=1, profiler=None, scale=TINY_SCALE):
-    """One run on the batched path, optionally profiled."""
-    machine = Machine(get_config("simos-mipsy-150"), n_cpus, scale)
-    with fastpath.enabled(BatchFilter()):
-        if profiler is not None:
-            with perf.profiling(profiler):
-                result = machine.run(workload)
-        else:
-            result = machine.run(workload)
-    return result, machine
-
-
 @pytest.fixture(scope="module")
 def profiled_fft():
-    """One profiled fft@tiny fast-path run, shared by the read-only tests."""
+    """One profiled fft@tiny run, shared by the read-only tests."""
     profiler = perf.PerfProfiler()
-    result, machine = run_fast(make_app("fft", TINY_SCALE),
-                               profiler=profiler)
+    machine = tiny_machine()
+    with perf.profiling(profiler):
+        result = machine.run(make_app("fft", TINY_SCALE))
     return result, machine, profiler
 
 
@@ -79,7 +51,7 @@ class TestProfiler:
         profiler.commit("engine.dispatch", profiler.begin())
         assert profiler.phase_count("engine.dispatch") == 4
         assert profiler.phase_seconds("engine.dispatch") >= 0.0
-        assert profiler.phase_count("fastpath.probe") == 0
+        assert profiler.phase_count("engine.calendar") == 0
 
     def test_breakdown_round_trips(self):
         profiler = perf.PerfProfiler()
@@ -118,28 +90,10 @@ class TestProfiler:
 # -- profiling is pure observation -----------------------------------------
 
 class TestBitIdentity:
-    def test_profiled_fast_run_is_bit_identical(self, profiled_fft):
+    def test_profiled_reference_run_is_bit_identical(self, profiled_fft):
         profiled, _machine, _profiler = profiled_fft
-        plain, _ = run_fast(make_app("fft", TINY_SCALE))
+        plain = tiny_machine().run(make_app("fft", TINY_SCALE))
         assert profiled.to_dict() == plain.to_dict()
-
-    def test_profiled_reference_run_is_bit_identical(self):
-        workload = make_app("fft", TINY_SCALE)
-        with fastpath.disabled():
-            plain = tiny_machine().run(workload)
-        with fastpath.disabled():
-            with perf.profiling():
-                profiled = tiny_machine().run(make_app("fft", TINY_SCALE))
-        assert profiled.to_dict() == plain.to_dict()
-
-    def test_profiler_does_not_disable_the_fast_path(self):
-        # fft@tiny streams and legitimately batches ~nothing, so the
-        # proof-actually-fires check needs the resident hot loop.
-        workload = HotLoopWorkload(TINY_SCALE, reps=500, n_lines=16,
-                                   n_loads=8, n_stores=4)
-        result, _ = run_fast(workload, profiler=perf.PerfProfiler())
-        assert result.fastpath is not None
-        assert result.fastpath.get("fastpath.rows_fast", 0) > 0
 
     def test_dispatch_phase_covers_every_event(self, profiled_fft):
         _result, machine, profiler = profiled_fft
@@ -152,69 +106,9 @@ class TestBitIdentity:
         assert breakdown.wall_s > 0.0
 
 
-# -- fallback forensics ----------------------------------------------------
-
-class TestForensics:
-    def test_reference_runs_attach_no_forensics(self):
-        with fastpath.disabled():
-            result = tiny_machine().run(make_app("fft", TINY_SCALE))
-        assert result.fastpath is None
-
-    def test_fast_runs_attach_the_counter_delta(self, profiled_fft):
-        result, _machine, _profiler = profiled_fft
-        assert result.fastpath
-        assert all(value for value in result.fastpath.values())
-        fraction, reasons = perf.fastpath_stats(result.fastpath)
-        assert fraction is not None and 0.0 <= fraction <= 1.0
-        assert reasons
-
-    @pytest.mark.parametrize("app", ["fft", "radix"])
-    def test_streaming_apps_fall_back_on_residency_proofs(self, app):
-        result, _ = run_fast(make_app(app, TINY_SCALE))
-        _fraction, reasons = perf.fastpath_stats(result.fastpath)
-        dominant = perf.dominant_reason(reasons)
-        assert dominant in RESIDENCY_REASONS, (app, reasons)
-
-    def test_hot_loop_batches_nearly_every_row(self):
-        # The steady-state regime: the repro-scale hot loop's working set
-        # is TLB- and L1-resident, so nearly every row proves all-hit.
-        result, _ = run_fast(HotLoopWorkload(REPRO_SCALE),
-                             scale=REPRO_SCALE)
-        fraction, _reasons = perf.fastpath_stats(result.fastpath)
-        assert fraction is not None
-        assert fraction > 0.99, f"hot loop batched only {fraction:.1%}"
-
-    def test_forensics_stay_out_of_the_serialized_result(self, profiled_fft):
-        result, _machine, _profiler = profiled_fft
-        payload = result.to_dict()
-        assert "fastpath" not in payload
-        back = RunResult.from_dict(payload)
-        assert back.fastpath is None
-        assert back == result    # the field never participates in equality
-
-    @pytest.mark.farm
-    def test_serial_and_pool_forensics_are_identical(self, monkeypatch):
-        # Workers resolve REPRO_FASTPATH per process; the serial loop pins
-        # the same mode explicitly.  The per-run counter *delta* must not
-        # depend on who ran it or on the filter's warmth.
-        monkeypatch.setenv(fastpath.ENV, "1")
-        requests = [RunRequest(simos_mipsy(mhz), make_app("fft", TINY_SCALE),
-                               n_cpus=n_cpus)
-                    for mhz in (150, 225) for n_cpus in (1, 2)]
-        serial = []
-        for request in requests:
-            with fastpath.enabled(BatchFilter()):
-                serial.append(request.execute())
-        pooled = Farm(jobs=2).map(requests)
-        for expected, got in zip(serial, pooled):
-            assert got.to_dict() == expected.to_dict()
-            assert expected.fastpath
-            assert got.fastpath == expected.fastpath
-
-
 # -- the BENCH perf ledger -------------------------------------------------
 
-def record(case="fft@simos-mipsy-150/P1/tiny/fast", **kwargs):
+def record(case="fft@simos-mipsy-150/P1/tiny/ref", **kwargs):
     return perf.BenchRecord(bench="unit", case=case, wall_s=1.0, **kwargs)
 
 
@@ -225,8 +119,6 @@ class TestBenchLedger:
 
     def test_record_round_trips(self):
         original = record(events=100, events_per_sec=100.0, speedup=2.0,
-                          batch_fraction=0.5,
-                          fallback_reasons={"tlb_nonresident": 3.0},
                           host_phases={"wall_s": 1.0, "phases": {}})
         back = perf.BenchRecord.from_dict(original.to_dict())
         assert back == original
@@ -247,13 +139,11 @@ class TestBenchLedger:
     def test_run_record_folds_a_profiled_run(self, profiled_fft):
         result, machine, profiler = profiled_fft
         events = machine.env.events_processed
-        rec = perf.run_record("unit", "fft@simos-mipsy-150/P1/tiny/fast",
+        rec = perf.run_record("unit", "fft@simos-mipsy-150/P1/tiny/ref",
                               0.5, result=result, events=events,
                               profiler=profiler, speedup=2.0)
         assert rec.sim_ps == result.total_ps
         assert rec.events_per_sec == pytest.approx(events / 0.5)
-        assert rec.batch_fraction is not None
-        assert rec.fallback_reasons
         assert rec.host_phases["phases"]
         assert not perf.validate_bench_record(rec.to_dict())
 
@@ -290,27 +180,6 @@ class TestBenchLedger:
              "records": [record().to_dict(), {"not": "a record"}]}))
         assert len(perf.read_bench(mixed)) == 1
 
-    def test_fastpath_stats(self):
-        fraction, reasons = perf.fastpath_stats({
-            "fastpath.rows_fast": 90.0,
-            "fastpath.rows_scalar": 5.0,
-            "fastpath.reason_rows.l1_nonresident": 5.0,
-            "fastpath.reason_rows.hook_disabled": 5.0,
-            "fastpath.windows": 12.0,
-        })
-        # hook_disabled rows ran scalar too: denominator 90 + 5 + 5.
-        assert fraction == pytest.approx(0.9)
-        assert reasons == {"l1_nonresident": 5.0, "hook_disabled": 5.0}
-        assert perf.fastpath_stats(None) == (None, {})
-        assert perf.fastpath_stats({}) == (None, {})
-
-    def test_dominant_reason(self):
-        assert perf.dominant_reason({}) is None
-        assert perf.dominant_reason({"b": 1.0, "a": 3.0}) == "a"
-        # Ties break alphabetically, deterministically.
-        assert perf.dominant_reason({"b": 2.0, "a": 2.0}) == "a"
-
-
 # -- the regression gate ---------------------------------------------------
 
 class TestDiffBench:
@@ -318,7 +187,6 @@ class TestDiffBench:
         base = [record(events_per_sec=1000.0)]
         report = perf.diff_bench(base, [record(events_per_sec=400.0)])
         assert not report.ok
-        assert report.flags[0].kind == "throughput"
         assert "PERF[throughput]" in report.format()
         # Within threshold: noise, not a regression.
         assert perf.diff_bench(base, [record(events_per_sec=600.0)]).ok
@@ -327,15 +195,8 @@ class TestDiffBench:
         base = [perf.BenchRecord(bench="unit", case="c", wall_s=1.0)]
         slow = [perf.BenchRecord(bench="unit", case="c", wall_s=3.0)]
         report = perf.diff_bench(base, slow)
-        assert not report.ok and report.flags[0].kind == "throughput"
+        assert not report.ok and report.flags[0].change == pytest.approx(-2 / 3)
         assert perf.diff_bench(base, base).ok
-
-    def test_batch_fraction_drop_is_flagged_absolutely(self):
-        base = [record(batch_fraction=0.99)]
-        report = perf.diff_bench(base, [record(batch_fraction=0.50)])
-        assert [flag.kind for flag in report.flags] == ["batch"]
-        assert "PERF[batch]" in report.format()
-        assert perf.diff_bench(base, [record(batch_fraction=0.95)]).ok
 
     def test_unmatched_cases_gate_nothing(self):
         report = perf.diff_bench([], [record()])
@@ -354,12 +215,9 @@ class TestPerfCli:
         path = tmp_path / "bench.json"
         assert obs_main(self.ARGS + ["--json", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "dominant fallback reason:" in out
         assert "engine.dispatch" in out
         records = perf.read_bench(path)
-        assert [r.case for r in records] == ["fft@simos-mipsy-150/P1/tiny/fast"]
-        assert records[0].batch_fraction is not None
-        assert records[0].fallback_reasons
+        assert [r.case for r in records] == ["fft@simos-mipsy-150/P1/tiny/ref"]
         assert records[0].host_phases["phases"]
 
     def test_baseline_gate_and_report_only(self, tmp_path, capsys):
@@ -367,19 +225,10 @@ class TestPerfCli:
         # --report-only downgrades it to a printed report.
         baseline = tmp_path / "BENCH_baseline.json"
         perf.write_bench(baseline, "obs_perf", [perf.BenchRecord(
-            bench="obs_perf", case="fft@simos-mipsy-150/P1/tiny/fast",
+            bench="obs_perf", case="fft@simos-mipsy-150/P1/tiny/ref",
             wall_s=1e-6, events_per_sec=1e12)])
         args = self.ARGS + ["--baseline", str(baseline)]
         assert obs_main(args) == 1
         assert "PERF[throughput]" in capsys.readouterr().out
         assert obs_main(args + ["--report-only"]) == 0
         assert "PERF[throughput]" in capsys.readouterr().out
-
-    def test_no_fastpath_records_the_reference_mode(self, tmp_path):
-        path = tmp_path / "bench.json"
-        code = obs_main(self.ARGS + ["--no-fastpath", "--json", str(path)])
-        assert code == 0
-        records = perf.read_bench(path)
-        assert [r.case for r in records] == ["fft@simos-mipsy-150/P1/tiny/ref"]
-        assert records[0].batch_fraction is None
-        assert records[0].fallback_reasons is None

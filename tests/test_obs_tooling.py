@@ -6,13 +6,10 @@
   in the models;
 * the metrics-schema rule (L4) must pass and must actually detect
   contract breaks;
-* the legacy ``scripts/check_*.py`` entry points still work (as
-  deprecation shims over the registry);
 * the overhead benchmark must import and expose its budgets (the timed
   run itself lives in ``benchmarks/bench_obs_overhead.py``, marked slow).
 """
 
-import subprocess
 import sys
 from pathlib import Path
 
@@ -20,8 +17,6 @@ from repro.lint.engine import repo_root, run_lint
 from repro.lint.rules import RULES_BY_ID
 
 REPO = Path(__file__).resolve().parent.parent
-LINT_SHIM = REPO / "scripts" / "check_no_tracer_in_hot_path.py"
-SCHEMA_SHIM = REPO / "scripts" / "check_metrics_schema.py"
 
 
 def lint_tree(tmp_path, files, rules):
@@ -37,14 +32,6 @@ class TestHotPathLint:
     def test_current_tree_is_clean(self):
         report = run_lint(repo_root(), rules=["L1", "L2"], runtime=False)
         assert report.ok, report.format()
-
-    def test_legacy_script_is_a_delegating_shim(self):
-        proc = subprocess.run(
-            [sys.executable, str(LINT_SHIM)], capture_output=True,
-            text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "deprecated" in proc.stderr
-        assert "repro.lint --rule L1,L2" in proc.stderr
 
     def test_detects_unguarded_call(self, tmp_path):
         report = lint_tree(tmp_path, {
@@ -131,13 +118,6 @@ class TestMetricsSchemaCheck:
         rule = RULES_BY_ID["L4"]
         assert rule.check_frozen() == []
         assert rule.check_roundtrip() == []
-
-    def test_legacy_script_is_a_delegating_shim(self):
-        proc = subprocess.run(
-            [sys.executable, str(SCHEMA_SHIM)], capture_output=True,
-            text=True)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "deprecated" in proc.stderr
 
     def test_detects_unbumped_schema_change(self, monkeypatch):
         from repro.obs import metrics

@@ -19,7 +19,8 @@ import pytest
 
 from conftest import emit_bench
 from repro.common.config import get_scale
-from repro.obs.perf import PerfProfiler, make_case, profiling, run_record
+from repro.obs.hooks import observing
+from repro.obs.perf import PerfProfiler, make_case, run_record
 from repro.sim.configs import get_config
 from repro.sim.machine import Machine
 from repro.workloads import make_app
@@ -86,7 +87,7 @@ def test_perf_smoke_baseline():
     config = get_config("simos-mipsy-150")
     seconds, result, events = _best_of("fft", config, scale, repeats=2)
     profiler = PerfProfiler()
-    with profiling(profiler):
+    with observing(profiler):
         Machine(config, 1, scale).run(make_app("fft", scale))
     record = run_record(
         "engine_hotpath",

@@ -1,27 +1,18 @@
-"""Tracer-off vs. tracer-on overhead of the observability subsystem.
+"""Observer-off vs. tracer-on overhead of the observability subsystem.
 
-Three measurements on a small Ocean run (the reference run of the
+Two measurements on a small Ocean run (the reference run of the
 observability acceptance gate):
 
-* **disabled path** -- the instrumented simulator with no tracer
-  installed.  Every hook is a module/local load plus an ``is not None``
-  test; we time the guard directly and project its share of the run from
-  the number of spans an enabled run records.  The projection must stay
+* **disabled path** -- the instrumented simulator with nothing installed.
+  Every site is one load of the probe slot (``repro.obs.hooks.active``,
+  or the engine's own ``tracer`` attribute) plus an ``is not None``
+  test; we time that guard directly and project its share of the run
+  from the number of guarded probe calls one run reaches, counted by a
+  recorder that subscribes to every event.  The projection must stay
   under 5% of the reference run time.
-* **enabled path** -- the same run with a recorder installed.  Tracing is
+* **enabled path** -- the same run with a tracer installed.  Tracing is
   allowed to cost real time (it records one span per stall/transaction)
   but must stay within a small constant factor of the baseline.
-* **disabled topo path** -- the spatial recorder's hooks follow the same
-  contract through the ``repro.obs.hooks.topo`` slot; its projected
-  disabled-mode share of the run must also stay within the noise budget.
-* **disabled perf path** -- the host-phase profiler's brackets
-  (``repro.obs.hooks.perf``) guard the engine's dispatch loop, calendar
-  pushes and the scalar row path.  Profiling off is the default on every
-  measured run, so its guards are held to the same 5% projection budget.
-* **disabled txn path** -- the transaction recorder's hooks
-  (``repro.obs.hooks.txn``) guard the cache miss path, the DSM
-  transaction body, directory transitions, and sync-point write drains.
-  Same slot, same contract, same 5% projection budget.
 
 The headline numbers fold into the committed BENCH perf ledger
 (``benchmarks/BENCH_obs_overhead.json``) via ``conftest.emit_bench``.
@@ -38,35 +29,46 @@ import pytest
 
 from repro.common.config import get_scale
 from repro.obs import hooks as obs_hooks
-from repro.obs import topo as obs_topo
-from repro.obs import txn as obs_txn
 from repro.obs.perf import BenchRecord, make_case
 from repro.obs.trace import TraceRecorder
 from repro.sim.configs import get_config
-from repro.sim.machine import Machine, run_workload
+from repro.sim.machine import run_workload
 from repro.workloads import make_app
 
 #: Enabled run may cost at most this factor over the disabled run.
 MAX_ENABLED_RATIO = 4.0
 #: Projected disabled-guard overhead must stay under this share of a run.
 MAX_DISABLED_OVERHEAD = 0.05
-#: Guards executed per recorded span is bounded by a small constant: every
-#: span is recorded behind exactly one guard, and hit-path guards that
-#: record nothing are at most a handful per span-producing event.
-GUARDS_PER_SPAN = 8.0
-#: Perf guards executed per engine event: one in the calendar push, one
-#: in the dispatch loop, and (amortised) at most one on the row path --
-#: row-segment guards fire once per CPU timeslice, not once per row.
-PERF_GUARDS_PER_EVENT = 3.0
 
 
-def _reference_run(tracer=None):
+class GuardCounter(obs_hooks.Recorder):
+    """Subscribes to every probe event, per-calendar-event ones included.
+
+    Each delivery is one guarded call reached, and no site tests its
+    local more often than it delivers (the engine's two sites deliver
+    five events per calendar event behind two tests), so the count is an
+    upper bound on the guards a disabled run executes."""
+
+    engine_events = True
+
+    def __init__(self):
+        self.guards = 0
+
+    def _count(self, *_args):
+        self.guards += 1
+
+
+for _event in obs_hooks.EVENTS:
+    setattr(GuardCounter, _event, GuardCounter._count)
+
+
+def _reference_run(*recorders):
     scale = get_scale("tiny")
     config = get_config("simos-mipsy-150-tuned")
     workload = make_app("ocean", scale)
     start = time.perf_counter()
-    if tracer is not None:
-        with obs_hooks.tracing(tracer):
+    if recorders:
+        with obs_hooks.observing(*recorders):
             run_workload(config, workload, 2, scale)
     else:
         run_workload(config, workload, 2, scale)
@@ -85,115 +87,25 @@ def _time_guard(iterations: int = 1_000_000) -> float:
     return elapsed / iterations
 
 
-def _time_topo_guard(iterations: int = 1_000_000) -> float:
-    """Seconds per disabled topo guard -- the identical slot pattern."""
-    start = time.perf_counter()
-    hits = 0
-    for _ in range(iterations):
-        if obs_hooks.topo is not None:  # the disabled fast path
-            hits += 1
-    elapsed = time.perf_counter() - start
-    assert hits == 0
-    return elapsed / iterations
-
-
-def _time_perf_guard(iterations: int = 1_000_000) -> float:
-    """Seconds per disabled perf guard -- the identical slot pattern."""
-    start = time.perf_counter()
-    hits = 0
-    for _ in range(iterations):
-        if obs_hooks.perf is not None:  # the disabled fast path
-            hits += 1
-    elapsed = time.perf_counter() - start
-    assert hits == 0
-    return elapsed / iterations
-
-
-def _time_txn_guard(iterations: int = 1_000_000) -> float:
-    """Seconds per disabled txn guard -- the identical slot pattern."""
-    start = time.perf_counter()
-    hits = 0
-    for _ in range(iterations):
-        if obs_hooks.txn is not None:  # the disabled fast path
-            hits += 1
-    elapsed = time.perf_counter() - start
-    assert hits == 0
-    return elapsed / iterations
-
-
-def _event_count() -> int:
-    """Engine events one reference run processes."""
-    scale = get_scale("tiny")
-    config = get_config("simos-mipsy-150-tuned")
-    machine = Machine(config, 2, scale)
-    machine.run(make_app("ocean", scale))
-    return machine.env.events_processed
-
-
-def _topo_event_count() -> int:
-    """Counting-hook invocations one reference run generates."""
-    scale = get_scale("tiny")
-    config = get_config("simos-mipsy-150-tuned")
-    workload = make_app("ocean", scale)
-    recorder = obs_topo.TopoRecorder()
-    with obs_topo.recording(recorder):
-        run_workload(config, workload, 2, scale)
-    return recorder.total_events
-
-
-def _txn_event_count() -> int:
-    """Txn-hook invocations one reference run generates."""
-    scale = get_scale("tiny")
-    config = get_config("simos-mipsy-150-tuned")
-    workload = make_app("ocean", scale)
-    recorder = obs_txn.TxnRecorder()
-    with obs_txn.recording(recorder):
-        run_workload(config, workload, 2, scale)
-    return recorder.total_events
-
-
 def measure():
-    assert obs_hooks.active is None, "benchmark requires tracing disabled"
-    assert obs_hooks.topo is None, "benchmark requires topo disabled"
-    assert obs_hooks.perf is None, "benchmark requires profiling disabled"
-    assert obs_hooks.txn is None, "benchmark requires txn tracing disabled"
+    assert obs_hooks.active is None, "benchmark requires nothing observing"
     t_off = min(_reference_run() for _ in range(3))
-    recorder = TraceRecorder(capacity=4096)
+    tracer = TraceRecorder(capacity=4096)
     t_on = min(
         _reference_run(TraceRecorder(capacity=4096)),
-        _reference_run(recorder),
+        _reference_run(tracer),
     )
     guard_s = _time_guard()
-    projected = recorder.recorded * GUARDS_PER_SPAN * guard_s
-    topo_guard_s = _time_topo_guard()
-    topo_events = _topo_event_count()
-    # Every topo counting site is one guard; with topo disabled the sites
-    # cost exactly the guard, so the projection needs no extra factor.
-    topo_projected = topo_events * topo_guard_s
-    perf_guard_s = _time_perf_guard()
-    events = _event_count()
-    perf_projected = events * PERF_GUARDS_PER_EVENT * perf_guard_s
-    txn_guard_s = _time_txn_guard()
-    txn_events = _txn_event_count()
-    # Every txn hook site is one guard (open/commit sites fold into the
-    # transaction's own events), so the projection needs no extra factor.
-    txn_projected = txn_events * txn_guard_s
+    counter = GuardCounter()
+    _reference_run(counter)
     return {
         "t_off_s": t_off,
         "t_on_s": t_on,
         "ratio": t_on / t_off,
         "guard_ns": guard_s * 1e9,
-        "spans": recorder.recorded,
-        "disabled_overhead_fraction": projected / t_off,
-        "topo_guard_ns": topo_guard_s * 1e9,
-        "topo_events": topo_events,
-        "topo_disabled_overhead_fraction": topo_projected / t_off,
-        "perf_guard_ns": perf_guard_s * 1e9,
-        "events": events,
-        "perf_disabled_overhead_fraction": perf_projected / t_off,
-        "txn_guard_ns": txn_guard_s * 1e9,
-        "txn_events": txn_events,
-        "txn_disabled_overhead_fraction": txn_projected / t_off,
+        "spans": tracer.recorded,
+        "guards": counter.guards,
+        "disabled_overhead_fraction": counter.guards * guard_s / t_off,
     }
 
 
@@ -202,62 +114,38 @@ def _emit_ledger(m) -> None:
     from conftest import emit_bench
 
     config, scale = "simos-mipsy-150-tuned", "tiny"
-    guards = [
-        ("tracer-guard", m["guard_ns"]),
-        ("topo-guard", m["topo_guard_ns"]),
-        ("perf-guard", m["perf_guard_ns"]),
-        ("txn-guard", m["txn_guard_ns"]),
-    ]
-    records = [
+    emit_bench("obs_overhead", [
         BenchRecord(bench="obs_overhead",
                     case=make_case("ocean", config, 2, scale, "obs-off"),
                     wall_s=m["t_off_s"]),
         BenchRecord(bench="obs_overhead",
                     case=make_case("ocean", config, 2, scale, "obs-on"),
                     wall_s=m["t_on_s"]),
-    ]
-    for mode, guard_ns in guards:
-        # One record per disabled-guard microbenchmark: wall clock of the
+        # The disabled-guard microbenchmark: wall clock of the
         # 1M-iteration loop, throughput in guards/second.
-        records.append(BenchRecord(
-            bench="obs_overhead",
-            case=make_case("guards", "disabled-slots", 1, scale, mode),
-            wall_s=guard_ns * 1e-9 * 1_000_000,
-            events=1_000_000,
-            events_per_sec=1e9 / guard_ns if guard_ns else None))
-    emit_bench("obs_overhead", records)
+        BenchRecord(bench="obs_overhead",
+                    case=make_case("guards", "probe-slot", 1, scale,
+                                   "disabled-guard"),
+                    wall_s=m["guard_ns"] * 1e-9 * 1_000_000,
+                    events=1_000_000,
+                    events_per_sec=(1e9 / m["guard_ns"]
+                                    if m["guard_ns"] else None)),
+    ])
 
 
 @pytest.mark.slow
 def test_obs_overhead():
     m = measure()
     print()
-    print(f"tracer off : {m['t_off_s'] * 1e3:8.1f} ms")
-    print(f"tracer on  : {m['t_on_s'] * 1e3:8.1f} ms  ({m['ratio']:.2f}x)")
-    print(f"guard cost : {m['guard_ns']:8.1f} ns "
-          f"({m['spans']} spans/run -> projected disabled overhead "
+    print(f"observer off: {m['t_off_s'] * 1e3:8.1f} ms")
+    print(f"tracer on   : {m['t_on_s'] * 1e3:8.1f} ms  ({m['ratio']:.2f}x, "
+          f"{m['spans']} spans)")
+    print(f"guard cost  : {m['guard_ns']:8.1f} ns "
+          f"({m['guards']} guards/run -> projected disabled overhead "
           f"{100 * m['disabled_overhead_fraction']:.2f}%)")
-    print(f"topo guard : {m['topo_guard_ns']:8.1f} ns "
-          f"({m['topo_events']} events/run -> projected disabled overhead "
-          f"{100 * m['topo_disabled_overhead_fraction']:.2f}%)")
-    print(f"perf guard : {m['perf_guard_ns']:8.1f} ns "
-          f"({m['events']} events/run -> projected disabled overhead "
-          f"{100 * m['perf_disabled_overhead_fraction']:.2f}%)")
-    print(f"txn guard  : {m['txn_guard_ns']:8.1f} ns "
-          f"({m['txn_events']} events/run -> projected disabled overhead "
-          f"{100 * m['txn_disabled_overhead_fraction']:.2f}%)")
     _emit_ledger(m)
     assert m["disabled_overhead_fraction"] <= MAX_DISABLED_OVERHEAD, (
-        "disabled-tracer guards exceed the 5% budget on the reference run"
-    )
-    assert m["topo_disabled_overhead_fraction"] <= MAX_DISABLED_OVERHEAD, (
-        "disabled-topo guards exceed the 5% budget on the reference run"
-    )
-    assert m["perf_disabled_overhead_fraction"] <= MAX_DISABLED_OVERHEAD, (
-        "disabled-perf guards exceed the 5% budget on the reference run"
-    )
-    assert m["txn_disabled_overhead_fraction"] <= MAX_DISABLED_OVERHEAD, (
-        "disabled-txn guards exceed the 5% budget on the reference run"
+        "disabled probe guards exceed the 5% budget on the reference run"
     )
     assert m["ratio"] <= MAX_ENABLED_RATIO, (
         f"enabled tracing costs {m['ratio']:.2f}x, "

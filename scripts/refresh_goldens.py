@@ -90,50 +90,35 @@ def attribution_snapshot(golden_id: str) -> dict:
     runs = []
     for config_name in (ref_name, cand_name):
         # One fresh recorder per run: breakdowns must not blend.
-        with hooks.tracing(TraceRecorder()):
+        with hooks.observing(TraceRecorder()):
             runs.append(farm_hooks.run(RunRequest(
                 get_config(config_name), workload, 1, REPRO_SCALE)))
     return diff_runs(runs[0], runs[1]).to_dict()
 
 
 def hotspot_snapshot(golden_id: str) -> dict:
-    """The HotspotReport payload for one pinned run under the topo hooks."""
-    from repro.obs import topo as obs_topo
-    from repro.obs.hotspot import build_report
-    from repro.sim.request import RunRequest
+    """The HotspotReport payload for one pinned run under a topo recorder."""
     from repro.sim.configs import get_config
+    from repro.validation import evidence
     from repro.workloads import make_app
 
     workload_name, config_name, n_cpus = HOTSPOT_IDS[golden_id]
-    workload = make_app(workload_name, REPRO_SCALE)
-    # Directly executed, never farm-dispatched: the spatial counters are a
-    # side effect of simulation that a cached RunResult cannot replay.
-    request = RunRequest(get_config(config_name), workload, n_cpus,
-                         REPRO_SCALE)
-    recorder = obs_topo.TopoRecorder()
-    with obs_topo.recording(recorder):
-        result = request.execute()
-    return build_report(recorder, result).to_dict()
+    return evidence(get_config(config_name),
+                    make_app(workload_name, REPRO_SCALE), n_cpus,
+                    REPRO_SCALE, kinds=("topo",))["topo"]
 
 
 def txn_snapshot(golden_id: str) -> dict:
-    """The TxnReport payload for one pinned run under the txn hooks."""
+    """The TxnReport payload for one pinned run under a txn recorder."""
     from repro.common.config import get_scale
-    from repro.obs import txn as obs_txn
     from repro.sim.configs import get_config
-    from repro.sim.request import RunRequest
+    from repro.validation import evidence
     from repro.workloads import make_app
 
     workload_name, config_name, n_cpus = TXN_IDS[golden_id]
     scale = get_scale("tiny")
-    workload = make_app(workload_name, scale)
-    # Directly executed, never farm-dispatched: the anatomy is a side
-    # effect of simulation that a cached RunResult cannot replay.
-    request = RunRequest(get_config(config_name), workload, n_cpus, scale)
-    recorder = obs_txn.TxnRecorder()
-    with obs_txn.recording(recorder):
-        result = request.execute()
-    return obs_txn.build_report(recorder, result).to_dict()
+    return evidence(get_config(config_name), make_app(workload_name, scale),
+                    n_cpus, scale, kinds=("txn",))["txn"]
 
 
 def ckpt_snapshot(golden_id: str) -> dict:

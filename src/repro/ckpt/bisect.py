@@ -51,10 +51,10 @@ CONTEXT_SPANS = 6
 CONTEXT_EVENTS = 3
 
 
-class EventStreamRecorder:
+class EventStreamRecorder(obs_hooks.Recorder):
     """Engine-tracer sink chaining a digest over the event stream.
 
-    Sits on ``Engine.tracer``, so :meth:`record` is called once per
+    Sits on ``Engine.tracer``, so :meth:`span` is called once per
     calendar event with ``(when_ps, "engine", callback qualname)``.  The
     cumulative digest after event *i* summarizes events ``[0, i]``, so
     two streams' chains agree at *i* exactly when their first ``i+1``
@@ -66,8 +66,8 @@ class EventStreamRecorder:
         self.chain: List[str] = []
         self._hash = hashlib.sha256()
 
-    def record(self, t_ps: int, category: str, name: str,
-               dur_ps: int = 0, args: object = None) -> None:
+    def span(self, t_ps: int, category: str, name: str,
+             dur_ps: int = 0, args: object = None) -> None:
         self._hash.update(f"{t_ps}:{name};".encode())
         self.events.append((int(t_ps), str(name)))
         self.chain.append(self._hash.hexdigest()[:16])
@@ -217,7 +217,7 @@ def _replay_traced(request: RunRequest, checkpoint: Checkpoint,
                    capacity: int = 65536) -> TraceRecorder:
     """Replay one side under the span tracer (resume-suffix spans only)."""
     recorder = TraceRecorder(capacity)
-    with obs_hooks.tracing(recorder):
+    with obs_hooks.observing(recorder):
         machine = fresh_machine(request)
         machine.begin_resumed(request.workload, checkpoint.state,
                               allow_partial_obs=True)

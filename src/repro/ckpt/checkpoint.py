@@ -224,15 +224,6 @@ def injection_blockers(state: Dict[str, Any]) -> List[str]:
 # -- capture --------------------------------------------------------------
 
 
-def _require_no_obs(what: str) -> None:
-    if obs_hooks.active is not None or obs_hooks.topo is not None:
-        raise CheckpointError(
-            f"{what} cannot run under obs/topo recorders: trace ring "
-            "buffers are deliberately not part of checkpoint state, so a "
-            "recorded checkpoint run would be silently partial"
-        )
-
-
 def fresh_machine(request: RunRequest) -> Machine:
     """A cold machine for *request*, with the global RNGs seeded first.
 
@@ -290,7 +281,7 @@ def save(request: RunRequest, at_ps: Optional[int] = None,
     """
     if mode not in MODES:
         raise CheckpointError(f"unknown checkpoint mode {mode!r}")
-    _require_no_obs("checkpoint capture")
+    obs_hooks.require_ckpt_tolerant("checkpoint capture", CheckpointError)
     machine = fresh_machine(request)
     key = checkpoint_key(request, mode, at_ps, max_events)
     if mode == MODE_QUIESCE:
@@ -392,7 +383,7 @@ def restore(checkpoint: Checkpoint, method: Optional[str] = None,
     """
     if verify_code:
         check_code(checkpoint)
-    _require_no_obs("checkpoint restore")
+    obs_hooks.require_ckpt_tolerant("checkpoint restore", CheckpointError)
     if method is None:
         method = METHOD_INJECT if checkpoint.injectable else METHOD_REPLAY
     request = checkpoint.request()

@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
@@ -97,28 +96,6 @@ class CheckpointStore:
         return sum(1 for _ in self.root.glob("*/*.json"))
 
 
-#: The ambient store (installed by the harness CLI's ``--checkpoint-dir``).
-#: ``None`` means :func:`warm_run` falls back to :func:`default_ckpt_dir`.
-active: Optional[CheckpointStore] = None
-
-
-def activate(store: Optional[CheckpointStore]) -> None:
-    global active
-    active = store
-
-
-@contextmanager
-def storing(store: CheckpointStore):
-    """Install *store* as the ambient checkpoint store for a ``with`` block."""
-    global active
-    previous = active
-    active = store
-    try:
-        yield store
-    finally:
-        active = previous
-
-
 def warm_run(request: RunRequest, at_ps: int,
              store: Optional[CheckpointStore] = None) -> RunResult:
     """Run *request*, warm-starting from a cached quiescent checkpoint.
@@ -131,7 +108,7 @@ def warm_run(request: RunRequest, at_ps: int,
     suite enforces.
     """
     if store is None:
-        store = active if active is not None else CheckpointStore()
+        store = CheckpointStore()
     key = checkpoint_key(request, MODE_QUIESCE, at_ps)
     checkpoint = store.get(key)
     if checkpoint is None or checkpoint.code != code_fingerprint():

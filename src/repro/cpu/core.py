@@ -105,22 +105,22 @@ class CpuCore:
                 yield sync.barrier_arrive(item.bid, self.node)
                 self._catch_up_to_engine()
                 self.stats.add("barriers")
-                tracer = obs_hooks.active
-                if tracer is not None:
-                    tracer.record(arrived_ps, obs_hooks.SYNC, "barrier_wait",
-                                  self.time_ps() - arrived_ps,
-                                  {"cpu": self.node, "bid": item.bid})
+                probe = obs_hooks.active
+                if probe is not None:
+                    probe.span(arrived_ps, obs_hooks.SYNC, "barrier_wait",
+                               self.time_ps() - arrived_ps,
+                               {"cpu": self.node, "bid": item.bid})
             elif kind is LockAcq:
                 yield from self._sync_to_local_time()
                 arrived_ps = self.time_ps()
                 yield sync.lock_acquire(item.lid)
                 self._catch_up_to_engine()
                 self.stats.add("lock_acquires")
-                tracer = obs_hooks.active
-                if tracer is not None:
-                    tracer.record(arrived_ps, obs_hooks.SYNC, "lock_wait",
-                                  self.time_ps() - arrived_ps,
-                                  {"cpu": self.node, "lid": item.lid})
+                probe = obs_hooks.active
+                if probe is not None:
+                    probe.span(arrived_ps, obs_hooks.SYNC, "lock_wait",
+                               self.time_ps() - arrived_ps,
+                               {"cpu": self.node, "lid": item.lid})
             elif kind is LockRel:
                 yield from self._sync_to_local_time()
                 sync.lock_release(item.lid)
@@ -130,35 +130,35 @@ class CpuCore:
                 cost = self.os_model.syscall_cost(item.service)
                 self.cycles += cost
                 self.stats.add("syscalls")
-                tracer = obs_hooks.active
-                if tracer is not None:
-                    tracer.record(self.time_ps(), obs_hooks.OS, "syscall",
-                                  int(cost * self.cycle_ps), self.node)
+                probe = obs_hooks.active
+                if probe is not None:
+                    probe.span(self.time_ps(), obs_hooks.OS, "syscall",
+                               int(cost * self.cycle_ps), self.node)
             else:
                 raise SimulationError(f"unknown trace item {item!r}")
             self.trace_pos += 1
         yield from self._drain_writes()
         self.done = True
         self.stats.set("final_cycles", self.cycles)
-        tracer = obs_hooks.active
-        if tracer is not None:
+        probe = obs_hooks.active
+        if probe is not None:
             # The per-CPU total span: denominator of the attribution table.
-            tracer.record(self._start_ps, obs_hooks.CPU, "total",
-                          self.time_ps() - self._start_ps, self.node)
+            probe.span(self._start_ps, obs_hooks.CPU, "total",
+                       self.time_ps() - self._start_ps, self.node)
 
     def _exec_rows(self, ce: ChunkExec, exec_row):
         """Run every address row of *ce* through *exec_row*, the model's
         generator for one row."""
-        perf = obs_hooks.perf
-        if perf is not None:
-            t0 = perf.begin()
+        probe = obs_hooks.active
+        if probe is not None:
+            t0 = probe.host_begin()
         for row in ce.addrs.tolist():
             yield from exec_row(row)
-        if perf is not None:
+        if probe is not None:
             # Inclusive host time: the segment spans every engine dispatch
             # its memory events trigger while a row blocks (see
             # repro.obs.perf -- phases are overlapping views).
-            perf.commit("cpu.rows_scalar", t0, ce.reps)
+            probe.host_commit("cpu.rows_scalar", t0, ce.reps)
 
     def _drain_writes(self):
         """Wait out the write buffer (stores must be globally visible at
@@ -170,15 +170,13 @@ class CpuCore:
         pending = wb.pending_events()
         if pending:
             yield from self._sync_to_local_time()
-            txn = obs_hooks.txn
-            if txn is None:
-                yield self.env.all_of(pending)
-            else:
-                # Context hook: how long sync points stall on in-flight
-                # stores (the anatomy's CPU-side counterpart).
-                t0 = self.env.now
-                yield self.env.all_of(pending)
-                txn.note_drain(self.env.now - t0)
+            t0 = self.env.now
+            yield self.env.all_of(pending)
+            probe = obs_hooks.active
+            if probe is not None:
+                # How long sync points stall on in-flight stores (the
+                # transaction anatomy's CPU-side counterpart).
+                probe.drain(self.env.now - t0)
             self._catch_up_to_engine()
             wb.reap()
 
@@ -217,7 +215,7 @@ class CpuCore:
         if factor:
             overhead = chunk_cycles * factor
             self.cycles += overhead
-            tracer = obs_hooks.active
-            if tracer is not None:
-                tracer.record(self.time_ps(), obs_hooks.OS, "tick",
-                              int(overhead * self.cycle_ps), self.node)
+            probe = obs_hooks.active
+            if probe is not None:
+                probe.span(self.time_ps(), obs_hooks.OS, "tick",
+                           int(overhead * self.cycle_ps), self.node)

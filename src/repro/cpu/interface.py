@@ -119,11 +119,10 @@ class CpuMemInterface:
                     tlb_map.popitem(last=False)
                     tlb.stats.add("evictions")
                 tlb_map[vpn] = True
-                tracer = obs_hooks.active
-                if tracer is not None:
+                probe = obs_hooks.active
+                if probe is not None:
                     # Mirrors Tlb.lookup's instant (this path inlines it).
-                    tracer.record_now(obs_hooks.TLB, "miss", 0,
-                                      {"cpu": self.node, "vpn": vpn})
+                    probe.tlb_miss(vpn, self.node)
         paddr = self.page_table.translate(vaddr, self.node)
 
         if op == _CACHEOP:
@@ -177,19 +176,19 @@ class CpuMemInterface:
         existing = self._mshr.get(line2)
         if existing is not None:
             return existing
-        rec = obs_hooks.txn
+        probe = obs_hooks.active
         txn = None
-        if rec is not None:
+        if probe is not None:
             # The record opens at the CPU issue point so demand misses
             # are distinguishable from internal traffic (origin).
-            txn = rec.open(self.node, paddr, kind, origin="demand")
+            txn = probe.open_txn(self.node, paddr, kind, "demand")
         event = self.memsys.request(self.node, paddr, kind, txn)
         self._mshr[line2] = event
         event.add_waiter(lambda _ev, line=line2: self._mshr.pop(line, None))
         self.stats.add(self._issue_label[kind])
-        tracer = obs_hooks.active
-        if tracer is not None:
-            tracer.record_now(obs_hooks.MEM, f"issue.{kind}", 0, self.node)
+        if probe is not None:
+            probe.span(self.env.now, obs_hooks.MEM, f"issue.{kind}", 0,
+                       self.node)
         return event
 
     # -- secondary-cache interface occupancy ------------------------------

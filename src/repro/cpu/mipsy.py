@@ -66,7 +66,7 @@ class MipsyCore(CpuCore):
         env = self.env
         # Observability: hoisted once per chunk so the disabled path costs
         # one local None-test per stall event (never per reference).
-        tracer = obs_hooks.active
+        probe = obs_hooks.active
         node = self.node
         cycle_ps = self.cycle_ps
         start_ps = self._start_ps
@@ -80,8 +80,8 @@ class MipsyCore(CpuCore):
                 if tlb_miss:
                     stall += tlb_refill
                     self.stats.add("tlb_refills")
-                    if tracer is not None:
-                        tracer.record(
+                    if probe is not None:
+                        probe.span(
                             start_ps + int((base + offsets[j]) * cycle_ps),
                             obs_hooks.TLB, "refill",
                             int(tlb_refill * cycle_ps), node)
@@ -91,10 +91,10 @@ class MipsyCore(CpuCore):
                 if outcome == L2_HIT:
                     wait = l2_hit_cycles + port_wait(pt)
                     stall += wait
-                    if tracer is not None:
-                        tracer.record(start_ps + int(pt * cycle_ps),
-                                      obs_hooks.MEM, "l2_hit",
-                                      int(wait * cycle_ps), node)
+                    if probe is not None:
+                        probe.span(start_ps + int(pt * cycle_ps),
+                                   obs_hooks.MEM, "l2_hit",
+                                   int(wait * cycle_ps), node)
                     continue
                 if outcome == PENDING:
                     # A prefetched (or otherwise in-flight) line: loads wait
@@ -105,11 +105,11 @@ class MipsyCore(CpuCore):
                         done_c = self.cycles_at(done_ps)
                         if done_c > pt:
                             stall = done_c - (base + offsets[j])
-                            if tracer is not None:
-                                tracer.record(start_ps + int(pt * cycle_ps),
-                                              obs_hooks.MEM, "pending_wait",
-                                              int((done_c - pt) * cycle_ps),
-                                              node)
+                            if probe is not None:
+                                probe.span(start_ps + int(pt * cycle_ps),
+                                           obs_hooks.MEM, "pending_wait",
+                                           int((done_c - pt) * cycle_ps),
+                                           node)
                         iface.port_fill_at(max(done_c, pt))
                     continue
                 # MISS
@@ -128,11 +128,11 @@ class MipsyCore(CpuCore):
                     iface.port_fill_at(done_c)
                     stall = done_c - (base + offsets[j])
                     self.stats.add("load_miss_waits")
-                    if tracer is not None:
-                        tracer.record(start_ps + int(pt * cycle_ps),
-                                      obs_hooks.MEM, "load_miss",
-                                      max(0, int((done_c - pt) * cycle_ps)),
-                                      node)
+                    if probe is not None:
+                        probe.span(start_ps + int(pt * cycle_ps),
+                                   obs_hooks.MEM, "load_miss",
+                                   max(0, int((done_c - pt) * cycle_ps)),
+                                   node)
                 elif op == _STORE:
                     wb.reap()
                     if wb.full:
@@ -141,10 +141,10 @@ class MipsyCore(CpuCore):
                         wait = self.cycles_at(done_ps) - pt
                         if wait > 0:
                             stall += wait
-                            if tracer is not None:
-                                tracer.record(start_ps + int(pt * cycle_ps),
-                                              obs_hooks.MEM, "wb_full",
-                                              int(wait * cycle_ps), node)
+                            if probe is not None:
+                                probe.span(start_ps + int(pt * cycle_ps),
+                                           obs_hooks.MEM, "wb_full",
+                                           int(wait * cycle_ps), node)
                         self.stats.add("wb_full_stalls")
                     wb.add(issue_miss(payload, kind))
                 else:  # PREFETCH
@@ -153,9 +153,9 @@ class MipsyCore(CpuCore):
             self.cycles = base + per_rep + stall
 
         yield from self._exec_rows(ce, exec_row)
-        if tracer is not None:
-            tracer.record(start_ps + int(chunk_start_cycles * cycle_ps),
-                          obs_hooks.CPU, f"chunk:{chunk.name}",
-                          int((self.cycles - chunk_start_cycles) * cycle_ps),
-                          node)
+        if probe is not None:
+            probe.span(start_ps + int(chunk_start_cycles * cycle_ps),
+                       obs_hooks.CPU, f"chunk:{chunk.name}",
+                       int((self.cycles - chunk_start_cycles) * cycle_ps),
+                       node)
         self._charge_os_tick(self.cycles - chunk_start_cycles)

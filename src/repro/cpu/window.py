@@ -152,7 +152,7 @@ class WindowCore(CpuCore):
         wb = iface.write_buffer
         # Observability: hoisted once per chunk so the disabled path costs
         # one local None-test per stall event (never per reference).
-        tracer = obs_hooks.active
+        probe = obs_hooks.active
         node = self.node
         cycle_ps = self.cycle_ps
         start_ps = self._start_ps
@@ -166,8 +166,8 @@ class WindowCore(CpuCore):
                 if tlb_miss:
                     stall += tlb_refill
                     self.stats.add("tlb_refills")
-                    if tracer is not None:
-                        tracer.record(
+                    if probe is not None:
+                        probe.span(
                             start_ps + int((base + offsets[j]) * cycle_ps),
                             obs_hooks.TLB, "refill",
                             int(tlb_refill * cycle_ps), node)
@@ -178,10 +178,10 @@ class WindowCore(CpuCore):
                     wait = max(0.0, l2_hit_cycles - self._l2_hit_hide)
                     wait += port_wait(pt)
                     stall += wait
-                    if tracer is not None and wait > 0:
-                        tracer.record(start_ps + int(pt * cycle_ps),
-                                      obs_hooks.MEM, "l2_hit",
-                                      int(wait * cycle_ps), node)
+                    if probe is not None and wait > 0:
+                        probe.span(start_ps + int(pt * cycle_ps),
+                                   obs_hooks.MEM, "l2_hit",
+                                   int(wait * cycle_ps), node)
                     continue
                 if outcome == PENDING:
                     if op == _LOAD:
@@ -190,10 +190,10 @@ class WindowCore(CpuCore):
                         exposed = done_c - pt - chase_hide
                         if exposed > 0:
                             stall += exposed
-                            if tracer is not None:
-                                tracer.record(start_ps + int(pt * cycle_ps),
-                                              obs_hooks.MEM, "pending_wait",
-                                              int(exposed * cycle_ps), node)
+                            if probe is not None:
+                                probe.span(start_ps + int(pt * cycle_ps),
+                                           obs_hooks.MEM, "pending_wait",
+                                           int(exposed * cycle_ps), node)
                         iface.port_fill_at(max(done_c, pt))
                     continue
                 # MISS
@@ -205,10 +205,10 @@ class WindowCore(CpuCore):
                         wait = self.cycles_at(done_ps) - pt
                         if wait > 0:
                             stall += wait
-                            if tracer is not None:
-                                tracer.record(start_ps + int(pt * cycle_ps),
-                                              obs_hooks.MEM, "wb_full",
-                                              int(wait * cycle_ps), node)
+                            if probe is not None:
+                                probe.span(start_ps + int(pt * cycle_ps),
+                                           obs_hooks.MEM, "wb_full",
+                                           int(wait * cycle_ps), node)
                         self.stats.add("wb_full_stalls")
                     wb.add(issue_miss(payload, kind))
                     continue
@@ -226,10 +226,10 @@ class WindowCore(CpuCore):
                     exposed = done_c - pt - chase_hide
                     if exposed > 0:
                         stall += exposed
-                        if tracer is not None:
-                            tracer.record(start_ps + int(pt * cycle_ps),
-                                          obs_hooks.MEM, "chase_miss",
-                                          int(exposed * cycle_ps), node)
+                        if probe is not None:
+                            probe.span(start_ps + int(pt * cycle_ps),
+                                       obs_hooks.MEM, "chase_miss",
+                                       int(exposed * cycle_ps), node)
                     self.stats.add("chase_miss_waits")
                     continue
                 # Independent load or prefetch: overlap within slot limit.
@@ -243,10 +243,10 @@ class WindowCore(CpuCore):
                     wait = done_c - pt
                     if wait > 0:
                         stall += wait
-                        if tracer is not None:
-                            tracer.record(start_ps + int(pt * cycle_ps),
-                                          obs_hooks.MEM, "slot_full",
-                                          int(wait * cycle_ps), node)
+                        if probe is not None:
+                            probe.span(start_ps + int(pt * cycle_ps),
+                                       obs_hooks.MEM, "slot_full",
+                                       int(wait * cycle_ps), node)
                         pt = base + offsets[j] + stall
                     self.stats.add("slot_full_stalls")
                 event = issue_miss(payload, kind)
@@ -256,18 +256,18 @@ class WindowCore(CpuCore):
                     exposed = self._miss_ema - hide
                     if exposed > 0:
                         stall += exposed
-                        if tracer is not None:
-                            tracer.record(start_ps + int(pt * cycle_ps),
-                                          obs_hooks.MEM, "miss_exposed",
-                                          int(exposed * cycle_ps), node)
+                        if probe is not None:
+                            probe.span(start_ps + int(pt * cycle_ps),
+                                       obs_hooks.MEM, "miss_exposed",
+                                       int(exposed * cycle_ps), node)
             self.cycles = base + per_rep + stall
 
         yield from self._exec_rows(ce, exec_row)
-        if tracer is not None:
-            tracer.record(start_ps + int(chunk_start_cycles * cycle_ps),
-                          obs_hooks.CPU, f"chunk:{chunk.name}",
-                          int((self.cycles - chunk_start_cycles) * cycle_ps),
-                          node)
+        if probe is not None:
+            probe.span(start_ps + int(chunk_start_cycles * cycle_ps),
+                       obs_hooks.CPU, f"chunk:{chunk.name}",
+                       int((self.cycles - chunk_start_cycles) * cycle_ps),
+                       node)
         self._charge_os_tick(self.cycles - chunk_start_cycles)
 
 

@@ -20,7 +20,6 @@ from typing import Any, Callable, Generator, Optional
 
 from repro.common.errors import SimulationError
 from repro.engine.events import AllOf, AnyOf, Event, Timeout
-from repro.obs import hooks as obs_hooks
 
 ProcessGen = Generator[Event, Any, Any]
 
@@ -86,9 +85,12 @@ class Engine:
         self.now: int = 0  # picoseconds
         self._pending_dispatch: list = []
         self.events_processed = 0
-        #: Optional observability sink (repro.obs).  The dispatch loop only
-        #: ever touches it behind an ``is not None`` guard so the disabled
-        #: path stays a single attribute test.
+        #: Optional per-engine observer: anything with the event
+        #: vocabulary of :class:`repro.obs.hooks.Recorder` (``Machine``
+        #: installs the probe's engine observer, ``repro.ckpt.bisect`` its
+        #: event-stream recorder).  The engine only ever touches it behind
+        #: an ``is not None`` guard on a local, so the disabled path stays
+        #: a single attribute test.
         self.tracer = None
 
     # -- scheduling ------------------------------------------------------
@@ -100,11 +102,11 @@ class Engine:
                 f"scheduling into the past: {when_ps} < now {self.now}"
             )
         self._seq += 1
-        perf = obs_hooks.perf
-        if perf is not None:
-            t0 = perf.begin()
+        obs = self.tracer
+        if obs is not None:
+            t0 = obs.host_begin()
             heapq.heappush(self._heap, (when_ps, self._seq, fn, arg))
-            perf.commit("engine.calendar", t0)
+            obs.host_commit("engine.calendar", t0)
             return
         heapq.heappush(self._heap, (when_ps, self._seq, fn, arg))
 
@@ -148,16 +150,13 @@ class Engine:
         when, _seq, fn, arg = heapq.heappop(self._heap)
         self.now = when
         self.events_processed += 1
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.record(when, "engine",
-                          getattr(fn, "__qualname__", "callback"))
-        perf = obs_hooks.perf
-        if perf is not None:
-            t0 = perf.begin()
+        obs = self.tracer
+        if obs is not None:
+            obs.span(when, "engine", getattr(fn, "__qualname__", "callback"))
+            t0 = obs.host_begin()
             fn(arg)
             self._drain_dispatch()
-            perf.commit("engine.dispatch", t0)
+            obs.host_commit("engine.dispatch", t0)
             return True
         fn(arg)
         self._drain_dispatch()

@@ -8,11 +8,6 @@ PATH]``) is unchanged; the farm adds::
     --cache-dir P  cache location (default $REPRO_CACHE_DIR or
                    ~/.cache/repro/farm)
 
-checkpointing (``repro.ckpt``) adds::
-
-    --checkpoint-dir P  ambient checkpoint store for warm starts
-                        (default $REPRO_CKPT_DIR or ~/.cache/repro/ckpt)
-
 the closing-the-loop reporting adds::
 
     --dashboard D  render dashboard.html + dashboard.md into directory D
@@ -30,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import ExitStack
 from typing import List, Optional
 
 from repro.common.config import SCALES, get_scale
@@ -56,9 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", metavar="PATH", default=None,
                         help=f"result-cache directory "
                              f"(default {default_cache_dir()})")
-    parser.add_argument("--checkpoint-dir", metavar="PATH", default=None,
-                        help="checkpoint store for repro.ckpt warm starts "
-                             "(default $REPRO_CKPT_DIR or ~/.cache/repro/ckpt)")
     parser.add_argument("--dashboard", metavar="DIR", default=None,
                         help="write dashboard.html + dashboard.md into DIR")
     parser.add_argument("--ledger", metavar="PATH", default=None,
@@ -86,18 +77,6 @@ def validate_args(parser: argparse.ArgumentParser,
                 f"--cache-dir parent directory does not exist: {parent} "
                 "(create it first, or point --cache-dir somewhere that "
                 "exists)")
-    if args.checkpoint_dir is not None:
-        parent = os.path.dirname(os.path.abspath(args.checkpoint_dir))
-        if not os.path.isdir(parent):
-            parser.error(
-                f"--checkpoint-dir parent directory does not exist: {parent} "
-                "(create it first, or point --checkpoint-dir somewhere that "
-                "exists)")
-
-
-def make_farm(args: argparse.Namespace) -> Farm:
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return Farm(jobs=args.jobs, cache=cache)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -108,27 +87,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         write_dashboard,
         write_experiments_md,
     )
-    from repro.obs import metrics as obs_metrics
+    from repro.obs.metrics import MetricsWriter
 
     parser = build_parser()
     args = parser.parse_args(argv)
     validate_args(parser, args)
     scale = get_scale(args.scale)
-    farm = make_farm(args)
 
     ledger_path = args.ledger
     if ledger_path is None and args.dashboard is not None:
         ledger_path = os.path.join(args.dashboard, "ledger.jsonl")
-    writer = (obs_metrics.MetricsWriter(ledger_path)
-              if ledger_path is not None else None)
+    farm = Farm(jobs=args.jobs,
+                cache=None if args.no_cache else ResultCache(args.cache_dir),
+                metrics=(MetricsWriter(ledger_path)
+                         if ledger_path is not None else None))
 
-    with ExitStack() as stack:
-        stack.enter_context(obs_metrics.recording(writer))
-        stack.enter_context(farm.activate())
-        if args.checkpoint_dir is not None:
-            from repro.ckpt import store as ckpt_store
-            stack.enter_context(ckpt_store.storing(
-                ckpt_store.CheckpointStore(args.checkpoint_dir)))
+    with farm.activate():
         if args.experiment == "all":
             results = run_all(scale)
             print(summarize(results))

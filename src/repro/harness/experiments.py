@@ -42,10 +42,9 @@ from repro.validation import (
     Tuner,
     compare_simulators,
     demonstrate_bug,
-    hotspot_evidence,
+    evidence,
     hotspot_study,
     speedup_study,
-    txn_evidence,
 )
 from repro.validation.report import bar_chart, kv_table, line_chart
 from repro.vm.allocators import Placement
@@ -306,9 +305,9 @@ def fig2(scale: MachineScale) -> ExperimentResult:
     # measured per-kind miss-latency distribution on the hardware model
     # (one extra run under the txn recorder, outside the farm -- the
     # anatomy is a simulation side effect the result cache cannot replay).
-    result.attribution = txn_evidence(
+    result.attribution = evidence(
         hardware_config(), make_app("fft", scale, tuned_inputs=True),
-        n_cpus=1, scale=scale, top_k=3)
+        n_cpus=1, scale=scale, kinds=("txn",), top_k=3)["txn"]
     return result
 
 
@@ -460,6 +459,11 @@ def fig7(scale: MachineScale) -> ExperimentResult:
     # Compare the memory-system models on the same (Mipsy) core so the
     # processor-model residual does not contaminate the sensitivity story.
     numa_over_fl = (numa16 - fl16) / fl16
+    # One extra reference run under the topo and txn recorders (outside
+    # the farm -- recorder state is a simulation side effect the result
+    # cache cannot replay) supplies both attributions below.
+    observed = evidence(hardware_config(), workload, n_cpus=8, scale=scale,
+                        placement=Placement.NODE0, top_k=3)
     findings = [
         Finding("hotspot ruins hardware speedup",
                 "~3.3 at 8, ~3.6 at 16 CPUs (vs ~5.3 placed)",
@@ -480,17 +484,12 @@ def fig7(scale: MachineScale) -> ExperimentResult:
                 # placement the slow transactions spend their time queued
                 # at the home directory/MAGIC -- exactly the occupancy the
                 # NUMA model omits.
-                attribution=txn_evidence(
-                    hardware_config(), workload, n_cpus=8, scale=scale,
-                    placement=Placement.NODE0, top_k=3)),
+                attribution=observed["txn"]),
     ]
     result = ExperimentResult("fig7", _TITLES["fig7"], rendered, findings)
     # Spatial evidence that the hotspot is real: under node-0 placement the
-    # traffic matrix collapses onto one home column.  One extra reference
-    # run under the topo recorder (outside the farm -- the spatial counters
-    # are a simulation side effect the result cache cannot replay).
-    result.attribution = hotspot_evidence(
-        hardware_config(), workload, n_cpus=8, scale=scale)
+    # traffic matrix collapses onto one home column.
+    result.attribution = observed["topo"]
     return result
 
 

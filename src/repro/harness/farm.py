@@ -20,10 +20,10 @@ cost into a cache:
   ``derive_rng``), cached replay preserves the serial semantics exactly.
 * **accounting** -- per-request wall time and hit/miss counters flow into
   a :class:`~repro.common.stats.StatsRegistry` (counter set ``farm``) and,
-  when observability tracing is active, into wall-clock ``farm`` spans on
-  the trace timeline.  When a :class:`~repro.obs.metrics.MetricsWriter`
-  is installed, every request additionally appends one record to the
-  metrics ledger (cycles, percent error, attribution, cache outcome) --
+  when a tracer is observing, into wall-clock ``farm`` spans on the
+  trace timeline.  Given a :class:`~repro.obs.metrics.MetricsWriter`
+  (``Farm(metrics=...)``), every request additionally appends one record
+  to the metrics ledger (cycles, percent error, attribution, cache outcome) --
   the history ``python -m repro.obs watch`` checks for drift.
 
 Install a farm ambiently with :meth:`Farm.activate` (the harness CLI does
@@ -45,7 +45,6 @@ from typing import List, Optional, Sequence, Tuple
 from repro.common.canonical import code_fingerprint
 from repro.common.stats import StatsRegistry
 from repro.obs import hooks as obs_hooks
-from repro.obs import metrics as obs_metrics
 from repro.sim import farm_hooks
 from repro.sim.request import RunRequest
 from repro.sim.results import RunResult
@@ -130,11 +129,14 @@ class Farm:
     """A batch runner: worker pool + result cache + accounting."""
 
     def __init__(self, jobs: int = 1, cache: Optional[ResultCache] = None,
-                 registry: Optional[StatsRegistry] = None):
+                 registry: Optional[StatsRegistry] = None, metrics=None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache
+        #: Optional :class:`~repro.obs.metrics.MetricsWriter`: one ledger
+        #: record per request this farm resolves.
+        self.metrics = metrics
         self.registry = registry if registry is not None else StatsRegistry()
         self.counters = self.registry.counter_set("farm")
         self._epoch = time.perf_counter()
@@ -158,16 +160,19 @@ class Farm:
             f"simulation wall {c.get('wall_ms') / 1000.0:.1f}s"
         )
 
-    def _span(self, request: RunRequest, wall_s: float, outcome: str) -> None:
-        tracer = obs_hooks.active
-        if tracer is not None:
+    def _observe(self, request: RunRequest, result: RunResult, wall_s: float,
+                 outcome: str, key: str) -> None:
+        """Tell the trace timeline and the ledger about one resolution."""
+        probe = obs_hooks.active
+        if probe is not None:
             # Farm spans live in wall-clock time (microsecond resolution,
             # stored as ps since farm creation), unlike simulated-time
             # spans; the trace viewer shows them on their own track.
             t_ps = int((time.perf_counter() - self._epoch - wall_s) * 1e12)
-            tracer.record(max(0, t_ps), obs_hooks.FARM,
-                          f"{outcome}:{request.describe()}",
-                          int(wall_s * 1e12))
+            probe.span(max(0, t_ps), obs_hooks.FARM,
+                       f"{outcome}:{request.describe()}", int(wall_s * 1e12))
+        if self.metrics is not None:
+            self.metrics.observe(request, result, wall_s, outcome, key=key)
 
     # -- execution --------------------------------------------------------
 
@@ -191,10 +196,7 @@ class Farm:
                 hit = self.cache.get(key)
                 if hit is not None:
                     self.counters.add("cache.hits")
-                    self._span(request, 0.0, "hit")
-                    writer = obs_metrics.active
-                    if writer is not None:
-                        writer.observe(request, hit, 0.0, "hit", key=key)
+                    self._observe(request, hit, 0.0, "hit", key)
                     results[i] = hit
                     continue
                 self.counters.add("cache.misses")
@@ -215,10 +217,7 @@ class Farm:
             for (key, request), (result, wall_s) in zip(pending, outcomes):
                 self.counters.add("executed")
                 self.counters.add("wall_ms", wall_s * 1000.0)
-                self._span(request, wall_s, "run")
-                writer = obs_metrics.active
-                if writer is not None:
-                    writer.observe(request, result, wall_s, "run", key=key)
+                self._observe(request, result, wall_s, "run", key)
                 if self.cache is not None:
                     self.cache.put(key, result, request)
                 for i in shared[key]:

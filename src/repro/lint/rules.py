@@ -24,6 +24,17 @@ from repro.lint.engine import (
     RunContext,
     _in_packages,
 )
+from repro.obs.hooks import EVENTS
+
+#: The ambient slots: the only modules under ``src/repro`` that define a
+#: module-level ``active`` with an installer (``tests/test_lint.py`` fails
+#: on a fourth), and what model code reaches through each.  D3's slot set
+#: and L2's hints derive from this table.
+AMBIENT_SLOTS: Dict[str, str] = {
+    "repro.obs.hooks": "observability (the probe and its recorders)",
+    "repro.common.gate": "checkpoints",
+    "repro.sim.farm_hooks": "the experiment farm",
+}
 
 #: Packages whose code runs *inside* the simulated machine.  Determinism
 #: rules apply here: anything order- or environment-dependent in these
@@ -47,24 +58,24 @@ AMBIENT_BANNED_PACKAGES = (
 # ---------------------------------------------------------------------------
 
 class HotPathGuardRule(Rule):
-    """Every tracer call in the hot path sits behind an ``is not None``
+    """Every probe call in the hot path sits behind an ``is not None``
     guard on a local."""
 
     id = "L1"
-    title = "hot-path tracer calls must be guarded"
+    title = "hot-path probe calls must be guarded"
     rationale = (
         "The observability contract is zero cost when disabled.  The "
         "engine dispatch loop and the model inner loops run once per "
-        "event / memory reference, so a tracer call there must read the "
-        "hook slot into a local and test `is not None` first; an "
+        "event / memory reference, so a probe event call there must read "
+        "the slot into a local and test `is not None` first; an "
         "unguarded call re-introduces per-event overhead even with "
-        "tracing off.")
-    hint = ("read the slot into a local (`tracer = obs_hooks.active`) and "
-            "wrap the call in `if tracer is not None:` within "
-            f"{4} lines above it")
+        "nothing observing.")
+    hint = ("read the slot into a local (`probe = obs_hooks.active`) and "
+            "wrap the call in `if probe is not None:` within "
+            f"{5} lines above it")
     subsystem = "repro.obs"
 
-    #: Modules whose every trace call must be guarded: the engine kernel
+    #: Modules whose every probe call must be guarded: the engine kernel
     #: (contractual) plus the model inner loops.
     HOT_PATH_MODULES = (
         "repro.engine.kernel",
@@ -77,8 +88,9 @@ class HotPathGuardRule(Rule):
     )
 
     _GUARD = re.compile(r"if\s+\w+(\.\w+)*\s+is\s+not\s+None")
-    #: The call plus its wrapped arguments must start right under the guard.
-    GUARD_WINDOW = 4
+    #: The call must start right under the guard (the engine's dispatch
+    #: bracket -- span, begin, callback, drain, commit -- is the longest).
+    GUARD_WINDOW = 5
 
     def scope(self, module: str) -> bool:
         return module in self.HOT_PATH_MODULES
@@ -86,13 +98,13 @@ class HotPathGuardRule(Rule):
     def visit(self, ctx: FileContext, node: ast.AST) -> None:
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("record", "record_now")):
+                and node.func.attr in EVENTS):
             return
         lineno = node.lineno
         window = ctx.lines[max(0, lineno - 1 - self.GUARD_WINDOW):lineno - 1]
         if not any(self._GUARD.search(prev) for prev in window):
             ctx.report(self, node,
-                       f"unguarded tracer call in hot path: "
+                       f"unguarded probe call in hot path: "
                        f"{ctx.lines[lineno - 1].strip()}")
 
 
@@ -106,37 +118,38 @@ class ImportBanRule(Rule):
     id = "L2"
     title = "model code must not import harness-side subsystems"
     rationale = (
-        "The models' only channels to observability and checkpointing "
-        "are the ambient hook slots (repro.obs.hooks, repro.common.gate): "
+        "The models' only channels to observability, checkpointing and "
+        f"the farm are the ambient slots ({', '.join(AMBIENT_SLOTS)}): "
         "one attribute read and a None test when disabled.  Importing "
         "the subsystems themselves couples reference semantics to "
         "optional machinery and re-introduces cost and cycles into the "
         "dependency graph.")
     hint = ("reach the subsystem through its sanctioned slot instead: "
-            "repro.obs.hooks (tracer/topo), repro.common.gate (checkpoints)")
+            + ", ".join(f"{module} ({what})"
+                        for module, what in AMBIENT_SLOTS.items()))
     subsystem = "repro.obs / repro.ckpt"
 
-    #: banned module -> (packages it is banned in, what to use instead).
+    #: banned module -> (packages it is banned in, the slot to use instead).
     BANS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
         ("repro.obs.metrics",
          ("repro.cpu", "repro.mem", "repro.engine"),
-         "the ledger hooks the farm, never the models"),
+         "repro.sim.farm_hooks"),
         ("repro.obs.topo",
          ("repro.cpu", "repro.mem", "repro.engine", "repro.memsys",
           "repro.network"),
-         "count through the guarded repro.obs.hooks.topo slot"),
+         "repro.obs.hooks"),
         ("repro.obs.txn",
          ("repro.cpu", "repro.mem", "repro.memsys", "repro.proto",
           "repro.network", "repro.engine"),
-         "record through the guarded repro.obs.hooks.txn slot"),
+         "repro.obs.hooks"),
         ("repro.ckpt",
          ("repro.cpu", "repro.mem", "repro.engine"),
-         "the models' checkpoint hook is repro.common.gate"),
+         "repro.common.gate"),
     )
 
     def scope(self, module: str) -> bool:
         return any(_in_packages(module, packages)
-                   for _banned, packages, _why in self.BANS)
+                   for _banned, packages, _slot in self.BANS)
 
     def _imported_targets(self, ctx: FileContext,
                           node: ast.AST) -> List[str]:
@@ -152,15 +165,16 @@ class ImportBanRule(Rule):
         if not isinstance(node, (ast.Import, ast.ImportFrom)):
             return
         for target in self._imported_targets(ctx, node):
-            for banned, packages, why in self.BANS:
+            for banned, packages, slot in self.BANS:
                 if not _in_packages(ctx.module, packages):
                     continue
                 if target == banned or target.startswith(banned + "."):
                     ctx.report(self, node,
                                f"{banned} imported in model code "
                                f"({ctx.lines[node.lineno - 1].strip()})",
-                               hint=f"{why} (see the {banned} module "
-                                    "docstring)")
+                               hint=f"use the slot instead: the models "
+                                    f"reach {AMBIENT_SLOTS[slot]} through "
+                                    f"the guarded {slot}.active")
 
 
 # ---------------------------------------------------------------------------
@@ -721,11 +735,11 @@ class HookSlotRule(Rule):
     id = "D3"
     title = "hook slots: read into a local, guard, then call"
     rationale = (
-        "The ambient slots (repro.obs.hooks.active/.topo/.perf/.txn, "
-        "repro.common.gate.active) can be swapped between any two "
-        "statements by a context manager in another layer.  Calling through the module attribute "
-        "(`obs_hooks.active.record(...)`) re-reads the slot per use: it "
-        "crashes when the slot is None, tears when the slot changes "
+        f"The ambient slots ({', '.join(AMBIENT_SLOTS)}: each one's "
+        "`active`) can be swapped between any two statements by a "
+        "context manager in another layer.  Calling through the module "
+        "attribute (`obs_hooks.active.span(...)`) re-reads the slot per "
+        "use: it crashes when the slot is None, tears when it changes "
         "mid-sequence, and costs an extra attribute load per event.  The "
         "sanctioned shape is one read into a local, one `is not None` "
         "guard, then calls on the local.")
@@ -733,13 +747,7 @@ class HookSlotRule(Rule):
             "`if slot is not None: slot.method(...)`")
     subsystem = "repro.obs / repro.common"
 
-    SLOTS = {
-        "repro.obs.hooks.active",
-        "repro.obs.hooks.topo",
-        "repro.obs.hooks.perf",
-        "repro.obs.hooks.txn",
-        "repro.common.gate.active",
-    }
+    SLOTS = {f"{module}.active" for module in AMBIENT_SLOTS}
 
     def scope(self, module: str) -> bool:
         return _in_packages(module, SIMULATOR_PACKAGES)
@@ -816,10 +824,12 @@ class HostClockRule(Rule):
         "creeps toward making simulated behaviour depend on host timing.  "
         "D2 already bans the machine's core packages; this rule closes "
         "the rest of the tree (sim, ckpt, validation, ...), so "
-        "'where does the wall time go' has one answer: the perf hook.")
-    hint = ("profile through repro.obs.perf (the repro.obs.hooks.perf "
-            "slot), or time whole runs in repro.harness; hot code reads "
-            "the slot into a local and guards `is not None`")
+        "'where does the wall time go' has one answer: the probe's "
+        "host_begin/host_commit events.")
+    hint = ("profile through repro.obs.perf (a PerfProfiler under "
+            "repro.obs.hooks.observing), or time whole runs in "
+            "repro.harness; hot code reads the slot into a local and "
+            "guards `is not None`")
     subsystem = "repro.obs.perf"
 
     FORBIDDEN = {"time.perf_counter", "time.perf_counter_ns"}

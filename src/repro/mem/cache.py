@@ -52,19 +52,10 @@ class SetAssocCache:
         state = self._state.get(line)
         if state is None:
             self.stats.add("misses")
-            tracer = obs_hooks.active
-            if tracer is not None:
-                tracer.record_now(obs_hooks.CACHE, f"{self.name}.miss")
-            topo = obs_hooks.topo
-            if topo is not None:
-                topo.count_cache_miss(self.name, self.node,
-                                      line << self.line_shift)
-            txn = obs_hooks.txn
-            if txn is not None:
-                # Context for the transaction anatomy: local hits never
-                # reach the DSM, so per-structure miss counts are the
-                # denominator for the transactions that do.
-                txn.count_cache_miss(self.name)
+            probe = obs_hooks.active
+            if probe is not None:
+                probe.cache_miss(self.name, self.node,
+                                 line << self.line_shift)
             return None
         self.stats.add("hits")
         ways = self._sets[line & self._set_mask]

@@ -42,11 +42,11 @@ class Tlb:
             self._map.move_to_end(vpn)
             return True
         self.stats.add("misses")
-        tracer = obs_hooks.active
-        if tracer is not None:
+        probe = obs_hooks.active
+        if probe is not None:
             # Instant only: the refill *cost* is a core property, so the
             # timed refill span is recorded by the processor model.
-            tracer.record_now(obs_hooks.TLB, "miss", 0, {"vpn": vpn})
+            probe.tlb_miss(vpn)
         return False
 
     def insert(self, vpn: int) -> None:

@@ -97,7 +97,7 @@ class DsmMemorySystem:
 
         *txn* is an optional :class:`repro.obs.txn.TxnRecord` opened by
         the issuing side (demand misses); when it is None and a txn
-        recorder is ambient, the transaction body opens its own record
+        recorder is observing, the transaction body opens its own record
         (victim writebacks, direct test calls).
         """
         if kind == MemKind.WRITEBACK:
@@ -126,9 +126,9 @@ class DsmMemorySystem:
         line = paddr >> self.line_shift
         home = home_node(paddr)
         if txn is None:
-            rec = obs_hooks.txn
-            if rec is not None:
-                txn = rec.open(node, paddr, kind)
+            probe = obs_hooks.active
+            if probe is not None:
+                txn = probe.open_txn(node, paddr, kind)
         start = env.now
         if txn is not None:
             txn.begin(start)
@@ -183,19 +183,14 @@ class DsmMemorySystem:
         latency = env.now - start
         self.stats.add(self._case_label[case])
         self.stats.add(self._case_latency_label[case], latency)
-        tracer = obs_hooks.active
-        if tracer is not None:
-            tracer.record(start, obs_hooks.DSM, f"txn.{kind}", latency,
-                          {"node": node, "home": home, "case": case})
-        topo = obs_hooks.topo
-        if topo is not None:
-            topo.count_access(node, home, paddr, kind, latency)
+        probe = obs_hooks.active
+        if probe is not None:
+            probe.mem_access(node, home, paddr, kind, start, latency, case)
         if txn is not None:
             txn.cut("bus_reply", env.now)
             txn.close(env.now, case)
-            rec = obs_hooks.txn
-            if rec is not None:
-                rec.commit(txn)
+            if probe is not None:
+                probe.commit_txn(txn)
         return env.now
 
     def _do_clean(self, node: int, home: int, line: int, entry, kind: str,
@@ -382,17 +377,15 @@ class DsmMemorySystem:
         env = self.env
         line = paddr >> self.line_shift
         home = home_node(paddr)
-        if txn is None:
-            rec = obs_hooks.txn
-            if rec is not None:
-                txn = rec.open(node, paddr, MemKind.WRITEBACK,
-                               origin="eviction")
+        probe = obs_hooks.active
+        if probe is not None:
+            if txn is None:
+                txn = probe.open_txn(node, paddr, MemKind.WRITEBACK,
+                                     "eviction")
+            probe.mem_access(node, home, paddr, MemKind.WRITEBACK)
         if txn is not None:
             txn.begin(env.now)
         self.stats.add("req_writeback")
-        topo = obs_hooks.topo
-        if topo is not None:
-            topo.count_access(node, home, paddr, MemKind.WRITEBACK)
         yield env.timeout(p.bus_ps)
         if txn is not None:
             txn.cut("bus_req", env.now)
@@ -425,9 +418,9 @@ class DsmMemorySystem:
         if txn is not None:
             txn.cut("dram", env.now)
             txn.close(env.now, None)
-            rec = obs_hooks.txn
-            if rec is not None:
-                rec.commit(txn)
+            probe = obs_hooks.active
+            if probe is not None:
+                probe.commit_txn(txn)
         return env.now
 
     # -- helpers -----------------------------------------------------------------

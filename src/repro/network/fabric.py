@@ -76,16 +76,9 @@ class Network:
             else:
                 yield self.env.timeout(occupancy)
             yield self.env.timeout(self.params.hop_ps)
-        tracer = obs_hooks.active
-        if tracer is not None:
-            # Delivery minus the uncontended bound = link contention.
-            tracer.record(start, obs_hooks.NET, "msg",
-                          self.env.now - start,
-                          {"src": src, "dst": dst, "flits": flits,
-                           "hops": len(hops)})
-        topo = obs_hooks.topo
-        if topo is not None:
-            topo.count_msg(src, dst, flits, hops)
+        probe = obs_hooks.active
+        if probe is not None:
+            probe.net_msg(src, dst, flits, hops, start, self.env.now - start)
         return self.env.now
 
     def latency_bound_ps(self, src: int, dst: int, flits: int = 1) -> int:

@@ -6,8 +6,9 @@ interface occupancy, synchronisation imbalance, ...).  This package gives
 the reproduction the same visibility into itself:
 
 * :mod:`repro.obs.trace` -- a ring-buffered low-overhead span recorder;
-* :mod:`repro.obs.hooks` -- the module-level enable switch the simulator's
-  hot paths check (a single ``active is not None`` test when disabled);
+* :mod:`repro.obs.hooks` -- the probe: the one ambient slot the simulator's
+  hot paths check (a single ``active is not None`` test when disabled),
+  the event vocabulary, and ``observing(*recorders)``;
 * :mod:`repro.obs.profile` -- folds recorded spans into a per-CPU
   cycle-attribution breakdown attached to :class:`~repro.sim.results.RunResult`;
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON (Perfetto) and a
@@ -28,8 +29,8 @@ the reproduction the same visibility into itself:
 """
 
 from repro.obs.trace import Span, TraceRecorder
-from repro.obs.hooks import install, is_enabled, tracing, uninstall
-from repro.obs.topo import TopoRecorder, recording as topo_recording
+from repro.obs.hooks import Probe, Recorder, observing
+from repro.obs.topo import TopoRecorder
 from repro.obs.hotspot import HotRegion, HotspotReport, build_report
 from repro.obs.profile import CpuBreakdown, RunBreakdown, build_breakdown
 from repro.obs.export import chrome_trace, flame_summary, write_chrome_trace
@@ -49,7 +50,6 @@ from repro.obs.perf import (
     diff_bench,
     make_case,
     merge_bench,
-    profiling,
     read_bench,
     run_record,
     write_bench,
@@ -59,14 +59,12 @@ __all__ = [
     "Span",
     "TraceRecorder",
     "TopoRecorder",
-    "topo_recording",
     "HotRegion",
     "HotspotReport",
     "build_report",
-    "install",
-    "uninstall",
-    "tracing",
-    "is_enabled",
+    "Probe",
+    "Recorder",
+    "observing",
     "CpuBreakdown",
     "RunBreakdown",
     "build_breakdown",
@@ -89,7 +87,6 @@ __all__ = [
     "diff_bench",
     "make_case",
     "merge_bench",
-    "profiling",
     "read_bench",
     "run_record",
     "write_bench",

@@ -235,7 +235,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     workload = make_app(args.workload, scale,
                         tuned_inputs=not args.untuned_inputs)
     recorder = TraceRecorder(args.capacity, engine_events=args.engine_events)
-    with hooks.tracing(recorder):
+    with hooks.observing(recorder):
         result = farm_hooks.run(RunRequest(config, workload, args.cpus, scale))
 
     print(result.describe())
@@ -267,7 +267,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     runs = []
     for config in (ref_config, cand_config):
         # One fresh recorder per run: breakdowns must not blend.
-        with hooks.tracing(TraceRecorder(args.capacity)):
+        with hooks.observing(TraceRecorder(args.capacity)):
             runs.append(farm_hooks.run(
                 RunRequest(config, workload, args.cpus, scale)))
     diff = diff_runs(runs[0], runs[1])
@@ -291,7 +291,7 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
     # Deliberately NOT farm_hooks.run: a cache hit would replay the
     # RunResult without re-simulating, leaving the recorder empty.
     request = RunRequest(config, workload, args.cpus, scale)
-    with obs_topo.recording(recorder):
+    with hooks.observing(recorder):
         result = request.execute()
     report = build_report(recorder, result, top_k=args.top)
     print(result.describe())
@@ -313,7 +313,7 @@ def cmd_txn(args: argparse.Namespace) -> int:
     # Deliberately NOT farm_hooks.run: a cache hit would replay the
     # RunResult without re-simulating, leaving the recorder empty.
     request = RunRequest(config, workload, args.cpus, scale)
-    with obs_txn.recording(recorder):
+    with hooks.observing(recorder):
         result = request.execute()
     report = obs_txn.build_report(recorder, result, top_k=args.top)
     print(result.describe())
@@ -353,7 +353,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     # profiler needs the machine's engine for the event count.
     machine = Machine(config, args.cpus, scale)
     profiler = obs_perf.PerfProfiler()
-    with obs_perf.profiling(profiler):
+    with hooks.observing(profiler):
         result = machine.run(workload)
     wall_s = profiler.wall_s
     events = machine.env.events_processed

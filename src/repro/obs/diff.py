@@ -253,16 +253,17 @@ class AttributionDiff:
 def diff_runs(ref, cand) -> AttributionDiff:
     """Attribute the cycle gap between two traced :class:`RunResult`\\ s.
 
-    Both runs must carry a breakdown (i.e. have executed under
-    :func:`repro.obs.hooks.tracing`) and must have simulated the same
-    workload at the same CPU count; anything else is an
+    Both runs must carry a breakdown (i.e. have executed under a tracer,
+    ``repro.obs.hooks.observing(TraceRecorder())``) and must have simulated
+    the same workload at the same CPU count; anything else is an
     :class:`~repro.common.errors.AttributionError`, not a silent zero.
     """
     for label, run in (("reference", ref), ("candidate", cand)):
         if run.breakdown is None:
             raise AttributionError(
                 f"{label} run {run.config_name!r} carries no breakdown; "
-                f"re-run it under repro.obs.hooks.tracing()"
+                f"re-run it under "
+                f"repro.obs.hooks.observing(TraceRecorder())"
             )
     if ref.workload_name != cand.workload_name:
         raise AttributionError(

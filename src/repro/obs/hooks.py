@@ -1,31 +1,33 @@
-"""The enable switch and category vocabulary for instrumentation hooks.
+"""The probe: the one ambient slot between the model and observability.
 
-Hot simulator code never imports the recorder directly; it does::
+Hot simulator code never imports a recorder; it does::
 
     from repro.obs import hooks as obs_hooks
     ...
-    tracer = obs_hooks.active          # hoisted once per chunk/transaction
+    probe = obs_hooks.active           # hoisted once per chunk/transaction
     ...
-    if tracer is not None:             # the entire disabled-path cost
-        tracer.record(t_ps, obs_hooks.TLB, "refill", dur_ps, self.node)
+    if probe is not None:              # the entire disabled-path cost
+        probe.span(t_ps, obs_hooks.TLB, "refill", dur_ps, self.node)
 
-With tracing disabled (the default) ``active`` is ``None`` and every hook
-collapses to a local/module load plus an ``is not None`` test -- the no-op
-fast path the overhead benchmark (``benchmarks/bench_obs_overhead.py``)
-verifies.  Lint rule L1 (``python -m repro.lint``) checks that no
-``record`` call in the engine dispatch loop skips that guard.
+With nothing installed (the default) ``active`` is ``None`` and every site
+collapses to one load plus one ``is not None`` test -- the disabled path
+``benchmarks/bench_obs_overhead.py`` measures.  Installed, ``active`` is a
+:class:`Probe` whose attributes are the model's event vocabulary
+(:data:`EVENTS`); it fans each event to the installed recorders that
+implement it, so one model event is told once however many recorders
+listen, and one run can feed all of them.  Lint rules L1 and D3
+(``python -m repro.lint``) check that every probe call in the hot path
+sits behind the guard on a local.
 
-Categories map onto the paper's error-source taxonomy (see DESIGN.md):
-omissions show up as missing ``tlb``/``mem`` time, detail gaps as ``dsm``/
-``net`` occupancy, and bugs as anomalous ``cpu`` spans.
+Span categories map onto the paper's error-source taxonomy (see
+DESIGN.md): omissions show up as missing ``tlb``/``mem`` time, detail
+gaps as ``dsm``/``net`` occupancy, and bugs as anomalous ``cpu`` spans.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import Optional
-
-from repro.obs.trace import TraceRecorder
 
 # -- span categories -------------------------------------------------------
 
@@ -44,71 +46,175 @@ FARM = "farm"        #: experiment-farm requests (wall time, not sim time)
 #: total; everything else is timeline-only detail.
 ATTRIBUTED = (TLB, MEM, SYNC, OS)
 
-#: The active recorder, or None when tracing is disabled.  Module-level on
+# -- checkpoint tolerance (Recorder.ckpt) ----------------------------------
+
+CKPT_ALWAYS = "always"  #: host-side only: capture and resume are harmless
+CKPT_SUFFIX = "suffix"  #: resume only when the caller accepts a record of
+#:                         the resumed suffix (``allow_partial_obs``)
+CKPT_NEVER = "never"    #: counters would be silently partial
+
+#: The model's event vocabulary: every name is a :class:`Recorder` method
+#: (the one signature of that event) and a :class:`Probe` attribute.
+EVENTS = ("span", "cache_miss", "tlb_miss", "dir_transition", "net_msg",
+          "mem_access", "open_txn", "commit_txn", "drain",
+          "host_begin", "host_commit")
+
+
+class Recorder:
+    """A probe subscriber: override the events you fold, inherit the rest.
+
+    The base methods are the typed no-ops that define each event's
+    signature; a :class:`Probe` only calls the ones a subclass overrides.
+    Recording must never perturb the simulation -- read, count, append.
+    """
+
+    __slots__ = ()
+
+    #: What ``repro.ckpt`` may do while this recorder is installed.
+    ckpt = CKPT_NEVER
+    #: Also receive one ``span``/``host_*`` per engine calendar event.
+    engine_events = False
+
+    # -- run lifecycle (every recorder, every run) -----------------------
+
+    def bind(self, machine) -> None:
+        """*machine* is about to start (or resume) a run."""
+
+    def finish(self, machine, result) -> None:
+        """The run completed; *result* may be annotated."""
+
+    # -- events ----------------------------------------------------------
+
+    def span(self, t_ps: int, category: str, name: str,
+             dur_ps: int = 0, args: object = None) -> None:
+        """A timed interval (or an instant, ``dur_ps == 0``)."""
+
+    def cache_miss(self, name: str, node: int, paddr: int) -> None:
+        """One miss in cache structure *name* at *node*."""
+
+    def tlb_miss(self, vpn: int, cpu: Optional[int] = None) -> None:
+        """One TLB miss (the refill *cost* is a ``span`` from the core)."""
+
+    def dir_transition(self, home: int, line: int, transition: str,
+                       n_sharers: int = 0) -> None:
+        """One directory-state transition of *line* homed at *home*."""
+
+    def net_msg(self, src: int, dst: int, flits: int, hops,
+                start_ps: int = 0, dur_ps: int = 0) -> None:
+        """One delivered network message routed over the links *hops*."""
+
+    def mem_access(self, node: int, home: int, paddr: int, kind: str,
+                   start_ps: int = 0, latency_ps: int = 0,
+                   case: Optional[str] = None) -> None:
+        """One DSM transaction: told when its reply lands, or at issue
+        (``case`` None, latency 0) for a fire-and-forget writeback."""
+
+    def open_txn(self, node: int, paddr: int, kind: str,
+                 origin: str = "internal"):
+        """A new per-transaction record to thread through the DSM."""
+
+    def commit_txn(self, record) -> None:
+        """A record from :meth:`open_txn` was sealed."""
+
+    def drain(self, wait_ps: int) -> None:
+        """A sync point waited *wait_ps* for the write buffer."""
+
+    def host_begin(self):
+        """Open a host-time bracket; the token goes to ``host_commit``."""
+
+    def host_commit(self, phase: str, t0, n: int = 1) -> None:
+        """Charge the host time since *t0* to *phase* (*n* units)."""
+
+
+def _ignore(*_args):
+    return None
+
+
+def _fan(subscribers):
+    """One callable delivering an event to every subscriber.  Only
+    ``open_txn`` and ``host_begin`` return anything, and each has a
+    single implementing recorder class."""
+    if not subscribers:
+        return _ignore
+    if len(subscribers) == 1:
+        return subscribers[0]
+
+    def fan(*args):
+        for deliver in subscribers:
+            out = deliver(*args)
+        return out
+    return fan
+
+
+class Probe:
+    """What :data:`active` holds: each event fans to its subscribers."""
+
+    __slots__ = ("recorders",) + EVENTS
+
+    def __init__(self, *recorders: Recorder):
+        self.recorders = recorders
+        for event in EVENTS:
+            inherited = getattr(Recorder, event)
+            setattr(self, event, _fan(
+                [getattr(rec, event) for rec in recorders
+                 if getattr(type(rec), event) is not inherited]))
+
+    @property
+    def traced(self) -> bool:
+        """A tracer is subscribed: the result will carry a breakdown."""
+        return self.span is not _ignore
+
+    def bind(self, machine) -> None:
+        for rec in self.recorders:
+            rec.bind(machine)
+
+    def finish(self, machine, result) -> None:
+        for rec in self.recorders:
+            rec.finish(machine, result)
+
+    def engine_observer(self) -> Optional["Probe"]:
+        """What ``Engine.tracer`` should hold for this probe: the
+        recorders that asked for per-calendar-event calls, or None."""
+        wanted = [rec for rec in self.recorders if rec.engine_events]
+        return Probe(*wanted) if wanted else None
+
+
+#: The installed probe, or None when nothing observes.  Module-level on
 #: purpose: reading it is the cheapest guard Python offers short of
 #: deleting the call sites.
-active: Optional[TraceRecorder] = None
-
-#: The active spatial recorder (:class:`repro.obs.topo.TopoRecorder`), or
-#: None when spatial recording is disabled.  The slot lives *here* -- not in
-#: ``repro.obs.topo`` -- so hot simulator code keeps its single sanctioned
-#: observability import (``from repro.obs import hooks``); the lint bans
-#: ``repro.obs.topo`` imports under the model directories outright.  The
-#: type is deliberately untyped at runtime (no topo import) to keep this
-#: module cycle-free and the disabled path a bare attribute load.
-topo = None
-
-#: The active host-phase profiler (:class:`repro.obs.perf.PerfProfiler`),
-#: or None when host profiling is disabled (the default).  Same slot
-#: discipline as ``active``/``topo``: read into a local, test
-#: ``is not None``, then call methods on the local.  It never changes
-#: simulated behaviour: the profiler only reads the host clock (inside
-#: ``repro.obs.perf``, never here or in the machine), so results are
-#: bit-identical with it on or off.
-#: Deliberately untyped at runtime (no perf import) to stay cycle-free.
-perf = None
-
-#: The active transaction recorder (:class:`repro.obs.txn.TxnRecorder`),
-#: or None when per-transaction tracing is disabled (the default).  Same
-#: slot discipline as ``active``/``topo``: hot code reads the slot into a
-#: local, tests ``is not None``, then calls methods on the local.
-#: Deliberately untyped at runtime (no txn import) to keep this module
-#: cycle-free and the disabled path a bare load.
-txn = None
+active: Optional[Probe] = None
 
 
-def install(recorder: TraceRecorder) -> TraceRecorder:
-    """Enable tracing into *recorder* for subsequent simulator activity."""
-    global active
-    active = recorder
-    return recorder
-
-
-def uninstall() -> None:
-    """Disable tracing (restore the no-op fast path)."""
-    global active
-    active = None
-
-
-def is_enabled() -> bool:
-    return active is not None
+def require_ckpt_tolerant(what: str, error: type,
+                          allow_partial: bool = False) -> None:
+    """Raise *error* if an installed recorder's ``ckpt`` property does not
+    tolerate *what* (a suffix-only recorder does when *allow_partial*)."""
+    probe = active
+    tolerated = ((CKPT_ALWAYS, CKPT_SUFFIX) if allow_partial
+                 else (CKPT_ALWAYS,))
+    refusing = [type(rec).__name__
+                for rec in (probe.recorders if probe is not None else ())
+                if rec.ckpt not in tolerated]
+    if refusing:
+        raise error(
+            f"{what} cannot run under {', '.join(refusing)}: recorder "
+            "state is deliberately not part of checkpoint state, so the "
+            "record would be silently partial")
 
 
 @contextmanager
-def tracing(recorder: Optional[TraceRecorder] = None, capacity: int = 65536,
-            engine_events: bool = False):
-    """Context manager: trace everything inside the block.
+def observing(*recorders: Recorder):
+    """Context manager: every run inside the block feeds *recorders*.
 
-    >>> with tracing() as rec:
+    >>> tracer, topo = TraceRecorder(), TopoRecorder()
+    >>> with observing(tracer, topo):
     ...     result = run_workload(config, workload, 2)
-    >>> rec.spans()
+    >>> tracer.spans(), topo.matrix
     """
     global active
-    rec = recorder if recorder is not None else TraceRecorder(
-        capacity, engine_events=engine_events)
     previous = active
-    install(rec)
+    active = probe = Probe(*recorders)
     try:
-        yield rec
+        yield probe
     finally:
         active = previous

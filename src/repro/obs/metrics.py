@@ -10,11 +10,10 @@ fractions, wall time, cache outcome -- and ``python -m repro.obs watch``
 diffs the newest records against ledger history, exiting nonzero when
 accuracy or performance drifts past threshold (CI-able).
 
-The writer mirrors :mod:`repro.obs.hooks` and :mod:`repro.sim.farm_hooks`:
-a module-level ``active`` slot, ``install``/``uninstall``, and a context
-manager.  With no writer installed the farm pays a single ``is not None``
-test per request -- the ledger adds no cost to the simulator itself, which
-never imports this module (lint rule L2 enforces that).
+The writer is an argument of the farm (``Farm(metrics=writer)``), its one
+caller; without one the farm pays a single ``is not None`` test per
+request -- the ledger adds no cost to the simulator itself, which never
+imports this module (lint rule L2 enforces that).
 
 Record layout is a **frozen schema** (:data:`LEDGER_SCHEMA`): records
 round-trip exactly through :meth:`LedgerRecord.to_dict` /
@@ -26,7 +25,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -238,45 +236,6 @@ def read_ledger(path) -> List[LedgerRecord]:
             continue
         records.append(LedgerRecord.from_dict(data))
     return records
-
-
-# -- the ambient writer slot (mirrors obs.hooks / sim.farm_hooks) ----------
-
-#: The installed :class:`MetricsWriter`, or None (the default: no ledger,
-#: no cost -- the farm pays one ``is not None`` test per request).
-active: Optional[MetricsWriter] = None
-
-
-def install(writer: Optional[MetricsWriter]) -> Optional[MetricsWriter]:
-    """Route subsequent farm-observed runs into *writer*'s ledger."""
-    global active
-    active = writer
-    return writer
-
-
-def uninstall() -> None:
-    """Stop recording ledger entries."""
-    global active
-    active = None
-
-
-def is_enabled() -> bool:
-    return active is not None
-
-
-@contextmanager
-def recording(writer: Optional[MetricsWriter]):
-    """Context manager: ledger every farm-dispatched run inside the block.
-
-    ``recording(None)`` is an explicit no-op block -- callers with an
-    optional ledger path need no conditional."""
-    global active
-    previous = active
-    install(writer)
-    try:
-        yield writer
-    finally:
-        active = previous
 
 
 # -- drift detection (the `watch` command) ---------------------------------

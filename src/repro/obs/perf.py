@@ -4,16 +4,16 @@ The rest of ``repro.obs`` explains simulated cycles; this module explains
 host seconds -- the axis ROADMAP item 1 needs before any scalar-path
 optimisation or compiled backend is worth building.  Three pieces:
 
-* :class:`PerfProfiler` -- guarded, off-by-default host-time hooks.  The
-  engine dispatch loop, the calendar, and the row loop each bracket
-  their work with ``begin()``/``commit()`` *only* after reading the
-  :data:`repro.obs.hooks.perf` slot into a local and testing ``is not
-  None`` (the same discipline lint rule D3 enforces for every other
-  ambient hook).  With the slot empty -- the default -- each
-  site costs one module attribute load plus a ``None`` test, verified by
-  ``benchmarks/bench_obs_overhead.py``.  All ``perf_counter_ns`` reads
-  live *here*, never in the machine, so lint rules D2/D5 stay clean and
-  replay determinism cannot depend on the host clock.
+* :class:`PerfProfiler` -- guarded, off-by-default host-time brackets.
+  The engine dispatch loop, the calendar, and the row loop each bracket
+  their work with the probe's ``host_begin()``/``host_commit()`` events
+  *only* after reading their observer into a local and testing ``is not
+  None`` (the discipline lint rule D3 enforces for every ambient slot).
+  With nothing installed -- the default -- each site costs one load
+  plus a ``None`` test, verified by ``benchmarks/bench_obs_overhead.py``.
+  All ``perf_counter_ns`` reads live *here*, never in the machine, so
+  lint rules D2/D5 stay clean and replay determinism cannot depend on
+  the host clock.
 * :class:`HostBreakdown` -- the folded per-phase table, the host-time
   sibling of :class:`repro.obs.profile.RunBreakdown`.  Phases are
   *overlapping views*, not a partition: calendar pushes happen inside
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -51,38 +50,43 @@ ROWS_SCALAR = "cpu.rows_scalar"    #: one chunk's row loop (inclusive)
 PHASES = (DISPATCH, CALENDAR, ROWS_SCALAR)
 
 
-class PerfProfiler:
-    """Accumulates host nanoseconds per phase while installed in
-    :data:`repro.obs.hooks.perf`.
+class PerfProfiler(hooks.Recorder):
+    """Accumulates host nanoseconds per phase while installed with
+    :func:`repro.obs.hooks.observing`.
 
     The call protocol at an instrumented site is::
 
-        perf = obs_hooks.perf            # read the slot into a local
-        if perf is not None:             # the entire disabled-path cost
-            t0 = perf.begin()
+        probe = obs_hooks.active         # read the slot into a local
+        if probe is not None:            # the entire disabled-path cost
+            t0 = probe.host_begin()
         ...work...
-        if perf is not None:
-            perf.commit(PHASE, t0)
+        if probe is not None:
+            probe.host_commit(PHASE, t0)
 
-    ``begin`` and ``commit`` are the only places the host clock is read;
-    the simulator itself never imports :mod:`time`.
+    ``host_begin`` and ``host_commit`` are the only places the host clock
+    is read; the simulator itself never imports :mod:`time`.  The wall
+    clock runs from :meth:`bind` to :meth:`finish` of each machine.
     """
 
     __slots__ = ("_ns", "_counts", "_wall_t0", "wall_s")
+
+    #: Reads only the host clock; simulated state never depends on it.
+    ckpt = hooks.CKPT_ALWAYS
+    engine_events = True
 
     def __init__(self):
         self._ns: Dict[str, int] = {}
         self._counts: Dict[str, int] = {}
         self._wall_t0: Optional[int] = None
-        #: Accumulated wall seconds between start_wall/stop_wall pairs.
+        #: Accumulated wall seconds between bind/finish pairs.
         self.wall_s: float = 0.0
 
     # -- the hot protocol ----------------------------------------------
 
-    def begin(self) -> int:
+    def host_begin(self) -> int:
         return time.perf_counter_ns()
 
-    def commit(self, phase: str, t0: int, n: int = 1) -> None:
+    def host_commit(self, phase: str, t0: int, n: int = 1) -> None:
         """Charge the time since *t0* to *phase* (*n* units of work)."""
         ns = time.perf_counter_ns() - t0
         self._ns[phase] = self._ns.get(phase, 0) + ns
@@ -90,10 +94,10 @@ class PerfProfiler:
 
     # -- wall clock ----------------------------------------------------
 
-    def start_wall(self) -> None:
+    def bind(self, machine) -> None:
         self._wall_t0 = time.perf_counter_ns()
 
-    def stop_wall(self) -> None:
+    def finish(self, machine, result) -> None:
         if self._wall_t0 is not None:
             self.wall_s += (time.perf_counter_ns() - self._wall_t0) / 1e9
             self._wall_t0 = None
@@ -157,25 +161,6 @@ class HostBreakdown:
                      "row segments span dispatches) -- shares need not sum "
                      "to 100%")
         return "\n".join(lines)
-
-
-@contextmanager
-def profiling(profiler: Optional[PerfProfiler] = None):
-    """Context manager: profile host phases for everything in the block.
-
-    Installs *profiler* (a fresh one by default) into the
-    :data:`repro.obs.hooks.perf` slot and runs the wall clock across the
-    block.
-    """
-    prof = profiler if profiler is not None else PerfProfiler()
-    previous = hooks.perf
-    hooks.perf = prof
-    prof.start_wall()
-    try:
-        yield prof
-    finally:
-        prof.stop_wall()
-        hooks.perf = previous
 
 
 # -- the BENCH perf ledger (frozen schema) ---------------------------------

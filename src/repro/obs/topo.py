@@ -8,41 +8,38 @@ paper's hotspot experiments (unplaced Radix, Figure 7) rest on -- a
 simulator that predicts the aggregate speedup for the wrong spatial
 reasons would still be wrong.
 
-The design mirrors :mod:`repro.obs.hooks` exactly:
+The recorder is a :mod:`repro.obs.hooks` probe subscriber:
 
-* the enable switch is a module-level slot, ``repro.obs.hooks.topo`` --
-  hot simulator code already imports ``obs.hooks`` and only ever pays a
-  load plus an ``is not None`` test when spatial recording is disabled;
-* nothing under ``cpu/``, ``mem/``, ``engine/``, ``memsys/`` or
-  ``network/`` may import *this* module (lint rule L2 enforces it);
+* it is installed with ``hooks.observing(TopoRecorder())``; nothing under
+  ``cpu/``, ``mem/``, ``engine/``, ``memsys/`` or ``network/`` may import
+  *this* module (lint rule L2 enforces it);
 * enabled-mode memory is bounded: counters are dicts keyed by touched
   regions/links (bounded by the footprint), and the periodic sampler
   writes into fixed-size :class:`RingBuffer`\\ s that overwrite their
   oldest samples, never grow.
 
-Four hook families feed the recorder:
+It folds four probe events:
 
-* ``count_access``  -- one DSM transaction (``memsys/dsm.py``), bucketed
+* ``mem_access``  -- one DSM transaction (``memsys/dsm.py``), bucketed
   by (requesting node, home node, address region);
-* ``count_cache_miss`` -- one per-structure cache miss (``mem/cache.py``);
+* ``cache_miss`` -- one per-structure cache miss (``mem/cache.py``);
 * ``dir_transition``   -- one directory-state transition
   (``proto/directory.py``), with the post-transition sharer count;
-* ``count_msg``        -- one network message (``network/fabric.py``),
+* ``net_msg``        -- one network message (``network/fabric.py``),
   charged to every link on its route.
 
-The periodic sampler is an engine process :class:`~repro.sim.machine.Machine`
-spawns when a recorder is installed; every ``sample_interval_ps`` of
+The periodic sampler is an engine process :meth:`TopoRecorder.bind`
+spawns on the machine; every ``sample_interval_ps`` of
 *simulated* time it snapshots per-link and per-controller queue occupancy.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.mem.address import NODE_MEM_SHIFT, bit_length_shift
-from repro.obs import hooks as _hooks
+from repro.obs import hooks
 
 # -- region granularities ---------------------------------------------------
 
@@ -108,11 +105,11 @@ class _Region:
         self.home = home
 
 
-class TopoRecorder:
+class TopoRecorder(hooks.Recorder):
     """Spatial counters + occupancy sampler for one (or more) runs.
 
     Construction is cheap and binding-free so tests can drive the counting
-    API directly; :meth:`bind_machine` (called by ``Machine.run`` when the
+    API directly; :meth:`bind` (called by ``Machine.begin`` when the
     recorder is installed) supplies the geometry -- line/page size, node
     count -- and the resources the sampler walks.
     """
@@ -135,8 +132,7 @@ class TopoRecorder:
         self.region_shift = (self.line_shift if region == LINE
                              else self.page_shift)
         self.n_nodes = 0
-        #: Total counting-hook invocations (the overhead bench projects the
-        #: disabled-guard cost from this).
+        #: Total events folded.
         self.total_events = 0
         # -- traffic ------------------------------------------------------
         #: (requesting node, home node) -> DSM transaction count.
@@ -185,8 +181,8 @@ class TopoRecorder:
         """The node whose memory holds *region*."""
         return self.region_base(region) >> NODE_MEM_SHIFT
 
-    def bind_machine(self, machine) -> None:
-        """Adopt *machine*'s geometry and resources (called by Machine.run).
+    def bind(self, machine) -> None:
+        """Adopt *machine*'s geometry and resources; start the sampler.
 
         Region binning switches to the machine scale's real line/page
         sizes; the sampler series are created for every network link and
@@ -203,6 +199,9 @@ class TopoRecorder:
         for name, _res in self._sampled_resources():
             self.series.setdefault(f"{name}.queue",
                                    RingBuffer(self.sample_capacity))
+        # The sampler never finishes; Engine.run checks the until event
+        # before each step, so it cannot keep the run alive.
+        machine.env.process(self.sampler(machine.env), name="topo.sampler")
 
     def _sampled_resources(self):
         """(name, resource) pairs the sampler snapshots, stable order."""
@@ -217,10 +216,11 @@ class TopoRecorder:
             out.append((f"link{link[0]}->{link[1]}", res))
         return out
 
-    # -- counting hooks (called from guarded sites in the simulator) --------
+    # -- probe events ------------------------------------------------------
 
-    def count_access(self, node: int, home: int, paddr: int, kind: str,
-                     latency_ps: int = 0) -> None:
+    def mem_access(self, node: int, home: int, paddr: int, kind: str,
+                   start_ps: int = 0, latency_ps: int = 0,
+                   case: Optional[str] = None) -> None:
         """One DSM transaction from *node* against memory homed at *home*."""
         self.total_events += 1
         pair = (node, home)
@@ -236,7 +236,7 @@ class TopoRecorder:
             acc.remote += 1
         acc.requesters.add(node)
 
-    def count_cache_miss(self, name: str, node: int, paddr: int) -> None:
+    def cache_miss(self, name: str, node: int, paddr: int) -> None:
         """One miss in cache structure *name* at *node*."""
         self.total_events += 1
         self.struct_misses[name] = self.struct_misses.get(name, 0) + 1
@@ -254,11 +254,12 @@ class TopoRecorder:
             if n_sharers > self.peak_sharers.get(region, 0):
                 self.peak_sharers[region] = n_sharers
 
-    def count_msg(self, src: int, dst: int, flits: int, links) -> None:
+    def net_msg(self, src: int, dst: int, flits: int, hops,
+                start_ps: int = 0, dur_ps: int = 0) -> None:
         """One network message; charged to every link on its route."""
         self.total_events += 1
         msgs, fl = self.link_msgs, self.link_flits
-        for link in links:
+        for link in hops:
             msgs[link] = msgs.get(link, 0) + 1
             fl[link] = fl.get(link, 0) + flits
 
@@ -281,13 +282,9 @@ class TopoRecorder:
                     self.sample_capacity)
             ring.push(float(res.queue_length + res.in_use))
 
-    def finish(self, end_ps: Optional[int] = None) -> None:
+    def finish(self, machine, result) -> None:
         """Capture cumulative resource heat at the end of a run."""
-        if self._machine is None:
-            return
-        if end_ps is None:
-            end_ps = self._machine.env.now
-        self.end_ps = max(self.end_ps, end_ps)
+        self.end_ps = max(self.end_ps, machine.env.now)
         for name, res in self._sampled_resources():
             self.resource_heat[name] = {
                 "requests": float(res.requests),
@@ -332,37 +329,3 @@ class TopoRecorder:
                 f"{self.total_accesses} accesses, "
                 f"{len(self.regions)} regions, "
                 f"{len(self.sample_t)} samples)")
-
-
-# -- the ambient switch (slot lives in repro.obs.hooks) ---------------------
-
-def install(recorder: TopoRecorder) -> TopoRecorder:
-    """Enable spatial recording into *recorder*."""
-    _hooks.topo = recorder
-    return recorder
-
-
-def uninstall() -> None:
-    """Disable spatial recording (restore the no-op fast path)."""
-    _hooks.topo = None
-
-
-def is_enabled() -> bool:
-    return _hooks.topo is not None
-
-
-@contextmanager
-def recording(recorder: Optional[TopoRecorder] = None, **kwargs):
-    """Context manager: spatially record everything inside the block.
-
-    >>> with recording() as topo:
-    ...     result = run_workload(config, workload, 4)
-    >>> topo.matrix
-    """
-    rec = recorder if recorder is not None else TopoRecorder(**kwargs)
-    previous = _hooks.topo
-    install(rec)
-    try:
-        yield rec
-    finally:
-        _hooks.topo = previous

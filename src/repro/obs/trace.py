@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
+from repro.obs import hooks
+from repro.obs.profile import build_breakdown
+
 
 class Span(NamedTuple):
     """One recorded event: a duration (``dur_ps > 0``) or an instant."""
@@ -42,13 +45,17 @@ def _cpu_of(args: object) -> Optional[int]:
     return None
 
 
-class TraceRecorder:
+class TraceRecorder(hooks.Recorder):
     """Ring-buffered sink for :class:`Span` events.
 
     The recorder itself is always cheap to *call*; the near-zero disabled
     path lives one level up in :mod:`repro.obs.hooks`, where call sites
     test a module global before touching the recorder at all.
     """
+
+    #: The ring is not checkpoint state; a resumed run can only be traced
+    #: from the resume point on, and only when the caller asks for that.
+    ckpt = hooks.CKPT_SUFFIX
 
     def __init__(self, capacity: int = 65536, engine_events: bool = False):
         if capacity < 1:
@@ -64,9 +71,12 @@ class TraceRecorder:
 
     # -- wiring -----------------------------------------------------------
 
-    def bind_engine(self, engine) -> None:
-        """Use *engine*'s clock for :meth:`record_now` timestamps."""
-        self._engine = engine
+    def bind(self, machine) -> None:
+        """Use *machine*'s engine clock to timestamp clockless events."""
+        self._engine = machine.env
+
+    def finish(self, machine, result) -> None:
+        result.breakdown = build_breakdown(self)
 
     def now_ps(self) -> int:
         """Current simulated time of the bound engine (0 when unbound)."""
@@ -74,8 +84,8 @@ class TraceRecorder:
 
     # -- recording --------------------------------------------------------
 
-    def record(self, t_ps: int, category: str, name: str,
-               dur_ps: int = 0, args: object = None) -> None:
+    def span(self, t_ps: int, category: str, name: str,
+             dur_ps: int = 0, args: object = None) -> None:
         """Append one span, overwriting the oldest when the ring is full."""
         i = self._next
         self._buf[i % self.capacity] = Span(t_ps, category, name, dur_ps, args)
@@ -88,14 +98,29 @@ class TraceRecorder:
             agg[0] += 1
             agg[1] += dur_ps
 
-    def record_now(self, category: str, name: str,
-                   dur_ps: int = 0, args: object = None) -> None:
-        """Like :meth:`record`, timestamped with the bound engine's clock.
+    # The cache and TLB have no engine reference of their own: their
+    # instants take the bound engine's clock (t=0 when unbound).
 
-        For call sites (cache, TLB) that have no engine reference of their
-        own; without a bound engine the span lands at t=0.
-        """
-        self.record(self.now_ps(), category, name, dur_ps, args)
+    def cache_miss(self, name: str, node: int, paddr: int) -> None:
+        self.span(self.now_ps(), hooks.CACHE, f"{name}.miss")
+
+    def tlb_miss(self, vpn: int, cpu: Optional[int] = None) -> None:
+        self.span(self.now_ps(), hooks.TLB, "miss", 0,
+                  {"vpn": vpn} if cpu is None else {"cpu": cpu, "vpn": vpn})
+
+    def net_msg(self, src: int, dst: int, flits: int, hops,
+                start_ps: int = 0, dur_ps: int = 0) -> None:
+        # Delivery minus the uncontended bound = link contention.
+        self.span(start_ps, hooks.NET, "msg", dur_ps,
+                  {"src": src, "dst": dst, "flits": flits,
+                   "hops": len(hops)})
+
+    def mem_access(self, node: int, home: int, paddr: int, kind: str,
+                   start_ps: int = 0, latency_ps: int = 0,
+                   case: Optional[str] = None) -> None:
+        if case is not None:  # no CPU waits on a fire-and-forget writeback
+            self.span(start_ps, hooks.DSM, f"txn.{kind}", latency_ps,
+                      {"node": node, "home": home, "case": case})
 
     # -- reading ----------------------------------------------------------
 

@@ -9,13 +9,12 @@ in the memory-system latency *distribution* -- protocol-processor
 occupancy, directory queueing, network hops -- not in the mean, so the
 evidence has to be per-transaction anatomy, not aggregates.
 
-The design mirrors :mod:`repro.obs.topo` exactly:
+The recorder is a :mod:`repro.obs.hooks` probe subscriber, like
+:mod:`repro.obs.topo`:
 
-* the enable switch is a module-level slot, ``repro.obs.hooks.txn`` --
-  hot simulator code already imports ``obs.hooks`` and pays a load plus
-  an ``is not None`` test when transaction tracing is disabled;
-* nothing under ``cpu/``, ``mem/``, ``memsys/``, ``proto/``,
-  ``network/`` or ``engine/`` may import *this* module (lint rule L2);
+* it is installed with ``hooks.observing(TxnRecorder())``; nothing under
+  ``cpu/``, ``mem/``, ``memsys/``, ``proto/``, ``network/`` or
+  ``engine/`` may import *this* module (lint rule L2);
 * recording never perturbs the simulation: the recorder only reads
   ``env.now`` and appends to its own lists -- no events, no timeouts --
   so a recording-enabled run is cycle-bit-identical to a disabled one.
@@ -36,12 +35,11 @@ DESIGN.md.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.mem.address import home_node
-from repro.obs import hooks as _hooks
+from repro.obs import hooks
 
 #: Slowest transactions retained with their full segment anatomy.
 DEFAULT_TOP_K = 10
@@ -244,11 +242,11 @@ class _KindStats:
         self.residual_ps = 0
 
 
-class TxnRecorder:
+class TxnRecorder(hooks.Recorder):
     """End-to-end transaction records for one (or more) runs.
 
     Construction is cheap and binding-free so tests can drive the API
-    directly; :meth:`bind_machine` (called by ``Machine.begin`` when the
+    directly; :meth:`bind` (called by ``Machine.begin`` when the
     recorder is installed) supplies the geometry.  State lives entirely
     outside the machine: the recorder reads ``env.now`` through its
     callers and appends to its own structures, so recording cannot
@@ -261,8 +259,7 @@ class TxnRecorder:
         self.top_k = top_k
         self.n_nodes = 0
         self.end_ps = 0
-        #: Total hook invocations (the overhead bench projects the
-        #: disabled-guard cost from this).
+        #: Total events folded.
         self.total_events = 0
         self.total_txns = 0
         self.kinds: Dict[str, _KindStats] = {}
@@ -287,15 +284,15 @@ class TxnRecorder:
 
     # -- record lifecycle ------------------------------------------------
 
-    def open(self, node: int, paddr: int, kind: str,
-             origin: str = "internal") -> TxnRecord:
+    def open_txn(self, node: int, paddr: int, kind: str,
+                 origin: str = "internal") -> TxnRecord:
         """A new record; uids are assigned monotonically (stable ties)."""
         self.total_events += 1
         uid = self._next_uid
         self._next_uid = uid + 1
         return TxnRecord(uid, node, home_node(paddr), paddr, kind, origin)
 
-    def commit(self, record: TxnRecord) -> None:
+    def commit_txn(self, record: TxnRecord) -> None:
         """Fold a sealed record into the per-kind aggregates and top-K."""
         self.total_txns += 1
         key = record.kind_key
@@ -322,32 +319,36 @@ class TxnRecorder:
             if len(top) > self.top_k:
                 del top[0]
 
-    # -- context hooks (called from guarded sites in the simulator) ------
+    # -- context events (not part of any transaction's anatomy) ----------
 
-    def count_cache_miss(self, name: str) -> None:
+    def cache_miss(self, name: str, node: int, paddr: int) -> None:
         self.total_events += 1
         self.cache_misses[name] = self.cache_misses.get(name, 0) + 1
 
-    def dir_transition(self, transition: str, n_sharers: int = 0) -> None:
+    def dir_transition(self, home: int, line: int, transition: str,
+                       n_sharers: int = 0) -> None:
+        # The sharer count is the fan-out width the *next* write to the
+        # line will pay for (the "+inv" transaction flavor).
         self.total_events += 1
         self.dir_transitions[transition] = (
             self.dir_transitions.get(transition, 0) + 1)
         if n_sharers > self.peak_sharers:
             self.peak_sharers = n_sharers
 
-    def note_drain(self, wait_ps: int) -> None:
+    def drain(self, wait_ps: int) -> None:
         self.total_events += 1
         self.write_drains += 1
         self.write_drain_ps += wait_ps
 
     # -- machine lifecycle ----------------------------------------------
 
-    def bind_machine(self, machine) -> None:
+    def bind(self, machine) -> None:
         """Adopt *machine*'s geometry (called by ``Machine.begin``)."""
         self.n_nodes = max(self.n_nodes, machine.n_cpus)
 
-    def finish(self, end_ps: int) -> None:
-        self.end_ps = max(self.end_ps, end_ps)
+    def finish(self, machine, result) -> None:
+        self.end_ps = max(self.end_ps, machine.env.now)
+        result.txn_total = self.total_txns
 
     def clear(self) -> None:
         self.total_events = 0
@@ -559,38 +560,3 @@ def build_report(recorder: TxnRecorder, result=None,
         workload=getattr(result, "workload_name", ""),
         n_cpus=getattr(result, "n_cpus", 0),
     )
-
-
-# -- the ambient switch (slot lives in repro.obs.hooks) ---------------------
-
-
-def install(recorder: TxnRecorder) -> TxnRecorder:
-    """Enable transaction recording into *recorder*."""
-    _hooks.txn = recorder
-    return recorder
-
-
-def uninstall() -> None:
-    """Disable transaction recording (restore the no-op fast path)."""
-    _hooks.txn = None
-
-
-def is_enabled() -> bool:
-    return _hooks.txn is not None
-
-
-@contextmanager
-def recording(recorder: Optional[TxnRecorder] = None, **kwargs):
-    """Context manager: record every transaction inside the block.
-
-    >>> with recording() as txns:
-    ...     result = run_workload(config, workload, 4)
-    >>> txns.total_txns
-    """
-    rec = recorder if recorder is not None else TxnRecorder(**kwargs)
-    previous = _hooks.txn
-    install(rec)
-    try:
-        yield rec
-    finally:
-        _hooks.txn = previous

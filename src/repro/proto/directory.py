@@ -68,15 +68,10 @@ class Directory:
         ent.sharers.add(node)
         ent.owner = None
         self.stats.add("to_shared")
-        topo = obs_hooks.topo
-        if topo is not None:
-            topo.dir_transition(self.node, line, "to_shared",
-                                len(ent.sharers))
-        txn = obs_hooks.txn
-        if txn is not None:
-            # Sharer-count context: the fan-out width the *next* write
-            # to this line will pay for (the "+inv" transaction flavor).
-            txn.dir_transition("to_shared", len(ent.sharers))
+        probe = obs_hooks.active
+        if probe is not None:
+            probe.dir_transition(self.node, line, "to_shared",
+                                 len(ent.sharers))
 
     def set_dirty(self, line: int, owner: int) -> None:
         ent = self.entry(line)
@@ -84,12 +79,9 @@ class Directory:
         ent.owner = owner
         ent.sharers = set()
         self.stats.add("to_dirty")
-        topo = obs_hooks.topo
-        if topo is not None:
-            topo.dir_transition(self.node, line, "to_dirty")
-        txn = obs_hooks.txn
-        if txn is not None:
-            txn.dir_transition("to_dirty")
+        probe = obs_hooks.active
+        if probe is not None:
+            probe.dir_transition(self.node, line, "to_dirty")
 
     def clear(self, line: int) -> None:
         ent = self.entry(line)
@@ -97,12 +89,9 @@ class Directory:
         ent.sharers = set()
         ent.owner = None
         self.stats.add("to_unowned")
-        topo = obs_hooks.topo
-        if topo is not None:
-            topo.dir_transition(self.node, line, "to_unowned")
-        txn = obs_hooks.txn
-        if txn is not None:
-            txn.dir_transition("to_unowned")
+        probe = obs_hooks.active
+        if probe is not None:
+            probe.dir_transition(self.node, line, "to_unowned")
 
     def drop_sharer(self, line: int, node: int) -> None:
         ent = self.entry(line)
@@ -110,12 +99,9 @@ class Directory:
         if not ent.sharers and ent.state == SHARED:
             ent.state = UNOWNED
             self.stats.add("to_unowned")
-            topo = obs_hooks.topo
-            if topo is not None:
-                topo.dir_transition(self.node, line, "to_unowned")
-            txn = obs_hooks.txn
-            if txn is not None:
-                txn.dir_transition("to_unowned")
+            probe = obs_hooks.active
+            if probe is not None:
+                probe.dir_transition(self.node, line, "to_unowned")
 
     # -- checkpoint contract ---------------------------------------------
 
@@ -153,8 +139,13 @@ class Directory:
             self._entries[line] = ent
         self.stats.ckpt_restore(state["stats"])
 
-    def check_invariants(self, line: int) -> None:
-        """Raise ProtocolError if the entry is internally inconsistent."""
+    def check_invariants(self, line: Optional[int] = None) -> None:
+        """Raise ProtocolError if *line*'s entry (every entry homed here
+        when None) is internally inconsistent."""
+        if line is None:
+            for homed in self._entries:
+                self.check_invariants(homed)
+            return
         ent = self.entry(line)
         if ent.state == DIRTY:
             if ent.owner is None or ent.sharers:

@@ -46,12 +46,12 @@ class MagicController:
         down to the pp resource so its queueing delay is captured as
         wait, never service (see :mod:`repro.obs.txn`).
         """
-        tracer = obs_hooks.active
-        if tracer is not None:
+        probe = obs_hooks.active
+        if probe is not None:
             # MAGIC occupancy visibility: requested hold at request time
             # (queueing delay shows up in the pp resource's wait_ps).
-            tracer.record(self.env.now, obs_hooks.DSM, f"pp.{label}",
-                          hold_ps, {"node": self.node})
+            probe.span(self.env.now, obs_hooks.DSM, f"pp.{label}",
+                       hold_ps, {"node": self.node})
         if not self.model_occupancy:
             return self.env.timeout(hold_ps)
         occ = int(hold_ps * self.pp_occ_fraction)

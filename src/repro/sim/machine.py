@@ -24,7 +24,6 @@ from repro.isa.trace import ChunkExec
 from repro.mem.page_table import PageTable
 from repro.memsys.dsm import DsmMemorySystem
 from repro.obs import hooks as obs_hooks
-from repro.obs.profile import build_breakdown
 from repro.sim.configs import SimulatorConfig
 from repro.sim.results import RunResult, merge_phase_marks
 from repro.sim.sync import SyncDomain
@@ -76,9 +75,7 @@ class Machine:
         self._traces: Optional[List] = None
         self._processes: List = []
         self._done = None
-        self._tracer = None
-        self._topo = None
-        self._txn = None
+        self._probe = None
 
     # -- lifecycle -------------------------------------------------------
     #
@@ -92,20 +89,7 @@ class Machine:
         if self._ran:
             raise SimulationError("a Machine is single-use; build a new one")
         self._ran = True
-        tracer = obs_hooks.active
-        if tracer is not None:
-            tracer.bind_engine(self.env)
-            if tracer.engine_events:
-                self.env.tracer = tracer
-        topo = obs_hooks.topo
-        if topo is not None:
-            topo.bind_machine(self)
-            # The sampler never finishes; Engine.run checks the until
-            # event before each step, so it cannot keep the run alive.
-            self.env.process(topo.sampler(self.env), name="topo.sampler")
-        txn_rec = obs_hooks.txn
-        if txn_rec is not None:
-            txn_rec.bind_machine(self)
+        self._bind_probe()
         traces = workload.build(self.n_cpus)
         if len(traces) != self.n_cpus:
             raise ConfigurationError(
@@ -113,9 +97,6 @@ class Machine:
             )
         self._workload = workload
         self._traces = traces
-        self._tracer = tracer
-        self._topo = topo
-        self._txn = txn_rec
         processes = []
         for core, trace in zip(self.cores, traces):
             core.start_at(self.env.now)
@@ -125,6 +106,14 @@ class Machine:
             )
         self._processes = processes
         self._done = self.env.all_of(processes)
+
+    def _bind_probe(self) -> None:
+        """Bind the installed recorders to this run (begin or resume)."""
+        probe = obs_hooks.active
+        if probe is not None:
+            probe.bind(self)
+            self.env.tracer = probe.engine_observer()
+        self._probe = probe
 
     def advance(self, max_ps: Optional[int] = None,
                 max_events: Optional[int] = None) -> bool:
@@ -171,13 +160,8 @@ class Machine:
             instructions=instructions,
             stats=self.registry.flat(),
         )
-        if self._tracer is not None:
-            result.breakdown = build_breakdown(self._tracer)
-        if self._topo is not None:
-            self._topo.finish(self.env.now)
-        if self._txn is not None:
-            self._txn.finish(self.env.now)
-            result.txn_total = self._txn.total_txns
+        if self._probe is not None:
+            self._probe.finish(self, result)
         return result
 
     def run(self, workload) -> RunResult:
@@ -260,37 +244,19 @@ class Machine:
         """Rebuild a mid-run machine: inject *state*, respawn unfinished CPUs.
 
         The counterpart of :meth:`begin` for checkpoint injection; follow
-        with :meth:`advance` and :meth:`finish` as usual.  Observability
-        recorders must normally be inactive (their ring buffers are
-        deliberately not checkpointed, so a resumed traced run would be
-        silently partial); ``allow_partial_obs`` opts into exactly that --
-        spans from the resume point onward only -- which is what the
-        divergence bisector uses to put context around a divergent event.
+        with :meth:`advance` and :meth:`finish` as usual.  Every installed
+        recorder must tolerate it (``Recorder.ckpt``: recorder state is
+        deliberately not checkpointed, so a resumed recording would be
+        silently partial); ``allow_partial_obs`` admits a tracer for
+        exactly that -- spans from the resume point onward only -- which
+        is what the divergence bisector uses to put context around a
+        divergent event.
         """
         if self._ran:
             raise SimulationError("a Machine is single-use; build a new one")
-        if obs_hooks.topo is not None:
-            raise SimulationError(
-                "checkpoint restore cannot run under a topo recorder "
-                "(spatial counters are not part of checkpoint state)"
-            )
-        if obs_hooks.txn is not None:
-            raise SimulationError(
-                "checkpoint restore cannot run under a txn recorder "
-                "(transaction records are not part of checkpoint state)"
-            )
-        tracer = obs_hooks.active
-        if tracer is not None and not allow_partial_obs:
-            raise SimulationError(
-                "checkpoint restore cannot run under obs recorders "
-                "(trace ring buffers are not part of checkpoint state); "
-                "pass allow_partial_obs=True to trace the resumed suffix only"
-            )
-        if tracer is not None:
-            tracer.bind_engine(self.env)
-            if tracer.engine_events:
-                self.env.tracer = tracer
-        self._tracer = tracer
+        obs_hooks.require_ckpt_tolerant("checkpoint restore", SimulationError,
+                                        allow_partial_obs)
+        self._bind_probe()
         self._ran = True
         traces = workload.build(self.n_cpus)
         if len(traces) != self.n_cpus:

@@ -64,12 +64,14 @@ class RunRequest:
         """Content address of the result this request would produce.
 
         Folds in the package source fingerprint (stale entries die with
-        the code) and whether observability tracing is active (a traced
-        result carries a breakdown an untraced one lacks).
+        the code) and whether a tracer is observing (a traced result
+        carries a breakdown an untraced one lacks; topo, txn and perf
+        recorders leave the result as it is).
         """
         if traced is None:
             from repro.obs import hooks as obs_hooks
-            traced = obs_hooks.active is not None
+            probe = obs_hooks.active
+            traced = probe is not None and probe.traced
         return stable_hash({
             "code": code_fingerprint(),
             "traced": bool(traced),

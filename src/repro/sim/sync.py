@@ -37,16 +37,16 @@ class SyncDomain:
         state[0] += 1
         if state[0] > self.n_cpus:
             raise SimulationError(f"barrier {bid}: more arrivals than CPUs")
-        tracer = obs_hooks.active
-        if tracer is not None:
-            tracer.record(self.env.now, obs_hooks.SYNC, "barrier_arrive", 0,
-                          {"cpu": node, "bid": bid, "arrived": state[0]})
+        probe = obs_hooks.active
+        if probe is not None:
+            probe.span(self.env.now, obs_hooks.SYNC, "barrier_arrive", 0,
+                       {"cpu": node, "bid": bid, "arrived": state[0]})
         if state[0] == self.n_cpus:
             state[1].succeed(self.env.now)
             del self._barriers[bid]
-            if tracer is not None:
-                tracer.record(self.env.now, obs_hooks.SYNC,
-                              "barrier_release", 0, {"bid": bid})
+            if probe is not None:
+                probe.span(self.env.now, obs_hooks.SYNC,
+                           "barrier_release", 0, {"bid": bid})
         return state[1]
 
     def lock_acquire(self, lid: int) -> Event:

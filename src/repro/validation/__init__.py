@@ -36,9 +36,8 @@ from repro.validation.metrics import (
 )
 from repro.validation.sensitivity import (
     HotspotStudy,
-    hotspot_evidence,
+    evidence,
     hotspot_study,
-    txn_evidence,
 )
 from repro.validation.trends import (
     DEFAULT_CPU_COUNTS,
@@ -70,9 +69,8 @@ __all__ = [
     "speedup",
     "trend_agreement",
     "HotspotStudy",
-    "hotspot_evidence",
+    "evidence",
     "hotspot_study",
-    "txn_evidence",
     "DEFAULT_CPU_COUNTS",
     "SpeedupCurve",
     "SpeedupStudy",

@@ -57,61 +57,44 @@ def hotspot_study(
     return HotspotStudy(study=study, reference=reference_name)
 
 
-def hotspot_evidence(
-    config: SimulatorConfig,
-    workload,
-    n_cpus: int = 8,
-    scale: Optional[MachineScale] = None,
-    placement: str = Placement.NODE0,
-) -> dict:
-    """Spatial evidence *that* the hotspot exists: one run under the topo
-    recorder, folded into a HotspotReport payload (``kind: "topo"``).
-
-    The study above only shows the speedup is poor; this shows *why* --
-    under node-0 placement the traffic matrix collapses onto one home
-    column.  Attach the returned dict as a Finding/ExperimentResult
-    attribution and the dashboard renders it in "Where in the machine".
-
-    Runs outside the experiment farm on purpose: the recorder's counters
-    are a side effect of simulation that a cached RunResult cannot replay.
-    """
-    from repro.obs import topo as obs_topo
-    from repro.obs.hotspot import build_report
-
-    request = RunRequest(config, workload, n_cpus,
-                         scale or workload.scale, placement=placement)
-    recorder = obs_topo.TopoRecorder()
-    with obs_topo.recording(recorder):
-        result = request.execute()
-    return build_report(recorder, result).to_dict()
-
-
-def txn_evidence(
+def evidence(
     config: SimulatorConfig,
     workload,
     n_cpus: int = 8,
     scale: Optional[MachineScale] = None,
     placement: str = Placement.FIRST_TOUCH,
+    kinds: Sequence[str] = ("topo", "txn"),
     top_k: Optional[int] = None,
-) -> dict:
-    """Latency-anatomy evidence: one run under the txn recorder, folded
-    into a TxnReport payload (``kind: "txn"``).
+) -> Dict[str, dict]:
+    """Attribution payloads from one observed run, keyed by *kinds*.
 
-    Where :func:`hotspot_evidence` shows *where* the traffic lands, this
-    shows *what each transaction spent its latency on*: per-kind
-    histograms (p50/p90/p99) plus the slowest-K critical paths, segments
-    summing exactly to end-to-end latency.  Attach the returned dict as
-    a Finding attribution and the dashboard renders it in "Where does
-    latency come from".
+    ``"topo"`` is spatial evidence *that* a hotspot exists: the
+    HotspotReport payload (``kind: "topo"``) -- under node-0 placement
+    the traffic matrix collapses onto one home column; the dashboard
+    renders it in "Where in the machine".  ``"txn"`` is latency anatomy,
+    *what each transaction spent its latency on*: the TxnReport payload
+    (``kind: "txn"``), per-kind histograms (p50/p90/p99) plus the
+    slowest-*top_k* critical paths, segments summing exactly to
+    end-to-end latency; rendered in "Where does latency come from".
+    Attach either dict as a Finding/ExperimentResult attribution.
 
-    Runs outside the experiment farm for the same reason as above: the
-    anatomy is a side effect a cached RunResult cannot replay.
+    Runs outside the experiment farm on purpose: recorder state is a
+    side effect of simulation that a cached RunResult cannot replay.
     """
+    from repro.obs import hooks as obs_hooks
     from repro.obs import txn as obs_txn
+    from repro.obs.hotspot import build_report
+    from repro.obs.topo import TopoRecorder
 
+    reports = {
+        "topo": (TopoRecorder, build_report),
+        "txn": (obs_txn.TxnRecorder,
+                lambda rec, run: obs_txn.build_report(rec, run, top_k=top_k)),
+    }
+    recorders = {kind: reports[kind][0]() for kind in kinds}
     request = RunRequest(config, workload, n_cpus,
                          scale or workload.scale, placement=placement)
-    recorder = obs_txn.TxnRecorder()
-    with obs_txn.recording(recorder):
+    with obs_hooks.observing(*recorders.values()):
         result = request.execute()
-    return obs_txn.build_report(recorder, result, top_k=top_k).to_dict()
+    return {kind: reports[kind][1](rec, result).to_dict()
+            for kind, rec in recorders.items()}

@@ -1,14 +1,14 @@
-"""Seeded L1 violations: unguarded tracer calls in the hot path."""
+"""Seeded L1 violations: unguarded probe calls in the hot path."""
 
 
 class EventKernel:
     def dispatch(self, when, callback):
-        self.tracer.record(when, "engine", "cb")  # L1: no guard above
+        self.tracer.span(when, "engine", "cb")  # L1: no guard above
         callback(when)
 
     def dispatch_guarded(self, when, callback):
         tracer = self.tracer
         if tracer is not None:
-            tracer.record(when, "engine",
-                          "cb")  # guarded: must NOT fire
+            tracer.span(when, "engine",
+                        "cb")  # guarded: must NOT fire
         callback(when)

@@ -35,20 +35,12 @@ class HazardSoup:
         return started, lane
 
     def trace(self, when):
-        obs_hooks.active.record(when, "memsys", "txn")  # D3: call via module
+        obs_hooks.active.span(when, "memsys", "txn")    # D3: call via module
 
     def trace_disciplined(self, when):
-        tracer = obs_hooks.active                       # sanctioned shape:
-        if tracer is not None:                          # must NOT fire
-            tracer.record(when, "memsys", "txn")
-
-    def open_txn(self, node):
-        obs_hooks.txn.open(node, 0, "read")             # D3: txn via module
-
-    def open_txn_disciplined(self, node):
-        rec = obs_hooks.txn                             # sanctioned shape:
-        if rec is not None:                             # must NOT fire
-            rec.open(node, 0, "read")
+        probe = obs_hooks.active                        # sanctioned shape:
+        if probe is not None:                           # must NOT fire
+            probe.span(when, "memsys", "txn")
 
     def ranked(self):
         return sorted(self.nodes, key=id)               # D4: id() ordering

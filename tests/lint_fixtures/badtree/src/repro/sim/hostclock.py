@@ -1,4 +1,4 @@
-"""Seeded host-clock hazards: D5 reads and a D3 perf-slot call."""
+"""Seeded host-clock hazards: D5 reads and a D3 host-bracket call."""
 
 import time
 from time import perf_counter_ns
@@ -14,9 +14,9 @@ class HostClocked:
         return perf_counter_ns()                        # D5: aliased read
 
     def profile_bad(self, t0):
-        obs_hooks.perf.commit("engine.dispatch", t0)    # D3: call via module
+        obs_hooks.active.host_commit("dispatch", t0)    # D3: call via module
 
     def profile_disciplined(self, t0):
-        perf = obs_hooks.perf                           # sanctioned shape:
-        if perf is not None:                            # must NOT fire
-            perf.commit("engine.dispatch", t0)
+        probe = obs_hooks.active                        # sanctioned shape:
+        if probe is not None:                           # must NOT fire
+            probe.host_commit("dispatch", t0)

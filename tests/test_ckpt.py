@@ -41,7 +41,10 @@ from repro.common.errors import (
 from repro.common.rng import RngStream
 from repro.engine import Engine
 from repro.obs import hooks as obs_hooks
+from repro.obs.perf import PerfProfiler
+from repro.obs.topo import TopoRecorder
 from repro.obs.trace import TraceRecorder
+from repro.obs.txn import TxnRecorder
 from repro.sim import RunRequest, simos_mipsy
 from repro.workloads import TlbTimer, make_app
 
@@ -336,9 +339,22 @@ class TestCheckpointSafety:
             ckpt.save(tiny_request())
 
     def test_capture_refuses_obs_recorders(self):
-        with obs_hooks.tracing(TraceRecorder()):
-            with pytest.raises(CheckpointError, match="obs"):
+        with obs_hooks.observing(TraceRecorder()):
+            with pytest.raises(CheckpointError, match="TraceRecorder"):
                 ckpt.save(tiny_request(), at_ps=100)
+
+    @pytest.mark.parametrize("recorder", [TopoRecorder, TxnRecorder])
+    def test_capture_refuses_every_stateful_recorder(self, recorder):
+        # Regression: the hand-kept refusal list used to forget txn.
+        with obs_hooks.observing(recorder()):
+            with pytest.raises(CheckpointError, match=recorder.__name__):
+                ckpt.save(tiny_request(), at_ps=100)
+
+    def test_host_profiler_tolerates_capture(self, quiesced):
+        with obs_hooks.observing(PerfProfiler()):
+            again = ckpt.save(tiny_request(), at_ps=quiesced.stop["at_ps"],
+                              mode=ckpt.MODE_QUIESCE)
+        assert again.digest == quiesced.digest
 
     def test_key_is_a_content_address(self):
         key = ckpt.checkpoint_key(tiny_request(), ckpt.MODE_QUIESCE, 100)
@@ -418,10 +434,10 @@ class TestBisect:
     def test_recorder_chains_are_prefix_closed(self):
         rec_a, rec_b = EventStreamRecorder(), EventStreamRecorder()
         for rec in (rec_a, rec_b):
-            rec.record(10, "engine", "alpha")
-            rec.record(20, "engine", "beta")
-        rec_a.record(30, "engine", "gamma")
-        rec_b.record(30, "engine", "delta")
+            rec.span(10, "engine", "alpha")
+            rec.span(20, "engine", "beta")
+        rec_a.span(30, "engine", "gamma")
+        rec_b.span(30, "engine", "delta")
         assert rec_a.chain[:2] == rec_b.chain[:2]
         assert rec_a.chain[2] != rec_b.chain[2]
 
@@ -491,18 +507,6 @@ class TestCli:
                          "--checkpoint-dir", str(tmp_path / "s")])
         assert rc == 2
         assert "no checkpoint" in capsys.readouterr().err
-
-
-class TestHarnessCliParity:
-    def test_checkpoint_dir_validated_like_cache_dir(self, tmp_path):
-        from repro.harness.cli import build_parser, validate_args
-        parser = build_parser()
-        args = parser.parse_args(
-            ["--checkpoint-dir", str(tmp_path / "no" / "such" / "dir")])
-        with pytest.raises(SystemExit):
-            validate_args(parser, args)
-        args = parser.parse_args(["--checkpoint-dir", str(tmp_path / "ok")])
-        validate_args(parser, args)  # parent exists: accepted
 
 
 # -- lint guards ----------------------------------------------------------

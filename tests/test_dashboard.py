@@ -47,10 +47,10 @@ def topo_payload():
     # Hotspot shape: node 0 homes almost everything (node-0 placement).
     for requester in range(4):
         for i in range(10):
-            rec.count_access(requester, 0, i * 128, "read", 500)
-    rec.count_access(1, 1, (1 << 28) + 128, "write", 100)
+            rec.mem_access(requester, 0, i * 128, "read", 0, 500)
+    rec.mem_access(1, 1, (1 << 28) + 128, "write", 0, 100)
     rec.dir_transition(0, 0, "to_shared", 3)
-    rec.count_msg(1, 0, 4, [(1, 0)])
+    rec.net_msg(1, 0, 4, [(1, 0)])
     rec.n_nodes = 4
     rec.take_sample(1000)
     rec.take_sample(2000)

@@ -9,6 +9,7 @@ import pytest
 from repro.common.config import REPRO_SCALE
 from repro.memsys.params import PROTOCOL_CASES, TABLE3_HARDWARE_NS
 from repro.sim import (
+    Machine,
     hardware_config,
     run_workload,
     simos_mipsy,
@@ -31,6 +32,21 @@ from repro.workloads import (
 @pytest.fixture(scope="module")
 def hw():
     return hardware_config()
+
+
+@pytest.fixture(autouse=True)
+def _directories_stay_consistent(monkeypatch):
+    """Every run in this module ends with every directory entry of every
+    node checked against the protocol's state invariants."""
+    finish = Machine.finish
+
+    def checked_finish(machine):
+        result = finish(machine)
+        for magic in machine.memsys.magic:
+            magic.directory.check_invariants()
+        return result
+
+    monkeypatch.setattr(Machine, "finish", checked_finish)
 
 
 class TestTable3EndToEnd:

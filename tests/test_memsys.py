@@ -49,6 +49,10 @@ class StubNode:
         self.l2[line] = state
 
 
+#: Memory systems the current scenario built (see the fixture below).
+_BUILT = []
+
+
 def build(n_nodes=16, params=None):
     env = Engine()
     params = params or hardware(n_nodes)
@@ -56,7 +60,19 @@ def build(n_nodes=16, params=None):
     hooks = [StubNode() for _ in range(n_nodes)]
     for node, hook in enumerate(hooks):
         mem.attach(node, hook)
+    _BUILT.append(mem)
     return env, mem, hooks
+
+
+@pytest.fixture(autouse=True)
+def _directories_stay_consistent():
+    """After each scenario, every directory entry of every node it built
+    satisfies the protocol's state invariants."""
+    _BUILT.clear()
+    yield
+    for mem in _BUILT:
+        for magic in mem.magic:
+            magic.directory.check_invariants()
 
 
 def run_request(env, mem, node, paddr, kind):

@@ -1,5 +1,6 @@
 """Tests for the repro.obs observability subsystem."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,27 +8,33 @@ import pytest
 from repro.common.config import get_scale
 from repro.common.errors import SimulationError
 from repro.obs import hooks as obs_hooks
+from repro.obs import hotspot
+from repro.obs import txn as obs_txn
 from repro.obs.export import chrome_trace, flame_summary, write_chrome_trace
+from repro.obs.perf import PerfProfiler
 from repro.obs.profile import CATEGORIES, build_breakdown
+from repro.obs.topo import TopoRecorder
 from repro.obs.trace import Span, TraceRecorder
+from repro.obs.txn import TxnRecorder
 from repro.sim.configs import get_config
 from repro.sim.machine import Machine, run_workload
+from repro.sim.request import RunRequest
 from repro.workloads import make_app
 
 
 @pytest.fixture(autouse=True)
-def _tracing_disabled():
-    """Every test starts and ends with the module-level hook cleared."""
-    obs_hooks.uninstall()
+def _nothing_observing():
+    """Every test starts and ends with the probe slot empty."""
+    assert obs_hooks.active is None
     yield
-    obs_hooks.uninstall()
+    assert obs_hooks.active is None
 
 
 class TestRingBuffer:
     def test_records_in_order_below_capacity(self):
         rec = TraceRecorder(capacity=8)
         for i in range(5):
-            rec.record(i * 10, "cat", f"e{i}", dur_ps=1, args=0)
+            rec.span(i * 10, "cat", f"e{i}", dur_ps=1, args=0)
         assert rec.recorded == 5
         assert rec.dropped == 0
         assert len(rec) == 5
@@ -36,7 +43,7 @@ class TestRingBuffer:
     def test_wraparound_keeps_newest_chronologically(self):
         rec = TraceRecorder(capacity=4)
         for i in range(10):
-            rec.record(i, "cat", f"e{i}")
+            rec.span(i, "cat", f"e{i}")
         assert rec.recorded == 10
         assert rec.dropped == 6
         assert len(rec) == 4
@@ -47,7 +54,7 @@ class TestRingBuffer:
     def test_aggregates_survive_wraparound(self):
         rec = TraceRecorder(capacity=2)
         for i in range(100):
-            rec.record(i, "tlb", "refill", dur_ps=3, args=1)
+            rec.span(i, "tlb", "refill", dur_ps=3, args=1)
         agg = rec.aggregates()
         assert agg[(1, "tlb", "refill")] == (100, 300)
 
@@ -59,7 +66,7 @@ class TestRingBuffer:
 
     def test_clear(self):
         rec = TraceRecorder(capacity=4)
-        rec.record(0, "a", "b", 1, 0)
+        rec.span(0, "a", "b", 1, 0)
         rec.clear()
         assert rec.recorded == 0
         assert rec.spans() == []
@@ -71,8 +78,8 @@ class TestRingBuffer:
 
     def test_counter_set_view_uses_registry_naming(self):
         rec = TraceRecorder(capacity=8)
-        rec.record(0, "tlb", "refill", dur_ps=100, args=0)
-        rec.record(0, "net", "msg", dur_ps=50, args=None)
+        rec.span(0, "tlb", "refill", dur_ps=100, args=0)
+        rec.span(0, "net", "msg", dur_ps=50, args=None)
         cs = rec.as_counter_set()
         assert cs.get("cpu0.tlb.refill.events") == 1
         assert cs.get("cpu0.tlb.refill.dur_ps") == 100
@@ -82,24 +89,65 @@ class TestRingBuffer:
 class TestHooks:
     def test_disabled_by_default(self):
         assert obs_hooks.active is None
-        assert not obs_hooks.is_enabled()
 
     def test_tracing_context_installs_and_restores(self):
-        with obs_hooks.tracing(capacity=16) as rec:
-            assert obs_hooks.active is rec
+        rec = TraceRecorder(capacity=16)
+        with obs_hooks.observing(rec) as probe:
+            assert obs_hooks.active is probe
+            assert probe.recorders == (rec,)
         assert obs_hooks.active is None
 
     def test_tracing_context_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with obs_hooks.tracing():
+            with obs_hooks.observing(TraceRecorder()):
                 raise RuntimeError("boom")
         assert obs_hooks.active is None
 
     def test_nested_tracing_restores_outer(self):
-        with obs_hooks.tracing() as outer:
-            with obs_hooks.tracing() as inner:
+        with obs_hooks.observing(TraceRecorder()) as outer:
+            with obs_hooks.observing(TopoRecorder()) as inner:
                 assert obs_hooks.active is inner
             assert obs_hooks.active is outer
+
+    def test_probe_fans_each_event_to_its_subscribers_only(self):
+        tracer, topo, txn = TraceRecorder(), TopoRecorder(), TxnRecorder()
+        probe = obs_hooks.Probe(tracer, topo, txn)
+        probe.cache_miss("l2", 0, 0x1000)        # all three fold it
+        probe.span(5, "mem", "load_miss", 7, 0)  # tracer only
+        probe.drain(3)                           # txn only
+        assert tracer.recorded == 2
+        assert topo.struct_misses == {"l2": 1}
+        assert (txn.cache_misses, txn.write_drains) == ({"l2": 1}, 1)
+        assert probe.traced and not obs_hooks.Probe(topo, txn).traced
+        # Unsubscribed events are inert, and open_txn yields no record
+        # without a txn recorder (so the DSM's txn.cut guards stay off).
+        assert obs_hooks.Probe(topo).open_txn(0, 0, "read") is None
+        assert obs_hooks.Probe(tracer).host_begin() is None
+
+    def test_engine_observer_keeps_only_recorders_that_asked(self):
+        plain, engine = TraceRecorder(), TraceRecorder(engine_events=True)
+        assert obs_hooks.Probe(plain, TopoRecorder()).engine_observer() is None
+        observer = obs_hooks.Probe(plain, engine, PerfProfiler()).engine_observer()
+        assert [type(r) for r in observer.recorders] == [TraceRecorder,
+                                                         PerfProfiler]
+        assert observer.recorders[0] is engine
+
+    def test_ckpt_tolerance_follows_the_declared_property(self):
+        def check(allow_partial=False):
+            obs_hooks.require_ckpt_tolerant("resume", SimulationError,
+                                            allow_partial)
+        check()                                  # nothing observing
+        with obs_hooks.observing(PerfProfiler()):
+            check()                              # host-side only
+        with obs_hooks.observing(TraceRecorder(), PerfProfiler()):
+            check(allow_partial=True)            # suffix-only tracing
+            with pytest.raises(SimulationError, match="TraceRecorder"):
+                check()
+        with obs_hooks.observing(TraceRecorder(), TopoRecorder(),
+                                 TxnRecorder()):
+            with pytest.raises(SimulationError,
+                               match="TopoRecorder, TxnRecorder"):
+                check(allow_partial=True)
 
 
 def _tiny_run(tracer=None, workload="fft", n_cpus=2):
@@ -108,7 +156,7 @@ def _tiny_run(tracer=None, workload="fft", n_cpus=2):
     wl = make_app(workload, scale)
     if tracer is None:
         return run_workload(config, wl, n_cpus, scale)
-    with obs_hooks.tracing(tracer):
+    with obs_hooks.observing(tracer):
         return run_workload(config, wl, n_cpus, scale)
 
 
@@ -125,7 +173,7 @@ class TestDisabledNoOp:
         rec = TraceRecorder(capacity=1024)
         scale = get_scale("tiny")
         machine = Machine(get_config("simos-mipsy-150-tuned"), 2, scale)
-        with obs_hooks.tracing(rec):
+        with obs_hooks.observing(rec):
             machine.run(make_app("fft", scale))
         assert machine.env.tracer is None
         assert all(s.category != "engine" for s in rec.spans())
@@ -134,20 +182,62 @@ class TestDisabledNoOp:
         rec = TraceRecorder(capacity=1024, engine_events=True)
         scale = get_scale("tiny")
         machine = Machine(get_config("simos-mipsy-150-tuned"), 2, scale)
-        with obs_hooks.tracing(rec):
+        with obs_hooks.observing(rec):
             machine.run(make_app("fft", scale))
-        assert machine.env.tracer is rec
+        assert machine.env.tracer.recorders == (rec,)
         assert any(s.category == "engine" for s in rec.spans())
+
+
+class TestOneRunFeedsEveryRecorder:
+    """The subscriber property: observing changes nothing, and a recorder
+    sees the same stream whether it listens alone or with the others."""
+
+    @staticmethod
+    def run(*recorders):
+        scale = get_scale("tiny")
+        request = RunRequest(get_config("hardware"), make_app("fft", scale),
+                             4, scale)
+        with obs_hooks.observing(*recorders):
+            return request.execute()
+
+    @pytest.fixture(scope="class")
+    def together(self):
+        recorders = (TraceRecorder(), TopoRecorder(), TxnRecorder(),
+                     PerfProfiler())
+        return recorders, self.run(*recorders)
+
+    def test_result_equals_the_unobserved_run(self, together):
+        _recorders, observed = together
+        plain = RunRequest(get_config("hardware"),
+                           make_app("fft", get_scale("tiny")), 4,
+                           get_scale("tiny")).execute()
+        assert observed.breakdown is not None and observed.txn_total > 0
+        assert dataclasses.replace(observed, breakdown=None) == plain
+
+    def test_each_report_equals_its_solo_run(self, together):
+        (tracer, topo, txn, perf), observed = together
+        solo_tracer, solo_topo, solo_txn = (TraceRecorder(), TopoRecorder(),
+                                            TxnRecorder())
+        solo_traced = self.run(solo_tracer)
+        solo_spatial = self.run(solo_topo)
+        solo_anatomy = self.run(solo_txn)
+        assert build_breakdown(tracer) == build_breakdown(solo_tracer)
+        assert observed.breakdown == solo_traced.breakdown
+        assert (hotspot.build_report(topo, observed).to_dict()
+                == hotspot.build_report(solo_topo, solo_spatial).to_dict())
+        assert (obs_txn.build_report(txn, observed).to_dict()
+                == obs_txn.build_report(solo_txn, solo_anatomy).to_dict())
+        assert perf.phase_count("engine.dispatch") > 0
 
 
 class TestChromeExport:
     def test_schema_validity(self):
         rec = TraceRecorder(capacity=64)
-        rec.record(1_000_000, "mem", "load_miss", dur_ps=2_000_000, args=0)
-        rec.record(3_000_000, "sync", "barrier_arrive", 0,
-                   {"cpu": 1, "bid": 7})
-        rec.record(4_000_000, "net", "msg", dur_ps=500_000,
-                   args={"src": 0, "dst": 1})
+        rec.span(1_000_000, "mem", "load_miss", dur_ps=2_000_000, args=0)
+        rec.span(3_000_000, "sync", "barrier_arrive", 0,
+                 {"cpu": 1, "bid": 7})
+        rec.span(4_000_000, "net", "msg", dur_ps=500_000,
+                 args={"src": 0, "dst": 1})
         doc = json.loads(json.dumps(chrome_trace(rec)))
         assert isinstance(doc["traceEvents"], list)
         non_meta = [e for e in doc["traceEvents"] if e["ph"] != "M"]
@@ -166,7 +256,7 @@ class TestChromeExport:
 
     def test_write_chrome_trace_roundtrip(self, tmp_path):
         rec = TraceRecorder(capacity=16)
-        rec.record(0, "cpu", "total", 100, 0)
+        rec.span(0, "cpu", "total", 100, 0)
         path = tmp_path / "trace.json"
         write_chrome_trace(rec, str(path))
         doc = json.loads(path.read_text())
@@ -174,8 +264,8 @@ class TestChromeExport:
 
     def test_flame_summary_lists_heaviest_first(self):
         rec = TraceRecorder(capacity=16)
-        rec.record(0, "mem", "load_miss", 500, 0)
-        rec.record(0, "tlb", "refill", 2000, 0)
+        rec.span(0, "mem", "load_miss", 500, 0)
+        rec.span(0, "tlb", "refill", 2000, 0)
         text = flame_summary(rec)
         assert text.index("tlb;refill") < text.index("mem;load_miss")
 
@@ -230,9 +320,9 @@ class TestBreakdownIntegration:
 
     def test_build_breakdown_scales_oversubscribed_stalls(self):
         rec = TraceRecorder(capacity=16)
-        rec.record(0, "cpu", "total", 100, 0)
-        rec.record(0, "tlb", "refill", 90, 0)
-        rec.record(0, "mem", "load_miss", 90, 0)  # 180 > 100 total
+        rec.span(0, "cpu", "total", 100, 0)
+        rec.span(0, "tlb", "refill", 90, 0)
+        rec.span(0, "mem", "load_miss", 90, 0)  # 180 > 100 total
         row = build_breakdown(rec).per_cpu[0]
         assert sum(row.fractions().values()) == pytest.approx(1.0)
         assert row.fraction("busy") == 0.0
@@ -240,7 +330,7 @@ class TestBreakdownIntegration:
 
     def test_breakdown_without_stalls_is_all_busy(self):
         rec = TraceRecorder(capacity=16)
-        rec.record(0, "cpu", "total", 100, 3)
+        rec.span(0, "cpu", "total", 100, 3)
         row = build_breakdown(rec).per_cpu[0]
         assert row.cpu == 3
         assert row.fraction("busy") == pytest.approx(1.0)

@@ -29,17 +29,15 @@ TINY = get_scale("tiny")
 
 
 @pytest.fixture(autouse=True)
-def _hooks_cleared():
-    """Tracing and the ledger both start and end uninstalled."""
-    obs_hooks.uninstall()
-    obs_metrics.uninstall()
+def _nothing_observing():
+    """Every test starts and ends with the probe slot empty."""
+    assert obs_hooks.active is None
     yield
-    obs_hooks.uninstall()
-    obs_metrics.uninstall()
+    assert obs_hooks.active is None
 
 
 def traced_run(config_name: str, workload, n_cpus: int = 1):
-    with obs_hooks.tracing(TraceRecorder()):
+    with obs_hooks.observing(TraceRecorder()):
         return farm_hooks.run(
             RunRequest(get_config(config_name), workload, n_cpus, TINY))
 
@@ -283,18 +281,6 @@ class TestMetricsWriter:
     def test_read_ledger_missing_file_is_empty(self, tmp_path):
         assert obs_metrics.read_ledger(tmp_path / "nope.jsonl") == []
 
-    def test_recording_context_restores_previous_writer(self, tmp_path):
-        outer = obs_metrics.MetricsWriter(tmp_path / "outer.jsonl")
-        obs_metrics.install(outer)
-        with obs_metrics.recording(
-                obs_metrics.MetricsWriter(tmp_path / "inner.jsonl")) as inner:
-            assert obs_metrics.active is inner
-        assert obs_metrics.active is outer
-
-    def test_recording_none_is_a_no_op_block(self):
-        with obs_metrics.recording(None):
-            assert not obs_metrics.is_enabled()
-
 
 class TestDetectDrift:
     def group_records(self, parallel_list, errors=None):
@@ -403,9 +389,10 @@ class TestFarmLedgerLoop:
         from repro.harness.farm import Farm, ResultCache
 
         ledger = tmp_path / "ledger.jsonl"
-        farm = Farm(jobs=1, cache=ResultCache(tmp_path / "cache"))
         writer = obs_metrics.MetricsWriter(ledger)
-        with obs_metrics.recording(writer), farm.activate():
+        farm = Farm(jobs=1, cache=ResultCache(tmp_path / "cache"),
+                    metrics=writer)
+        with farm.activate():
             farm_hooks.run(self.request())          # executed
             farm_hooks.run(self.request())          # cache replay
         records = obs_metrics.read_ledger(ledger)
@@ -421,8 +408,9 @@ class TestFarmLedgerLoop:
                 tlb_refill_cycles=config.core.tlb_refill_cycles * 4),
             suffix="")
         assert tweaked.name == config.name
-        farm2 = Farm(jobs=1, cache=ResultCache(tmp_path / "cache"))
-        with obs_metrics.recording(writer), farm2.activate():
+        farm2 = Farm(jobs=1, cache=ResultCache(tmp_path / "cache"),
+                     metrics=writer)
+        with farm2.activate():
             farm_hooks.run(self.request(tweaked))
         records = obs_metrics.read_ledger(ledger)
         assert records[-1].outcome == "run"

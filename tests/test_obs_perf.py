@@ -36,7 +36,7 @@ def profiled_fft():
     """One profiled fft@tiny run, shared by the read-only tests."""
     profiler = perf.PerfProfiler()
     machine = tiny_machine()
-    with perf.profiling(profiler):
+    with obs_hooks.observing(profiler):
         result = machine.run(make_app("fft", TINY_SCALE))
     return result, machine, profiler
 
@@ -46,18 +46,18 @@ def profiled_fft():
 class TestProfiler:
     def test_commit_accumulates_time_and_units(self):
         profiler = perf.PerfProfiler()
-        t0 = profiler.begin()
-        profiler.commit("engine.dispatch", t0, n=3)
-        profiler.commit("engine.dispatch", profiler.begin())
+        t0 = profiler.host_begin()
+        profiler.host_commit("engine.dispatch", t0, n=3)
+        profiler.host_commit("engine.dispatch", profiler.host_begin())
         assert profiler.phase_count("engine.dispatch") == 4
         assert profiler.phase_seconds("engine.dispatch") >= 0.0
         assert profiler.phase_count("engine.calendar") == 0
 
     def test_breakdown_round_trips(self):
         profiler = perf.PerfProfiler()
-        profiler.commit("engine.dispatch", profiler.begin(), n=2)
-        profiler.start_wall()
-        profiler.stop_wall()
+        profiler.host_commit("engine.dispatch", profiler.host_begin(), n=2)
+        profiler.bind(None)
+        profiler.finish(None, None)
         breakdown = profiler.breakdown()
         back = perf.HostBreakdown.from_dict(breakdown.to_dict())
         assert back == breakdown
@@ -76,15 +76,14 @@ class TestProfiler:
         assert "overlap" in table            # the not-a-partition caveat
 
     def test_profiling_installs_and_restores_the_slot(self):
-        assert obs_hooks.perf is None
-        with perf.profiling() as outer:
-            assert obs_hooks.perf is outer
-            with perf.profiling() as inner:
-                assert obs_hooks.perf is inner
-            assert obs_hooks.perf is outer
-            assert inner.wall_s >= 0.0
-        assert obs_hooks.perf is None
-        assert outer.wall_s > 0.0
+        assert obs_hooks.active is None
+        outer, inner = perf.PerfProfiler(), perf.PerfProfiler()
+        with obs_hooks.observing(outer) as outer_probe:
+            assert obs_hooks.active is outer_probe
+            with obs_hooks.observing(inner) as inner_probe:
+                assert inner_probe.recorders == (inner,)
+            assert obs_hooks.active is outer_probe
+        assert obs_hooks.active is None
 
 
 # -- profiling is pure observation -----------------------------------------

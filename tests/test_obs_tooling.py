@@ -37,7 +37,7 @@ class TestHotPathLint:
         report = lint_tree(tmp_path, {
             "repro/engine/kernel.py":
                 "def step(self):\n"
-                "    self.tracer.record(0, 'engine', 'cb')\n",
+                "    self.tracer.span(0, 'engine', 'cb')\n",
         }, rules=["L1"])
         assert [v.line for v in report.violations] == [2]
 
@@ -47,8 +47,8 @@ class TestHotPathLint:
                 "def step(self):\n"
                 "    tracer = self.tracer\n"
                 "    if tracer is not None:\n"
-                "        tracer.record(0, 'engine',\n"
-                "                      'cb')\n",
+                "        tracer.span(0, 'engine',\n"
+                "                    'cb')\n",
         }, rules=["L1"])
         assert report.ok
 
@@ -101,14 +101,14 @@ class TestHotPathLint:
             assert not report.ok, line
 
     def test_accepts_topo_slot_use_in_models(self, tmp_path):
-        # The sanctioned channel: read the hooks.topo slot behind a guard.
+        # The sanctioned channel: read the probe slot behind a guard.
         report = lint_tree(tmp_path, {
             "repro/memsys/model.py":
                 "from repro.obs import hooks as obs_hooks\n"
                 "def count(home):\n"
-                "    topo = obs_hooks.topo\n"
-                "    if topo is not None:\n"
-                "        topo.count_access(0, 0, 0, 'read', 0)\n",
+                "    probe = obs_hooks.active\n"
+                "    if probe is not None:\n"
+                "        probe.mem_access(0, 0, 0, 'read', 0, 0, None)\n",
         }, rules=["L2"])
         assert report.ok
 

@@ -15,7 +15,6 @@ from repro.common.config import get_scale
 from repro.common.errors import ConfigurationError
 from repro.mem.address import NODE_MEM_SHIFT, node_base
 from repro.obs import hooks as obs_hooks
-from repro.obs import topo as obs_topo
 from repro.obs.hotspot import (
     HotRegion,
     HotspotReport,
@@ -29,13 +28,11 @@ from repro.workloads import make_app
 
 
 @pytest.fixture(autouse=True)
-def _topo_disabled():
-    """Every test starts and ends with the ambient topo slot cleared."""
-    obs_topo.uninstall()
-    obs_hooks.uninstall()
+def _nothing_observing():
+    """Every test starts and ends with the probe slot empty."""
+    assert obs_hooks.active is None
     yield
-    obs_topo.uninstall()
-    obs_hooks.uninstall()
+    assert obs_hooks.active is None
 
 
 class TestRingBuffer:
@@ -76,8 +73,8 @@ class TestRegionBinning:
         assert page.region_bytes == 4096
         for i in range(32):
             paddr = i * 128
-            line.count_access(0, 0, paddr, "read")
-            page.count_access(0, 0, paddr, "read")
+            line.mem_access(0, 0, paddr, "read")
+            page.mem_access(0, 0, paddr, "read")
         assert len(line.regions) == 32
         assert len(page.regions) == 1
         assert page.regions[0].accesses == 32
@@ -86,9 +83,9 @@ class TestRegionBinning:
         # Adjacent addresses on either side of a region boundary land in
         # different regions; the last byte of a region stays inside it.
         rec = TopoRecorder(region="line", line_bytes=128)
-        rec.count_access(0, 0, 127, "read")    # last byte of region 0
-        rec.count_access(0, 0, 128, "read")    # first byte of region 1
-        rec.count_access(0, 0, 255, "read")    # last byte of region 1
+        rec.mem_access(0, 0, 127, "read")    # last byte of region 0
+        rec.mem_access(0, 0, 128, "read")    # first byte of region 1
+        rec.mem_access(0, 0, 255, "read")    # last byte of region 1
         assert sorted(rec.regions) == [0, 1]
         assert rec.regions[0].accesses == 1
         assert rec.regions[1].accesses == 2
@@ -98,12 +95,12 @@ class TestRegionBinning:
         # Node 0's memory starts at paddr 0: a node-0 access to it is
         # local even though the paddr's high bits are all zero.
         rec = TopoRecorder()
-        rec.count_access(0, 0, 0x40, "read")
+        rec.mem_access(0, 0, 0x40, "read")
         assert rec.remote_fraction() == 0.0
         region = next(iter(rec.regions.values()))
         assert region.remote == 0
         # The same address from node 1 is remote (home stays node 0).
-        rec.count_access(1, 0, 0x40, "read")
+        rec.mem_access(1, 0, 0x40, "read")
         assert rec.remote_fraction() == 0.5
         assert region.remote == 1
         assert region.requesters == {0, 1}
@@ -137,9 +134,9 @@ class TestRegionBinning:
 class TestCounters:
     def test_matrix_and_kinds_accumulate(self):
         rec = TopoRecorder()
-        rec.count_access(0, 1, node_base(1), "read", 100)
-        rec.count_access(0, 1, node_base(1), "read", 300)
-        rec.count_access(1, 0, 0, "write", 50)
+        rec.mem_access(0, 1, node_base(1), "read", 0, 100)
+        rec.mem_access(0, 1, node_base(1), "read", 0, 300)
+        rec.mem_access(1, 0, 0, "write", 0, 50)
         assert rec.matrix == {(0, 1): 2, (1, 0): 1}
         assert rec.kinds == {"read": 2, "write": 1}
         region = rec.regions[rec.region_of(node_base(1))]
@@ -147,9 +144,9 @@ class TestCounters:
 
     def test_cache_misses_bucket_by_structure_and_region(self):
         rec = TopoRecorder(region="line", line_bytes=128)
-        rec.count_cache_miss("l2Z0", 0, 0)
-        rec.count_cache_miss("l2Z0", 0, 0x80)
-        rec.count_cache_miss("l1dZ0", 0, 0)
+        rec.cache_miss("l2Z0", 0, 0)
+        rec.cache_miss("l2Z0", 0, 0x80)
+        rec.cache_miss("l1dZ0", 0, 0)
         assert rec.struct_misses == {"l2Z0": 2, "l1dZ0": 1}
         assert rec.struct_regions[("l2Z0", 1)] == 1
 
@@ -165,22 +162,22 @@ class TestCounters:
 
     def test_msgs_charged_to_every_link_on_route(self):
         rec = TopoRecorder()
-        rec.count_msg(0, 3, 4, [(0, 1), (1, 3)])
+        rec.net_msg(0, 3, 4, [(0, 1), (1, 3)])
         assert rec.link_msgs == {(0, 1): 1, (1, 3): 1}
         assert rec.link_flits == {(0, 1): 4, (1, 3): 4}
 
     def test_total_events_counts_every_hook(self):
         rec = TopoRecorder()
-        rec.count_access(0, 0, 0, "read")
-        rec.count_cache_miss("l2", 0, 0)
+        rec.mem_access(0, 0, 0, "read")
+        rec.cache_miss("l2", 0, 0)
         rec.dir_transition(0, 0, "to_shared", 1)
-        rec.count_msg(0, 1, 1, [(0, 1)])
+        rec.net_msg(0, 1, 1, [(0, 1)])
         assert rec.total_events == 4
 
     def test_clear_resets_everything(self):
         rec = TopoRecorder()
-        rec.count_access(0, 1, node_base(1), "read", 10)
-        rec.count_msg(0, 1, 1, [(0, 1)])
+        rec.mem_access(0, 1, node_base(1), "read", 0, 10)
+        rec.net_msg(0, 1, 1, [(0, 1)])
         rec.take_sample(100)
         rec.clear()
         assert rec.total_events == 0
@@ -191,31 +188,29 @@ class TestCounters:
 class TestAmbientSlot:
     def test_install_uninstall(self):
         rec = TopoRecorder()
-        assert not obs_topo.is_enabled()
-        obs_topo.install(rec)
-        assert obs_hooks.topo is rec
-        assert obs_topo.is_enabled()
-        obs_topo.uninstall()
-        assert obs_hooks.topo is None
+        with obs_hooks.observing(rec) as probe:
+            assert obs_hooks.active is probe
+            assert probe.recorders == (rec,)
+            assert not probe.traced
+        assert obs_hooks.active is None
 
     def test_recording_restores_previous(self):
-        outer = TopoRecorder()
-        obs_topo.install(outer)
-        with obs_topo.recording() as inner:
-            assert obs_hooks.topo is inner
-            assert inner is not outer
-        assert obs_hooks.topo is outer
+        with obs_hooks.observing(TopoRecorder()) as outer:
+            with obs_hooks.observing(TopoRecorder()) as inner:
+                assert obs_hooks.active is inner
+                assert inner is not outer
+            assert obs_hooks.active is outer
 
     def test_recording_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with obs_topo.recording():
+            with obs_hooks.observing(TopoRecorder()):
                 raise RuntimeError("boom")
-        assert obs_hooks.topo is None
+        assert obs_hooks.active is None
 
     def test_disabled_slot_costs_nothing_to_read(self):
         # The contract the overhead bench quantifies: the disabled path is
         # a module attribute load plus an identity test.
-        assert obs_hooks.topo is None
+        assert obs_hooks.active is None
 
 
 class TestIntegration:
@@ -228,7 +223,7 @@ class TestIntegration:
         workload = make_app("ocean", scale)
         recorder = TopoRecorder(sample_interval_ps=500_000,
                                 sample_capacity=64)
-        with obs_topo.recording(recorder):
+        with obs_hooks.observing(recorder):
             result = run_workload(config, workload, 2, scale)
         return recorder, result
 
@@ -285,7 +280,7 @@ class TestIntegration:
         probe = TopoRecorder()
         run_workload(config, make_app("fft", scale), 1, scale)
         assert probe.total_events == 0
-        assert obs_hooks.topo is None
+        assert obs_hooks.active is None
 
 
 class TestHotRegion:

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.common.config import get_scale
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.obs import hooks as obs_hooks
-from repro.obs import txn as obs_txn
 from repro.obs.txn import (
     EDGES,
     N_BUCKETS,
@@ -42,11 +41,11 @@ from repro.workloads import make_app
 
 
 @pytest.fixture(autouse=True)
-def _txn_disabled():
-    """Every test starts and ends with the ambient txn slot cleared."""
-    obs_txn.uninstall()
+def _nothing_observing():
+    """Every test starts and ends with the probe slot empty."""
+    assert obs_hooks.active is None
     yield
-    obs_txn.uninstall()
+    assert obs_hooks.active is None
 
 
 class TestHistogram:
@@ -170,11 +169,11 @@ class TestTxnRecord:
 
 class TestTxnRecorder:
     def sealed(self, rec, latency, kind="read", case="local_clean"):
-        r = rec.open(0, 0, kind, origin="demand")
+        r = rec.open_txn(0, 0, kind, origin="demand")
         r.begin(0)
         r.cut("bus_req", latency)
         r.close(latency, case)
-        rec.commit(r)
+        rec.commit_txn(r)
         return r
 
     def test_rejects_nonpositive_top_k(self):
@@ -183,7 +182,7 @@ class TestTxnRecorder:
 
     def test_uids_are_monotonic(self):
         rec = TxnRecorder()
-        uids = [rec.open(0, 0, "read").uid for _ in range(5)]
+        uids = [rec.open_txn(0, 0, "read").uid for _ in range(5)]
         assert uids == sorted(set(uids))
 
     def test_top_k_keeps_slowest_with_stable_ties(self):
@@ -206,21 +205,21 @@ class TestTxnRecorder:
 
     def test_residual_accounting(self):
         rec = TxnRecorder()
-        r = rec.open(0, 0, "read")
+        r = rec.open_txn(0, 0, "read")
         r.begin(0)
         r.close(100, "local_clean")
         r.segments.clear()            # simulate a lost segment
         r.residual_ps = 100
-        rec.commit(r)
+        rec.commit_txn(r)
         assert rec.residual_txns == 1
         assert rec.residual_ps == 100
 
     def test_context_hooks_accumulate(self):
         rec = TxnRecorder()
-        rec.count_cache_miss("l1dZ0")
-        rec.count_cache_miss("l1dZ0")
-        rec.dir_transition("to_shared", 3)
-        rec.note_drain(40)
+        rec.cache_miss("l1dZ0", 0, 0)
+        rec.cache_miss("l1dZ0", 0, 0)
+        rec.dir_transition(0, 0, "to_shared", 3)
+        rec.drain(40)
         assert rec.cache_misses == {"l1dZ0": 2}
         assert rec.dir_transitions == {"to_shared": 1}
         assert rec.peak_sharers == 3
@@ -230,7 +229,7 @@ class TestTxnRecorder:
     def test_clear_resets_everything(self):
         rec = TxnRecorder()
         self.sealed(rec, 100)
-        rec.count_cache_miss("l2")
+        rec.cache_miss("l2", 0, 0)
         rec.clear()
         assert rec.total_txns == 0
         assert rec.total_events == 0
@@ -241,30 +240,27 @@ class TestTxnRecorder:
 class TestAmbientSlot:
     def test_install_uninstall(self):
         rec = TxnRecorder()
-        assert not obs_txn.is_enabled()
-        obs_txn.install(rec)
-        assert obs_hooks.txn is rec
-        assert obs_txn.is_enabled()
-        obs_txn.uninstall()
-        assert obs_hooks.txn is None
+        with obs_hooks.observing(rec) as probe:
+            assert obs_hooks.active is probe
+            assert probe.recorders == (rec,)
+            assert not probe.traced
+        assert obs_hooks.active is None
 
     def test_recording_restores_previous(self):
-        outer = TxnRecorder()
-        obs_txn.install(outer)
-        with obs_txn.recording() as inner:
-            assert obs_hooks.txn is inner
-            assert inner is not outer
-        assert obs_hooks.txn is outer
-        obs_txn.uninstall()
+        with obs_hooks.observing(TxnRecorder()) as outer:
+            with obs_hooks.observing(TxnRecorder()) as inner:
+                assert obs_hooks.active is inner
+                assert inner is not outer
+            assert obs_hooks.active is outer
 
     def test_recording_restores_on_error(self):
         with pytest.raises(RuntimeError):
-            with obs_txn.recording():
+            with obs_hooks.observing(TxnRecorder()):
                 raise RuntimeError("boom")
-        assert obs_hooks.txn is None
+        assert obs_hooks.active is None
 
     def test_disabled_slot_costs_nothing_to_read(self):
-        assert obs_hooks.txn is None
+        assert obs_hooks.active is None
 
 
 _SETTINGS = settings(max_examples=80, deadline=None,
@@ -325,7 +321,7 @@ class TestIntegration:
         scale = get_scale("tiny")
         workload = make_app("fft", scale)
         recorder = TxnRecorder()
-        with obs_txn.recording(recorder):
+        with obs_hooks.observing(recorder):
             result = run_workload(hardware_config(), workload,
                                   self.N_CPUS, scale)
         return recorder, result
@@ -408,13 +404,13 @@ class TestIntegration:
                               1, scale)
         assert probe.total_events == 0
         assert result.txn_total is None
-        assert obs_hooks.txn is None
+        assert obs_hooks.active is None
 
     def test_checkpoint_resume_rejects_txn_recorder(self):
         from repro.sim.machine import Machine
 
         scale = get_scale("tiny")
         machine = Machine(hardware_config(), 1, scale)
-        with obs_txn.recording():
-            with pytest.raises(SimulationError, match="txn recorder"):
+        with obs_hooks.observing(TxnRecorder()):
+            with pytest.raises(SimulationError, match="TxnRecorder"):
                 machine.begin_resumed(make_app("fft", scale), state={})

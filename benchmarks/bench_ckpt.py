@@ -25,7 +25,7 @@ import pytest
 from conftest import emit_bench
 from repro import ckpt
 from repro.common.config import REPRO_SCALE, TINY_SCALE
-from repro.obs.perf import BenchRecord, make_case
+from repro.obs.metrics import BenchRecord, make_case
 from repro.sim import RunRequest, simos_mipsy
 from repro.workloads import TlbTimer, make_app
 

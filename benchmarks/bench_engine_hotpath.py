@@ -19,8 +19,7 @@ import pytest
 
 from conftest import emit_bench
 from repro.common.config import get_scale
-from repro.obs.hooks import observing
-from repro.obs.perf import PerfProfiler, make_case, run_record
+from repro.obs.metrics import make_case, run_record
 from repro.sim.configs import get_config
 from repro.sim.machine import Machine
 from repro.workloads import make_app
@@ -78,23 +77,15 @@ def test_perf_smoke_baseline():
     ``scripts/run_tier1_matrix.sh`` runs ``python -m repro.obs perf fft
     --config simos-mipsy-150 --scale tiny --baseline
     benchmarks/BENCH_engine_hotpath.json``; the diff matches records by
-    case string, so this test must emit exactly that case.  The record's
-    wall time is the unprofiled best-of-N; the host-phase breakdown
-    comes from one extra profiled run (its own wall clock travels inside
-    ``host_phases``), so the headline timing never pays for profiling.
+    case string, so this test must emit exactly that case.
     """
     scale = get_scale("tiny")
     config = get_config("simos-mipsy-150")
     seconds, result, events = _best_of("fft", config, scale, repeats=2)
-    profiler = PerfProfiler()
-    with observing(profiler):
-        Machine(config, 1, scale).run(make_app("fft", scale))
-    record = run_record(
+    emit_bench("engine_hotpath", [run_record(
         "engine_hotpath",
         make_case("fft", config.name, 1, scale.name, "ref"),
-        seconds, result=result, events=events, profiler=profiler)
-    assert record.host_phases, "profiled run produced no phase breakdown"
-    emit_bench("engine_hotpath", [record])
+        seconds, result=result, events=events)])
 
 
 if __name__ == "__main__":

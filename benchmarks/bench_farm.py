@@ -19,7 +19,7 @@ import pytest
 from conftest import emit_bench
 from repro.common.config import TINY_SCALE
 from repro.harness import Farm, ResultCache, run_experiment
-from repro.obs.perf import BenchRecord, make_case
+from repro.obs.metrics import BenchRecord, make_case
 
 #: Required warm-over-cold speedup from cached replay (acceptance: >= 3x).
 MIN_CACHE_SPEEDUP = 3.0

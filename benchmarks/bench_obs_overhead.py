@@ -29,7 +29,7 @@ import pytest
 
 from repro.common.config import get_scale
 from repro.obs import hooks as obs_hooks
-from repro.obs.perf import BenchRecord, make_case
+from repro.obs.metrics import BenchRecord, make_case
 from repro.obs.trace import TraceRecorder
 from repro.sim.configs import get_config
 from repro.sim.machine import run_workload
@@ -45,8 +45,8 @@ class GuardCounter(obs_hooks.Recorder):
     """Subscribes to every probe event, per-calendar-event ones included.
 
     Each delivery is one guarded call reached, and no site tests its
-    local more often than it delivers (the engine's two sites deliver
-    five events per calendar event behind two tests), so the count is an
+    local more often than it delivers (the engine's one site delivers
+    one event per calendar event behind one test), so the count is an
     upper bound on the guards a disabled run executes."""
 
     engine_events = True

@@ -22,7 +22,7 @@ path, so published timings stay comparable.
 Benchmarks that measure the *simulator's* speed (engine hot path, farm
 cache, checkpoints) additionally fold their headline numbers into the
 committed BENCH perf ledger (``benchmarks/BENCH_<name>.json``, the
-frozen schema of :mod:`repro.obs.perf`) via :func:`emit_bench`, which is
+frozen schema of :mod:`repro.obs.metrics`) via :func:`emit_bench`, which is
 what ``python -m repro.obs perf --baseline ...`` diffs against.
 """
 
@@ -32,7 +32,7 @@ import pytest
 
 from repro.common.config import REPRO_SCALE
 from repro.harness import Farm, ResultCache, run_experiment
-from repro.obs.perf import merge_bench
+from repro.obs.metrics import merge_bench
 
 #: Where the committed BENCH_<name>.json perf-ledger files live.
 BENCH_DIR = Path(__file__).resolve().parent
@@ -41,7 +41,7 @@ BENCH_DIR = Path(__file__).resolve().parent
 def emit_bench(bench, records):
     """Merge *records* into the committed ``BENCH_<bench>.json`` ledger.
 
-    :func:`repro.obs.perf.merge_bench` replaces same-case records and
+    :func:`repro.obs.metrics.merge_bench` replaces same-case records and
     keeps the rest, so each benchmark updates only its own cases and
     reruns stay idempotent.
     """

@@ -33,7 +33,7 @@ PYTHONPATH=src python -m repro.obs txn fft --config hardware \
 echo "=== tier-1 ==="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-# Perf smoke (report-only): one profiled tiny run diffed against the
+# Perf smoke (report-only): one timed tiny run diffed against the
 # committed BENCH ledger.  A regression prints its report but does not
 # fail the gate -- wall clocks on shared CI boxes are too noisy for a
 # hard gate; drop --report-only in a dedicated perf lane to enforce it.

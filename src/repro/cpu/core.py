@@ -149,16 +149,8 @@ class CpuCore:
     def _exec_rows(self, ce: ChunkExec, exec_row):
         """Run every address row of *ce* through *exec_row*, the model's
         generator for one row."""
-        probe = obs_hooks.active
-        if probe is not None:
-            t0 = probe.host_begin()
         for row in ce.addrs.tolist():
             yield from exec_row(row)
-        if probe is not None:
-            # Inclusive host time: the segment spans every engine dispatch
-            # its memory events trigger while a row blocks (see
-            # repro.obs.perf -- phases are overlapping views).
-            probe.host_commit("cpu.rows_scalar", t0, ce.reps)
 
     def _drain_writes(self):
         """Wait out the write buffer (stores must be globally visible at

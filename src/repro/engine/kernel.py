@@ -85,12 +85,12 @@ class Engine:
         self.now: int = 0  # picoseconds
         self._pending_dispatch: list = []
         self.events_processed = 0
-        #: Optional per-engine observer: anything with the event
-        #: vocabulary of :class:`repro.obs.hooks.Recorder` (``Machine``
-        #: installs the probe's engine observer, ``repro.ckpt.bisect`` its
-        #: event-stream recorder).  The engine only ever touches it behind
-        #: an ``is not None`` guard on a local, so the disabled path stays
-        #: a single attribute test.
+        #: Optional per-engine observer: anything with the ``span`` event
+        #: of :class:`repro.obs.hooks.Recorder` (``Machine`` installs the
+        #: probe's engine observer, ``repro.ckpt.bisect`` its event-stream
+        #: recorder).  :meth:`step` calls it once per calendar event,
+        #: behind an ``is not None`` guard on a local, so the disabled
+        #: path stays a single attribute test.
         self.tracer = None
 
     # -- scheduling ------------------------------------------------------
@@ -102,12 +102,6 @@ class Engine:
                 f"scheduling into the past: {when_ps} < now {self.now}"
             )
         self._seq += 1
-        obs = self.tracer
-        if obs is not None:
-            t0 = obs.host_begin()
-            heapq.heappush(self._heap, (when_ps, self._seq, fn, arg))
-            obs.host_commit("engine.calendar", t0)
-            return
         heapq.heappush(self._heap, (when_ps, self._seq, fn, arg))
 
     def _dispatch(self, fn: Callable, arg: Any) -> None:
@@ -153,11 +147,6 @@ class Engine:
         obs = self.tracer
         if obs is not None:
             obs.span(when, "engine", getattr(fn, "__qualname__", "callback"))
-            t0 = obs.host_begin()
-            fn(arg)
-            self._drain_dispatch()
-            obs.host_commit("engine.dispatch", t0)
-            return True
         fn(arg)
         self._drain_dispatch()
         return True

@@ -1,8 +1,8 @@
 """``repro.lint``: the unified invariant-checking engine.
 
 The reproduction asserts contracts in prose -- zero-cost-when-disabled
-observability, complete checkpoint capture, frozen serialization
-schemas, bit-identical determinism -- and this package is where they are
+observability, complete checkpoint capture, picklable results,
+bit-identical determinism -- and this package is where they are
 *checked*.  One shared AST pass per file feeds a registry of rules:
 
 ====  =====================================================  ==========
@@ -11,12 +11,12 @@ schemas, bit-identical determinism -- and this package is where they are
  L1   hot-path tracer calls are guarded                      ported
  L2   model code imports no harness-side subsystem           ported
  L3   stateful simulator classes implement ckpt_state        ported
- L4   the metrics-ledger schema is frozen and round-trips    ported
  L5   result objects survive process boundaries              ported
  D1   no bare set iteration in simulator packages            new
  D2   no wall-clock/os.environ reads inside the machine      new
  D3   hook slots: read into a local, guard, then call        new
  D4   no id()-keyed ordering of simulated objects            new
+ D5   host-clock reads stay in repro.obs / repro.harness     new
  A0   allowlist entries still suppress something             engine
 ====  =====================================================  ==========
 

@@ -2,8 +2,8 @@
 
 Usage::
 
-    # everything: ported contract checks (L1-L5), determinism hazards
-    # (D1-D4), and allowlist staleness (A0)
+    # everything: ported contract checks (L1-L3, L5), determinism
+    # hazards (D1-D5), and allowlist staleness (A0)
     python -m repro.lint
 
     # one or more rules, machine-readable output
@@ -55,8 +55,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: <root>/lint_allow.toml)")
     parser.add_argument("--no-runtime", dest="runtime",
                         action="store_false",
-                        help="skip runtime contract checks (schema/pickle "
-                             "round trips); static AST rules only")
+                        help="skip the runtime contract check (the pickle "
+                             "round trip); static AST rules only")
     return parser
 
 

@@ -121,8 +121,8 @@ class RunContext:
 
     def __init__(self, root: Path, runtime: bool = True):
         self.root = root
-        #: Whether rules may execute runtime contract checks (schema
-        #: round-trips, pickle round-trips) in addition to static scans.
+        #: Whether rules may execute runtime contract checks (the pickle
+        #: round trip) in addition to static scans.
         self.runtime = runtime
         #: rule id -> arbitrary scratch space for cross-file registries.
         self.store: Dict[str, dict] = {}
@@ -326,7 +326,7 @@ def run_lint(root: Path, rules: Optional[Sequence[str]] = None,
     then is allowlist staleness checked, since a partial run cannot tell
     a stale entry from an unexercised one).  *allowlist* defaults to
     ``<root>/lint_allow.toml`` when that file exists.  *runtime* gates
-    the rules' runtime contract checks (schema and pickle round trips);
+    the rules' runtime contract checks (the pickle round trip);
     static AST scanning always runs.
     """
     from repro.lint.rules import REGISTRY, select_rules

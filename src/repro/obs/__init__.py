@@ -15,16 +15,15 @@ the reproduction the same visibility into itself:
   flamegraph-style text summary;
 * :mod:`repro.obs.diff` -- differential error attribution: the signed
   per-category waterfall explaining a reference-vs-candidate cycle gap;
-* :mod:`repro.obs.metrics` -- the run-over-run metrics ledger
-  (:class:`~repro.obs.metrics.MetricsWriter`) and its drift detector;
+* :mod:`repro.obs.metrics` -- the two frozen-schema ledgers: the
+  run-over-run metrics ledger (:class:`~repro.obs.metrics.MetricsWriter`)
+  with its drift detector, and the BENCH perf ledger with its
+  regression gate;
 * :mod:`repro.obs.topo` -- spatial observability: the
   (requesting node, home node, address region) counters, directory
   transitions, per-link traffic, and the queue-occupancy sampler;
 * :mod:`repro.obs.hotspot` -- folds a topo recording into the NUMA
   traffic matrix, top-K hot regions with sharer sets, and contention heat;
-* :mod:`repro.obs.perf` -- the host-time axis: the guarded phase profiler
-  (where the wall-clock seconds go) and the frozen-schema BENCH perf
-  ledger with its regression gate;
 * :mod:`repro.obs.cli` -- ``python -m repro.obs trace|diff|hotspot|perf|watch``.
 """
 
@@ -36,21 +35,17 @@ from repro.obs.profile import CpuBreakdown, RunBreakdown, build_breakdown
 from repro.obs.export import chrome_trace, flame_summary, write_chrome_trace
 from repro.obs.diff import AttributionDiff, CategoryDelta, diff_breakdowns, diff_runs
 from repro.obs.metrics import (
+    BenchRecord,
     DriftReport,
     LedgerRecord,
     MetricsWriter,
-    detect_drift,
-    read_ledger,
-)
-from repro.obs.perf import (
-    BenchRecord,
-    HostBreakdown,
     PerfDiffReport,
-    PerfProfiler,
+    detect_drift,
     diff_bench,
     make_case,
     merge_bench,
     read_bench,
+    read_ledger,
     run_record,
     write_bench,
 )
@@ -81,9 +76,7 @@ __all__ = [
     "detect_drift",
     "read_ledger",
     "BenchRecord",
-    "HostBreakdown",
     "PerfDiffReport",
-    "PerfProfiler",
     "diff_bench",
     "make_case",
     "merge_bench",

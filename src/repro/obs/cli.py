@@ -1,4 +1,4 @@
-"""``python -m repro.obs``: trace, attribute, locate, profile, and watch.
+"""``python -m repro.obs``: trace, attribute, locate, time, and watch.
 
 Six subcommands::
 
@@ -20,9 +20,9 @@ Six subcommands::
     # transactions' segment anatomy (queue wait vs. service vs. wire)
     python -m repro.obs txn fft --config hardware
 
-    # the host-time axis: run one workload under the phase profiler and
-    # print where the wall-clock seconds went (dispatch, calendar, row
-    # loop); optionally diff against a committed BENCH baseline and gate
+    # the host-time axis: time one unobserved run (wall, events,
+    # events/s); optionally diff against a committed BENCH baseline and
+    # gate.  Where the time goes: python3 benchmarks/e2e/run.py
     python -m repro.obs perf fft --config simos-mipsy-150 --scale tiny \\
         --baseline benchmarks/BENCH_engine_hotpath.json
 
@@ -43,11 +43,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import List, Optional
 
 from repro.common.config import get_scale
 from repro.obs import hooks
-from repro.obs import perf as obs_perf
 from repro.obs import topo as obs_topo
 from repro.obs import txn as obs_txn
 from repro.obs.diff import diff_runs
@@ -55,9 +55,15 @@ from repro.obs.export import flame_summary, write_chrome_trace
 from repro.obs.hotspot import build_report
 from repro.obs.metrics import (
     ERROR_THRESHOLD,
+    PERF_THRESHOLD,
     TIME_THRESHOLD,
     detect_drift,
+    diff_bench,
+    make_case,
+    merge_bench,
+    read_bench,
     read_ledger,
+    run_record,
 )
 from repro.obs.trace import TraceRecorder
 from repro.sim import farm_hooks
@@ -198,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="profile host time: phase breakdown, perf gate")
+        help="time one run: wall, events/s, perf gate")
     add_run_args(perf, default_cpus=1, config_default=DEFAULT_CONFIG)
     perf.add_argument("--json", metavar="PATH", default=None,
                       help="merge this run's BenchRecord into a BENCH "
@@ -207,9 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="BENCH file to diff against (same-case records; "
                            "exit 1 on regression beyond thresholds)")
     perf.add_argument("--time-threshold", type=float,
-                      default=obs_perf.TIME_THRESHOLD,
+                      default=PERF_THRESHOLD,
                       help="relative events/sec drop that counts as a "
-                           f"regression (default {obs_perf.TIME_THRESHOLD:g})")
+                           f"regression (default {PERF_THRESHOLD:g})")
     perf.add_argument("--report-only", action="store_true",
                       help="print the gate verdict but always exit 0")
     perf.set_defaults(func=cmd_perf)
@@ -350,37 +356,34 @@ def cmd_perf(args: argparse.Namespace) -> int:
                         tuned_inputs=not args.untuned_inputs)
     # Deliberately NOT farm_hooks.run: a cache hit would replay the
     # RunResult without re-simulating, leaving nothing to time; and the
-    # profiler needs the machine's engine for the event count.
+    # event count lives on the machine's engine.
     machine = Machine(config, args.cpus, scale)
-    profiler = obs_perf.PerfProfiler()
-    with hooks.observing(profiler):
-        result = machine.run(workload)
-    wall_s = profiler.wall_s
+    start = time.perf_counter()
+    result = machine.run(workload)
+    wall_s = time.perf_counter() - start
     events = machine.env.events_processed
-    case = obs_perf.make_case(args.workload, config.name, args.cpus,
-                              scale.name, "ref")
-    record = obs_perf.run_record("obs_perf", case, wall_s,
-                                 result=result, events=events,
-                                 profiler=profiler)
+    case = make_case(args.workload, config.name, args.cpus, scale.name, "ref")
+    record = run_record("obs_perf", case, wall_s, result=result,
+                        events=events)
 
     print(result.describe())
     per_sec = f"{events / wall_s:,.0f} events/s" if wall_s > 0 else "n/a"
     print(f"host: {wall_s:.3f} s wall, {events:,} events ({per_sec})")
-    print()
-    print(profiler.breakdown().format_table())
 
+    status = 0
     if args.json:
-        obs_perf.merge_bench(args.json, "obs_perf", [record])
+        merge_bench(args.json, "obs_perf", [record])
         print(f"\nwrote {args.json}")
     if args.baseline:
-        baseline = obs_perf.read_bench(args.baseline)
-        report = obs_perf.diff_bench(
-            baseline, [record], time_threshold=args.time_threshold)
+        report = diff_bench(read_bench(args.baseline), [record],
+                            time_threshold=args.time_threshold)
         print()
         print(report.format())
         if not report.ok and not args.report_only:
-            return 1
-    return 0
+            status = 1
+    print("\nwhere the host time goes, layer by layer: "
+          "python3 benchmarks/e2e/run.py")
+    return status
 
 
 def cmd_watch(args: argparse.Namespace) -> int:

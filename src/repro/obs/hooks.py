@@ -48,7 +48,6 @@ ATTRIBUTED = (TLB, MEM, SYNC, OS)
 
 # -- checkpoint tolerance (Recorder.ckpt) ----------------------------------
 
-CKPT_ALWAYS = "always"  #: host-side only: capture and resume are harmless
 CKPT_SUFFIX = "suffix"  #: resume only when the caller accepts a record of
 #:                         the resumed suffix (``allow_partial_obs``)
 CKPT_NEVER = "never"    #: counters would be silently partial
@@ -56,8 +55,7 @@ CKPT_NEVER = "never"    #: counters would be silently partial
 #: The model's event vocabulary: every name is a :class:`Recorder` method
 #: (the one signature of that event) and a :class:`Probe` attribute.
 EVENTS = ("span", "cache_miss", "tlb_miss", "dir_transition", "net_msg",
-          "mem_access", "open_txn", "commit_txn", "drain",
-          "host_begin", "host_commit")
+          "mem_access", "open_txn", "commit_txn", "drain")
 
 
 class Recorder:
@@ -72,7 +70,7 @@ class Recorder:
 
     #: What ``repro.ckpt`` may do while this recorder is installed.
     ckpt = CKPT_NEVER
-    #: Also receive one ``span``/``host_*`` per engine calendar event.
+    #: Also receive one ``span`` per engine calendar event.
     engine_events = False
 
     # -- run lifecycle (every recorder, every run) -----------------------
@@ -119,12 +117,6 @@ class Recorder:
     def drain(self, wait_ps: int) -> None:
         """A sync point waited *wait_ps* for the write buffer."""
 
-    def host_begin(self):
-        """Open a host-time bracket; the token goes to ``host_commit``."""
-
-    def host_commit(self, phase: str, t0, n: int = 1) -> None:
-        """Charge the host time since *t0* to *phase* (*n* units)."""
-
 
 def _ignore(*_args):
     return None
@@ -132,8 +124,8 @@ def _ignore(*_args):
 
 def _fan(subscribers):
     """One callable delivering an event to every subscriber.  Only
-    ``open_txn`` and ``host_begin`` return anything, and each has a
-    single implementing recorder class."""
+    ``open_txn`` returns anything, and it has a single implementing
+    recorder class."""
     if not subscribers:
         return _ignore
     if len(subscribers) == 1:
@@ -188,13 +180,12 @@ active: Optional[Probe] = None
 def require_ckpt_tolerant(what: str, error: type,
                           allow_partial: bool = False) -> None:
     """Raise *error* if an installed recorder's ``ckpt`` property does not
-    tolerate *what* (a suffix-only recorder does when *allow_partial*)."""
+    tolerate *what*: none does, except a suffix-only recorder when
+    *allow_partial*."""
     probe = active
-    tolerated = ((CKPT_ALWAYS, CKPT_SUFFIX) if allow_partial
-                 else (CKPT_ALWAYS,))
     refusing = [type(rec).__name__
                 for rec in (probe.recorders if probe is not None else ())
-                if rec.ckpt not in tolerated]
+                if not (allow_partial and rec.ckpt == CKPT_SUFFIX)]
     if refusing:
         raise error(
             f"{what} cannot run under {', '.join(refusing)}: recorder "

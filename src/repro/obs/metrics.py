@@ -1,24 +1,35 @@
-"""The run-over-run metrics ledger: accuracy and performance history.
+"""The two frozen-schema ledgers: accuracy history and simulator speed.
 
 Ramulator 2.0's real-system accuracy regressed silently because nobody
 *watched* it between validation papers; "Validating Simplified Processor
 Models" argues validation must be continuous, not a one-off table.  This
-module makes the reproduction watchable: every farm-dispatched simulation
-appends one JSON-lines record -- canonical request key, configuration,
-workload, cycles, percent error against the reference, attribution
-fractions, wall time, cache outcome -- and ``python -m repro.obs watch``
-diffs the newest records against ledger history, exiting nonzero when
-accuracy or performance drifts past threshold (CI-able).
+module makes the reproduction watchable along both axes:
 
-The writer is an argument of the farm (``Farm(metrics=writer)``), its one
-caller; without one the farm pays a single ``is not None`` test per
-request -- the ledger adds no cost to the simulator itself, which never
-imports this module (lint rule L2 enforces that).
+* the **metrics ledger** -- every farm-dispatched simulation appends one
+  JSON-lines :class:`LedgerRecord` (canonical request key, configuration,
+  workload, cycles, percent error against the reference, attribution
+  fractions, wall time, cache outcome) and ``python -m repro.obs watch``
+  diffs the newest records against ledger history
+  (:func:`detect_drift`), exiting nonzero when accuracy or performance
+  drifts past threshold (CI-able);
+* the **BENCH perf ledger** -- one ``BENCH_<name>.json`` per benchmark
+  holding a :class:`BenchRecord` per measured case (host wall time,
+  simulated picoseconds, events/sec, speedup).  ``python -m repro.obs
+  perf`` times one run and diffs it against a committed baseline
+  (:func:`diff_bench`), exiting nonzero on a throughput collapse.  Where
+  the host time *goes* is not recorded here: ``benchmarks/e2e`` partitions
+  it per layer from outside the model.
 
-Record layout is a **frozen schema** (:data:`LEDGER_SCHEMA`): records
-round-trip exactly through :meth:`LedgerRecord.to_dict` /
-:meth:`LedgerRecord.from_dict`, and lint rule L4 fails if either the
-schema constant or the round trip drifts.
+The metrics writer is an argument of the farm (``Farm(metrics=writer)``),
+its one caller; without one the farm pays a single ``is not None`` test
+per request -- the ledgers add no cost to the simulator itself, which
+never imports this module (lint rule L2 enforces that).
+
+Both record layouts are **frozen schemas** (:data:`LEDGER_SCHEMA`,
+:data:`BENCH_SCHEMA`) sharing one validator (:func:`validate_record`) and
+one schema-driven dict codec (:class:`SchemaRecord`); records round-trip
+exactly, and ``tests/test_obs_diff.py`` pins both schemas so an edit
+breaks a test in review.
 """
 
 from __future__ import annotations
@@ -27,15 +38,17 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, List, Optional, Tuple
+
+#: A frozen record schema: field -> (type, required).  Optional fields
+#: may also be null.  Changing one is an explicit, reviewed act: bump its
+#: version and the pinned copy in ``tests/test_obs_diff.py`` together.
+Schema = Dict[str, Tuple[type, bool]]
 
 #: Bumped on any incompatible record change; ``watch`` skips foreign versions.
 SCHEMA_VERSION = 1
 
-#: The frozen ledger-record schema: field -> (type, required).  Optional
-#: fields may also be null.  Lint rule L4 pins this constant; changing it
-#: is an explicit, reviewed act.
-LEDGER_SCHEMA: Dict[str, Tuple[type, bool]] = {
+LEDGER_SCHEMA: Schema = {
     "schema": (int, True),         # SCHEMA_VERSION of the writing code
     "ts": (float, True),           # wall-clock unix time of the append
     "key": (str, True),            # content address (RunRequest.cache_key)
@@ -53,45 +66,84 @@ LEDGER_SCHEMA: Dict[str, Tuple[type, bool]] = {
     "attribution": (dict, False),      # category -> fraction of CPU time
 }
 
+#: Bumped on any incompatible BENCH record change; readers skip foreign
+#: versions (3: the host-phase table went with the in-model profiler).
+BENCH_SCHEMA_VERSION = 3
+
+BENCH_SCHEMA: Schema = {
+    "schema": (int, True),             # BENCH_SCHEMA_VERSION of the writer
+    "bench": (str, True),              # emitting benchmark ("engine_hotpath")
+    "case": (str, True),               # workload@config/Pn/scale/mode
+    "wall_s": (float, True),           # host wall time of the measured run
+    "sim_ps": (int, False),            # simulated picoseconds covered
+    "events": (int, False),            # engine events processed
+    "events_per_sec": (float, False),  # the headline simulator-speed metric
+    "speedup": (float, False),         # vs. this case's own reference run
+}
+
 #: The ``outcome`` vocabulary.
 OUTCOMES = ("run", "hit")
 
 
-def validate_record(record: Dict) -> List[str]:
-    """Schema violations in *record* (empty list = valid).
+def validate_record(record: Dict, schema: Schema = LEDGER_SCHEMA) -> List[str]:
+    """Violations of *schema* in *record* (empty list = valid).
 
     Checks required fields, types (bool is not an int here), the outcome
-    vocabulary, and rejects fields outside the frozen schema -- additions
-    must go through :data:`LEDGER_SCHEMA`.
+    vocabulary where the schema has one, and rejects fields outside the
+    frozen schema -- additions must go through the schema constant.
     """
     problems = []
-    for name, (typ, required) in LEDGER_SCHEMA.items():
+    for name, (typ, required) in schema.items():
         if name not in record or record[name] is None:
             if required:
                 problems.append(f"missing required field {name!r}")
             continue
         value = record[name]
-        ok = (isinstance(value, typ) and not isinstance(value, bool)
-              if typ in (int, float) else isinstance(value, typ))
-        if typ is float and isinstance(value, int) and not isinstance(value, bool):
-            ok = True          # JSON does not distinguish 1 from 1.0
-        if not ok:
+        # JSON does not distinguish 1 from 1.0; bool is never a number.
+        accepted = (int, float) if typ is float else typ
+        if (not isinstance(value, accepted)
+                or (typ in (int, float) and isinstance(value, bool))):
             problems.append(
                 f"field {name!r} has type {type(value).__name__}, "
                 f"expected {typ.__name__}")
     for name in record:
-        if name not in LEDGER_SCHEMA:
+        if name not in schema:
             problems.append(f"unknown field {name!r} (schema is frozen; "
-                            f"extend LEDGER_SCHEMA explicitly)")
+                            f"extend it explicitly)")
     outcome = record.get("outcome")
-    if isinstance(outcome, str) and outcome not in OUTCOMES:
+    if ("outcome" in schema and isinstance(outcome, str)
+            and outcome not in OUTCOMES):
         problems.append(f"outcome {outcome!r} not in {OUTCOMES}")
     return problems
 
 
+def _owned(value):
+    """Dict-valued fields are copied at the codec boundary."""
+    return dict(value) if isinstance(value, dict) else value
+
+
+class SchemaRecord:
+    """The dict codec of both ledgers: a dataclass whose fields are
+    exactly the keys of its ``SCHEMA``."""
+
+    SCHEMA: ClassVar[Schema]
+
+    def to_dict(self) -> Dict:
+        return {name: _owned(getattr(self, name)) for name in self.SCHEMA}
+
+    @classmethod
+    def from_dict(cls, data: Dict):
+        """Build a record from a validated payload; absent optional
+        fields (and ``ts``/``schema``) take the dataclass defaults."""
+        return cls(**{name: _owned(data[name])
+                      for name in cls.SCHEMA if name in data})
+
+
 @dataclass
-class LedgerRecord:
+class LedgerRecord(SchemaRecord):
     """One farm-dispatched simulation, as the ledger remembers it."""
+
+    SCHEMA: ClassVar[Schema] = LEDGER_SCHEMA
 
     key: str
     config: str
@@ -112,47 +164,6 @@ class LedgerRecord:
     def group(self) -> Tuple[str, str, int, str]:
         """The drift-tracking identity: same group = comparable records."""
         return (self.workload, self.config, self.n_cpus, self.scale)
-
-    def to_dict(self) -> Dict:
-        return {
-            "schema": self.schema,
-            "ts": self.ts,
-            "key": self.key,
-            "config": self.config,
-            "workload": self.workload,
-            "n_cpus": self.n_cpus,
-            "scale": self.scale,
-            "seed": self.seed,
-            "parallel_ps": self.parallel_ps,
-            "total_ps": self.total_ps,
-            "instructions": self.instructions,
-            "wall_s": self.wall_s,
-            "outcome": self.outcome,
-            "percent_error": self.percent_error,
-            "attribution": (None if self.attribution is None
-                            else dict(self.attribution)),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "LedgerRecord":
-        attribution = data.get("attribution")
-        return cls(
-            key=data["key"],
-            config=data["config"],
-            workload=data["workload"],
-            n_cpus=data["n_cpus"],
-            scale=data["scale"],
-            seed=data["seed"],
-            parallel_ps=data["parallel_ps"],
-            total_ps=data["total_ps"],
-            instructions=data["instructions"],
-            wall_s=data["wall_s"],
-            outcome=data["outcome"],
-            percent_error=data.get("percent_error"),
-            attribution=None if attribution is None else dict(attribution),
-            ts=data.get("ts", 0.0),
-            schema=data.get("schema", SCHEMA_VERSION),
-        )
 
 
 class MetricsWriter:
@@ -337,4 +348,199 @@ def detect_drift(records: List[LedgerRecord],
                     group=group, kind="accuracy", baseline=base_err,
                     latest=latest.percent_error, change=delta,
                     threshold=error_threshold))
+    return report
+
+
+# -- the BENCH perf ledger -------------------------------------------------
+
+def make_case(workload: str, config: str, n_cpus: int, scale: str,
+              mode: str) -> str:
+    """The canonical case key: ``workload@config/Pn/scale/mode``."""
+    return f"{workload}@{config}/P{n_cpus}/{scale}/{mode}"
+
+
+@dataclass
+class BenchRecord(SchemaRecord):
+    """One measured case of one benchmark, as the BENCH ledger keeps it."""
+
+    SCHEMA: ClassVar[Schema] = BENCH_SCHEMA
+
+    bench: str
+    case: str
+    wall_s: float
+    sim_ps: Optional[int] = None
+    events: Optional[int] = None
+    events_per_sec: Optional[float] = None
+    speedup: Optional[float] = None
+    schema: int = BENCH_SCHEMA_VERSION
+
+
+def run_record(bench: str, case: str, wall_s: float, result=None,
+               events: Optional[int] = None,
+               speedup: Optional[float] = None) -> BenchRecord:
+    """Fold one measured run into a :class:`BenchRecord`.
+
+    *result* (a :class:`~repro.sim.results.RunResult`) supplies the
+    simulated time.
+    """
+    return BenchRecord(
+        bench=bench,
+        case=case,
+        wall_s=wall_s,
+        sim_ps=None if result is None else result.total_ps,
+        events=events,
+        events_per_sec=(events / wall_s
+                        if events is not None and wall_s > 0 else None),
+        speedup=speedup,
+    )
+
+
+def write_bench(path, bench: str, records: List[BenchRecord]) -> Path:
+    """Write ``BENCH_<name>.json`` -- one file per benchmark, records
+    sorted by case so reruns produce byte-identical files for identical
+    measurements."""
+    path = Path(path)
+    payload = {
+        "schema": BENCH_SCHEMA_VERSION,
+        "bench": bench,
+        "records": [r.to_dict() for r in
+                    sorted(records, key=lambda r: r.case)],
+    }
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return path
+
+
+def _scan_bench(path) -> Tuple[List[BenchRecord], List[str]]:
+    """(the valid current-schema records of a BENCH file in file order,
+    everything that kept the rest of it from being read)."""
+    path = Path(path)
+    if not path.exists():
+        return [], []
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:
+        return [], [f"unparsable JSON ({exc})"]
+    if (not isinstance(payload, dict)
+            or not isinstance(payload.get("records"), list)):
+        return [], ["not a BENCH payload (no records list)"]
+    if payload.get("schema") != BENCH_SCHEMA_VERSION:
+        return [], [f"file schema version is {payload.get('schema')!r}, "
+                    f"this code reads and writes {BENCH_SCHEMA_VERSION}"]
+    records, problems = [], []
+    for index, data in enumerate(payload["records"]):
+        invalid = (validate_record(data, BENCH_SCHEMA)
+                   if isinstance(data, dict) else ["not an object"])
+        if invalid:
+            problems.append(f"invalid record {index}: {'; '.join(invalid)}")
+        else:
+            records.append(BenchRecord.from_dict(data))
+    return records, problems
+
+
+def read_bench(path) -> List[BenchRecord]:
+    """Current-schema records in a BENCH file, sorted by case.
+
+    A missing file, a foreign schema version, or unparsable JSON yields
+    ``[]`` (baselines must be optional: a fresh checkout gates nothing);
+    individual invalid records are skipped, not fatal.
+    """
+    return _scan_bench(path)[0]
+
+
+def merge_bench(path, bench: str, records: List[BenchRecord]) -> Path:
+    """Write *records* into ``path``, replacing same-case records and
+    keeping the rest -- so each benchmark test updates only its own cases
+    and reruns stay idempotent.
+
+    Raises :class:`ValueError`, leaving the file untouched, when it holds
+    anything this code cannot read: rewriting it would silently drop
+    every other case.
+    """
+    kept, problems = _scan_bench(path)
+    if problems:
+        raise ValueError(
+            f"refusing to merge into {path}: {problems[0]}; rewriting it "
+            "would drop every record this code cannot read -- migrate or "
+            "delete the file first")
+    fresh = {r.case: r for r in records}
+    return write_bench(path, bench,
+                       [r for r in kept if r.case not in fresh]
+                       + list(fresh.values()))
+
+
+# -- the regression gate (the `perf` CLI subcommand) -----------------------
+
+#: Default relative events/sec (or wall-time) slowdown that counts as a
+#: regression.  Deliberately generous: BENCH baselines travel between
+#: machines, so only collapses (an accidentally quadratic loop), not
+#: noise, should trip the gate.
+PERF_THRESHOLD = 0.5
+
+
+@dataclass
+class PerfFlag:
+    """One case that moved past a threshold against its baseline."""
+
+    case: str
+    baseline: float
+    latest: float
+    change: float              #: relative throughput change
+    threshold: float
+
+    def format(self) -> str:
+        return (f"PERF[throughput] {self.case}: "
+                f"{self.baseline:,.0f} -> {self.latest:,.0f} events/s "
+                f"({self.change:+.1%}, threshold -{self.threshold:.0%})")
+
+
+@dataclass
+class PerfDiffReport:
+    """What the perf gate concluded from baseline-vs-current records."""
+
+    cases_checked: int = 0
+    cases_unmatched: int = 0
+    flags: List[PerfFlag] = field(default_factory=list)
+
+    @property
+    def ok(self) -> bool:
+        return not self.flags
+
+    def format(self) -> str:
+        lines = [f"perf gate: {self.cases_checked} case(s) compared against "
+                 f"baseline, {self.cases_unmatched} without a baseline"]
+        if self.ok:
+            lines.append("  no regression beyond thresholds")
+        else:
+            lines.extend(f"  {flag.format()}" for flag in self.flags)
+        return "\n".join(lines)
+
+
+def diff_bench(baseline: List[BenchRecord], current: List[BenchRecord],
+               time_threshold: float = PERF_THRESHOLD) -> PerfDiffReport:
+    """Compare *current* records against same-case *baseline* records.
+
+    Throughput compares events/sec when both sides carry it (the
+    machine-independent-ish metric), else inverse wall time.
+    """
+    report = PerfDiffReport()
+    by_case = {record.case: record for record in baseline}
+    for record in current:
+        base = by_case.get(record.case)
+        if base is None:
+            report.cases_unmatched += 1
+            continue
+        report.cases_checked += 1
+        if (record.events_per_sec and base.events_per_sec
+                and base.events_per_sec > 0):
+            was, now = base.events_per_sec, record.events_per_sec
+        elif record.wall_s > 0 and base.wall_s > 0:
+            was, now = 1.0 / base.wall_s, 1.0 / record.wall_s
+        else:
+            continue
+        change = now / was - 1.0
+        if change < -time_threshold:
+            report.flags.append(PerfFlag(
+                case=record.case, baseline=was, latest=now,
+                change=change, threshold=time_threshold))
     return report

@@ -8,7 +8,7 @@ closing-the-loop machinery produces into two files:
   waterfalls for every finding that carries a *why* payload, the trend
   studies, one unicode sparkline per metrics-ledger run group, and a
   "How fast is the simulator" table fed by the committed BENCH perf
-  ledgers (:mod:`repro.obs.perf`);
+  ledgers (:mod:`repro.obs.metrics`);
 * ``dashboard.html`` -- the same content as a standalone page (inline
   CSS, no external assets, light/dark via ``prefers-color-scheme``).
 
@@ -218,7 +218,7 @@ def _md_bench(bench_records: Sequence) -> List[str]:
         "## How fast is the simulator", "",
         "Headline wall clocks from the committed BENCH perf ledgers "
         "(`benchmarks/BENCH_*.json`, the frozen schema of "
-        "`repro.obs.perf`); `python -m repro.obs perf --baseline ...` "
+        "`repro.obs.metrics`); `python -m repro.obs perf --baseline ...` "
         "gates regressions against these numbers.",
         "",
         "| bench | case | wall (s) | events/s | speedup |",
@@ -741,7 +741,7 @@ def render_dashboard(results: Sequence, out_dir,
     Returns the two paths.  *ledger_records* normally comes from
     :func:`repro.obs.metrics.read_ledger`; pass None to omit the trends
     section.  *bench_records* normally comes from
-    :func:`repro.obs.perf.read_bench` over the committed
+    :func:`repro.obs.metrics.read_bench` over the committed
     ``benchmarks/BENCH_*.json`` ledgers; pass None to omit the
     "How fast is the simulator" section.
     """

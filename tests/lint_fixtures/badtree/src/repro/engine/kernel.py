@@ -9,6 +9,8 @@ class EventKernel:
     def dispatch_guarded(self, when, callback):
         tracer = self.tracer
         if tracer is not None:
+            # A two-line comment under the guard is as far as the call
+            # may sit from it (GUARD_WINDOW).
             tracer.span(when, "engine",
                         "cb")  # guarded: must NOT fire
         callback(when)

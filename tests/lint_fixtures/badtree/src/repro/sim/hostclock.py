@@ -1,4 +1,4 @@
-"""Seeded host-clock hazards: D5 reads and a D3 host-bracket call."""
+"""Seeded host-clock hazards: D5 reads and a D3 call through the module."""
 
 import time
 from time import perf_counter_ns
@@ -13,10 +13,10 @@ class HostClocked:
     def wall_ns(self):
         return perf_counter_ns()                        # D5: aliased read
 
-    def profile_bad(self, t0):
-        obs_hooks.active.host_commit("dispatch", t0)    # D3: call via module
+    def report_bad(self, waited_ps):
+        obs_hooks.active.drain(waited_ps)               # D3: call via module
 
-    def profile_disciplined(self, t0):
+    def report_disciplined(self, waited_ps):
         probe = obs_hooks.active                        # sanctioned shape:
         if probe is not None:                           # must NOT fire
-            probe.host_commit("dispatch", t0)
+            probe.drain(waited_ps)

@@ -41,7 +41,6 @@ from repro.common.errors import (
 from repro.common.rng import RngStream
 from repro.engine import Engine
 from repro.obs import hooks as obs_hooks
-from repro.obs.perf import PerfProfiler
 from repro.obs.topo import TopoRecorder
 from repro.obs.trace import TraceRecorder
 from repro.obs.txn import TxnRecorder
@@ -349,12 +348,6 @@ class TestCheckpointSafety:
         with obs_hooks.observing(recorder()):
             with pytest.raises(CheckpointError, match=recorder.__name__):
                 ckpt.save(tiny_request(), at_ps=100)
-
-    def test_host_profiler_tolerates_capture(self, quiesced):
-        with obs_hooks.observing(PerfProfiler()):
-            again = ckpt.save(tiny_request(), at_ps=quiesced.stop["at_ps"],
-                              mode=ckpt.MODE_QUIESCE)
-        assert again.digest == quiesced.digest
 
     def test_key_is_a_content_address(self):
         key = ckpt.checkpoint_key(tiny_request(), ckpt.MODE_QUIESCE, 100)

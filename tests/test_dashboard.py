@@ -102,7 +102,7 @@ def ledger_records(n=4):
 
 
 def bench_records():
-    from repro.obs.perf import BenchRecord
+    from repro.obs.metrics import BenchRecord
 
     return [
         BenchRecord(bench="engine_hotpath",

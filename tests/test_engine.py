@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
 from repro.engine import Engine, Resource
+from repro.obs import hooks as obs_hooks
 
 
 def test_timeout_advances_clock():
@@ -226,3 +227,40 @@ class TestResource:
             env.process(user(tag))
         env.run()
         assert order == [0, 1, 2, 3]
+
+
+class TestEngineObserver:
+    def test_one_span_per_calendar_event_and_nothing_else(self):
+        """The engine's whole observer surface is one ``span`` per
+        calendar event: none in ``schedule_at``, no other attribute."""
+
+        class SpanOnly:
+            def __init__(self):
+                self.spans = []
+
+            def span(self, t_ps, category, name):
+                self.spans.append((t_ps, category, name))
+
+            def __getattr__(self, name):
+                raise AssertionError(f"engine touched observer.{name}")
+
+        env = Engine()
+        env.tracer = observer = SpanOnly()
+        res = Resource(env, "pp")
+
+        def user(delay):
+            yield env.timeout(delay)
+            yield res.use(50)
+            yield env.all_of([env.timeout(5), env.timeout(9)])
+
+        for delay in (10, 10, 30):
+            env.process(user(delay), name=f"user{delay}")
+        env.run()
+        assert env.events_processed > 0
+        assert len(observer.spans) == env.events_processed
+        assert all(category == "engine" for _t, category, _n in observer.spans)
+        assert [t for t, _c, _n in observer.spans] == sorted(
+            t for t, _c, _n in observer.spans)
+
+    def test_probe_vocabulary_is_nine_events(self):
+        assert len(obs_hooks.EVENTS) == 9

@@ -66,16 +66,16 @@ class TestCacheKey:
         assert base.cache_key(traced=True) != base.cache_key(traced=False)
 
     def test_only_a_tracer_makes_the_key_traced(self):
-        # The traced bit means "the result carries a breakdown"; a topo-,
-        # txn- or perf-only probe must not fork the result cache.
-        from repro.obs import PerfProfiler, TopoRecorder, TraceRecorder
+        # The traced bit means "the result carries a breakdown"; a topo-
+        # or txn-only probe must not fork the result cache.
+        from repro.obs import TopoRecorder, TraceRecorder
         from repro.obs.hooks import observing
         from repro.obs.txn import TxnRecorder
 
         base = tiny_request()
         with observing(TopoRecorder()):
             assert base.cache_key() == base.cache_key(traced=False)
-        with observing(TxnRecorder(), PerfProfiler()):
+        with observing(TxnRecorder()):
             assert base.cache_key() == base.cache_key(traced=False)
         with observing(TopoRecorder(), TraceRecorder()):
             assert base.cache_key() == base.cache_key(traced=True)

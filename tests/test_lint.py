@@ -57,7 +57,7 @@ SEEDED_TOTAL = sum(len(lines) for files in SEEDED.values()
 
 def badtree_report(rules=None, allowlist=None):
     # runtime=False: the fixture tree is parsed, never imported, and the
-    # runtime contract checks (L4/L5) only make sense against the live
+    # runtime contract check (L5) only makes sense against the live
     # package anyway.
     return run_lint(BADTREE, rules=rules, allowlist=allowlist,
                     runtime=False)
@@ -72,7 +72,7 @@ class TestRegistry:
     def test_rule_ids_are_unique_and_expected(self):
         ids = [rule.id for rule in REGISTRY]
         assert len(ids) == len(set(ids))
-        assert set(ids) == {"L1", "L2", "L3", "L4", "L5",
+        assert set(ids) == {"L1", "L2", "L3", "L5",
                             "D1", "D2", "D3", "D4", "D5"}
 
     def test_every_rule_carries_its_documentation(self):

@@ -11,7 +11,6 @@ from repro.obs import hooks as obs_hooks
 from repro.obs import hotspot
 from repro.obs import txn as obs_txn
 from repro.obs.export import chrome_trace, flame_summary, write_chrome_trace
-from repro.obs.perf import PerfProfiler
 from repro.obs.profile import CATEGORIES, build_breakdown
 from repro.obs.topo import TopoRecorder
 from repro.obs.trace import Span, TraceRecorder
@@ -122,24 +121,20 @@ class TestHooks:
         # Unsubscribed events are inert, and open_txn yields no record
         # without a txn recorder (so the DSM's txn.cut guards stay off).
         assert obs_hooks.Probe(topo).open_txn(0, 0, "read") is None
-        assert obs_hooks.Probe(tracer).host_begin() is None
+        assert obs_hooks.Probe(tracer).drain(3) is None
 
     def test_engine_observer_keeps_only_recorders_that_asked(self):
         plain, engine = TraceRecorder(), TraceRecorder(engine_events=True)
         assert obs_hooks.Probe(plain, TopoRecorder()).engine_observer() is None
-        observer = obs_hooks.Probe(plain, engine, PerfProfiler()).engine_observer()
-        assert [type(r) for r in observer.recorders] == [TraceRecorder,
-                                                         PerfProfiler]
-        assert observer.recorders[0] is engine
+        observer = obs_hooks.Probe(plain, engine, TxnRecorder()).engine_observer()
+        assert observer.recorders == (engine,)
 
     def test_ckpt_tolerance_follows_the_declared_property(self):
         def check(allow_partial=False):
             obs_hooks.require_ckpt_tolerant("resume", SimulationError,
                                             allow_partial)
         check()                                  # nothing observing
-        with obs_hooks.observing(PerfProfiler()):
-            check()                              # host-side only
-        with obs_hooks.observing(TraceRecorder(), PerfProfiler()):
+        with obs_hooks.observing(TraceRecorder()):
             check(allow_partial=True)            # suffix-only tracing
             with pytest.raises(SimulationError, match="TraceRecorder"):
                 check()
@@ -202,8 +197,7 @@ class TestOneRunFeedsEveryRecorder:
 
     @pytest.fixture(scope="class")
     def together(self):
-        recorders = (TraceRecorder(), TopoRecorder(), TxnRecorder(),
-                     PerfProfiler())
+        recorders = (TraceRecorder(), TopoRecorder(), TxnRecorder())
         return recorders, self.run(*recorders)
 
     def test_result_equals_the_unobserved_run(self, together):
@@ -215,7 +209,7 @@ class TestOneRunFeedsEveryRecorder:
         assert dataclasses.replace(observed, breakdown=None) == plain
 
     def test_each_report_equals_its_solo_run(self, together):
-        (tracer, topo, txn, perf), observed = together
+        (tracer, topo, txn), observed = together
         solo_tracer, solo_topo, solo_txn = (TraceRecorder(), TopoRecorder(),
                                             TxnRecorder())
         solo_traced = self.run(solo_tracer)
@@ -227,7 +221,6 @@ class TestOneRunFeedsEveryRecorder:
                 == hotspot.build_report(solo_topo, solo_spatial).to_dict())
         assert (obs_txn.build_report(txn, observed).to_dict()
                 == obs_txn.build_report(solo_txn, solo_anatomy).to_dict())
-        assert perf.phase_count("engine.dispatch") > 0
 
 
 class TestChromeExport:

@@ -1,6 +1,7 @@
 """Tests for differential attribution (obs.diff) and the metrics ledger
 (obs.metrics): the closing-the-loop machinery."""
 
+import dataclasses
 import json
 from types import SimpleNamespace
 
@@ -219,6 +220,71 @@ class TestValidateRecord:
 
     def test_unknown_outcome_rejected(self):
         assert obs_metrics.validate_record(sample_record(outcome="warped"))
+
+
+#: Two ledger lines exactly as the pre-schema-driven-codec writer
+#: appended them (one with every optional field, one cache hit).
+PARENT_LINES = (
+    '{"attribution": {"busy": 0.6, "mem": 0.15, "tlb": 0.25}, '
+    '"config": "solo-mipsy-150-tuned", "instructions": 1000000, '
+    '"key": "0123456789abcdef", "n_cpus": 1, "outcome": "run", '
+    '"parallel_ps": 123456789, "percent_error": -3.25, "scale": "repro", '
+    '"schema": 1, "seed": 42, "total_ps": 133456789, "ts": 1722945600.0, '
+    '"wall_s": 1.5, "workload": "fft"}',
+    '{"attribution": null, "config": "hardware", "instructions": 5.0, '
+    '"key": "k", "n_cpus": 4, "outcome": "hit", "parallel_ps": 10, '
+    '"percent_error": null, "scale": "tiny", "schema": 1, "seed": 1, '
+    '"total_ps": 11, "ts": 2.5, "wall_s": 0.0, "workload": "lu"}',
+)
+
+
+class TestFrozenSchemas:
+    """Both ledgers are read back across sessions: editing a schema means
+    bumping its version and this pinned copy in the same change."""
+
+    @staticmethod
+    def pinned(schema):
+        return {name: (typ.__name__, required)
+                for name, (typ, required) in schema.items()}
+
+    def test_metrics_ledger_schema_is_pinned(self):
+        assert obs_metrics.SCHEMA_VERSION == 1
+        assert self.pinned(obs_metrics.LEDGER_SCHEMA) == {
+            "schema": ("int", True), "ts": ("float", True),
+            "key": ("str", True), "config": ("str", True),
+            "workload": ("str", True), "n_cpus": ("int", True),
+            "scale": ("str", True), "seed": ("int", True),
+            "parallel_ps": ("int", True), "total_ps": ("int", True),
+            "instructions": ("float", True), "wall_s": ("float", True),
+            "outcome": ("str", True), "percent_error": ("float", False),
+            "attribution": ("dict", False),
+        }
+
+    def test_bench_ledger_schema_is_pinned(self):
+        assert obs_metrics.BENCH_SCHEMA_VERSION == 3
+        assert self.pinned(obs_metrics.BENCH_SCHEMA) == {
+            "schema": ("int", True), "bench": ("str", True),
+            "case": ("str", True), "wall_s": ("float", True),
+            "sim_ps": ("int", False), "events": ("int", False),
+            "events_per_sec": ("float", False), "speedup": ("float", False),
+        }
+
+    @pytest.mark.parametrize("cls", [obs_metrics.LedgerRecord,
+                                     obs_metrics.BenchRecord])
+    def test_record_fields_are_exactly_the_schema(self, cls):
+        assert ({f.name for f in dataclasses.fields(cls)}
+                == set(cls.SCHEMA))
+
+    def test_lines_written_before_the_shared_codec_read_back_equal(
+            self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text("\n".join(PARENT_LINES) + "\n")
+        records = obs_metrics.read_ledger(path)
+        assert [json.dumps(r.to_dict(), sort_keys=True)
+                for r in records] == list(PARENT_LINES)
+        assert records[0].attribution == {"busy": 0.6, "mem": 0.15,
+                                          "tlb": 0.25}
+        assert records[1].percent_error is None
 
 
 def fake_result(config="hardware", parallel_ps=1000, breakdown=None):

@@ -1,108 +1,23 @@
-"""repro.obs.perf lock-down net: host profiling and the BENCH ledger.
+"""The BENCH perf ledger and the ``perf`` gate (``repro.obs.metrics``).
 
-Three contracts:
+Two contracts:
 
-* **profiling is pure observation** -- a run with the perf hook
-  installed is bit-identical (full ``RunResult.to_dict()``) to one
-  without, and the ``engine.dispatch`` phase covers exactly
-  ``events_processed`` events;
 * **the BENCH perf ledger** -- the frozen record schema validates,
-  round-trips, merges idempotently, and tolerates missing/foreign/corrupt
-  baselines by gating nothing;
-* **the regression gate** -- :func:`repro.obs.perf.diff_bench` flags
+  round-trips, merges idempotently, tolerates missing/foreign/corrupt
+  *baselines* by gating nothing, and refuses to *merge* into a file it
+  cannot fully read (rewriting it would drop the unread cases);
+* **the regression gate** -- :func:`repro.obs.metrics.diff_bench` flags
   throughput collapses beyond threshold and nothing else, and
-  ``python -m repro.obs perf`` wires it to exit codes.
+  ``python -m repro.obs perf`` times one unobserved run and wires the
+  gate to exit codes.
 """
 
 import json
 
 import pytest
 
-from repro.common.config import TINY_SCALE
-from repro.obs import hooks as obs_hooks
-from repro.obs import perf
+from repro.obs import metrics as perf
 from repro.obs.cli import main as obs_main
-from repro.sim.configs import get_config
-from repro.sim.machine import Machine
-from repro.workloads import make_app
-
-
-def tiny_machine(n_cpus=1):
-    return Machine(get_config("simos-mipsy-150"), n_cpus, TINY_SCALE)
-
-
-@pytest.fixture(scope="module")
-def profiled_fft():
-    """One profiled fft@tiny run, shared by the read-only tests."""
-    profiler = perf.PerfProfiler()
-    machine = tiny_machine()
-    with obs_hooks.observing(profiler):
-        result = machine.run(make_app("fft", TINY_SCALE))
-    return result, machine, profiler
-
-
-# -- the profiler and its hook slot ----------------------------------------
-
-class TestProfiler:
-    def test_commit_accumulates_time_and_units(self):
-        profiler = perf.PerfProfiler()
-        t0 = profiler.host_begin()
-        profiler.host_commit("engine.dispatch", t0, n=3)
-        profiler.host_commit("engine.dispatch", profiler.host_begin())
-        assert profiler.phase_count("engine.dispatch") == 4
-        assert profiler.phase_seconds("engine.dispatch") >= 0.0
-        assert profiler.phase_count("engine.calendar") == 0
-
-    def test_breakdown_round_trips(self):
-        profiler = perf.PerfProfiler()
-        profiler.host_commit("engine.dispatch", profiler.host_begin(), n=2)
-        profiler.bind(None)
-        profiler.finish(None, None)
-        breakdown = profiler.breakdown()
-        back = perf.HostBreakdown.from_dict(breakdown.to_dict())
-        assert back == breakdown
-        assert back.count("engine.dispatch") == 2
-
-    def test_breakdown_fractions_and_table(self):
-        breakdown = perf.HostBreakdown(
-            wall_s=2.0, phases={"engine.dispatch": {"s": 1.0, "n": 10.0},
-                                "custom.phase": {"s": 0.5, "n": 1.0}})
-        assert breakdown.fraction("engine.dispatch") == pytest.approx(0.5)
-        assert breakdown.seconds("custom.phase") == pytest.approx(0.5)
-        assert breakdown.fraction("missing") == 0.0
-        table = breakdown.format_table()
-        assert "engine.dispatch" in table
-        assert "custom.phase" in table       # unknown phases still print
-        assert "overlap" in table            # the not-a-partition caveat
-
-    def test_profiling_installs_and_restores_the_slot(self):
-        assert obs_hooks.active is None
-        outer, inner = perf.PerfProfiler(), perf.PerfProfiler()
-        with obs_hooks.observing(outer) as outer_probe:
-            assert obs_hooks.active is outer_probe
-            with obs_hooks.observing(inner) as inner_probe:
-                assert inner_probe.recorders == (inner,)
-            assert obs_hooks.active is outer_probe
-        assert obs_hooks.active is None
-
-
-# -- profiling is pure observation -----------------------------------------
-
-class TestBitIdentity:
-    def test_profiled_reference_run_is_bit_identical(self, profiled_fft):
-        profiled, _machine, _profiler = profiled_fft
-        plain = tiny_machine().run(make_app("fft", TINY_SCALE))
-        assert profiled.to_dict() == plain.to_dict()
-
-    def test_dispatch_phase_covers_every_event(self, profiled_fft):
-        _result, machine, profiler = profiled_fft
-        assert (profiler.phase_count(perf.DISPATCH)
-                == machine.env.events_processed)
-        assert profiler.phase_count(perf.CALENDAR) > 0
-        assert profiler.phase_count(perf.ROWS_SCALAR) > 0
-        breakdown = profiler.breakdown()
-        assert 0.0 < breakdown.fraction(perf.DISPATCH)
-        assert breakdown.wall_s > 0.0
 
 
 # -- the BENCH perf ledger -------------------------------------------------
@@ -117,11 +32,11 @@ class TestBenchLedger:
                 == "fft@hardware/P4/repro/ref")
 
     def test_record_round_trips(self):
-        original = record(events=100, events_per_sec=100.0, speedup=2.0,
-                          host_phases={"wall_s": 1.0, "phases": {}})
+        original = record(sim_ps=7, events=100, events_per_sec=100.0,
+                          speedup=2.0)
         back = perf.BenchRecord.from_dict(original.to_dict())
         assert back == original
-        assert not perf.validate_bench_record(original.to_dict())
+        assert not perf.validate_record(original.to_dict(), perf.BENCH_SCHEMA)
 
     @pytest.mark.parametrize("mangle,problem", [
         (lambda d: d.pop("case"), "missing required field 'case'"),
@@ -133,18 +48,7 @@ class TestBenchLedger:
         payload = record().to_dict()
         mangle(payload)
         assert any(problem in p
-                   for p in perf.validate_bench_record(payload))
-
-    def test_run_record_folds_a_profiled_run(self, profiled_fft):
-        result, machine, profiler = profiled_fft
-        events = machine.env.events_processed
-        rec = perf.run_record("unit", "fft@simos-mipsy-150/P1/tiny/ref",
-                              0.5, result=result, events=events,
-                              profiler=profiler, speedup=2.0)
-        assert rec.sim_ps == result.total_ps
-        assert rec.events_per_sec == pytest.approx(events / 0.5)
-        assert rec.host_phases["phases"]
-        assert not perf.validate_bench_record(rec.to_dict())
+                   for p in perf.validate_record(payload, perf.BENCH_SCHEMA))
 
     def test_write_read_and_merge(self, tmp_path):
         path = tmp_path / "BENCH_unit.json"
@@ -178,6 +82,28 @@ class TestBenchLedger:
             {"schema": perf.BENCH_SCHEMA_VERSION, "bench": "unit",
              "records": [record().to_dict(), {"not": "a record"}]}))
         assert len(perf.read_bench(mixed)) == 1
+
+    def test_merge_refuses_a_file_it_cannot_fully_read(self, tmp_path):
+        """Rewriting such a file would silently drop every other case."""
+        old = {"schema": 2, "bench": "unit", "records": [
+            {"schema": 2, "bench": "unit", "case": "a", "wall_s": 1.0,
+             "sim_ps": None, "events": None, "events_per_sec": None,
+             "speedup": None}]}
+        torn = "{torn write"
+        mixed = {"schema": perf.BENCH_SCHEMA_VERSION, "bench": "unit",
+                 "records": [record().to_dict(), {"not": "a record"}]}
+        for name, text, complaint in [
+                ("schema2.json", json.dumps(old, indent=2), r"2.*3"),
+                ("torn.json", torn, "unparsable"),
+                ("mixed.json", json.dumps(mixed), "invalid record 1")]:
+            path = tmp_path / name
+            path.write_text(text)
+            with pytest.raises(ValueError, match=complaint) as excinfo:
+                perf.merge_bench(path, "unit", [record(case="b")])
+            assert name in str(excinfo.value)
+            assert path.read_text() == text
+        assert perf.read_bench(tmp_path / "schema2.json") == []
+
 
 # -- the regression gate ---------------------------------------------------
 
@@ -213,11 +139,27 @@ class TestPerfCli:
     def test_records_a_profiled_run(self, tmp_path, capsys):
         path = tmp_path / "bench.json"
         assert obs_main(self.ARGS + ["--json", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "engine.dispatch" in out
         records = perf.read_bench(path)
         assert [r.case for r in records] == ["fft@simos-mipsy-150/P1/tiny/ref"]
-        assert records[0].host_phases["phases"]
+        assert records[0].events > 0 and records[0].events_per_sec > 0
+
+    def test_prints_wall_and_throughput_but_no_phase_table(self, tmp_path,
+                                                           capsys):
+        collapsed = tmp_path / "BENCH_collapsed.json"
+        perf.write_bench(collapsed, "obs_perf", [perf.BenchRecord(
+            bench="obs_perf", case="fft@simos-mipsy-150-tuned/P1/tiny/ref",
+            wall_s=1e-6, events_per_sec=1e12)])
+        args = ["perf", "fft", "--scale", "tiny"]
+        assert obs_main(args + ["--baseline", str(collapsed)]) == 1
+        assert "PERF[throughput]" in capsys.readouterr().out
+        assert obs_main(args) == 0
+        out = capsys.readouterr().out
+        host = next(line for line in out.splitlines()
+                    if line.startswith("host:"))
+        assert " s wall, " in host and " events (" in host
+        assert host.endswith("events/s)")
+        assert "phase" not in out and "engine.dispatch" not in out
+        assert out.rstrip().endswith("python3 benchmarks/e2e/run.py")
 
     def test_baseline_gate_and_report_only(self, tmp_path, capsys):
         # A baseline claiming implausible throughput must trip the gate;

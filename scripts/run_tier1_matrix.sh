@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 gate: lint, txn smoke, the full test suite, perf smoke.
+# Tier-1 gate: lint, txn smoke, the full test suite, perf smoke; then a
+# report-only size table.
 #
 # CI should run this instead of a single bare pytest; locally it is the
 # pre-merge check for any change touching the model hot loops.
@@ -43,3 +44,18 @@ PYTHONPATH=src python -m repro.obs perf fft --config simos-mipsy-150 \
     --report-only
 
 echo "=== tier-1 gate passed ==="
+
+# Size budget (report-only): the line counts ROADMAP item 6 tracks --
+# the tooling that observes the model vs. the model it observes -- so a
+# PR can quote them.
+lines() { find "$@" -name '*.py' -exec cat {} + | wc -l; }
+echo "=== size budget (wc -l, report-only) ==="
+printf '%-54s %6d\n' \
+    "model (cpu memsys isa engine mem vm proto network os)" \
+    "$(lines src/repro/cpu src/repro/memsys src/repro/isa src/repro/engine \
+             src/repro/mem src/repro/vm src/repro/proto src/repro/network \
+             src/repro/os)" \
+    "tooling (obs lint ckpt)" \
+    "$(lines src/repro/obs src/repro/lint src/repro/ckpt)" \
+    "validation/dashboard.py" \
+    "$(lines src/repro/validation/dashboard.py)"

@@ -1,9 +1,9 @@
 """``repro.lint``: the unified invariant-checking engine.
 
 The reproduction asserts contracts in prose -- zero-cost-when-disabled
-observability, complete checkpoint capture, picklable results,
-bit-identical determinism -- and this package is where they are
-*checked*.  One shared AST pass per file feeds a registry of rules:
+observability, complete checkpoint capture, bit-identical determinism
+-- and this package is where they are *checked*.  One shared AST pass
+per file feeds a registry of rules:
 
 ====  =====================================================  ==========
  id   invariant                                              heritage
@@ -11,7 +11,6 @@ bit-identical determinism -- and this package is where they are
  L1   hot-path tracer calls are guarded                      ported
  L2   model code imports no harness-side subsystem           ported
  L3   stateful simulator classes implement ckpt_state        ported
- L5   result objects survive process boundaries              ported
  D1   no bare set iteration in simulator packages            new
  D2   no wall-clock/os.environ reads inside the machine      new
  D3   hook slots: read into a local, guard, then call        new

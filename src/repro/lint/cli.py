@@ -2,8 +2,8 @@
 
 Usage::
 
-    # everything: ported contract checks (L1-L3, L5), determinism
-    # hazards (D1-D5), and allowlist staleness (A0)
+    # everything: ported contract checks (L1-L3), determinism hazards
+    # (D1-D5), and allowlist staleness (A0)
     python -m repro.lint
 
     # one or more rules, machine-readable output
@@ -53,10 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--allowlist", metavar="PATH", default=None,
                         help="allowlist file "
                              "(default: <root>/lint_allow.toml)")
-    parser.add_argument("--no-runtime", dest="runtime",
-                        action="store_false",
-                        help="skip the runtime contract check (the pickle "
-                             "round trip); static AST rules only")
     return parser
 
 
@@ -95,8 +91,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                      "repository root")
     allowlist = Path(args.allowlist).resolve() if args.allowlist else None
     try:
-        report = run_lint(root, rules=rules, allowlist=allowlist,
-                          runtime=args.runtime)
+        report = run_lint(root, rules=rules, allowlist=allowlist)
     except AllowlistError as exc:
         print(f"repro.lint: {exc}", file=sys.stderr)
         return 2

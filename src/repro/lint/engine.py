@@ -79,7 +79,7 @@ class Rule:
     hooks.  ``visit`` is called for **every** AST node of every in-scope
     file during the single shared walk; ``finalize`` runs once after all
     files, for rules that need cross-file knowledge (class hierarchies,
-    attribute registries) or runtime contract checks.
+    attribute registries).
     """
 
     id: str = "??"
@@ -119,11 +119,8 @@ def _in_packages(module: str, packages: Iterable[str]) -> bool:
 class RunContext:
     """Cross-file state shared by every rule for one lint run."""
 
-    def __init__(self, root: Path, runtime: bool = True):
+    def __init__(self, root: Path):
         self.root = root
-        #: Whether rules may execute runtime contract checks (the pickle
-        #: round trip) in addition to static scans.
-        self.runtime = runtime
         #: rule id -> arbitrary scratch space for cross-file registries.
         self.store: Dict[str, dict] = {}
         self.violations: List[Violation] = []
@@ -318,22 +315,19 @@ def _walk(ctx: FileContext, node: ast.AST, rules: Sequence[Rule]) -> None:
 
 
 def run_lint(root: Path, rules: Optional[Sequence[str]] = None,
-             allowlist: Optional[Path] = None,
-             runtime: bool = True) -> LintReport:
+             allowlist: Optional[Path] = None) -> LintReport:
     """Lint the tree under *root* (``<root>/src/**/*.py``).
 
     *rules* selects rule ids (``None`` runs the full registry -- only
     then is allowlist staleness checked, since a partial run cannot tell
     a stale entry from an unexercised one).  *allowlist* defaults to
-    ``<root>/lint_allow.toml`` when that file exists.  *runtime* gates
-    the rules' runtime contract checks (the pickle round trip);
-    static AST scanning always runs.
+    ``<root>/lint_allow.toml`` when that file exists.
     """
     from repro.lint.rules import REGISTRY, select_rules
 
     active = select_rules(rules)
     full_registry = rules is None
-    run = RunContext(root, runtime=runtime)
+    run = RunContext(root)
 
     src = root / "src"
     for path in sorted(src.rglob("*.py")):

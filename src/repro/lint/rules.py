@@ -1,4 +1,4 @@
-"""The rule registry: contract checks (L1-L3, L5) and determinism hazards
+"""The rule registry: contract checks (L1-L3) and determinism hazards
 (D1-D5).
 
 The L rules pin the subsystem contracts; the D rules guard the property
@@ -293,97 +293,6 @@ class CkptCoverageRule(Rule):
                            message=f"stateful class {name} implements no "
                                    "ckpt_state (and inherits none from a "
                                    "scanned base)")
-
-
-# ---------------------------------------------------------------------------
-# L5: result-object picklability
-# ---------------------------------------------------------------------------
-
-class PicklabilityRule(Rule):
-    """Result objects survive process boundaries."""
-
-    id = "L5"
-    title = "result objects must survive a process boundary"
-    rationale = (
-        "The experiment farm ships RunResult (and everything a request "
-        "carries) through multiprocessing and serializes results into "
-        "the on-disk cache, so result-bearing dataclasses must never "
-        "grow a stream, engine, tracer, or exhausted-on-pickle iterator "
-        "member.  The static scan catches the annotation; the runtime "
-        "round trip catches everything else.")
-    hint = ("carry plain data across the boundary: extract the payload "
-            "into builtins (dict/list/str/int/float) before it reaches a "
-            "result dataclass")
-    subsystem = "repro.harness (farm)"
-
-    #: Modules whose dataclasses travel across the farm's process boundary.
-    RESULT_MODULES = (
-        "repro.sim.results",
-        "repro.sim.request",
-        "repro.harness.findings",
-        "repro.obs.profile",
-        "repro.validation.comparison",
-        "repro.validation.trends",
-        "repro.validation.sensitivity",
-        "repro.validation.tuning",
-        "repro.validation.bugs",
-    )
-
-    _FORBIDDEN = re.compile(
-        r"\b(TextIO|BinaryIO|IO\[|Engine|TraceRecorder|"
-        r"Iterator|Generator)\b")
-
-    def scope(self, module: str) -> bool:
-        return module in self.RESULT_MODULES
-
-    def visit(self, ctx: FileContext, node: ast.AST) -> None:
-        # Dataclass fields: annotated assignments directly in a class body.
-        if not isinstance(node, ast.AnnAssign):
-            return
-        if not isinstance(ctx.parent(), ast.ClassDef):
-            return
-        annotation = ast.unparse(node.annotation)
-        if self._FORBIDDEN.search(annotation):
-            ctx.report(self, node,
-                       f"unpicklable field type in a result dataclass: "
-                       f"{ctx.lines[node.lineno - 1].strip()}")
-
-    def runtime_roundtrip(self) -> List[str]:
-        """Build representative result objects and round-trip them."""
-        import pickle
-        from repro.common.config import TINY_SCALE
-        from repro.harness import run_experiment
-        from repro.sim.request import RunRequest
-        from repro.sim.configs import simos_mipsy
-        from repro.workloads import make_app
-
-        problems = []
-        request = RunRequest(simos_mipsy(150), make_app("fft", TINY_SCALE),
-                             n_cpus=1)
-        for name, obj in (
-            ("RunRequest", request),
-            ("RunResult", request.execute()),
-            ("ExperimentResult", run_experiment("table1", TINY_SCALE)),
-        ):
-            try:
-                clone = pickle.loads(pickle.dumps(obj))
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                problems.append(f"{name} failed pickle round trip: {exc!r}")
-                continue
-            if name == "RunResult":
-                if clone != obj:
-                    problems.append("RunResult pickle round trip not equal")
-                if type(obj).from_dict(obj.to_dict()) != obj:
-                    problems.append("RunResult to_dict/from_dict not exact")
-        return problems
-
-    def finalize(self, run: RunContext) -> None:
-        if not run.runtime:
-            return
-        for problem in self.runtime_roundtrip():
-            run.report(self, path="src/repro/sim/results.py", line=1,
-                       qualname="repro.sim.results",
-                       message=problem)
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +644,6 @@ REGISTRY: Tuple[Rule, ...] = (
     HotPathGuardRule(),
     ImportBanRule(),
     CkptCoverageRule(),
-    PicklabilityRule(),
     SetIterationRule(),
     AmbientReadRule(),
     HookSlotRule(),

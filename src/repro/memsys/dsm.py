@@ -39,6 +39,24 @@ from repro.proto.directory import DIRTY, SHARED, UNOWNED
 from repro.proto.magic import MagicController
 
 
+def seg(txn, name: str, event, all_wait: bool = False):
+    """``yield seg(txn, name, event)``: wait on *event* and, when a
+    :class:`repro.obs.txn.TxnRecord` is riding along, charge the elapsed
+    window to segment *name* (*all_wait*: as pure queueing, for waits on
+    other transactions' progress rather than on a resource).
+
+    The cut is registered as a waiter on *event* before the yielding
+    process registers its own resume, so it runs first and at the same
+    ``env.now`` as the resume -- exactly where a ``txn.cut`` written after
+    the yield would run.  No event, calendar entry or generator is
+    created; with ``txn is None`` this is one call returning *event*.
+    """
+    if txn is not None:
+        cut = txn.cut_wait if all_wait else txn.cut
+        event.add_waiter(lambda ev: cut(name, ev.env.now))
+    return event
+
+
 class MemKind:
     """Transaction kinds issued by the processor side."""
 
@@ -111,14 +129,16 @@ class DsmMemorySystem:
     # -- transaction body -----------------------------------------------------
     #
     # Segment accounting (repro.obs.txn): time only advances across
-    # yields, so every critical-path yield below is followed by one
-    # guarded ``txn.cut(...)`` charging the elapsed window to exactly one
-    # named segment -- the segments partition the end-to-end latency and
-    # the residual is zero by construction.  Off-critical-path processes
-    # (invalidation round trips, sharing writebacks) are deliberately
-    # *not* threaded: their overlap with the dram access is already
-    # excluded, and only the non-overlapped remainder surfaces, as the
-    # all-wait ``inval_wait`` segment.
+    # yields, so every critical-path yield below goes through ``seg``,
+    # charging the elapsed window to exactly one named segment -- the
+    # segments partition the end-to-end latency and the residual is zero
+    # by construction.  The guards that remain have no single event to
+    # ride: ``begin``/``close``, the all-wait ``dir_busy`` cut after its
+    # retry loop, and the fan-out width.  Off-critical-path
+    # processes (invalidation round trips, sharing writebacks) are
+    # deliberately *not* threaded: their overlap with the dram access is
+    # already excluded, and only the non-overlapped remainder surfaces,
+    # as the all-wait ``inval_wait`` segment.
 
     def _transact(self, node: int, paddr: int, kind: str, txn=None):
         p = self.params
@@ -135,16 +155,12 @@ class DsmMemorySystem:
         self.stats.add(self._req_label[kind])
 
         # Processor pins -> local MAGIC.
-        yield env.timeout(p.bus_ps)
-        if txn is not None:
-            txn.cut("bus_req", env.now)
+        yield seg(txn, "bus_req", env.timeout(p.bus_ps))
         if home != node:
-            yield self.magic[node].pp_busy(p.pp_out_ps, "out", txn)
-            if txn is not None:
-                txn.cut("pp_out", env.now)
-            yield self.net.send(node, home, p.req_flits, txn)
-            if txn is not None:
-                txn.cut("net_req", env.now)
+            yield seg(txn, "pp_out",
+                      self.magic[node].pp_busy(p.pp_out_ps, "out", txn))
+            yield seg(txn, "net_req",
+                      self.net.send(node, home, p.req_flits, txn))
 
         home_magic = self.magic[home]
         entry = home_magic.directory.entry(line)
@@ -155,9 +171,8 @@ class DsmMemorySystem:
             txn.cut_wait("dir_busy", env.now)
         entry.busy = env.event()
         try:
-            yield home_magic.pp_busy(p.pp_home_ps, "home", txn)
-            if txn is not None:
-                txn.cut("pp_home", env.now)
+            yield seg(txn, "pp_home",
+                      home_magic.pp_busy(p.pp_home_ps, "home", txn))
             if kind == MemKind.UPGRADE:
                 case = yield from self._do_upgrade(node, home, line, entry,
                                                    txn)
@@ -175,10 +190,9 @@ class DsmMemorySystem:
         # owner-forwarded data pass through it; a purely local memory reply
         # does not).
         if case != LOCAL_CLEAN:
-            yield self.magic[node].pp_busy(p.pp_reply_ps, "reply", txn)
-            if txn is not None:
-                txn.cut("pp_reply", env.now)
-        yield env.timeout(p.bus_ps)
+            yield seg(txn, "pp_reply",
+                      self.magic[node].pp_busy(p.pp_reply_ps, "reply", txn))
+        yield seg(txn, "bus_reply", env.timeout(p.bus_ps))
 
         latency = env.now - start
         self.stats.add(self._case_label[case])
@@ -187,7 +201,6 @@ class DsmMemorySystem:
         if probe is not None:
             probe.mem_access(node, home, paddr, kind, start, latency, case)
         if txn is not None:
-            txn.cut("bus_reply", env.now)
             txn.close(env.now, case)
             if probe is not None:
                 probe.commit_txn(txn)
@@ -201,10 +214,8 @@ class DsmMemorySystem:
         env = self.env
         home_magic = self.magic[home]
         case = LOCAL_CLEAN if home == node else REMOTE_CLEAN
-        yield home_magic.pp_busy(max(0, p.pp_mem_ps + p.extra(case)), "mem",
-                                 txn)
-        if txn is not None:
-            txn.cut("pp_mem", env.now)
+        yield seg(txn, "pp_mem", home_magic.pp_busy(
+            max(0, p.pp_mem_ps + p.extra(case)), "mem", txn))
 
         inval_done = None
         if kind == MemKind.WRITE and entry.state == SHARED:
@@ -217,13 +228,9 @@ class DsmMemorySystem:
                 inval_done = env.all_of(
                     [self._invalidate_sharer(home, s, line) for s in others]
                 )
-        yield home_magic.dram_access(p.dram_ps, txn)
-        if txn is not None:
-            txn.cut("dram", env.now)
+        yield seg(txn, "dram", home_magic.dram_access(p.dram_ps, txn))
         if inval_done is not None:
-            yield inval_done
-            if txn is not None:
-                txn.cut_wait("inval_wait", env.now)
+            yield seg(txn, "inval_wait", inval_done, all_wait=True)
 
         if kind == MemKind.WRITE:
             home_magic.directory.set_dirty(line, node)
@@ -234,9 +241,8 @@ class DsmMemorySystem:
             home_magic.directory.add_sharer(line, node)
             fill_state = CACHE_SHARED
         if home != node:
-            yield self.net.send(home, node, p.data_flits, txn)
-            if txn is not None:
-                txn.cut("net_reply", env.now)
+            yield seg(txn, "net_reply",
+                      self.net.send(home, node, p.data_flits, txn))
         self._fill(node, line, fill_state)
         return case
 
@@ -253,19 +259,15 @@ class DsmMemorySystem:
             case = REMOTE_DIRTY_HOME
         else:
             case = REMOTE_DIRTY_REMOTE
-        yield home_magic.pp_busy(max(0, p.pp_redirect_ps + p.extra(case)),
-                                 "redirect", txn)
-        if txn is not None:
-            txn.cut("pp_redirect", env.now)
+        yield seg(txn, "pp_redirect", home_magic.pp_busy(
+            max(0, p.pp_redirect_ps + p.extra(case)), "redirect", txn))
 
         hook = self._hooks[owner]
         owner_state = hook.l2_peek(line)
         if owner_state != MODIFIED:
             # The owner's writeback is in flight: fall back to memory.
             self.stats.add("race_to_memory")
-            yield home_magic.dram_access(p.dram_ps, txn)
-            if txn is not None:
-                txn.cut("dram", env.now)
+            yield seg(txn, "dram", home_magic.dram_access(p.dram_ps, txn))
             if kind == MemKind.WRITE:
                 home_magic.directory.set_dirty(line, node)
                 fill_state = MODIFIED
@@ -274,23 +276,18 @@ class DsmMemorySystem:
                 home_magic.directory.add_sharer(line, node)
                 fill_state = CACHE_SHARED
             if home != node:
-                yield self.net.send(home, node, p.data_flits, txn)
-                if txn is not None:
-                    txn.cut("net_reply", env.now)
+                yield seg(txn, "net_reply",
+                          self.net.send(home, node, p.data_flits, txn))
             self._fill(node, line, fill_state)
             return case
 
         if owner != home:
-            yield self.net.send(home, owner, p.req_flits, txn)
-            if txn is not None:
-                txn.cut("net_fwd", env.now)
-            yield self.magic[owner].pp_busy(p.pp_ivn_ps, "ivn", txn)
-            if txn is not None:
-                txn.cut("pp_owner", env.now)
+            yield seg(txn, "net_fwd",
+                      self.net.send(home, owner, p.req_flits, txn))
+            yield seg(txn, "pp_owner",
+                      self.magic[owner].pp_busy(p.pp_ivn_ps, "ivn", txn))
         # Data extraction through the owner R10000's secondary cache.
-        yield env.timeout(p.owner_cache_ps)
-        if txn is not None:
-            txn.cut("owner_cache", env.now)
+        yield seg(txn, "owner_cache", env.timeout(p.owner_cache_ps))
         if kind == MemKind.WRITE:
             hook.l2_invalidate(line)
             home_magic.directory.set_dirty(line, node)
@@ -305,9 +302,8 @@ class DsmMemorySystem:
             env.process(self._sharing_writeback(owner, home),
                         name=f"shwb{owner}->{home}")
         if owner != node:
-            yield self.net.send(owner, node, p.data_flits, txn)
-            if txn is not None:
-                txn.cut("net_reply", env.now)
+            yield seg(txn, "net_reply",
+                      self.net.send(owner, node, p.data_flits, txn))
         self._fill(node, line, fill_state)
         return case
 
@@ -326,19 +322,16 @@ class DsmMemorySystem:
             return (yield from self._do_clean(node, home, line, entry,
                                               MemKind.WRITE, txn))
         case = LOCAL_CLEAN if home == node else REMOTE_CLEAN
-        yield home_magic.pp_busy(p.pp_mem_ps, "upgrade", txn)
-        if txn is not None:
-            txn.cut("pp_upgrade", env.now)
+        yield seg(txn, "pp_upgrade",
+                  home_magic.pp_busy(p.pp_mem_ps, "upgrade", txn))
         # Sorted for the same reason as _do_clean's invalidation fan-out.
         others = sorted(s for s in entry.sharers if s != node)
         if others:
             if txn is not None:
                 txn.inval_fanout = len(others)
-            yield env.all_of(
+            yield seg(txn, "inval_wait", env.all_of(
                 [self._invalidate_sharer(home, s, line) for s in others]
-            )
-            if txn is not None:
-                txn.cut_wait("inval_wait", env.now)
+            ), all_wait=True)
         home_magic.directory.set_dirty(line, node)
         self._fill(node, line, MODIFIED)
         self.stats.add("upgrades_clean")
@@ -386,16 +379,12 @@ class DsmMemorySystem:
         if txn is not None:
             txn.begin(env.now)
         self.stats.add("req_writeback")
-        yield env.timeout(p.bus_ps)
-        if txn is not None:
-            txn.cut("bus_req", env.now)
+        yield seg(txn, "bus_req", env.timeout(p.bus_ps))
         if home != node:
-            yield self.magic[node].pp_busy(p.pp_out_ps, "out", txn)
-            if txn is not None:
-                txn.cut("pp_out", env.now)
-            yield self.net.send(node, home, p.data_flits, txn)
-            if txn is not None:
-                txn.cut("net_req", env.now)
+            yield seg(txn, "pp_out",
+                      self.magic[node].pp_busy(p.pp_out_ps, "out", txn))
+            yield seg(txn, "net_req",
+                      self.net.send(node, home, p.data_flits, txn))
         home_magic = self.magic[home]
         entry = home_magic.directory.entry(line)
         while entry.busy is not None:
@@ -404,10 +393,9 @@ class DsmMemorySystem:
             txn.cut_wait("dir_busy", env.now)
         entry.busy = env.event()
         try:
-            yield home_magic.pp_busy(p.pp_wb_ps, "wb", txn)
-            if txn is not None:
-                txn.cut("pp_wb", env.now)
-            yield home_magic.dram_access(p.dram_ps, txn)
+            yield seg(txn, "pp_wb",
+                      home_magic.pp_busy(p.pp_wb_ps, "wb", txn))
+            yield seg(txn, "dram", home_magic.dram_access(p.dram_ps, txn))
             if entry.state == DIRTY and entry.owner == node:
                 home_magic.directory.clear(line)
             elif entry.state == SHARED:
@@ -416,7 +404,6 @@ class DsmMemorySystem:
             busy, entry.busy = entry.busy, None
             busy.succeed()
         if txn is not None:
-            txn.cut("dram", env.now)
             txn.close(env.now, None)
             probe = obs_hooks.active
             if probe is not None:

@@ -24,6 +24,8 @@ the reproduction the same visibility into itself:
   transitions, per-link traffic, and the queue-occupancy sampler;
 * :mod:`repro.obs.hotspot` -- folds a topo recording into the NUMA
   traffic matrix, top-K hot regions with sharer sets, and contention heat;
+* :mod:`repro.obs.doc` -- report documents: the block vocabulary every
+  report above describes itself in, and the text/markdown/HTML emitters;
 * :mod:`repro.obs.cli` -- ``python -m repro.obs trace|diff|hotspot|perf|watch``.
 """
 

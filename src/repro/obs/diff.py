@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.common.errors import AttributionError
+from repro.obs.doc import Details, Para, Table, bar, render_text
 from repro.obs.profile import CATEGORIES, RunBreakdown
 
 #: Label of the explicit not-attributed row in tables and payloads.
@@ -167,51 +168,44 @@ class AttributionDiff:
 
     # -- rendering ---------------------------------------------------------
 
-    def format_waterfall(self, width: int = 24) -> str:
-        """The attribution table: one signed bar per category."""
-        lines = [
-            f"{self.workload}: {self.cand_config} vs {self.ref_config} "
-            f"(P={self.n_cpus}, scale={self.scale_name})",
-            f"  parallel time: reference {self.ref_parallel_ps / 1e9:.3f} ms, "
-            f"candidate {self.cand_parallel_ps / 1e9:.3f} ms "
-            f"({self.percent_error:+.1f}% error)",
-            f"  machine-time gap {self.gap_ps / 1e9:+.3f} ms, "
-            f"{100 * self.explained_fraction:.1f}% attributed "
-            f"(residual {self.residual_ps / 1e9:+.3f} ms)",
-            "",
-            f"  {'category':10s} {'ref_ms':>10s} {'cand_ms':>10s} "
-            f"{'delta_ms':>10s} {'share':>8s}  waterfall",
-        ]
+    def blocks(self, width: int = 24) -> list:
+        """The attribution table as :mod:`repro.obs.doc` blocks: one
+        signed bar (*width* glyphs at the largest delta) per category,
+        the explicit residual row, then per-CPU deltas."""
         peak = max([abs(d.delta_ps) for d in self.overall]
                    + [abs(self.residual_ps), 1.0])
 
-        def bar(delta: float) -> str:
-            n = int(round(width * abs(delta) / peak))
-            if delta >= 0:
-                return " " * width + "|" + "#" * n
-            return " " * (width - n) + "#" * n + "|"
+        def row(category, ref, cand, delta_ps):
+            return [category, ref, cand, f"{delta_ps / 1e9:+.3f}",
+                    f"{100 * self.share(delta_ps):+.1f}%",
+                    bar(delta_ps, peak, width)]
 
-        for d in self.overall:
-            lines.append(
-                f"  {d.category:10s} {d.ref_ps / 1e9:10.3f} "
-                f"{d.cand_ps / 1e9:10.3f} {d.delta_ps / 1e9:+10.3f} "
-                f"{100 * self.share(d.delta_ps):+7.1f}%  {bar(d.delta_ps)}"
-            )
-        lines.append(
-            f"  {RESIDUAL:10s} {'':10s} {'':10s} "
-            f"{self.residual_ps / 1e9:+10.3f} "
-            f"{100 * self.share(self.residual_ps):+7.1f}%  "
-            f"{bar(self.residual_ps)}"
-        )
+        out = [
+            Para(f"{self.workload}: `{self.cand_config}` vs "
+                 f"`{self.ref_config}` (P={self.n_cpus}, "
+                 f"scale={self.scale_name})"),
+            Para(f"parallel time: reference {self.ref_parallel_ps / 1e9:.3f}"
+                 f" ms, candidate {self.cand_parallel_ps / 1e9:.3f} ms "
+                 f"({self.percent_error:+.1f}% error)"),
+            Para(f"machine-time gap {self.gap_ps / 1e9:+.3f} ms, "
+                 f"{100 * self.explained_fraction:.1f}% attributed "
+                 f"(residual {self.residual_ps / 1e9:+.3f} ms)"),
+            Table("tnnnnt", ["category", "ref_ms", "cand_ms", "delta_ms",
+                             "share", "waterfall"],
+                  [row(d.category, f"{d.ref_ps / 1e9:.3f}",
+                       f"{d.cand_ps / 1e9:.3f}", d.delta_ps)
+                   for d in self.overall]
+                  + [row(RESIDUAL, "", "", self.residual_ps)]),
+        ]
         if len(self.per_cpu) > 1:
-            lines.append("")
-            lines.append("  per-CPU delta_ms by category:")
-            lines.append("  " + f"{'cpu':>4s} " + " ".join(
-                f"{cat:>9s}" for cat in CATEGORIES))
-            for cpu, deltas in sorted(self.per_cpu.items()):
-                cells = " ".join(f"{d.delta_ps / 1e9:+9.3f}" for d in deltas)
-                lines.append(f"  {cpu:4d} {cells}")
-        return "\n".join(lines)
+            out.append(Details("per-CPU delta_ms by category:", [Table(
+                "n" * (1 + len(CATEGORIES)), ["cpu", *CATEGORIES],
+                [[cpu, *(f"{d.delta_ps / 1e9:+.3f}" for d in deltas)]
+                 for cpu, deltas in sorted(self.per_cpu.items())])]))
+        return out
+
+    def format_waterfall(self, width: int = 24) -> str:
+        return render_text(self.blocks(width))
 
     # -- serialization -----------------------------------------------------
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.doc import Para, Table, heat, render_text, spark
 from repro.obs.topo import TopoRecorder
 
 #: Hot regions a report keeps (sorted by accesses, region id tiebreak).
@@ -33,26 +34,6 @@ DEFAULT_TOP_K = 10
 #: Occupancy series kept verbatim in the report (busiest first); the rest
 #: are summarised to (mean, max, last).
 DEFAULT_TOP_SERIES = 4
-
-_SPARK_GLYPHS = " .:-=+*#%@"
-
-
-def _spark(values: List[float]) -> str:
-    """Tiny text sparkline (shared idiom with validation.report)."""
-    if not values:
-        return ""
-    peak = max(values)
-    if peak <= 0:
-        return "." * min(len(values), 60)
-    # Downsample long series to at most 60 glyphs, preserving shape.
-    if len(values) > 60:
-        stride = len(values) / 60.0
-        values = [max(values[int(i * stride):
-                             max(int(i * stride) + 1, int((i + 1) * stride))])
-                  for i in range(60)]
-    scale = len(_SPARK_GLYPHS) - 1
-    return "".join(_SPARK_GLYPHS[min(scale, int(v / peak * scale))]
-                   for v in values)
 
 
 @dataclass
@@ -146,74 +127,69 @@ class HotspotReport:
 
     # -- rendering ----------------------------------------------------------
 
-    def format(self, top_k: Optional[int] = None) -> str:
-        lines: List[str] = []
-        label = " / ".join(
-            part for part in (self.workload_name, self.config_name,
-                              f"P={self.n_nodes}", self.scale_name) if part)
-        lines.append(f"spatial hotspot report: {label}")
-        lines.append(
-            f"  {self.total_accesses} DSM transactions, "
-            f"{self.remote_fraction:.1%} remote, binned by {self.region} "
-            f"({self.region_bytes} B)")
-        kinds = ", ".join(f"{k}={v}" for k, v in sorted(self.kinds.items()))
-        if kinds:
-            lines.append(f"  kinds: {kinds}")
-        lines.append("")
-        lines.append("traffic matrix (requesting node -> home node):")
-        head = "  req\\home" + "".join(f"{h:>9}" for h in range(self.n_nodes))
-        lines.append(head + "      total")
-        for r in range(self.n_nodes):
-            row = self.matrix[r]
-            lines.append(f"  {r:>8}" + "".join(f"{v:>9}" for v in row)
-                         + f"{sum(row):>11}")
-        totals = self.home_totals()
-        lines.append("  " + "home Σ".rjust(8)
-                     + "".join(f"{v:>9}" for v in totals)
-                     + f"{sum(totals):>11}")
-        node, share = self.hottest_home()
+    def blocks(self, top_k: Optional[int] = None) -> list:
+        """The report as :mod:`repro.obs.doc` blocks; *top_k* bounds the
+        hot-region and link tables."""
+        n = self.n_nodes
+        config = f"`{self.config_name}`" if self.config_name else ""
+        label = " / ".join(part for part in (
+            self.workload_name, config, f"P={n}", self.scale_name) if part)
+        summary = (f"{self.total_accesses} DSM transactions, "
+                   f"{self.remote_fraction:.1%} remote, binned by "
+                   f"{self.region} ({self.region_bytes} B)")
         if self.total_accesses:
-            lines.append(f"  hottest home: node {node} "
-                         f"({share:.1%} of all home traffic)")
-        lines.append("")
-        regions = self.hot_regions
-        if top_k is not None:
-            regions = regions[:top_k]
-        lines.append(f"top {len(regions)} hot {self.region}s:")
+            node, share = self.hottest_home()
+            summary += (f"; hottest home node {node} "
+                        f"({share:.1%} of home traffic)")
+        out = [Para(f"spatial hotspot report: {label}"), Para(summary)]
+        if self.kinds:
+            out.append(Para("kinds: " + ", ".join(
+                f"{k}={v}" for k, v in sorted(self.kinds.items()))))
+        peak = max((v for row in self.matrix for v in row), default=0)
+        totals = self.home_totals()
+        out.append(Para("traffic matrix (requesting node → home node):"))
+        out.append(Table(
+            "n" * (n + 2), ["req\\home", *map(str, range(n)), "total"],
+            [[r, *(heat(v, peak) for v in self.matrix[r]),
+              sum(self.matrix[r])] for r in range(n)]
+            + [["home Σ", *totals, sum(totals)]]))
+        regions = self.hot_regions[:top_k]
+        out.append(Para(f"Top hot {self.region}s ({self.region_bytes} B):"
+                        + ("" if regions else " (no traffic recorded)")))
         if regions:
-            lines.append("  region        home  accesses  remote%  "
-                         "lat_ns  sharers  requesters")
-            for hr in regions:
-                req = ",".join(str(n) for n in hr.requesters)
-                lines.append(
-                    f"  {hr.base_paddr:#012x}{hr.home:>6}"
-                    f"{hr.accesses:>10}{hr.remote_fraction:>8.1%}"
-                    f"{hr.mean_latency_ps / 1000.0:>8.1f}"
-                    f"{hr.peak_sharers:>9}  {req}")
-        else:
-            lines.append("  (no traffic recorded)")
+            out.append(Table(
+                "cnnnnnt", ["region", "home", "accesses", "remote",
+                            "lat_ns", "sharers", "requesters"],
+                [[f"{hr.base_paddr:#x}", hr.home, hr.accesses,
+                  f"{hr.remote_fraction:.1%}",
+                  f"{hr.mean_latency_ps / 1000.0:.1f}", hr.peak_sharers,
+                  ",".join(str(r) for r in hr.requesters)]
+                 for hr in regions]))
         if self.link_heat:
-            lines.append("")
-            lines.append("link heat (busiest first):")
-            lines.append("  link        msgs    flits   busy_us   wait_us")
-            for link in self.link_heat:
-                lines.append(
-                    f"  {link['link']:<9}{link['msgs']:>7}"
-                    f"{link['flits']:>9}"
-                    f"{link['busy_ps'] / 1e6:>10.2f}"
-                    f"{link['wait_ps'] / 1e6:>10.2f}")
-        occupied = [(name, info) for name, info in sorted(
+            out.append(Para(f"Busiest link `{self.link_heat[0]['link']}`; "
+                            "link heat, busiest first:"))
+            out.append(Table(
+                "cnnnn", ["link", "msgs", "flits", "busy_us", "wait_us"],
+                [[link["link"], link["msgs"], link["flits"],
+                  f"{link['busy_ps'] / 1e6:.2f}",
+                  f"{link['wait_ps'] / 1e6:.2f}"]
+                 for link in self.link_heat[:top_k]]))
+        sampled = [(name, info) for name, info in sorted(
             self.occupancy.items()) if info.get("series")]
-        if occupied:
-            lines.append("")
-            lines.append(f"queue occupancy ({self.samples} samples"
-                         + (f", {self.samples_dropped} overwritten"
-                            if self.samples_dropped else "") + "):")
-            for name, info in occupied:
-                lines.append(f"  {name:<22} mean {info['mean']:>5.2f}  "
-                             f"max {info['max']:>4.0f}  "
-                             f"|{_spark(info['series'])}|")
-        return "\n".join(lines)
+        if sampled:
+            dropped = (f", {self.samples_dropped} overwritten"
+                       if self.samples_dropped else "")
+            out.append(Para(
+                f"queue occupancy ({self.samples} samples{dropped}):"))
+            out.append(Table(
+                "cnnt", ["queue", "mean", "max", "occupancy over time"],
+                [[name, f"{info['mean']:.2f}", f"{info['max']:.0f}",
+                  spark(info["series"], floor=0)]
+                 for name, info in sampled]))
+        return out
+
+    def format(self, top_k: Optional[int] = None) -> str:
+        return render_text(self.blocks(top_k))
 
     # -- serialisation ------------------------------------------------------
 
@@ -267,11 +243,6 @@ class HotspotReport:
             scale_name=data.get("scale_name", ""),
             struct_misses=dict(data.get("struct_misses", {})),
         )
-
-
-def is_topo_payload(payload: dict) -> bool:
-    """True if *payload* is a serialised :class:`HotspotReport`."""
-    return isinstance(payload, dict) and payload.get("kind") == "topo"
 
 
 def build_report(recorder: TopoRecorder, result=None,

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional
 from repro.common.errors import ConfigurationError
 from repro.mem.address import home_node
 from repro.obs import hooks
+from repro.obs.doc import Details, Para, Table, fmt_ps, render_text, split
 
 #: Slowest transactions retained with their full segment anatomy.
 DEFAULT_TOP_K = 10
@@ -455,63 +456,52 @@ class TxnReport:
         return sum(entry["count"] for key, entry in self.kinds.items()
                    if predicate(key))
 
-    def format(self, top: Optional[int] = None,
-               kind: Optional[str] = None) -> str:
-        """Human-readable anatomy: per-kind percentiles, then the
-        slowest-K critical paths with their explicit residual rows."""
-        lines = []
-        label = f"{self.workload} @ {self.config}" if self.config else ""
-        lines.append(f"txn: {self.total_txns} transactions, "
-                     f"{len(self.kinds)} kinds"
-                     + (f"   [{label}, P={self.n_cpus}]" if label else ""))
-        lines.append(f"{'kind':<28}{'count':>8}{'p50':>10}{'p90':>10}"
-                     f"{'p99':>10}{'mean':>10}")
+    def blocks(self, top: Optional[int] = None,
+               kind: Optional[str] = None) -> list:
+        """The anatomy as :mod:`repro.obs.doc` blocks: per-kind
+        percentiles with the wait-vs-service mix, then the slowest *top*
+        critical paths (of *kind*) with their explicit residual rows."""
+        label = (f"   [{self.workload} @ `{self.config}`, P={self.n_cpus}]"
+                 if self.config else "")
+        rows = []
         for key in sorted(self.kinds):
             entry = self.kinds[key]
-            mean = entry["total_ps"] // max(1, entry["count"])
-            lines.append(
-                f"{key:<28}{entry['count']:>8}"
-                f"{_fmt_ps(entry['p50_ps']):>10}"
-                f"{_fmt_ps(entry['p90_ps']):>10}"
-                f"{_fmt_ps(entry['p99_ps']):>10}"
-                f"{_fmt_ps(mean):>10}")
-        lines.append(f"residual: {self.residual_ps} ps across "
-                     f"{self.residual_txns} of {self.total_txns} "
-                     "transactions")
-        chosen = [t for t in self.top
-                  if kind is None or t["kind"] == kind]
-        chosen = list(reversed(chosen))  # slowest first
-        if top is not None:
-            chosen = chosen[:top]
+            segments = entry["segments"].values()
+            rows.append([
+                key, entry["count"], fmt_ps(entry["p50_ps"]),
+                fmt_ps(entry["p90_ps"]), fmt_ps(entry["p99_ps"]),
+                fmt_ps(entry["total_ps"] // max(1, entry["count"])),
+                split(sum(s["wait_ps"] for s in segments),
+                      sum(s["service_ps"] for s in segments))])
+        out = [
+            Para(f"txn: {self.total_txns} transactions, "
+                 f"{len(self.kinds)} kinds{label}"),
+            Table("cnnnnnt", ["kind", "count", "p50", "p90", "p99", "mean",
+                              "wait vs service"], rows),
+            Para(f"residual: {self.residual_ps} ps across "
+                 f"{self.residual_txns} of {self.total_txns} transactions"),
+        ]
+        chosen = [t for t in reversed(self.top)          # slowest first
+                  if kind is None or t["kind"] == kind][:top]
         if chosen:
-            lines.append("")
-            lines.append(f"slowest {len(chosen)}"
-                         + (f" ({kind})" if kind else "") + ":")
-        for t in chosen:
-            lines.append(
-                f"  #{t['uid']} {t['kind']} node{t['node']}->"
-                f"home{t['home']} {_fmt_ps(t['latency_ps'])}"
-                + (f" inval*{t['inval_fanout']}" if t["inval_fanout"]
-                   else ""))
-            for name, wait, service in t["segments"]:
-                lines.append(f"    {name:<16}{_fmt_ps(wait):>10} wait"
-                             f"{_fmt_ps(service):>10} service")
-            lines.append(f"    {'residual':<16}"
-                         f"{_fmt_ps(t['residual_ps']):>10}")
-        return "\n".join(lines)
+            body = []
+            for t in chosen:
+                fanout = (f" inval*{t['inval_fanout']}"
+                          if t["inval_fanout"] else "")
+                body += [
+                    Para(f"#{t['uid']} `{t['kind']}` node{t['node']}→home"
+                         f"{t['home']} {fmt_ps(t['latency_ps'])}{fanout}"),
+                    Table("cnn", ["segment", "wait", "service"],
+                          [[name, fmt_ps(wait), fmt_ps(service)]
+                           for name, wait, service in t["segments"]]
+                          + [["residual", fmt_ps(t["residual_ps"]), ""]])]
+            out.append(Details(f"slowest {len(chosen)}"
+                               + (f" ({kind})" if kind else "") + ":", body))
+        return out
 
-
-def _fmt_ps(ps: int) -> str:
-    if ps >= 1_000_000:
-        return f"{ps / 1_000_000:.2f}us"
-    if ps >= 1_000:
-        return f"{ps / 1_000:.0f}ns"
-    return f"{ps}ps"
-
-
-def is_txn_payload(payload) -> bool:
-    """True when *payload* is a serialized :class:`TxnReport`."""
-    return isinstance(payload, dict) and payload.get("kind") == "txn"
+    def format(self, top: Optional[int] = None,
+               kind: Optional[str] = None) -> str:
+        return render_text(self.blocks(top, kind))
 
 
 def build_report(recorder: TxnRecorder, result=None,

@@ -6,7 +6,11 @@ bench run's output can be compared side by side with the published plots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import Mapping, Sequence
+
+# The one text sparkline lives with the report emitters that draw it;
+# figure code keeps importing it from here.
+from repro.obs.doc import sparkline  # noqa: F401
 
 BAR_WIDTH = 48
 
@@ -75,28 +79,6 @@ def line_chart(title: str, x_values: Sequence[int],
     )
     lines.append(f"  legend: {legend}" + ("   . ideal" if ideal else ""))
     return "\n".join(lines)
-
-
-#: Eight-level block glyphs, lowest to highest.
-SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
-
-
-def sparkline(values: Sequence[float]) -> str:
-    """A one-line unicode sparkline of *values* (ledger trend rows).
-
-    Scaling is min..max of the series so small drifts stay visible; a
-    flat series renders as a line of the lowest glyph.
-    """
-    if not values:
-        return ""
-    lo, hi = min(values), max(values)
-    span = hi - lo
-    if span <= 0:
-        return SPARK_GLYPHS[0] * len(values)
-    top = len(SPARK_GLYPHS) - 1
-    return "".join(
-        SPARK_GLYPHS[int(round(top * (v - lo) / span))] for v in values
-    )
 
 
 def kv_table(title: str, rows: Sequence[Sequence[str]],

@@ -508,12 +508,12 @@ class TestCli:
 class TestLints:
     def test_ckpt_coverage_rule_passes(self):
         from repro.lint.engine import repo_root, run_lint
-        report = run_lint(repo_root(), rules=["L3"], runtime=False)
+        report = run_lint(repo_root(), rules=["L3"])
         assert report.ok, report.format()
 
     def test_ckpt_import_ban_passes(self):
         from repro.lint.engine import repo_root, run_lint
-        report = run_lint(repo_root(), rules=["L2"], runtime=False)
+        report = run_lint(repo_root(), rules=["L2"])
         assert report.ok, report.format()
 
     def test_ckpt_import_ban_catches_violations(self, tmp_path):
@@ -523,7 +523,7 @@ class TestLints:
         bad.write_text("from repro.ckpt import save\n"
                        "import repro.ckpt.store\n"
                        "from repro.common.gate import CheckpointGate\n")
-        report = run_lint(tmp_path, rules=["L2"], runtime=False)
+        report = run_lint(tmp_path, rules=["L2"])
         # The gate import is sanctioned; the two ckpt imports are not.
         assert [v.line for v in report.violations] == [1, 2]
 

@@ -47,9 +47,9 @@ def test_unknown_scale_exits_2_with_usage(capsys):
     ("repro.obs.cli", ["frobnicate"]),
     ("repro.ckpt.cli", ["frobnicate"]),
     ("repro.lint.cli", ["--rule", "Z9"]),
-    # The retired fast-path flags are unknown input like any other.
-    ("repro.harness.runner", ["fig2", "--fastpath"]),
-    ("repro.obs.cli", ["perf", "fft", "--no-fastpath"]),
+    # A retired flag (lint L5's runtime knob) is unknown input like any
+    # other.
+    ("repro.lint.cli", ["--no-runtime"]),
 ])
 def test_every_cli_exits_2_with_usage_on_unknown_input(entry, argv,
                                                        capsys):

@@ -1,14 +1,18 @@
 """Tests for the validation dashboard renderer."""
 
 import json
+import re
 
 import pytest
 
 from repro.harness.findings import ExperimentResult, Finding
 from repro.obs import metrics as obs_metrics
 from repro.obs.diff import AttributionDiff, CategoryDelta
+from repro.obs import doc
+from repro.validation import dashboard
 from repro.validation.dashboard import (
     collect_attributions,
+    dashboard_blocks,
     group_ledger,
     render_dashboard,
     render_html,
@@ -58,6 +62,21 @@ def topo_payload():
     payload["config_name"] = "hardware"
     payload["workload_name"] = "radix"
     return payload
+
+
+def txn_payload():
+    from repro.obs.txn import TxnRecorder, build_report
+
+    rec = TxnRecorder()
+    for start, waited in ((0, 0), (1000, 400)):
+        txn = rec.open_txn(1, 128, "read")
+        txn.begin(start)
+        txn.cut("bus_req", start + 85_000)
+        txn.add_wait("magic0.pp", waited)
+        txn.cut("pp_home", start + 300_000 + waited)
+        txn.close(start + 300_000 + waited, "remote_clean")
+        rec.commit_txn(txn)
+    return build_report(rec).to_dict()
 
 
 def results():
@@ -151,13 +170,16 @@ class TestMarkdown:
         assert "Top hot lines (128 B):" in text
         assert "Busiest link `1->0`" in text
 
-    def test_topo_payload_is_not_mistaken_for_a_waterfall(self):
-        from repro.validation.dashboard import _is_topo, _is_waterfall
-        payload = topo_payload()
-        assert _is_topo(payload)
-        assert not _is_waterfall(payload)
-        assert not _is_topo(waterfall_payload())
-        assert not _is_topo(tuning_payload())
+    def test_payload_kind_names_every_registered_kind(self):
+        payload_kind = dashboard.payload_kind
+        assert payload_kind(topo_payload()) == "topo"
+        assert payload_kind(txn_payload()) == "txn"
+        assert payload_kind(tuning_payload()) == "tuning"
+        # Waterfalls are untagged: recognised by their `overall` rows.
+        assert payload_kind(waterfall_payload()) == "waterfall"
+        assert payload_kind({"kind": "mystery"}) is None
+        assert payload_kind({}) is None
+        assert payload_kind("not a payload") is None
 
     def test_trend_and_ledger_sections(self):
         text = render_markdown(results(), ledger_records())
@@ -231,3 +253,93 @@ class TestRenderDashboard:
         text = render_markdown(revived)
         assert "## Where the error comes from" in text
         assert "| tlb |" in text
+
+
+def md_headings(text):
+    return [(len(m[1]), m[2].replace("`", ""))
+            for m in re.finditer(r"^(#+) (.*)$", text, re.M)]
+
+
+def html_headings(page):
+    return [(int(m[1]), re.sub(r"<[^>]+>", "", m[2]))
+            for m in re.finditer(r"<h(\d)>(.*?)</h\d>", page)]
+
+
+class TestOneDocumentTwoFiles:
+    @pytest.mark.parametrize("only", [None, "fig7"])
+    def test_headings_agree_and_no_section_is_empty(self, only):
+        rows = [r for r in results() if only in (None, r.exp_id)]
+        md = render_markdown(rows, ledger_records(),
+                             bench_records=bench_records())
+        page = render_html(rows, ledger_records(),
+                           bench_records=bench_records())
+        headings = md_headings(md)
+        assert headings == html_headings(page)
+        sections = [title for level, title in headings if level == 2]
+        if only == "fig7":
+            # topo evidence but no waterfall or tuning payload: no
+            # "Where the error comes from" heading in either file.
+            assert sections == ["Paper vs. measured", "Where in the machine",
+                                "Trend agreement", "Ledger trends",
+                                "How fast is the simulator"]
+        else:
+            assert "Where the error comes from" in sections
+        # A section heading is followed by body, never by the next
+        # heading of its own level or the end of the document.
+        blocks = dashboard_blocks(rows, ledger_records(),
+                                  bench_records=bench_records())
+        for block, after in zip(blocks, blocks[1:] + [None]):
+            if isinstance(block, doc.Heading) and block.level == 2:
+                assert after is not None
+                assert not (isinstance(after, doc.Heading)
+                            and after.level <= 2), block.text
+
+    def test_a_new_payload_kind_costs_one_block_function(self, monkeypatch):
+        def probe_blocks(payload):
+            return [doc.Para(f"probe saw `{payload['what']}`"),
+                    doc.Table("tn", ["what", "n"],
+                              [[payload["what"], payload["n"]]])]
+
+        monkeypatch.setitem(dashboard.PAYLOAD_VIEWS, "probe",
+                            ("What the probe saw", probe_blocks))
+        rows = results()
+        rows[0].attribution = {"kind": "probe", "what": "<quarks>", "n": 42}
+        assert dashboard.payload_kind(rows[0].attribution) == "probe"
+        blocks = dashboard_blocks(rows)
+        text = doc.render_text(blocks)
+        md = doc.render_markdown(blocks)
+        page = doc.render_html(blocks, "t")
+        for out in (text, md):
+            assert "What the probe saw" in out and "<quarks>" in out
+            assert "42" in out
+        assert "## What the probe saw" in md
+        assert "<h2>What the probe saw</h2>" in page
+        assert "probe saw <code>&lt;quarks&gt;</code>" in page
+        assert "<td class=num>42</td>" in page
+        # Registered last, so its section follows the built-in three.
+        assert md.index("## Where in the machine") < \
+            md.index("## What the probe saw") < md.index("## Trend agreement")
+
+    def test_txn_view_carries_mix_and_slowest_table_in_both_files(self):
+        rows = results()
+        rows[1].attribution = txn_payload()
+        md, page = render_markdown(rows), render_html(rows)
+        for out in (md, page):
+            assert "Where does latency come from" in out
+            assert "% wait" in out                 # the wait/service mix
+            assert "slowest 2:" in out
+            assert "pp_home" in out and "residual" in out
+        assert 'class="wf split"' in page
+
+    def test_topo_view_carries_links_and_occupancy_in_both_files(self):
+        payload = topo_payload()
+        payload["occupancy"]["magic0.pp.queue"] = {
+            "mean": 0.5, "max": 2.0, "last": 0.0,
+            "series": [0.0, 2.0, 1.0, 0.0]}
+        rows = results()
+        rows[-1].attribution = payload
+        md, page = render_markdown(rows), render_html(rows)
+        for out in (md, page):
+            assert "Busiest link" in out and "queue occupancy" in out
+            assert "magic0.pp.queue" in out
+        assert "▁█▅▁" in md and "<svg class=spark" in page

@@ -44,7 +44,6 @@ SEEDED = {
     "L1": {"kernel.py": [6]},
     "L2": {"leaky.py": [3, 4, 5, 6]},
     "L3": {"leaky.py": [11], "hazards.py": [16]},
-    "L5": {"results.py": [10, 11]},
     "D1": {"hazards.py": [22, 29]},
     "D2": {"hazards.py": [33, 34]},
     "D3": {"hazards.py": [38], "hostclock.py": [17]},
@@ -56,11 +55,8 @@ SEEDED_TOTAL = sum(len(lines) for files in SEEDED.values()
 
 
 def badtree_report(rules=None, allowlist=None):
-    # runtime=False: the fixture tree is parsed, never imported, and the
-    # runtime contract check (L5) only makes sense against the live
-    # package anyway.
-    return run_lint(BADTREE, rules=rules, allowlist=allowlist,
-                    runtime=False)
+    # The fixture tree is parsed, never imported.
+    return run_lint(BADTREE, rules=rules, allowlist=allowlist)
 
 
 def lines_of(report, rule, basename):
@@ -72,7 +68,7 @@ class TestRegistry:
     def test_rule_ids_are_unique_and_expected(self):
         ids = [rule.id for rule in REGISTRY]
         assert len(ids) == len(set(ids))
-        assert set(ids) == {"L1", "L2", "L3", "L5",
+        assert set(ids) == {"L1", "L2", "L3",
                             "D1", "D2", "D3", "D4", "D5"}
 
     def test_every_rule_carries_its_documentation(self):
@@ -205,8 +201,7 @@ class TestCli:
 
     def test_rule_d1_json_catches_the_seeded_hazard(self, capsys):
         code, out, _err = self.run(
-            capsys, "--root", str(BADTREE), "--no-runtime",
-            "--rule", "D1", "--json")
+            capsys, "--root", str(BADTREE), "--rule", "D1", "--json")
         assert code == 1
         payload = json.loads(out)
         assert payload["rules"] == ["D1"]
@@ -215,7 +210,7 @@ class TestCli:
 
     def test_human_output_carries_location_and_fix(self, capsys):
         code, out, _err = self.run(
-            capsys, "--root", str(BADTREE), "--no-runtime", "--rule", "L1")
+            capsys, "--root", str(BADTREE), "--rule", "L1")
         assert code == 1
         assert "kernel.py:6" in out
         assert "fix:" in out
@@ -242,9 +237,8 @@ class TestCli:
 
 class TestLiveTree:
     def test_the_repository_lints_clean(self):
-        # The full registry, runtime contract checks included: this is
-        # the same run the tier-1 matrix gates on.
-        report = run_lint(repo_root(), runtime=True)
+        # The full registry: the same run the tier-1 matrix gates on.
+        report = run_lint(repo_root())
         assert report.ok, report.format()
         assert report.files_scanned > 0
         # Every allowlist entry is live (else A0 would have fired) and

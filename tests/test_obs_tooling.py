@@ -23,12 +23,12 @@ def lint_tree(tmp_path, files, rules):
         path = tmp_path / "src" / rel
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(body)
-    return run_lint(tmp_path, rules=rules, runtime=False)
+    return run_lint(tmp_path, rules=rules)
 
 
 class TestHotPathLint:
     def test_current_tree_is_clean(self):
-        report = run_lint(repo_root(), rules=["L1", "L2"], runtime=False)
+        report = run_lint(repo_root(), rules=["L1", "L2"])
         assert report.ok, report.format()
 
     def test_detects_unguarded_call(self, tmp_path):

@@ -15,15 +15,11 @@ from repro.common.config import get_scale
 from repro.common.errors import ConfigurationError
 from repro.mem.address import NODE_MEM_SHIFT, node_base
 from repro.obs import hooks as obs_hooks
-from repro.obs.hotspot import (
-    HotRegion,
-    HotspotReport,
-    build_report,
-    is_topo_payload,
-)
+from repro.obs.hotspot import HotRegion, HotspotReport, build_report
 from repro.obs.topo import RingBuffer, TopoRecorder
 from repro.sim.configs import get_config
 from repro.sim.machine import run_workload
+from repro.validation.dashboard import payload_kind
 from repro.workloads import make_app
 
 
@@ -123,7 +119,7 @@ class TestRegionBinning:
         assert report.hottest_home() == (0, 0.0)
         # The empty report still serialises and formats.
         payload = report.to_dict()
-        assert is_topo_payload(payload)
+        assert payload_kind(payload) == "topo"
         assert "no traffic recorded" in report.format()
 
     def test_unknown_granularity_rejected(self):
@@ -260,7 +256,7 @@ class TestIntegration:
         assert report.config_name == result.config_name
         assert report.total_accesses == recorder.total_accesses
         payload = json.loads(json.dumps(report.to_dict()))
-        assert is_topo_payload(payload)
+        assert payload_kind(payload) == "topo"
         # Topo payloads must never look like attribution waterfalls.
         assert "overall" not in payload
         again = HotspotReport.from_dict(payload)

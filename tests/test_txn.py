@@ -33,10 +33,10 @@ from repro.obs.txn import (
     TxnRecorder,
     TxnReport,
     build_report,
-    is_txn_payload,
 )
 from repro.sim.configs import hardware_config
 from repro.sim.machine import run_workload
+from repro.validation.dashboard import payload_kind
 from repro.workloads import make_app
 
 
@@ -368,7 +368,7 @@ class TestIntegration:
         report = build_report(recorder, result, top_k=3)
         assert len(report.top) <= 3
         payload = json.loads(json.dumps(report.to_dict()))
-        assert is_txn_payload(payload)
+        assert payload_kind(payload) == "txn"
         # Txn payloads must never look like waterfalls or topo payloads.
         assert "overall" not in payload
         assert payload["kind"] == "txn"

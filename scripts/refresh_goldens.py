@@ -15,6 +15,7 @@ these files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -61,6 +62,16 @@ TXN_IDS = {
 #: folds in the package source fingerprint, which changes with any edit.
 CKPT_IDS = {
     "ckpt_fft_hardware": ("fft", "hardware", 1),
+}
+
+#: Calendar snapshots: golden id -> ((workload, n_cpus), ...), each run
+#: at tiny scale on ``hardware``.  These pin the engine's calendar itself
+#: -- how many entries ran, when the last one did, and a digest over the
+#: time of every one in pop order -- so an engine change that adds, drops
+#: or retimes a single event fails here even if every statistic survives.
+#: Times only: callback names are implementation detail and may change.
+CALENDAR_IDS = {
+    "calendar_tiny": (("radix", 4), ("fft", 1)),
 }
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
@@ -151,6 +162,45 @@ def ckpt_snapshot(golden_id: str) -> dict:
     }
 
 
+class _WhenDigest:
+    """``Engine.tracer`` sink: a sha256 over every calendar entry's time."""
+
+    def __init__(self):
+        self._hash = hashlib.sha256()
+
+    def span(self, t_ps: int, category: str, name: str) -> None:
+        self._hash.update(f"{t_ps};".encode())
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def calendar_snapshot(golden_id: str) -> dict:
+    """Event count, final clock and ``when``-stream digest per pinned run."""
+    from repro.ckpt.checkpoint import fresh_machine
+    from repro.common.config import get_scale
+    from repro.sim.configs import get_config
+    from repro.sim.request import RunRequest
+    from repro.workloads import make_app
+
+    scale = get_scale("tiny")
+    out = {}
+    for workload_name, n_cpus in CALENDAR_IDS[golden_id]:
+        request = RunRequest(get_config("hardware"),
+                             make_app(workload_name, scale), n_cpus, scale)
+        machine = fresh_machine(request)
+        machine.begin(request.workload)
+        machine.env.tracer = stream = _WhenDigest()
+        machine.advance()
+        machine.finish()
+        out[request.describe()] = {
+            "events_processed": machine.env.events_processed,
+            "now_ps": machine.env.now,
+            "when_sha256": stream.hexdigest(),
+        }
+    return out
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for exp_id in GOLDEN_IDS:
@@ -179,6 +229,11 @@ def main() -> int:
         data = ckpt_snapshot(golden_id)
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path} ({len(data['digests'])} component digests)")
+    for golden_id in CALENDAR_IDS:
+        path = GOLDEN_DIR / f"{golden_id}.json"
+        data = calendar_snapshot(golden_id)
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path} ({len(data)} calendars)")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 from repro.engine.events import AllOf, AnyOf, Event, Timeout
 from repro.engine.kernel import Engine, Process
-from repro.engine.resources import Resource
+from repro.engine.resources import Resource, Steps
 
-__all__ = ["AllOf", "AnyOf", "Event", "Timeout", "Engine", "Process", "Resource"]
+__all__ = ["AllOf", "AnyOf", "Event", "Timeout", "Engine", "Process",
+           "Resource", "Steps"]

@@ -8,6 +8,7 @@ process waiting on it, delivering ``event.value``.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Callable, List, Optional
 
 from repro.common.errors import SimulationError
@@ -35,28 +36,40 @@ class Event:
         return self._fired
 
     def succeed(self, value: Any = None) -> "Event":
-        """Fire the event, waking all waiters with *value*."""
+        """Fire the event, waking all waiters with *value*.
+
+        The waiters are deferred, not called: whoever fires an event from
+        inside a callback keeps running first (the engine's ordering rule,
+        see :class:`~repro.engine.kernel.Engine`).
+        """
         if self._fired:
             raise SimulationError("event fired twice")
         self._fired = True
         self.value = value
-        if self._waiters:
-            waiters, self._waiters = self._waiters, []
-            for waiter in waiters:
-                self.env._dispatch(waiter, self)
+        defer = self.env._defer
+        for waiter in self._waiters:
+            defer((waiter, self))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
         """Fire the event exceptionally; waiters see *exc* raised."""
+        self.succeed()  # defers the waiters: they run after the next line
+        self._failed = exc
+        return self
+
+    def _fire(self) -> None:
+        """Fire from the event's own calendar entry, calling the waiters.
+
+        The deferred queue is empty whenever a calendar entry is popped,
+        so calling the waiters in registration order is the order a
+        deferral round would have run them in, and whatever they defer
+        still queues behind all of them.
+        """
         if self._fired:
             raise SimulationError("event fired twice")
         self._fired = True
-        self._failed = exc
-        if self._waiters:
-            waiters, self._waiters = self._waiters, []
-            for waiter in waiters:
-                self.env._dispatch(waiter, self)
-        return self
+        for waiter in self._waiters:
+            waiter(self)
 
     def add_waiter(self, callback: Callable[["Event"], None]) -> None:
         """Register *callback* to run when the event fires.
@@ -65,9 +78,12 @@ class Event:
         (at the current simulation time).
         """
         if self._fired:
-            self.env._dispatch(callback, self)
+            self.env._defer((callback, self))
         else:
             self._waiters.append(callback)
+
+
+_FIRE = Event._fire
 
 
 class Timeout(Event):
@@ -78,8 +94,12 @@ class Timeout(Event):
     def __init__(self, env, delay_ps: int):
         if delay_ps < 0:
             raise SimulationError(f"negative timeout {delay_ps}")
-        super().__init__(env)
-        env.schedule_at(env.now + int(delay_ps), self.succeed, None)
+        Event.__init__(self, env)
+        # Its own calendar entry: what ``schedule_at`` would push (same
+        # ``seq`` draw; ``delay_ps >= 0`` is its not-into-the-past check)
+        # without allocating a bound method per timeout.
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (env.now + int(delay_ps), seq, _FIRE, self))
 
 
 class AllOf(Event):

@@ -16,6 +16,7 @@ memory, and I/O subsystems" -- each of those is a :class:`Process` or a
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.common.errors import SimulationError
@@ -27,43 +28,44 @@ ProcessGen = Generator[Event, Any, Any]
 class Process(Event):
     """A running coroutine; fires (as an event) when the generator returns."""
 
-    __slots__ = ("_gen", "name")
+    __slots__ = ("_gen", "name", "_send", "_wake")
 
     def __init__(self, env: "Engine", gen: ProcessGen, name: str = "proc"):
-        super().__init__(env)
+        Event.__init__(self, env)
         self._gen = gen
         self.name = name
+        self._send = gen.send
+        # One bound ``_resume`` per process, not one per wait.  It is a
+        # reference cycle, so completion drops it.
+        self._wake = self._resume
         # Kick off on the next dispatch at the current time.
-        env._dispatch(self._resume, _START)
+        env._defer((self._wake, _START))
 
     def _resume(self, event: Event) -> None:
-        if event is _START:
-            send_value = None
-            failure = None
-        else:
-            send_value = event.value
-            failure = event._failed
+        failure = event._failed
         try:
             if failure is not None:
                 target = self._gen.throw(failure)
             else:
-                target = self._gen.send(send_value)
+                target = self._send(event.value)
         except StopIteration as stop:
+            self._send = self._wake = None
             self.succeed(stop.value)
             return
         except Exception as exc:
             self.fail(SimulationError(f"process {self.name!r} crashed: {exc!r}"))
             raise
         if not isinstance(target, Event):
-            self.fail(
-                SimulationError(
-                    f"process {self.name!r} yielded {target!r}, not an Event"
-                )
-            )
-            raise SimulationError(
+            error = SimulationError(
                 f"process {self.name!r} yielded {target!r}, not an Event"
             )
-        target.add_waiter(self._resume)
+            self.fail(error)
+            raise error
+        # target.add_waiter(self._wake), inlined: once per wait.
+        if target._fired:
+            self.env._defer((self._wake, target))
+        else:
+            target._waiters.append(self._wake)
 
 
 class _Start:
@@ -77,20 +79,29 @@ _START = _Start()
 
 
 class Engine:
-    """Event calendar + clock.  One engine per simulated machine."""
+    """Event calendar + clock.  One engine per simulated machine.
+
+    The ordering rule every component relies on (and every fusion in this
+    package preserves): calendar entries run in ``(when, seq)`` order;
+    callbacks deferred while one entry runs are called first-in first-out;
+    a calendar entry is popped only when that queue is empty.
+    """
 
     def __init__(self):
         self._heap: list = []
         self._seq = 0
         self.now: int = 0  # picoseconds
-        self._pending_dispatch: list = []
+        self._queue: deque = deque()
+        #: ``env._defer((fn, arg))``: run ``fn(arg)`` at the current time,
+        #: after the running callback and everything deferred before it.
+        self._defer = self._queue.append
         self.events_processed = 0
         #: Optional per-engine observer: anything with the ``span`` event
         #: of :class:`repro.obs.hooks.Recorder` (``Machine`` installs the
         #: probe's engine observer, ``repro.ckpt.bisect`` its event-stream
-        #: recorder).  :meth:`step` calls it once per calendar event,
-        #: behind an ``is not None`` guard on a local, so the disabled
-        #: path stays a single attribute test.
+        #: recorder).  :meth:`run` reads it once and calls it once per
+        #: calendar event, behind an ``is not None`` guard on a local, so
+        #: the disabled path stays a single test.
         self.tracer = None
 
     # -- scheduling ------------------------------------------------------
@@ -103,10 +114,6 @@ class Engine:
             )
         self._seq += 1
         heapq.heappush(self._heap, (when_ps, self._seq, fn, arg))
-
-    def _dispatch(self, fn: Callable, arg: Any) -> None:
-        """Run ``fn(arg)`` at the current time, after the current callback."""
-        self._pending_dispatch.append((fn, arg))
 
     # -- event factories -------------------------------------------------
 
@@ -130,59 +137,54 @@ class Engine:
 
     # -- main loop -------------------------------------------------------
 
-    def _drain_dispatch(self) -> None:
-        while self._pending_dispatch:
-            batch, self._pending_dispatch = self._pending_dispatch, []
-            for fn, arg in batch:
-                fn(arg)
-
     def step(self) -> bool:
         """Process the next timestamped event.  Returns False when empty."""
-        self._drain_dispatch()
-        if not self._heap:
-            return False
-        when, _seq, fn, arg = heapq.heappop(self._heap)
-        self.now = when
-        self.events_processed += 1
-        obs = self.tracer
-        if obs is not None:
-            obs.span(when, "engine", getattr(fn, "__qualname__", "callback"))
-        fn(arg)
-        self._drain_dispatch()
-        return True
+        before = self.events_processed
+        self.run(max_events=1)
+        return self.events_processed != before
 
     def run(self, until: Optional[Event] = None, max_ps: Optional[int] = None,
             max_events: Optional[int] = None) -> Any:
         """Run until *until* fires, the calendar drains, or a limit is hit.
 
         ``max_ps`` stops before the first event scheduled past that time;
-        ``max_events`` stops after that many further calls to :meth:`step`.
-        Both leave the engine at a clean between-events boundary (pending
-        same-time dispatches drained), so a paused run can be resumed by
+        ``max_events`` stops after that many further calendar events.
+        Both leave the engine at a clean between-events boundary (deferred
+        same-time callbacks drained), so a paused run can be resumed by
         calling :meth:`run` again -- that is what ``repro.ckpt`` relies on.
 
         Returns ``until.value`` when *until* is given and fired.
         """
-        stop_after = (None if max_events is None
-                      else self.events_processed + max_events)
-        self._drain_dispatch()
+        heap = self._heap
+        queue = self._queue
+        next_deferred = queue.popleft
+        heappop = heapq.heappop
+        obs = self.tracer
+        budget = -1 if max_events is None else max_events
         while True:
-            if until is not None and until.fired:
+            while queue:
+                fn, arg = next_deferred()
+                fn(arg)
+            if until is not None and until._fired:
                 if until._failed is not None:
                     raise until._failed
                 return until.value
-            if max_ps is not None and self._heap and self._heap[0][0] > max_ps:
-                return None
-            if stop_after is not None and self.events_processed >= stop_after:
-                return None
-            if not self.step():
+            if (budget == 0 or not heap
+                    or (max_ps is not None and heap[0][0] > max_ps)):
                 break
-        if until is not None and not until.fired:
+            when, _seq, fn, arg = heappop(heap)
+            self.now = when
+            self.events_processed += 1
+            budget -= 1
+            if obs is not None:
+                obs.span(when, "engine", getattr(fn, "__qualname__", "callback"))
+            fn(arg)
+        if until is not None and not heap and budget != 0:
             raise SimulationError(
                 f"event queue drained at t={self.now} ps before target fired "
                 "(deadlock: a process is blocked forever)"
             )
-        return None if until is None else until.value
+        return None
 
     # -- checkpoint contract ---------------------------------------------
 
@@ -199,7 +201,7 @@ class Engine:
             "now": int(self.now),
             "seq": int(self._seq),
             "events_processed": int(self.events_processed),
-            "pending_dispatch": len(self._pending_dispatch),
+            "pending_dispatch": len(self._queue),
             "heap": [[int(when), int(seq),
                       getattr(fn, "__qualname__", "callback")]
                      for when, seq, fn, _arg in self._heap],
@@ -214,7 +216,7 @@ class Engine:
                 f"{state['pending_dispatch']} pending dispatches "
                 "(only quiescent checkpoints are injectable; use replay)"
             )
-        if self._heap or self._pending_dispatch:
+        if self._heap or self._queue:
             raise SimulationError(
                 "refusing to inject into an engine with scheduled events"
             )

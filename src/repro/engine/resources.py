@@ -7,18 +7,30 @@ secondary-cache interface.  The generic NUMA model deliberately *omits*
 resources on the directory-controller path -- that omission is exactly the
 sensitivity the Figure 7 experiment measures.
 
-:func:`use` packages the common acquire/hold/release pattern as a process.
+:meth:`Resource.use` packages the common acquire/hold/release pattern as
+one event; :class:`Steps` chains uses and plain delays into one event.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from heapq import heappush
+from typing import Deque, Iterable, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.stats import CounterSet
 from repro.engine.events import Event
 from repro.engine.kernel import Engine
+
+
+class _Use(Event):
+    """One :meth:`Resource.use`: the completion event is also the record
+    the resource queues, arms and finishes."""
+
+    __slots__ = ("hold_ps", "txn", "waited_ps")
+
+    #: The hold is over and the unit released: fire (waiters deferred).
+    _held = Event.succeed
 
 
 class Resource:
@@ -41,6 +53,9 @@ class Resource:
         self._queue: Deque = deque()
         self.stats = stats if stats is not None else CounterSet(name)
         self._busy_since: Optional[int] = None
+        # Bound once: every ``use`` hands these to the engine.
+        self._arm_cb = self._arm
+        self._finish_cb = self._finish_hold
 
     @property
     def queue_length(self) -> int:
@@ -48,13 +63,16 @@ class Resource:
 
     def acquire(self) -> Event:
         """Request one unit; the event fires when the unit is granted."""
-        event = self.env.event()
+        event = Event(self.env)
+        self._request(event)
+        return event
+
+    def _request(self, event: Event) -> None:
         self.requests += 1
         if self.in_use < self.capacity:
             self._grant(event, waited_ps=0)
         else:
             self._queue.append((event, self.env.now))
-        return event
 
     def _grant(self, event: Event, waited_ps: int) -> None:
         self.in_use += 1
@@ -63,7 +81,12 @@ class Resource:
         if waited_ps > 0:
             self.stats.add("queued_grants")
             self.stats.add("wait_ps", waited_ps)
-        event.succeed(self)
+        if isinstance(event, _Use):
+            # Arm the hold where the grant's one waiter used to run.
+            event.waited_ps = waited_ps
+            self.env._defer((self._arm_cb, event))
+        else:
+            event.succeed(self)
 
     def release(self) -> None:
         """Return one unit, granting the head of the queue if any."""
@@ -83,10 +106,13 @@ class Resource:
         Returns an event firing when the hold completes.  This is the
         one-line occupancy idiom used throughout the memory system::
 
-            yield magic.protocol_processor.use(params.pp_occupancy_ps)
+            yield magic.dram.use(params.dram_ps)
 
-        Implemented with callbacks rather than a child process: occupancy
-        is by far the most frequent operation in a simulation.
+        Occupancy is by far the most frequent operation in a simulation,
+        so a use is one record -- the returned event carries the hold --
+        and one deferred callback, whether or not a unit is free: the
+        grant (now, or at a later :meth:`release`) defers :meth:`_arm`,
+        which puts the end of the hold on the calendar.
 
         *txn* is an optional :class:`repro.obs.txn.TxnRecord`: at grant
         time the queueing delay is reported via ``txn.add_wait`` so the
@@ -94,27 +120,26 @@ class Resource:
         Recording adds no events and never reorders the grant, so cycle
         counts are bit-identical with it on or off.
         """
-        done = self.env.event()
-        grant = self.acquire()
-        if txn is not None:
-            grant.add_waiter(
-                lambda _ev, h=hold_ps, d=done, t=self.env.now, x=txn:
-                self._hold_txn(h, d, t, x))
-        else:
-            grant.add_waiter(lambda _ev, h=hold_ps, d=done: self._hold(h, d))
-        return done
+        if hold_ps < 0:
+            raise SimulationError(
+                f"resource {self.name}: negative hold {hold_ps}")
+        use = _Use(self.env)
+        use.hold_ps = hold_ps
+        use.txn = txn
+        self._request(use)
+        return use
 
-    def _hold(self, hold_ps: int, done: Event) -> None:
-        self.env.schedule_at(self.env.now + hold_ps, self._finish_hold, done)
+    def _arm(self, use: "_Use") -> None:
+        if use.txn is not None:
+            use.txn.add_wait(self.name, use.waited_ps)
+        env = self.env
+        # The end of the hold, pushed the way ``Timeout`` pushes itself.
+        env._seq = seq = env._seq + 1
+        heappush(env._heap, (env.now + use.hold_ps, seq, self._finish_cb, use))
 
-    def _hold_txn(self, hold_ps: int, done: Event, requested_at: int,
-                  txn) -> None:
-        txn.add_wait(self.name, self.env.now - requested_at)
-        self._hold(hold_ps, done)
-
-    def _finish_hold(self, done: Event) -> None:
+    def _finish_hold(self, use: "_Use") -> None:
         self.release()
-        done.succeed(None)
+        use._held()
 
     # -- checkpoint contract ---------------------------------------------
 
@@ -155,3 +180,49 @@ class Resource:
             f"Resource({self.name}, {self.in_use}/{self.capacity} busy, "
             f"{len(self._queue)} queued)"
         )
+
+
+class Steps(_Use):
+    """A fixed sequence of waits as one event, without a process.
+
+    Each step is ``(resource, hold_ps)`` -- what :meth:`Resource.use`
+    does -- or ``(None, delay_ps)`` -- a plain delay; the event fires,
+    with the completion time, when the last one is over.  It schedules
+    exactly what a child process yielding those waits one by one would:
+    one deferred start, then per step the same request and calendar
+    entry drawn at the same point (the event is its own use record, one
+    step at a time), then one firing.  *txn* rides along to every use.
+    """
+
+    __slots__ = ("_todo", "_next")
+
+    def __init__(self, env: Engine,
+                 steps: Iterable[Tuple[Optional[Resource], int]], txn=None):
+        Event.__init__(self, env)
+        self.txn = txn
+        self._todo = iter(steps)
+        # Bound once; dropped at the end (it is a reference cycle).
+        self._next = self._advance
+        env._defer((self._next, None))
+
+    def _advance(self, _event) -> None:
+        env = self.env
+        step = next(self._todo, None)
+        if step is None:
+            self._next = None
+            self.succeed(env.now)
+            return
+        res, ps = step
+        if ps < 0:
+            raise SimulationError(f"negative step {ps}")
+        if res is None:
+            # A delay is this event's own calendar entry, as in ``Timeout``.
+            env._seq = seq = env._seq + 1
+            heappush(env._heap, (env.now + ps, seq, self._next, None))
+        else:
+            self.hold_ps = ps
+            res._request(self)
+
+    def _held(self) -> None:
+        # Where the child process's resume after the use ran.
+        self.env._defer((self._next, None))

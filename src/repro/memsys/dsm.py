@@ -89,6 +89,14 @@ class DsmMemorySystem:
                      REMOTE_DIRTY_HOME, REMOTE_DIRTY_REMOTE):
             self._case_label[case] = f"case_{case}"
             self._case_latency_label[case] = f"latency_ps_{case}"
+        # Process names are read only in a crash message: format them once.
+        nodes = range(n_nodes)
+        self._txn_name = {kind: [f"{kind}@{node}" for node in nodes]
+                          for kind in MemKind.ALL}
+        self._inv_name = [[f"inv{home}->{node}" for node in nodes]
+                          for home in nodes]
+        self._shwb_name = [[f"shwb{owner}->{home}" for home in nodes]
+                           for owner in nodes]
         self.net = Network(env, n_nodes, params.net,
                            model_contention=params.model_net_contention)
         self.magic: List[MagicController] = [
@@ -118,13 +126,10 @@ class DsmMemorySystem:
         recorder is observing, the transaction body opens its own record
         (victim writebacks, direct test calls).
         """
-        if kind == MemKind.WRITEBACK:
-            return self.env.process(
-                self._writeback(node, paddr, txn), name=f"wb@{node}"
-            )
-        return self.env.process(
-            self._transact(node, paddr, kind, txn), name=f"{kind}@{node}"
-        )
+        body = (self._writeback(node, paddr, txn)
+                if kind == MemKind.WRITEBACK
+                else self._transact(node, paddr, kind, txn))
+        return self.env.process(body, name=self._txn_name[kind][node])
 
     # -- transaction body -----------------------------------------------------
     #
@@ -300,7 +305,7 @@ class DsmMemorySystem:
             fill_state = CACHE_SHARED
             # Sharing writeback to home memory, off the critical path.
             env.process(self._sharing_writeback(owner, home),
-                        name=f"shwb{owner}->{home}")
+                        name=self._shwb_name[owner][home])
         if owner != node:
             yield seg(txn, "net_reply",
                       self.net.send(owner, node, p.data_flits, txn))
@@ -341,7 +346,7 @@ class DsmMemorySystem:
         """Invalidation round trip home -> sharer -> home (ack)."""
         return self.env.process(
             self._invalidate_gen(home, sharer, line),
-            name=f"inv{home}->{sharer}",
+            name=self._inv_name[home][sharer],
         )
 
     def _invalidate_gen(self, home: int, sharer: int, line: int):

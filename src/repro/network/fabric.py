@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from repro.common.stats import CounterSet
-from repro.engine import Engine, Resource
+from repro.engine import Engine, Resource, Steps
 from repro.network.topology import Hypercube
 from repro.obs import hooks as obs_hooks
 
@@ -52,34 +52,31 @@ class Network:
     def send(self, src: int, dst: int, flits: int = 1, txn=None):
         """Transmit a message; the returned event fires at delivery time.
 
+        Per hop the message occupies the link's router port (a plain
+        delay without contention modelling), then pays the wire latency.
         *txn* threads the requesting transaction's record down to each
         router port on the route, so per-hop queueing is captured as
         wait (wire/occupancy time stays service); see
         :mod:`repro.obs.txn`.
         """
-        return self.env.process(
-            self._send_gen(src, dst, flits, txn), name=f"msg{src}->{dst}"
-        )
-
-    def _send_gen(self, src: int, dst: int, flits: int, txn=None):
         self.stats.add("messages")
         self.stats.add("flits", flits)
-        if src == dst:
-            return self.env.now
-        start = self.env.now
-        hops = self.cube.route(src, dst)
-        self.stats.add("hops", len(hops))
+        hops = self.cube.route(src, dst) if src != dst else ()
+        if hops:
+            self.stats.add("hops", len(hops))
         occupancy = self.params.occupancy_ps(flits)
+        steps = []
         for link in hops:
-            if self.model_contention:
-                yield self._links[link].use(occupancy, txn)
-            else:
-                yield self.env.timeout(occupancy)
-            yield self.env.timeout(self.params.hop_ps)
+            port = self._links[link] if self.model_contention else None
+            steps += [(port, occupancy), (None, self.params.hop_ps)]
+        done = Steps(self.env, steps, txn)
         probe = obs_hooks.active
-        if probe is not None:
-            probe.net_msg(src, dst, flits, hops, start, self.env.now - start)
-        return self.env.now
+        if probe is not None and hops:
+            # First waiter: runs right before whoever waits on delivery.
+            start = self.env.now
+            done.add_waiter(lambda ev: probe.net_msg(
+                src, dst, flits, hops, start, ev.value - start))
+        return done
 
     def latency_bound_ps(self, src: int, dst: int, flits: int = 1) -> int:
         """Uncontended delivery latency (used by tests and NUMA tables)."""

@@ -15,7 +15,7 @@ When ``model_occupancy`` is off, ``pp_busy`` degenerates to a pure latency
 from __future__ import annotations
 
 from repro.common.stats import CounterSet
-from repro.engine import Engine, Resource
+from repro.engine import Engine, Resource, Steps
 from repro.obs import hooks as obs_hooks
 from repro.proto.directory import Directory
 
@@ -58,12 +58,7 @@ class MagicController:
         rest = hold_ps - occ
         if rest <= 0:
             return self.pp.use(hold_ps, txn)
-        return self.env.process(self._busy_then_wait(occ, rest, txn),
-                                name=f"pp{self.node}")
-
-    def _busy_then_wait(self, occ_ps: int, rest_ps: int, txn=None):
-        yield self.pp.use(occ_ps, txn)
-        yield self.env.timeout(rest_ps)
+        return Steps(self.env, ((self.pp, occ), (None, rest)), txn)
 
     def dram_access(self, hold_ps: int, txn=None):
         """Access this node's memory.  Memory contention is modelled even

@@ -134,10 +134,9 @@ class Machine:
         if self._done is None:
             raise SimulationError("advance_until_blocked() before begin()")
         env = self.env
-        env._drain_dispatch()
-        while not self._done.fired:
-            if not env.step():
-                break
+        env.run(max_events=0)  # settle what begin() deferred
+        while not self._done.fired and env.step():
+            pass
         return self._done.fired
 
     def finish(self) -> RunResult:

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
-from repro.engine import Engine, Resource
+from repro.engine import Engine, Resource, Steps
 from repro.obs import hooks as obs_hooks
+from tests import engine_reference as reference
 
 
 def test_timeout_advances_clock():
@@ -227,6 +228,163 @@ class TestResource:
             env.process(user(tag))
         env.run()
         assert order == [0, 1, 2, 3]
+
+
+class TestOrderingRule:
+    """Calendar entries run in ``(when, seq)`` order; callbacks deferred
+    during one entry run FIFO; an entry is popped only when that queue is
+    empty.  Every fusion in ``repro.engine`` rests on these clauses."""
+
+    def test_deferred_callbacks_run_fifo_across_rounds(self):
+        env = Engine()
+        log = []
+        first, second, third = env.event(), env.event(), env.event()
+        first.add_waiter(lambda ev: (log.append("first"), third.succeed()))
+        second.add_waiter(lambda ev: log.append("second"))
+        third.add_waiter(lambda ev: log.append("third"))
+        # One calendar entry fires two events; what the first one's waiter
+        # defers ("third") queues behind the second one's waiter.
+        env.schedule_at(5, lambda _: (first.succeed(), second.succeed(),
+                                      log.append("entry")), None)
+        env.run()
+        assert log == ["entry", "first", "second", "third"]
+
+    def test_calendar_fired_event_runs_waiters_before_what_they_defer(self):
+        env = Engine()
+        log = []
+        timer, other = env.timeout(5), env.event()
+        other.add_waiter(lambda ev: log.append("deferred by w1"))
+        timer.add_waiter(lambda ev: (log.append("w1"), other.succeed()))
+        timer.add_waiter(lambda ev: log.append("w2"))
+        timer.add_waiter(lambda ev: log.append("w3"))
+        env.run()
+        assert log == ["w1", "w2", "w3", "deferred by w1"]
+
+    def test_queue_is_empty_at_every_pop(self):
+        env = Engine()
+        pops = []
+
+        class EmptyAtPop:
+            def span(self, t_ps, category, name):
+                assert not env._queue, f"{len(env._queue)} deferred at pop"
+                pops.append(t_ps)
+
+        env.tracer = EmptyAtPop()
+        pp, link = Resource(env, "pp"), Resource(env, "link", capacity=2)
+
+        def user(delay):
+            yield env.timeout(delay)
+            yield pp.use(7)
+            yield Steps(env, ((link, 3), (None, 4), (pp, 2)))
+            yield link.acquire()
+            yield env.all_of([env.timeout(0), env.timeout(delay)])
+            link.release()
+
+        for delay in (0, 5, 5, 9):
+            env.process(user(delay))
+        env.run()
+        assert len(pops) == env.events_processed > 20
+
+
+class _Kit:
+    """One engine implementation behind the names a program needs."""
+
+    def __init__(self, module, steps):
+        self.Engine, self.Resource, self.steps = (
+            module.Engine, module.Resource, steps)
+
+
+KITS = (_Kit(reference, reference.steps),
+        _Kit(__import__("repro.engine", fromlist=["Engine"]), Steps))
+
+#: Three delays, zero included, so that ties are the common case.
+_DELAY = st.sampled_from((0, 10, 25))
+_RES = st.integers(0, 1)
+_LEAF_OPS = st.one_of(
+    st.tuples(st.just("timeout"), _DELAY),
+    st.tuples(st.just("use"), _RES, _DELAY),
+    st.tuples(st.just("lock"), _RES, _DELAY),
+    st.tuples(st.just("all_of"), st.lists(_DELAY, max_size=3)),
+    st.tuples(st.just("any_of"), st.lists(_DELAY, min_size=1, max_size=3)),
+    st.tuples(st.just("steps"), st.lists(
+        st.tuples(st.one_of(st.none(), _RES), _DELAY), max_size=4)),
+    st.tuples(st.just("fired")),
+    st.tuples(st.just("fire"), _RES),
+    st.tuples(st.just("wait"), _RES),
+)
+_CHILD_OPS = st.lists(_LEAF_OPS, max_size=4)
+_OPS = st.lists(st.one_of(_LEAF_OPS, st.tuples(
+    st.just("spawn"), _CHILD_OPS, st.booleans())), max_size=6)
+
+
+def _run_program(kit, capacities, program):
+    """Interpret *program* on *kit*; everything an engine could reorder."""
+    env = kit.Engine()
+    log = []
+    resources = [kit.Resource(env, f"r{i}", capacity=capacity)
+                 for i, capacity in enumerate(capacities)]
+    shared = [env.event(), env.event()]
+
+    class Txn:
+        def add_wait(self, name, waited_ps):
+            log.append(("add_wait", name, waited_ps, env.now))
+
+    txn = Txn()
+
+    def body(tag, ops):
+        for index, op in enumerate(ops):
+            kind = op[0]
+            if kind == "timeout":
+                yield env.timeout(op[1])
+            elif kind == "use":
+                yield resources[op[1] % len(resources)].use(op[2], txn)
+            elif kind == "lock":
+                res = resources[op[1] % len(resources)]
+                yield res.acquire()
+                yield env.timeout(op[2])
+                res.release()
+            elif kind == "all_of":
+                yield env.all_of([env.timeout(d) for d in op[1]])
+            elif kind == "any_of":
+                yield env.any_of([env.timeout(d) for d in op[1]])
+            elif kind == "steps":
+                yield kit.steps(env, [
+                    (None if r is None else resources[r % len(resources)], ps)
+                    for r, ps in op[1]], txn)
+            elif kind == "fired":
+                yield env.event().succeed(tag)
+            elif kind == "fire":
+                if not shared[op[1]].fired:
+                    shared[op[1]].succeed(tag)
+            elif kind == "wait":
+                yield shared[op[1]]
+            elif kind == "spawn":
+                child = env.process(body(f"{tag}.{index}", op[1]))
+                if op[2]:
+                    yield child
+            log.append((tag, index, env.now))
+        return tag
+
+    for tag, ops in enumerate(program):
+        env.process(body(str(tag), ops))
+    env.run()
+    return (log, env.now, env.events_processed,
+            [(res.requests, res.in_use, len(res._queue),
+              res.stats.get("queued_grants"), res.stats.get("wait_ps"),
+              res.stats.get("busy_ps")) for res in resources])
+
+
+@given(capacities=st.lists(st.integers(1, 2), min_size=1, max_size=2),
+       program=st.lists(_OPS, min_size=1, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_reference_engine(capacities, program):
+    """Random process graphs -- tied timeouts, contended ``use``, locks,
+    combinators, child processes, step sequences, waits on fired events
+    -- complete in the same order, at the same times, over the same
+    number of calendar entries as on the pre-fusion reference engine."""
+    expected, actual = (_run_program(kit, capacities, program)
+                        for kit in KITS)
+    assert actual == expected
 
 
 class TestEngineObserver:

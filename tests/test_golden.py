@@ -8,11 +8,12 @@ waterfall (``attribution_fft_solo``: fft, hardware vs Solo, P=1), one
 spatial-hotspot report (``hotspot_ocean_hardware``: ocean on hardware,
 P=4, under the topo recorder), one transaction-anatomy report
 (``txn_fft_hardware``: fft on hardware, P=4, under the txn recorder --
-per-kind latency histograms and the slowest-K segment lists), and one
+per-kind latency histograms and the slowest-K segment lists), one
 mid-run checkpoint (``ckpt_fft_hardware``: fft on hardware at half time
--- manifest, stop record, and per-component state digests).  Any
-simulator change that shifts these numbers fails here with a
-field-by-field diff.
+-- manifest, stop record, and per-component state digests), and the
+engine's calendar for two tiny runs (``calendar_tiny``: event count,
+final clock, digest of every entry's time).  Any simulator change that
+shifts these numbers fails here with a field-by-field diff.
 
 If the drift is *intentional*, refresh the snapshots with::
 
@@ -74,6 +75,23 @@ def check_golden(exp_id: str) -> None:
             pytrace=False)
 
 
+def check_payload(golden_id: str, snapshot_fn) -> None:
+    """``snapshot_fn(golden_id)`` must equal its snapshot, key by key."""
+    path = GOLDEN_DIR / f"{golden_id}.json"
+    assert path.exists(), f"missing snapshot {path}; generate with: {REFRESH}"
+    golden = json.loads(path.read_text())
+    live = snapshot_fn(golden_id)
+    drift = [f"{key}: golden {golden.get(key)!r} != live {live.get(key)!r}"
+             for key in sorted(set(golden) | set(live))
+             if golden.get(key) != live.get(key)]
+    if drift:
+        pytest.fail(
+            f"{golden_id} drifted from its golden snapshot:\n"
+            + "\n".join(drift)
+            + f"\nIf this change is intentional, refresh with: {REFRESH}",
+            pytrace=False)
+
+
 @pytest.mark.golden
 class TestGoldenSnapshots:
     @pytest.mark.parametrize("exp_id", ["table1", "tlb_microbench"])
@@ -87,90 +105,35 @@ class TestGoldenSnapshots:
     @pytest.mark.slow
     def test_attribution_snapshot(self):
         """The fft hardware-vs-Solo waterfall is pinned end to end."""
-        golden_id = "attribution_fft_solo"
-        path = GOLDEN_DIR / f"{golden_id}.json"
-        assert path.exists(), \
-            f"missing snapshot {path}; generate with: {REFRESH}"
-        golden = json.loads(path.read_text())
-        live = refresh_goldens.attribution_snapshot(golden_id)
-        drift = []
-        for key in sorted(set(golden) | set(live)):
-            if golden.get(key) != live.get(key):
-                drift.append(f"{key}: golden {golden.get(key)!r} != "
-                             f"live {live.get(key)!r}")
-        if drift:
-            pytest.fail(
-                f"{golden_id} drifted from its golden snapshot:\n"
-                + "\n".join(drift)
-                + f"\nIf this change is intentional, refresh with: {REFRESH}",
-                pytrace=False)
+        check_payload("attribution_fft_solo",
+                      refresh_goldens.attribution_snapshot)
 
     @pytest.mark.slow
     def test_hotspot_snapshot(self):
         """The ocean-on-hardware spatial report is pinned end to end:
         topo hooks, sampler, and report fold must all be deterministic."""
-        golden_id = "hotspot_ocean_hardware"
-        path = GOLDEN_DIR / f"{golden_id}.json"
-        assert path.exists(), \
-            f"missing snapshot {path}; generate with: {REFRESH}"
-        golden = json.loads(path.read_text())
-        live = refresh_goldens.hotspot_snapshot(golden_id)
-        drift = []
-        for key in sorted(set(golden) | set(live)):
-            if golden.get(key) != live.get(key):
-                drift.append(f"{key}: golden {golden.get(key)!r} != "
-                             f"live {live.get(key)!r}")
-        if drift:
-            pytest.fail(
-                f"{golden_id} drifted from its golden snapshot:\n"
-                + "\n".join(drift)
-                + f"\nIf this change is intentional, refresh with: {REFRESH}",
-                pytrace=False)
+        check_payload("hotspot_ocean_hardware",
+                      refresh_goldens.hotspot_snapshot)
 
     @pytest.mark.slow
     def test_txn_snapshot(self):
         """The fft-on-hardware latency anatomy is pinned end to end:
         txn hooks, segment accounting, histogram fold, and top-K must
         all be deterministic (integer picoseconds throughout)."""
-        golden_id = "txn_fft_hardware"
-        path = GOLDEN_DIR / f"{golden_id}.json"
-        assert path.exists(), \
-            f"missing snapshot {path}; generate with: {REFRESH}"
-        golden = json.loads(path.read_text())
-        live = refresh_goldens.txn_snapshot(golden_id)
-        drift = []
-        for key in sorted(set(golden) | set(live)):
-            if golden.get(key) != live.get(key):
-                drift.append(f"{key}: golden {golden.get(key)!r} != "
-                             f"live {live.get(key)!r}")
-        if drift:
-            pytest.fail(
-                f"{golden_id} drifted from its golden snapshot:\n"
-                + "\n".join(drift)
-                + f"\nIf this change is intentional, refresh with: {REFRESH}",
-                pytrace=False)
+        check_payload("txn_fft_hardware", refresh_goldens.txn_snapshot)
 
     @pytest.mark.slow
     def test_ckpt_snapshot(self):
         """The fft-on-hardware checkpoint is pinned end to end: every
         component's ckpt_state schema and digest must be deterministic."""
-        golden_id = "ckpt_fft_hardware"
-        path = GOLDEN_DIR / f"{golden_id}.json"
-        assert path.exists(), \
-            f"missing snapshot {path}; generate with: {REFRESH}"
-        golden = json.loads(path.read_text())
-        live = refresh_goldens.ckpt_snapshot(golden_id)
-        drift = []
-        for key in sorted(set(golden) | set(live)):
-            if golden.get(key) != live.get(key):
-                drift.append(f"{key}: golden {golden.get(key)!r} != "
-                             f"live {live.get(key)!r}")
-        if drift:
-            pytest.fail(
-                f"{golden_id} drifted from its golden snapshot:\n"
-                + "\n".join(drift)
-                + f"\nIf this change is intentional, refresh with: {REFRESH}",
-                pytrace=False)
+        check_payload("ckpt_fft_hardware", refresh_goldens.ckpt_snapshot)
+
+    def test_calendar_snapshot(self):
+        """The engine's calendar is pinned: event count, final clock and
+        a digest over every entry's time in pop order, for a multi-node
+        and a single-node run.  An engine change may rename or fuse
+        callbacks, but it may not add, drop or retime a calendar entry."""
+        check_payload("calendar_tiny", refresh_goldens.calendar_snapshot)
 
     def test_snapshot_set_matches_refresh_script(self):
         on_disk = {p.stem for p in GOLDEN_DIR.glob("*.json")}
@@ -178,7 +141,8 @@ class TestGoldenSnapshots:
                            | set(refresh_goldens.ATTRIBUTION_IDS)
                            | set(refresh_goldens.HOTSPOT_IDS)
                            | set(refresh_goldens.TXN_IDS)
-                           | set(refresh_goldens.CKPT_IDS))
+                           | set(refresh_goldens.CKPT_IDS)
+                           | set(refresh_goldens.CALENDAR_IDS))
 
 
 class TestDiffReadability:

@@ -177,7 +177,6 @@ class _WhenDigest:
 
 def calendar_snapshot(golden_id: str) -> dict:
     """Event count, final clock and ``when``-stream digest per pinned run."""
-    from repro.ckpt.checkpoint import fresh_machine
     from repro.common.config import get_scale
     from repro.sim.configs import get_config
     from repro.sim.request import RunRequest
@@ -188,7 +187,7 @@ def calendar_snapshot(golden_id: str) -> dict:
     for workload_name, n_cpus in CALENDAR_IDS[golden_id]:
         request = RunRequest(get_config("hardware"),
                              make_app(workload_name, scale), n_cpus, scale)
-        machine = fresh_machine(request)
+        machine = request.machine()
         machine.begin(request.workload)
         machine.env.tracer = stream = _WhenDigest()
         machine.advance()

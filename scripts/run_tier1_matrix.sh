@@ -45,11 +45,11 @@ PYTHONPATH=src python -m repro.obs perf fft --config simos-mipsy-150 \
 
 echo "=== tier-1 gate passed ==="
 
-# Size budget (report-only): the line counts ROADMAP item 6 tracks --
-# the tooling that observes the model vs. the model it observes -- so a
-# PR can quote them.
+# Size budget (report-only): the counts the ROADMAP north star and item
+# 6 track -- the tooling that observes the model vs. the model it
+# observes, and the ambient slots between them -- so a PR can quote them.
 lines() { find "$@" -name '*.py' -exec cat {} + | wc -l; }
-echo "=== size budget (wc -l, report-only) ==="
+echo "=== size budget (wc -l and a slot count, report-only) ==="
 printf '%-54s %6d\n' \
     "model (cpu memsys isa engine mem vm proto network os)" \
     "$(lines src/repro/cpu src/repro/memsys src/repro/isa src/repro/engine \
@@ -58,4 +58,7 @@ printf '%-54s %6d\n' \
     "tooling (obs lint ckpt)" \
     "$(lines src/repro/obs src/repro/lint src/repro/ckpt)" \
     "validation/dashboard.py" \
-    "$(lines src/repro/validation/dashboard.py)"
+    "$(lines src/repro/validation/dashboard.py)" \
+    "ambient slots (len(repro.lint.rules.AMBIENT_SLOTS))" \
+    "$(PYTHONPATH=src python -c \
+        'from repro.lint.rules import AMBIENT_SLOTS; print(len(AMBIENT_SLOTS))')"

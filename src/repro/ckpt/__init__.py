@@ -7,10 +7,13 @@ the state carries live coroutine machinery it cannot reconstruct).  The
 :class:`~repro.sim.machine.Machine` composes those views into one
 versioned checkpoint; this package adds the machinery around it:
 
-* :mod:`repro.ckpt.checkpoint` -- capture (replay-mode or quiescent),
-  digest verification, restore by replay or by injection;
-* :mod:`repro.ckpt.store` -- the content-addressed on-disk store and
-  :func:`warm_run` (skip initialization from a cached checkpoint);
+* :mod:`repro.ckpt.checkpoint` -- capture (replay-mode or quiescent,
+  the latter behind a :class:`~repro.ckpt.checkpoint.CheckpointGate`),
+  code-fingerprint and digest verification, restore by replay or by
+  injection;
+* :mod:`repro.ckpt.store` -- the content-addressed on-disk store (a
+  :class:`~repro.common.store.JsonStore`, like the farm's result cache)
+  and :func:`warm_run` (skip initialization from a cached checkpoint);
 * :mod:`repro.ckpt.bisect` -- replay two configurations from a shared
   checkpoint and binary-search the event stream for the first divergent
   event;
@@ -18,8 +21,13 @@ versioned checkpoint; this package adds the machinery around it:
   ``bisect`` command line (:mod:`repro.ckpt.cli`).
 
 Hot simulator layers (``cpu/``, ``mem/``, ``engine/``) never import this
-package (the hot-path lint enforces it); their only checkpoint hook is
-the ambient :mod:`repro.common.gate` stop line.
+package (the hot-path lint enforces it) and need nothing from it: the
+model's whole share of checkpointing is the ``ckpt_state`` /
+``ckpt_restore`` pair and two arguments of
+:meth:`~repro.sim.machine.Machine.begin` -- ``gate=`` (a stop line the
+cores duck-type) and ``state=`` (a capture to start from).  A machine
+for a request is built one way, :meth:`RunRequest.machine
+<repro.sim.request.RunRequest.machine>`.
 """
 
 from __future__ import annotations

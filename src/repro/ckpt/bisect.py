@@ -29,21 +29,15 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.ckpt.checkpoint import (
-    MODE_QUIESCE,
-    Checkpoint,
-    fresh_machine,
-    save,
-)
+from repro.ckpt.checkpoint import MODE_QUIESCE, Checkpoint, save
 from repro.common.errors import CheckpointError
 from repro.common.rng import DEFAULT_SEED
 from repro.obs import hooks as obs_hooks
 from repro.obs.trace import TraceRecorder
 from repro.sim.request import RunRequest
-from repro.sim.results import RunResult
 
 #: Spans reported around the divergence point per side.
 CONTEXT_SPANS = 6
@@ -140,24 +134,7 @@ class DivergenceReport:
         return int(math.ceil(math.log2(n))) + 1 if n > 1 else 1
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "config_a": self.config_a,
-            "config_b": self.config_b,
-            "workload": self.workload,
-            "checkpoint_key": self.checkpoint_key,
-            "resumed_at_ps": self.resumed_at_ps,
-            "events_a": self.events_a,
-            "events_b": self.events_b,
-            "index": self.index,
-            "event_a": self.event_a,
-            "event_b": self.event_b,
-            "probes": self.probes,
-            "replays": self.replays,
-            "neighborhood_a": self.neighborhood_a,
-            "neighborhood_b": self.neighborhood_b,
-            "context_a": self.context_a,
-            "context_b": self.context_b,
-        }
+        return asdict(self)
 
     def format(self) -> str:
         head = (f"{self.workload}: {self.config_a} vs {self.config_b}, "
@@ -196,12 +173,11 @@ class DivergenceReport:
 
 
 def _replay_recorded(request: RunRequest,
-                     checkpoint: Checkpoint) -> Tuple[EventStreamRecorder,
-                                                      RunResult]:
+                     checkpoint: Checkpoint) -> EventStreamRecorder:
     """Inject the shared state into a machine for *request* and record."""
-    machine = fresh_machine(request)
+    machine = request.machine()
     try:
-        machine.begin_resumed(request.workload, checkpoint.state)
+        machine.begin(request.workload, state=checkpoint.state)
     except Exception as exc:
         raise CheckpointError(
             f"cannot inject the shared checkpoint into "
@@ -210,17 +186,18 @@ def _replay_recorded(request: RunRequest,
     recorder = EventStreamRecorder()
     machine.env.tracer = recorder
     machine.advance()
-    return recorder, machine.finish()
+    machine.finish()
+    return recorder
 
 
-def _replay_traced(request: RunRequest, checkpoint: Checkpoint,
-                   capacity: int = 65536) -> TraceRecorder:
+def _replay_traced(request: RunRequest,
+                   checkpoint: Checkpoint) -> TraceRecorder:
     """Replay one side under the span tracer (resume-suffix spans only)."""
-    recorder = TraceRecorder(capacity)
+    recorder = TraceRecorder()
     with obs_hooks.observing(recorder):
-        machine = fresh_machine(request)
-        machine.begin_resumed(request.workload, checkpoint.state,
-                              allow_partial_obs=True)
+        machine = request.machine()
+        machine.begin(request.workload, state=checkpoint.state,
+                      allow_partial_obs=True)
         machine.advance()
         machine.finish()
     return recorder
@@ -286,9 +263,8 @@ def bisect_divergence(config_a, config_b, workload, n_cpus: int = 1,
     elif not checkpoint.injectable:
         raise CheckpointError(
             "bisection needs an injectable (quiesce-mode) checkpoint")
-    rec_a, _result_a = _replay_recorded(request_a, checkpoint)
-    rec_b, _result_b = _replay_recorded(request_b, checkpoint)
-    replays = 2
+    rec_a = _replay_recorded(request_a, checkpoint)
+    rec_b = _replay_recorded(request_b, checkpoint)
     index, probes = first_divergence(rec_a.chain, rec_b.chain)
     report = DivergenceReport(
         config_a=request_a.config.name,
@@ -302,7 +278,7 @@ def bisect_divergence(config_a, config_b, workload, n_cpus: int = 1,
         event_a=None if index is None else _event_at(rec_a, index),
         event_b=None if index is None else _event_at(rec_b, index),
         probes=probes,
-        replays=replays,
+        replays=2,
     )
     if index is not None:
         report.neighborhood_a = _neighborhood(rec_a, index)

@@ -16,12 +16,12 @@ frames at the heart of the engine:
   request -- and then *verifies* the replayed state against the stored
   per-component digests before handing the machine back.  Works at any
   instant; costs a replay of the prefix.
-* **quiesce** installs a :class:`~repro.common.gate.CheckpointGate` so
-  every core parks at a trace-item boundary and the event calendar drains
+* **quiesce** starts the machine with a :class:`CheckpointGate` so every
+  core parks at a trace-item boundary and the event calendar drains
   completely.  The resulting state has no live coroutine anywhere, so
   restore can *inject* it into a fresh machine
-  (:meth:`Machine.begin_resumed`) without replaying -- the warm-start fast
-  path used by :func:`repro.ckpt.store.warm_run`.
+  (``Machine.begin(workload, state=...)``) without replaying -- the
+  warm-start fast path used by :func:`repro.ckpt.store.warm_run`.
 
 Whether a captured state is injectable is decided structurally from the
 state itself (:func:`injection_blockers`): empty calendar, no MSHR
@@ -33,14 +33,11 @@ resources.
 from __future__ import annotations
 
 import base64
+import math
 import pickle
-import random
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass, fields
+from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.common import gate as ckpt_gate
 from repro.common.canonical import code_fingerprint, stable_hash
 from repro.common.errors import CheckpointError
 from repro.obs import hooks as obs_hooks
@@ -60,6 +57,39 @@ METHOD_REPLAY = "replay"
 METHOD_INJECT = "inject"
 
 
+class CheckpointGate:
+    """A stop line at an absolute simulated time, for quiescent capture.
+
+    ``Machine.begin(workload, gate=...)`` hands the gate to every core;
+    between trace items a core whose local clock has reached
+    :attr:`at_ps` parks on :meth:`hold`.  Once every live core is held
+    and the event calendar drains, the machine is quiescent.  The model
+    only ever touches ``at_ps`` and ``hold``.
+    """
+
+    def __init__(self, at_ps: int):
+        if at_ps < 0:
+            raise ValueError(f"gate time must be >= 0, got {at_ps}")
+        self.at_ps = at_ps
+        #: node -> hold event, filled in as cores arrive.
+        self.held: Dict[int, object] = {}
+
+    def hold(self, node: int, env) -> object:
+        """Register *node* as stopped at the gate; returns the hold event."""
+        event = env.event()
+        self.held[node] = event
+        return event
+
+    def release(self) -> None:
+        """Resume the stopped cores and open the gate for good: the cores
+        keep their gate for the rest of the run, and a released one must
+        never park them again."""
+        self.at_ps = math.inf
+        held, self.held = self.held, {}
+        for event in held.values():
+            event.succeed(None)
+
+
 @dataclass
 class Checkpoint:
     """One captured machine state plus everything needed to restore it."""
@@ -70,7 +100,7 @@ class Checkpoint:
     manifest: Dict[str, Any]    #: human-readable identity (names, shape)
     stop: Dict[str, Any]        #: where the run was paused, and how
     injectable: bool            #: may be injected (vs. replay-restored)
-    request_blob: str           #: base64 pickle of the RunRequest
+    request_pickle: str         #: base64 pickle of the RunRequest
     state: Dict[str, Any]       #: Machine.ckpt_state() output
     digests: Dict[str, str]     #: per-component stable hashes of *state*
     digest: str                 #: stable hash of the whole state
@@ -82,43 +112,26 @@ class Checkpoint:
         :func:`code_fingerprint` first (:func:`restore` does); unpickling
         against drifted source raises confusing low-level errors.
         """
-        return pickle.loads(base64.b64decode(self.request_blob))
+        return pickle.loads(base64.b64decode(self.request_pickle))
+
+    @property
+    def restore_method(self) -> str:
+        """How :func:`restore` rebuilds this checkpoint unless told
+        otherwise: by injection when the state allows it, else replay."""
+        return METHOD_INJECT if self.injectable else METHOD_REPLAY
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schema": self.schema,
-            "code": self.code,
-            "key": self.key,
-            "manifest": self.manifest,
-            "stop": self.stop,
-            "injectable": self.injectable,
-            "request_pickle": self.request_blob,
-            "state": self.state,
-            "digests": self.digests,
-            "digest": self.digest,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Checkpoint":
         try:
-            schema = data["schema"]
-            if schema != SCHEMA_VERSION:
+            if data["schema"] != SCHEMA_VERSION:
                 raise CheckpointError(
-                    f"checkpoint schema v{schema} is not supported "
+                    f"checkpoint schema v{data['schema']} is not supported "
                     f"(this build reads v{SCHEMA_VERSION})"
                 )
-            return cls(
-                schema=schema,
-                code=data["code"],
-                key=data["key"],
-                manifest=data["manifest"],
-                stop=data["stop"],
-                injectable=data["injectable"],
-                request_blob=data["request_pickle"],
-                state=data["state"],
-                digests=data["digests"],
-                digest=data["digest"],
-            )
+            return cls(**{f.name: data[f.name] for f in fields(cls)})
         except (KeyError, TypeError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint payload: missing {exc!r}"
@@ -224,19 +237,6 @@ def injection_blockers(state: Dict[str, Any]) -> List[str]:
 # -- capture --------------------------------------------------------------
 
 
-def fresh_machine(request: RunRequest) -> Machine:
-    """A cold machine for *request*, with the global RNGs seeded first.
-
-    Mirrors :meth:`RunRequest.execute` so a checkpoint run and a straight
-    run see identical randomness.
-    """
-    seed = request.request_seed()
-    random.seed(seed)
-    np.random.seed(seed % 2**32)
-    return Machine(request.config, request.n_cpus,
-                   request.effective_scale(), request.placement)
-
-
 def _capture(machine: Machine, request: RunRequest, stop: Dict[str, Any],
              key: str) -> Checkpoint:
     state = machine.ckpt_state()
@@ -259,11 +259,33 @@ def _capture(machine: Machine, request: RunRequest, stop: Dict[str, Any],
         manifest=manifest,
         stop=stop,
         injectable=not blockers,
-        request_blob=base64.b64encode(pickle.dumps(request)).decode("ascii"),
+        request_pickle=base64.b64encode(
+            pickle.dumps(request)).decode("ascii"),
         state=state,
         digests=digests,
         digest=stable_hash(state),
     )
+
+
+def _run_to_stop(request: RunRequest, mode: str, at_ps: Optional[int],
+                 max_events: Optional[int],
+                 ) -> Tuple[Machine, Optional[CheckpointGate], bool]:
+    """Run *request* on a fresh machine up to a stop point -- the body
+    capture and replay-restore share.  Returns ``(machine, gate,
+    completed)``: *completed* means the run ended before the stop point.
+
+    For a quiesce stop the gate's holds are left unfired so the caller
+    sees the exact captured state (releasing enqueues dispatches and
+    perturbs the engine's view); :meth:`CheckpointGate.release` lets the
+    parked cores continue.
+    """
+    machine = request.machine()
+    if mode == MODE_QUIESCE:
+        gate = CheckpointGate(at_ps)
+        machine.begin(request.workload, gate=gate)
+        return machine, gate, machine.advance_until_blocked()
+    machine.begin(request.workload)
+    return machine, None, machine.advance(max_ps=at_ps, max_events=max_events)
 
 
 def save(request: RunRequest, at_ps: Optional[int] = None,
@@ -282,21 +304,12 @@ def save(request: RunRequest, at_ps: Optional[int] = None,
     if mode not in MODES:
         raise CheckpointError(f"unknown checkpoint mode {mode!r}")
     obs_hooks.require_ckpt_tolerant("checkpoint capture", CheckpointError)
-    machine = fresh_machine(request)
-    key = checkpoint_key(request, mode, at_ps, max_events)
-    if mode == MODE_QUIESCE:
-        if at_ps is None:
-            raise CheckpointError("quiesce mode needs a gate time (at_ps)")
-        gate = ckpt_gate.CheckpointGate(at_ps)
-        with ckpt_gate.holding(gate):
-            machine.begin(request.workload)
-            completed = machine.advance_until_blocked()
-    else:
-        if at_ps is None and max_events is None:
-            raise CheckpointError(
-                "replay mode needs a stop point (at_ps or max_events)")
-        machine.begin(request.workload)
-        completed = machine.advance(max_ps=at_ps, max_events=max_events)
+    if mode == MODE_QUIESCE and at_ps is None:
+        raise CheckpointError("quiesce mode needs a gate time (at_ps)")
+    if at_ps is None and max_events is None:
+        raise CheckpointError(
+            "replay mode needs a stop point (at_ps or max_events)")
+    machine, _gate, completed = _run_to_stop(request, mode, at_ps, max_events)
     if completed:
         raise CheckpointError(
             f"{request.describe()} completed at t={machine.env.now} ps "
@@ -309,12 +322,12 @@ def save(request: RunRequest, at_ps: Optional[int] = None,
         "now_ps": int(machine.env.now),
         "events_processed": int(machine.env.events_processed),
     }
-    checkpoint = _capture(machine, request, stop, key)
+    checkpoint = _capture(machine, request, stop,
+                          checkpoint_key(request, mode, at_ps, max_events))
     if mode == MODE_QUIESCE and not checkpoint.injectable:
-        blockers = injection_blockers(checkpoint.state)
         raise CheckpointError(
             f"machine failed to quiesce at t={at_ps} ps: "
-            + "; ".join(blockers)
+            + "; ".join(injection_blockers(checkpoint.state))
             + " (capture with mode='replay' instead)"
         )
     return checkpoint
@@ -332,32 +345,12 @@ def check_code(checkpoint: Checkpoint) -> None:
             f"source {checkpoint.code[:16]}, but this build is "
             f"{current[:16]}; replaying it would silently produce a "
             "different machine.  Re-save the checkpoint with the current "
-            "code (repro.ckpt save), or pass verify_code=False if you "
-            "only want to inspect it."
+            "code (repro.ckpt save); to inspect it without restoring, use "
+            "repro.ckpt info."
         )
 
 
-def _replay_to_stop(machine: Machine, request: RunRequest,
-                    stop: Dict[str, Any]):
-    """Re-run to the stop point; returns (completed, gate-or-None).
-
-    For a quiesce stop the gate's holds are left unfired so the caller can
-    verify digests against the exact captured state (releasing first would
-    enqueue dispatches and perturb the engine's view); release the gate
-    after verification to let the parked cores continue.
-    """
-    if stop["mode"] == MODE_QUIESCE:
-        gate = ckpt_gate.CheckpointGate(stop["at_ps"])
-        with ckpt_gate.holding(gate):
-            machine.begin(request.workload)
-            completed = machine.advance_until_blocked()
-        return completed, gate
-    machine.begin(request.workload)
-    completed = machine.advance(max_ps=stop["at_ps"], max_events=stop["events"])
-    return completed, None
-
-
-def _verify_state(machine: Machine, checkpoint: Checkpoint) -> None:
+def _check_digests(machine: Machine, checkpoint: Checkpoint) -> None:
     digests = _component_digests(machine.ckpt_state())
     mismatched = sorted(
         name for name, expect in checkpoint.digests.items()
@@ -371,41 +364,41 @@ def _verify_state(machine: Machine, checkpoint: Checkpoint) -> None:
         )
 
 
-def restore(checkpoint: Checkpoint, method: Optional[str] = None,
-            verify_code: bool = True, verify_state: bool = True) -> Machine:
+def restore(checkpoint: Checkpoint, method: Optional[str] = None) -> Machine:
     """Reconstruct the checkpointed machine, ready to ``advance()``.
 
+    The checkpoint's code fingerprint is checked first, always.
     ``method=METHOD_INJECT`` plants the state into a fresh machine without
-    replaying (quiescent checkpoints only); ``method=METHOD_REPLAY``
-    re-runs the request to the stop point and verifies every component
-    digest against the checkpoint.  Default: inject when the checkpoint
-    allows it, replay otherwise.
+    replaying (quiescent checkpoints only; every component's
+    ``ckpt_restore`` vets its share); ``method=METHOD_REPLAY`` re-runs the
+    request to the stop point and verifies every component digest against
+    the checkpoint.  Default: :attr:`Checkpoint.restore_method`.
     """
-    if verify_code:
-        check_code(checkpoint)
+    check_code(checkpoint)
     obs_hooks.require_ckpt_tolerant("checkpoint restore", CheckpointError)
     if method is None:
-        method = METHOD_INJECT if checkpoint.injectable else METHOD_REPLAY
+        method = checkpoint.restore_method
     request = checkpoint.request()
-    machine = fresh_machine(request)
     if method == METHOD_INJECT:
         if not checkpoint.injectable:
             raise CheckpointError(
                 f"checkpoint {checkpoint.key[:16]} is not injectable: "
                 + "; ".join(injection_blockers(checkpoint.state))
             )
-        machine.begin_resumed(request.workload, checkpoint.state)
+        machine = request.machine()
+        machine.begin(request.workload, state=checkpoint.state)
         return machine
     if method != METHOD_REPLAY:
         raise CheckpointError(f"unknown restore method {method!r}")
-    completed, gate = _replay_to_stop(machine, request, checkpoint.stop)
+    stop = checkpoint.stop
+    machine, gate, completed = _run_to_stop(request, stop["mode"],
+                                            stop["at_ps"], stop["events"])
     if completed:
         raise CheckpointError(
             "replay completed before reaching the checkpoint's stop point "
             "(nondeterministic run, or a stale checkpoint)"
         )
-    if verify_state:
-        _verify_state(machine, checkpoint)
+    _check_digests(machine, checkpoint)
     if gate is not None:
         gate.release()
     return machine

@@ -35,26 +35,16 @@ from repro.ckpt import checkpoint as ckpt
 from repro.ckpt import store as ckpt_store
 from repro.common.config import get_scale
 from repro.common.errors import CheckpointError, ReproError
-from repro.obs.cli import resolve_config, _shorthand_help
+from repro.common.store import check_dir_arg
+from repro.obs.cli import add_run_args, resolve_config, shorthand_help
 from repro.sim.request import RunRequest
-from repro.workloads import APP_NAMES, make_app
+from repro.workloads import make_app
 
 
 def _add_store_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--checkpoint-dir", metavar="PATH", default=None,
                      help="checkpoint store directory "
                           f"(default {ckpt_store.default_ckpt_dir()})")
-
-
-def _add_shape_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("workload", choices=APP_NAMES,
-                     help="application to run")
-    sub.add_argument("--cpus", type=int, default=1,
-                     help="number of CPUs (power of two; default 1)")
-    sub.add_argument("--scale", default="repro",
-                     help="machine scale (paper, repro, tiny)")
-    sub.add_argument("--untuned-inputs", action="store_true",
-                     help="use the pre-fix application inputs")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     save = sub.add_parser("save", help="run to a stop point and checkpoint")
-    _add_shape_args(save)
+    add_run_args(save, default_cpus=1)
     save.add_argument("--config", default="simos-mipsy-150-tuned",
-                      help=_shorthand_help("simulator configuration"))
+                      help=shorthand_help("simulator configuration"))
     save.add_argument("--at-ps", type=int, default=None,
                       help="simulated stop time in picoseconds")
     save.add_argument("--events", type=int, default=None,
@@ -104,12 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
     bis = sub.add_parser(
         "bisect",
         help="find the first divergent event between two configurations")
-    _add_shape_args(bis)
+    add_run_args(bis, default_cpus=1)
     bis.add_argument("--config-a", required=True,
-                     help=_shorthand_help("baseline configuration "
-                                          "(seeds the shared checkpoint)"))
+                     help=shorthand_help("baseline configuration "
+                                         "(seeds the shared checkpoint)"))
     bis.add_argument("--config-b", required=True,
-                     help=_shorthand_help("comparison configuration"))
+                     help=shorthand_help("comparison configuration"))
     bis.add_argument("--at-ps", type=int, required=True,
                      help="shared-checkpoint gate time in picoseconds")
     bis.add_argument("--no-context", action="store_true",
@@ -124,14 +114,8 @@ def build_parser() -> argparse.ArgumentParser:
 def validate_args(parser: argparse.ArgumentParser,
                   args: argparse.Namespace) -> None:
     """Reject nonsensical combinations before any simulation starts."""
-    ckpt_dir = getattr(args, "checkpoint_dir", None)
-    if ckpt_dir is not None:
-        parent = os.path.dirname(os.path.abspath(ckpt_dir))
-        if not os.path.isdir(parent):
-            parser.error(
-                f"--checkpoint-dir parent directory does not exist: {parent} "
-                "(create it first, or point --checkpoint-dir somewhere that "
-                "exists)")
+    check_dir_arg(parser, "--checkpoint-dir",
+                  getattr(args, "checkpoint_dir", None))
     if getattr(args, "cpus", 1) < 1:
         parser.error(f"--cpus must be >= 1, got {args.cpus}")
 
@@ -140,11 +124,11 @@ def _store(args: argparse.Namespace) -> ckpt_store.CheckpointStore:
     return ckpt_store.CheckpointStore(args.checkpoint_dir)
 
 
-def _request(args: argparse.Namespace, config) -> RunRequest:
+def _workload(args: argparse.Namespace):
+    """``(scale, workload)`` of a run-style subcommand's arguments."""
     scale = get_scale(args.scale)
-    workload = make_app(args.workload, scale,
-                        tuned_inputs=not args.untuned_inputs)
-    return RunRequest(config, workload, args.cpus, scale)
+    return scale, make_app(args.workload, scale,
+                           tuned_inputs=not args.untuned_inputs)
 
 
 def _resolve_checkpoint(args: argparse.Namespace) -> ckpt.Checkpoint:
@@ -171,7 +155,9 @@ def _resolve_checkpoint(args: argparse.Namespace) -> ckpt.Checkpoint:
 
 
 def cmd_save(args: argparse.Namespace) -> int:
-    request = _request(args, resolve_config(args.config))
+    scale, workload = _workload(args)
+    request = RunRequest(resolve_config(args.config), workload, args.cpus,
+                         scale)
     checkpoint = ckpt.save(request, at_ps=args.at_ps,
                            max_events=args.events, mode=args.mode)
     path = _store(args).put(checkpoint)
@@ -204,7 +190,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 def cmd_restore(args: argparse.Namespace) -> int:
     checkpoint = _resolve_checkpoint(args)
-    method = args.method or ("inject" if checkpoint.injectable else "replay")
+    method = args.method or checkpoint.restore_method
     machine = ckpt.restore(checkpoint, method=method)
     how = ("injected" if method == "inject"
            else "replayed and verified against digests")
@@ -218,9 +204,7 @@ def cmd_restore(args: argparse.Namespace) -> int:
 
 
 def cmd_bisect(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
-    workload = make_app(args.workload, scale,
-                        tuned_inputs=not args.untuned_inputs)
+    scale, workload = _workload(args)
     report = ckpt_bisect.bisect_divergence(
         resolve_config(args.config_a), resolve_config(args.config_b),
         workload, n_cpus=args.cpus, scale=scale, at_ps=args.at_ps,

@@ -1,13 +1,13 @@
 """Content-addressed on-disk checkpoint store and warm-start runs.
 
-The store mirrors the experiment farm's :class:`~repro.harness.farm.ResultCache`
-idiom: entries live under ``<root>/<key[:2]>/<key>.json`` where *key* is
-the checkpoint's 64-hex-char content address
+The store is a :class:`~repro.common.store.JsonStore` -- the layout and
+atomic write the experiment farm's result cache uses -- keyed by the
+checkpoint's 64-hex-char content address
 (:func:`~repro.ckpt.checkpoint.checkpoint_key` -- request identity +
-stop specification + package source fingerprint).  Writes are atomic
-(temp file + rename) so concurrent processes can share one directory;
-a torn, corrupt, or stale-code entry reads as a miss, never as wrong
-data.
+stop specification + package source fingerprint).  Concurrent processes
+can share one directory; a torn, corrupt, or stale-code entry reads as a
+miss, never as wrong data, and an entry that cannot be written is an
+error, never a silent no-op.
 
 :func:`warm_run` is the payoff: run a request by injecting a cached
 quiescent checkpoint past its initialization phase instead of simulating
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Optional
 
@@ -27,11 +26,12 @@ from repro.ckpt.checkpoint import (
     MODE_QUIESCE,
     Checkpoint,
     checkpoint_key,
-    restore,
+    resume,
     save,
 )
 from repro.common.canonical import code_fingerprint
 from repro.common.errors import CheckpointError
+from repro.common.store import JsonStore, default_dir
 from repro.sim.request import RunRequest
 from repro.sim.results import RunResult
 
@@ -41,10 +41,7 @@ CKPT_DIR_ENV = "REPRO_CKPT_DIR"
 
 def default_ckpt_dir() -> Path:
     """``$REPRO_CKPT_DIR``, else ``~/.cache/repro/ckpt``."""
-    env = os.environ.get(CKPT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro" / "ckpt"
+    return default_dir(CKPT_DIR_ENV, "ckpt")
 
 
 def load_file(path: os.PathLike) -> Checkpoint:
@@ -58,42 +55,30 @@ def load_file(path: os.PathLike) -> Checkpoint:
     return Checkpoint.from_dict(data)
 
 
-class CheckpointStore:
+class CheckpointStore(JsonStore):
     """Content-addressed on-disk store of serialized checkpoints."""
 
     def __init__(self, root: Optional[os.PathLike] = None):
-        self.root = Path(root) if root is not None else default_ckpt_dir()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        super().__init__(root if root is not None else default_ckpt_dir())
 
     def get(self, key: str) -> Optional[Checkpoint]:
         """The stored checkpoint under *key*, or None (miss/corrupt)."""
+        data = self.read(key)
         try:
-            return load_file(self._path(key))
+            return None if data is None else Checkpoint.from_dict(data)
         except CheckpointError:
             return None
 
     def put(self, checkpoint: Checkpoint) -> Path:
-        """Store *checkpoint* under its own key (atomic; last writer wins)."""
-        path = self._path(checkpoint.key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        """Store *checkpoint* under its own key; returns where it landed.
+        Unlike the farm's cache this is the caller's only copy, so a
+        store that cannot be written raises."""
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(checkpoint.to_dict(), fh)
-            os.replace(tmp, path)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-        return path
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+            return self.write(checkpoint.key, checkpoint.to_dict())
+        except OSError as exc:
+            raise CheckpointError(
+                f"cannot store checkpoint {checkpoint.key[:16]} at "
+                f"{self._path(checkpoint.key)}: {exc}") from None
 
 
 def warm_run(request: RunRequest, at_ps: int,
@@ -114,6 +99,4 @@ def warm_run(request: RunRequest, at_ps: int,
     if checkpoint is None or checkpoint.code != code_fingerprint():
         checkpoint = save(request, at_ps=at_ps, mode=MODE_QUIESCE)
         store.put(checkpoint)
-    machine = restore(checkpoint, method="inject")
-    machine.advance()
-    return machine.finish()
+    return resume(checkpoint, method="inject")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.common import gate as ckpt_gate
 from repro.common.errors import SimulationError
 from repro.common.stats import CounterSet, StatsRegistry
 from repro.obs import hooks as obs_hooks
@@ -80,19 +79,18 @@ class CpuCore:
 
     # -- trace execution -------------------------------------------------------
 
-    def run_trace(self, trace, sync, start: int = 0):
+    def run_trace(self, trace, sync, start: int = 0, gate=None):
         """The DES process body: execute every trace item in order.
 
         *start* resumes mid-trace (checkpoint injection); the caller must
-        have restored clocks and memory state first.  Between items the
-        core checks the ambient checkpoint gate -- a single module-slot
-        read and ``None`` test when (as almost always) no gate is active --
-        and parks on a hold event once its local clock passes the stop
-        line, leaving ``trace_pos`` at the first unexecuted item.
+        have restored clocks and memory state first.  *gate* is a
+        checkpoint stop line (anything with ``at_ps`` and ``hold(node,
+        env)``; almost always None): between items the core parks on a
+        hold event once its local clock passes the line, leaving
+        ``trace_pos`` at the first unexecuted item.
         """
         self.trace_pos = start
         for item in (trace[start:] if start else trace):
-            gate = ckpt_gate.active
             if gate is not None and self.time_ps() >= gate.at_ps:
                 yield gate.hold(self.node, self.env)
             kind = type(item)

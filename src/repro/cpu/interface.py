@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from math import ceil
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.config import MachineScale
 from repro.common.errors import SimulationError
@@ -273,24 +273,23 @@ class CpuMemInterface:
 
     # -- checkpoint contract ---------------------------------------------
 
-    def ckpt_state(self, chunk_ranks: Optional[Dict[int, int]] = None) -> dict:
+    def ckpt_state(self, chunk_uids: Optional[List[int]] = None) -> dict:
         """Caches, TLB, write buffer, MSHR markers, port, and icache.
 
         The icache is keyed by ``Chunk.uid`` -- a process-lifetime counter
         whose absolute values differ between the saving and restoring
         process -- so entries are recorded under the chunk's *trace rank*
-        (first-appearance order across the machine's traces, supplied by
-        the machine as *chunk_ranks*), which is identical for identical
-        runs in any process.
+        (its index in *chunk_uids*, the machine's first-appearance list
+        over its traces), which is identical for identical runs in any
+        process.
         """
-        icache = []
-        for uid, code_bytes in self._icache.items():
-            if chunk_ranks is None:
-                raise SimulationError(
-                    f"iface{self.node}: icache is warm but no chunk rank "
-                    "map was supplied (capture must go through the machine)"
-                )
-            icache.append([chunk_ranks[uid], code_bytes])
+        if self._icache and chunk_uids is None:
+            raise SimulationError(
+                f"iface{self.node}: icache is warm but no chunk rank "
+                "list was supplied (capture must go through the machine)"
+            )
+        icache = [[chunk_uids.index(uid), code_bytes]
+                  for uid, code_bytes in self._icache.items()]
         return {
             "l1d": self.l1d.ckpt_state(),
             "l2": self.l2.ckpt_state(),
@@ -305,8 +304,8 @@ class CpuMemInterface:
         }
 
     def ckpt_restore(self, state: dict,
-                     rank_chunks: Optional[Dict[int, object]] = None) -> None:
-        """Inject; *rank_chunks* maps trace rank -> chunk in this process."""
+                     chunk_uids: Optional[List[int]] = None) -> None:
+        """Inject; *chunk_uids* lists this process's chunk uid per rank."""
         if state["mshr"]:
             raise SimulationError(
                 f"iface{self.node}: cannot inject with "
@@ -329,10 +328,10 @@ class CpuMemInterface:
         self.port_busy_until = state["port_busy_until"]
         self._icache = OrderedDict()
         for rank, code_bytes in state["icache"]:
-            if rank_chunks is None or rank not in rank_chunks:
+            if chunk_uids is None or rank not in range(len(chunk_uids)):
                 raise SimulationError(
                     f"iface{self.node}: checkpoint icache rank {rank} has "
                     "no chunk in the restored traces"
                 )
-            self._icache[rank_chunks[rank].uid] = code_bytes
+            self._icache[chunk_uids[rank]] = code_bytes
         self._icache_bytes = state["icache_bytes"]

@@ -28,6 +28,7 @@ import sys
 from typing import List, Optional
 
 from repro.common.config import SCALES, get_scale
+from repro.common.store import check_dir_arg
 from repro.harness.experiments import experiment_ids, run_experiment
 from repro.harness.farm import Farm, ResultCache, default_cache_dir
 
@@ -70,13 +71,7 @@ def validate_args(parser: argparse.ArgumentParser,
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs} "
                      "(1 means serial; N fans batches over N workers)")
-    if args.cache_dir is not None:
-        parent = os.path.dirname(os.path.abspath(args.cache_dir))
-        if not os.path.isdir(parent):
-            parser.error(
-                f"--cache-dir parent directory does not exist: {parent} "
-                "(create it first, or point --cache-dir somewhere that "
-                "exists)")
+    check_dir_arg(parser, "--cache-dir", args.cache_dir)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

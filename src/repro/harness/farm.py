@@ -34,16 +34,15 @@ module.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
-import tempfile
 import time
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.canonical import code_fingerprint
 from repro.common.stats import StatsRegistry
+from repro.common.store import JsonStore, default_dir
 from repro.obs import hooks as obs_hooks
 from repro.sim import farm_hooks
 from repro.sim.request import RunRequest
@@ -55,70 +54,49 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``~/.cache/repro/farm``."""
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro" / "farm"
+    return default_dir(CACHE_DIR_ENV, "farm")
 
 
-class ResultCache:
+class ResultCache(JsonStore):
     """Content-addressed on-disk store of serialized :class:`RunResult`.
 
-    Layout: ``<root>/<key[:2]>/<key>.json`` where *key* is the request's
-    64-hex-char content address.  Entries are written atomically (temp
-    file + rename) so concurrent farms -- including pool workers of the
+    A :class:`~repro.common.store.JsonStore` keyed by the request's
+    content address.  Concurrent farms -- including pool workers of the
     same farm -- can share one cache directory; a torn or corrupt entry
     reads as a miss, never as wrong data.
     """
 
     def __init__(self, root: Optional[os.PathLike] = None):
-        self.root = Path(root) if root is not None else default_cache_dir()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        super().__init__(root if root is not None else default_cache_dir())
 
     def get(self, key: str) -> Optional[RunResult]:
         """The cached result under *key*, or None (miss/corrupt entry)."""
-        path = self._path(key)
+        data = self.read(key)
         try:
-            data = json.loads(path.read_text())
-            return RunResult.from_dict(data["result"])
-        except (OSError, ValueError, KeyError, TypeError):
+            return None if data is None else RunResult.from_dict(data["result"])
+        except (KeyError, TypeError, ValueError, AttributeError):
             return None
 
     def put(self, key: str, result: RunResult,
             request: Optional[RunRequest] = None) -> None:
-        """Store *result* under *key* (atomic; last writer wins)."""
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "key": key,
-            "code": code_fingerprint(),
-            "request": None if request is None else request.describe(),
-            "result": result.to_dict(),
-        }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+        """Store *result* under *key*, best effort: a cache that cannot
+        be written costs a later miss, not this run."""
         try:
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
+            self.write(key, {
+                "key": key,
+                "code": code_fingerprint(),
+                "request": None if request is None else request.describe(),
+                "result": result.to_dict(),
+            })
         except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
+            pass
 
 
 def _execute_request(request: RunRequest) -> Tuple[RunResult, float]:
     """Pool worker body: run one request, report its wall time.
 
     Module-level so it pickles; the request seeds the worker's global
-    RNGs itself (see :meth:`RunRequest.execute`).
+    RNGs itself (see :meth:`RunRequest.machine`).
     """
     start = time.perf_counter()
     result = request.execute()

@@ -32,7 +32,6 @@ from repro.obs.hooks import EVENTS
 #: and L2's hints derive from this table.
 AMBIENT_SLOTS: Dict[str, str] = {
     "repro.obs.hooks": "observability (the probe and its recorders)",
-    "repro.common.gate": "checkpoints",
     "repro.sim.farm_hooks": "the experiment farm",
 }
 
@@ -118,19 +117,22 @@ class ImportBanRule(Rule):
     id = "L2"
     title = "model code must not import harness-side subsystems"
     rationale = (
-        "The models' only channels to observability, checkpointing and "
-        f"the farm are the ambient slots ({', '.join(AMBIENT_SLOTS)}): "
-        "one attribute read and a None test when disabled.  Importing "
-        "the subsystems themselves couples reference semantics to "
-        "optional machinery and re-introduces cost and cycles into the "
-        "dependency graph.")
+        "The models' only channels to observability and the farm are "
+        f"the ambient slots ({', '.join(AMBIENT_SLOTS)}): one attribute "
+        "read and a None test when disabled.  Checkpointing needs no "
+        "channel at all: a gate and a starting state arrive as "
+        "`Machine.begin` arguments.  Importing the subsystems themselves "
+        "couples reference semantics to optional machinery and "
+        "re-introduces cost and cycles into the dependency graph.")
     hint = ("reach the subsystem through its sanctioned slot instead: "
             + ", ".join(f"{module} ({what})"
-                        for module, what in AMBIENT_SLOTS.items()))
+                        for module, what in AMBIENT_SLOTS.items())
+            + "; model code needs nothing from repro.ckpt")
     subsystem = "repro.obs / repro.ckpt"
 
-    #: banned module -> (packages it is banned in, the slot to use instead).
-    BANS: Tuple[Tuple[str, Tuple[str, ...], str], ...] = (
+    #: banned module -> (packages it is banned in, the slot to use
+    #: instead; None where model code needs nothing from the module).
+    BANS: Tuple[Tuple[str, Tuple[str, ...], Optional[str]], ...] = (
         ("repro.obs.metrics",
          ("repro.cpu", "repro.mem", "repro.engine"),
          "repro.sim.farm_hooks"),
@@ -144,7 +146,7 @@ class ImportBanRule(Rule):
          "repro.obs.hooks"),
         ("repro.ckpt",
          ("repro.cpu", "repro.mem", "repro.engine"),
-         "repro.common.gate"),
+         None),
     )
 
     def scope(self, module: str) -> bool:
@@ -169,12 +171,18 @@ class ImportBanRule(Rule):
                 if not _in_packages(ctx.module, packages):
                     continue
                 if target == banned or target.startswith(banned + "."):
+                    hint = (
+                        f"model code needs nothing from {banned}: implement "
+                        "ckpt_state/ckpt_restore and duck-type the `gate` "
+                        "argument (`at_ps`, `hold(node, env)`)"
+                        if slot is None else
+                        "use the slot instead: the models reach "
+                        f"{AMBIENT_SLOTS[slot]} through the guarded "
+                        f"{slot}.active")
                     ctx.report(self, node,
                                f"{banned} imported in model code "
                                f"({ctx.lines[node.lineno - 1].strip()})",
-                               hint=f"use the slot instead: the models "
-                                    f"reach {AMBIENT_SLOTS[slot]} through "
-                                    f"the guarded {slot}.active")
+                               hint=hint)
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +531,7 @@ class HookSlotRule(Rule):
         "guard, then calls on the local.")
     hint = ("hoist: `slot = obs_hooks.active` then "
             "`if slot is not None: slot.method(...)`")
-    subsystem = "repro.obs / repro.common"
+    subsystem = "repro.obs / repro.sim"
 
     SLOTS = {f"{module}.active" for module in AMBIENT_SLOTS}
 

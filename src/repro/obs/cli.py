@@ -68,7 +68,6 @@ from repro.obs.metrics import (
 from repro.obs.trace import TraceRecorder
 from repro.sim import farm_hooks
 from repro.sim.configs import get_config
-from repro.sim.machine import Machine
 from repro.sim.request import RunRequest
 from repro.workloads import APP_NAMES, make_app
 
@@ -92,7 +91,7 @@ def resolve_config(name: str):
     return get_config(CONFIG_ALIASES.get(name, name))
 
 
-def _shorthand_help(text: str) -> str:
+def shorthand_help(text: str) -> str:
     return (f"{text} (full name, or shorthand: "
             f"{', '.join(sorted(CONFIG_ALIASES))})")
 
@@ -110,15 +109,15 @@ def add_run_args(sub: argparse.ArgumentParser, default_cpus: int,
                      help="application to run")
     if config_default is not None:
         sub.add_argument("--config", default=config_default,
-                         help=_shorthand_help(
+                         help=shorthand_help(
                              "simulator configuration "
                              f"(default: {config_default})"))
     if ref_cand:
         sub.add_argument("--ref", default="hardware",
-                         help=_shorthand_help(
+                         help=shorthand_help(
                              "reference configuration (default: hardware)"))
         sub.add_argument("--cand", required=True,
-                         help=_shorthand_help("candidate configuration"))
+                         help=shorthand_help("candidate configuration"))
     sub.add_argument("--cpus", type=int, default=default_cpus,
                      help="number of CPUs (power of two; "
                           f"default {default_cpus})")
@@ -357,7 +356,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     # Deliberately NOT farm_hooks.run: a cache hit would replay the
     # RunResult without re-simulating, leaving nothing to time; and the
     # event count lives on the machine's engine.
-    machine = Machine(config, args.cpus, scale)
+    machine = RunRequest(config, workload, args.cpus, scale).machine()
     start = time.perf_counter()
     result = machine.run(workload)
     wall_s = time.perf_counter() - start

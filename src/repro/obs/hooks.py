@@ -46,12 +46,6 @@ FARM = "farm"        #: experiment-farm requests (wall time, not sim time)
 #: total; everything else is timeline-only detail.
 ATTRIBUTED = (TLB, MEM, SYNC, OS)
 
-# -- checkpoint tolerance (Recorder.ckpt) ----------------------------------
-
-CKPT_SUFFIX = "suffix"  #: resume only when the caller accepts a record of
-#:                         the resumed suffix (``allow_partial_obs``)
-CKPT_NEVER = "never"    #: counters would be silently partial
-
 #: The model's event vocabulary: every name is a :class:`Recorder` method
 #: (the one signature of that event) and a :class:`Probe` attribute.
 EVENTS = ("span", "cache_miss", "tlb_miss", "dir_transition", "net_msg",
@@ -68,8 +62,11 @@ class Recorder:
 
     __slots__ = ()
 
-    #: What ``repro.ckpt`` may do while this recorder is installed.
-    ckpt = CKPT_NEVER
+    #: Recorder state is not checkpoint state, so ``repro.ckpt`` refuses
+    #: to work under any recorder (counters would be silently partial).
+    #: True admits this one to a start from captured state whose caller
+    #: accepts a record of the resumed suffix (``allow_partial_obs``).
+    ckpt_suffix = False
     #: Also receive one ``span`` per engine calendar event.
     engine_events = False
 
@@ -179,13 +176,12 @@ active: Optional[Probe] = None
 
 def require_ckpt_tolerant(what: str, error: type,
                           allow_partial: bool = False) -> None:
-    """Raise *error* if an installed recorder's ``ckpt`` property does not
-    tolerate *what*: none does, except a suffix-only recorder when
-    *allow_partial*."""
+    """Raise *error* if an installed recorder does not tolerate *what*:
+    none does, except a ``ckpt_suffix`` recorder when *allow_partial*."""
     probe = active
     refusing = [type(rec).__name__
                 for rec in (probe.recorders if probe is not None else ())
-                if not (allow_partial and rec.ckpt == CKPT_SUFFIX)]
+                if not (allow_partial and rec.ckpt_suffix)]
     if refusing:
         raise error(
             f"{what} cannot run under {', '.join(refusing)}: recorder "

@@ -55,7 +55,7 @@ class TraceRecorder(hooks.Recorder):
 
     #: The ring is not checkpoint state; a resumed run can only be traced
     #: from the resume point on, and only when the caller asks for that.
-    ckpt = hooks.CKPT_SUFFIX
+    ckpt_suffix = True
 
     def __init__(self, capacity: int = 65536, engine_events: bool = False):
         if capacity < 1:

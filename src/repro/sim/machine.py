@@ -82,14 +82,35 @@ class Machine:
     # ``run()`` is begin + advance-to-completion + finish.  The split
     # exists for ``repro.ckpt``: a checkpoint pauses ``advance`` at a
     # clean between-events boundary (or a quiescent gate stop), captures
-    # state, and a restored machine continues ``advance`` + ``finish``.
+    # state, and a restored machine -- replayed, or begun from that
+    # state -- continues ``advance`` + ``finish``.
 
-    def begin(self, workload) -> None:
-        """Bind *workload*, build traces, and start every CPU process."""
+    def begin(self, workload, gate=None, state: Optional[dict] = None,
+              allow_partial_obs: bool = False) -> None:
+        """Bind *workload*, build traces, and start every CPU process.
+
+        *gate* and *state* are all the model knows of ``repro.ckpt``.
+        *gate* is a stop line handed to every core
+        (``at_ps`` + ``hold(node, env)``): cores park on it between trace
+        items so the machine quiesces.  *state* plants a quiescent
+        capture (:meth:`ckpt_restore`) and starts only the unfinished
+        CPUs, each at its checkpointed trace position.  Every installed
+        recorder must tolerate that (recorder state is deliberately not
+        checkpointed, so a resumed recording would be silently partial);
+        ``allow_partial_obs`` admits a suffix-tolerant one -- spans from
+        the resume point onward only -- which is what the divergence
+        bisector uses to put context around a divergent event.
+        """
         if self._ran:
             raise SimulationError("a Machine is single-use; build a new one")
+        if state is not None:
+            obs_hooks.require_ckpt_tolerant(
+                "checkpoint restore", SimulationError, allow_partial_obs)
         self._ran = True
-        self._bind_probe()
+        self._probe = probe = obs_hooks.active
+        if probe is not None:
+            probe.bind(self)
+            self.env.tracer = probe.engine_observer()
         traces = workload.build(self.n_cpus)
         if len(traces) != self.n_cpus:
             raise ConfigurationError(
@@ -97,23 +118,23 @@ class Machine:
             )
         self._workload = workload
         self._traces = traces
-        processes = []
-        for core, trace in zip(self.cores, traces):
-            core.start_at(self.env.now)
-            processes.append(
-                self.env.process(core.run_trace(trace, self.sync),
-                                 name=f"cpu{core.node}")
+        if state is None:
+            for core in self.cores:
+                core.start_at(self.env.now)
+        else:
+            self.ckpt_restore(state)
+        processes = [
+            self.env.process(
+                core.run_trace(trace, self.sync, core.trace_pos, gate),
+                name=f"cpu{core.node}")
+            for core, trace in zip(self.cores, traces) if not core.done
+        ]
+        if not processes:
+            raise SimulationError(
+                "checkpoint has no unfinished CPUs to resume"
             )
         self._processes = processes
         self._done = self.env.all_of(processes)
-
-    def _bind_probe(self) -> None:
-        """Bind the installed recorders to this run (begin or resume)."""
-        probe = obs_hooks.active
-        if probe is not None:
-            probe.bind(self)
-            self.env.tracer = probe.engine_observer()
-        self._probe = probe
 
     def advance(self, max_ps: Optional[int] = None,
                 max_events: Optional[int] = None) -> bool:
@@ -171,43 +192,24 @@ class Machine:
 
     # -- checkpoint contract ---------------------------------------------
 
-    def _chunk_ranks(self) -> Optional[dict]:
-        """uid -> first-appearance rank over this machine's traces.
+    def _chunk_uids(self) -> Optional[List[int]]:
+        """Distinct chunk uids in first-appearance order over the traces.
 
         ``Chunk.uid`` is a process-lifetime counter, so absolute uids
-        differ between the saving and restoring process; ranks (the order
-        chunks first appear walking the traces) are identical for
-        identical runs and serve as the portable icache key.
+        differ between the saving and restoring process; a chunk's index
+        in this list (its *rank*) is identical for identical runs and
+        serves as the portable icache key -- capture looks a uid's rank
+        up, restore indexes a rank back to this process's uid.
         """
         if self._traces is None:
             return None
-        ranks: dict = {}
-        for trace in self._traces:
-            for item in trace:
-                if type(item) is ChunkExec:
-                    uid = item.chunk.uid
-                    if uid not in ranks:
-                        ranks[uid] = len(ranks)
-        return ranks
-
-    def _rank_chunks(self) -> Optional[dict]:
-        """rank -> chunk object, the restoring-side inverse."""
-        if self._traces is None:
-            return None
-        chunks: dict = {}
-        seen: set = set()
-        for trace in self._traces:
-            for item in trace:
-                if type(item) is ChunkExec:
-                    uid = item.chunk.uid
-                    if uid not in seen:
-                        seen.add(uid)
-                        chunks[len(chunks)] = item.chunk
-        return chunks
+        return list(dict.fromkeys(
+            item.chunk.uid for trace in self._traces for item in trace
+            if type(item) is ChunkExec))
 
     def ckpt_state(self) -> dict:
         """Complete machine state, composed from every component's view."""
-        ranks = self._chunk_ranks()
+        chunk_uids = self._chunk_uids()
         return {
             "engine": self.env.ckpt_state(),
             "registry": self.registry.ckpt_state(),
@@ -215,7 +217,7 @@ class Machine:
             "page_table": self.page_table.ckpt_state(),
             "memsys": self.memsys.ckpt_state(),
             "sync": self.sync.ckpt_state(),
-            "ifaces": [iface.ckpt_state(ranks) for iface in self.ifaces],
+            "ifaces": [iface.ckpt_state(chunk_uids) for iface in self.ifaces],
             "cores": [core.ckpt_state() for core in self.cores],
         }
 
@@ -232,54 +234,11 @@ class Machine:
         self.page_table.ckpt_restore(state["page_table"])
         self.memsys.ckpt_restore(state["memsys"])
         self.sync.ckpt_restore(state["sync"])
-        rank_chunks = self._rank_chunks()
+        chunk_uids = self._chunk_uids()
         for iface, iface_state in zip(self.ifaces, state["ifaces"]):
-            iface.ckpt_restore(iface_state, rank_chunks)
+            iface.ckpt_restore(iface_state, chunk_uids)
         for core, core_state in zip(self.cores, state["cores"]):
             core.ckpt_restore(core_state)
-
-    def begin_resumed(self, workload, state: dict,
-                      allow_partial_obs: bool = False) -> None:
-        """Rebuild a mid-run machine: inject *state*, respawn unfinished CPUs.
-
-        The counterpart of :meth:`begin` for checkpoint injection; follow
-        with :meth:`advance` and :meth:`finish` as usual.  Every installed
-        recorder must tolerate it (``Recorder.ckpt``: recorder state is
-        deliberately not checkpointed, so a resumed recording would be
-        silently partial); ``allow_partial_obs`` admits a tracer for
-        exactly that -- spans from the resume point onward only -- which
-        is what the divergence bisector uses to put context around a
-        divergent event.
-        """
-        if self._ran:
-            raise SimulationError("a Machine is single-use; build a new one")
-        obs_hooks.require_ckpt_tolerant("checkpoint restore", SimulationError,
-                                        allow_partial_obs)
-        self._bind_probe()
-        self._ran = True
-        traces = workload.build(self.n_cpus)
-        if len(traces) != self.n_cpus:
-            raise ConfigurationError(
-                f"workload produced {len(traces)} traces for {self.n_cpus} CPUs"
-            )
-        self._workload = workload
-        self._traces = traces
-        self.ckpt_restore(state)
-        processes = []
-        for core, trace in zip(self.cores, traces):
-            if core.done:
-                continue
-            processes.append(
-                self.env.process(
-                    core.run_trace(trace, self.sync, start=core.trace_pos),
-                    name=f"cpu{core.node}")
-            )
-        if not processes:
-            raise SimulationError(
-                "checkpoint has no unfinished CPUs to resume"
-            )
-        self._processes = processes
-        self._done = self.env.all_of(processes)
 
 
 def run_workload(config: SimulatorConfig, workload, n_cpus: int = 1,

@@ -84,18 +84,25 @@ class RunRequest:
 
     # -- execution --------------------------------------------------------
 
-    def execute(self) -> RunResult:
-        """Run the simulation (in this process) and return its result.
+    def machine(self):
+        """A cold :class:`~repro.sim.machine.Machine` for this request.
 
-        The global RNGs are seeded from the request identity first; the
-        simulator itself only uses :func:`repro.common.rng.derive_rng`
-        streams, so this is a belt-and-braces guarantee that results do
-        not depend on which pool worker (or batch position) ran them.
+        The one way a request becomes a machine -- a straight run, a
+        checkpoint capture or restore, a timed or snapshotted run all
+        start here.  The global RNGs are seeded from the request identity
+        first; the simulator itself only uses
+        :func:`repro.common.rng.derive_rng` streams, so this is a
+        belt-and-braces guarantee that results do not depend on which
+        pool worker (or batch position) ran them.
         """
-        from repro.sim.machine import run_workload
+        from repro.sim.machine import Machine
 
         seed = self.request_seed()
         random.seed(seed)
         np.random.seed(seed % 2**32)
-        return run_workload(self.config, self.workload, self.n_cpus,
-                            self.scale, self.placement)
+        return Machine(self.config, self.n_cpus, self.effective_scale(),
+                       self.placement)
+
+    def execute(self) -> RunResult:
+        """Run the simulation (in this process) and return its result."""
+        return self.machine().run(self.workload)

@@ -5,7 +5,6 @@ from repro.obs import topo                # L2: spatial recorder import
 from repro.ckpt import store              # L2: checkpoint subsystem
 from repro.obs import txn as _txn         # L2: txn anatomy import
 from repro.obs import hooks as obs_hooks  # sanctioned: must NOT fire
-from repro.common.gate import CheckpointGate  # sanctioned: must NOT fire
 
 
 class LeakyBuffer:

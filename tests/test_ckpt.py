@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 
 from repro import ckpt
 from repro.ckpt.bisect import EventStreamRecorder, first_divergence
-from repro.ckpt.checkpoint import fresh_machine
+from repro.ckpt.checkpoint import CheckpointGate
 from repro.common.config import TINY_SCALE
 from repro.common.errors import (
     CheckpointError,
@@ -156,8 +156,7 @@ class TestComponentRefusals:
         state = json.loads(json.dumps(checkpoint.state))
         mutate(state)
         request = checkpoint.request()
-        machine = fresh_machine(request)
-        machine.begin_resumed(request.workload, state)
+        request.machine().begin(request.workload, state=state)
 
     def test_engine_refuses_live_calendar(self, quiesced):
         with pytest.raises(SimulationError, match="live events"):
@@ -233,7 +232,7 @@ class TestEventCalendar:
 
     def test_pause_by_events_resumes_identically(self, straight):
         request = tiny_request()
-        machine = fresh_machine(request)
+        machine = request.machine()
         machine.begin(request.workload)
         assert machine.advance(max_events=1000) is False
         assert machine.advance() is True
@@ -283,6 +282,15 @@ class TestRoundTripDeterminism:
                                                      quiesced):
         result = ckpt.resume(quiesced, method="replay")
         assert result.to_dict() == straight.to_dict()
+
+    def test_released_gate_never_parks_a_core_again(self):
+        # Cores keep their gate argument for the rest of the run, so a
+        # released gate must be open at every later clock value.
+        gate = CheckpointGate(100)
+        hold = gate.hold(0, Engine())
+        gate.release()
+        assert hold.fired and not gate.held
+        assert not any(now >= gate.at_ps for now in (100, 10**15, 2**63))
 
     def test_checkpoint_survives_json(self, straight, quiesced):
         rehydrated = ckpt.Checkpoint.from_dict(
@@ -371,12 +379,6 @@ class TestCheckpointStore:
         assert len(store) == 1
         found = store.get(quiesced.key)
         assert found is not None and found.digest == quiesced.digest
-
-    def test_corrupt_entry_reads_as_miss(self, tmp_path, quiesced):
-        store = ckpt.CheckpointStore(tmp_path)
-        path = store.put(quiesced)
-        path.write_text("{ torn json")
-        assert store.get(quiesced.key) is None
 
     def test_env_var_overrides_default_dir(self, monkeypatch, tmp_path):
         monkeypatch.setenv(ckpt.CKPT_DIR_ENV, str(tmp_path / "elsewhere"))
@@ -495,6 +497,21 @@ class TestCli:
             self._main(["save", "fft", "--at-ps", "5", "--checkpoint-dir",
                         str(tmp_path / "no" / "such" / "store")])
 
+    def test_unwritable_store_exits_2_naming_the_path(self, tmp_path,
+                                                      capsys):
+        # Regression: save used to print "stored: ..." and exit 0 with
+        # nothing on disk, or die with a raw traceback from mkdir.
+        occupied = tmp_path / "occupied"
+        occupied.write_text("an existing file, not a directory")
+        rc = self._main(["save", "fft", "--config", "mipsy", "--scale",
+                         "tiny", "--events", "50",
+                         "--checkpoint-dir", str(occupied)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "cannot store checkpoint" in captured.err
+        assert str(occupied) in captured.err
+        assert "stored:" not in captured.out
+
     def test_unknown_checkpoint_is_actionable(self, tmp_path, capsys):
         rc = self._main(["info", "feedbeef" * 8,
                          "--checkpoint-dir", str(tmp_path / "s")])
@@ -521,11 +538,11 @@ class TestLints:
         bad = tmp_path / "src" / "repro" / "mem" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("from repro.ckpt import save\n"
-                       "import repro.ckpt.store\n"
-                       "from repro.common.gate import CheckpointGate\n")
+                       "import repro.ckpt.store\n")
         report = run_lint(tmp_path, rules=["L2"])
-        # The gate import is sanctioned; the two ckpt imports are not.
         assert [v.line for v in report.violations] == [1, 2]
+        # Model code needs nothing from repro.ckpt: no slot is offered.
+        assert all("needs nothing" in v.hint for v in report.violations)
 
     def test_coverage_rule_flags_uncovered_stateful_class(self):
         import ast

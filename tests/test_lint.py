@@ -43,7 +43,7 @@ STALE_ALLOW = FIXTURES / "stale_allow.toml"
 SEEDED = {
     "L1": {"kernel.py": [6]},
     "L2": {"leaky.py": [3, 4, 5, 6]},
-    "L3": {"leaky.py": [11], "hazards.py": [16]},
+    "L3": {"leaky.py": [10], "hazards.py": [16]},
     "D1": {"hazards.py": [22, 29]},
     "D2": {"hazards.py": [33, 34]},
     "D3": {"hazards.py": [38], "hostclock.py": [17]},

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on the core data structures."""
 
 import json
+from dataclasses import replace
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from repro.isa.schedule import CoreTiming, schedule_chunk
 from repro.isa.opcodes import R10K_LATENCY
 from repro.mem.cache import MODIFIED, SHARED, SetAssocCache
 from repro.mem.tlb import Tlb
+from repro.sim import Machine, simos_mipsy
 from repro.vm.allocators import IrixColoringAllocator, SoloSequentialAllocator
 
 _SETTINGS = settings(max_examples=60, deadline=None,
@@ -77,6 +79,32 @@ class TestTlbProperties:
                 tlb.insert(vpn)
             assert len(tlb) <= entries
             assert vpn in tlb
+
+    @_SETTINGS
+    @given(st.lists(st.integers(0, 200), min_size=1, max_size=300),
+           st.integers(2, 32))
+    def test_inlined_classify_path_matches_reference(self, vpns, entries):
+        """The simulator never calls ``Tlb.lookup``/``insert``:
+        ``CpuMemInterface.classify`` carries an inlined copy (one
+        translation per data reference).  The methods are the reference
+        that copy must agree with -- resident set, LRU order, counters."""
+        page = TINY_SCALE.tlb.page_bytes
+        scale = replace(TINY_SCALE,
+                        tlb=TlbGeometry(entries=entries, page_bytes=page))
+        iface = Machine(simos_mipsy(150), 1, scale).ifaces[0]
+        reference = Tlb(scale.tlb)
+        for vpn in vpns:
+            hit = reference.lookup(vpn)
+            if not hit:
+                reference.insert(vpn)
+            tlb_miss = iface.classify(vpn * page + 8, int(Op.LOAD))[3]
+            assert tlb_miss == (not hit)
+        # Oldest-first, so equal lists mean equal LRU order.
+        assert (iface.tlb.ckpt_state()["vpns"]
+                == reference.ckpt_state()["vpns"])
+        for counter in ("misses", "evictions"):
+            assert iface.tlb.stats[counter] == reference.stats[counter]
+        assert reference.stats["misses"] >= len(set(vpns))
 
 
 class TestAllocatorProperties:

@@ -413,4 +413,4 @@ class TestIntegration:
         machine = Machine(hardware_config(), 1, scale)
         with obs_hooks.observing(TxnRecorder()):
             with pytest.raises(SimulationError, match="TxnRecorder"):
-                machine.begin_resumed(make_app("fft", scale), state={})
+                machine.begin(make_app("fft", scale), state={})

@@ -6,7 +6,9 @@ wall time and engine events/sec per case, folded into the committed perf
 ledger ``benchmarks/BENCH_engine_hotpath.json`` -- the baseline
 ``python -m repro.obs perf --baseline`` diffs against -- plus the engine
 primitives on their own (``timeout``, ``use`` free and queued,
-``pp_busy``, a two-hop ``send``).  The ledger is the record; the
+``pp_busy``, a two-hop ``send``) and the row-path primitives beside them
+(a plain-hit reference, an L2-hit reference, an all-hit row through a
+core).  The ledger is the record; the
 assertions are that repeats of one case are bit-identical and that an
 application case still processes exactly the committed record's
 ``events`` over the same ``sim_ps`` (the calendar may get cheaper, never
@@ -20,17 +22,24 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
 import pytest
 
 from conftest import BENCH_DIR, emit_bench
 from repro.common.config import get_scale
+from repro.cpu.interface import L2_HIT
 from repro.engine import Engine, Resource
+from repro.isa.opcodes import Op
+from repro.isa.trace import ChunkExec
+from repro.mem.cache import MODIFIED
 from repro.network.fabric import Network, NetworkParams
 from repro.obs.metrics import make_case, read_bench, run_record
 from repro.proto.magic import MagicController
 from repro.sim.configs import get_config
 from repro.sim.machine import Machine
+from repro.vm.layout import DATA_BASE
 from repro.workloads import make_app
+from repro.workloads.builder import ChunkBuilder
 
 #: fig2 simulates the applications on scaled Mipsy; table1 is the FLASH
 #: hardware configuration itself.
@@ -162,7 +171,119 @@ def test_primitive_throughput():
     emit_bench("engine_hotpath", records)
 
 
+# ---------------------------------------------------------------------------
+# Row-path primitives: what one reference and one all-hit row cost with no
+# engine under them.  Each builds a ``hardware`` node at repro scale whose
+# caches and TLB hold a few lines, and returns ``(run, ops)``: ``run()``
+# performs *ops* operations and leaves the node as it found it.
+# ---------------------------------------------------------------------------
+
+_LOAD, _STORE = int(Op.LOAD), int(Op.STORE)
+#: 16 loads + 8 stores: the row of ``benchmarks/e2e``'s ``resident_loop``.
+ROW_KINDS = [_LOAD] * 16 + [_STORE] * 8
+
+
+def _node(n_lines, in_l1):
+    """``(machine, addresses)``: *n_lines* consecutive L1 lines mapped,
+    their pages in the TLB, MODIFIED in the node's L2 -- and in its L1
+    too when *in_l1*."""
+    scale = get_scale("repro")
+    machine = Machine(get_config("hardware"), 1, scale)
+    iface = machine.ifaces[0]
+    addrs = DATA_BASE + np.arange(n_lines) * scale.l1d.line_bytes
+    for vaddr in addrs.tolist():
+        paddr = machine.page_table.translate(vaddr, 0)
+        iface.tlb.insert(iface.tlb.vpn_of(vaddr))
+        iface.l2.fill(paddr >> iface.l2.line_shift, MODIFIED)
+        if in_l1:
+            iface.l1d.fill(paddr >> iface.l1d.line_shift, MODIFIED)
+    return machine, addrs
+
+
+def _ref_hit():
+    """One row of plain hits (loads and stores 2:1 over 64 lines): the
+    resolver absorbs it in a single call."""
+    machine, addrs = _node(64, in_l1=True)
+    picks = np.random.default_rng(1).integers(0, 64, size=PRIMITIVE_OPS)
+    row = addrs[picks].tolist()
+    kinds = np.resize(ROW_KINDS, PRIMITIVE_OPS).tolist()
+    resolve = machine.ifaces[0].resolver(kinds)
+
+    def run():
+        assert resolve(row, 0)[0] == len(row), "a plain hit reached the core"
+    return run, len(row)
+
+
+def _ref_l2hit():
+    """Loads cycling over twice the L1's capacity, all of it in the L2
+    and within TLB reach: every reference comes back as an L2 hit."""
+    scale = get_scale("repro")
+    machine, addrs = _node(2 * scale.l1d.size_bytes // scale.l1d.line_bytes,
+                           in_l1=False)
+    row = np.resize(addrs, PRIMITIVE_OPS).tolist()
+    resolve = machine.ifaces[0].resolver([_LOAD] * len(row))
+
+    def run():
+        j = 0
+        while j < len(row):
+            j, outcome, _payload, _kind, tlb_miss = resolve(row, j)
+            assert outcome == L2_HIT and not tlb_miss
+            j += 1
+    return run, len(row)
+
+
+def _row_allhit_24():
+    """``resident_loop``'s rows through the core's row loop: each is one
+    ``resolve`` call and no generator."""
+    machine, addrs = _node(64, in_l1=True)
+    builder = ChunkBuilder("bench/row")
+    for kind in ROW_KINDS:
+        if kind == _LOAD:
+            builder.load(1, addr_reg=1)
+        else:
+            builder.store(addr_reg=1, value_reg=2)
+    picks = np.random.default_rng(1).integers(
+        0, 64, size=(PRIMITIVE_OPS, len(ROW_KINDS)))
+    ce = ChunkExec(builder.build(), addrs[picks])
+    core = machine.cores[0]
+
+    def run():
+        for _wait in core._exec_chunk(ce):
+            raise AssertionError("an all-hit row waited on the engine")
+    return run, ce.reps
+
+
+ROW_PRIMITIVES = {
+    "ref-hit": _ref_hit,
+    "ref-l2hit": _ref_l2hit,
+    "row-allhit-24": _row_allhit_24,
+}
+
+
+def _timed(run):
+    start = time.perf_counter()
+    run()
+    return time.perf_counter() - start
+
+
+@pytest.mark.slow
+def test_row_primitive_throughput():
+    """What one reference and one all-hit row cost: best of five."""
+    print()
+    records = []
+    for name, make in ROW_PRIMITIVES.items():
+        run, ops = make()
+        run()       # the chunk's schedule and instruction fetch
+        seconds = min(_timed(run) for _ in range(5))
+        print(f"{name:13s} {seconds / ops * 1e9:8.1f} ns/op")
+        records.append(run_record(
+            "engine_hotpath", make_case(name, "rows", 1, "primitive", "ref"),
+            seconds))
+    emit_bench("engine_hotpath", records)
+
+
 if __name__ == "__main__":
     test_application_throughput()
     test_perf_smoke_baseline()
     test_primitive_throughput()
+    test_row_primitive_throughput()

@@ -22,8 +22,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np                                       # noqa: E402
+
 from repro.common.config import REPRO_SCALE              # noqa: E402
 from repro.harness import run_experiment                 # noqa: E402
+from repro.isa.trace import ChunkExec, PhaseMark         # noqa: E402
+from repro.vm.layout import VirtualLayout                # noqa: E402
+from repro.workloads.base import Workload, touch_pages   # noqa: E402
+from repro.workloads.builder import ChunkBuilder         # noqa: E402
 
 #: The snapshotted experiments: cheap, and together they pin the machine
 #: geometry (table1), the calibration quantities (tlb_microbench) and a
@@ -72,6 +78,20 @@ CKPT_IDS = {
 #: Times only: callback names are implementation detail and may change.
 CALENDAR_IDS = {
     "calendar_tiny": (("radix", 4), ("fft", 1)),
+}
+
+#: Rows snapshots: golden id -> (workloads, configurations), every pair
+#: run at tiny scale on one CPU.  These pin the row path -- the cores' row
+#: loop and the interface's per-reference classification -- in both
+#: regimes (``resident``: every timed reference a TLB and L1 hit; radix:
+#: hits, L2 hits, misses and TLB refills interleaved) on the window core,
+#: the Mipsy core, and Mipsy with no TLB modelled: the run's result, its
+#: event count, and a digest of the end-of-run memory state with every
+#: order kept (TLB LRU, per-set L1/L2 recency, page-table and counter
+#: first touch), which a result hash alone does not see.
+ROWS_IDS = {
+    "rows_tiny": (("resident", "radix"),
+                  ("hardware", "simos-mipsy-150", "solo-mipsy-150")),
 }
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
@@ -200,6 +220,83 @@ def calendar_snapshot(golden_id: str) -> dict:
     return out
 
 
+class ResidentRows(Workload):
+    """Place, warm, then loop over a buffer that fits the L1 and the TLB.
+
+    The shape of ``benchmarks/e2e``'s ``resident_loop``: after the warm
+    pass (a store per line, so every line is MODIFIED) each of the timed
+    rows is 16 loads + 8 stores (and 8 ALU ops) that all hit the TLB and
+    the L1.
+    """
+
+    name = "resident"
+    N_LOADS = 16
+    N_STORES = 8
+    N_IALU = 8
+
+    def __init__(self, scale, rows: int = 2000, n_lines: int = 16,
+                 seed: int = 1):
+        super().__init__(scale)
+        self.rows = rows
+        self.n_lines = n_lines
+        self.seed = seed
+
+    def build(self, n_cpus: int):
+        warm_builder = ChunkBuilder("resident/warm")
+        warm_builder.store(addr_reg=1, value_reg=2)
+        warm = warm_builder.build()
+        kernel_builder = ChunkBuilder("resident/kernel")
+        for _ in range(self.N_LOADS):
+            kernel_builder.load(1, addr_reg=1)
+        for _ in range(self.N_STORES):
+            kernel_builder.store(addr_reg=1, value_reg=2)
+        for _ in range(self.N_IALU):
+            kernel_builder.ialu(2, 2)
+        line = self.scale.l1d.line_bytes
+        base = VirtualLayout(self.page).add(
+            "resident", self.n_lines * line).base
+        lines = base + np.arange(self.n_lines, dtype=np.int64) * line
+        picks = np.random.default_rng(self.seed).integers(
+            0, self.n_lines, size=(self.rows, self.N_LOADS + self.N_STORES))
+        return [[
+            touch_pages(warm, base, self.n_lines * line, self.page),
+            ChunkExec(warm, lines.reshape(-1, 1)),
+            PhaseMark(PhaseMark.PARALLEL, True),
+            ChunkExec(kernel_builder.build(), base + picks * line),
+            PhaseMark(PhaseMark.PARALLEL, False),
+        ]] + [[] for _ in range(n_cpus - 1)]
+
+
+def rows_snapshot(golden_id: str) -> dict:
+    """Result hash, event count and ordered memory-state digest per run."""
+    from repro.common.canonical import stable_hash
+    from repro.common.config import get_scale
+    from repro.sim.configs import get_config
+    from repro.sim.request import RunRequest
+    from repro.workloads import make_app
+
+    scale = get_scale("tiny")
+    workload_names, config_names = ROWS_IDS[golden_id]
+    out = {}
+    for workload_name in workload_names:
+        for config_name in config_names:
+            workload = (ResidentRows(scale) if workload_name == "resident"
+                        else make_app(workload_name, scale))
+            request = RunRequest(get_config(config_name), workload, 1, scale)
+            machine = request.machine()
+            result = machine.run(workload)
+            state = machine.ckpt_state()
+            # json.dumps without sort_keys: dict order (counter and page
+            # first touch) is part of what is pinned, like list order.
+            ordered = json.dumps([state["ifaces"][0], state["page_table"]])
+            out[request.describe()] = {
+                "result_hash": stable_hash(result.to_dict()),
+                "events_processed": machine.env.events_processed,
+                "state_sha256": hashlib.sha256(ordered.encode()).hexdigest(),
+            }
+    return out
+
+
 def main() -> int:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     for exp_id in GOLDEN_IDS:
@@ -233,6 +330,11 @@ def main() -> int:
         data = calendar_snapshot(golden_id)
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path} ({len(data)} calendars)")
+    for golden_id in ROWS_IDS:
+        path = GOLDEN_DIR / f"{golden_id}.json"
+        data = rows_snapshot(golden_id)
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path} ({len(data)} runs)")
     return 0
 
 

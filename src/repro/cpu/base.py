@@ -21,11 +21,11 @@ and enables the occupancy model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Mapping
 
 from repro.common.units import Clock
-from repro.isa.opcodes import Op, R10K_LATENCY, UNIT_LATENCY
+from repro.isa.opcodes import R10K_LATENCY, UNIT_LATENCY
 
 #: Cycles of L2-interface occupancy after a fill (the R10000 peculiarity of
 #: Section 3.1.2: the interface stays busy for the cache-line transfer, and

@@ -6,14 +6,20 @@ trick that keeps pure-Python simulation fast); it re-synchronises with
 global time at every blocking miss, barrier, and lock.  The residual clock
 skew is bounded by one chunk repetition and is part of the documented
 modelling error budget (DESIGN.md).
+
+The same rule one level down: within a row the model only sees the
+references that can change the cycle count.  The interface's resolver
+absorbs every plain hit where it stands, and a row made of nothing else
+advances the clock by the chunk's scheduled cost without becoming a
+generator (:meth:`CpuCore._exec_rows`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.common.errors import SimulationError
-from repro.common.stats import CounterSet, StatsRegistry
+from repro.common.stats import StatsRegistry
 from repro.obs import hooks as obs_hooks
 from repro.cpu.base import CoreParams
 from repro.cpu.interface import CpuMemInterface
@@ -26,6 +32,10 @@ from repro.isa.trace import (
     SyscallOp,
 )
 from repro.os.base import OsModel
+
+#: Address rows turned into Python lists at a time: the whole matrix of a
+#: long chunk execution is tens of MiB of ``int`` objects.
+_ROW_BLOCK = 256
 
 
 class CpuCore:
@@ -144,11 +154,24 @@ class CpuCore:
             probe.span(self._start_ps, obs_hooks.CPU, "total",
                        self.time_ps() - self._start_ps, self.node)
 
-    def _exec_rows(self, ce: ChunkExec, exec_row):
-        """Run every address row of *ce* through *exec_row*, the model's
-        generator for one row."""
-        for row in ce.addrs.tolist():
-            yield from exec_row(row)
+    def _exec_rows(self, ce: ChunkExec, resolve, exec_row, per_rep: float):
+        """Run every address row of *ce*.
+
+        *resolve* (``CpuMemInterface.resolver``) finds the row's first
+        reference the model must act on; *exec_row*, the model's
+        generator for one row, takes over from there.  A row with no such
+        reference costs exactly *per_rep* cycles -- what *exec_row* would
+        compute with no stall -- and never becomes a generator.
+        """
+        addrs = ce.addrs
+        n_mem = ce.chunk.n_mem
+        for lo in range(0, ce.reps, _ROW_BLOCK):
+            for row in addrs[lo:lo + _ROW_BLOCK].tolist():
+                first = resolve(row, 0)
+                if first[0] == n_mem:
+                    self.cycles += per_rep
+                else:
+                    yield from exec_row(row, first)
 
     def _drain_writes(self):
         """Wait out the write buffer (stores must be globally visible at

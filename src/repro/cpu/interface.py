@@ -4,9 +4,10 @@ Owns the L1 instruction/data caches, the (processor-managed) secondary
 cache, the TLB, the write buffer and the MSHRs, and implements both sides
 of the memory boundary:
 
-* towards the core: :meth:`classify` resolves one data reference against
-  TLB + L1 + L2 + MSHRs and says what the core must do (nothing, charge an
-  L2 hit, wait on an in-flight line, or issue a transaction);
+* towards the core: :meth:`resolver` walks a row of data references
+  against TLB + L1 + L2 + MSHRs, absorbs those the core has nothing to do
+  for, and says what it must do for the next one (charge a TLB refill or
+  an L2 hit, wait on an in-flight line, or issue a transaction);
 * towards the memory system: the ``l2_fill`` / ``l2_invalidate`` /
   ``l2_downgrade`` / ``l2_peek`` hooks the DSM protocol calls during
   transactions and interventions.
@@ -22,11 +23,11 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from math import ceil
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.config import MachineScale
 from repro.common.errors import SimulationError
-from repro.common.stats import CounterSet, StatsRegistry
+from repro.common.stats import StatsRegistry
 from repro.cpu.base import CoreParams
 from repro.isa.opcodes import Op
 from repro.mem.cache import MODIFIED, SetAssocCache, SHARED
@@ -36,14 +37,13 @@ from repro.mem.write_buffer import WriteBuffer
 from repro.memsys.dsm import DsmMemorySystem, MemKind
 from repro.obs import hooks as obs_hooks
 
-# classify() outcomes.
+# Outcomes of a resolved reference.
 HIT = 0        #: satisfied locally, no cost beyond the scheduled cycle
 L2_HIT = 1     #: L1 miss, L2 hit: charge l2_hit_cycles (+ port wait)
 PENDING = 2    #: line already in flight: wait on the returned event
 MISS = 3       #: issue a transaction (returned kind) for the returned paddr
 NOOP = 4       #: absorbed (store merge, prefetch to a present line, ...)
 
-_LOAD = int(Op.LOAD)
 _STORE = int(Op.STORE)
 _PREFETCH = int(Op.PREFETCH)
 _CACHEOP = int(Op.CACHEOP)
@@ -97,78 +97,128 @@ class CpuMemInterface:
     # Core-facing: data references
     # ------------------------------------------------------------------
 
-    def classify(self, vaddr: int, op: int) -> Tuple[int, object, Optional[str], bool]:
-        """Resolve one reference.
+    def resolver(self, kinds: Sequence[int]):
+        """``resolve(row, j) -> (j', outcome, payload, kind, tlb_miss)``
+        for rows of one chunk, whose memory slots have the ops *kinds*.
 
-        Returns ``(outcome, payload, kind, tlb_miss)`` where payload is the
-        in-flight event for PENDING or the physical address for MISS.
+        ``resolve`` walks *row* from slot *j* and absorbs, in place, every
+        reference the core has nothing to do for: a hit (TLB recency, L1
+        recency, ``l1d.hits``), a CACHEOP, a store or prefetch merged into
+        an in-flight line, a prefetch the L2 holds -- as long as the TLB
+        held the page.  It returns at the first reference the core must
+        act on: slot ``j'``, its outcome, the in-flight event (PENDING) or
+        physical address (MISS), the transaction kind, and whether the
+        TLB missed (then the outcome may be HIT or NOOP too).  ``j' ==
+        len(kinds)`` says the row is exhausted; the outcome is then that
+        of its last reference.  Every side effect -- counters, recency,
+        first-touch allocation, probe events -- happens in the order the
+        per-reference methods (``Tlb.lookup``/``insert``,
+        ``PageTable.translate``, ``SetAssocCache.lookup``) would produce;
+        ``tests/classify_reference.py`` is the oracle.
+
+        The closure binds the hot containers themselves, so it is valid
+        for the one ``_exec_chunk`` call that built it: a ``ckpt_restore``
+        rebinds them, and runs in ``Machine.begin`` before any core
+        starts.  Build one per chunk execution; never keep one.
         """
-        tlb_miss = False
+        n_mem = len(kinds)
+        node = self.node
         tlb = self.tlb
-        if tlb is not None:
-            # Inlined Tlb.lookup/insert: this is the hottest line in the
-            # simulator (one translation per data reference).
-            vpn = vaddr >> self._page_shift
-            tlb_map = tlb._map
-            if vpn in tlb_map:
-                tlb_map.move_to_end(vpn)
-            else:
-                tlb_miss = True
-                tlb.stats.add("misses")
-                if len(tlb_map) >= tlb.entries:
-                    tlb_map.popitem(last=False)
-                    tlb.stats.add("evictions")
-                tlb_map[vpn] = True
-                probe = obs_hooks.active
-                if probe is not None:
-                    # Mirrors Tlb.lookup's instant (this path inlines it).
-                    probe.tlb_miss(vpn, self.node)
-        paddr = self.page_table.translate(vaddr, self.node)
+        tlb_map = None if tlb is None else tlb._map
+        tlb_touch = None if tlb is None else tlb_map.move_to_end
+        page_shift = self._page_shift
+        page_mask = (1 << page_shift) - 1
+        frame_of = self.page_table._map.get
+        translate_vpn = self.page_table.translate_vpn
+        l1d, l2 = self.l1d, self.l2
+        l1_shift, l2_shift = self._l1_shift, self._l2_shift
+        l1_state = l1d._state.get
+        l1_sets, l1_mask = l1d._sets, l1d._set_mask
+        l1_counters = l1d.stats._counters
+        mshr = self._mshr.get
+        stats = self.stats
 
-        if op == _CACHEOP:
-            return (NOOP, None, None, tlb_miss)
+        def resolve(row, j):
+            outcome = HIT
+            tlb_miss = False      # a reference that sets it returns
+            while j < n_mem:
+                vaddr = row[j]
+                vpn = vaddr >> page_shift
+                if tlb_map is not None:
+                    if vpn in tlb_map:
+                        tlb_touch(vpn)
+                    else:
+                        tlb_miss = True
+                        tlb.stats.add("misses")
+                        if len(tlb_map) >= tlb.entries:
+                            tlb_map.popitem(last=False)
+                            tlb.stats.add("evictions")
+                        tlb_map[vpn] = True
+                        probe = obs_hooks.active
+                        if probe is not None:
+                            probe.tlb_miss(vpn, node)
+                pfn = frame_of(vpn)
+                if pfn is None:
+                    pfn = translate_vpn(vpn, node)     # first touch
+                op = kinds[j]
+                if op == _CACHEOP:
+                    outcome = NOOP
+                else:
+                    paddr = (pfn << page_shift) | (vaddr & page_mask)
+                    line1 = paddr >> l1_shift
+                    state1 = l1_state(line1)
+                    if state1 is not None:
+                        # SetAssocCache.lookup's hit, without the call.
+                        l1_counters["hits"] += 1.0
+                        ways = l1_sets[line1 & l1_mask]
+                        if ways[-1] != line1:
+                            ways.remove(line1)
+                            ways.append(line1)
+                        outcome = HIT
+                        if op == _STORE and state1 != MODIFIED:
+                            # Store to an L1 SHARED line: the L2 decides.
+                            line2 = paddr >> l2_shift
+                            if l2.peek(line2) == MODIFIED:
+                                l1d.set_state(line1, MODIFIED)
+                            elif mshr(line2) is not None:
+                                outcome = NOOP     # merged with in-flight
+                            else:
+                                stats.add("upgrades")
+                                return (j, MISS, paddr, MemKind.UPGRADE,
+                                        tlb_miss)
+                    else:
+                        l1d.lookup(line1)     # counts and reports the miss
+                        line2 = paddr >> l2_shift
+                        pending = mshr(line2)
+                        if pending is not None:
+                            if op != _PREFETCH and op != _STORE:
+                                stats.add("pending_hits")
+                                return (j, PENDING, pending, None, tlb_miss)
+                        else:
+                            state2 = l2.lookup(line2)
+                            if state2 is None:
+                                kind = (MemKind.WRITE if op == _STORE
+                                        else MemKind.READ)
+                                return (j, MISS, paddr, kind, tlb_miss)
+                            if op == _STORE and state2 != MODIFIED:
+                                stats.add("upgrades")
+                                return (j, MISS, paddr, MemKind.UPGRADE,
+                                        tlb_miss)
+                            l1d.fill(line1, state2)
+                            if op != _PREFETCH:
+                                return (j, L2_HIT, None, None, tlb_miss)
+                        outcome = NOOP
+                if tlb_miss:
+                    return (j, outcome, None, None, True)
+                j += 1
+            return (j, outcome, None, None, False)
 
-        line1 = paddr >> self._l1_shift
-        line2 = paddr >> self._l2_shift
-        is_store = op == _STORE
+        return resolve
 
-        state1 = self.l1d.lookup(line1)
-        if state1 is not None:
-            if not is_store or state1 == MODIFIED:
-                return (HIT, None, None, tlb_miss)
-            # Store to an L1 SHARED line: resolve against L2 state.
-            state2 = self.l2.peek(line2)
-            if state2 == MODIFIED:
-                self.l1d.set_state(line1, MODIFIED)
-                return (HIT, None, None, tlb_miss)
-            pending = self._mshr.get(line2)
-            if pending is not None:
-                return (NOOP, None, None, tlb_miss)  # merged with in-flight
-            self.stats.add("upgrades")
-            return (MISS, paddr, MemKind.UPGRADE, tlb_miss)
-
-        pending = self._mshr.get(line2)
-        if pending is not None:
-            if op == _PREFETCH or is_store:
-                return (NOOP, None, None, tlb_miss)
-            self.stats.add("pending_hits")
-            return (PENDING, pending, None, tlb_miss)
-
-        state2 = self.l2.lookup(line2)
-        if state2 is not None:
-            if not is_store:
-                self.l1d.fill(line1, state2)
-                if op == _PREFETCH:
-                    return (NOOP, None, None, tlb_miss)
-                return (L2_HIT, None, None, tlb_miss)
-            if state2 == MODIFIED:
-                self.l1d.fill(line1, MODIFIED)
-                return (L2_HIT, None, None, tlb_miss)
-            self.stats.add("upgrades")
-            return (MISS, paddr, MemKind.UPGRADE, tlb_miss)
-
-        kind = MemKind.WRITE if is_store else MemKind.READ
-        return (MISS, paddr, kind, tlb_miss)
+    def classify(self, vaddr: int, op: int) -> Tuple[int, object, Optional[str], bool]:
+        """Resolve one reference: ``(outcome, payload, kind, tlb_miss)``,
+        the one-slot spelling of :meth:`resolver` (the cores use that)."""
+        return self.resolver((op,))((vaddr,), 0)[1:]
 
     def issue_miss(self, paddr: int, kind: str):
         """Start a transaction, registering an MSHR.  Returns the event."""

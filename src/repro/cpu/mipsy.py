@@ -19,7 +19,7 @@ in-order schedule.
 from __future__ import annotations
 
 from repro.cpu.core import CpuCore
-from repro.cpu.interface import HIT, L2_HIT, MISS, NOOP, PENDING
+from repro.cpu.interface import L2_HIT, MISS, PENDING
 from repro.obs import hooks as obs_hooks
 from repro.isa.opcodes import Op
 from repro.isa.schedule import schedule_inorder
@@ -27,7 +27,6 @@ from repro.isa.trace import ChunkExec
 
 _LOAD = int(Op.LOAD)
 _STORE = int(Op.STORE)
-_PREFETCH = int(Op.PREFETCH)
 
 
 class MipsyCore(CpuCore):
@@ -57,7 +56,7 @@ class MipsyCore(CpuCore):
         offsets = sched.mem_offsets.tolist()
         kinds = chunk.mem_kind.tolist()
         n_mem = chunk.n_mem
-        classify = iface.classify
+        resolve = iface.resolver(kinds)
         issue_miss = iface.issue_miss
         port_wait = iface.port_wait_cycles
         tlb_refill = self.params.tlb_refill_cycles
@@ -71,12 +70,12 @@ class MipsyCore(CpuCore):
         cycle_ps = self.cycle_ps
         start_ps = self._start_ps
 
-        def exec_row(row):
+        def exec_row(row, first):
             base = self.cycles
             stall = 0.0
-            for j in range(n_mem):
+            j, outcome, payload, kind, tlb_miss = first
+            while j < n_mem:
                 op = kinds[j]
-                outcome, payload, kind, tlb_miss = classify(row[j], op)
                 if tlb_miss:
                     stall += tlb_refill
                     self.stats.add("tlb_refills")
@@ -85,8 +84,6 @@ class MipsyCore(CpuCore):
                             start_ps + int((base + offsets[j]) * cycle_ps),
                             obs_hooks.TLB, "refill",
                             int(tlb_refill * cycle_ps), node)
-                if outcome == HIT or outcome == NOOP:
-                    continue
                 pt = base + offsets[j] + stall
                 if outcome == L2_HIT:
                     wait = l2_hit_cycles + port_wait(pt)
@@ -95,8 +92,7 @@ class MipsyCore(CpuCore):
                         probe.span(start_ps + int(pt * cycle_ps),
                                    obs_hooks.MEM, "l2_hit",
                                    int(wait * cycle_ps), node)
-                    continue
-                if outcome == PENDING:
+                elif outcome == PENDING:
                     # A prefetched (or otherwise in-flight) line: loads wait
                     # out the remaining latency; that is how prefetching
                     # hides read latency without removing the transaction.
@@ -111,9 +107,7 @@ class MipsyCore(CpuCore):
                                            int((done_c - pt) * cycle_ps),
                                            node)
                         iface.port_fill_at(max(done_c, pt))
-                    continue
-                # MISS
-                if op == _LOAD:
+                elif outcome == MISS and op == _LOAD:
                     # The tag check waits out any in-progress line transfer
                     # (the secondary-cache interface occupancy effect).
                     stall += port_wait(pt)
@@ -133,7 +127,7 @@ class MipsyCore(CpuCore):
                                    obs_hooks.MEM, "load_miss",
                                    max(0, int((done_c - pt) * cycle_ps)),
                                    node)
-                elif op == _STORE:
+                elif outcome == MISS and op == _STORE:
                     wb.reap()
                     if wb.full:
                         done_ps = yield wb.oldest()
@@ -147,12 +141,16 @@ class MipsyCore(CpuCore):
                                            int(wait * cycle_ps), node)
                         self.stats.add("wb_full_stalls")
                     wb.add(issue_miss(payload, kind))
-                else:  # PREFETCH
+                elif outcome == MISS:  # PREFETCH
                     issue_miss(payload, kind)
                     self.stats.add("prefetches_issued")
+                # Anything else was a hit, here only for its TLB refill.  On
+                # to the next reference that matters: the resolver absorbs
+                # the plain hits in between.
+                j, outcome, payload, kind, tlb_miss = resolve(row, j + 1)
             self.cycles = base + per_rep + stall
 
-        yield from self._exec_rows(ce, exec_row)
+        yield from self._exec_rows(ce, resolve, exec_row, per_rep)
         if probe is not None:
             probe.span(start_ps + int(chunk_start_cycles * cycle_ps),
                        obs_hooks.CPU, f"chunk:{chunk.name}",

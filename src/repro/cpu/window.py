@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from repro.common.errors import SimulationError
 from repro.cpu.core import CpuCore
-from repro.cpu.interface import HIT, L2_HIT, MISS, NOOP, PENDING
+from repro.cpu.interface import L2_HIT, MISS, PENDING
 from repro.obs import hooks as obs_hooks
 from repro.isa.chunk import Chunk
 from repro.isa.opcodes import Op
@@ -42,7 +42,6 @@ from repro.isa.trace import ChunkExec
 
 _LOAD = int(Op.LOAD)
 _STORE = int(Op.STORE)
-_PREFETCH = int(Op.PREFETCH)
 
 
 class WindowCore(CpuCore):
@@ -141,11 +140,11 @@ class WindowCore(CpuCore):
         kinds = chunk.mem_kind.tolist()
         chases = chunk.pointer_chase.tolist()
         n_mem = chunk.n_mem
-        classify = iface.classify
+        resolve = iface.resolver(kinds)
         issue_miss = iface.issue_miss
         port_wait = iface.port_wait_cycles
         tlb_refill = p.tlb_refill_cycles
-        l2_hit_cycles = p.l2_hit_cycles
+        l2_hit_wait = max(0.0, p.l2_hit_cycles - self._l2_hit_hide)
         hide = p.miss_hide_cycles
         chase_hide = p.chase_hide_cycles
         max_out = p.max_outstanding
@@ -157,12 +156,12 @@ class WindowCore(CpuCore):
         cycle_ps = self.cycle_ps
         start_ps = self._start_ps
 
-        def exec_row(row):
+        def exec_row(row, first):
             base = self.cycles
             stall = 0.0
-            for j in range(n_mem):
+            j, outcome, payload, kind, tlb_miss = first
+            while j < n_mem:
                 op = kinds[j]
-                outcome, payload, kind, tlb_miss = classify(row[j], op)
                 if tlb_miss:
                     stall += tlb_refill
                     self.stats.add("tlb_refills")
@@ -171,19 +170,15 @@ class WindowCore(CpuCore):
                             start_ps + int((base + offsets[j]) * cycle_ps),
                             obs_hooks.TLB, "refill",
                             int(tlb_refill * cycle_ps), node)
-                if outcome == HIT or outcome == NOOP:
-                    continue
                 pt = base + offsets[j] + stall
                 if outcome == L2_HIT:
-                    wait = max(0.0, l2_hit_cycles - self._l2_hit_hide)
-                    wait += port_wait(pt)
+                    wait = l2_hit_wait + port_wait(pt)
                     stall += wait
                     if probe is not None and wait > 0:
                         probe.span(start_ps + int(pt * cycle_ps),
                                    obs_hooks.MEM, "l2_hit",
                                    int(wait * cycle_ps), node)
-                    continue
-                if outcome == PENDING:
+                elif outcome == PENDING:
                     if op == _LOAD:
                         done_ps = yield payload
                         done_c = self.cycles_at(done_ps)
@@ -195,9 +190,7 @@ class WindowCore(CpuCore):
                                            obs_hooks.MEM, "pending_wait",
                                            int(exposed * cycle_ps), node)
                         iface.port_fill_at(max(done_c, pt))
-                    continue
-                # MISS
-                if op == _STORE:
+                elif outcome == MISS and op == _STORE:
                     wb.reap()
                     if wb.full:
                         done_ps = yield wb.oldest()
@@ -211,10 +204,9 @@ class WindowCore(CpuCore):
                                            int(wait * cycle_ps), node)
                         self.stats.add("wb_full_stalls")
                     wb.add(issue_miss(payload, kind))
-                    continue
-                stall += port_wait(pt)
-                pt = base + offsets[j] + stall
-                if op == _LOAD and chases[j]:
+                elif outcome == MISS and op == _LOAD and chases[j]:
+                    stall += port_wait(pt)
+                    pt = base + offsets[j] + stall
                     # Dependent load: nothing to overlap with.
                     self.cycles = pt
                     yield from self._sync_to_local_time()
@@ -231,38 +223,45 @@ class WindowCore(CpuCore):
                                        obs_hooks.MEM, "chase_miss",
                                        int(exposed * cycle_ps), node)
                     self.stats.add("chase_miss_waits")
-                    continue
-                # Independent load or prefetch: overlap within slot limit.
-                self._reap_inflight()
-                if len(self._inflight) >= max_out:
-                    event0, issue0 = self._inflight.pop(0)
-                    done_ps = yield event0
-                    done_c = self.cycles_at(done_ps)
-                    self._observe_latency(done_c - issue0)
-                    iface.port_fill_at(done_c)
-                    wait = done_c - pt
-                    if wait > 0:
-                        stall += wait
-                        if probe is not None:
-                            probe.span(start_ps + int(pt * cycle_ps),
-                                       obs_hooks.MEM, "slot_full",
-                                       int(wait * cycle_ps), node)
-                        pt = base + offsets[j] + stall
-                    self.stats.add("slot_full_stalls")
-                event = issue_miss(payload, kind)
-                overlapped = bool(self._inflight)
-                self._inflight.append((event, pt))
-                if op == _LOAD and not overlapped:
-                    exposed = self._miss_ema - hide
-                    if exposed > 0:
-                        stall += exposed
-                        if probe is not None:
-                            probe.span(start_ps + int(pt * cycle_ps),
-                                       obs_hooks.MEM, "miss_exposed",
-                                       int(exposed * cycle_ps), node)
+                elif outcome == MISS:
+                    stall += port_wait(pt)
+                    pt = base + offsets[j] + stall
+                    # Independent load or prefetch: overlap within slot
+                    # limit.
+                    self._reap_inflight()
+                    if len(self._inflight) >= max_out:
+                        event0, issue0 = self._inflight.pop(0)
+                        done_ps = yield event0
+                        done_c = self.cycles_at(done_ps)
+                        self._observe_latency(done_c - issue0)
+                        iface.port_fill_at(done_c)
+                        wait = done_c - pt
+                        if wait > 0:
+                            stall += wait
+                            if probe is not None:
+                                probe.span(start_ps + int(pt * cycle_ps),
+                                           obs_hooks.MEM, "slot_full",
+                                           int(wait * cycle_ps), node)
+                            pt = base + offsets[j] + stall
+                        self.stats.add("slot_full_stalls")
+                    event = issue_miss(payload, kind)
+                    overlapped = bool(self._inflight)
+                    self._inflight.append((event, pt))
+                    if op == _LOAD and not overlapped:
+                        exposed = self._miss_ema - hide
+                        if exposed > 0:
+                            stall += exposed
+                            if probe is not None:
+                                probe.span(start_ps + int(pt * cycle_ps),
+                                           obs_hooks.MEM, "miss_exposed",
+                                           int(exposed * cycle_ps), node)
+                # Anything else was a hit, here only for its TLB refill.  On
+                # to the next reference that matters: the resolver absorbs
+                # the plain hits in between.
+                j, outcome, payload, kind, tlb_miss = resolve(row, j + 1)
             self.cycles = base + per_rep + stall
 
-        yield from self._exec_rows(ce, exec_row)
+        yield from self._exec_rows(ce, resolve, exec_row, per_rep)
         if probe is not None:
             probe.span(start_ps + int(chunk_start_cycles * cycle_ps),
                        obs_hooks.CPU, f"chunk:{chunk.name}",

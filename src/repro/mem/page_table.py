@@ -37,7 +37,12 @@ class PageTable:
         return pfn
 
     def translate(self, vaddr: int, node: int) -> int:
-        """Full virtual -> physical translation (allocating on first touch)."""
+        """Full virtual -> physical translation (allocating on first touch).
+
+        The row path does not call this: ``CpuMemInterface.resolver``
+        reads the map itself and calls :meth:`translate_vpn` for a first
+        touch.  It stays as the reference that copy is tested against
+        (``tests/classify_reference.py`` translates with it)."""
         shift = self.page_shift
         pfn = self.translate_vpn(vaddr >> shift, node)
         return (pfn << shift) | (vaddr & ((1 << shift) - 1))

@@ -37,7 +37,11 @@ class Tlb:
 
     def lookup(self, vpn: int) -> bool:
         """True on hit (refreshing LRU).  Only misses are counted: they are
-        the architecturally visible events (each costs a refill)."""
+        the architecturally visible events (each costs a refill).
+
+        The row path does not call this: ``CpuMemInterface.resolver``
+        inlines lookup and :meth:`insert`, and both stay as the reference
+        that copy is tested against (``tests/test_properties.py``)."""
         if vpn in self._map:
             self._map.move_to_end(vpn)
             return True

@@ -1,5 +1,7 @@
 """Processor-model behaviour tests (tiny scale, hand-built workloads)."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from repro.common.config import TINY_SCALE
 from repro.isa.trace import Barrier, ChunkExec, PhaseMark
 from repro.sim import hardware_config, run_workload, simos_mipsy, simos_mxs, solo_mipsy
 from repro.sim.configs import embra_config
+from repro.sim.machine import Machine
 from repro.vm.layout import VirtualLayout
 from repro.workloads.base import Workload
 from repro.workloads.builder import ChunkBuilder
+from tests.test_golden import refresh_goldens
 
 LINE = TINY_SCALE.l2.line_bytes
 PAGE = TINY_SCALE.tlb.page_bytes
@@ -205,3 +209,39 @@ class TestWriteBufferBehaviour:
         t_st = _run(simos_mipsy(150), stores)
         t_ld = _run(simos_mipsy(150), loads)
         assert t_st.parallel_ps < t_ld.parallel_ps
+
+
+class TestRowPathCallCount:
+    """Counts repeat exactly where timings do not: a plain hit may cost
+    no Python-level call and an all-hit row no generator."""
+
+    @staticmethod
+    def _calls(config, rows):
+        """Python-level ``call`` events (function entries and generator
+        resumes) while the engine runs a resident loop of *rows* rows."""
+        machine = Machine(config, 1, TINY_SCALE)
+        machine.begin(refresh_goldens.ResidentRows(TINY_SCALE, rows=rows))
+        calls = 0
+
+        def profile(_frame, event, _arg):
+            nonlocal calls
+            calls += event == "call"
+
+        sys.setprofile(profile)
+        try:
+            machine.advance()
+        finally:
+            sys.setprofile(None)
+        stats = machine.finish().stats
+        assert stats["l1d0.misses"] == 32       # the warm pass, nothing else
+        return calls
+
+    @pytest.mark.parametrize("config", [hardware_config(), simos_mipsy(150)],
+                             ids=lambda config: config.name)
+    def test_all_hit_rows_cost_at_most_two_calls_each(self, config):
+        """500 more rows of 24 hits each add at most 2 calls per row (the
+        row's one ``resolve``); placement, the warm pass and the trace's
+        other items are the same in both runs and cancel.  Classifying
+        each reference through methods costs over 100 per row."""
+        extra = self._calls(config, 600) - self._calls(config, 100)
+        assert 0 < extra <= 2 * 500

@@ -10,10 +10,13 @@ P=4, under the topo recorder), one transaction-anatomy report
 (``txn_fft_hardware``: fft on hardware, P=4, under the txn recorder --
 per-kind latency histograms and the slowest-K segment lists), one
 mid-run checkpoint (``ckpt_fft_hardware``: fft on hardware at half time
--- manifest, stop record, and per-component state digests), and the
+-- manifest, stop record, and per-component state digests), the
 engine's calendar for two tiny runs (``calendar_tiny``: event count,
-final clock, digest of every entry's time).  Any simulator change that
-shifts these numbers fails here with a field-by-field diff.
+final clock, digest of every entry's time), and the row path in both
+its regimes on three core/TLB combinations (``rows_tiny``: result hash,
+event count, order-keeping digest of the end-of-run memory state).  Any
+simulator change that shifts these numbers fails here with a
+field-by-field diff.
 
 If the drift is *intentional*, refresh the snapshots with::
 
@@ -135,6 +138,14 @@ class TestGoldenSnapshots:
         callbacks, but it may not add, drop or retime a calendar entry."""
         check_payload("calendar_tiny", refresh_goldens.calendar_snapshot)
 
+    def test_rows_snapshot(self):
+        """The row path is pinned where no other golden looks: an all-hit
+        loop and radix, on the window core, Mipsy, and Mipsy without a
+        TLB.  A row-path change may make a reference cheaper, but every
+        result, event count, recency order and first-touch counter order
+        must come out the same."""
+        check_payload("rows_tiny", refresh_goldens.rows_snapshot)
+
     def test_snapshot_set_matches_refresh_script(self):
         on_disk = {p.stem for p in GOLDEN_DIR.glob("*.json")}
         assert on_disk == (set(refresh_goldens.GOLDEN_IDS)
@@ -142,7 +153,8 @@ class TestGoldenSnapshots:
                            | set(refresh_goldens.HOTSPOT_IDS)
                            | set(refresh_goldens.TXN_IDS)
                            | set(refresh_goldens.CKPT_IDS)
-                           | set(refresh_goldens.CALENDAR_IDS))
+                           | set(refresh_goldens.CALENDAR_IDS)
+                           | set(refresh_goldens.ROWS_IDS))
 
 
 class TestDiffReadability:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from repro.common.canonical import canonicalize, stable_hash
 from repro.common.config import CacheGeometry, TINY_SCALE, TlbGeometry
+from repro.cpu.interface import HIT, MISS, NOOP, PENDING
 from repro.sim.results import RunResult
 from repro.engine import Engine, Resource
 from repro.isa.opcodes import NO_REG, Op
@@ -16,8 +17,10 @@ from repro.isa.schedule import CoreTiming, schedule_chunk
 from repro.isa.opcodes import R10K_LATENCY
 from repro.mem.cache import MODIFIED, SHARED, SetAssocCache
 from repro.mem.tlb import Tlb
-from repro.sim import Machine, simos_mipsy
+from repro.sim import Machine, simos_mipsy, solo_mipsy
 from repro.vm.allocators import IrixColoringAllocator, SoloSequentialAllocator
+from repro.vm.layout import DATA_BASE
+from tests import classify_reference
 
 _SETTINGS = settings(max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -82,29 +85,149 @@ class TestTlbProperties:
 
     @_SETTINGS
     @given(st.lists(st.integers(0, 200), min_size=1, max_size=300),
-           st.integers(2, 32))
-    def test_inlined_classify_path_matches_reference(self, vpns, entries):
-        """The simulator never calls ``Tlb.lookup``/``insert``:
-        ``CpuMemInterface.classify`` carries an inlined copy (one
+           st.integers(2, 32), st.booleans())
+    def test_inlined_classify_path_matches_reference(self, vpns, entries,
+                                                     model_tlb):
+        """The simulator never calls ``Tlb.lookup``/``insert``: the
+        closure ``CpuMemInterface.resolver`` builds -- the code both cores
+        run, and all ``classify`` is -- carries an inlined copy (one
         translation per data reference).  The methods are the reference
-        that copy must agree with -- resident set, LRU order, counters."""
+        that copy must agree with -- resident set, LRU order, counters --
+        and with no TLB modelled it must report no miss at all."""
         page = TINY_SCALE.tlb.page_bytes
         scale = replace(TINY_SCALE,
                         tlb=TlbGeometry(entries=entries, page_bytes=page))
-        iface = Machine(simos_mipsy(150), 1, scale).ifaces[0]
+        config = simos_mipsy(150) if model_tlb else solo_mipsy(150)
+        iface = Machine(config, 1, scale).ifaces[0]
+        row = [vpn * page + 8 for vpn in vpns]
+        resolve = iface.resolver([int(Op.LOAD)] * len(row))
+        missed, j = set(), 0
+        while j < len(row):
+            j, _outcome, _payload, _kind, tlb_miss = resolve(row, j)
+            if tlb_miss:
+                missed.add(j)
+            j += 1
+        if not model_tlb:
+            assert iface.tlb is None and not missed
+            return
         reference = Tlb(scale.tlb)
-        for vpn in vpns:
+        for slot, vpn in enumerate(vpns):
             hit = reference.lookup(vpn)
             if not hit:
                 reference.insert(vpn)
-            tlb_miss = iface.classify(vpn * page + 8, int(Op.LOAD))[3]
-            assert tlb_miss == (not hit)
+            assert (slot in missed) == (not hit)
         # Oldest-first, so equal lists mean equal LRU order.
         assert (iface.tlb.ckpt_state()["vpns"]
                 == reference.ckpt_state()["vpns"])
         for counter in ("misses", "evictions"):
             assert iface.tlb.stats[counter] == reference.stats[counter]
         assert reference.stats["misses"] >= len(set(vpns))
+
+
+_OPS = [int(op) for op in (Op.LOAD, Op.STORE, Op.PREFETCH, Op.CACHEOP)]
+#: A reference: (page 0-7, L1 line within the page 0-3, op) -- 32 lines.
+_refs = st.tuples(st.integers(0, 7), st.integers(0, 3), st.sampled_from(_OPS))
+_line_states = st.sampled_from([None, SHARED, MODIFIED])
+#: A pre-seeded line: (page, line, L1 state, L2 state, live MSHR entry?).
+_seeds = st.tuples(st.integers(0, 7), st.integers(0, 3), _line_states,
+                   _line_states, st.booleans())
+
+
+class TestResolverMatchesReference:
+    """``CpuMemInterface.resolver`` against the per-reference body it
+    replaced (``tests/classify_reference.py``)."""
+
+    def _iface(self, entries, seeds):
+        """A tiny one-node interface (``entries == 0``: no TLB) with
+        *seeds* planted in its caches and MSHRs."""
+        scale = TINY_SCALE
+        if entries:
+            scale = replace(scale, tlb=TlbGeometry(
+                entries=entries, page_bytes=scale.tlb.page_bytes))
+        config = simos_mipsy(150) if entries else solo_mipsy(150)
+        machine = Machine(config, 1, scale)
+        iface = machine.ifaces[0]
+        for page, line, state1, state2, in_flight in seeds:
+            paddr = iface.page_table.translate(self._vaddr(page, line), 0)
+            if state2 is not None:
+                iface.l2.fill(paddr >> iface.l2.line_shift, state2)
+            if state1 is not None:
+                iface.l1d.fill(paddr >> iface.l1d.line_shift, state1)
+            if in_flight:
+                self._issue(machine, iface, paddr)
+        return machine, iface
+
+    def _vaddr(self, page, line):
+        return (DATA_BASE + page * TINY_SCALE.tlb.page_bytes
+                + line * TINY_SCALE.l1d.line_bytes)
+
+    @staticmethod
+    def _issue(machine, iface, paddr):
+        """What ``issue_miss`` leaves behind, without a memory system."""
+        iface._mshr.setdefault(paddr >> iface.l2.line_shift,
+                               machine.env.event())
+
+    @staticmethod
+    def _portable(iface, outcome, payload, kind, tlb_miss):
+        if outcome == PENDING:
+            # Events differ by machine; the line they stand for must not.
+            payload = next(line for line, event in iface._mshr.items()
+                           if event is payload)
+        return (outcome, payload, kind, tlb_miss)
+
+    @_SETTINGS
+    @given(st.integers(0, 8).filter(lambda n: n != 1),
+           st.lists(_seeds, max_size=12),
+           st.lists(st.lists(_refs, min_size=1, max_size=12),
+                    min_size=1, max_size=6))
+    def test_same_events_state_and_counter_order(self, entries, seeds, rows):
+        """Three identical interfaces: the oracle and ``classify`` (the
+        resolver's one-slot spelling) take one reference at a time, the
+        resolver takes whole rows the way the cores drive it."""
+        (ref_machine, ref_iface), (one_machine, one_iface), (machine, iface) = (
+            self._iface(entries, seeds) for _ in range(3))
+        for refs in rows:
+            row = [self._vaddr(page, line) for page, line, _op in refs]
+            kinds = [op for _page, _line, op in refs]
+
+            # The core would see the references that are not a HIT/NOOP
+            # or that missed the TLB.
+            expected = []
+            for slot, (vaddr, op) in enumerate(zip(row, kinds)):
+                result = classify_reference.classify(ref_iface, vaddr, op)
+                single = one_iface.classify(vaddr, op)
+                assert (self._portable(one_iface, *single)
+                        == self._portable(ref_iface, *result))
+                if result[0] not in (HIT, NOOP) or result[3]:
+                    expected.append(
+                        (slot,) + self._portable(ref_iface, *result))
+                if result[0] == MISS:
+                    self._issue(ref_machine, ref_iface, result[1])
+                    self._issue(one_machine, one_iface, single[1])
+
+            # Every slot the resolver skips is one the oracle called a
+            # plain HIT/NOOP, since the two event lists match.
+            resolve = iface.resolver(kinds)
+            events, j = [], 0
+            while True:
+                j, *event = resolve(row, j)
+                if j == len(row):
+                    break
+                events.append((j,) + self._portable(iface, *event))
+                if event[0] == MISS:
+                    self._issue(machine, iface, event[1])
+                j += 1
+            assert events == expected
+
+        # json.dumps keeps list *and* dict order: TLB LRU, per-set L1/L2
+        # recency and states, MSHR lines, page first touch, and every
+        # CounterSet's first-touch key order must all agree.
+        for other_machine, other in ((one_machine, one_iface),
+                                     (machine, iface)):
+            assert (json.dumps(other.ckpt_state())
+                    == json.dumps(ref_iface.ckpt_state()))
+            assert (json.dumps(other_machine.page_table.ckpt_state())
+                    == json.dumps(ref_machine.page_table.ckpt_state()))
 
 
 class TestAllocatorProperties:

@@ -11,17 +11,9 @@ set -eu
 cd "$(dirname "$0")/.."
 
 # Invariant gate first: a tree that breaks a static contract fails
-# before any simulation time is spent.  The JSON report is emitted only
-# on failure (machine-readable for CI annotation).
+# (exit 1, one block per violation) before any simulation time is spent.
 echo "=== lint gate: python -m repro.lint ==="
-lint_json="$(mktemp)"
-if ! PYTHONPATH=src python -m repro.lint --json > "$lint_json"; then
-    cat "$lint_json"
-    rm -f "$lint_json"
-    echo "=== lint gate failed ==="
-    exit 1
-fi
-rm -f "$lint_json"
+PYTHONPATH=src python -m repro.lint
 
 # Txn smoke (hard gate): one traced tiny run must record transactions,
 # observe remote-dirty misses, and account every picosecond (residual 0).
@@ -57,6 +49,9 @@ printf '%-54s %6d\n' \
              src/repro/os)" \
     "tooling (obs lint ckpt)" \
     "$(lines src/repro/obs src/repro/lint src/repro/ckpt)" \
+    "  obs" "$(lines src/repro/obs)" \
+    "  lint" "$(lines src/repro/lint)" \
+    "  ckpt" "$(lines src/repro/ckpt)" \
     "validation/dashboard.py" \
     "$(lines src/repro/validation/dashboard.py)" \
     "ambient slots (len(repro.lint.rules.AMBIENT_SLOTS))" \

@@ -1,4 +1,4 @@
-"""repro.ckpt: full-machine checkpoint/restore, warm starts, bisection.
+"""repro.ckpt: full-machine checkpoint/restore and bisection.
 
 Every stateful simulator component implements the :class:`Checkpointable`
 protocol -- ``ckpt_state()`` returning a JSON-able view of its complete
@@ -12,8 +12,7 @@ versioned checkpoint; this package adds the machinery around it:
   code-fingerprint and digest verification, restore by replay or by
   injection;
 * :mod:`repro.ckpt.store` -- the content-addressed on-disk store (a
-  :class:`~repro.common.store.JsonStore`, like the farm's result cache)
-  and :func:`warm_run` (skip initialization from a cached checkpoint);
+  :class:`~repro.common.store.JsonStore`, like the farm's result cache);
 * :mod:`repro.ckpt.bisect` -- replay two configurations from a shared
   checkpoint and binary-search the event stream for the first divergent
   event;
@@ -51,7 +50,6 @@ from repro.ckpt.store import (
     CheckpointStore,
     default_ckpt_dir,
     load_file,
-    warm_run,
 )
 from repro.common.errors import CheckpointError
 
@@ -67,7 +65,7 @@ class Checkpointable(Protocol):
     silently restore a subset.  Live events may be captured as fired/
     pending markers for digesting, but only states free of them are
     injectable.  Lint rule L3 checks that every stateful simulator class
-    implements this protocol.
+    implements this protocol, both halves.
     """
 
     def ckpt_state(self) -> dict: ...
@@ -93,5 +91,4 @@ __all__ = [
     "restore",
     "resume",
     "save",
-    "warm_run",
 ]

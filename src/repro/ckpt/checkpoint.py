@@ -20,8 +20,7 @@ frames at the heart of the engine:
   core parks at a trace-item boundary and the event calendar drains
   completely.  The resulting state has no live coroutine anywhere, so
   restore can *inject* it into a fresh machine
-  (``Machine.begin(workload, state=...)``) without replaying -- the
-  warm-start fast path used by :func:`repro.ckpt.store.warm_run`.
+  (``Machine.begin(workload, state=...)``) without replaying.
 
 Whether a captured state is injectable is decided structurally from the
 state itself (:func:`injection_blockers`): empty calendar, no MSHR

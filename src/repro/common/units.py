@@ -54,10 +54,6 @@ class Clock:
         """Convert picoseconds to (fractional) cycles of this clock."""
         return ps / self.cycle_ps
 
-    def ns_per_cycle(self) -> float:
-        """Cycle time in nanoseconds."""
-        return self.cycle_ps / PS_PER_NS
-
 
 #: The processor clock of the real FLASH hardware (Table 1).
 HW_CPU_CLOCK = Clock(150.0)

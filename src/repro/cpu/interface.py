@@ -318,9 +318,6 @@ class CpuMemInterface:
         for l1_line in range(first, first + self._l1_per_l2):
             self.l1d.invalidate(l1_line)
 
-    def mshr_outstanding(self) -> int:
-        return len(self._mshr)
-
     # -- checkpoint contract ---------------------------------------------
 
     def ckpt_state(self, chunk_uids: Optional[List[int]] = None) -> dict:

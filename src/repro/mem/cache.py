@@ -121,10 +121,6 @@ class SetAssocCache:
         capacity = self.n_sets * self.geometry.assoc
         return len(self._state) / capacity if capacity else 0.0
 
-    def resident_lines(self):
-        """Snapshot of resident line numbers (tests / debugging)."""
-        return list(self._state)
-
     def clear(self) -> None:
         self._state.clear()
         for ways in self._sets:

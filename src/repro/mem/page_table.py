@@ -47,9 +47,6 @@ class PageTable:
         pfn = self.translate_vpn(vaddr >> shift, node)
         return (pfn << shift) | (vaddr & ((1 << shift) - 1))
 
-    def mapped_pages(self) -> int:
-        return len(self._map)
-
     def frame_of(self, vpn: int):
         """The frame of *vpn* if already mapped, else None (no allocation)."""
         return self._map.get(vpn)

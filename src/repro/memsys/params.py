@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field, replace
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.common.errors import ConfigurationError
 from repro.network.fabric import NetworkParams
@@ -122,14 +122,6 @@ class DsmParams:
 
     def with_updates(self, **kwargs) -> "DsmParams":
         return replace(self, **kwargs)
-
-    def tunable_fields(self) -> Tuple[str, ...]:
-        """Parameters the calibration loop may adjust."""
-        return (
-            "bus_ps", "pp_out_ps", "pp_home_ps", "pp_mem_ps",
-            "pp_redirect_ps", "pp_ivn_ps", "pp_reply_ps",
-            "dram_ps", "owner_cache_ps",
-        )
 
     def as_dict(self) -> Dict[str, int]:
         out = {}

@@ -78,11 +78,6 @@ class Network:
                 src, dst, flits, hops, start, ev.value - start))
         return done
 
-    def latency_bound_ps(self, src: int, dst: int, flits: int = 1) -> int:
-        """Uncontended delivery latency (used by tests and NUMA tables)."""
-        hops = self.cube.distance(src, dst)
-        return hops * (self.params.occupancy_ps(flits) + self.params.hop_ps)
-
     def link_stats(self):
         """Per-link resource stats (contention analysis)."""
         return {link: res.stats for link, res in self._links.items()}

@@ -53,18 +53,6 @@ class Hypercube:
                 out.append((node, node ^ (1 << dim)))
         return out
 
-    def average_distance(self) -> float:
-        """Mean hop count over distinct node pairs."""
-        if self.n_nodes == 1:
-            return 0.0
-        total = sum(
-            self.distance(a, b)
-            for a in range(self.n_nodes)
-            for b in range(self.n_nodes)
-            if a != b
-        )
-        return total / (self.n_nodes * (self.n_nodes - 1))
-
     def _check(self, node: int) -> None:
         if not 0 <= node < self.n_nodes:
             raise ConfigurationError(f"node {node} outside cube of {self.n_nodes}")

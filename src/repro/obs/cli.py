@@ -32,10 +32,9 @@ Six subcommands::
 
 Every configuration option accepts full configuration names
 (``solo-mipsy-225-tuned``) or the study's shorthand (``solo``, ``mipsy``,
-``mxs`` -- the 150 MHz tuned variants).  ``trace``/``diff`` runs dispatch
-through :mod:`repro.sim.farm_hooks`, so an active farm caches traced
-reference runs across invocations; ``hotspot`` always simulates fresh
-(spatial counters are a side effect the farm's result cache cannot replay).
+``mxs`` -- the 150 MHz tuned variants).  Every run-style subcommand
+simulates fresh, in this process: what a recorder collects is a side
+effect of the run, which no result cache could replay.
 """
 
 from __future__ import annotations
@@ -66,7 +65,6 @@ from repro.obs.metrics import (
     run_record,
 )
 from repro.obs.trace import TraceRecorder
-from repro.sim import farm_hooks
 from repro.sim.configs import get_config
 from repro.sim.request import RunRequest
 from repro.workloads import APP_NAMES, make_app
@@ -125,6 +123,22 @@ def add_run_args(sub: argparse.ArgumentParser, default_cpus: int,
                      help="machine scale (paper, repro, tiny)")
     sub.add_argument("--untuned-inputs", action="store_true",
                      help="use the pre-fix application inputs")
+
+
+def _request(args: argparse.Namespace, config_name: str) -> RunRequest:
+    """The run a parsed :func:`add_run_args` block describes, under the
+    configuration *config_name* (full name or shorthand)."""
+    scale = get_scale(args.scale)
+    workload = make_app(args.workload, scale,
+                        tuned_inputs=not args.untuned_inputs)
+    return RunRequest(resolve_config(config_name), workload, args.cpus,
+                      scale)
+
+
+def _write_json(path: str, payload: dict) -> None:
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+    print(f"\nwrote {path}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -235,13 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
-    config = resolve_config(args.config)
-    workload = make_app(args.workload, scale,
-                        tuned_inputs=not args.untuned_inputs)
     recorder = TraceRecorder(args.capacity, engine_events=args.engine_events)
     with hooks.observing(recorder):
-        result = farm_hooks.run(RunRequest(config, workload, args.cpus, scale))
+        result = _request(args, args.config).execute()
 
     print(result.describe())
     print(f"traced {recorder.recorded} spans "
@@ -264,70 +274,44 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
-    ref_config = resolve_config(args.ref)
-    cand_config = resolve_config(args.cand)
-    workload = make_app(args.workload, scale,
-                        tuned_inputs=not args.untuned_inputs)
     runs = []
-    for config in (ref_config, cand_config):
+    for config_name in (args.ref, args.cand):
         # One fresh recorder per run: breakdowns must not blend.
         with hooks.observing(TraceRecorder(args.capacity)):
-            runs.append(farm_hooks.run(
-                RunRequest(config, workload, args.cpus, scale)))
+            runs.append(_request(args, config_name).execute())
     diff = diff_runs(runs[0], runs[1])
     print(diff.format_waterfall())
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(diff.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, diff.to_dict())
     return 0
 
 
 def cmd_hotspot(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
-    config = resolve_config(args.config)
-    workload = make_app(args.workload, scale,
-                        tuned_inputs=not args.untuned_inputs)
     recorder = obs_topo.TopoRecorder(
         region=args.region,
         sample_interval_ps=args.sample_interval_ps,
         sample_capacity=args.samples)
-    # Deliberately NOT farm_hooks.run: a cache hit would replay the
-    # RunResult without re-simulating, leaving the recorder empty.
-    request = RunRequest(config, workload, args.cpus, scale)
     with hooks.observing(recorder):
-        result = request.execute()
+        result = _request(args, args.config).execute()
     report = build_report(recorder, result, top_k=args.top)
     print(result.describe())
     print()
     print(report.format(top_k=args.top))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, report.to_dict())
     return 0
 
 
 def cmd_txn(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
-    config = resolve_config(args.config)
-    workload = make_app(args.workload, scale,
-                        tuned_inputs=not args.untuned_inputs)
     recorder = obs_txn.TxnRecorder(top_k=max(1, args.top))
-    # Deliberately NOT farm_hooks.run: a cache hit would replay the
-    # RunResult without re-simulating, leaving the recorder empty.
-    request = RunRequest(config, workload, args.cpus, scale)
     with hooks.observing(recorder):
-        result = request.execute()
+        result = _request(args, args.config).execute()
     report = obs_txn.build_report(recorder, result, top_k=args.top)
     print(result.describe())
     print()
     print(report.format(top=args.top, kind=args.kind))
     if args.json:
-        with open(args.json, "w") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        print(f"\nwrote {args.json}")
+        _write_json(args.json, report.to_dict())
     if args.check:
         remote_dirty = report.count_for(
             lambda key: "remote_dirty" in key or "dirty_remote" in key)
@@ -349,19 +333,15 @@ def cmd_txn(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    scale = get_scale(args.scale)
-    config = resolve_config(args.config)
-    workload = make_app(args.workload, scale,
-                        tuned_inputs=not args.untuned_inputs)
-    # Deliberately NOT farm_hooks.run: a cache hit would replay the
-    # RunResult without re-simulating, leaving nothing to time; and the
-    # event count lives on the machine's engine.
-    machine = RunRequest(config, workload, args.cpus, scale).machine()
+    request = _request(args, args.config)
+    # Not request.execute(): the event count lives on the machine's engine.
+    machine = request.machine()
     start = time.perf_counter()
-    result = machine.run(workload)
+    result = machine.run(request.workload)
     wall_s = time.perf_counter() - start
     events = machine.env.events_processed
-    case = make_case(args.workload, config.name, args.cpus, scale.name, "ref")
+    case = make_case(args.workload, request.config.name, args.cpus,
+                     request.scale.name, "ref")
     record = run_record("obs_perf", case, wall_s, result=result,
                         events=events)
 

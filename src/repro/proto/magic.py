@@ -66,9 +66,6 @@ class MagicController:
         memory"), so this is always a real resource."""
         return self.dram.use(hold_ps, txn)
 
-    def queue_depths(self):
-        return {"pp": self.pp.queue_length, "dram": self.dram.queue_length}
-
     # -- checkpoint contract ---------------------------------------------
 
     def ckpt_state(self) -> dict:

@@ -79,17 +79,6 @@ class SimulatorConfig:
             memsys_override=params,
         )
 
-    def with_memsys(self, memsys_key: str) -> "SimulatorConfig":
-        """The same simulator on a different memory-system model."""
-        suffix = "-numa" if memsys_key == "numa" else f"-{memsys_key}"
-        return SimulatorConfig(
-            name=self.name + suffix,
-            core=self.core,
-            os_model=self.os_model,
-            memsys_key=memsys_key,
-            description=self.description + f" (memsys={memsys_key})",
-        )
-
 
 def _fl(tuned: bool) -> str:
     return "flashlite_tuned" if tuned else "flashlite_untuned"

@@ -40,10 +40,6 @@ def uninstall() -> None:
     active = None
 
 
-def is_enabled() -> bool:
-    return active is not None
-
-
 @contextmanager
 def farming(farm: object):
     """Context manager: dispatch through *farm* inside the block."""

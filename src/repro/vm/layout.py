@@ -92,7 +92,3 @@ class VirtualLayout:
 
     def regions(self) -> Dict[str, Region]:
         return dict(self._regions)
-
-    def footprint_bytes(self) -> int:
-        """Total declared bytes (not counting gaps)."""
-        return sum(r.size for r in self._regions.values())

@@ -14,7 +14,7 @@ phase's duration, like the paper's parallel-section timings.
 from __future__ import annotations
 
 import abc
-from typing import Iterator, List
+from typing import List
 
 import numpy as np
 
@@ -53,11 +53,6 @@ class Workload(abc.ABC):
         share = total // n_cpus
         return range(cpu * share, (cpu + 1) * share)
 
-    @staticmethod
-    def exec_batch(chunk, addr_rows: np.ndarray) -> ChunkExec:
-        """Wrap address rows (reps x n_mem) for *chunk*."""
-        return ChunkExec(chunk, addr_rows)
-
 
 def touch_pages(chunk_store, region_base: int, region_size: int,
                 page_bytes: int) -> ChunkExec:
@@ -70,10 +65,3 @@ def touch_pages(chunk_store, region_base: int, region_size: int,
     n_pages = (region_size + page_bytes - 1) // page_bytes
     addrs = region_base + np.arange(n_pages, dtype=np.int64) * page_bytes
     return ChunkExec(chunk_store, addrs.reshape(-1, 1))
-
-
-def interleave(*iterators: Iterator) -> Iterator:
-    """Round-robin merge of trace fragments (used by phase builders)."""
-    for items in zip(*iterators):
-        for item in items:
-            yield item

@@ -82,12 +82,6 @@ class ChunkBuilder:
     def cacheop(self) -> int:
         return self.emit(Op.CACHEOP)
 
-    def coproc(self, dst: int = NO_REG) -> int:
-        return self.emit(Op.COPROC, dst)
-
-    def nop(self) -> int:
-        return self.emit(Op.NOP)
-
     # -- mix helpers -----------------------------------------------------------
 
     def compute_chain(self, ops: Sequence[Op], reg: int) -> None:

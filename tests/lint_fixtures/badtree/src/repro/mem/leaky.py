@@ -1,4 +1,4 @@
-"""Seeded L2 (banned imports) and L3 (no ckpt_state) violations."""
+"""Seeded L2 (banned imports) and L3 (checkpoint protocol) violations."""
 
 import repro.obs.metrics                  # L2: ledger in model code
 from repro.obs import topo                # L2: spatial recorder import
@@ -24,6 +24,9 @@ class CoveredBuffer:
     def ckpt_state(self):
         return {"entries": sorted(self.entries.items())}
 
+    def ckpt_restore(self, state):
+        self.entries = dict(state["entries"])
+
 
 class InheritingBuffer(CoveredBuffer):
     """Inherits ckpt_state through a scanned base: must NOT fire."""
@@ -31,3 +34,18 @@ class InheritingBuffer(CoveredBuffer):
     def __init__(self):
         super().__init__()
         self.extra = {}
+
+
+class HalfCovered:
+    """Can be captured but not restored: L3 names the missing half."""
+
+    def __init__(self):
+        self.entries = {}
+
+    def ckpt_state(self):
+        return {"entries": sorted(self.entries.items())}
+
+
+def late_import():
+    from repro.obs.txn import TxnRecorder  # L2: function-local, below a name
+    return TxnRecorder

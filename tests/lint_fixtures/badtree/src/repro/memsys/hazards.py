@@ -44,3 +44,10 @@ class HazardSoup:
 
     def ranked(self):
         return sorted(self.nodes, key=id)               # D4: id() ordering
+
+    def lane_table(self):
+        return os.environ                               # D2: bare read, no call
+
+    def stamp_aliased(self):
+        import time as t
+        return t.monotonic()                            # D2: aliased module

@@ -386,18 +386,6 @@ class TestCheckpointStore:
         monkeypatch.delenv(ckpt.CKPT_DIR_ENV)
         assert ckpt.default_ckpt_dir().name == "ckpt"
 
-    def test_warm_run_matches_cold_and_hits_cache(self, tmp_path):
-        request = RunRequest(simos_mipsy(150), TlbTimer(TINY_SCALE), 1,
-                             TINY_SCALE)
-        cold = request.execute()
-        store = ckpt.CheckpointStore(tmp_path)
-        first = ckpt.warm_run(request, at_ps=1, store=store)
-        assert len(store) == 1
-        again = ckpt.warm_run(request, at_ps=1, store=store)
-        assert len(store) == 1  # second call reused the checkpoint
-        assert first.to_dict() == cold.to_dict()
-        assert again.to_dict() == cold.to_dict()
-
     def test_warm_start_skips_initialization(self, tmp_path):
         """The injected machine starts past the checkpoint's event prefix."""
         request = RunRequest(simos_mipsy(150), TlbTimer(TINY_SCALE), 1,

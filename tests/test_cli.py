@@ -50,6 +50,10 @@ def test_unknown_scale_exits_2_with_usage(capsys):
     # A retired flag (lint L5's runtime knob) is unknown input like any
     # other.
     ("repro.lint.cli", ["--no-runtime"]),
+    # So are the report codec and the tree/allowlist selectors.
+    ("repro.lint.cli", ["--json"]),
+    ("repro.lint.cli", ["--root", "."]),
+    ("repro.lint.cli", ["--allowlist", "lint_allow.toml"]),
 ])
 def test_every_cli_exits_2_with_usage_on_unknown_input(entry, argv,
                                                        capsys):

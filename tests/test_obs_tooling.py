@@ -54,8 +54,8 @@ class TestHotPathLint:
         assert "repro.engine.kernel" in RULES_BY_ID["L1"].HOT_PATH_MODULES
 
     def test_model_directories_are_covered(self):
-        bans = {banned: set(packages)
-                for banned, packages, _why in RULES_BY_ID["L2"].BANS}
+        bans = {name: set(ban.packages)
+                for ban in RULES_BY_ID["L2"].bans for name in ban.names}
         assert bans["repro.obs.metrics"] == {
             "repro.cpu", "repro.mem", "repro.engine"}
 
@@ -81,8 +81,8 @@ class TestHotPathLint:
     def test_topo_ban_covers_spatial_model_directories(self):
         # The spatial recorder's hook sites live in memsys/ and network/
         # too, so the topo import ban is wider than the metrics one.
-        bans = {banned: set(packages)
-                for banned, packages, _why in RULES_BY_ID["L2"].BANS}
+        bans = {name: set(ban.packages)
+                for ban in RULES_BY_ID["L2"].bans for name in ban.names}
         assert bans["repro.obs.topo"] == {
             "repro.cpu", "repro.mem", "repro.engine", "repro.memsys",
             "repro.network"}

@@ -39,7 +39,9 @@ echo "=== tier-1 gate passed ==="
 
 # Size budget (report-only): the counts the ROADMAP north star and item
 # 6 track -- the tooling that observes the model vs. the model it
-# observes, and the ambient slots between them -- so a PR can quote them.
+# observes, the ambient slots between them, and the dict codecs written
+# by hand (a payload kind that spells its fields out again shows up
+# here) -- so a PR can quote them.
 lines() { find "$@" -name '*.py' -exec cat {} + | wc -l; }
 echo "=== size budget (wc -l and a slot count, report-only) ==="
 printf '%-54s %6d\n' \
@@ -54,6 +56,9 @@ printf '%-54s %6d\n' \
     "  ckpt" "$(lines src/repro/ckpt)" \
     "validation/dashboard.py" \
     "$(lines src/repro/validation/dashboard.py)" \
+    "hand-written codecs (def to_dict|from_dict, obs ckpt)" \
+    "$(grep -rc --include='*.py' 'def to_dict\|def from_dict' \
+            src/repro/obs src/repro/ckpt | awk -F: '{n += $NF} END {print n}')" \
     "ambient slots (len(repro.lint.rules.AMBIENT_SLOTS))" \
     "$(PYTHONPATH=src python -c \
         'from repro.lint.rules import AMBIENT_SLOTS; print(len(AMBIENT_SLOTS))')"

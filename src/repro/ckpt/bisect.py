@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.ckpt.checkpoint import MODE_QUIESCE, Checkpoint, save
 from repro.common.errors import CheckpointError
 from repro.common.rng import DEFAULT_SEED
 from repro.obs import hooks as obs_hooks
+from repro.obs.record import Record
 from repro.obs.trace import TraceRecorder
 from repro.sim.request import RunRequest
 
@@ -94,7 +95,7 @@ def first_divergence(chain_a: List[str],
 
 
 @dataclass
-class DivergenceReport:
+class DivergenceReport(Record):
     """Where two configurations' event streams first part ways."""
 
     config_a: str
@@ -132,9 +133,6 @@ class DivergenceReport:
         """The binary-search bound the probe count must respect."""
         n = max(1, min(self.events_a, self.events_b))
         return int(math.ceil(math.log2(n))) + 1 if n > 1 else 1
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
 
     def format(self) -> str:
         head = (f"{self.workload}: {self.config_a} vs {self.config_b}, "

@@ -24,9 +24,15 @@ the reproduction the same visibility into itself:
   transitions, per-link traffic, and the queue-occupancy sampler;
 * :mod:`repro.obs.hotspot` -- folds a topo recording into the NUMA
   traffic matrix, top-K hot regions with sharer sets, and contention heat;
+* :mod:`repro.obs.txn` -- per-transaction anatomy: every memory
+  transaction's latency cut into wait/service segments, per-kind
+  histograms and the slowest-K critical paths;
+* :mod:`repro.obs.record` -- the one dict codec: every report and ledger
+  row above is a dataclass whose payload is its field list;
 * :mod:`repro.obs.doc` -- report documents: the block vocabulary every
   report above describes itself in, and the text/markdown/HTML emitters;
-* :mod:`repro.obs.cli` -- ``python -m repro.obs trace|diff|hotspot|perf|watch``.
+* :mod:`repro.obs.cli` -- ``python -m repro.obs
+  trace|diff|hotspot|txn|perf|watch``.
 """
 
 from repro.obs.trace import Span, TraceRecorder

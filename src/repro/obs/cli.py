@@ -169,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     diff = sub.add_parser(
         "diff", help="attribute the cycle gap between two configurations")
     add_run_args(diff, default_cpus=1, ref_cand=True)
-    diff.add_argument("--capacity", type=int, default=65536,
-                      help="trace ring capacity in spans (default 65536)")
     diff.add_argument("--json", metavar="PATH", default=None,
                       help="also write the AttributionDiff payload here")
     diff.set_defaults(func=cmd_diff)
@@ -184,14 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="address-region granularity (default: line)")
     hotspot.add_argument("--top", type=int, default=10,
                          help="hot regions to print (default 10)")
-    hotspot.add_argument("--sample-interval-ps", type=int,
-                         default=obs_topo.DEFAULT_SAMPLE_INTERVAL_PS,
-                         help="simulated ps between occupancy samples "
-                              f"(default {obs_topo.DEFAULT_SAMPLE_INTERVAL_PS})")
-    hotspot.add_argument("--samples", type=int,
-                         default=obs_topo.DEFAULT_SAMPLE_CAPACITY,
-                         help="occupancy ring capacity "
-                              f"(default {obs_topo.DEFAULT_SAMPLE_CAPACITY})")
     hotspot.add_argument("--json", metavar="PATH", default=None,
                          help="also write the HotspotReport payload here")
     hotspot.set_defaults(func=cmd_hotspot)
@@ -277,7 +267,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     runs = []
     for config_name in (args.ref, args.cand):
         # One fresh recorder per run: breakdowns must not blend.
-        with hooks.observing(TraceRecorder(args.capacity)):
+        with hooks.observing(TraceRecorder()):
             runs.append(_request(args, config_name).execute())
     diff = diff_runs(runs[0], runs[1])
     print(diff.format_waterfall())
@@ -287,10 +277,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 
 def cmd_hotspot(args: argparse.Namespace) -> int:
-    recorder = obs_topo.TopoRecorder(
-        region=args.region,
-        sample_interval_ps=args.sample_interval_ps,
-        sample_capacity=args.samples)
+    recorder = obs_topo.TopoRecorder(region=args.region)
     with hooks.observing(recorder):
         result = _request(args, args.config).execute()
     report = build_report(recorder, result, top_k=args.top)

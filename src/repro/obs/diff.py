@@ -35,13 +35,14 @@ from typing import Dict, List, Tuple
 from repro.common.errors import AttributionError
 from repro.obs.doc import Details, Para, Table, bar, render_text
 from repro.obs.profile import CATEGORIES, RunBreakdown
+from repro.obs.record import Record, records
 
 #: Label of the explicit not-attributed row in tables and payloads.
 RESIDUAL = "residual"
 
 
 @dataclass
-class CategoryDelta:
+class CategoryDelta(Record):
     """One category's contribution to the reference-vs-candidate gap."""
 
     category: str
@@ -52,15 +53,6 @@ class CategoryDelta:
     def delta_ps(self) -> float:
         """Signed contribution: positive = the candidate spends more here."""
         return self.cand_ps - self.ref_ps
-
-    def to_dict(self) -> Dict:
-        return {"category": self.category, "ref_ps": self.ref_ps,
-                "cand_ps": self.cand_ps}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CategoryDelta":
-        return cls(category=data["category"], ref_ps=data["ref_ps"],
-                   cand_ps=data["cand_ps"])
 
 
 def diff_breakdowns(ref: RunBreakdown, cand: RunBreakdown,
@@ -95,7 +87,7 @@ def diff_breakdowns(ref: RunBreakdown, cand: RunBreakdown,
 
 
 @dataclass
-class AttributionDiff:
+class AttributionDiff(Record):
     """The paper's "where did the error come from" table, as data.
 
     All times are machine time (summed across CPUs) in picoseconds.  The
@@ -118,6 +110,11 @@ class AttributionDiff:
     cand_parallel_ps: int
     overall: List[CategoryDelta] = field(default_factory=list)
     per_cpu: Dict[int, List[CategoryDelta]] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.overall = records(CategoryDelta, self.overall)
+        self.per_cpu = {int(cpu): records(CategoryDelta, deltas)
+                        for cpu, deltas in self.per_cpu.items()}
 
     # -- derived accounting ------------------------------------------------
 
@@ -210,38 +207,11 @@ class AttributionDiff:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict:
-        """JSON snapshot; includes the derived accounting for goldens."""
-        return {
-            "workload": self.workload,
-            "ref_config": self.ref_config,
-            "cand_config": self.cand_config,
-            "n_cpus": self.n_cpus,
-            "scale_name": self.scale_name,
-            "ref_machine_ps": self.ref_machine_ps,
-            "cand_machine_ps": self.cand_machine_ps,
-            "ref_parallel_ps": self.ref_parallel_ps,
-            "cand_parallel_ps": self.cand_parallel_ps,
-            "overall": [d.to_dict() for d in self.overall],
-            "per_cpu": {str(cpu): [d.to_dict() for d in deltas]
-                        for cpu, deltas in sorted(self.per_cpu.items())},
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "AttributionDiff":
-        return cls(
-            workload=data["workload"],
-            ref_config=data["ref_config"],
-            cand_config=data["cand_config"],
-            n_cpus=data["n_cpus"],
-            scale_name=data["scale_name"],
-            ref_machine_ps=data["ref_machine_ps"],
-            cand_machine_ps=data["cand_machine_ps"],
-            ref_parallel_ps=data["ref_parallel_ps"],
-            cand_parallel_ps=data["cand_parallel_ps"],
-            overall=[CategoryDelta.from_dict(d) for d in data["overall"]],
-            per_cpu={int(cpu): [CategoryDelta.from_dict(d) for d in deltas]
-                     for cpu, deltas in data["per_cpu"].items()},
-        )
+        """JSON snapshot: CPU ids become sorted string keys."""
+        data = super().to_dict()
+        data["per_cpu"] = {str(cpu): deltas for cpu, deltas
+                           in sorted(data["per_cpu"].items())}
+        return data
 
 
 def diff_runs(ref, cand) -> AttributionDiff:

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.doc import Para, Table, heat, render_text, spark
+from repro.obs.record import Record, records
 from repro.obs.topo import TopoRecorder
 
 #: Hot regions a report keeps (sorted by accesses, region id tiebreak).
@@ -37,7 +38,7 @@ DEFAULT_TOP_SERIES = 4
 
 
 @dataclass
-class HotRegion:
+class HotRegion(Record):
     """One hot address region (line or page) and who fights over it."""
 
     region: int              #: region id (paddr >> region_shift)
@@ -45,7 +46,7 @@ class HotRegion:
     home: int                #: node whose memory holds it
     accesses: int            #: DSM transactions touching it
     remote: int              #: of those, from non-home nodes
-    mean_latency_ps: float   #: mean transaction latency
+    mean_latency_ps: float   #: mean transaction latency, to 0.001 ps
     requesters: List[int]    #: sorted set of requesting nodes
     peak_sharers: int        #: max directory sharer count observed
 
@@ -53,31 +54,13 @@ class HotRegion:
     def remote_fraction(self) -> float:
         return self.remote / self.accesses if self.accesses else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "region": self.region,
-            "base_paddr": self.base_paddr,
-            "home": self.home,
-            "accesses": self.accesses,
-            "remote": self.remote,
-            "mean_latency_ps": round(self.mean_latency_ps, 3),
-            "requesters": list(self.requesters),
-            "peak_sharers": self.peak_sharers,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HotRegion":
-        return cls(region=data["region"], base_paddr=data["base_paddr"],
-                   home=data["home"], accesses=data["accesses"],
-                   remote=data["remote"],
-                   mean_latency_ps=data["mean_latency_ps"],
-                   requesters=list(data["requesters"]),
-                   peak_sharers=data["peak_sharers"])
-
 
 @dataclass
-class HotspotReport:
+class HotspotReport(Record):
     """Spatial summary of one (or more) runs under a TopoRecorder."""
+
+    #: Discriminates the payload from waterfall (``overall``) and tuning ones.
+    KIND = "topo"
 
     region: str                           #: binning granularity (line/page)
     region_bytes: int
@@ -95,6 +78,9 @@ class HotspotReport:
     workload_name: str = ""
     scale_name: str = ""
     struct_misses: Dict[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.hot_regions = records(HotRegion, self.hot_regions)
 
     # -- derived ------------------------------------------------------------
 
@@ -191,59 +177,6 @@ class HotspotReport:
     def format(self, top_k: Optional[int] = None) -> str:
         return render_text(self.blocks(top_k))
 
-    # -- serialisation ------------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """Attribution-payload form.  ``kind: "topo"`` discriminates it from
-        waterfall payloads (which carry ``overall``) and tuning payloads."""
-        return {
-            "kind": "topo",
-            "region": self.region,
-            "region_bytes": self.region_bytes,
-            "n_nodes": self.n_nodes,
-            "matrix": [list(row) for row in self.matrix],
-            "kinds": dict(sorted(self.kinds.items())),
-            "hot_regions": [hr.to_dict() for hr in self.hot_regions],
-            "dir_transitions": {
-                node: dict(sorted(trans.items()))
-                for node, trans in sorted(self.dir_transitions.items())
-            },
-            "link_heat": [dict(link) for link in self.link_heat],
-            "occupancy": {name: dict(info)
-                          for name, info in sorted(self.occupancy.items())},
-            "samples": self.samples,
-            "samples_dropped": self.samples_dropped,
-            "end_ps": self.end_ps,
-            "config_name": self.config_name,
-            "workload_name": self.workload_name,
-            "scale_name": self.scale_name,
-            "struct_misses": dict(sorted(self.struct_misses.items())),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "HotspotReport":
-        return cls(
-            region=data["region"],
-            region_bytes=data["region_bytes"],
-            n_nodes=data["n_nodes"],
-            matrix=[list(row) for row in data["matrix"]],
-            kinds=dict(data["kinds"]),
-            hot_regions=[HotRegion.from_dict(hr)
-                         for hr in data["hot_regions"]],
-            dir_transitions={node: dict(trans) for node, trans
-                             in data["dir_transitions"].items()},
-            link_heat=[dict(link) for link in data["link_heat"]],
-            occupancy={name: dict(info)
-                       for name, info in data["occupancy"].items()},
-            samples=data.get("samples", 0),
-            samples_dropped=data.get("samples_dropped", 0),
-            end_ps=data.get("end_ps", 0),
-            config_name=data.get("config_name", ""),
-            workload_name=data.get("workload_name", ""),
-            scale_name=data.get("scale_name", ""),
-            struct_misses=dict(data.get("struct_misses", {})),
-        )
-
 
 def build_report(recorder: TopoRecorder, result=None,
                  top_k: int = DEFAULT_TOP_K,
@@ -275,7 +208,7 @@ def build_report(recorder: TopoRecorder, result=None,
             home=acc.home,
             accesses=acc.accesses,
             remote=acc.remote,
-            mean_latency_ps=(acc.latency_ps / acc.accesses
+            mean_latency_ps=(round(acc.latency_ps / acc.accesses, 3)
                              if acc.accesses else 0.0),
             requesters=sorted(acc.requesters),
             peak_sharers=recorder.peak_sharers.get(region, 0),

@@ -27,9 +27,9 @@ never imports this module (lint rule L2 enforces that).
 
 Both record layouts are **frozen schemas** (:data:`LEDGER_SCHEMA`,
 :data:`BENCH_SCHEMA`) sharing one validator (:func:`validate_record`) and
-one schema-driven dict codec (:class:`SchemaRecord`); records round-trip
-exactly, and ``tests/test_obs_diff.py`` pins both schemas so an edit
-breaks a test in review.
+the package's dict codec (:class:`~repro.obs.record.Record`; a record's
+fields are exactly the keys of its ``SCHEMA``); records round-trip exactly,
+and ``tests/test_obs_diff.py`` pins both so an edit breaks a test in review.
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from statistics import median
 from typing import ClassVar, Dict, List, Optional, Tuple
+
+from repro.obs.record import Record
 
 #: A frozen record schema: field -> (type, required).  Optional fields
 #: may also be null.  Changing one is an explicit, reviewed act: bump its
@@ -117,30 +120,8 @@ def validate_record(record: Dict, schema: Schema = LEDGER_SCHEMA) -> List[str]:
     return problems
 
 
-def _owned(value):
-    """Dict-valued fields are copied at the codec boundary."""
-    return dict(value) if isinstance(value, dict) else value
-
-
-class SchemaRecord:
-    """The dict codec of both ledgers: a dataclass whose fields are
-    exactly the keys of its ``SCHEMA``."""
-
-    SCHEMA: ClassVar[Schema]
-
-    def to_dict(self) -> Dict:
-        return {name: _owned(getattr(self, name)) for name in self.SCHEMA}
-
-    @classmethod
-    def from_dict(cls, data: Dict):
-        """Build a record from a validated payload; absent optional
-        fields (and ``ts``/``schema``) take the dataclass defaults."""
-        return cls(**{name: _owned(data[name])
-                      for name in cls.SCHEMA if name in data})
-
-
 @dataclass
-class LedgerRecord(SchemaRecord):
+class LedgerRecord(Record):
     """One farm-dispatched simulation, as the ledger remembers it."""
 
     SCHEMA: ClassVar[Schema] = LEDGER_SCHEMA
@@ -302,14 +283,6 @@ class DriftReport:
         return "\n".join(lines)
 
 
-def _median(values: List[float]) -> float:
-    ordered = sorted(values)
-    mid = len(ordered) // 2
-    if len(ordered) % 2:
-        return ordered[mid]
-    return (ordered[mid - 1] + ordered[mid]) / 2.0
-
-
 def detect_drift(records: List[LedgerRecord],
                  time_threshold: float = TIME_THRESHOLD,
                  error_threshold: float = ERROR_THRESHOLD) -> DriftReport:
@@ -330,7 +303,7 @@ def detect_drift(records: List[LedgerRecord],
         report.groups_checked += 1
         latest = history[-1]
         earlier = history[:-1]
-        base_ps = _median([float(r.parallel_ps) for r in earlier])
+        base_ps = median(float(r.parallel_ps) for r in earlier)
         if base_ps > 0:
             change = (latest.parallel_ps - base_ps) / base_ps
             if abs(change) > time_threshold:
@@ -341,7 +314,7 @@ def detect_drift(records: List[LedgerRecord],
         earlier_err = [r.percent_error for r in earlier
                        if r.percent_error is not None]
         if latest.percent_error is not None and earlier_err:
-            base_err = _median(earlier_err)
+            base_err = median(earlier_err)
             delta = latest.percent_error - base_err
             if abs(delta) > error_threshold:
                 report.flags.append(DriftFlag(
@@ -360,7 +333,7 @@ def make_case(workload: str, config: str, n_cpus: int, scale: str,
 
 
 @dataclass
-class BenchRecord(SchemaRecord):
+class BenchRecord(Record):
     """One measured case of one benchmark, as the BENCH ledger keeps it."""
 
     SCHEMA: ClassVar[Schema] = BENCH_SCHEMA

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import hooks
+from repro.obs.record import Record, records
 
 #: Column order of the breakdown table; "busy" is the residual bucket.
 CATEGORIES = ("busy",) + hooks.ATTRIBUTED
@@ -30,7 +31,7 @@ TOTAL_SPAN = (hooks.CPU, "total")
 
 
 @dataclass
-class CpuBreakdown:
+class CpuBreakdown(Record):
     """Attribution of one CPU's run time, in picoseconds per category."""
 
     cpu: int
@@ -45,35 +46,21 @@ class CpuBreakdown:
     def fractions(self) -> Dict[str, float]:
         return {cat: self.fraction(cat) for cat in CATEGORIES}
 
-    def to_dict(self) -> Dict:
-        return {"cpu": self.cpu, "total_ps": self.total_ps,
-                "parts_ps": dict(self.parts_ps)}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "CpuBreakdown":
-        return cls(cpu=data["cpu"], total_ps=data["total_ps"],
-                   parts_ps=dict(data["parts_ps"]))
-
 
 @dataclass
-class RunBreakdown:
+class RunBreakdown(Record):
     """Per-CPU cycle attribution for one run."""
 
     per_cpu: List[CpuBreakdown]
+
+    def __post_init__(self):
+        self.per_cpu = records(CpuBreakdown, self.per_cpu)
 
     def cpu(self, n: int) -> Optional[CpuBreakdown]:
         for row in self.per_cpu:
             if row.cpu == n:
                 return row
         return None
-
-    def to_dict(self) -> Dict:
-        return {"per_cpu": [row.to_dict() for row in self.per_cpu]}
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "RunBreakdown":
-        return cls(per_cpu=[CpuBreakdown.from_dict(row)
-                            for row in data["per_cpu"]])
 
     def overall(self) -> CpuBreakdown:
         """All CPUs folded together, weighted by each CPU's cycles.

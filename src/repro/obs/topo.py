@@ -35,7 +35,8 @@ spawns on the machine; every ``sample_interval_ps`` of
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.mem.address import NODE_MEM_SHIFT, bit_length_shift
@@ -58,38 +59,31 @@ DEFAULT_SAMPLE_CAPACITY = 512
 class RingBuffer:
     """Fixed-capacity ring of floats; pushing past capacity drops oldest."""
 
-    __slots__ = ("capacity", "_buf", "_next")
+    __slots__ = ("capacity", "_buf", "pushed")
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ConfigurationError(
                 f"ring capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._buf: List[float] = [0.0] * capacity
-        self._next = 0  # total values ever pushed
+        self._buf: Deque[float] = deque(maxlen=capacity)
+        #: Total values ever pushed (including any since overwritten).
+        self.pushed = 0
 
     def push(self, value: float) -> None:
-        self._buf[self._next % self.capacity] = value
-        self._next += 1
-
-    @property
-    def pushed(self) -> int:
-        """Total values ever pushed (including any since overwritten)."""
-        return self._next
+        self._buf.append(value)
+        self.pushed += 1
 
     @property
     def dropped(self) -> int:
-        return max(0, self._next - self.capacity)
+        return self.pushed - len(self._buf)
 
     def __len__(self) -> int:
-        return min(self._next, self.capacity)
+        return len(self._buf)
 
     def values(self) -> List[float]:
         """Retained values, oldest first."""
-        if self._next <= self.capacity:
-            return self._buf[: self._next]
-        head = self._next % self.capacity
-        return self._buf[head:] + self._buf[:head]
+        return list(self._buf)
 
 
 class _Region:
@@ -143,8 +137,6 @@ class TopoRecorder(hooks.Recorder):
         self.regions: Dict[int, _Region] = {}
         #: cache structure name -> miss count (mem/cache.py hooks).
         self.struct_misses: Dict[str, int] = {}
-        #: (structure name, region id) -> miss count.
-        self.struct_regions: Dict[Tuple[str, int], int] = {}
         #: (home node, transition) -> count (proto/directory.py hooks).
         self.dir_transitions: Dict[Tuple[int, str], int] = {}
         #: region id -> peak directory sharer count observed.
@@ -240,8 +232,6 @@ class TopoRecorder(hooks.Recorder):
         """One miss in cache structure *name* at *node*."""
         self.total_events += 1
         self.struct_misses[name] = self.struct_misses.get(name, 0) + 1
-        key = (name, paddr >> self.region_shift)
-        self.struct_regions[key] = self.struct_regions.get(key, 0) + 1
 
     def dir_transition(self, home: int, line: int, transition: str,
                        n_sharers: int = 0) -> None:
@@ -307,22 +297,6 @@ class TopoRecorder(hooks.Recorder):
         remote = sum(count for (node, home), count in self.matrix.items()
                      if node != home)
         return remote / total
-
-    def clear(self) -> None:
-        self.total_events = 0
-        self.matrix.clear()
-        self.kinds.clear()
-        self.regions.clear()
-        self.struct_misses.clear()
-        self.struct_regions.clear()
-        self.dir_transitions.clear()
-        self.peak_sharers.clear()
-        self.link_msgs.clear()
-        self.link_flits.clear()
-        self.sample_t = RingBuffer(self.sample_capacity)
-        self.series.clear()
-        self.resource_heat.clear()
-        self.end_ps = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TopoRecorder({self.region}/{self.region_bytes}B, "

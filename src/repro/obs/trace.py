@@ -15,7 +15,8 @@ the same split between bounded event logs and unbounded counters).
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from collections import deque
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import hooks
 from repro.obs.profile import build_breakdown
@@ -64,8 +65,9 @@ class TraceRecorder(hooks.Recorder):
         #: also feed raw engine dispatch events (one per calendar event --
         #: voluminous; off by default).
         self.engine_events = engine_events
-        self._buf: List[Optional[Span]] = [None] * capacity
-        self._next = 0          # total spans ever recorded
+        self._ring: Deque[Span] = deque(maxlen=capacity)
+        #: Total spans ever recorded (including any since overwritten).
+        self.recorded = 0
         self._agg: Dict[Tuple[Optional[int], str, str], List[float]] = {}
         self._engine = None
 
@@ -87,9 +89,8 @@ class TraceRecorder(hooks.Recorder):
     def span(self, t_ps: int, category: str, name: str,
              dur_ps: int = 0, args: object = None) -> None:
         """Append one span, overwriting the oldest when the ring is full."""
-        i = self._next
-        self._buf[i % self.capacity] = Span(t_ps, category, name, dur_ps, args)
-        self._next = i + 1
+        self._ring.append(Span(t_ps, category, name, dur_ps, args))
+        self.recorded += 1
         key = (_cpu_of(args), category, name)
         agg = self._agg.get(key)
         if agg is None:
@@ -125,24 +126,16 @@ class TraceRecorder(hooks.Recorder):
     # -- reading ----------------------------------------------------------
 
     @property
-    def recorded(self) -> int:
-        """Total spans ever recorded (including any since overwritten)."""
-        return self._next
-
-    @property
     def dropped(self) -> int:
         """Spans lost to ring wraparound."""
-        return max(0, self._next - self.capacity)
+        return self.recorded - len(self._ring)
 
     def __len__(self) -> int:
-        return min(self._next, self.capacity)
+        return len(self._ring)
 
     def spans(self) -> List[Span]:
         """Retained spans, oldest first."""
-        if self._next <= self.capacity:
-            return [s for s in self._buf[:self._next]]
-        head = self._next % self.capacity
-        return self._buf[head:] + self._buf[:head]
+        return list(self._ring)
 
     def aggregates(self) -> Dict[Tuple[Optional[int], str, str], Tuple[int, int]]:
         """``(cpu, category, name) -> (count, total_dur_ps)``, unwrapped."""
@@ -164,11 +157,6 @@ class TraceRecorder(hooks.Recorder):
             scope.add(f"{name}.events", count)
             scope.add(f"{name}.dur_ps", dur_ps)
         return cs
-
-    def clear(self) -> None:
-        self._buf = [None] * self.capacity
-        self._next = 0
-        self._agg.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -35,12 +35,15 @@ DESIGN.md.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError
 from repro.mem.address import home_node
 from repro.obs import hooks
 from repro.obs.doc import Details, Para, Table, fmt_ps, render_text, split
+from repro.obs.record import Record
 
 #: Slowest transactions retained with their full segment anatomy.
 DEFAULT_TOP_K = 10
@@ -71,8 +74,8 @@ class Histogram:
         self.max_ps = 0
 
     def add(self, value_ps: int) -> None:
-        idx = _bucket_of(value_ps)
-        self.counts[idx] += 1
+        # First edge >= value; past the last edge is the overflow bucket.
+        self.counts[bisect_left(EDGES, value_ps)] += 1
         if self.count == 0 or value_ps < self.min_ps:
             self.min_ps = value_ps
         if value_ps > self.max_ps:
@@ -99,17 +102,6 @@ class Histogram:
             if 100 * cum >= q_pct * self.count:
                 return EDGES[i] if i < N_BUCKETS else self.max_ps
         return self.max_ps  # pragma: no cover - cum always reaches count
-
-
-def _bucket_of(value_ps: int) -> int:
-    lo, hi = 0, N_BUCKETS
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if EDGES[mid] < value_ps:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 class TxnRecord:
@@ -351,20 +343,6 @@ class TxnRecorder(hooks.Recorder):
         self.end_ps = max(self.end_ps, machine.env.now)
         result.txn_total = self.total_txns
 
-    def clear(self) -> None:
-        self.total_events = 0
-        self.total_txns = 0
-        self.kinds.clear()
-        self.top.clear()
-        self.residual_ps = 0
-        self.residual_txns = 0
-        self.cache_misses.clear()
-        self.dir_transitions.clear()
-        self.peak_sharers = 0
-        self.write_drains = 0
-        self.write_drain_ps = 0
-        self.end_ps = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TxnRecorder({self.total_txns} txns, "
                 f"{len(self.kinds)} kinds, top-{self.top_k})")
@@ -373,7 +351,8 @@ class TxnRecorder(hooks.Recorder):
 # -- the report -------------------------------------------------------------
 
 
-class TxnReport:
+@dataclass
+class TxnReport(Record):
     """Serializable latency anatomy: per-kind histograms + top-K.
 
     ``to_dict()`` carries ``"kind": "txn"`` so dashboards and findings
@@ -381,53 +360,18 @@ class TxnReport:
     so goldens are bit-stable.
     """
 
-    def __init__(self, total_txns: int, kinds: dict, top: list,
-                 context: dict, residual_ps: int, residual_txns: int,
-                 end_ps: int = 0, config: str = "", workload: str = "",
-                 n_cpus: int = 0):
-        self.total_txns = total_txns
-        self.kinds = kinds
-        self.top = top
-        self.context = context
-        self.residual_ps = residual_ps
-        self.residual_txns = residual_txns
-        self.end_ps = end_ps
-        self.config = config
-        self.workload = workload
-        self.n_cpus = n_cpus
+    KIND = "txn"
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "txn",
-            "config": self.config,
-            "workload": self.workload,
-            "n_cpus": self.n_cpus,
-            "total_txns": self.total_txns,
-            "end_ps": self.end_ps,
-            "residual_ps": self.residual_ps,
-            "residual_txns": self.residual_txns,
-            "kinds": self.kinds,
-            "top": self.top,
-            "context": self.context,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TxnReport":
-        if payload.get("kind") != "txn":
-            raise ConfigurationError(
-                f"not a txn payload: kind={payload.get('kind')!r}")
-        return cls(
-            total_txns=payload["total_txns"],
-            kinds=payload["kinds"],
-            top=payload["top"],
-            context=payload["context"],
-            residual_ps=payload["residual_ps"],
-            residual_txns=payload["residual_txns"],
-            end_ps=payload.get("end_ps", 0),
-            config=payload.get("config", ""),
-            workload=payload.get("workload", ""),
-            n_cpus=payload.get("n_cpus", 0),
-        )
+    total_txns: int
+    kinds: dict
+    top: list
+    context: dict
+    residual_ps: int
+    residual_txns: int
+    end_ps: int = 0
+    config: str = ""
+    workload: str = ""
+    n_cpus: int = 0
 
     # -- reading ---------------------------------------------------------
 

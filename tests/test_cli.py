@@ -54,6 +54,10 @@ def test_unknown_scale_exits_2_with_usage(capsys):
     ("repro.lint.cli", ["--json"]),
     ("repro.lint.cli", ["--root", "."]),
     ("repro.lint.cli", ["--allowlist", "lint_allow.toml"]),
+    # And the obs options that could not change a byte of output.
+    ("repro.obs.cli", ["diff", "fft", "--cand", "solo", "--capacity", "8"]),
+    ("repro.obs.cli", ["hotspot", "fft", "--samples", "8"]),
+    ("repro.obs.cli", ["hotspot", "fft", "--sample-interval-ps", "1000"]),
 ])
 def test_every_cli_exits_2_with_usage_on_unknown_input(entry, argv,
                                                        capsys):

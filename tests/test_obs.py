@@ -4,6 +4,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.common.config import get_scale
 from repro.common.errors import SimulationError
@@ -12,7 +14,7 @@ from repro.obs import hotspot
 from repro.obs import txn as obs_txn
 from repro.obs.export import chrome_trace, flame_summary, write_chrome_trace
 from repro.obs.profile import CATEGORIES, build_breakdown
-from repro.obs.topo import TopoRecorder
+from repro.obs.topo import RingBuffer, TopoRecorder
 from repro.obs.trace import Span, TraceRecorder
 from repro.obs.txn import TxnRecorder
 from repro.sim.configs import get_config
@@ -63,17 +65,25 @@ class TestRingBuffer:
         assert Span(0, "c", "n", 0, None).cpu is None
         assert Span(0, "c", "n", 0, {"node": 3}).cpu is None
 
-    def test_clear(self):
-        rec = TraceRecorder(capacity=4)
-        rec.span(0, "a", "b", 1, 0)
-        rec.clear()
-        assert rec.recorded == 0
-        assert rec.spans() == []
-        assert rec.aggregates() == {}
-
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             TraceRecorder(capacity=0)
+
+    @given(st.integers(1, 12), st.lists(st.integers(0, 10 ** 6), max_size=40))
+    def test_both_rings_keep_exactly_the_newest_capacity(self, capacity,
+                                                        pushed):
+        # Differential against the specification: pushed[-capacity:].
+        kept = pushed[-capacity:]
+        ring = RingBuffer(capacity)
+        rec = TraceRecorder(capacity=capacity)
+        for value in pushed:
+            ring.push(float(value))
+            rec.span(value, "cat", "e")
+        assert ring.values() == [float(v) for v in kept]
+        assert [s.t_ps for s in rec.spans()] == kept
+        assert len(ring) == len(rec) == len(kept)
+        assert ring.pushed == rec.recorded == len(pushed)
+        assert ring.dropped == rec.dropped == len(pushed) - len(kept)
 
     def test_counter_set_view_uses_registry_naming(self):
         rec = TraceRecorder(capacity=8)

@@ -5,8 +5,9 @@ The four SPLASH-2 stand-ins on the ``simos-mipsy-150`` (fig2) and
 wall time and engine events/sec per case, folded into the committed perf
 ledger ``benchmarks/BENCH_engine_hotpath.json`` -- the baseline
 ``python -m repro.obs perf --baseline`` diffs against -- plus the engine
-primitives on their own (``timeout``, ``use`` free and queued,
-``pp_busy``, a two-hop ``send``) and the row-path primitives beside them
+primitives on their own (``timeout``, ``use`` free and queued, one
+protocol-processor handler and one two-hop message walked as plans of
+their own) and the row-path primitives beside them
 (a plain-hit reference, an L2-hit reference, an all-hit row through a
 core).  The ledger is the record; the
 assertions are that repeats of one case are bit-identical and that an
@@ -28,7 +29,8 @@ import pytest
 from conftest import BENCH_DIR, emit_bench
 from repro.common.config import get_scale
 from repro.cpu.interface import L2_HIT
-from repro.engine import Engine, Resource
+from repro.engine import Engine, Resource, Steps
+from repro.engine.resources import FINISH
 from repro.isa.opcodes import Op
 from repro.isa.trace import ChunkExec
 from repro.mem.cache import MODIFIED
@@ -130,9 +132,11 @@ PRIMITIVES = {
     "use-queued": (4, lambda env: Resource(env, "r"),
                    lambda env, res: res.use(100)),
     "pp_busy": (1, lambda env: MagicController(env, 0),
-                lambda env, magic: magic.pp_busy(1000)),
+                lambda env, magic: Steps(env, magic.pp_stages(1000)
+                                         + (FINISH,))),
     "send-2hop": (1, lambda env: Network(env, 4, NetworkParams(50, 20, 10)),
-                  lambda env, net: net.send(0, 3, 2)),
+                  lambda env, net: Steps(env, net.send_stages(0, 3, 2)
+                                         + (FINISH,))),
 }
 PRIMITIVE_OPS = 20_000
 

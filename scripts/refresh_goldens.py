@@ -27,6 +27,7 @@ import numpy as np                                       # noqa: E402
 from repro.common.config import REPRO_SCALE              # noqa: E402
 from repro.harness import run_experiment                 # noqa: E402
 from repro.isa.trace import ChunkExec, PhaseMark         # noqa: E402
+from repro.obs import hooks                              # noqa: E402
 from repro.vm.layout import VirtualLayout                # noqa: E402
 from repro.workloads.base import Workload, touch_pages   # noqa: E402
 from repro.workloads.builder import ChunkBuilder         # noqa: E402
@@ -94,6 +95,24 @@ ROWS_IDS = {
                   ("hardware", "simos-mipsy-150", "solo-mipsy-150")),
 }
 
+#: Miss-path snapshots: golden id -> ((workload, config, memsys, n_cpus),
+#: ...), each run at tiny scale; *memsys* names the DSM parameter set
+#: (``numa`` turns MAGIC occupancy and link contention off).  These pin
+#: the DSM transaction path where its cases and variants all occur --
+#: remote and dirty-remote misses, upgrades, invalidation fan-out,
+#: sharing writebacks, directory-busy retries, contended and
+#: uncontended MAGIC and links: the calendar (as ``calendar_tiny``),
+#: the end-of-run memory-system state with every order kept, and, from
+#: a second run under the probe, a digest of every probe event in the
+#: order the model told it (every sealed transaction record with its
+#: segments and waits included).
+MISS_PATH_IDS = {
+    "miss_path_tiny": (("fft", "hardware", "hardware", 4),
+                       ("radix", "hardware", "hardware", 4),
+                       ("radix", "simos-mipsy-150", "numa", 4),
+                       ("lu", "simos-mipsy-150", "flashlite_untuned", 4)),
+}
+
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "tests" / "golden"
 
 
@@ -108,7 +127,6 @@ def snapshot(exp_id: str) -> dict:
 
 def attribution_snapshot(golden_id: str) -> dict:
     """The AttributionDiff payload for one pinned workload/config pair."""
-    from repro.obs import hooks
     from repro.obs.diff import diff_runs
     from repro.obs.trace import TraceRecorder
     from repro.sim import farm_hooks
@@ -216,6 +234,104 @@ def calendar_snapshot(golden_id: str) -> dict:
             "events_processed": machine.env.events_processed,
             "now_ps": machine.env.now,
             "when_sha256": stream.hexdigest(),
+        }
+    return out
+
+
+class _ProbeDigest(hooks.Recorder):
+    """A recorder hashing every probe event, in the order it is told.
+
+    Installed beside a ``TxnRecorder`` (which opens the records), it
+    folds each sealed record whole -- segments and wait attribution in
+    their order -- and every other event with its arguments, plus the
+    time of every calendar entry (not its callback's name).
+    """
+
+    engine_events = True
+
+    def __init__(self):
+        self._hash = hashlib.sha256()
+        self.events = 0
+
+    def _fold(self, *fields) -> None:
+        self.events += 1
+        self._hash.update(repr(fields).encode())
+
+    def span(self, t_ps, category, name, dur_ps=0, args=None):
+        if category == hooks.ENGINE:
+            self._fold("engine", t_ps)
+        else:
+            self._fold("span", t_ps, category, name, dur_ps, args)
+
+    def cache_miss(self, name, node, paddr):
+        self._fold("cache_miss", name, node, paddr)
+
+    def tlb_miss(self, vpn, cpu=None):
+        self._fold("tlb_miss", vpn, cpu)
+
+    def dir_transition(self, home, line, transition, n_sharers=0):
+        self._fold("dir", home, line, transition, n_sharers)
+
+    def net_msg(self, src, dst, flits, hops, start_ps=0, dur_ps=0):
+        self._fold("net", src, dst, flits, tuple(hops), start_ps, dur_ps)
+
+    def mem_access(self, node, home, paddr, kind, start_ps=0, latency_ps=0,
+                   case=None):
+        self._fold("mem", node, home, paddr, kind, start_ps, latency_ps,
+                   case)
+
+    def commit_txn(self, record):
+        self._fold("txn", record.uid, record.node, record.home, record.paddr,
+                   record.kind, record.origin, record.case,
+                   record.inval_fanout, record.start_ps, record.end_ps,
+                   record.segments, record.residual_ps,
+                   list(record.waits.items()))
+
+    def drain(self, wait_ps):
+        self._fold("drain", wait_ps)
+
+    def hexdigest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def miss_path_snapshot(golden_id: str) -> dict:
+    """Calendar, memory-system state and probe-stream digests per run."""
+    import dataclasses
+
+    from repro.common.config import get_scale
+    from repro.obs.txn import TxnRecorder
+    from repro.sim.configs import get_config
+    from repro.sim.request import RunRequest
+    from repro.workloads import make_app
+
+    scale = get_scale("tiny")
+    out = {}
+    for workload_name, config_name, memsys, n_cpus in MISS_PATH_IDS[golden_id]:
+        config = dataclasses.replace(get_config(config_name),
+                                     memsys_key=memsys)
+        request = RunRequest(config, make_app(workload_name, scale), n_cpus,
+                             scale)
+        machine = request.machine()
+        machine.begin(request.workload)
+        machine.env.tracer = stream = _WhenDigest()
+        machine.advance()
+        result = machine.finish()
+        # Every order kept: counters, directory entries and link ports in
+        # first-touch order, like ``rows_snapshot``.
+        memsys_state = json.dumps(machine.memsys.ckpt_state())
+        probe_digest = _ProbeDigest()
+        with hooks.observing(TxnRecorder(), probe_digest):
+            request.execute()
+        out[f"{request.describe()}/{memsys}"] = {
+            "events_processed": machine.env.events_processed,
+            "now_ps": machine.env.now,
+            "when_sha256": stream.hexdigest(),
+            "memsys_sha256": hashlib.sha256(
+                memsys_state.encode()).hexdigest(),
+            "result_sha256": hashlib.sha256(json.dumps(
+                result.to_dict(), sort_keys=True).encode()).hexdigest(),
+            "probe_events": probe_digest.events,
+            "probe_sha256": probe_digest.hexdigest(),
         }
     return out
 
@@ -333,6 +449,11 @@ def main() -> int:
     for golden_id in ROWS_IDS:
         path = GOLDEN_DIR / f"{golden_id}.json"
         data = rows_snapshot(golden_id)
+        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {path} ({len(data)} runs)")
+    for golden_id in MISS_PATH_IDS:
+        path = GOLDEN_DIR / f"{golden_id}.json"
+        data = miss_path_snapshot(golden_id)
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path} ({len(data)} runs)")
     return 0

@@ -8,14 +8,15 @@ resources on the directory-controller path -- that omission is exactly the
 sensitivity the Figure 7 experiment measures.
 
 :meth:`Resource.use` packages the common acquire/hold/release pattern as
-one event; :class:`Steps` chains uses and plain delays into one event.
+one event; :class:`Steps` walks a plan of uses, delays and actions as
+one event.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappush
-from typing import Deque, Iterable, Optional, Tuple
+from typing import Deque, Optional
 
 from repro.common.errors import SimulationError
 from repro.common.stats import CounterSet
@@ -64,15 +65,25 @@ class Resource:
     def acquire(self) -> Event:
         """Request one unit; the event fires when the unit is granted."""
         event = Event(self.env)
-        self._request(event)
-        return event
-
-    def _request(self, event: Event) -> None:
         self.requests += 1
         if self.in_use < self.capacity:
             self._grant(event, waited_ps=0)
         else:
             self._queue.append((event, self.env.now))
+        return event
+
+    def _request(self, use: "_Use") -> None:
+        """Queue the use record *use*, or grant it a free unit at once:
+        :meth:`_grant`'s bookkeeping, inlined for the uncontended case."""
+        self.requests += 1
+        if self.in_use < self.capacity:
+            self.in_use += 1
+            if self._busy_since is None:
+                self._busy_since = self.env.now
+            use.waited_ps = 0
+            self.env._defer((self._arm_cb, use))
+        else:
+            self._queue.append((use, self.env.now))
 
     def _grant(self, event: Event, waited_ps: int) -> None:
         self.in_use += 1
@@ -182,47 +193,123 @@ class Resource:
         )
 
 
-class Steps(_Use):
-    """A fixed sequence of waits as one event, without a process.
+class _Op:
+    """A stage opcode of a plan (see :class:`Steps`)."""
 
-    Each step is ``(resource, hold_ps)`` -- what :meth:`Resource.use`
-    does -- or ``(None, delay_ps)`` -- a plain delay; the event fires,
-    with the completion time, when the last one is over.  It schedules
-    exactly what a child process yielding those waits one by one would:
-    one deferred start, then per step the same request and calendar
-    entry drawn at the same point (the event is its own use record, one
-    step at a time), then one firing.  *txn* rides along to every use.
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+
+#: ``(HOP, 0, seg)``: continue one deferral later -- where a process
+#: resumed after an event it waited on was *fired* (``succeed``).
+HOP = _Op("HOP")
+#: ``(CALL, fn, None)``: run ``fn(steps)`` now.  A true return means *fn*
+#: has arranged for the walk to resume later (it waits on something):
+#: at the next stage, or -- when it returns :data:`AGAIN` -- at this one.
+CALL = _Op("CALL")
+#: ``(END, 0, None)``: the plan is over; the event fires with ``now``.
+END = _Op("END")
+#: The last stage of every plan.
+FINISH = (END, 0, None)
+#: What a ``CALL`` returns to be run again when the walk resumes.
+AGAIN = _Op("AGAIN")
+
+
+class Steps(_Use):
+    """A plan -- a precomputed table of waits -- walked as one event,
+    without a process.
+
+    Every stage is a triple ``(who, arg, seg)``: ``(resource, hold_ps,
+    seg)`` is what :meth:`Resource.use` does (the event is its own use
+    record, one stage at a time), ``(None, delay_ps, seg)`` a plain delay
+    (its own calendar entry, as in ``Timeout``), ``(HOP, 0, seg)`` one
+    deferral, ``(CALL, fn, None)`` an action, and ``FINISH`` the end,
+    where the event fires with the completion time.  A walk schedules
+    exactly what a process yielding those waits would: one deferred
+    start, then per stage the same request, calendar entry or deferral
+    drawn at the same point.  *txn* rides along to every use, and when
+    it is set the stage's *seg* names the segment the wait is charged to
+    (``txn.cut``) as the walk continues past it -- at the ``env.now``
+    and queue position where a process's cut after the yield ran.
+    Plans are tuples, built once and shared; a walk only reads them.
     """
 
-    __slots__ = ("_todo", "_next")
+    __slots__ = ("_plan", "_at", "_wake", "_seg", "note")
 
-    def __init__(self, env: Engine,
-                 steps: Iterable[Tuple[Optional[Resource], int]], txn=None):
+    def __init__(self, env: Engine, stages: tuple, txn=None):
         Event.__init__(self, env)
         self.txn = txn
-        self._todo = iter(steps)
+        self._plan = stages
+        self._at = 0
+        self._seg = None
+        #: Scratch for a stage that must hand a value to a later one.
+        self.note = None
         # Bound once; dropped at the end (it is a reference cycle).
-        self._next = self._advance
-        env._defer((self._next, None))
+        self._wake = self._walk
+        env._defer((self._wake, None))
 
-    def _advance(self, _event) -> None:
+    def goto(self, stages: tuple) -> None:
+        """Continue with *stages* (from a ``CALL``): a decision point."""
+        self._plan = stages
+        self._at = 0
+
+    def _walk(self, _arg) -> None:
         env = self.env
-        step = next(self._todo, None)
-        if step is None:
-            self._next = None
-            self.succeed(env.now)
+        txn = self.txn
+        if txn is not None and self._seg is not None:
+            txn.cut(self._seg, env.now)
+            self._seg = None
+        stages = self._plan
+        at = self._at
+        while True:
+            who, arg, seg = stages[at]
+            at += 1
+            if who is None:
+                self._at = at
+                if txn is not None:
+                    self._seg = seg
+                env._seq = seq = env._seq + 1
+                heappush(env._heap, (env.now + arg, seq, self._wake, None))
+                return
+            if who is HOP:
+                self._at = at
+                if txn is not None:
+                    self._seg = seg
+                env._defer((self._wake, None))
+                return
+            if who is CALL:
+                self._at = at
+                waits = arg(self)
+                if waits:
+                    if waits is AGAIN:
+                        self._at = at - 1
+                    return
+                stages = self._plan
+                at = self._at
+                txn = self.txn
+                continue
+            if who is END:
+                self._wake = None
+                self.succeed(env.now)
+                return
+            self._at = at
+            if txn is not None:
+                self._seg = seg
+            self.hold_ps = arg
+            who._request(self)
             return
-        res, ps = step
-        if ps < 0:
-            raise SimulationError(f"negative step {ps}")
-        if res is None:
-            # A delay is this event's own calendar entry, as in ``Timeout``.
-            env._seq = seq = env._seq + 1
-            heappush(env._heap, (env.now + ps, seq, self._next, None))
-        else:
-            self.hold_ps = ps
-            res._request(self)
+
+    def wait(self, event: Event) -> bool:
+        """From a ``CALL``: resume the walk when *event* fires (as a
+        process waiting on it would); returns True, for the ``CALL``."""
+        event.add_waiter(self._wake)
+        return True
 
     def _held(self) -> None:
         # Where the child process's resume after the use ran.
-        self.env._defer((self._next, None))
+        self.env._defer((self._wake, None))

@@ -10,10 +10,15 @@ One engine serves as both of the paper's memory-system simulators:
   latencies.  Memory (DRAM) contention is modelled in both, matching the
   paper's description of the NUMA model.
 
-A transaction is a coroutine walking the five protocol read cases of
-Table 3 (plus writes, upgrades, and writebacks).  Racing transactions on
-the same line serialize on the directory entry's ``busy`` event, standing
-in for MAGIC's pending states.
+A transaction is a plan, not a coroutine: a :class:`Transaction` walks
+precomputed stage tables (:class:`repro.engine.Steps`) -- the fixed runs
+of waits between the protocol's decision points, built once per phase
+and the nodes it waits at, and shared -- through the five protocol read
+cases of Table 3 (plus writes, upgrades, and writebacks).  The decisions
+(directory state at the home, the owner's copy) and the protocol
+actions between waits are the plans' ``CALL`` stages.  Racing
+transactions on the same line serialize on the directory entry's
+``busy`` waiter list, standing in for MAGIC's pending states.
 """
 
 from __future__ import annotations
@@ -21,8 +26,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.common.errors import ConfigurationError, ProtocolError
-from repro.common.stats import CounterSet, StatsRegistry
-from repro.engine import Engine
+from repro.common.stats import StatsRegistry
+from repro.engine import Engine, Steps
+from repro.engine.resources import AGAIN, CALL, FINISH
 from repro.mem.address import home_node
 from repro.mem.cache import MODIFIED, SHARED as CACHE_SHARED
 from repro.memsys.params import (
@@ -35,26 +41,8 @@ from repro.memsys.params import (
 )
 from repro.network.fabric import Network
 from repro.obs import hooks as obs_hooks
-from repro.proto.directory import DIRTY, SHARED, UNOWNED
+from repro.proto.directory import DIRTY, SHARED
 from repro.proto.magic import MagicController
-
-
-def seg(txn, name: str, event, all_wait: bool = False):
-    """``yield seg(txn, name, event)``: wait on *event* and, when a
-    :class:`repro.obs.txn.TxnRecord` is riding along, charge the elapsed
-    window to segment *name* (*all_wait*: as pure queueing, for waits on
-    other transactions' progress rather than on a resource).
-
-    The cut is registered as a waiter on *event* before the yielding
-    process registers its own resume, so it runs first and at the same
-    ``env.now`` as the resume -- exactly where a ``txn.cut`` written after
-    the yield would run.  No event, calendar entry or generator is
-    created; with ``txn is None`` this is one call returning *event*.
-    """
-    if txn is not None:
-        cut = txn.cut_wait if all_wait else txn.cut
-        event.add_waiter(lambda ev: cut(name, ev.env.now))
-    return event
 
 
 class MemKind:
@@ -66,6 +54,28 @@ class MemKind:
     WRITEBACK = "writeback"  #: dirty eviction (fire-and-forget)
 
     ALL = (READ, WRITE, UPGRADE, WRITEBACK)
+
+
+class Transaction(Steps):
+    """One walk through the memory system: a demand transaction, a
+    writeback, an invalidation round trip or a sharing writeback.  The
+    event fires with the completion time."""
+
+    __slots__ = ("node", "home", "paddr", "line", "kind", "entry", "start",
+                 "case", "owner", "write", "fill", "acks")
+
+    def __init__(self, env: Engine, stages: tuple, node: int, home: int,
+                 paddr: int, kind: str, line: int, txn=None):
+        Steps.__init__(self, env, stages, txn)
+        self.node = node
+        self.home = home
+        self.paddr = paddr
+        self.kind = kind
+        self.line = line
+        self.entry = None
+        self.case = None
+        self.write = kind == MemKind.WRITE
+        self.acks = None
 
 
 class DsmMemorySystem:
@@ -81,7 +91,9 @@ class DsmMemorySystem:
             raise ConfigurationError("line_bytes must be a power of two")
         registry = registry or StatsRegistry()
         self.stats = registry.counter_set("memsys")
-        # Precomputed stat labels: transactions are the hottest path.
+        # Transactions are the hottest path: they bump the counters in
+        # place (first-touch order kept) under precomputed labels.
+        self._counters = self.stats._counters
         self._req_label = {kind: f"req_{kind}" for kind in MemKind.ALL}
         self._case_label = {}
         self._case_latency_label = {}
@@ -89,14 +101,6 @@ class DsmMemorySystem:
                      REMOTE_DIRTY_HOME, REMOTE_DIRTY_REMOTE):
             self._case_label[case] = f"case_{case}"
             self._case_latency_label[case] = f"latency_ps_{case}"
-        # Process names are read only in a crash message: format them once.
-        nodes = range(n_nodes)
-        self._txn_name = {kind: [f"{kind}@{node}" for node in nodes]
-                          for kind in MemKind.ALL}
-        self._inv_name = [[f"inv{home}->{node}" for node in nodes]
-                          for home in nodes]
-        self._shwb_name = [[f"shwb{owner}->{home}" for home in nodes]
-                           for owner in nodes]
         self.net = Network(env, n_nodes, params.net,
                            model_contention=params.model_net_contention)
         self.magic: List[MagicController] = [
@@ -105,6 +109,8 @@ class DsmMemorySystem:
             for node in range(n_nodes)
         ]
         self._hooks: Dict[int, object] = {}
+        self._plans: Dict[tuple, tuple] = {}
+        self._stages: Dict[tuple, tuple] = {}
 
     # -- wiring ----------------------------------------------------------
 
@@ -123,297 +129,342 @@ class DsmMemorySystem:
 
         *txn* is an optional :class:`repro.obs.txn.TxnRecord` opened by
         the issuing side (demand misses); when it is None and a txn
-        recorder is observing, the transaction body opens its own record
+        recorder is observing, the transaction opens its own record
         (victim writebacks, direct test calls).
         """
-        body = (self._writeback(node, paddr, txn)
-                if kind == MemKind.WRITEBACK
-                else self._transact(node, paddr, kind, txn))
-        return self.env.process(body, name=self._txn_name[kind][node])
+        home = home_node(paddr)
+        return Transaction(self.env, self._plan(
+                               ("head", kind == MemKind.WRITEBACK, node, home)),
+                           node, home, paddr, kind, paddr >> self.line_shift,
+                           txn)
 
-    # -- transaction body -----------------------------------------------------
+    # -- plans -------------------------------------------------------------
     #
     # Segment accounting (repro.obs.txn): time only advances across
-    # yields, so every critical-path yield below goes through ``seg``,
-    # charging the elapsed window to exactly one named segment -- the
-    # segments partition the end-to-end latency and the residual is zero
-    # by construction.  The guards that remain have no single event to
-    # ride: ``begin``/``close``, the all-wait ``dir_busy`` cut after its
-    # retry loop, and the fan-out width.  Off-critical-path
-    # processes (invalidation round trips, sharing writebacks) are
-    # deliberately *not* threaded: their overlap with the dram access is
-    # already excluded, and only the non-overlapped remainder surfaces,
-    # as the all-wait ``inval_wait`` segment.
+    # waits, so every critical-path wait names the segment it is charged
+    # to -- the segments partition the end-to-end latency and the
+    # residual is zero by construction.  The cuts with no single wait to
+    # ride are in the CALL stages: ``begin``/``close``, the all-wait
+    # ``dir_busy`` cut after the busy retries, the all-wait
+    # ``inval_wait`` cut, and the fan-out width.  Off-critical-path walks
+    # (invalidation round trips, sharing writebacks) are deliberately
+    # *not* recorded: their overlap with the dram access is already
+    # excluded, and only the non-overlapped remainder surfaces, as
+    # ``inval_wait``.
 
-    def _transact(self, node: int, paddr: int, kind: str, txn=None):
+    def _plan(self, key: tuple) -> tuple:
+        """The stage table named *key*, built on first use; equal stages
+        of different tables are one object (the tables are many)."""
+        stages = self._plans.get(key)
+        if stages is None:
+            shared = self._stages
+            stages = self._plans[key] = tuple(
+                shared.setdefault(stage, stage) for stage in self._build(*key))
+        return stages
+
+    def _build(self, what: str, *args) -> tuple:
+        """One phase of a transaction, between two decision points.
+
+        A phase is keyed by the nodes it waits at, and no more: what
+        follows a decision (the data's trip to the requester, the reply)
+        is a phase of its own, reached by ``goto``, so the tables grow
+        with the pairs of nodes that talk, not with their triples.
+        """
         p = self.params
-        env = self.env
-        line = paddr >> self.line_shift
-        home = home_node(paddr)
+        pp = lambda node, hold, label, seg=None: (
+            self.magic[node].pp_stages(hold, label, seg))
+        send = self.net.send_stages
+        dram = lambda node, seg=None: ((self.magic[node].dram, p.dram_ps,
+                                        seg),)
+        call = lambda fn: ((CALL, fn, None),)
+        if what == "head":
+            # Processor pins -> (requester MAGIC -> network ->) home,
+            # through the line's busy gate and the home handler.
+            wb, node, home = args
+            stages = call(self._begin_writeback if wb else self._begin)
+            stages += ((None, p.bus_ps, "bus_req"),)
+            if home != node:
+                stages += pp(node, p.pp_out_ps, "out", "pp_out")
+                stages += send(node, home,
+                               p.data_flits if wb else p.req_flits,
+                               "net_req")
+            stages += call(self._gate)
+            if wb:
+                return (stages + pp(home, p.pp_wb_ps, "wb", "pp_wb")
+                        + dram(home, "dram") + call(self._written_back)
+                        + (FINISH,))
+            return stages + pp(home, p.pp_home_ps, "home",
+                               "pp_home") + call(self._decide)
+        if what == "clean":
+            # Memory supplies the data; a write invalidates the sharers.
+            write, case, home = args
+            stages = pp(home, max(0, p.pp_mem_ps + p.extra(case)), "mem",
+                        "pp_mem")
+            if write:
+                stages += (call(self._fan_out) + dram(home, "dram")
+                           + call(self._await_acks) + call(self._acks_in))
+            else:
+                stages += dram(home, "dram")
+            return stages + call(self._clean_done)
+        if what == "dirty":
+            case, home = args
+            return (pp(home, max(0, p.pp_redirect_ps + p.extra(case)),
+                       "redirect", "pp_redirect") + call(self._peek_owner))
+        if what == "race":
+            # The owner's writeback is in flight: fall back to memory.
+            home, = args
+            return dram(home, "dram") + call(self._race_done)
+        if what == "intervene":
+            home, owner = args
+            stages = ()
+            if owner != home:
+                stages += (send(home, owner, p.req_flits, "net_fwd")
+                           + pp(owner, p.pp_ivn_ps, "ivn", "pp_owner"))
+            # Data extraction through the owner R10000's secondary cache.
+            return stages + ((None, p.owner_cache_ps, "owner_cache"),) + call(
+                self._intervened)
+        if what == "data":
+            # The data from *src* to the requester, then its fill.
+            src, node = args
+            stages = (send(src, node, p.data_flits, "net_reply")
+                      if src != node else ())
+            return stages + call(self._filled)
+        if what == "upgrade":
+            home, = args
+            return (pp(home, p.pp_mem_ps, "upgrade", "pp_upgrade")
+                    + call(self._fan_out) + call(self._await_acks)
+                    + call(self._acks_in) + call(self._upgraded))
+        if what == "reply":
+            # Reply delivery at the requester MAGIC (remote replies and
+            # owner-forwarded data pass through it; a purely local memory
+            # reply does not).
+            node, through_magic = args
+            stages = (pp(node, p.pp_reply_ps, "reply", "pp_reply")
+                      if through_magic else ())
+            return (stages + ((None, p.bus_ps, "bus_reply"),)
+                    + call(self._close) + (FINISH,))
+        if what == "inval":
+            # Invalidation round trip home -> sharer -> home (ack).
+            home, sharer = args
+            return (call(self._inval_sent)
+                    + send(home, sharer, p.req_flits)
+                    + pp(sharer, p.pp_inval_ps, "inval")
+                    + call(self._invalidate)
+                    + send(sharer, home, p.req_flits) + (FINISH,))
+        if what == "shwb":
+            # Sharing writeback to home memory, off the critical path.
+            owner, home = args
+            stages = (send(owner, home, p.data_flits)
+                      if owner != home else ())
+            return (stages + pp(home, p.pp_wb_ps, "shwb") + dram(home)
+                    + (FINISH,))
+        raise ProtocolError(f"no plan {what!r}")
+
+    # -- CALL stages: the protocol between the waits ---------------------
+
+    def _begin(self, t: Transaction) -> None:
+        txn = t.txn
         if txn is None:
             probe = obs_hooks.active
             if probe is not None:
-                txn = probe.open_txn(node, paddr, kind)
-        start = env.now
+                t.txn = txn = probe.open_txn(t.node, t.paddr, t.kind)
+        t.start = self.env.now
         if txn is not None:
-            txn.begin(start)
-        self.stats.add(self._req_label[kind])
+            txn.begin(t.start)
+        self._counters[self._req_label[t.kind]] += 1.0
 
-        # Processor pins -> local MAGIC.
-        yield seg(txn, "bus_req", env.timeout(p.bus_ps))
-        if home != node:
-            yield seg(txn, "pp_out",
-                      self.magic[node].pp_busy(p.pp_out_ps, "out", txn))
-            yield seg(txn, "net_req",
-                      self.net.send(node, home, p.req_flits, txn))
-
-        home_magic = self.magic[home]
-        entry = home_magic.directory.entry(line)
-        while entry.busy is not None:
-            self.stats.add("line_busy_waits")
-            yield entry.busy
-        if txn is not None:
-            txn.cut_wait("dir_busy", env.now)
-        entry.busy = env.event()
-        try:
-            yield seg(txn, "pp_home",
-                      home_magic.pp_busy(p.pp_home_ps, "home", txn))
-            if kind == MemKind.UPGRADE:
-                case = yield from self._do_upgrade(node, home, line, entry,
-                                                   txn)
-            elif entry.state == DIRTY and entry.owner != node:
-                case = yield from self._do_dirty(node, home, line, entry,
-                                                 kind, txn)
-            else:
-                case = yield from self._do_clean(node, home, line, entry,
-                                                 kind, txn)
-        finally:
-            busy, entry.busy = entry.busy, None
-            busy.succeed()
-
-        # Reply delivery at the requester MAGIC (remote replies and
-        # owner-forwarded data pass through it; a purely local memory reply
-        # does not).
-        if case != LOCAL_CLEAN:
-            yield seg(txn, "pp_reply",
-                      self.magic[node].pp_busy(p.pp_reply_ps, "reply", txn))
-        yield seg(txn, "bus_reply", env.timeout(p.bus_ps))
-
-        latency = env.now - start
-        self.stats.add(self._case_label[case])
-        self.stats.add(self._case_latency_label[case], latency)
+    def _begin_writeback(self, t: Transaction) -> None:
+        """Dirty eviction: the issuing processor does not wait (its
+        write buffer tracks completion)."""
         probe = obs_hooks.active
         if probe is not None:
-            probe.mem_access(node, home, paddr, kind, start, latency, case)
-        if txn is not None:
-            txn.close(env.now, case)
-            if probe is not None:
-                probe.commit_txn(txn)
-        return env.now
+            if t.txn is None:
+                t.txn = probe.open_txn(t.node, t.paddr, MemKind.WRITEBACK,
+                                       "eviction")
+            probe.mem_access(t.node, t.home, t.paddr, MemKind.WRITEBACK)
+        if t.txn is not None:
+            t.txn.begin(self.env.now)
+        self._counters["req_writeback"] += 1.0
 
-    def _do_clean(self, node: int, home: int, line: int, entry, kind: str,
-                  txn=None):
-        """Directory UNOWNED/SHARED (or requester already owner): memory
-        supplies the data; writes invalidate sharers."""
-        p = self.params
-        env = self.env
-        home_magic = self.magic[home]
-        case = LOCAL_CLEAN if home == node else REMOTE_CLEAN
-        yield seg(txn, "pp_mem", home_magic.pp_busy(
-            max(0, p.pp_mem_ps + p.extra(case)), "mem", txn))
+    def _gate(self, t: Transaction) -> bool:
+        """Wait out a racing transaction on the line, then own it."""
+        entry = t.entry
+        if entry is None:
+            t.entry = entry = self.magic[t.home].directory.entry(t.line)
+        waiting = entry.busy
+        if waiting is not None:
+            if t.kind != MemKind.WRITEBACK:
+                self._counters["line_busy_waits"] += 1.0
+            waiting.append(t._wake)
+            return AGAIN        # check again when woken
+        if t.txn is not None:
+            t.txn.cut_wait("dir_busy", self.env.now)
+        entry.busy = []
+        return False
 
-        inval_done = None
-        if kind == MemKind.WRITE and entry.state == SHARED:
-            # Sorted so invalidation fan-out order never depends on set
-            # iteration order (replay digests must be process-independent).
-            others = sorted(s for s in entry.sharers if s != node)
-            if others:
-                if txn is not None:
-                    txn.inval_fanout = len(others)
-                inval_done = env.all_of(
-                    [self._invalidate_sharer(home, s, line) for s in others]
-                )
-        yield seg(txn, "dram", home_magic.dram_access(p.dram_ps, txn))
-        if inval_done is not None:
-            yield seg(txn, "inval_wait", inval_done, all_wait=True)
+    def _release(self, t: Transaction) -> None:
+        entry = t.entry
+        waiting, entry.busy = entry.busy, None
+        defer = self.env._defer
+        for wake in waiting:
+            defer((wake, None))
 
-        if kind == MemKind.WRITE:
-            home_magic.directory.set_dirty(line, node)
-            fill_state = MODIFIED
-        else:
-            if entry.state == DIRTY:  # requester re-reads its own dirty line
-                home_magic.directory.clear(line)
-            home_magic.directory.add_sharer(line, node)
-            fill_state = CACHE_SHARED
-        if home != node:
-            yield seg(txn, "net_reply",
-                      self.net.send(home, node, p.data_flits, txn))
-        self._fill(node, line, fill_state)
-        return case
-
-    def _do_dirty(self, node: int, home: int, line: int, entry, kind: str,
-                  txn=None):
-        """Directory DIRTY at another node: intervene at the owner."""
-        p = self.params
-        env = self.env
-        home_magic = self.magic[home]
-        owner = entry.owner
-        if home == node:
-            case = LOCAL_DIRTY_REMOTE
-        elif owner == home:
-            case = REMOTE_DIRTY_HOME
-        else:
-            case = REMOTE_DIRTY_REMOTE
-        yield seg(txn, "pp_redirect", home_magic.pp_busy(
-            max(0, p.pp_redirect_ps + p.extra(case)), "redirect", txn))
-
-        hook = self._hooks[owner]
-        owner_state = hook.l2_peek(line)
-        if owner_state != MODIFIED:
-            # The owner's writeback is in flight: fall back to memory.
-            self.stats.add("race_to_memory")
-            yield seg(txn, "dram", home_magic.dram_access(p.dram_ps, txn))
-            if kind == MemKind.WRITE:
-                home_magic.directory.set_dirty(line, node)
-                fill_state = MODIFIED
-            else:
-                home_magic.directory.clear(line)
-                home_magic.directory.add_sharer(line, node)
-                fill_state = CACHE_SHARED
-            if home != node:
-                yield seg(txn, "net_reply",
-                          self.net.send(home, node, p.data_flits, txn))
-            self._fill(node, line, fill_state)
-            return case
-
-        if owner != home:
-            yield seg(txn, "net_fwd",
-                      self.net.send(home, owner, p.req_flits, txn))
-            yield seg(txn, "pp_owner",
-                      self.magic[owner].pp_busy(p.pp_ivn_ps, "ivn", txn))
-        # Data extraction through the owner R10000's secondary cache.
-        yield seg(txn, "owner_cache", env.timeout(p.owner_cache_ps))
-        if kind == MemKind.WRITE:
-            hook.l2_invalidate(line)
-            home_magic.directory.set_dirty(line, node)
-            fill_state = MODIFIED
-        else:
-            hook.l2_downgrade(line)
-            home_magic.directory.clear(line)
-            home_magic.directory.add_sharer(line, owner)
-            home_magic.directory.add_sharer(line, node)
-            fill_state = CACHE_SHARED
-            # Sharing writeback to home memory, off the critical path.
-            env.process(self._sharing_writeback(owner, home),
-                        name=self._shwb_name[owner][home])
-        if owner != node:
-            yield seg(txn, "net_reply",
-                      self.net.send(owner, node, p.data_flits, txn))
-        self._fill(node, line, fill_state)
-        return case
-
-    def _do_upgrade(self, node: int, home: int, line: int, entry, txn=None):
-        """Store hit on a SHARED line: invalidate the other sharers."""
-        p = self.params
-        env = self.env
-        home_magic = self.magic[home]
-        if entry.state != SHARED or node not in entry.sharers:
+    def _decide(self, t: Transaction) -> None:
+        """At the home, after the directory lookup: pick the case."""
+        entry = t.entry
+        node, home = t.node, t.home
+        if t.kind == MemKind.UPGRADE:
+            if entry.state == SHARED and node in entry.sharers:
+                t.case = LOCAL_CLEAN if home == node else REMOTE_CLEAN
+                t.goto(self._plan(("upgrade", home)))
+                return
             # Raced: our copy was invalidated while the upgrade was in
             # flight; escalate to a full read-exclusive.
-            self.stats.add("upgrade_races")
-            if entry.state == DIRTY and entry.owner != node:
-                return (yield from self._do_dirty(node, home, line, entry,
-                                                  MemKind.WRITE, txn))
-            return (yield from self._do_clean(node, home, line, entry,
-                                              MemKind.WRITE, txn))
-        case = LOCAL_CLEAN if home == node else REMOTE_CLEAN
-        yield seg(txn, "pp_upgrade",
-                  home_magic.pp_busy(p.pp_mem_ps, "upgrade", txn))
-        # Sorted for the same reason as _do_clean's invalidation fan-out.
-        others = sorted(s for s in entry.sharers if s != node)
+            self._counters["upgrade_races"] += 1.0
+            t.write = True
+        if entry.state == DIRTY and entry.owner != node:
+            # Directory DIRTY at another node: intervene at the owner.
+            t.owner = owner = entry.owner
+            if home == node:
+                t.case = LOCAL_DIRTY_REMOTE
+            elif owner == home:
+                t.case = REMOTE_DIRTY_HOME
+            else:
+                t.case = REMOTE_DIRTY_REMOTE
+            t.goto(self._plan(("dirty", t.case, home)))
+        else:
+            # UNOWNED/SHARED (or the requester already owns it).
+            t.case = LOCAL_CLEAN if home == node else REMOTE_CLEAN
+            t.goto(self._plan(("clean", t.write, t.case, home)))
+
+    def _fan_out(self, t: Transaction) -> None:
+        """A write to a SHARED line: invalidate the other sharers."""
+        entry = t.entry
+        if entry.state != SHARED:
+            return
+        # Sorted so invalidation fan-out order never depends on set
+        # iteration order (replay digests must be process-independent).
+        others = sorted(s for s in entry.sharers if s != t.node)
         if others:
-            if txn is not None:
-                txn.inval_fanout = len(others)
-            yield seg(txn, "inval_wait", env.all_of(
-                [self._invalidate_sharer(home, s, line) for s in others]
-            ), all_wait=True)
-        home_magic.directory.set_dirty(line, node)
-        self._fill(node, line, MODIFIED)
-        self.stats.add("upgrades_clean")
-        return case
+            if t.txn is not None:
+                t.txn.inval_fanout = len(others)
+            home, line = t.home, t.line
+            t.acks = self.env.all_of([
+                Transaction(self.env, self._plan(("inval", home, sharer)),
+                            sharer, home, line << self.line_shift,
+                            MemKind.WRITE, line)
+                for sharer in others])
 
-    def _invalidate_sharer(self, home: int, sharer: int, line: int):
-        """Invalidation round trip home -> sharer -> home (ack)."""
-        return self.env.process(
-            self._invalidate_gen(home, sharer, line),
-            name=self._inv_name[home][sharer],
-        )
+    def _await_acks(self, t: Transaction) -> bool:
+        """Wait for the invalidation acks, if any are outstanding."""
+        return t.acks is not None and t.wait(t.acks)
 
-    def _invalidate_gen(self, home: int, sharer: int, line: int):
-        p = self.params
-        self.stats.add("invalidations_sent")
-        yield self.net.send(home, sharer, p.req_flits)
-        yield self.magic[sharer].pp_busy(p.pp_inval_ps, "inval")
-        hook = self._hooks.get(sharer)
-        if hook is not None:
-            hook.l2_invalidate(line)
-        yield self.net.send(sharer, home, p.req_flits)
+    def _acks_in(self, t: Transaction) -> None:
+        if t.acks is not None:
+            t.acks = None
+            if t.txn is not None:
+                t.txn.cut_wait("inval_wait", self.env.now)
 
-    def _sharing_writeback(self, owner: int, home: int):
-        p = self.params
-        if owner != home:
-            yield self.net.send(owner, home, p.data_flits)
-        yield self.magic[home].pp_busy(p.pp_wb_ps, "shwb")
-        yield self.magic[home].dram_access(p.dram_ps)
+    def _clean_done(self, t: Transaction) -> None:
+        directory = self.magic[t.home].directory
+        if t.write:
+            directory.set_dirty(t.line, t.node)
+            t.fill = MODIFIED
+        else:
+            if t.entry.state == DIRTY:  # requester re-reads its dirty line
+                directory.clear(t.line)
+            directory.add_sharer(t.line, t.node)
+            t.fill = CACHE_SHARED
+        t.goto(self._plan(("data", t.home, t.node)))
 
-    # -- writeback -------------------------------------------------------------
+    def _peek_owner(self, t: Transaction) -> None:
+        if self._hooks[t.owner].l2_peek(t.line) != MODIFIED:
+            self._counters["race_to_memory"] += 1.0
+            t.goto(self._plan(("race", t.home)))
+        else:
+            t.goto(self._plan(("intervene", t.home, t.owner)))
 
-    def _writeback(self, node: int, paddr: int, txn=None):
-        """Dirty eviction: update home memory and directory.  The issuing
-        processor does not wait (its write buffer tracks completion)."""
-        p = self.params
-        env = self.env
-        line = paddr >> self.line_shift
-        home = home_node(paddr)
+    def _race_done(self, t: Transaction) -> None:
+        directory = self.magic[t.home].directory
+        if t.write:
+            directory.set_dirty(t.line, t.node)
+            t.fill = MODIFIED
+        else:
+            directory.clear(t.line)
+            directory.add_sharer(t.line, t.node)
+            t.fill = CACHE_SHARED
+        t.goto(self._plan(("data", t.home, t.node)))
+
+    def _intervened(self, t: Transaction) -> None:
+        directory = self.magic[t.home].directory
+        hook = self._hooks[t.owner]
+        if t.write:
+            hook.l2_invalidate(t.line)
+            directory.set_dirty(t.line, t.node)
+            t.fill = MODIFIED
+        else:
+            hook.l2_downgrade(t.line)
+            directory.clear(t.line)
+            directory.add_sharer(t.line, t.owner)
+            directory.add_sharer(t.line, t.node)
+            t.fill = CACHE_SHARED
+            Transaction(self.env, self._plan(("shwb", t.owner, t.home)),
+                        t.owner, t.home, t.paddr, MemKind.WRITEBACK, t.line)
+        t.goto(self._plan(("data", t.owner, t.node)))
+
+    def _upgraded(self, t: Transaction) -> None:
+        self.magic[t.home].directory.set_dirty(t.line, t.node)
+        self._fill(t.node, t.line, MODIFIED)
+        self._counters["upgrades_clean"] += 1.0
+        self._reply(t)
+
+    def _filled(self, t: Transaction) -> None:
+        self._fill(t.node, t.line, t.fill)
+        self._reply(t)
+
+    def _reply(self, t: Transaction) -> None:
+        self._release(t)
+        t.goto(self._plan(("reply", t.node, t.case != LOCAL_CLEAN)))
+
+    def _close(self, t: Transaction) -> None:
+        now = self.env.now
+        latency = now - t.start
+        case = t.case
+        self._counters[self._case_label[case]] += 1.0
+        self._counters[self._case_latency_label[case]] += latency
         probe = obs_hooks.active
         if probe is not None:
-            if txn is None:
-                txn = probe.open_txn(node, paddr, MemKind.WRITEBACK,
-                                     "eviction")
-            probe.mem_access(node, home, paddr, MemKind.WRITEBACK)
+            probe.mem_access(t.node, t.home, t.paddr, t.kind, t.start,
+                             latency, case)
+        txn = t.txn
         if txn is not None:
-            txn.begin(env.now)
-        self.stats.add("req_writeback")
-        yield seg(txn, "bus_req", env.timeout(p.bus_ps))
-        if home != node:
-            yield seg(txn, "pp_out",
-                      self.magic[node].pp_busy(p.pp_out_ps, "out", txn))
-            yield seg(txn, "net_req",
-                      self.net.send(node, home, p.data_flits, txn))
-        home_magic = self.magic[home]
-        entry = home_magic.directory.entry(line)
-        while entry.busy is not None:
-            yield entry.busy
+            txn.close(now, case)
+            if probe is not None:
+                probe.commit_txn(txn)
+
+    def _written_back(self, t: Transaction) -> None:
+        """Home memory is updated: the directory forgets the writer."""
+        entry = t.entry
+        directory = self.magic[t.home].directory
+        if entry.state == DIRTY and entry.owner == t.node:
+            directory.clear(t.line)
+        elif entry.state == SHARED:
+            directory.drop_sharer(t.line, t.node)
+        self._release(t)
+        txn = t.txn
         if txn is not None:
-            txn.cut_wait("dir_busy", env.now)
-        entry.busy = env.event()
-        try:
-            yield seg(txn, "pp_wb",
-                      home_magic.pp_busy(p.pp_wb_ps, "wb", txn))
-            yield seg(txn, "dram", home_magic.dram_access(p.dram_ps, txn))
-            if entry.state == DIRTY and entry.owner == node:
-                home_magic.directory.clear(line)
-            elif entry.state == SHARED:
-                home_magic.directory.drop_sharer(line, node)
-        finally:
-            busy, entry.busy = entry.busy, None
-            busy.succeed()
-        if txn is not None:
-            txn.close(env.now, None)
+            txn.close(self.env.now, None)
             probe = obs_hooks.active
             if probe is not None:
                 probe.commit_txn(txn)
-        return env.now
+
+    def _inval_sent(self, t: Transaction) -> None:
+        self._counters["invalidations_sent"] += 1.0
+
+    def _invalidate(self, t: Transaction) -> None:
+        hook = self._hooks.get(t.node)
+        if hook is not None:
+            hook.l2_invalidate(t.line)
 
     # -- helpers -----------------------------------------------------------------
 

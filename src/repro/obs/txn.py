@@ -20,9 +20,10 @@ The recorder is a :mod:`repro.obs.hooks` probe subscriber, like
   so a recording-enabled run is cycle-bit-identical to a disabled one.
 
 **Exactness contract.**  In the discrete-event engine, simulated time
-only advances across ``yield``\\ s.  ``DsmMemorySystem._transact``
-brackets every yield on the transaction's critical path and charges the
-elapsed time to exactly one named segment (:meth:`TxnRecord.cut`), so
+only advances across waits.  Every wait on a DSM transaction's critical
+path is a stage of its plan (``repro.memsys.dsm``) that names the
+segment it is charged to, and the walk charges the elapsed time to
+exactly that one segment (:meth:`TxnRecord.cut`), so
 the segments *partition* the end-to-end latency: their sum equals
 ``end_ps - start_ps`` by construction and the explicit residual row is
 zero in-model.  Queue wait is split from service by threading the

@@ -6,8 +6,9 @@ keep the same *semantics* -- exact sharers, no broadcast -- using a Python
 set per entry; the cost of walking the pointer list is part of the MAGIC
 protocol-processor occupancy parameters, not of this data structure.
 
-Entries also carry a ``busy`` event used to serialize racing transactions
-on the same line at the home, standing in for MAGIC's pending states.
+Entries also carry a ``busy`` waiter list used to serialize racing
+transactions on the same line at the home, standing in for MAGIC's pending
+states.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class DirEntry:
         self.state = UNOWNED
         self.sharers: Set[int] = set()
         self.owner: Optional[int] = None
-        self.busy = None  # Event while a transaction is in flight
+        self.busy = None  # waiter list while a transaction is in flight
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"DirEntry({self.state}, sharers={sorted(self.sharers)}, owner={self.owner})"

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
 from repro.engine import Engine, Resource, Steps
+from repro.engine.resources import FINISH
 from repro.obs import hooks as obs_hooks
 from tests import engine_reference as reference
 
@@ -275,7 +276,8 @@ class TestOrderingRule:
         def user(delay):
             yield env.timeout(delay)
             yield pp.use(7)
-            yield Steps(env, ((link, 3), (None, 4), (pp, 2)))
+            yield Steps(env, ((link, 3, None), (None, 4, None),
+                              (pp, 2, None), FINISH))
             yield link.acquire()
             yield env.all_of([env.timeout(0), env.timeout(delay)])
             link.release()
@@ -294,8 +296,14 @@ class _Kit:
             module.Engine, module.Resource, steps)
 
 
+def _steps(env, pairs, txn=None):
+    """A walk of the plan made of *pairs*, no segments."""
+    return Steps(env, tuple((res, ps, None) for res, ps in pairs) + (FINISH,),
+                 txn)
+
+
 KITS = (_Kit(reference, reference.steps),
-        _Kit(__import__("repro.engine", fromlist=["Engine"]), Steps))
+        _Kit(__import__("repro.engine", fromlist=["Engine"]), _steps))
 
 #: Three delays, zero included, so that ties are the common case.
 _DELAY = st.sampled_from((0, 10, 25))

@@ -146,6 +146,14 @@ class TestGoldenSnapshots:
         must come out the same."""
         check_payload("rows_tiny", refresh_goldens.rows_snapshot)
 
+    def test_miss_path_snapshot(self):
+        """The DSM transaction path is pinned in every case it has: a
+        transaction may take fewer calls, but every calendar entry, the
+        end-of-run memory-system state in first-touch order, and every
+        probe event -- sealed transaction records, segments and wait
+        attribution included -- must come out the same, in order."""
+        check_payload("miss_path_tiny", refresh_goldens.miss_path_snapshot)
+
     def test_snapshot_set_matches_refresh_script(self):
         on_disk = {p.stem for p in GOLDEN_DIR.glob("*.json")}
         assert on_disk == (set(refresh_goldens.GOLDEN_IDS)
@@ -154,7 +162,8 @@ class TestGoldenSnapshots:
                            | set(refresh_goldens.TXN_IDS)
                            | set(refresh_goldens.CKPT_IDS)
                            | set(refresh_goldens.CALENDAR_IDS)
-                           | set(refresh_goldens.ROWS_IDS))
+                           | set(refresh_goldens.ROWS_IDS)
+                           | set(refresh_goldens.MISS_PATH_IDS))
 
 
 class TestDiffReadability:

@@ -1,6 +1,14 @@
 """Protocol-engine tests: the five Table 3 cases, coherence, contention."""
 
+import importlib.util
+import json
+import random
+from collections import Counter
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine import Engine
 from repro.mem.cache import MODIFIED, SHARED as CACHE_SHARED
@@ -20,7 +28,11 @@ from repro.memsys import (
     predict_case_ps,
 )
 from repro.mem.address import node_base
+from repro.memsys.params import PARAM_SETS
+from repro.obs import hooks as obs_hooks
+from repro.obs.txn import TxnRecorder
 from repro.proto.directory import DIRTY, SHARED, UNOWNED
+from tests.dsm_reference import ReferenceDsm
 
 LINE = 128
 
@@ -256,3 +268,150 @@ class TestContention:
         assert mem.stats["line_busy_waits"] >= 1
         entry = mem.directory_of(paddr)
         assert entry.sharers == {2, 4, 8}
+
+
+# -- the plan walker against the coroutines it replaced ----------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "refresh_goldens",
+    Path(__file__).resolve().parent.parent / "scripts" / "refresh_goldens.py")
+_refresh = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_refresh)
+
+
+class _LoggedNode(StubNode):
+    """A ``StubNode`` that also logs every hook call with its time."""
+
+    def __init__(self, env, node, log):
+        super().__init__()
+        self._env, self._node, self._log = env, node, log
+
+    def l2_peek(self, line):
+        self._log.append(("peek", self._node, line, self._env.now))
+        return super().l2_peek(line)
+
+    def l2_downgrade(self, line):
+        self._log.append(("downgrade", self._node, line, self._env.now))
+        super().l2_downgrade(line)
+
+    def l2_invalidate(self, line):
+        self._log.append(("invalidate", self._node, line, self._env.now))
+        super().l2_invalidate(line)
+
+    def l2_fill(self, line, state):
+        self._log.append(("fill", self._node, line, state, self._env.now))
+        super().l2_fill(line, state)
+
+
+def _drive(dsm_class, params, program, observe):
+    """Run *program* -- ``(node, line_no, store, gap_ps)`` accesses, each
+    issued *gap_ps* after the one before without waiting for it -- on a
+    fresh 4-node memory system; everything either implementation could
+    order differently comes back."""
+    n_nodes = 4
+    env = Engine()
+    env.tracer = when = _refresh._WhenDigest()
+    mem = dsm_class(env, n_nodes, PARAM_SETS[params](n_nodes), LINE)
+    log = []
+    nodes = [_LoggedNode(env, node, log) for node in range(n_nodes)]
+    for node, hook in enumerate(nodes):
+        mem.attach(node, hook)
+    outstanding = set()
+
+    def finished(event, index, key):
+        outstanding.discard(key)
+        log.append(("done", index, event.value, env.now))
+
+    def issue_all():
+        for index, (node, line_no, store, gap) in enumerate(program):
+            yield env.timeout(gap)
+            paddr = node_base(line_no % n_nodes) + (line_no // n_nodes) * LINE
+            key = (node, paddr // LINE)
+            if key in outstanding:
+                continue
+            state = nodes[node].l2.get(key[1])
+            if state == MODIFIED:
+                if store:
+                    continue            # a store hit
+                nodes[node].l2.pop(key[1])
+                kind = MemKind.WRITEBACK
+            elif state == CACHE_SHARED:
+                if not store:
+                    continue            # a load hit
+                kind = MemKind.UPGRADE
+            else:
+                kind = MemKind.WRITE if store else MemKind.READ
+            log.append(("issue", index, node, kind, env.now))
+            event = mem.request(node, paddr, kind)
+            if kind != MemKind.WRITEBACK:
+                outstanding.add(key)
+                event.add_waiter(
+                    lambda ev, index=index, key=key: finished(ev, index, key))
+
+    env.process(issue_all())
+    probe = _refresh._ProbeDigest()
+    if observe:
+        with obs_hooks.observing(TxnRecorder(), probe):
+            env.run()
+    else:
+        env.run()
+    return mem, {
+        "log": log, "now": env.now, "events": env.events_processed,
+        "when": when.hexdigest(), "state": json.dumps(mem.ckpt_state()),
+        "probe": (probe.events, probe.hexdigest()),
+    }
+
+
+#: Gaps between accesses: none (a burst), and around a miss's latency.
+_GAPS = (0, 0, 50_000, 300_000, 1_000_000, 3_000_000)
+
+
+def _program(seed, length=60):
+    rng = random.Random(seed)
+    return [(rng.randrange(4), rng.randrange(6), rng.random() < 0.5,
+             rng.choice(_GAPS))
+            for _ in range(length)]
+
+
+_ACCESS = st.tuples(st.integers(0, 3), st.integers(0, 5), st.booleans(),
+                    st.sampled_from(_GAPS))
+
+
+class TestPlansMatchCoroutines:
+    """``tests/dsm_reference.py`` keeps the coroutine transaction bodies
+    the plans replaced.  Racing accesses from four nodes to six lines
+    homed on all of them must produce, under both, the same calendar
+    (every entry's time, the event count, the final clock), the same
+    hook calls at the same times, the same completion times, the same
+    end-of-run memory-system state with every order kept, and -- under
+    the probe -- the same probe stream, sealed transaction records
+    included."""
+
+    PARAMS = ("hardware", "numa", "flashlite_untuned")
+
+    @pytest.mark.parametrize("params", PARAMS)
+    def test_seeded_programs_reach_every_branch(self, params):
+        reached = Counter()
+        for seed in range(12):
+            program = _program(seed)
+            observe = seed % 2 == 1
+            reference, expected = _drive(ReferenceDsm, params, program,
+                                         observe)
+            _, got = _drive(DsmMemorySystem, params, program, observe)
+            assert got == expected, f"seed {seed}"
+            reached.update(reference.branches)
+        # Every protocol path the plans split into ran somewhere above.
+        for branch in ("busy_wait", "writeback_busy_wait", "race_to_memory",
+                       "upgrade_race", "inval_at_home", "sharing_writeback",
+                       f"intervene_{LOCAL_DIRTY_REMOTE}",
+                       f"intervene_{REMOTE_DIRTY_HOME}",
+                       f"intervene_{REMOTE_DIRTY_REMOTE}"):
+            assert reached[branch] > 0, (branch, dict(reached))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(_ACCESS, min_size=1, max_size=40),
+           st.sampled_from(PARAMS), st.booleans())
+    def test_random_programs(self, program, params, observe):
+        _, expected = _drive(ReferenceDsm, params, program, observe)
+        _, got = _drive(DsmMemorySystem, params, program, observe)
+        assert got == expected

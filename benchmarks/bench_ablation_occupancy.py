@@ -10,7 +10,7 @@ latency from occupancy (DESIGN.md).
 
 from repro.sim import simos_mipsy
 from repro.sim.machine import run_workload
-from repro.validation.report import kv_table
+from repro.obs.doc import Para, Table, render_text
 from repro.vm.allocators import Placement
 from repro.workloads import make_app
 
@@ -33,7 +33,8 @@ def _sweep():
 def test_occupancy_ablation(benchmark):
     rows, times = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     print()
-    print(kv_table(
-        "unplaced Radix @16 CPUs vs protocol-processor occupancy fraction",
-        rows, ["occ fraction", "parallel ms"]))
+    print(render_text([
+        Para("unplaced Radix @16 CPUs vs protocol-processor occupancy "
+             "fraction"),
+        Table("nn", ["occ fraction", "parallel ms"], rows)]))
     assert times[0] < times[1] < times[2]

@@ -11,7 +11,7 @@ import dataclasses
 
 from repro.sim import simos_mipsy
 from repro.sim.machine import run_workload
-from repro.validation.report import kv_table
+from repro.obs.doc import Para, Table, render_text
 from repro.workloads import OceanWorkload
 
 
@@ -38,8 +38,9 @@ def _sweep():
 def test_allocator_ablation(benchmark):
     rows, times = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     print()
-    print(kv_table("Ocean vs page allocator (Mipsy core, as in Solo)",
-                   rows, ["allocator", "CPUs", "parallel ms"]))
+    print(render_text([
+        Para("Ocean vs page allocator (Mipsy core, as in Solo)"),
+        Table("tnn", ["allocator", "CPUs", "parallel ms"], rows)]))
     # The pathology is uniprocessor-only and Solo-only.
     assert times[("solo", 1)] > 1.1 * times[("irix", 1)]
     assert times[("solo", 4)] < 1.15 * times[("irix", 4)]

@@ -9,7 +9,7 @@ width exceeds the workload's ILP.
 
 from repro.sim import simos_mxs
 from repro.sim.machine import run_workload
-from repro.validation.report import kv_table
+from repro.obs.doc import Para, Table, render_text
 from repro.workloads import make_app
 
 
@@ -29,7 +29,7 @@ def _sweep():
 def test_window_ablation(benchmark):
     rows, times = benchmark.pedantic(_sweep, rounds=1, iterations=1)
     print()
-    print(kv_table("FFT on MXS vs issue width", rows,
-                   ["width", "parallel ms"]))
+    print(render_text([Para("FFT on MXS vs issue width"),
+                       Table("nn", ["width", "parallel ms"], rows)]))
     assert times[0] > times[2]          # 1-wide slower than 4-wide
     assert times[3] >= 0.75 * times[2]  # diminishing returns past the ILP

@@ -131,7 +131,8 @@ PRIMITIVES = {
                  lambda env, res: res.use(100)),
     "use-queued": (4, lambda env: Resource(env, "r"),
                    lambda env, res: res.use(100)),
-    "pp_busy": (1, lambda env: MagicController(env, 0),
+    # 0.45 is the occupancy split this primitive has always timed.
+    "pp_busy": (1, lambda env: MagicController(env, 0, 0.45),
                 lambda env, magic: Steps(env, magic.pp_stages(1000)
                                          + (FINISH,))),
     "send-2hop": (1, lambda env: Network(env, 4, NetworkParams(50, 20, 10)),

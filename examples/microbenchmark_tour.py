@@ -16,7 +16,7 @@ from repro import (
     solo_mipsy,
 )
 from repro.memsys.params import PROTOCOL_CASES
-from repro.validation.report import kv_table
+from repro.obs.doc import Para, Table, render_text
 
 
 def main() -> None:
@@ -35,11 +35,12 @@ def main() -> None:
                          + [f"{cases[c]:.0f}" for c in PROTOCOL_CASES])
         tlb_rows.append([config.name,
                          f"{measure_tlb_refill(config):.1f}"])
-    print(kv_table("dependent-load latency (ns per load)", case_rows,
-                   ["configuration"] + list(PROTOCOL_CASES)))
-    print()
-    print(kv_table("TLB refill cost (cycles)", tlb_rows,
-                   ["configuration", "cycles"]))
+    print(render_text([
+        Para("dependent-load latency (ns per load)"),
+        Table("t" + "n" * len(PROTOCOL_CASES),
+              ["configuration", *PROTOCOL_CASES], case_rows),
+        Para("TLB refill cost (cycles)"),
+        Table("tn", ["configuration", "cycles"], tlb_rows)]))
     print("\nPaper reference: hardware row should read ~587 / 2201 / 1484 /"
           "\n2359 / 2617 ns and 65 cycles; untuned Mipsy ~25 cycles.")
 

@@ -13,7 +13,7 @@ accident disappears.
 import dataclasses
 
 from repro import run_workload, simos_mipsy
-from repro.validation.report import kv_table
+from repro.obs.doc import Para, Table, render_text
 from repro.workloads import OceanWorkload
 
 
@@ -38,9 +38,11 @@ def main() -> None:
             rows.append([kind, str(n_cpus),
                          f"{result.parallel_ns / 1e6:.2f}",
                          f"{l2_misses:.0f}"])
-    print(kv_table(
-        "Ocean under different page allocators (SimOS-Mipsy-225, same layout)",
-        rows, ["allocator", "CPUs", "parallel ms", "L2 misses"]))
+    print(render_text([
+        Para("Ocean under different page allocators "
+             "(SimOS-Mipsy-225, same layout)"),
+        Table("tnnn", ["allocator", "CPUs", "parallel ms", "L2 misses"],
+              rows)]))
     print("\nSequential allocation only hurts the uniprocessor run: parallel"
           "\nfirst-touch interleaves the grids' bands and the colors"
           "\ndecorrelate -- accidentally, which is exactly the paper's point.")

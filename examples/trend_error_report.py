@@ -11,7 +11,7 @@ configurations with a missing effect.
 """
 
 from repro import hardware_config, simos_mipsy, simos_mxs, solo_mipsy, speedup_study
-from repro.validation.report import kv_table
+from repro.obs.doc import Para, Table, render_text
 from repro.workloads import make_app
 
 
@@ -30,8 +30,9 @@ def main() -> None:
         errors = study.trend_errors("hardware")
         for name, error in errors.items():
             rows.append([workload.name, name, f"{error:.0%}"])
-    print(kv_table("speedup-trend error vs the gold standard",
-                   rows, ["application", "simulator", "trend error"]))
+    print(render_text([
+        Para("speedup-trend error vs the gold standard"),
+        Table("ttn", ["application", "simulator", "trend error"], rows)]))
     print("\nNote the paper's caveat: even 'good' trend predictors can be"
           "\noff by 30% -- often more than the gains architecture papers"
           "\nreport (Section 3.4).")

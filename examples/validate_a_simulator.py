@@ -18,7 +18,6 @@ simulator mis-models.
 """
 
 from repro import Tuner, compare_simulators, simos_mipsy
-from repro.validation.comparison import ReferenceCache
 from repro.workloads import app_suite
 
 
@@ -30,11 +29,9 @@ def mean_abs_error(table) -> float:
 def main() -> None:
     untuned = simos_mipsy(150, tuned=False)
     suite = app_suite(tuned_inputs=True)
-    cache = ReferenceCache()
 
     print("step 1: errors before tuning")
-    before = compare_simulators([untuned], suite, reference_cache=cache,
-                                title="before tuning")
+    before = compare_simulators([untuned], suite, title="before tuning")
     print(before.format())
     print(f"mean |error| = {mean_abs_error(before):.0%}\n")
 
@@ -44,8 +41,7 @@ def main() -> None:
     print()
 
     print("step 3: errors after tuning (same binaries, calibrated simulator)")
-    after = compare_simulators([tuned], suite, reference_cache=cache,
-                               title="after tuning")
+    after = compare_simulators([tuned], suite, title="after tuning")
     print(after.format())
     print(f"mean |error| = {mean_abs_error(after):.0%}")
     print("\nRemaining error is the *character* of the simulator (blocking"

@@ -23,16 +23,23 @@ def splice(path: str, exp_ids, scale_name: str = "repro") -> None:
             rf"^## {re.escape(exp_id)}:.*?(?=^## |\Z)", re.S | re.M)
         if not pattern.search(text):
             raise SystemExit(f"section {exp_id!r} not found in {path}")
-        text = pattern.sub(result.to_markdown() + "\n", text, count=1)
+        section = result.to_markdown() + "\n\n"
+        text = pattern.sub(lambda _match: section, text, count=1)
         print(f"refreshed {exp_id}: "
               f"{sum(f.ok for f in result.findings)}/{len(result.findings)} ok")
-    # Recount the headline number.
-    oks = len(re.findall(r"\| yes \|$", text, re.M))
-    total = oks + len(re.findall(r"\| \*\*no\*\* \|$", text, re.M))
-    text = re.sub(r"\*\*\d+/\d+ shape checks hold\.\*\*",
-                  f"**{oks}/{total} shape checks hold.**", text)
+    text = recount(text)
     open(path, "w").write(text)
-    print(f"total now {oks}/{total}")
+    print("total now " + re.search(r"\*\*(\d+/\d+) shape", text)[1])
+
+
+def recount(text: str) -> str:
+    """*text* with its headline number recounted from the findings rows
+    (the last cell of a table row; rendered output in fences is skipped)."""
+    rows = re.sub(r"^```.*?^```$", "", text, flags=re.S | re.M)
+    oks = len(re.findall(r"\| yes \|$", rows, re.M))
+    total = oks + len(re.findall(r"\| \*\*no\*\* \|$", rows, re.M))
+    return re.sub(r"\*\*\d+/\d+ shape checks hold\.\*\*",
+                  f"**{oks}/{total} shape checks hold.**", text)
 
 
 if __name__ == "__main__":

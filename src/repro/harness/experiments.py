@@ -38,7 +38,6 @@ from repro.validation import (
     CACHEOP_BUG,
     CacheFlushWorkload,
     FAST_ISSUE_BUG,
-    ReferenceCache,
     Tuner,
     compare_simulators,
     demonstrate_bug,
@@ -46,7 +45,8 @@ from repro.validation import (
     hotspot_study,
     speedup_study,
 )
-from repro.validation.report import bar_chart, kv_table, line_chart
+from repro.obs.doc import Para, Table, render_text
+from repro.validation.report import bar_chart, line_chart
 from repro.vm.allocators import Placement
 from repro.workloads import (
     FftWorkload,
@@ -141,8 +141,10 @@ def table1(scale: MachineScale) -> ExperimentResult:
         ["Coherence protocol", "dynamic pointer allocation",
          "exact-sharer directory (MSI)"],
     ]
-    rendered = kv_table("Table 1: machine configuration", rows,
-                        ["parameter", "paper (FLASH)", f"repro ({scale.name})"])
+    rendered = render_text([
+        Para("Table 1: machine configuration"),
+        Table("ttt", ["parameter", "paper (FLASH)", f"repro ({scale.name})"],
+              rows)])
     return ExperimentResult("table1", _TITLES["table1"], rendered,
                             [Finding("hierarchy ratios preserved",
                                      "L1:L2 = 1:64, TLB reach << L2",
@@ -163,8 +165,10 @@ def table2(scale: MachineScale) -> ExperimentResult:
     }
     rows = [[wl.name, paper.get(wl.name, "?"), wl.problem_description()]
             for wl in apps]
-    rendered = kv_table("Table 2: problem sizes", rows,
-                        ["application", "paper", f"repro ({scale.name})"])
+    rendered = render_text([
+        Para("Table 2: problem sizes"),
+        Table("ttt", ["application", "paper", f"repro ({scale.name})"],
+              rows)])
     return ExperimentResult("table2", _TITLES["table2"], rendered, [])
 
 
@@ -187,10 +191,11 @@ def table3(scale: MachineScale) -> ExperimentResult:
             f"{tuned[case]:.0f} ({TABLE3_TUNED_NS[case]})",
             f"{untuned[case]:.0f} ({TABLE3_UNTUNED_NS[case]})",
         ])
-    rendered = kv_table(
-        "Table 3: dependent-load latency in ns, measured (paper)",
-        rows, ["protocol case", "hardware", "tuned FL", "untuned FL"])
-    rendered += "\n\n" + report.format()
+    rendered = render_text([
+        Para("Table 3: dependent-load latency in ns, measured (paper)"),
+        Table("tnnn", ["protocol case", "hardware", "tuned FL", "untuned FL"],
+              rows),
+        *report.blocks()])
     findings = []
     for case in PROTOCOL_CASES:
         err = abs(hw[case] - TABLE3_HARDWARE_NS[case]) / TABLE3_HARDWARE_NS[case]
@@ -207,7 +212,7 @@ def table3(scale: MachineScale) -> ExperimentResult:
         "tuning closes the loop", "tuned within ~5% of hardware",
         f"max case error {report.max_case_error() * 100:.1f}%",
         report.max_case_error() < 0.05,
-        attribution=report.to_attribution()))
+        attribution=report.to_dict()))
     return ExperimentResult("table3", _TITLES["table3"], rendered, findings)
 
 
@@ -226,8 +231,9 @@ def tlb_microbench(scale: MachineScale) -> ExperimentResult:
         cycles = measure_tlb_refill(cfg, scale)
         measured[label] = cycles
         rows.append([label, str(paper_cycles), f"{cycles:.1f}"])
-    rendered = kv_table("TLB miss cost (processor cycles)", rows,
-                        ["model", "paper", "measured"])
+    rendered = render_text([Para("TLB miss cost (processor cycles)"),
+                            Table("tnn", ["model", "paper", "measured"],
+                                  rows)])
     findings = [
         Finding("hardware refill", "65 cycles",
                 f"{measured['hardware']:.1f}",
@@ -532,12 +538,12 @@ def tlb_blocking(scale: MachineScale) -> ExperimentResult:
                      f"{tuned_radix(scale)}, P={n_cpus}",
                      "31%" if n_cpus == 1 else "34%",
                      f"{gains[('radix', n_cpus)]:.0%}"])
-    rendered = kv_table(
-        "hardware gains from the application-level TLB fixes",
-        rows, ["fix", "paper gain", "measured gain"])
-    rendered += ("\n\nNote: gains exceed the paper's because at repro scale "
-                 "TLB reach shrinks faster than the n*log(n) compute "
-                 "(DESIGN.md, scale substitution).")
+    rendered = render_text([
+        Para("hardware gains from the application-level TLB fixes"),
+        Table("tnn", ["fix", "paper gain", "measured gain"], rows),
+        Para("Note: gains exceed the paper's because at repro scale TLB "
+             "reach shrinks faster than the n*log(n) compute (DESIGN.md, "
+             "scale substitution).")])
     findings = [
         Finding("FFT TLB blocking helps on hardware", "+14% (uni), +16% (4P)",
                 f"+{gains[('fft', 1)]:.0%} (uni), +{gains[('fft', 4)]:.0%} (4P)",
@@ -556,17 +562,18 @@ def instr_latency(scale: MachineScale) -> ExperimentResult:
     base_cfg = simos_mipsy(225, tuned=True)
     latcore = base_cfg.core.with_updates(model_instruction_latencies=True)
     ref, base, fixed = farm_hooks.dispatch([
-        RunRequest(ReferenceCache().reference, workload, 1, scale),
+        RunRequest(hardware_config(), workload, 1, scale),
         RunRequest(base_cfg, workload, 1, scale),
         RunRequest(base_cfg.with_core(latcore, "-lat"), workload, 1, scale),
     ])
     rel_before = base.parallel_ps / ref.parallel_ps
     rel_after = fixed.parallel_ps / ref.parallel_ps
-    rendered = kv_table(
-        "Radix-Sort relative time on SimOS-Mipsy-225",
-        [["without instruction latencies", "0.71", f"{rel_before:.2f}"],
-         ["with 5-cycle IMUL / 19-cycle IDIV", "1.02", f"{rel_after:.2f}"]],
-        ["model", "paper", "measured"])
+    rendered = render_text([
+        Para("Radix-Sort relative time on SimOS-Mipsy-225"),
+        Table("tnn", ["model", "paper", "measured"],
+              [["without instruction latencies", "0.71", f"{rel_before:.2f}"],
+               ["with 5-cycle IMUL / 19-cycle IDIV", "1.02",
+                f"{rel_after:.2f}"]])])
     findings = [
         Finding("latency modelling closes the Radix gap",
                 "0.71 -> 1.02",
@@ -613,4 +620,4 @@ def tuning_loop(scale: MachineScale) -> ExperimentResult:
     ]
     return ExperimentResult("tuning_loop", _TITLES["tuning_loop"],
                             report.format(), findings,
-                            attribution=report.to_attribution())
+                            attribution=report.to_dict())

@@ -2,14 +2,25 @@
 
 Every experiment reduces its raw data to a list of :class:`Finding` rows
 -- what the paper reports, what this reproduction measures, and whether
-the *shape* (direction / ordering / rough magnitude) holds.  EXPERIMENTS.md
-is generated from these.
+the *shape* (direction / ordering / rough magnitude) holds.  Each result
+is described once, as :meth:`ExperimentResult.blocks`; the stdout report,
+EXPERIMENTS.md and the dashboard's per-experiment sections all render
+that list (DESIGN.md "Report documents").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
+
+from repro.obs.doc import (
+    Heading,
+    Para,
+    Table,
+    render_markdown,
+    render_text,
+    status,
+)
 
 
 @dataclass
@@ -19,8 +30,8 @@ class Finding:
     ``attribution`` is an optional *why* payload: a JSON-serialisable dict
     explaining where the measured error came from (an
     :meth:`~repro.obs.diff.AttributionDiff.to_dict` waterfall, a
-    :meth:`~repro.validation.tuning.TuningReport.to_attribution` record of
-    what the calibration changed, ...).  It rides along in :meth:`to_dict`
+    :class:`~repro.validation.tuning.TuningReport` payload recording what
+    the calibration changed, ...).  It rides along in :meth:`to_dict`
     only when present, so snapshots without attributions are unchanged.
     """
 
@@ -30,11 +41,6 @@ class Finding:
     ok: bool
     note: str = ""
     attribution: Optional[dict] = None
-
-    def format(self) -> str:
-        mark = "OK " if self.ok else "!! "
-        note = f"  ({self.note})" if self.note else ""
-        return f"  [{mark}] {self.name}: paper {self.paper}; measured {self.measured}{note}"
 
     def to_dict(self) -> dict:
         out = {"name": self.name, "paper": self.paper,
@@ -74,17 +80,29 @@ class ExperimentResult:
     def all_ok(self) -> bool:
         return all(f.ok for f in self.findings)
 
-    def format(self) -> str:
-        farm = ""
-        if self.farm_hits or self.farm_runs:
-            farm = f", {self.farm_hits} cached / {self.farm_runs} simulated"
-        lines = [f"=== {self.exp_id}: {self.title} "
-                 f"(scale={self.scale_name}, {self.wall_seconds:.1f}s{farm}) ==="]
-        lines.append(self.rendered)
+    def blocks(self, level: int = 2) -> list:
+        """The one description of this result: a level-*level* heading,
+        the scale/runtime line, the rendered table or figure verbatim and
+        the findings table."""
+        farm = (f", {self.farm_hits} cached / {self.farm_runs} simulated"
+                if self.farm_hits or self.farm_runs else "")
+        out = [Heading(f"{self.exp_id}: {self.title}", level),
+               Para(f"scale=`{self.scale_name}`, runtime "
+                    f"{self.wall_seconds:.1f}s{farm}"),
+               Para(self.rendered, pre=True)]
         if self.findings:
-            lines.append("paper vs measured:")
-            lines.extend(f.format() for f in self.findings)
-        return "\n".join(lines)
+            out += [Para("paper vs measured:"), Table(
+                "tttt", ["check", "paper", "measured", "shape holds"],
+                [[f.name, f.paper,
+                  f.measured + (f" ({f.note})" if f.note else ""),
+                  "yes" if f.ok else "**no**"] for f in self.findings])]
+        return out
+
+    def format(self) -> str:
+        return render_text(self.blocks())
+
+    def to_markdown(self) -> str:
+        return render_markdown(self.blocks())
 
     def to_dict(self) -> dict:
         """JSON snapshot (golden-regression tests compare these)."""
@@ -112,21 +130,19 @@ class ExperimentResult:
             attribution=data.get("attribution"),
         )
 
-    def to_markdown(self) -> str:
-        lines = [f"## {self.exp_id}: {self.title}",
-                 "",
-                 f"*Scale: `{self.scale_name}`, runtime {self.wall_seconds:.1f}s.*",
-                 "",
-                 "```text",
-                 self.rendered,
-                 "```",
-                 ""]
-        if self.findings:
-            lines.append("| check | paper | measured | shape holds |")
-            lines.append("|---|---|---|---|")
-            for f in self.findings:
-                ok = "yes" if f.ok else "**no**"
-                note = f" ({f.note})" if f.note else ""
-                lines.append(f"| {f.name} | {f.paper} | {f.measured}{note} | {ok} |")
-            lines.append("")
-        return "\n".join(lines)
+
+def tally(results: Sequence[ExperimentResult]) -> Tuple[int, int]:
+    """(checks that hold, checks) across *results*."""
+    return (sum(f.ok for r in results for f in r.findings),
+            sum(len(r.findings) for r in results))
+
+
+def summary_table(results: Sequence[ExperimentResult]) -> Table:
+    """One row per experiment: how many of its checks hold."""
+    rows = []
+    for r in results:
+        n_ok, n = tally([r])
+        rows.append([f"`{r.exp_id}` {r.title}", f"{n_ok}/{n}",
+                     status(n_ok == n, "ok" if n_ok == n
+                            else f"{n - n_ok} off")])
+    return Table("tnt", ["experiment", "checks", "status"], rows)

@@ -104,8 +104,8 @@ class DsmMemorySystem:
         self.net = Network(env, n_nodes, params.net,
                            model_contention=params.model_net_contention)
         self.magic: List[MagicController] = [
-            MagicController(env, node, model_occupancy=params.model_pp_occupancy,
-                            pp_occ_fraction=params.pp_occ_fraction)
+            MagicController(env, node, params.pp_occ_fraction,
+                            model_occupancy=params.model_pp_occupancy)
             for node in range(n_nodes)
         ]
         self._hooks: Dict[int, object] = {}

@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 from typing import Dict, List
 
+from repro.obs.doc import Table, render_text
+
 #: tid used for spans that carry no CPU id, keyed by category.
 _MACHINE_TID_BASE = 1000
 
@@ -93,11 +95,7 @@ def flame_summary(recorder, width: int = 40, top: int = 30) -> str:
         return "(no spans recorded)"
     ranked = sorted(folded.items(), key=lambda kv: kv[1][1], reverse=True)[:top]
     peak = max(dur for _stack, (_n, dur) in ranked) or 1.0
-    stack_w = max(len(stack) for stack, _ in ranked)
-    lines = [f"{'stack':<{stack_w}s} {'total_ms':>10s} {'events':>8s}"]
-    for stack, (count, dur_ps) in ranked:
-        bar = "#" * max(1, int(width * dur_ps / peak)) if dur_ps else ""
-        lines.append(
-            f"{stack:<{stack_w}s} {dur_ps / 1e9:10.3f} {int(count):8d} {bar}"
-        )
-    return "\n".join(lines)
+    return render_text([Table("tnnt", ["stack", "total_ms", "events", ""], [
+        [stack, f"{dur_ps / 1e9:.3f}", int(count),
+         "#" * max(1, int(width * dur_ps / peak)) if dur_ps else ""]
+        for stack, (count, dur_ps) in ranked])])

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from repro.obs import hooks
+from repro.obs.doc import Table, render_text
 from repro.obs.record import Record, records
 
 #: Column order of the breakdown table; "busy" is the residual bucket.
@@ -84,23 +85,15 @@ class RunBreakdown(Record):
 
     def format_table(self) -> str:
         """The human-readable attribution table the CLI prints."""
-        header = (
-            f"{'cpu':>4s} {'total_ms':>10s} "
-            + " ".join(f"{cat + '%':>7s}" for cat in CATEGORIES)
-        )
-        lines = [header, "-" * len(header)]
         rows = list(self.per_cpu)
         if len(rows) > 1:
             rows.append(self.overall())
-        for row in rows:
-            label = "ALL" if row.cpu < 0 else str(row.cpu)
-            cells = " ".join(
-                f"{100.0 * row.fraction(cat):7.1f}" for cat in CATEGORIES
-            )
-            lines.append(
-                f"{label:>4s} {row.total_ps / 1e9:10.3f} {cells}"
-            )
-        return "\n".join(lines)
+        return render_text([Table(
+            "n" * (2 + len(CATEGORIES)),
+            ["cpu", "total_ms", *(f"{cat}%" for cat in CATEGORIES)],
+            [["ALL" if row.cpu < 0 else row.cpu, f"{row.total_ps / 1e9:.3f}",
+              *(f"{100.0 * row.fraction(cat):.1f}" for cat in CATEGORIES)]
+             for row in rows])])
 
 
 def build_breakdown(recorder) -> RunBreakdown:

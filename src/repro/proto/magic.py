@@ -27,8 +27,8 @@ from repro.proto.directory import Directory
 class MagicController:
     """Per-node controller: protocol processor + DRAM + directory."""
 
-    def __init__(self, env: Engine, node: int, model_occupancy: bool = True,
-                 dram_banks: int = 1, pp_occ_fraction: float = 0.45):
+    def __init__(self, env: Engine, node: int, pp_occ_fraction: float,
+                 model_occupancy: bool = True):
         self.env = env
         self.node = node
         self.model_occupancy = model_occupancy
@@ -38,7 +38,7 @@ class MagicController:
                            stats=CounterSet(f"magic{node}.pp"))
         # Memory contention is modelled even by the NUMA configuration ("it
         # simulates ... contention for main memory"): always a resource.
-        self.dram = Resource(env, f"magic{node}.dram", capacity=dram_banks,
+        self.dram = Resource(env, f"magic{node}.dram", capacity=1,
                              stats=CounterSet(f"magic{node}.dram"))
         self.directory = Directory(node)
         self._pp_plans = {}

@@ -18,7 +18,6 @@ from repro.validation.bugs import (
 from repro.validation.comparison import (
     ComparisonRow,
     ComparisonTable,
-    ReferenceCache,
     compare_simulators,
 )
 from repro.validation.dashboard import (
@@ -57,7 +56,6 @@ __all__ = [
     "get_bug",
     "ComparisonRow",
     "ComparisonTable",
-    "ReferenceCache",
     "compare_simulators",
     "render_dashboard",
     "render_html",

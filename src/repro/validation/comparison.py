@@ -3,8 +3,8 @@
 ``compare_simulators`` runs a set of simulator configurations and a set of
 workloads against the gold-standard configuration at a fixed processor
 count and reports relative execution times -- one call per comparison
-figure.  Reference runs are cached per (workload, P) so a figure's seven
-simulator columns share a single gold run.
+figure.  Each workload's gold run is one request of the figure's batch,
+shared by its seven simulator columns.
 
 The whole matrix (references + simulator runs) is expressed as one
 :class:`~repro.sim.request.RunRequest` batch and dispatched through
@@ -15,14 +15,14 @@ when no farm is active, fanned out and cached when one is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import MachineScale
 from repro.obs.diff import diff_runs
+from repro.obs.doc import Para, Table, render_text
 from repro.sim import farm_hooks
 from repro.sim.configs import SimulatorConfig, hardware_config
 from repro.sim.request import RunRequest
-from repro.sim.results import RunResult
 from repro.validation.metrics import relative_time
 from repro.vm.allocators import Placement
 
@@ -70,53 +70,13 @@ class ComparisonTable:
         return out
 
     def format(self) -> str:
-        configs: List[str] = []
-        for row in self.rows:
-            if row.config not in configs:
-                configs.append(row.config)
-        lines = [self.title]
-        header = f"{'workload':10s}" + "".join(f"{c:>24s}" for c in configs)
-        lines.append(header)
-        for workload, rows in self.by_workload().items():
-            by_config = {r.config: r for r in rows}
-            cells = "".join(
-                f"{by_config[c].relative:24.2f}" if c in by_config else " " * 24
-                for c in configs
-            )
-            lines.append(f"{workload:10s}{cells}")
-        return "\n".join(lines)
-
-
-class ReferenceCache:
-    """Caches gold-standard runs across figures of one session."""
-
-    def __init__(self, reference: Optional[SimulatorConfig] = None):
-        self.reference = reference or hardware_config()
-        self._runs: Dict[Tuple, RunResult] = {}
-
-    def _key(self, workload, n_cpus: int, scale: Optional[MachineScale],
-             placement: str) -> Tuple:
-        return (workload.name, workload.problem_description(), n_cpus,
-                placement, (scale or workload.scale).name)
-
-    def lookup(self, workload, n_cpus: int, scale: Optional[MachineScale],
-               placement: str = Placement.FIRST_TOUCH) -> Optional[RunResult]:
-        return self._runs.get(self._key(workload, n_cpus, scale, placement))
-
-    def store(self, workload, n_cpus: int, scale: Optional[MachineScale],
-              placement: str, result: RunResult) -> RunResult:
-        self._runs[self._key(workload, n_cpus, scale, placement)] = result
-        return result
-
-    def run(self, workload, n_cpus: int, scale: Optional[MachineScale],
-            placement: str = Placement.FIRST_TOUCH) -> RunResult:
-        hit = self.lookup(workload, n_cpus, scale, placement)
-        if hit is None:
-            hit = self.store(workload, n_cpus, scale, placement,
-                             farm_hooks.run(RunRequest(
-                                 self.reference, workload, n_cpus, scale,
-                                 placement)))
-        return hit
+        configs = list(dict.fromkeys(row.config for row in self.rows))
+        rows = []
+        for workload, by_workload in self.by_workload().items():
+            relative = {r.config: f"{r.relative:.2f}" for r in by_workload}
+            rows.append([workload, *(relative.get(c, "") for c in configs)])
+        return render_text([Para(self.title), Table(
+            "t" + "n" * len(configs), ["workload", *configs], rows)])
 
 
 def compare_simulators(
@@ -124,38 +84,21 @@ def compare_simulators(
     workloads: Sequence,
     n_cpus: int = 1,
     scale: Optional[MachineScale] = None,
-    reference_cache: Optional[ReferenceCache] = None,
     title: str = "",
     placement: str = Placement.FIRST_TOUCH,
 ) -> ComparisonTable:
     """Run the matrix and return relative execution times."""
-    cache = reference_cache or ReferenceCache()
+    reference = hardware_config()
     table = ComparisonTable(title or f"relative execution time, P={n_cpus}")
-    # One batch for the whole figure: references the session cache lacks,
-    # plus every simulator bar, dispatched together.
-    requests: List[RunRequest] = []
-    slots: List[Tuple[str, object, Optional[SimulatorConfig]]] = []
+    # One batch for the whole figure: each workload's reference run, then
+    # its simulator bars, dispatched together.
+    outcomes = iter(farm_hooks.dispatch([
+        RunRequest(config, workload, n_cpus, scale, placement)
+        for workload in workloads for config in (reference, *configs)]))
     for workload in workloads:
-        if cache.lookup(workload, n_cpus, scale, placement) is None:
-            requests.append(RunRequest(cache.reference, workload, n_cpus,
-                                       scale, placement))
-            slots.append(("ref", workload, None))
+        ref = next(outcomes)
         for config in configs:
-            requests.append(RunRequest(config, workload, n_cpus, scale,
-                                       placement))
-            slots.append(("sim", workload, config))
-    outcomes = farm_hooks.dispatch(requests)
-
-    sims: Dict[Tuple[str, str], RunResult] = {}
-    for (kind, workload, config), result in zip(slots, outcomes):
-        if kind == "ref":
-            cache.store(workload, n_cpus, scale, placement, result)
-        else:
-            sims[(workload.name, config.name)] = result
-    for workload in workloads:
-        ref = cache.lookup(workload, n_cpus, scale, placement)
-        for config in configs:
-            sim = sims[(workload.name, config.name)]
+            sim = next(outcomes)
             attribution = None
             if ref.breakdown is not None and sim.breakdown is not None:
                 attribution = diff_runs(ref, sim).to_dict()

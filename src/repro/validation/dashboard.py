@@ -18,11 +18,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.harness.findings import summary_table, tally
 from repro.obs import doc
 from repro.obs.diff import AttributionDiff
-from repro.obs.doc import Details, Heading, Items, Para, Table, spark, status
+from repro.obs.doc import Heading, Items, Para, Table, spark
 from repro.obs.hotspot import HotspotReport
 from repro.obs.txn import TxnReport
+from repro.validation.tuning import TuningReport
 
 #: Experiments whose findings form the "does it predict the trend" story.
 TREND_EXPERIMENTS = ("fig5", "fig6", "fig7")
@@ -30,30 +32,14 @@ TREND_EXPERIMENTS = ("fig5", "fig6", "fig7")
 #: Row limit of every per-payload table (what ``--top`` is to the CLIs).
 TOP_K = 5
 
-
-def tuning_blocks(payload: Dict) -> list:
-    tlb = payload["tlb_refill_cycles"]
-    after = payload["case_error_after"]
-    return [
-        Para(f"calibration against `{payload['reference']}` "
-             f"({payload['rounds']} round(s)):"),
-        Items([f"TLB refill {tlb['before']:.0f} → {tlb['after']:.0f} cycles "
-               f"(target {tlb['target']:.0f})",
-               f"L2 interface occupancy "
-               f"{payload['l2_port_occupancy_cycles']:.1f} cycles"]
-              + [f"{case}: error {100 * before:+.1f}% → "
-                 f"{100 * after[case]:+.1f}%"
-                 for case, before in payload["case_error_before"].items()]),
-    ]
-
-
 #: payload kind -> (dashboard section, ``fn(payload) -> blocks``).  Sections
 #: appear in first-registration order, each only when some result carries
 #: a payload of one of its kinds.
 PAYLOAD_VIEWS: Dict[str, Tuple[str, Callable[[Dict], list]]] = {
     "waterfall": ("Where the error comes from", lambda payload:
                   AttributionDiff.from_dict(payload).blocks(width=16)),
-    "tuning": ("Where the error comes from", tuning_blocks),
+    "tuning": ("Where the error comes from", lambda payload:
+               TuningReport.from_dict(payload).blocks()),
     "topo": ("Where in the machine", lambda payload:
              HotspotReport.from_dict(payload).blocks(TOP_K)),
     "txn": ("Where does latency come from", lambda payload:
@@ -127,30 +113,14 @@ def section(title: str, body: list) -> list:
 
 def experiment_blocks(results: Sequence) -> list:
     """Paper vs. measured: the summary table, the failing checks, then
-    every experiment's findings with its rendered output folded away."""
-    summary, failing, details = [], [], []
-    for r in results:
-        n, n_ok = len(r.findings), sum(1 for f in r.findings if f.ok)
-        summary.append([
-            f"`{r.exp_id}` {r.title}", f"{n_ok}/{n}",
-            status(n_ok == n, "ok" if n_ok == n else f"{n - n_ok} off")])
-        failing += [f"`{r.exp_id}` {f.name}: paper {f.paper}, measured "
-                    f"{f.measured}" + (f" ({f.note})" if f.note else "")
-                    for f in r.findings if not f.ok]
-        details.append(Heading(
-            f"`{r.exp_id}` {r.title} — {'✓' if n_ok == n else '✗'} "
-            f"{n_ok}/{n} checks", 3))
-        if r.findings:
-            details.append(Table(
-                "tttt", ["check", "paper", "measured", "holds"],
-                [[f.name, f.paper,
-                  f.measured + (f" ({f.note})" if f.note else ""),
-                  status(f.ok, "yes" if f.ok else "no")]
-                 for f in r.findings]))
-        details.append(Details("rendered output", [Para(r.rendered, True)]))
-    return [Table("tnt", ["experiment", "checks", "status"], summary),
+    every experiment as its own blocks one heading level down."""
+    failing = [f"`{r.exp_id}` {f.name}: paper {f.paper}, measured "
+               f"{f.measured}" + (f" ({f.note})" if f.note else "")
+               for r in results for f in r.findings if not f.ok]
+    return [summary_table(results),
             *([Heading("Checks that do not hold", 3), Items(failing)]
-              if failing else []), *details]
+              if failing else []),
+            *(block for r in results for block in r.blocks(3))]
 
 
 def attribution_sections(results: Sequence) -> list:
@@ -195,8 +165,7 @@ def dashboard_blocks(results: Sequence, ledger_records: Sequence = (),
                      title: str = "Validation dashboard",
                      bench_records: Sequence = ()) -> list:
     """The whole dashboard as one block list (what both files emit)."""
-    total = sum(len(r.findings) for r in results)
-    ok = sum(1 for r in results for f in r.findings if f.ok)
+    ok, total = tally(results)
     trends = [f"{'✓' if f.ok else '✗'} `{r.exp_id}` {f.name}: {f.measured}"
               for r in results if r.exp_id in TREND_EXPERIMENTS
               for f in r.findings]

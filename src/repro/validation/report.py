@@ -1,7 +1,9 @@
-"""Text rendering of tables and figures (terminal-friendly).
+"""ASCII figure art (terminal-friendly).
 
 The harness regenerates the paper's figures as ASCII bar/line charts so a
 bench run's output can be compared side by side with the published plots.
+Tables are :class:`repro.obs.doc.Table` blocks; only these two charts,
+which have no table to share, lay out columns themselves.
 """
 
 from __future__ import annotations
@@ -80,16 +82,3 @@ def line_chart(title: str, x_values: Sequence[int],
     lines.append(f"  legend: {legend}" + ("   . ideal" if ideal else ""))
     return "\n".join(lines)
 
-
-def kv_table(title: str, rows: Sequence[Sequence[str]],
-             headers: Sequence[str]) -> str:
-    """Fixed-width table."""
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(str(cell)))
-    def fmt(cells):
-        return "  ".join(str(c).ljust(w) for c, w in zip(cells, widths))
-    lines = [title, fmt(headers), fmt(["-" * w for w in widths])]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import MachineScale
+from repro.obs.doc import Para, Table, render_text
 from repro.sim.configs import SimulatorConfig
 from repro.sim.request import RunRequest
 from repro.validation.trends import SpeedupStudy, speedup_study
@@ -35,13 +36,13 @@ class HotspotStudy:
 
     def format(self) -> str:
         counts = [p for p in sorted(self.study.curves[0].times_ps) if p > 1]
-        lines = ["unplaced Radix-Sort speedup (memory hotspot at node 0)"]
-        lines.append(f"{'config':34s}" + "".join(f"{p:>10d}" for p in counts))
-        for curve in self.study.curves:
-            cells = "".join(f"{curve.at(p):10.2f}" for p in counts)
-            note = "  <- reference" if curve.config == self.reference else ""
-            lines.append(f"{curve.config:34s}{cells}{note}")
-        return "\n".join(lines)
+        return render_text([
+            Para("unplaced Radix-Sort speedup (memory hotspot at node 0)"),
+            Table("t" + "n" * len(counts), ["config", *map(str, counts)],
+                  [[curve.config + (" (reference)" if curve.config
+                                    == self.reference else ""),
+                    *(f"{curve.at(p):.2f}" for p in counts)]
+                   for curve in self.study.curves])])
 
 
 def hotspot_study(

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.common.config import MachineScale
+from repro.obs.doc import Para, Table, render_text
 from repro.sim import farm_hooks
 from repro.sim.configs import SimulatorConfig
 from repro.sim.request import RunRequest
@@ -61,12 +62,12 @@ class SpeedupStudy:
 
     def format(self) -> str:
         counts = sorted(self.curves[0].times_ps)
-        lines = [f"speedup study: {self.workload}"]
-        lines.append(f"{'config':28s}" + "".join(f"{p:>8d}" for p in counts))
-        for curve in self.curves:
-            cells = "".join(f"{curve.speedups[p]:8.2f}" for p in counts)
-            lines.append(f"{curve.config:28s}{cells}")
-        return "\n".join(lines)
+        return render_text([
+            Para(f"speedup study: {self.workload}"),
+            Table("t" + "n" * len(counts), ["config", *map(str, counts)],
+                  [[curve.config, *(f"{curve.speedups[p]:.2f}"
+                                    for p in counts)]
+                   for curve in self.curves])])
 
 
 def speedup_study(

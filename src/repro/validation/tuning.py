@@ -25,11 +25,13 @@ generated from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.common.config import MachineScale, REPRO_SCALE
 from repro.common.errors import TuningError
 from repro.memsys.params import PROTOCOL_CASES
+from repro.obs.doc import Items, Para, Table, render_text
+from repro.obs.record import Record
 from repro.sim.configs import SimulatorConfig, hardware_config
 from repro.workloads.microbench import (
     MICROBENCH_CPUS,
@@ -46,8 +48,17 @@ SPACING_OPS = 24
 
 
 @dataclass
-class TuningReport:
-    """What the calibration changed and how well it converged."""
+class TuningReport(Record):
+    """What the calibration changed and how well it converged.
+
+    Its payload (``kind: "tuning"``) is the *why* attached to the findings
+    built from a calibration -- the tuning-side analogue of an
+    :class:`~repro.obs.diff.AttributionDiff` waterfall -- and
+    :meth:`blocks` is its one description: the table3/tuning_loop output
+    and the dashboard's tuning view.
+    """
+
+    KIND = "tuning"
 
     reference_name: str
     target_cases_ns: Dict[str, float] = field(default_factory=dict)
@@ -60,65 +71,39 @@ class TuningReport:
     rounds: int = 0
     case_extra_adjust_ps: Dict[str, int] = field(default_factory=dict)
 
+    def case_error(self, cases_ns: Dict[str, float], case: str) -> float:
+        """Signed relative error of *case* in *cases_ns* vs the target."""
+        target = self.target_cases_ns[case]
+        return (cases_ns[case] - target) / target
+
     def max_case_error(self) -> float:
         """Worst relative error across protocol cases after tuning."""
-        return max(
-            abs(self.after_cases_ns[c] - self.target_cases_ns[c])
-            / self.target_cases_ns[c]
-            for c in self.target_cases_ns
-        )
+        return max(abs(self.case_error(self.after_cases_ns, c))
+                   for c in self.target_cases_ns)
 
-    def to_attribution(self) -> Dict:
-        """The *why* payload for findings built from this calibration.
-
-        Records which knobs moved and how far each protocol case's error
-        shrank -- the tuning-side analogue of an
-        :class:`~repro.obs.diff.AttributionDiff` waterfall, attached to
-        :class:`~repro.harness.findings.Finding` rows so studies remember
-        why an error changed, not just that it did.
-        """
-        def errors(cases_ns: Dict[str, float]) -> Dict[str, float]:
-            return {
-                case: (cases_ns[case] - self.target_cases_ns[case])
-                / self.target_cases_ns[case]
-                for case in self.target_cases_ns
-            }
-
-        return {
-            "kind": "tuning",
-            "reference": self.reference_name,
-            "rounds": self.rounds,
-            "tlb_refill_cycles": {
-                "before": self.before_tlb_cycles,
-                "after": self.after_tlb_cycles,
-                "target": self.target_tlb_cycles,
-            },
-            "l2_port_occupancy_cycles": self.port_occupancy_cycles,
-            "case_extra_adjust_ps": dict(self.case_extra_adjust_ps),
-            "case_error_before": errors(self.before_cases_ns),
-            "case_error_after": errors(self.after_cases_ns),
-        }
+    def blocks(self) -> list:
+        return [
+            Para(f"calibration against `{self.reference_name}`: converged "
+                 f"in {self.rounds} round(s), max case error "
+                 f"{self.max_case_error() * 100:.1f}%"),
+            Items([f"TLB refill {self.before_tlb_cycles:.0f} → "
+                   f"{self.after_tlb_cycles:.0f} cycles "
+                   f"(target {self.target_tlb_cycles:.0f})",
+                   f"L2 interface occupancy "
+                   f"{self.port_occupancy_cycles:.1f} cycles"]),
+            Table("tnnnnnn", ["case", "before (ns)", "after (ns)",
+                              "target (ns)", "error before", "error after",
+                              "extra (ps)"],
+                  [[case, f"{self.before_cases_ns[case]:.0f}",
+                    f"{self.after_cases_ns[case]:.0f}", f"{target:.0f}",
+                    f"{100 * self.case_error(self.before_cases_ns, case):+.1f}%",
+                    f"{100 * self.case_error(self.after_cases_ns, case):+.1f}%",
+                    f"{self.case_extra_adjust_ps.get(case, 0):+,}"]
+                   for case, target in self.target_cases_ns.items()]),
+        ]
 
     def format(self) -> str:
-        lines = [f"calibration against {self.reference_name}"]
-        lines.append(
-            f"  TLB refill: {self.before_tlb_cycles:.0f} -> "
-            f"{self.after_tlb_cycles:.0f} cycles "
-            f"(target {self.target_tlb_cycles:.0f})"
-        )
-        lines.append(
-            f"  L2 interface occupancy: {self.port_occupancy_cycles:.1f} cycles"
-        )
-        lines.append(f"  {'case':22s}{'before':>10s}{'after':>10s}{'target':>10s}")
-        for case in self.target_cases_ns:
-            lines.append(
-                f"  {case:22s}{self.before_cases_ns[case]:10.0f}"
-                f"{self.after_cases_ns[case]:10.0f}"
-                f"{self.target_cases_ns[case]:10.0f}"
-            )
-        lines.append(f"  converged in {self.rounds} round(s), "
-                     f"max case error {self.max_case_error() * 100:.1f}%")
-        return "\n".join(lines)
+        return render_text(self.blocks())
 
 
 def measure_port_occupancy_cycles(config: SimulatorConfig,

@@ -130,8 +130,8 @@ class ReferenceDsm:
         self.net = Network(env, n_nodes, params.net,
                            model_contention=params.model_net_contention)
         self.magic = [
-            MagicController(env, node, model_occupancy=params.model_pp_occupancy,
-                            pp_occ_fraction=params.pp_occ_fraction)
+            MagicController(env, node, params.pp_occ_fraction,
+                            model_occupancy=params.model_pp_occupancy)
             for node in range(n_nodes)
         ]
         self._hooks = {}

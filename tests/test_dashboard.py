@@ -34,13 +34,16 @@ def waterfall_payload():
 
 
 def tuning_payload():
-    return {"kind": "tuning", "reference": "hardware", "rounds": 2,
-            "tlb_refill_cycles": {"before": 25.0, "after": 65.0,
-                                  "target": 65.0},
-            "l2_port_occupancy_cycles": 4.5,
-            "case_extra_adjust_ps": {"local_clean": 100},
-            "case_error_before": {"local_clean": -0.30},
-            "case_error_after": {"local_clean": 0.01}}
+    from repro.validation.tuning import TuningReport
+
+    return TuningReport(
+        reference_name="hardware", rounds=2,
+        target_cases_ns={"local_clean": 587.0},
+        before_cases_ns={"local_clean": 411.0},
+        after_cases_ns={"local_clean": 593.0},
+        target_tlb_cycles=65.0, before_tlb_cycles=25.0,
+        after_tlb_cycles=65.0, port_occupancy_cycles=4.5,
+        case_extra_adjust_ps={"local_clean": 100}).to_dict()
 
 
 def topo_payload():
@@ -159,7 +162,12 @@ class TestMarkdown:
         text = render_markdown(results())
         assert "## Where the error comes from" in text
         assert "| tlb |" in text and "| residual |" in text
-        assert "TLB refill 25 → 65 cycles (target 65)" in text
+        assert ("calibration against `hardware`: converged in 2 round(s), "
+                "max case error 1.0%") in text
+        assert "- TLB refill 25 → 65 cycles (target 65)" in text
+        assert "- L2 interface occupancy 4.5 cycles" in text
+        assert ("| local_clean | 411 | 593 | 587 | -30.0% | +1.0% | +100 |"
+                in text)
 
     def test_where_in_the_machine_section(self):
         text = render_markdown(results())
@@ -208,7 +216,12 @@ class TestHtml:
         assert "<link" not in html and "<script" not in html
         assert "prefers-color-scheme: dark" in html
         # Status is never color alone: glyph + label ride along.
-        assert "✓ 1/1 checks" in html and "✗ 1/2 checks" in html
+        assert ("<td><code>table1</code> machine geometry</td>"
+                "<td class=num>1/1</td><td><span class=ok>✓</span> ok</td>"
+                in html)
+        assert ("<td><code>fig2</code> simulator vs hardware</td>"
+                "<td class=num>1/2</td><td><span class=bad>✗</span> 1 off"
+                "</td>" in html)
 
     def test_waterfall_rows_and_sparkline_svg(self):
         html = render_html(results(), ledger_records())
@@ -293,6 +306,16 @@ class TestOneDocumentTwoFiles:
                 assert after is not None
                 assert not (isinstance(after, doc.Heading)
                             and after.level <= 2), block.text
+
+    def test_each_experiment_section_is_its_own_blocks(self):
+        """The dashboard reuses ExperimentResult.blocks one level down:
+        the findings have one description, not a dashboard copy."""
+        rows = results()
+        blocks = dashboard_blocks(rows)
+        for result in rows:
+            own = result.blocks(3)
+            start = blocks.index(own[0])
+            assert blocks[start:start + len(own)] == own
 
     def test_a_new_payload_kind_costs_one_block_function(self, monkeypatch):
         def probe_blocks(payload):

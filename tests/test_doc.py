@@ -1,7 +1,9 @@
 """Tests for the report-document model and its three emitters."""
 
+import ast
 import html as html_lib
 import re
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +181,46 @@ class TestFormatters:
         assert cell_text(bar(5.0, 10.0, width=4)) == "+##"
         assert cell_text(heat(3, 9)) == "3"
         assert cell_text(status(True, "ok")) == "✓ ok"
+
+
+SRC = Path(__file__).parents[1] / "src" / "repro"
+
+#: Markdown table rules and cell separators, fences, and column-aligned
+#: format specs (``{x:26s}``, ``{x:>8d}``, ``{x:<{w}s}``, ``{x:10.3f}``,
+#: ``ljust``/``rjust``): the marks of a hand-rolled table.
+HAND_TABLE = re.compile(r"\|---|[\"']\| |```|:[<>^]?(\d+|\{\w+\})[sd]\}"
+                        r"|:[<>^]?\d+\.\d+f\}|\.[lr]just\(")
+
+#: The ASCII figure art has no table to share (DESIGN.md "Report
+#: documents"); these are the only functions allowed to lay out columns.
+CHART_ART = {("validation/report.py", "bar_chart"),
+             ("validation/report.py", "line_chart")}
+
+
+def chart_lines(rel, source):
+    spans = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.FunctionDef)
+                and (rel, node.name) in CHART_ART):
+            spans.update(range(node.lineno, node.end_lineno + 1))
+    return spans
+
+
+def test_only_doc_writes_tables():
+    """Every table is a :class:`Table` rendered by ``doc``; no other
+    module writes markdown table syntax or aligns columns itself."""
+    offenders, exempt = [], 0
+    for path in sorted(SRC.rglob("*.py")):
+        rel = path.relative_to(SRC).as_posix()
+        if rel == "obs/doc.py":
+            continue
+        source = path.read_text()
+        allowed = chart_lines(rel, source)
+        for lineno, line in enumerate(source.splitlines(), 1):
+            if HAND_TABLE.search(line):
+                if lineno in allowed:
+                    exempt += 1
+                else:
+                    offenders.append(f"{rel}:{lineno}: {line.strip()}")
+    assert offenders == []
+    assert exempt > 0      # the pattern still sees the charts it exempts

@@ -1,5 +1,8 @@
 """Harness tests: registry, findings, cheap experiments, markdown output."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from repro.common.config import REPRO_SCALE, TINY_SCALE
@@ -68,13 +71,22 @@ class TestFindings:
         assert not self._result().all_ok
 
     def test_format_shows_marks(self):
-        text = self._result().format()
-        assert "[OK ]" in text and "[!! ]" in text
+        lines = self._result().format().splitlines()
+        assert lines[:3] == ["x: t", "scale=tiny, runtime 1.0s", "body"]
+        assert [line.split() for line in lines[3:]] == [
+            ["paper", "vs", "measured:"],
+            ["check", "paper", "measured", "shape", "holds"],
+            ["a", "1.0", "1.1", "yes"],
+            ["b", "2.0", "9.9", "(known", "divergence)", "no"]]
 
     def test_markdown_table(self):
         md = self._result().to_markdown()
-        assert "| check | paper | measured |" in md
-        assert "**no**" in md and "known divergence" in md
+        assert md.startswith("## x: t\n")
+        assert md.splitlines()[-4:] == [
+            "| check | paper | measured | shape holds |",
+            "|---|---|---|---|",
+            "| a | 1.0 | 1.1 | yes |",
+            "| b | 2.0 | 9.9 (known divergence) | **no** |"]
 
     def test_summarize_counts(self):
         text = summarize([self._result()])
@@ -86,3 +98,33 @@ class TestFindings:
         content = path.read_text()
         assert content.startswith("# EXPERIMENTS")
         assert "1/2 shape checks hold" in content
+
+
+def refresh_script():
+    """``scripts/refresh_experiments.py``, imported as a module."""
+    path = Path(__file__).parents[1] / "scripts" / "refresh_experiments.py"
+    spec = importlib.util.spec_from_file_location("refresh_experiments", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestRefreshRecount:
+    """The refresh script recounts the headline from the findings rows
+    ``write_experiments_md`` writes; the two must agree."""
+
+    def test_recount_reproduces_the_written_headline(self, tmp_path):
+        results = [
+            TestFindings()._result(),
+            ExperimentResult("y", "t2", "| yes |", [
+                Finding("c", "1", "1", True),
+                Finding("monotone", "yes", "yes", False),
+                Finding("pipe|name", "2", "3 | 4", True, note="n")]),
+            ExperimentResult("z", "no checks", "body"),
+        ]
+        path = tmp_path / "E.md"
+        write_experiments_md(results, str(path))
+        written = path.read_text()
+        assert "**3/5 shape checks hold.**" in written
+        stale = written.replace("**3/5 shape", "**0/0 shape")
+        assert refresh_script().recount(stale) == written

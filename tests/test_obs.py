@@ -299,10 +299,18 @@ class TestBreakdownIntegration:
     def test_breakdown_table_renders_every_cpu(self):
         rec = TraceRecorder(capacity=8192)
         result = _tiny_run(rec, n_cpus=2)
-        table = result.breakdown.format_table()
-        assert "busy%" in table and "tlb%" in table
-        assert "ALL" in table
-        assert len(table.splitlines()) == 2 + 2 + 1  # header, rule, rows, ALL
+        breakdown = result.breakdown
+        rows = [line.split() for line in
+                breakdown.format_table().splitlines()]
+        # Header, one row per CPU, then ALL: every fraction printed.
+        assert rows[0] == ["cpu", "total_ms", *(f"{c}%" for c in CATEGORIES)]
+        expected = [*breakdown.per_cpu, breakdown.overall()]
+        assert len(rows) == 1 + len(expected) == 4
+        for cells, row in zip(rows[1:], expected):
+            assert cells == [
+                "ALL" if row.cpu < 0 else str(row.cpu),
+                f"{row.total_ps / 1e9:.3f}",
+                *(f"{100.0 * row.fraction(c):.1f}" for c in CATEGORIES)]
 
     def test_breakdown_exact_after_ring_wrap(self):
         # A ring far too small for the run: the timeline drops spans but

@@ -2,7 +2,8 @@
 and ledger row.
 
 Two layers: the codec's promises checked over a small instance of each
-of the nine ``Record`` classes under ``repro.obs`` (round trip, JSON,
+of the nine ``Record`` classes under ``repro.obs`` and the calibration's
+``TuningReport`` (round trip, JSON,
 copies in both directions, strictness, defaults), then the payloads an
 earlier codec wrote -- the three committed payload goldens -- read back
 equal with no simulation.
@@ -22,6 +23,7 @@ from repro.obs.hotspot import HotRegion, HotspotReport
 from repro.obs.metrics import BenchRecord, LedgerRecord
 from repro.obs.profile import CpuBreakdown, RunBreakdown
 from repro.obs.txn import TxnReport
+from repro.validation.tuning import TuningReport
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -65,6 +67,13 @@ SAMPLES = [
                  percent_error=-3.25, attribution={"busy": 1.0}, ts=2.5),
     BenchRecord(bench="b", case="fft@solo/P1/tiny/ref", wall_s=0.5,
                 events=100, events_per_sec=200.0),
+    TuningReport(reference_name="hardware",
+                 target_cases_ns={"local_clean": 587.0},
+                 before_cases_ns={"local_clean": 510.0},
+                 after_cases_ns={"local_clean": 586.0},
+                 target_tlb_cycles=65.0, before_tlb_cycles=25.0,
+                 after_tlb_cycles=65.0, port_occupancy_cycles=11.5,
+                 rounds=2, case_extra_adjust_ps={"local_clean": 77_000}),
 ]
 
 

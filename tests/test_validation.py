@@ -8,7 +8,6 @@ from repro.validation import (
     CACHEOP_BUG,
     CacheFlushWorkload,
     FAST_ISSUE_BUG,
-    ReferenceCache,
     Tuner,
     compare_simulators,
     demonstrate_bug,
@@ -21,7 +20,7 @@ from repro.validation import (
     speedup_study,
     trend_agreement,
 )
-from repro.validation.report import bar_chart, kv_table, line_chart, sparkline
+from repro.validation.report import bar_chart, line_chart, sparkline
 from repro.workloads import make_app
 
 
@@ -105,13 +104,6 @@ class TestMetricsEdgeCases:
 
 
 class TestComparison:
-    def test_reference_cache_reuses_gold_runs(self):
-        cache = ReferenceCache()
-        workload = make_app("lu", TINY_SCALE)
-        a = cache.run(workload, 1, TINY_SCALE)
-        b = cache.run(workload, 1, TINY_SCALE)
-        assert a is b
-
     def test_compare_produces_rows_per_pair(self):
         table = compare_simulators(
             [simos_mipsy(150), simos_mipsy(300)],
@@ -192,12 +184,6 @@ class TestReport:
     def test_line_chart_renders_series(self):
         chart = line_chart("s", [1, 4], {"hw": {1: 1.0, 4: 3.9}})
         assert "hw" in chart and "(processors)" in chart
-
-    def test_kv_table_alignment(self):
-        table = kv_table("t", [["a", "1"], ["bb", "22"]], ["k", "v"])
-        lines = table.splitlines()
-        assert len(lines) == 5
-        assert lines[1].startswith("k")
 
     def test_bar_chart_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -62,3 +62,16 @@ printf '%-54s %6d\n' \
     "ambient slots (len(repro.lint.rules.AMBIENT_SLOTS))" \
     "$(PYTHONPATH=src python -c \
         'from repro.lint.rules import AMBIENT_SLOTS; print(len(AMBIENT_SLOTS))')"
+# Options a user can pass (positionals included, --help not), summed over
+# each CLI's subcommands by argparse introspection.
+printf '%-54s %6s\n' "CLI options (repro.obs/repro.ckpt/repro.harness)" \
+    "$(PYTHONPATH=src python -c '
+import argparse, importlib
+def count(parser):
+    return sum(sum(map(count, a.choices.values()))
+               if isinstance(a, argparse._SubParsersAction)
+               else not isinstance(a, argparse._HelpAction)
+               for a in parser._actions)
+print("/".join(str(count(importlib.import_module(f"repro.{cli}.cli")
+                         .build_parser()))
+               for cli in ("obs", "ckpt", "harness")))')"

@@ -12,12 +12,13 @@ workload is run once under configuration A to a quiescent gate
 into one fresh machine per configuration.  Both sides therefore resume
 from the *identical* architectural state -- same caches, same page
 frames, same clocks -- and any disagreement afterwards is attributable
-to the configuration delta alone.  Each side is replayed exactly once
-with an :class:`EventStreamRecorder` on the engine's tracer slot, which
-chains a running digest over the event stream; the first divergent event
-is then found by binary search over the two digest chains, so locating
-it costs at most ``ceil(log2(events)) + 1`` digest probes on top of the
-two replays.
+to the configuration delta alone.  Each side is replayed exactly once,
+with an :class:`EventStreamRecorder` on the engine's tracer slot (a
+running digest chained over the event stream) and a span
+:class:`~repro.obs.trace.TraceRecorder` on the probe in the same pass.
+The first divergent event is found by binary search over the two digest
+chains -- at most ``ceil(log2(events)) + 1`` probes on top of the two
+replays -- and the spans around it come from the same replay.
 
 Cross-configuration injection requires both configurations to share the
 machine shape (same CPU count, scale, core family, and TLB modelling);
@@ -36,6 +37,7 @@ from repro.ckpt.checkpoint import MODE_QUIESCE, Checkpoint, save
 from repro.common.errors import CheckpointError
 from repro.common.rng import DEFAULT_SEED
 from repro.obs import hooks as obs_hooks
+from repro.obs.doc import Para, Table, render_text
 from repro.obs.record import Record
 from repro.obs.trace import TraceRecorder
 from repro.sim.request import RunRequest
@@ -108,15 +110,12 @@ class DivergenceReport(Record):
     #: First divergent event index (counted from the resume point), or
     #: None when the two streams are identical.
     index: Optional[int]
-    #: The divergent event per side: {"when_ps", "event"}; None when that
-    #: side's stream ended before the divergence index.
-    event_a: Optional[Dict[str, Any]]
-    event_b: Optional[Dict[str, Any]]
     #: Digest probes the binary search spent (<= ceil(log2(events)) + 1).
     probes: int
-    #: Full resumed replays performed (2, plus 2 with tracing when
-    #: span context was requested).
-    replays: int
+    #: The divergent event per side: {"when_ps", "event"}; None when the
+    #: streams are identical or that side's stream ended before it.
+    event_a: Optional[Dict[str, Any]] = None
+    event_b: Optional[Dict[str, Any]] = None
     #: Recorded events around the divergence, per side.
     neighborhood_a: List[Dict[str, Any]] = field(default_factory=list)
     neighborhood_b: List[Dict[str, Any]] = field(default_factory=list)
@@ -134,71 +133,65 @@ class DivergenceReport(Record):
         n = max(1, min(self.events_a, self.events_b))
         return int(math.ceil(math.log2(n))) + 1 if n > 1 else 1
 
-    def format(self) -> str:
-        head = (f"{self.workload}: {self.config_a} vs {self.config_b}, "
-                f"resumed from checkpoint {self.checkpoint_key[:16]} "
-                f"at t={self.resumed_at_ps} ps")
+    def blocks(self) -> list:
+        out = [Para(f"{self.workload}: `{self.config_a}` vs "
+                    f"`{self.config_b}`, resumed from checkpoint "
+                    f"{self.checkpoint_key[:16]} at "
+                    f"t={self.resumed_at_ps} ps")]
         if self.identical:
-            return (f"{head}\n  event streams identical "
-                    f"({self.events_a} events; {self.probes} probes)")
-        lines = [head,
-                 f"  first divergent event: #{self.index} after resume "
-                 f"({self.probes} digest probes over "
-                 f"{min(self.events_a, self.events_b)} shared events, "
-                 f"budget {self.probe_budget}; {self.replays} replays)"]
-        for label, event, hood in (
-                (self.config_a, self.event_a, self.neighborhood_a),
-                (self.config_b, self.event_b, self.neighborhood_b)):
+            return out + [Para(f"event streams identical ({self.events_a} "
+                               f"events; {self.probes} probes)")]
+        out.append(Para(
+            f"first divergent event: #{self.index} after resume "
+            f"({self.probes} digest probes over "
+            f"{min(self.events_a, self.events_b)} shared events, "
+            f"budget {self.probe_budget})"))
+        for label, event, hood, spans in (
+                (self.config_a, self.event_a, self.neighborhood_a,
+                 self.context_a),
+                (self.config_b, self.event_b, self.neighborhood_b,
+                 self.context_b)):
             if event is None:
-                lines.append(f"  {label}: stream ended "
-                             "(strict prefix of the other side)")
+                out.append(Para(f"`{label}`: stream ended (strict prefix "
+                                "of the other side)"))
                 continue
-            lines.append(f"  {label}: t={event['when_ps']} ps  "
-                         f"{event['event']}")
-            for item in hood:
-                marker = "->" if item["index"] == self.index else "  "
-                lines.append(f"    {marker} #{item['index']} "
-                             f"t={item['when_ps']} ps  {item['event']}")
-        for label, spans in ((self.config_a, self.context_a),
-                             (self.config_b, self.context_b)):
+            out += [Para(f"`{label}`: t={event['when_ps']} ps "
+                         f"`{event['event']}`"),
+                    Table("tnnc", ["", "#", "t (ps)", "event"],
+                          [["->" if item["index"] == self.index else "",
+                            item["index"], item["when_ps"], item["event"]]
+                           for item in hood])]
             if spans:
-                lines.append(f"  {label} spans at the divergence:")
-                for span in spans:
-                    lines.append(
-                        f"     t={span['t_ps']} ps  +{span['dur_ps']} ps  "
-                        f"[{span['category']}] {span['name']}")
-        return "\n".join(lines)
+                out.append(Table(
+                    "nntc", ["t (ps)", "dur (ps)", "category", "span"],
+                    [[span["t_ps"], f"+{span['dur_ps']}", span["category"],
+                      span["name"]] for span in spans]))
+        return out
+
+    def format(self) -> str:
+        return render_text(self.blocks())
 
 
-def _replay_recorded(request: RunRequest,
-                     checkpoint: Checkpoint) -> EventStreamRecorder:
-    """Inject the shared state into a machine for *request* and record."""
-    machine = request.machine()
-    try:
-        machine.begin(request.workload, state=checkpoint.state)
-    except Exception as exc:
-        raise CheckpointError(
-            f"cannot inject the shared checkpoint into "
-            f"{request.config.name}: {exc}"
-        ) from exc
-    recorder = EventStreamRecorder()
-    machine.env.tracer = recorder
-    machine.advance()
-    machine.finish()
-    return recorder
-
-
-def _replay_traced(request: RunRequest,
-                   checkpoint: Checkpoint) -> TraceRecorder:
-    """Replay one side under the span tracer (resume-suffix spans only)."""
-    recorder = TraceRecorder()
-    with obs_hooks.observing(recorder):
+def _replay(request: RunRequest, checkpoint: Checkpoint
+            ) -> Tuple[EventStreamRecorder, TraceRecorder]:
+    """Inject the shared state into a machine for *request* and replay it
+    once: engine events feed the digest chain (``Engine.tracer``), model
+    spans the span recorder (the resumed suffix only)."""
+    spans = TraceRecorder()
+    with obs_hooks.observing(spans):
         machine = request.machine()
-        machine.begin(request.workload, state=checkpoint.state,
-                      allow_partial_obs=True)
+        try:
+            machine.begin(request.workload, state=checkpoint.state,
+                          allow_partial_obs=True)
+        except Exception as exc:
+            raise CheckpointError(
+                f"cannot inject the shared checkpoint into "
+                f"{request.config.name}: {exc}"
+            ) from exc
+        stream = machine.env.tracer = EventStreamRecorder()
         machine.advance()
         machine.finish()
-    return recorder
+    return stream, spans
 
 
 def _spans_near(recorder: TraceRecorder, t_ps: int,
@@ -239,55 +232,39 @@ def _event_at(recorder: EventStreamRecorder,
 def bisect_divergence(config_a, config_b, workload, n_cpus: int = 1,
                       scale=None, at_ps: int = 0, seed: int = DEFAULT_SEED,
                       placement: Optional[str] = None,
-                      checkpoint: Optional[Checkpoint] = None,
-                      with_context: bool = True) -> DivergenceReport:
+                      checkpoint: Optional[Checkpoint] = None
+                      ) -> DivergenceReport:
     """Find the first event where two configurations' timelines diverge.
 
     A quiescent checkpoint of *config_a* at ``at_ps`` (captured fresh, or
     passed in via *checkpoint* -- e.g. from a :class:`CheckpointStore`)
-    seeds both sides; each side then replays once under an event-stream
-    recorder, and the first divergent engine event is located by binary
-    search over the digest chains.  ``with_context`` adds one traced
-    replay per side to report the observability spans active at the
-    divergence.
+    seeds both sides; each side then replays once, feeding its event
+    stream's digest chain and a span tracer, and the first divergent
+    engine event is located by binary search over the two chains, with
+    the spans active at it as context.
     """
     kwargs = {} if placement is None else {"placement": placement}
-    request_a = RunRequest(config_a, workload, n_cpus, scale, seed=seed,
-                           **kwargs)
-    request_b = RunRequest(config_b, workload, n_cpus, scale, seed=seed,
-                           **kwargs)
+    request_a, request_b = (
+        RunRequest(config, workload, n_cpus, scale, seed=seed, **kwargs)
+        for config in (config_a, config_b))
     if checkpoint is None:
         checkpoint = save(request_a, at_ps=at_ps, mode=MODE_QUIESCE)
     elif not checkpoint.injectable:
         raise CheckpointError(
             "bisection needs an injectable (quiesce-mode) checkpoint")
-    rec_a = _replay_recorded(request_a, checkpoint)
-    rec_b = _replay_recorded(request_b, checkpoint)
+    replays = [_replay(request, checkpoint)
+               for request in (request_a, request_b)]
+    (rec_a, _), (rec_b, _) = replays
     index, probes = first_divergence(rec_a.chain, rec_b.chain)
-    report = DivergenceReport(
-        config_a=request_a.config.name,
-        config_b=request_b.config.name,
-        workload=workload.name,
-        checkpoint_key=checkpoint.key,
+    sides: Dict[str, Any] = {}
+    for side, (stream, spans) in zip("ab", [] if index is None else replays):
+        event = sides[f"event_{side}"] = _event_at(stream, index)
+        sides[f"neighborhood_{side}"] = _neighborhood(stream, index)
+        if event is not None:
+            sides[f"context_{side}"] = _spans_near(spans, event["when_ps"])
+    return DivergenceReport(
+        config_a=request_a.config.name, config_b=request_b.config.name,
+        workload=workload.name, checkpoint_key=checkpoint.key,
         resumed_at_ps=checkpoint.stop["now_ps"],
-        events_a=len(rec_a.events),
-        events_b=len(rec_b.events),
-        index=index,
-        event_a=None if index is None else _event_at(rec_a, index),
-        event_b=None if index is None else _event_at(rec_b, index),
-        probes=probes,
-        replays=2,
-    )
-    if index is not None:
-        report.neighborhood_a = _neighborhood(rec_a, index)
-        report.neighborhood_b = _neighborhood(rec_b, index)
-        if with_context:
-            for side, request, event in (("a", request_a, report.event_a),
-                                         ("b", request_b, report.event_b)):
-                if event is None:
-                    continue
-                traced = _replay_traced(request, checkpoint)
-                spans = _spans_near(traced, event["when_ps"])
-                setattr(report, f"context_{side}", spans)
-                report.replays += 1
-    return report
+        events_a=len(rec_a.events), events_b=len(rec_b.events),
+        index=index, probes=probes, **sides)

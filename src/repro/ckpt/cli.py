@@ -33,12 +33,9 @@ from typing import List, Optional
 from repro.ckpt import bisect as ckpt_bisect
 from repro.ckpt import checkpoint as ckpt
 from repro.ckpt import store as ckpt_store
-from repro.common.config import get_scale
 from repro.common.errors import CheckpointError, ReproError
 from repro.common.store import check_dir_arg
-from repro.obs.cli import add_run_args, resolve_config, shorthand_help
-from repro.sim.request import RunRequest
-from repro.workloads import make_app
+from repro.obs.cli import add_run_args, build_request, shorthand_help
 
 
 def _add_store_arg(sub: argparse.ArgumentParser) -> None:
@@ -55,9 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     save = sub.add_parser("save", help="run to a stop point and checkpoint")
-    add_run_args(save, default_cpus=1)
-    save.add_argument("--config", default="simos-mipsy-150-tuned",
-                      help=shorthand_help("simulator configuration"))
+    add_run_args(save, default_cpus=1,
+                 config_default="simos-mipsy-150-tuned")
     save.add_argument("--at-ps", type=int, default=None,
                       help="simulated stop time in picoseconds")
     save.add_argument("--events", type=int, default=None,
@@ -102,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help=shorthand_help("comparison configuration"))
     bis.add_argument("--at-ps", type=int, required=True,
                      help="shared-checkpoint gate time in picoseconds")
-    bis.add_argument("--no-context", action="store_true",
-                     help="skip the traced replays that collect span "
-                          "context around the divergence")
     bis.add_argument("--json", metavar="PATH", default=None,
                      help="also write the report payload here")
     bis.set_defaults(func=cmd_bisect)
@@ -122,13 +115,6 @@ def validate_args(parser: argparse.ArgumentParser,
 
 def _store(args: argparse.Namespace) -> ckpt_store.CheckpointStore:
     return ckpt_store.CheckpointStore(args.checkpoint_dir)
-
-
-def _workload(args: argparse.Namespace):
-    """``(scale, workload)`` of a run-style subcommand's arguments."""
-    scale = get_scale(args.scale)
-    return scale, make_app(args.workload, scale,
-                           tuned_inputs=not args.untuned_inputs)
 
 
 def _resolve_checkpoint(args: argparse.Namespace) -> ckpt.Checkpoint:
@@ -155,9 +141,7 @@ def _resolve_checkpoint(args: argparse.Namespace) -> ckpt.Checkpoint:
 
 
 def cmd_save(args: argparse.Namespace) -> int:
-    scale, workload = _workload(args)
-    request = RunRequest(resolve_config(args.config), workload, args.cpus,
-                         scale)
+    request = build_request(args, args.config)
     checkpoint = ckpt.save(request, at_ps=args.at_ps,
                            max_events=args.events, mode=args.mode)
     path = _store(args).put(checkpoint)
@@ -204,11 +188,11 @@ def cmd_restore(args: argparse.Namespace) -> int:
 
 
 def cmd_bisect(args: argparse.Namespace) -> int:
-    scale, workload = _workload(args)
+    a, b = (build_request(args, name) for name in (args.config_a,
+                                                   args.config_b))
     report = ckpt_bisect.bisect_divergence(
-        resolve_config(args.config_a), resolve_config(args.config_b),
-        workload, n_cpus=args.cpus, scale=scale, at_ps=args.at_ps,
-        with_context=not args.no_context)
+        a.config, b.config, a.workload, n_cpus=a.n_cpus, scale=a.scale,
+        at_ps=args.at_ps)
     print(report.format())
     if args.json:
         with open(args.json, "w") as fh:

@@ -117,6 +117,21 @@ class DsmParams:
     #: quantities; conflating them overstates contention enormously.
     pp_occ_fraction: float = 0.55
 
+    def __post_init__(self):
+        """Reject timings no machine has.  ``case_extra_ps`` is unchecked:
+        calibration adjustments may be negative; the plans clamp at 0."""
+        bad = [f"{f.name}={getattr(self, f.name)} < 0"
+               for f in dataclasses.fields(self) if f.name.endswith("_ps")
+               and f.name != "case_extra_ps" and getattr(self, f.name) < 0]
+        bad += [f"{name}={getattr(self, name)} < 1"
+                for name in ("req_flits", "data_flits")
+                if getattr(self, name) < 1]
+        if not 0.0 <= self.pp_occ_fraction <= 1.0:
+            bad.append(
+                f"pp_occ_fraction={self.pp_occ_fraction} not in [0, 1]")
+        if bad:
+            raise ConfigurationError(f"{self.name}: {'; '.join(bad)}")
+
     def extra(self, case: str) -> int:
         return self.case_extra_ps.get(case, 0)
 

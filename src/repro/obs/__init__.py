@@ -17,8 +17,8 @@ the reproduction the same visibility into itself:
   per-category waterfall explaining a reference-vs-candidate cycle gap;
 * :mod:`repro.obs.metrics` -- the two frozen-schema ledgers: the
   run-over-run metrics ledger (:class:`~repro.obs.metrics.MetricsWriter`)
-  with its drift detector, and the BENCH perf ledger with its
-  regression gate;
+  and the BENCH perf ledger, and the one gate that judges both
+  (:class:`~repro.obs.metrics.GateReport`);
 * :mod:`repro.obs.topo` -- spatial observability: the
   (requesting node, home node, address region) counters, directory
   transitions, per-link traffic, and the queue-occupancy sampler;
@@ -44,10 +44,10 @@ from repro.obs.export import chrome_trace, flame_summary, write_chrome_trace
 from repro.obs.diff import AttributionDiff, CategoryDelta, diff_breakdowns, diff_runs
 from repro.obs.metrics import (
     BenchRecord,
-    DriftReport,
+    Flag,
+    GateReport,
     LedgerRecord,
     MetricsWriter,
-    PerfDiffReport,
     detect_drift,
     diff_bench,
     make_case,
@@ -55,6 +55,7 @@ from repro.obs.metrics import (
     read_bench,
     read_ledger,
     run_record,
+    scan_ledger,
     write_bench,
 )
 
@@ -78,13 +79,14 @@ __all__ = [
     "CategoryDelta",
     "diff_breakdowns",
     "diff_runs",
-    "DriftReport",
+    "Flag",
+    "GateReport",
     "LedgerRecord",
     "MetricsWriter",
     "detect_drift",
     "read_ledger",
+    "scan_ledger",
     "BenchRecord",
-    "PerfDiffReport",
     "diff_bench",
     "make_case",
     "merge_bench",

@@ -61,8 +61,8 @@ from repro.obs.metrics import (
     make_case,
     merge_bench,
     read_bench,
-    read_ledger,
     run_record,
+    scan_ledger,
 )
 from repro.obs.trace import TraceRecorder
 from repro.sim.configs import get_config
@@ -125,7 +125,7 @@ def add_run_args(sub: argparse.ArgumentParser, default_cpus: int,
                      help="use the pre-fix application inputs")
 
 
-def _request(args: argparse.Namespace, config_name: str) -> RunRequest:
+def build_request(args: argparse.Namespace, config_name: str) -> RunRequest:
     """The run a parsed :func:`add_run_args` block describes, under the
     configuration *config_name* (full name or shorthand)."""
     scale = get_scale(args.scale)
@@ -241,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_trace(args: argparse.Namespace) -> int:
     recorder = TraceRecorder(args.capacity, engine_events=args.engine_events)
     with hooks.observing(recorder):
-        result = _request(args, args.config).execute()
+        result = build_request(args, args.config).execute()
 
     print(result.describe())
     print(f"traced {recorder.recorded} spans "
@@ -268,7 +268,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     for config_name in (args.ref, args.cand):
         # One fresh recorder per run: breakdowns must not blend.
         with hooks.observing(TraceRecorder()):
-            runs.append(_request(args, config_name).execute())
+            runs.append(build_request(args, config_name).execute())
     diff = diff_runs(runs[0], runs[1])
     print(diff.format_waterfall())
     if args.json:
@@ -279,7 +279,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_hotspot(args: argparse.Namespace) -> int:
     recorder = obs_topo.TopoRecorder(region=args.region)
     with hooks.observing(recorder):
-        result = _request(args, args.config).execute()
+        result = build_request(args, args.config).execute()
     report = build_report(recorder, result, top_k=args.top)
     print(result.describe())
     print()
@@ -292,7 +292,7 @@ def cmd_hotspot(args: argparse.Namespace) -> int:
 def cmd_txn(args: argparse.Namespace) -> int:
     recorder = obs_txn.TxnRecorder(top_k=max(1, args.top))
     with hooks.observing(recorder):
-        result = _request(args, args.config).execute()
+        result = build_request(args, args.config).execute()
     report = obs_txn.build_report(recorder, result, top_k=args.top)
     print(result.describe())
     print()
@@ -320,7 +320,7 @@ def cmd_txn(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    request = _request(args, args.config)
+    request = build_request(args, args.config)
     # Not request.execute(): the event count lives on the machine's engine.
     machine = request.machine()
     start = time.perf_counter()
@@ -353,14 +353,15 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
 
 def cmd_watch(args: argparse.Namespace) -> int:
-    records = read_ledger(args.ledger)
-    if not records:
+    records, problems = scan_ledger(args.ledger)
+    if not records and not problems:
         print(f"watch: no ledger records at {args.ledger} "
               f"(run the harness with --ledger, or --dashboard)")
         return 0
     report = detect_drift(records,
                           time_threshold=args.time_threshold,
                           error_threshold=args.error_threshold)
+    report.skipped = len(problems)
     print(report.format())
     return 0 if report.ok else 1
 

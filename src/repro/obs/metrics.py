@@ -1,35 +1,29 @@
-"""The two frozen-schema ledgers: accuracy history and simulator speed.
+"""The two frozen-schema ledgers, and the one gate that watches both.
 
 Ramulator 2.0's real-system accuracy regressed silently because nobody
 *watched* it between validation papers; "Validating Simplified Processor
-Models" argues validation must be continuous, not a one-off table.  This
-module makes the reproduction watchable along both axes:
+Models" argues validation must be continuous, not a one-off table.  Two
+ledgers make the reproduction watchable along both axes: the **metrics
+ledger** (one JSON-lines :class:`LedgerRecord` per farm-dispatched
+simulation: request key, configuration, workload, cycles, percent error
+against the reference, attribution fractions, wall time, cache outcome)
+and the **BENCH perf ledger** (one ``BENCH_<name>.json`` per benchmark, a
+:class:`BenchRecord` per measured case: host wall, simulated ps,
+events/sec, speedup; where the host time *goes* is ``benchmarks/e2e``'s
+business).  Both share one validator (:func:`validate_record`), one
+tolerant scan returning ``(records, problems)``, and the package's dict
+codec; ``tests/test_obs_diff.py`` pins both schemas.
 
-* the **metrics ledger** -- every farm-dispatched simulation appends one
-  JSON-lines :class:`LedgerRecord` (canonical request key, configuration,
-  workload, cycles, percent error against the reference, attribution
-  fractions, wall time, cache outcome) and ``python -m repro.obs watch``
-  diffs the newest records against ledger history
-  (:func:`detect_drift`), exiting nonzero when accuracy or performance
-  drifts past threshold (CI-able);
-* the **BENCH perf ledger** -- one ``BENCH_<name>.json`` per benchmark
-  holding a :class:`BenchRecord` per measured case (host wall time,
-  simulated picoseconds, events/sec, speedup).  ``python -m repro.obs
-  perf`` times one run and diffs it against a committed baseline
-  (:func:`diff_bench`), exiting nonzero on a throughput collapse.  Where
-  the host time *goes* is not recorded here: ``benchmarks/e2e`` partitions
-  it per layer from outside the model.
+Both are judged one way (:meth:`GateReport.judge`): a series' latest value
+against the median of its history, relatively or in points, past a
+threshold.  ``python -m repro.obs watch`` (:func:`detect_drift`) judges
+each ledger run group's newest record, two-sided; ``python -m repro.obs
+perf --baseline`` (:func:`diff_bench`) a fresh run against a committed
+BENCH baseline, drop-only.  A :class:`Flag` exits nonzero (CI-able).
 
-The metrics writer is an argument of the farm (``Farm(metrics=writer)``),
-its one caller; without one the farm pays a single ``is not None`` test
-per request -- the ledgers add no cost to the simulator itself, which
-never imports this module (lint rule L2 enforces that).
-
-Both record layouts are **frozen schemas** (:data:`LEDGER_SCHEMA`,
-:data:`BENCH_SCHEMA`) sharing one validator (:func:`validate_record`) and
-the package's dict codec (:class:`~repro.obs.record.Record`; a record's
-fields are exactly the keys of its ``SCHEMA``); records round-trip exactly,
-and ``tests/test_obs_diff.py`` pins both so an edit breaks a test in review.
+The metrics writer is an argument of the farm (``Farm(metrics=writer)``);
+without one the farm pays one ``is not None`` test per request, and the
+simulator never imports this module (lint rule L2).
 """
 
 from __future__ import annotations
@@ -41,7 +35,8 @@ from pathlib import Path
 from statistics import median
 from typing import ClassVar, Dict, List, Optional, Tuple
 
-from repro.obs.record import Record
+from repro.obs.doc import Para, Table, render_text
+from repro.obs.record import Record, records
 
 #: A frozen record schema: field -> (type, required).  Optional fields
 #: may also be null.  Changing one is an explicit, reviewed act: bump its
@@ -148,14 +143,12 @@ class LedgerRecord(Record):
 
 
 class MetricsWriter:
-    """Appends one :class:`LedgerRecord` per observed simulation.
+    """Appends one :class:`LedgerRecord` per observed simulation,
+    line-atomically (interleaved writers corrupt nothing).
 
-    The writer keeps the latest reference timing it has seen per
-    ``(workload, n_cpus, scale)`` so candidate records carry a percent
-    error whenever the reference ran earlier in the same session (the
-    comparison matrix batches references first, so this is the common
-    case).  Records are appended line-atomically; interleaved writers
-    corrupt nothing.
+    It keeps the latest reference timing per ``(workload, n_cpus, scale)``,
+    so a candidate carries a percent error whenever the reference ran
+    earlier in the session (the comparison matrix batches references first).
     """
 
     def __init__(self, path, reference_config: str = "hardware"):
@@ -179,20 +172,12 @@ class MetricsWriter:
             attribution = result.breakdown.overall().fractions()
         record = LedgerRecord(
             key=key if key is not None else request.cache_key(),
-            config=result.config_name,
-            workload=result.workload_name,
-            n_cpus=result.n_cpus,
-            scale=result.scale_name,
-            seed=request.seed,
-            parallel_ps=result.parallel_ps,
-            total_ps=result.total_ps,
-            instructions=result.instructions,
-            wall_s=wall_s,
-            outcome=outcome,
-            percent_error=percent_error,
-            attribution=attribution,
-            ts=time.time(),
-        )
+            config=result.config_name, workload=result.workload_name,
+            n_cpus=result.n_cpus, scale=result.scale_name, seed=request.seed,
+            parallel_ps=result.parallel_ps, total_ps=result.total_ps,
+            instructions=result.instructions, wall_s=wall_s, outcome=outcome,
+            percent_error=percent_error, attribution=attribution,
+            ts=time.time())
         self.append(record)
         return record
 
@@ -203,125 +188,43 @@ class MetricsWriter:
         self.written += 1
 
 
-def read_ledger(path) -> List[LedgerRecord]:
-    """All current-schema records in *path*, in append order.
-
-    Torn trailing lines (a writer killed mid-append) and records written
-    by a different schema version are skipped, not fatal: the ledger is
-    an append-only log that must stay readable across its whole history.
-    """
+def scan_ledger(path) -> Tuple[List[LedgerRecord], List[str]]:
+    """(the current-schema records in *path* in append order, one problem
+    per torn or schema-invalid line skipped).  Other schema versions'
+    records are skipped silently: they are legitimate history."""
     path = Path(path)
-    if not path.exists():
-        return []
-    records = []
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line:
+    items = []
+    lines = path.read_text().splitlines() if path.exists() else []
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
             continue
         try:
             data = json.loads(line)
         except ValueError:
+            data = None                    # torn: reported as not an object
+        if (isinstance(data, dict)
+                and data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION):
             continue
-        if not isinstance(data, dict) or data.get("schema") != SCHEMA_VERSION:
-            continue
-        if validate_record(data):
-            continue
-        records.append(LedgerRecord.from_dict(data))
-    return records
+        items.append((f"line {number}", data))
+    return _admit(LedgerRecord, items)
 
 
-# -- drift detection (the `watch` command) ---------------------------------
-
-#: Default relative change in parallel time that counts as drift.
-TIME_THRESHOLD = 0.02
-#: Default change in percent-error points that counts as accuracy drift.
-ERROR_THRESHOLD = 1.0
+def read_ledger(path) -> List[LedgerRecord]:
+    """The records of :func:`scan_ledger`, problems dropped."""
+    return scan_ledger(path)[0]
 
 
-@dataclass
-class DriftFlag:
-    """One group whose newest record moved past a threshold."""
-
-    group: Tuple[str, str, int, str]
-    kind: str                  #: "time" or "accuracy"
-    baseline: float
-    latest: float
-    change: float              #: relative (time) or points (accuracy)
-    threshold: float
-
-    def format(self) -> str:
-        workload, config, n_cpus, scale = self.group
-        where = f"{workload}@{config}/P{n_cpus}/{scale}"
-        if self.kind == "time":
-            return (f"DRIFT[time] {where}: parallel {self.baseline / 1e9:.3f}"
-                    f" -> {self.latest / 1e9:.3f} ms "
-                    f"({self.change:+.1%}, threshold {self.threshold:.1%})")
-        return (f"DRIFT[accuracy] {where}: error {self.baseline:+.2f}% -> "
-                f"{self.latest:+.2f}% ({self.change:+.2f} points, "
-                f"threshold {self.threshold:.2f})")
-
-
-@dataclass
-class DriftReport:
-    """What ``watch`` concluded from the ledger."""
-
-    groups_checked: int = 0
-    records_seen: int = 0
-    flags: List[DriftFlag] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.flags
-
-    def format(self) -> str:
-        lines = [f"watch: {self.records_seen} ledger records, "
-                 f"{self.groups_checked} run groups with history"]
-        if self.ok:
-            lines.append("  no drift beyond thresholds")
+def _admit(cls, items) -> Tuple[list, List[str]]:
+    """(a *cls* per valid ``(where, payload)`` item, a problem per other)."""
+    found, problems = [], []
+    for where, data in items:
+        invalid = (validate_record(data, cls.SCHEMA)
+                   if isinstance(data, dict) else ["not an object"])
+        if invalid:
+            problems.append(f"invalid {where}: {'; '.join(invalid)}")
         else:
-            lines.extend(f"  {flag.format()}" for flag in self.flags)
-        return "\n".join(lines)
-
-
-def detect_drift(records: List[LedgerRecord],
-                 time_threshold: float = TIME_THRESHOLD,
-                 error_threshold: float = ERROR_THRESHOLD) -> DriftReport:
-    """Compare each group's newest record against its history.
-
-    The baseline is the median of the group's earlier records (robust to
-    a single outlier in history); a group with fewer than two records has
-    no history and cannot drift.  Cached replays reproduce the recorded
-    result exactly, so an unchanged simulator never flags.
-    """
-    report = DriftReport(records_seen=len(records))
-    groups: Dict[Tuple, List[LedgerRecord]] = {}
-    for record in records:
-        groups.setdefault(record.group(), []).append(record)
-    for group, history in sorted(groups.items()):
-        if len(history) < 2:
-            continue
-        report.groups_checked += 1
-        latest = history[-1]
-        earlier = history[:-1]
-        base_ps = median(float(r.parallel_ps) for r in earlier)
-        if base_ps > 0:
-            change = (latest.parallel_ps - base_ps) / base_ps
-            if abs(change) > time_threshold:
-                report.flags.append(DriftFlag(
-                    group=group, kind="time", baseline=base_ps,
-                    latest=float(latest.parallel_ps), change=change,
-                    threshold=time_threshold))
-        earlier_err = [r.percent_error for r in earlier
-                       if r.percent_error is not None]
-        if latest.percent_error is not None and earlier_err:
-            base_err = median(earlier_err)
-            delta = latest.percent_error - base_err
-            if abs(delta) > error_threshold:
-                report.flags.append(DriftFlag(
-                    group=group, kind="accuracy", baseline=base_err,
-                    latest=latest.percent_error, change=delta,
-                    threshold=error_threshold))
-    return report
+            found.append(cls.from_dict(data))
+    return found, problems
 
 
 # -- the BENCH perf ledger -------------------------------------------------
@@ -357,15 +260,11 @@ def run_record(bench: str, case: str, wall_s: float, result=None,
     simulated time.
     """
     return BenchRecord(
-        bench=bench,
-        case=case,
-        wall_s=wall_s,
-        sim_ps=None if result is None else result.total_ps,
-        events=events,
+        bench=bench, case=case, wall_s=wall_s,
+        sim_ps=None if result is None else result.total_ps, events=events,
         events_per_sec=(events / wall_s
                         if events is not None and wall_s > 0 else None),
-        speedup=speedup,
-    )
+        speedup=speedup)
 
 
 def write_bench(path, bench: str, records: List[BenchRecord]) -> Path:
@@ -373,12 +272,9 @@ def write_bench(path, bench: str, records: List[BenchRecord]) -> Path:
     sorted by case so reruns produce byte-identical files for identical
     measurements."""
     path = Path(path)
-    payload = {
-        "schema": BENCH_SCHEMA_VERSION,
-        "bench": bench,
-        "records": [r.to_dict() for r in
-                    sorted(records, key=lambda r: r.case)],
-    }
+    payload = {"schema": BENCH_SCHEMA_VERSION, "bench": bench,
+               "records": [r.to_dict() for r in
+                           sorted(records, key=lambda r: r.case)]}
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
@@ -400,35 +296,23 @@ def _scan_bench(path) -> Tuple[List[BenchRecord], List[str]]:
     if payload.get("schema") != BENCH_SCHEMA_VERSION:
         return [], [f"file schema version is {payload.get('schema')!r}, "
                     f"this code reads and writes {BENCH_SCHEMA_VERSION}"]
-    records, problems = [], []
-    for index, data in enumerate(payload["records"]):
-        invalid = (validate_record(data, BENCH_SCHEMA)
-                   if isinstance(data, dict) else ["not an object"])
-        if invalid:
-            problems.append(f"invalid record {index}: {'; '.join(invalid)}")
-        else:
-            records.append(BenchRecord.from_dict(data))
-    return records, problems
+    return _admit(BenchRecord, ((f"record {index}", data) for index, data
+                                in enumerate(payload["records"])))
 
 
 def read_bench(path) -> List[BenchRecord]:
-    """Current-schema records in a BENCH file, sorted by case.
-
-    A missing file, a foreign schema version, or unparsable JSON yields
-    ``[]`` (baselines must be optional: a fresh checkout gates nothing);
-    individual invalid records are skipped, not fatal.
-    """
+    """The valid current-schema records of a BENCH file.  A missing,
+    foreign-schema or unparsable file yields ``[]``: baselines are
+    optional, and a fresh checkout gates nothing."""
     return _scan_bench(path)[0]
 
 
 def merge_bench(path, bench: str, records: List[BenchRecord]) -> Path:
     """Write *records* into ``path``, replacing same-case records and
-    keeping the rest -- so each benchmark test updates only its own cases
-    and reruns stay idempotent.
+    keeping the rest, so each benchmark updates only its own cases.
 
     Raises :class:`ValueError`, leaving the file untouched, when it holds
-    anything this code cannot read: rewriting it would silently drop
-    every other case.
+    anything this code cannot read: rewriting would drop those records.
     """
     kept, problems = _scan_bench(path)
     if problems:
@@ -442,8 +326,12 @@ def merge_bench(path, bench: str, records: List[BenchRecord]) -> Path:
                        + list(fresh.values()))
 
 
-# -- the regression gate (the `perf` CLI subcommand) -----------------------
+# -- the gate (the `watch` and `perf` CLI subcommands) ---------------------
 
+#: Default relative change in parallel time that counts as drift.
+TIME_THRESHOLD = 0.02
+#: Default change in percent-error points that counts as accuracy drift.
+ERROR_THRESHOLD = 1.0
 #: Default relative events/sec (or wall-time) slowdown that counts as a
 #: regression.  Deliberately generous: BENCH baselines travel between
 #: machines, so only collapses (an accidentally quadratic loop), not
@@ -451,69 +339,137 @@ def merge_bench(path, bench: str, records: List[BenchRecord]) -> Path:
 PERF_THRESHOLD = 0.5
 
 
-@dataclass
-class PerfFlag:
-    """One case that moved past a threshold against its baseline."""
+#: What the gate judges: metric -> (flag tag, stored-to-printed scale,
+#: printed format, change in points rather than relative, a rise flags
+#: too rather than only a drop).
+METRICS = {
+    "time": ("DRIFT[time]", 1e-9, "{:.3f} ms", False, True),
+    "accuracy": ("DRIFT[accuracy]", 1.0, "{:+.2f}%", True, True),
+    "throughput": ("PERF[throughput]", 1.0, "{:,.0f} events/s", False, False),
+}
 
-    case: str
-    baseline: float
+
+@dataclass
+class Flag(Record):
+    """One series whose latest value moved past its threshold."""
+
+    series: str            #: run group (workload@config/Pn/scale) or case
+    metric: str            #: a :data:`METRICS` key
+    baseline: float        #: median of the series' history
     latest: float
-    change: float              #: relative throughput change
+    change: float          #: relative, or in points
     threshold: float
 
-    def format(self) -> str:
-        return (f"PERF[throughput] {self.case}: "
-                f"{self.baseline:,.0f} -> {self.latest:,.0f} events/s "
-                f"({self.change:+.1%}, threshold -{self.threshold:.0%})")
+    def row(self) -> list:
+        tag, scale, unit, points, two_sided = METRICS[self.metric]
+        change, limit = ((f"{self.change:+.2f} pt", f"{self.threshold:.2f} pt")
+                         if points else
+                         (f"{self.change:+.1%}", f"{self.threshold:.1%}"))
+        return [tag, self.series, unit.format(self.baseline * scale),
+                unit.format(self.latest * scale), change,
+                ("±" if two_sided else "-") + limit]
 
 
 @dataclass
-class PerfDiffReport:
-    """What the perf gate concluded from baseline-vs-current records."""
+class GateReport(Record):
+    """A gate's verdict: the series it compared, and those that flagged."""
 
-    cases_checked: int = 0
-    cases_unmatched: int = 0
-    flags: List[PerfFlag] = field(default_factory=list)
+    KIND: ClassVar[str] = "gate"
+
+    gate: str                  #: "watch" or "perf"
+    checked: int = 0           #: series with a history to compare against
+    unmatched: int = 0         #: series without one
+    skipped: int = 0           #: input lines that could not be read
+    flags: List[Flag] = field(default_factory=list)
+
+    def __post_init__(self):
+        self.flags = records(Flag, self.flags)
 
     @property
     def ok(self) -> bool:
         return not self.flags
 
-    def format(self) -> str:
-        lines = [f"perf gate: {self.cases_checked} case(s) compared against "
-                 f"baseline, {self.cases_unmatched} without a baseline"]
-        if self.ok:
-            lines.append("  no regression beyond thresholds")
+    def judge(self, series: str, metric: str, history: List[float],
+              latest: float, threshold: float) -> None:
+        """Flag *latest* if it moved past *threshold* from the median of
+        *history* (a relative change needs a positive baseline)."""
+        *_, points, two_sided = METRICS[metric]
+        base = float(median(history))
+        if points:
+            change = latest - base
+        elif base > 0:
+            change = (latest - base) / base
         else:
-            lines.extend(f"  {flag.format()}" for flag in self.flags)
-        return "\n".join(lines)
+            return
+        if (abs(change) if two_sided else -change) > threshold:
+            self.flags.append(Flag(series, metric, base, float(latest),
+                                   change, threshold))
+
+    def blocks(self) -> list:
+        out = [Para(f"{self.gate}: {self.checked} series judged against "
+                    f"history, {self.unmatched} without history")]
+        if self.skipped:
+            out.append(Para(f"{self.skipped} unreadable ledger line(s) "
+                            "skipped"))
+        if self.ok:
+            what = "drift" if self.gate == "watch" else "regression"
+            return out + [Para(f"no {what} beyond thresholds")]
+        return out + [Table("tcnnnn", ["flag", "series", "baseline",
+                                       "latest", "change", "threshold"],
+                            [flag.row() for flag in self.flags])]
+
+    def format(self) -> str:
+        return render_text(self.blocks())
+
+
+def detect_drift(records: List[LedgerRecord],
+                 time_threshold: float = TIME_THRESHOLD,
+                 error_threshold: float = ERROR_THRESHOLD) -> GateReport:
+    """Judge each run group's newest record against its earlier ones:
+    parallel time relatively, percent error in points, both two-sided.
+    A group of one record has no history; cached replays reproduce the
+    recorded result exactly, so an unchanged simulator never flags."""
+    report = GateReport("watch")
+    groups: Dict[Tuple, List[LedgerRecord]] = {}
+    for record in records:
+        groups.setdefault(record.group(), []).append(record)
+    for (workload, config, n_cpus, scale), (*history, latest) in sorted(
+            groups.items()):
+        if not history:
+            report.unmatched += 1
+            continue
+        report.checked += 1
+        series = f"{workload}@{config}/P{n_cpus}/{scale}"
+        report.judge(series, "time", [r.parallel_ps for r in history],
+                     latest.parallel_ps, time_threshold)
+        errors = [r.percent_error for r in history
+                  if r.percent_error is not None]
+        if latest.percent_error is not None and errors:
+            report.judge(series, "accuracy", errors, latest.percent_error,
+                         error_threshold)
+    return report
 
 
 def diff_bench(baseline: List[BenchRecord], current: List[BenchRecord],
-               time_threshold: float = PERF_THRESHOLD) -> PerfDiffReport:
-    """Compare *current* records against same-case *baseline* records.
-
-    Throughput compares events/sec when both sides carry it (the
-    machine-independent-ish metric), else inverse wall time.
-    """
-    report = PerfDiffReport()
-    by_case = {record.case: record for record in baseline}
+               time_threshold: float = PERF_THRESHOLD) -> GateReport:
+    """Judge each *current* record's throughput against its same-case
+    *baseline* records, drop-only: events/sec when every record carries
+    it (the machine-independent-ish metric), else inverse wall time."""
+    report = GateReport("perf")
+    history: Dict[str, List[BenchRecord]] = {}
+    for record in baseline:
+        history.setdefault(record.case, []).append(record)
     for record in current:
-        base = by_case.get(record.case)
+        base = history.get(record.case)
         if base is None:
-            report.cases_unmatched += 1
+            report.unmatched += 1
             continue
-        report.cases_checked += 1
-        if (record.events_per_sec and base.events_per_sec
-                and base.events_per_sec > 0):
-            was, now = base.events_per_sec, record.events_per_sec
-        elif record.wall_s > 0 and base.wall_s > 0:
-            was, now = 1.0 / base.wall_s, 1.0 / record.wall_s
+        report.checked += 1
+        if record.events_per_sec and all(b.events_per_sec for b in base):
+            was, now = [b.events_per_sec for b in base], record.events_per_sec
+        elif record.wall_s > 0 and all(b.wall_s > 0 for b in base):
+            was, now = [1.0 / b.wall_s for b in base], 1.0 / record.wall_s
         else:
             continue
-        change = now / was - 1.0
-        if change < -time_threshold:
-            report.flags.append(PerfFlag(
-                case=record.case, baseline=was, latest=now,
-                change=change, threshold=time_threshold))
+        report.judge(record.case, "throughput", was, now, time_threshold)
     return report

@@ -431,8 +431,7 @@ class TestBisect:
         workload = make_app("fft", TINY_SCALE)
         report = ckpt.bisect_divergence(
             simos_mipsy(150), simos_mipsy(225), workload,
-            n_cpus=1, scale=TINY_SCALE, at_ps=straight.total_ps // 2,
-            with_context=True)
+            n_cpus=1, scale=TINY_SCALE, at_ps=straight.total_ps // 2)
         assert not report.identical
         assert report.probes <= report.probe_budget
         assert report.event_a is not None and report.event_b is not None
@@ -448,10 +447,42 @@ class TestBisect:
         workload = make_app("fft", TINY_SCALE)
         report = ckpt.bisect_divergence(
             simos_mipsy(150), simos_mipsy(150), workload,
-            n_cpus=1, scale=TINY_SCALE, at_ps=straight.total_ps // 2,
-            with_context=False)
+            n_cpus=1, scale=TINY_SCALE, at_ps=straight.total_ps // 2)
         assert report.identical
         assert report.events_a == report.events_b
+
+
+    #: What the earlier bisector (a recorded and a traced replay per side)
+    #: returned for the two pairs above; the checkpoint key is left out
+    #: because it is keyed by the source fingerprint.
+    RECORDED = {
+        225: dict(index=0, probes=16, events_a=26476, events_b=26475,
+                  event_a={"event": "Event._fire", "when_ps": 3947099122},
+                  event_b={"event": "Steps._walk", "when_ps": 3944768839},
+                  spans_a=["barrier_arrive", "barrier_release",
+                           "barrier_wait", "miss", "l1d0.miss", "l20.miss"],
+                  spans_b=["total", "txn.read", "chunk:fft/row_fft",
+                           "barrier_arrive", "barrier_release", "pp.home"]),
+        150: dict(index=None, probes=1, events_a=26476, events_b=26476,
+                  event_a=None, event_b=None, spans_a=[], spans_b=[]),
+    }
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("mhz_b", sorted(RECORDED))
+    def test_bisect_result_is_the_recorded_one(self, straight, mhz_b):
+        """One replay per side feeds the digest chain and the span tracer;
+        the result equals the two-replays-per-side bisector's."""
+        report = ckpt.bisect_divergence(
+            simos_mipsy(150), simos_mipsy(mhz_b), make_app("fft", TINY_SCALE),
+            n_cpus=1, scale=TINY_SCALE, at_ps=straight.total_ps // 2)
+        assert straight.total_ps // 2 == 3402154282
+        assert report.resumed_at_ps == 3944713839
+        got = {field: getattr(report, field) for field in
+               ("index", "probes", "events_a", "events_b", "event_a",
+                "event_b")}
+        got["spans_a"] = [span["name"] for span in report.context_a]
+        got["spans_b"] = [span["name"] for span in report.context_b]
+        assert got == self.RECORDED[mhz_b]
 
 
 # -- command line ---------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.common.errors import ConfigurationError
 from repro.engine import Engine
 from repro.mem.address import node_base
 from repro.mem.cache import MODIFIED
@@ -12,6 +13,7 @@ from repro.memsys import (
     numa,
     predict_case_ps,
 )
+from repro.memsys.params import PARAM_SETS
 from repro.proto.directory import SHARED, UNOWNED
 
 from tests.test_memsys import StubNode, build, run_request
@@ -99,3 +101,32 @@ class TestLatencyAccounting:
         from repro.common.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
             predict_case_ps(hardware(16), "local_mystery")
+
+
+class TestParamsAreChecked:
+    """A timing no machine has is a ConfigurationError at construction."""
+
+    @pytest.mark.parametrize("name", sorted(PARAM_SETS))
+    def test_every_named_set_is_valid(self, name):
+        assert PARAM_SETS[name](16).name
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.55, 1.0])
+    def test_occupancy_ablation_endpoints_are_valid(self, fraction):
+        params = hardware().with_updates(pp_occ_fraction=fraction)
+        assert params.pp_occ_fraction == fraction
+
+    def test_negative_case_extra_is_left_to_the_plans(self):
+        params = hardware().with_updates(case_extra_ps={"local_clean": -5})
+        assert params.extra("local_clean") == -5
+
+    @pytest.mark.parametrize("field,value", [
+        ("bus_ps", -1), ("pp_out_ps", -1), ("pp_home_ps", -1),
+        ("pp_mem_ps", -1), ("pp_redirect_ps", -1), ("pp_ivn_ps", -1),
+        ("pp_inval_ps", -1), ("pp_reply_ps", -1), ("pp_wb_ps", -1),
+        ("dram_ps", -1), ("owner_cache_ps", -1),
+        ("req_flits", 0), ("data_flits", 0),
+        ("pp_occ_fraction", -0.01), ("pp_occ_fraction", 1.01),
+    ])
+    def test_impossible_timing_is_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            hardware().with_updates(**{field: value})

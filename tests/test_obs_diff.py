@@ -347,6 +347,20 @@ class TestMetricsWriter:
     def test_read_ledger_missing_file_is_empty(self, tmp_path):
         assert obs_metrics.read_ledger(tmp_path / "nope.jsonl") == []
 
+    def test_scan_ledger_counts_torn_and_invalid_but_not_foreign(
+            self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        good = json.dumps(sample_record())
+        path.write_text("\n".join([
+            good, good[: len(good) // 2],                 # torn
+            json.dumps(sample_record(schema=99)),         # foreign history
+            json.dumps(sample_record(outcome="maybe")),   # schema-invalid
+            "[1, 2]", good]) + "\n")
+        records, problems = obs_metrics.scan_ledger(path)
+        assert len(records) == 2
+        assert [p.split(":")[0] for p in problems] == [
+            "invalid line 2", "invalid line 4", "invalid line 5"]
+
 
 class TestDetectDrift:
     def group_records(self, parallel_list, errors=None):
@@ -357,17 +371,17 @@ class TestDetectDrift:
 
     def test_single_record_groups_cannot_drift(self):
         report = obs_metrics.detect_drift(self.group_records([1000]))
-        assert report.ok and report.groups_checked == 0
+        assert report.ok and report.checked == 0
 
     def test_identical_replays_never_flag(self):
         report = obs_metrics.detect_drift(self.group_records([1000] * 5))
-        assert report.ok and report.groups_checked == 1
+        assert report.ok and report.checked == 1
 
     def test_time_drift_beyond_threshold_flags(self):
         report = obs_metrics.detect_drift(
             self.group_records([1000, 1000, 1100]))
         assert not report.ok
-        assert report.flags[0].kind == "time"
+        assert report.flags[0].metric == "time"
         assert report.flags[0].change == pytest.approx(0.10)
 
     def test_baseline_is_median_so_one_old_outlier_is_harmless(self):
@@ -378,7 +392,7 @@ class TestDetectDrift:
     def test_accuracy_drift_flags_in_points(self):
         report = obs_metrics.detect_drift(self.group_records(
             [1000, 1000, 1000], errors=[10.0, 10.0, 12.5]))
-        assert [f.kind for f in report.flags] == ["accuracy"]
+        assert [f.metric for f in report.flags] == ["accuracy"]
         assert report.flags[0].change == pytest.approx(2.5)
 
     def test_report_format_names_the_group(self):
@@ -434,6 +448,18 @@ class TestWatchCli:
         self.write_ledger(path, [1000, 1000, 1200])
         assert obs_main(["watch", "--ledger", str(path)]) == 1
         assert "DRIFT[time]" in capsys.readouterr().out
+
+    def test_torn_middle_line_is_reported_in_the_verdict(self, tmp_path,
+                                                         capsys):
+        path = tmp_path / "ledger.jsonl"
+        self.write_ledger(path, [1000, 1000, 1000])
+        lines = path.read_text().splitlines()
+        lines.insert(1, lines[1][:20])          # a writer killed mid-append
+        path.write_text("\n".join(lines) + "\n")
+        assert obs_main(["watch", "--ledger", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 unreadable ledger line(s) skipped" in out
+        assert "no drift" in out
 
     def test_thresholds_are_tunable(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -126,8 +126,8 @@ class TestDiffBench:
     def test_unmatched_cases_gate_nothing(self):
         report = perf.diff_bench([], [record()])
         assert report.ok
-        assert report.cases_checked == 0
-        assert report.cases_unmatched == 1
+        assert report.checked == 0
+        assert report.unmatched == 1
         assert "no regression" in report.format()
 
 

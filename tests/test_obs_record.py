@@ -2,11 +2,12 @@
 and ledger row.
 
 Two layers: the codec's promises checked over a small instance of each
-of the nine ``Record`` classes under ``repro.obs`` and the calibration's
-``TuningReport`` (round trip, JSON,
-copies in both directions, strictness, defaults), then the payloads an
-earlier codec wrote -- the three committed payload goldens -- read back
-equal with no simulation.
+of the ``Record`` classes under ``repro.obs``, the bisector's
+``DivergenceReport`` and the calibration's ``TuningReport`` (round trip,
+JSON, copies in both directions, strictness, defaults; a report view
+renders the same from its payload), then the payloads an earlier codec
+wrote -- the three committed payload goldens -- read back equal with no
+simulation.
 """
 
 import copy
@@ -16,11 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.ckpt.bisect import DivergenceReport
 from repro.common.errors import ConfigurationError
 from repro.obs.diff import AttributionDiff, CategoryDelta
-from repro.obs.doc import render_text
+from repro.obs.doc import render_markdown, render_text
 from repro.obs.hotspot import HotRegion, HotspotReport
-from repro.obs.metrics import BenchRecord, LedgerRecord
+from repro.obs.metrics import BenchRecord, Flag, GateReport, LedgerRecord
 from repro.obs.profile import CpuBreakdown, RunBreakdown
 from repro.obs.txn import TxnReport
 from repro.validation.tuning import TuningReport
@@ -35,6 +37,22 @@ DIFF = AttributionDiff(workload="fft", ref_config="hardware",
                        ref_machine_ps=200, cand_machine_ps=231,
                        ref_parallel_ps=90, cand_parallel_ps=99,
                        overall=DELTAS, per_cpu={1: DELTAS[:1], 0: DELTAS})
+
+GATE = GateReport(gate="watch", checked=2, unmatched=1, skipped=1,
+                  flags=[Flag(series="fft@hardware/P1/tiny", metric="time",
+                              baseline=1000.0, latest=1200.0, change=0.2,
+                              threshold=0.02)])
+DIVERGENCE = DivergenceReport(
+    config_a="simos-mipsy-150", config_b="simos-mipsy-225",
+    workload="fft-tlb", checkpoint_key="be89942349272b10",
+    resumed_at_ps=100, events_a=12, events_b=11, index=1, probes=4,
+    event_a={"when_ps": 120, "event": "Event._fire"},
+    event_b={"when_ps": 110, "event": "Steps._walk"},
+    neighborhood_a=[{"index": 0, "when_ps": 100, "event": "Steps._walk"},
+                    {"index": 1, "when_ps": 120, "event": "Event._fire"}],
+    neighborhood_b=[{"index": 1, "when_ps": 110, "event": "Steps._walk"}],
+    context_a=[{"t_ps": 120, "category": "sync", "name": "barrier_wait",
+                "dur_ps": 0, "args": {"bid": 4, "cpu": 0}}])
 
 SAMPLES = [
     CpuBreakdown(cpu=0, total_ps=100, parts_ps={"busy": 60.0, "tlb": 40.0}),
@@ -67,6 +85,8 @@ SAMPLES = [
                  percent_error=-3.25, attribution={"busy": 1.0}, ts=2.5),
     BenchRecord(bench="b", case="fft@solo/P1/tiny/ref", wall_s=0.5,
                 events=100, events_per_sec=200.0),
+    GATE,
+    DIVERGENCE,
     TuningReport(reference_name="hardware",
                  target_cases_ns={"local_clean": 587.0},
                  before_cases_ns={"local_clean": 510.0},
@@ -141,6 +161,18 @@ class TestRecordContract:
         rebuilt = type(record).from_dict(payload)
         for name, default in defaults.items():
             assert getattr(rebuilt, name) == default
+
+
+@pytest.mark.parametrize("report", [
+    GATE, GateReport(gate="perf", checked=1),
+    DIVERGENCE, dataclasses.replace(DIVERGENCE, index=None, event_a=None,
+                                    event_b=None, events_b=12)])
+def test_verdict_renders_the_same_from_its_payload(report):
+    rebuilt = type(report).from_dict(json.loads(json.dumps(report.to_dict())))
+    assert render_text(rebuilt.blocks()) == render_text(report.blocks())
+    assert render_markdown(rebuilt.blocks()) == render_markdown(
+        report.blocks())
+    assert render_text(report.blocks()).strip()
 
 
 class TestAttributionKeys:

@@ -2,8 +2,7 @@
 
 Every stateful simulator component implements the :class:`Checkpointable`
 protocol -- ``ckpt_state()`` returning a JSON-able view of its complete
-state, ``ckpt_restore(state)`` injecting such a view back (raising when
-the state carries live coroutine machinery it cannot reconstruct).  The
+state, ``ckpt_restore(state)`` injecting such a view back.  The
 :class:`~repro.sim.machine.Machine` composes those views into one
 versioned checkpoint; this package adds the machinery around it:
 
@@ -40,7 +39,6 @@ from repro.ckpt.checkpoint import (
     SCHEMA_VERSION,
     Checkpoint,
     checkpoint_key,
-    injection_blockers,
     restore,
     resume,
     save,
@@ -52,6 +50,7 @@ from repro.ckpt.store import (
     load_file,
 )
 from repro.common.errors import CheckpointError
+from repro.sim.machine import injection_blockers
 
 
 @runtime_checkable
@@ -60,11 +59,11 @@ class Checkpointable(Protocol):
 
     ``ckpt_state`` must return plain JSON-able data (dicts, lists,
     strings, numbers, booleans) describing the component's *complete*
-    mutable state; ``ckpt_restore`` must either reproduce that state
-    exactly on a freshly constructed component or raise -- never
-    silently restore a subset.  Live events may be captured as fired/
-    pending markers for digesting, but only states free of them are
-    injectable.  Lint rule L3 checks that every stateful simulator class
+    mutable state; live events are captured as fired/pending markers.
+    ``ckpt_restore`` takes a freshly built component and a state that
+    :func:`~repro.sim.machine.injection_blockers` clears (the machine
+    checks first), reproduces it exactly, and raises only on a shape
+    mismatch.  Lint rule L3 checks that every stateful simulator class
     implements this protocol, both halves.
     """
 

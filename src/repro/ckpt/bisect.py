@@ -21,9 +21,10 @@ chains -- at most ``ceil(log2(events)) + 1`` probes on top of the two
 replays -- and the spans around it come from the same replay.
 
 Cross-configuration injection requires both configurations to share the
-machine shape (same CPU count, scale, core family, and TLB modelling);
-comparing, say, a Mipsy config against an MXS config is a shape mismatch
-the component ``ckpt_restore`` methods reject.
+machine shape (same CPU count, scale, core family, and TLB modelling).
+An in-order core (Mipsy, Embra) and a window core (MXS, R10K) capture
+different fields, so comparing, say, a Mipsy config against an MXS config
+fails with an error naming both field sets; MXS against R10K works.
 """
 
 from __future__ import annotations

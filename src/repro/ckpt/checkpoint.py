@@ -22,11 +22,12 @@ frames at the heart of the engine:
   restore can *inject* it into a fresh machine
   (``Machine.begin(workload, state=...)``) without replaying.
 
-Whether a captured state is injectable is decided structurally from the
-state itself (:func:`injection_blockers`): empty calendar, no MSHR
-transactions, no unfired write-buffer entries, no occupied window miss
-slots, no open barriers, no held locks, no busy directory lines or
-resources.
+Whether a captured state is injectable is decided once, from the state
+itself, by :func:`repro.sim.machine.injection_blockers` -- the same
+judgment :meth:`Machine.ckpt_restore` runs on every injection: empty
+calendar, no MSHR transactions, no unfired write-buffer entries, no
+occupied window miss slots, no open barriers, no held locks, no busy
+directory lines or resources.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ import base64
 import math
 import pickle
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro.common.canonical import code_fingerprint, stable_hash
 from repro.common.errors import CheckpointError
 from repro.obs import hooks as obs_hooks
-from repro.sim.machine import Machine
+from repro.sim.machine import Machine, injection_blockers
 from repro.sim.request import RunRequest
 from repro.sim.results import RunResult
 
@@ -175,62 +176,6 @@ def checkpoint_key(request: RunRequest, mode: str,
 
 def _component_digests(state: Dict[str, Any]) -> Dict[str, str]:
     return {name: stable_hash(part) for name, part in state.items()}
-
-
-# -- injectability --------------------------------------------------------
-
-
-def _resource_busy(res: Dict[str, Any]) -> bool:
-    return bool(res["in_use"] or res["queue"]
-                or res["busy_since"] is not None)
-
-
-def injection_blockers(state: Dict[str, Any]) -> List[str]:
-    """Why *state* cannot be injected into a fresh machine (empty = can).
-
-    Decided structurally from the captured state alone, mirroring the
-    checks every component's ``ckpt_restore`` enforces -- so a state this
-    function clears will inject without raising.
-    """
-    blockers: List[str] = []
-    engine = state["engine"]
-    if engine["heap"]:
-        blockers.append(f"{len(engine['heap'])} events on the calendar")
-    if engine["pending_dispatch"]:
-        blockers.append(f"{engine['pending_dispatch']} pending dispatches")
-    for i, iface in enumerate(state["ifaces"]):
-        if iface["mshr"]:
-            blockers.append(
-                f"iface{i}: {len(iface['mshr'])} MSHR transactions")
-        unfired = sum(1 for fired in iface["write_buffer"]["pending"]
-                      if not fired)
-        if unfired:
-            blockers.append(
-                f"iface{i}: {unfired} unfired write-buffer entries")
-    for i, core in enumerate(state["cores"]):
-        if core.get("inflight"):
-            blockers.append(
-                f"cpu{i}: {len(core['inflight'])} occupied miss slots")
-    sync = state["sync"]
-    if sync["barriers"]:
-        blockers.append(f"{len(sync['barriers'])} open barriers")
-    for lid, lock in sync["locks"]:
-        if _resource_busy(lock):
-            blockers.append(f"lock{lid} held")
-    memsys = state["memsys"]
-    for key, link in memsys["net"]["links"]:
-        if _resource_busy(link):
-            blockers.append(f"network link {key} busy")
-    for n, magic in enumerate(memsys["magic"]):
-        if _resource_busy(magic["pp"]):
-            blockers.append(f"node{n}: protocol processor busy")
-        if _resource_busy(magic["dram"]):
-            blockers.append(f"node{n}: DRAM bank busy")
-        busy = sum(1 for _line, entry in magic["directory"]["entries"]
-                   if entry["busy"])
-        if busy:
-            blockers.append(f"node{n}: {busy} busy directory lines")
-    return blockers
 
 
 # -- capture --------------------------------------------------------------
@@ -368,8 +313,8 @@ def restore(checkpoint: Checkpoint, method: Optional[str] = None) -> Machine:
 
     The checkpoint's code fingerprint is checked first, always.
     ``method=METHOD_INJECT`` plants the state into a fresh machine without
-    replaying (quiescent checkpoints only; every component's
-    ``ckpt_restore`` vets its share); ``method=METHOD_REPLAY`` re-runs the
+    replaying (quiescent checkpoints only, as :func:`injection_blockers`
+    judges); ``method=METHOD_REPLAY`` re-runs the
     request to the stop point and verifies every component digest against
     the checkpoint.  Default: :attr:`Checkpoint.restore_method`.
     """

@@ -73,6 +73,14 @@ class MachineScale:
     problem_factor: float
     description: str = ""
 
+    def __post_init__(self):
+        # Inclusion maps each L2 line onto whole L1d lines.
+        if self.l1d.line_bytes > self.l2.line_bytes:
+            raise ConfigurationError(
+                f"scale {self.name!r}: L1d line ({self.l1d.line_bytes} B) "
+                f"is larger than the L2 line ({self.l2.line_bytes} B)"
+            )
+
     @property
     def l2_colors(self) -> int:
         """Number of page colors in the (physically indexed) L2.

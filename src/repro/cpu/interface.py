@@ -353,15 +353,6 @@ class CpuMemInterface:
     def ckpt_restore(self, state: dict,
                      chunk_uids: Optional[List[int]] = None) -> None:
         """Inject; *chunk_uids* lists this process's chunk uid per rank."""
-        if state["mshr"]:
-            raise SimulationError(
-                f"iface{self.node}: cannot inject with "
-                f"{len(state['mshr'])} transactions in the MSHRs"
-            )
-        if self._mshr:
-            raise SimulationError(
-                f"iface{self.node}: refusing to inject over live MSHRs"
-            )
         self.l1d.ckpt_restore(state["l1d"])
         self.l2.ckpt_restore(state["l2"])
         if (self.tlb is None) != (state["tlb"] is None):

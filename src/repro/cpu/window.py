@@ -31,7 +31,6 @@ instruction.
 
 from __future__ import annotations
 
-from repro.common.errors import SimulationError
 from repro.cpu.core import CpuCore
 from repro.cpu.interface import L2_HIT, MISS, PENDING
 from repro.obs import hooks as obs_hooks
@@ -104,13 +103,6 @@ class WindowCore(CpuCore):
         return state
 
     def ckpt_restore(self, state: dict) -> None:
-        if state["inflight"]:
-            # Even *fired* slots still feed the miss-latency EMA on the next
-            # reap, so a window core is only injectable with an empty list.
-            raise SimulationError(
-                f"cpu{self.node}: cannot inject with "
-                f"{len(state['inflight'])} miss slots occupied"
-            )
         super().ckpt_restore(state)
         self._miss_ema = state["miss_ema"]
         self._inflight = []

@@ -209,17 +209,6 @@ class Engine:
 
     def ckpt_restore(self, state: dict) -> None:
         """Inject clock and counters into a fresh (empty-calendar) engine."""
-        if state["heap"] or state["pending_dispatch"]:
-            raise SimulationError(
-                "cannot inject engine state with live events: "
-                f"{len(state['heap'])} heap entries, "
-                f"{state['pending_dispatch']} pending dispatches "
-                "(only quiescent checkpoints are injectable; use replay)"
-            )
-        if self._heap or self._queue:
-            raise SimulationError(
-                "refusing to inject into an engine with scheduled events"
-            )
         self.now = state["now"]
         self._seq = state["seq"]
         self.events_processed = state["events_processed"]

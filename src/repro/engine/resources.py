@@ -173,15 +173,6 @@ class Resource:
         }
 
     def ckpt_restore(self, state: dict) -> None:
-        if state["in_use"] or state["queue"] or state["busy_since"] is not None:
-            raise SimulationError(
-                f"resource {self.name}: cannot inject a busy resource "
-                f"({state['in_use']} in use, {len(state['queue'])} queued)"
-            )
-        if self.in_use or self._queue:
-            raise SimulationError(
-                f"resource {self.name}: refusing to inject into a busy resource"
-            )
         self.requests = state["requests"]
         self._busy_since = None
         self.stats.ckpt_restore(state["stats"])

@@ -70,14 +70,5 @@ class WriteBuffer:
         }
 
     def ckpt_restore(self, state: dict) -> None:
-        if not all(state["pending"]):
-            raise ValueError(
-                "write buffer: cannot inject unfired in-flight stores "
-                f"({state['pending'].count(False)} outstanding)"
-            )
-        if any(not event.fired for event in self._inflight):
-            raise ValueError(
-                "write buffer: refusing to inject over outstanding stores"
-            )
         self._inflight = deque()
         self.stats.ckpt_restore(state["stats"])

@@ -125,12 +125,6 @@ class Directory:
         }
 
     def ckpt_restore(self, state: dict) -> None:
-        busy = [line for line, ent in state["entries"] if ent["busy"]]
-        if busy:
-            raise ProtocolError(
-                f"directory{self.node}: cannot inject with transactions in "
-                f"flight on lines {[hex(line) for line in busy[:4]]}"
-            )
         self._entries = {}
         for line, ent_state in state["entries"]:
             ent = DirEntry()

@@ -13,7 +13,7 @@ start irrelevant -- workloads warm themselves during their init phase.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.common.config import MachineScale, REPRO_SCALE
 from repro.common.errors import ConfigurationError, SimulationError
@@ -222,12 +222,27 @@ class Machine:
         }
 
     def ckpt_restore(self, state: dict) -> None:
-        """Inject a quiescent captured state into this (fresh) machine."""
+        """Inject a quiescent captured state into this (fresh) machine.
+
+        Injectability is judged here, once (:func:`injection_blockers`);
+        each component then checks only the shape of its share.
+        """
+        blockers = injection_blockers(state)
+        if blockers:
+            raise SimulationError(
+                "cannot inject a state with live machinery (use replay): "
+                + "; ".join(blockers))
         if len(state["cores"]) != self.n_cpus:
             raise ConfigurationError(
                 f"checkpoint has {len(state['cores'])} CPUs, "
                 f"this machine has {self.n_cpus}"
             )
+        for core, core_state in zip(self.cores, state["cores"]):
+            have, want = sorted(core_state), sorted(core.ckpt_state())
+            if have != want:
+                raise SimulationError(
+                    f"cpu{core.node}: checkpoint core fields {have} are not "
+                    f"{type(core).__name__} fields {want} (other core family)")
         self.env.ckpt_restore(state["engine"])
         self.registry.ckpt_restore(state["registry"])
         self.allocator.ckpt_restore(state["allocator"])
@@ -239,6 +254,46 @@ class Machine:
             iface.ckpt_restore(iface_state, chunk_uids)
         for core, core_state in zip(self.cores, state["cores"]):
             core.ckpt_restore(core_state)
+
+
+def injection_blockers(state: Dict[str, Any]) -> List[str]:
+    """Why *state* cannot be injected into a fresh machine (empty = can).
+
+    Each blocker is live machinery the :meth:`Machine.ckpt_state` view
+    marks but no restore can rebuild (a coroutine frame waits on it);
+    :meth:`Machine.ckpt_restore` refuses a state this lists.
+    """
+    blockers: List[str] = []
+
+    def count(n: int, what: str, where: str = "") -> None:
+        if n:
+            blockers.append(f"{where}{n} {what}")
+
+    engine, sync, memsys = state["engine"], state["sync"], state["memsys"]
+    count(len(engine["heap"]), "events on the calendar")
+    count(engine["pending_dispatch"], "pending dispatches")
+    for i, iface in enumerate(state["ifaces"]):
+        count(len(iface["mshr"]), "MSHR transactions", f"iface{i}: ")
+        count(iface["write_buffer"]["pending"].count(False),
+              "unfired write-buffer entries", f"iface{i}: ")
+    for i, core in enumerate(state["cores"]):
+        # Even a *fired* slot feeds a window core's miss EMA on its next reap.
+        count(len(core.get("inflight", ())), "occupied miss slots",
+              f"cpu{i}: ")
+    count(len(sync["barriers"]), "open barriers")
+    resources = [(f"lock{lid}", lock) for lid, lock in sync["locks"]]
+    resources += [(f"network link {key}", link)
+                  for key, link in memsys["net"]["links"]]
+    for n, magic in enumerate(memsys["magic"]):
+        resources += [(f"node{n}: protocol processor", magic["pp"]),
+                      (f"node{n}: DRAM bank", magic["dram"])]
+        count(sum(entry["busy"] for _line, entry
+                  in magic["directory"]["entries"]),
+              "busy directory lines", f"node{n}: ")
+    blockers += [f"{name} busy" for name, res in resources
+                 if res["in_use"] or res["queue"]
+                 or res["busy_since"] is not None]
+    return blockers
 
 
 def run_workload(config: SimulatorConfig, workload, n_cpus: int = 1,

@@ -83,15 +83,6 @@ class SyncDomain:
         }
 
     def ckpt_restore(self, state: dict) -> None:
-        if state["barriers"]:
-            raise SimulationError(
-                "cannot inject with cores waiting at barriers "
-                f"{[bid for bid, _ in state['barriers']]}"
-            )
-        if self._barriers:
-            raise SimulationError(
-                "refusing to inject into a domain with open barriers"
-            )
         self._locks = {}
         for lid, lock_state in state["locks"]:
             lock = Resource(self.env, f"lock{lid}")

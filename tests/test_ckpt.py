@@ -7,8 +7,9 @@ This module pins that contract:
 * per-component state survives a capture -> inject round trip exactly
   (caches, TLB LRU order, write buffer, directory, fabric queues, RNG
   streams, event-calendar tie order);
-* components refuse to inject states carrying live coroutine machinery
-  (that is what replay-mode restore is for);
+* a machine refuses to inject a state carrying live coroutine machinery
+  (that is what replay-mode restore is for), naming every blocker in one
+  error, and refuses a state captured by another core family;
 * the whole-machine property: saving at an arbitrary instant in either
   mode and restoring by either method reproduces the straight run's
   RunResult dict bit for bit, across the determinism suite's
@@ -24,6 +25,7 @@ This module pins that contract:
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,18 +35,15 @@ from repro import ckpt
 from repro.ckpt.bisect import EventStreamRecorder, first_divergence
 from repro.ckpt.checkpoint import CheckpointGate
 from repro.common.config import TINY_SCALE
-from repro.common.errors import (
-    CheckpointError,
-    ProtocolError,
-    SimulationError,
-)
+from repro.common.errors import CheckpointError, SimulationError
 from repro.common.rng import RngStream
 from repro.engine import Engine
 from repro.obs import hooks as obs_hooks
 from repro.obs.topo import TopoRecorder
 from repro.obs.trace import TraceRecorder
 from repro.obs.txn import TxnRecorder
-from repro.sim import RunRequest, simos_mipsy
+from repro.sim import RunRequest, hardware_config, simos_mipsy, simos_mxs
+from repro.sim import machine as machine_mod
 from repro.workloads import TlbTimer, make_app
 
 
@@ -149,60 +148,120 @@ class TestComponentRoundTrips:
         assert not saved["cores"][0]["done"]
 
 
-class TestComponentRefusals:
-    """States carrying live machinery cannot be injected."""
+def _busy(resource):
+    return {**resource, "in_use": 1, "busy_since": 0}
 
-    def _restore_tampered(self, checkpoint, mutate):
-        state = json.loads(json.dumps(checkpoint.state))
-        mutate(state)
+
+def _hold_lock(state):
+    state["sync"]["locks"] = [[7, _busy(state["memsys"]["magic"][0]["pp"])]]
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def mutate(state):
+        for step in path:
+            state = state[step]
+        state[key] = value(state[key]) if callable(value) else value
+    return mutate
+
+
+#: (case, tamper, what the blocker names) -- one case per blocker kind
+#: ``injection_blockers`` knows, on a two-CPU quiescent state.
+BLOCKER_CASES = [
+    ("calendar", _set("engine", "heap", [[1, 1, "callback"]]),
+     "1 events on the calendar"),
+    ("dispatch", _set("engine", "pending_dispatch", 2),
+     "2 pending dispatches"),
+    ("mshr", _set("ifaces", 0, "mshr", [[64, False]]),
+     "iface0: 1 MSHR transactions"),
+    ("write_buffer", _set("ifaces", 1, "write_buffer", "pending", [False]),
+     "iface1: 1 unfired write-buffer entries"),
+    ("miss_slots", _set("cores", 0, "inflight", [[True, 0.0]]),
+     "cpu0: 1 occupied miss slots"),
+    ("barrier", _set("sync", "barriers", [[0, 1]]), "1 open barriers"),
+    ("lock", _hold_lock, "lock7 busy"),
+    ("link", _set("memsys", "net", "links", 0, 1, _busy),
+     "network link 0->1 busy"),
+    ("pp", _set("memsys", "magic", 1, "pp", _busy),
+     "node1: protocol processor busy"),
+    ("dram", _set("memsys", "magic", 0, "dram", _busy),
+     "node0: DRAM bank busy"),
+    ("directory", _set("memsys", "magic", 0, "directory", "entries", 0, 1,
+                       "busy", True),
+     "node0: 1 busy directory lines"),
+]
+
+
+class TestInjectionBlockers:
+    """Injectability is judged once: every blocker ``injection_blockers``
+    lists is what ``Machine.begin(state=)`` refuses with, all at once."""
+
+    @pytest.fixture(scope="class")
+    def quiesced_p2(self, straight):
+        checkpoint = ckpt.save(tiny_request(n_cpus=2),
+                               at_ps=straight.total_ps // 2,
+                               mode=ckpt.MODE_QUIESCE)
+        assert ckpt.injection_blockers(checkpoint.state) == []
+        return checkpoint
+
+    def _inject(self, checkpoint, state):
         request = checkpoint.request()
         request.machine().begin(request.workload, state=state)
 
-    def test_engine_refuses_live_calendar(self, quiesced):
-        with pytest.raises(SimulationError, match="live events"):
-            self._restore_tampered(
-                quiesced,
-                lambda s: s["engine"]["heap"].append([1, 1, "callback"]))
+    def _tampered(self, checkpoint, *mutations):
+        state = json.loads(json.dumps(checkpoint.state))
+        for mutate in mutations:
+            mutate(state)
+        return state
 
-    def test_write_buffer_refuses_unfired_stores(self, quiesced):
-        def mutate(state):
-            state["ifaces"][0]["write_buffer"]["pending"] = [False]
-        with pytest.raises(ValueError, match="unfired in-flight stores"):
-            self._restore_tampered(quiesced, mutate)
+    def test_one_check_is_the_machines(self):
+        assert ckpt.injection_blockers is machine_mod.injection_blockers
 
-    def test_directory_refuses_busy_lines(self, quiesced):
-        def mutate(state):
-            entries = state["memsys"]["magic"][0]["directory"]["entries"]
-            entries[0][1]["busy"] = True
-        with pytest.raises(ProtocolError, match="transactions in"):
-            self._restore_tampered(quiesced, mutate)
+    @pytest.mark.parametrize("mutate,named",
+                             [case[1:] for case in BLOCKER_CASES],
+                             ids=[case[0] for case in BLOCKER_CASES])
+    def test_blocker_is_listed_and_refused(self, quiesced_p2, mutate, named):
+        state = self._tampered(quiesced_p2, mutate)
+        assert ckpt.injection_blockers(state) == [named]
+        with pytest.raises(SimulationError, match=re.escape(named)):
+            self._inject(quiesced_p2, state)
 
-    def test_resource_refuses_occupancy(self, quiesced):
-        def mutate(state):
-            state["memsys"]["magic"][0]["pp"]["in_use"] = 1
-        with pytest.raises(SimulationError, match="busy resource"):
-            self._restore_tampered(quiesced, mutate)
+    def test_one_refusal_names_every_blocker(self, quiesced_p2):
+        # Three components that used to refuse one at a time, with three
+        # different exception types.
+        picked = [case for case in BLOCKER_CASES
+                  if case[0] in ("calendar", "write_buffer", "directory")]
+        state = self._tampered(quiesced_p2, *(case[1] for case in picked))
+        with pytest.raises(SimulationError) as info:
+            self._inject(quiesced_p2, state)
+        for _name, _mutate, named in picked:
+            assert named in str(info.value)
 
-    def test_sync_refuses_open_barriers(self, quiesced):
-        def mutate(state):
-            state["sync"]["barriers"] = [[0, 1]]
-        with pytest.raises(SimulationError, match="barrier"):
-            self._restore_tampered(quiesced, mutate)
-
-    def test_mshr_refuses_transactions(self, quiesced):
-        def mutate(state):
-            state["ifaces"][0]["mshr"] = [[64, False]]
-        with pytest.raises(SimulationError, match="MSHR"):
-            self._restore_tampered(quiesced, mutate)
-
-    def test_blockers_explain_every_refusal(self, quiesced):
-        state = json.loads(json.dumps(quiesced.state))
+    def test_window_state_into_in_order_core_is_named(self, quiesced):
+        state = self._tampered(quiesced,
+                               _set("cores", 0, "miss_ema", 0.0),
+                               _set("cores", 0, "inflight", []))
         assert ckpt.injection_blockers(state) == []
-        state["engine"]["heap"].append([1, 1, "callback"])
-        state["sync"]["barriers"] = [[0, 1]]
-        blockers = ckpt.injection_blockers(state)
-        assert any("calendar" in b for b in blockers)
-        assert any("barrier" in b for b in blockers)
+        with pytest.raises(SimulationError,
+                           match=r"cpu0: .*'inflight'.*MipsyCore"):
+            self._inject(quiesced, state)
+
+    def test_window_cores_share_their_fields(self):
+        # Why MXS <-> R10K (hardware) bisection injects.
+        fields = [sorted(RunRequest(config, make_app("fft", TINY_SCALE),
+                                    scale=TINY_SCALE).machine()
+                         .cores[0].ckpt_state())
+                  for config in (simos_mxs(), hardware_config())]
+        assert fields[0] == fields[1]
+        assert "inflight" in fields[0]
+
+    def test_in_order_state_into_window_core_is_named(self, quiesced):
+        with pytest.raises(CheckpointError,
+                           match=r"simos-mxs.*cpu0: .*MxsCore.*'inflight'"):
+            ckpt.bisect_divergence(
+                simos_mipsy(150), simos_mxs(), make_app("fft", TINY_SCALE),
+                scale=TINY_SCALE, checkpoint=quiesced)
 
 
 class TestEventCalendar:
@@ -219,16 +278,6 @@ class TestEventCalendar:
         heap = env.ckpt_state()["heap"]
         assert [entry[0] for entry in heap] == [5, 5]
         assert heap[0][1] < heap[1][1]  # FIFO among ties
-
-    def test_restore_refuses_live_heap_on_either_side(self):
-        env = Engine()
-        env.schedule_at(5, lambda _arg: None, None)
-        state = env.ckpt_state()
-        with pytest.raises(SimulationError, match="live events"):
-            Engine().ckpt_restore(state)
-        idle = Engine().ckpt_state()
-        with pytest.raises(SimulationError, match="scheduled events"):
-            env.ckpt_restore(idle)
 
     def test_pause_by_events_resumes_identically(self, straight):
         request = tiny_request()

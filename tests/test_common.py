@@ -1,5 +1,7 @@
 """Units, scales, stats, RNG utilities."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import (
@@ -63,6 +65,14 @@ class TestScales:
             CacheGeometry(1024, 33, 2)   # line not a power of two
         with pytest.raises(ConfigurationError):
             TlbGeometry(entries=8, page_bytes=300)
+
+    def test_l1d_line_larger_than_l2_line_rejected(self):
+        # Such a machine would build and run, with L2 evictions clearing
+        # no L1 line and every fill mirrored into L1 line 0.
+        with pytest.raises(ConfigurationError, match="L1d line .256 B."):
+            dataclasses.replace(TINY_SCALE, l1d=CacheGeometry(1024, 256, 2))
+        equal = dataclasses.replace(TINY_SCALE, l1d=CacheGeometry(1024, 128, 2))
+        assert equal.l1d.line_bytes == equal.l2.line_bytes
 
 
 class TestStats:

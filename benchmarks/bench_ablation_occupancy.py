@@ -20,9 +20,9 @@ def _sweep():
     rows = []
     times = []
     for fraction in (0.0, 0.55, 1.0):
-        params = base.memsys_params(16).with_updates(
+        params = base.memsys.with_updates(
             pp_occ_fraction=fraction, name=f"fl-occ{fraction}")
-        config = base.with_memsys_override(params, f"-occ{fraction}")
+        config = base.derive(f"-occ{fraction}", memsys=params)
         result = run_workload(config, make_app("radix"), 16,
                               placement=Placement.NODE0)
         rows.append([f"{fraction:.2f}", f"{result.parallel_ns / 1e6:.2f}"])

@@ -18,8 +18,8 @@ def _sweep():
     times = []
     for width in (1, 2, 4, 8):
         base = simos_mxs(tuned=True)
-        config = base.with_core(base.core.with_updates(width=width),
-                                f"-w{width}")
+        config = base.derive(f"-w{width}",
+                             core=base.core.with_updates(width=width))
         result = run_workload(config, make_app("fft"), 1)
         rows.append([str(width), f"{result.parallel_ns / 1e6:.2f}"])
         times.append(result.parallel_ps)

@@ -28,8 +28,7 @@ from repro.workloads import make_app
 @pytest.mark.slow
 def test_checkpoint_cost_and_size():
     """Save/restore latency and on-disk size for a mid-run checkpoint."""
-    request = RunRequest(simos_mipsy(150), make_app("fft", TINY_SCALE),
-                         1, TINY_SCALE)
+    request = RunRequest(simos_mipsy(150), make_app("fft", TINY_SCALE), 1)
     straight = request.execute()
 
     start = time.perf_counter()

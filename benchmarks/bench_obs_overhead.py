@@ -69,9 +69,9 @@ def _reference_run(*recorders):
     start = time.perf_counter()
     if recorders:
         with obs_hooks.observing(*recorders):
-            run_workload(config, workload, 2, scale)
+            run_workload(config, workload, 2)
     else:
-        run_workload(config, workload, 2, scale)
+        run_workload(config, workload, 2)
     return time.perf_counter() - start
 
 

@@ -141,7 +141,7 @@ def attribution_snapshot(golden_id: str) -> dict:
         # One fresh recorder per run: breakdowns must not blend.
         with hooks.observing(TraceRecorder()):
             runs.append(farm_hooks.run(RunRequest(
-                get_config(config_name), workload, 1, REPRO_SCALE)))
+                get_config(config_name), workload, 1)))
     return diff_runs(runs[0], runs[1]).to_dict()
 
 
@@ -154,7 +154,7 @@ def hotspot_snapshot(golden_id: str) -> dict:
     workload_name, config_name, n_cpus = HOTSPOT_IDS[golden_id]
     return evidence(get_config(config_name),
                     make_app(workload_name, REPRO_SCALE), n_cpus,
-                    REPRO_SCALE, kinds=("topo",))["topo"]
+                    kinds=("topo",))["topo"]
 
 
 def txn_snapshot(golden_id: str) -> dict:
@@ -167,7 +167,7 @@ def txn_snapshot(golden_id: str) -> dict:
     workload_name, config_name, n_cpus = TXN_IDS[golden_id]
     scale = get_scale("tiny")
     return evidence(get_config(config_name), make_app(workload_name, scale),
-                    n_cpus, scale, kinds=("txn",))["txn"]
+                    n_cpus, kinds=("txn",))["txn"]
 
 
 def ckpt_snapshot(golden_id: str) -> dict:
@@ -188,7 +188,7 @@ def ckpt_snapshot(golden_id: str) -> dict:
     workload_name, config_name, n_cpus = CKPT_IDS[golden_id]
     scale = get_scale("tiny")
     workload = make_app(workload_name, scale)
-    request = RunRequest(get_config(config_name), workload, n_cpus, scale)
+    request = RunRequest(get_config(config_name), workload, n_cpus)
     straight = request.execute()
     checkpoint = save(request, at_ps=straight.total_ps // 2)
     return {
@@ -224,7 +224,7 @@ def calendar_snapshot(golden_id: str) -> dict:
     out = {}
     for workload_name, n_cpus in CALENDAR_IDS[golden_id]:
         request = RunRequest(get_config("hardware"),
-                             make_app(workload_name, scale), n_cpus, scale)
+                             make_app(workload_name, scale), n_cpus)
         machine = request.machine()
         machine.begin(request.workload)
         machine.env.tracer = stream = _WhenDigest()
@@ -296,9 +296,8 @@ class _ProbeDigest(hooks.Recorder):
 
 def miss_path_snapshot(golden_id: str) -> dict:
     """Calendar, memory-system state and probe-stream digests per run."""
-    import dataclasses
-
     from repro.common.config import get_scale
+    from repro.memsys.params import PARAM_SETS
     from repro.obs.txn import TxnRecorder
     from repro.sim.configs import get_config
     from repro.sim.request import RunRequest
@@ -307,10 +306,8 @@ def miss_path_snapshot(golden_id: str) -> dict:
     scale = get_scale("tiny")
     out = {}
     for workload_name, config_name, memsys, n_cpus in MISS_PATH_IDS[golden_id]:
-        config = dataclasses.replace(get_config(config_name),
-                                     memsys_key=memsys)
-        request = RunRequest(config, make_app(workload_name, scale), n_cpus,
-                             scale)
+        config = get_config(config_name).derive(memsys=PARAM_SETS[memsys]())
+        request = RunRequest(config, make_app(workload_name, scale), n_cpus)
         machine = request.machine()
         machine.begin(request.workload)
         machine.env.tracer = stream = _WhenDigest()
@@ -398,7 +395,7 @@ def rows_snapshot(golden_id: str) -> dict:
         for config_name in config_names:
             workload = (ResidentRows(scale) if workload_name == "resident"
                         else make_app(workload_name, scale))
-            request = RunRequest(get_config(config_name), workload, 1, scale)
+            request = RunRequest(get_config(config_name), workload, 1)
             machine = request.machine()
             result = machine.run(workload)
             state = machine.ckpt_state()

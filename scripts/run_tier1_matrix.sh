@@ -42,7 +42,8 @@ echo "=== tier-1 gate passed ==="
 # observes, the machine assembly (`sim`) that is neither (so code moved
 # into it reads as a move, not a cut), the ambient slots, and the dict
 # codecs written by hand (a payload kind that spells its fields out
-# again shows up here) -- so a PR can quote them.
+# again shows up here), and the configuration fields a run is spelled
+# in (one decision, one field) -- so a PR can quote them.
 lines() { find "$@" -name '*.py' -exec cat {} + | wc -l; }
 echo "=== size budget (wc -l and a slot count, report-only) ==="
 printf '%-54s %6d\n' \
@@ -64,7 +65,19 @@ printf '%-54s %6d\n' \
             src/repro/obs src/repro/ckpt | awk -F: '{n += $NF} END {print n}')" \
     "ambient slots (len(repro.lint.rules.AMBIENT_SLOTS))" \
     "$(PYTHONPATH=src python -c \
-        'from repro.lint.rules import AMBIENT_SLOTS; print(len(AMBIENT_SLOTS))')"
+        'from repro.lint.rules import AMBIENT_SLOTS; print(len(AMBIENT_SLOTS))')" \
+    "config fields (run request + the recipe it carries)" \
+    "$(PYTHONPATH=src python -c '
+import dataclasses
+from repro.cpu.base import CoreParams
+from repro.memsys.params import DsmParams
+from repro.network.fabric import NetworkParams
+from repro.os.base import OsModel
+from repro.sim.configs import SimulatorConfig
+from repro.sim.request import RunRequest
+print(sum(len(dataclasses.fields(cls)) for cls in (
+    SimulatorConfig, CoreParams, DsmParams, NetworkParams, OsModel,
+    RunRequest)))')"
 # Options a user can pass (positionals included, --help not), summed over
 # each CLI's subcommands by argparse introspection.
 printf '%-54s %6s\n' "CLI options (repro.obs/repro.ckpt/repro.harness)" \

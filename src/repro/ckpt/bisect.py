@@ -230,8 +230,8 @@ def _event_at(recorder: EventStreamRecorder,
     return {"when_ps": when, "event": name}
 
 
-def bisect_divergence(config_a, config_b, workload, n_cpus: int = 1,
-                      scale=None, at_ps: int = 0, seed: int = DEFAULT_SEED,
+def bisect_divergence(config_a, config_b, workload, n_cpus: int = 1, *,
+                      at_ps: int = 0, seed: int = DEFAULT_SEED,
                       placement: Optional[str] = None,
                       checkpoint: Optional[Checkpoint] = None
                       ) -> DivergenceReport:
@@ -246,7 +246,7 @@ def bisect_divergence(config_a, config_b, workload, n_cpus: int = 1,
     """
     kwargs = {} if placement is None else {"placement": placement}
     request_a, request_b = (
-        RunRequest(config, workload, n_cpus, scale, seed=seed, **kwargs)
+        RunRequest(config, workload, n_cpus, seed=seed, **kwargs)
         for config in (config_a, config_b))
     if checkpoint is None:
         checkpoint = save(request_a, at_ps=at_ps, mode=MODE_QUIESCE)

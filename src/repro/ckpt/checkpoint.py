@@ -186,13 +186,12 @@ def _capture(machine: Machine, request: RunRequest, stop: Dict[str, Any],
     state = machine.ckpt_state()
     digests = _component_digests(state)
     blockers = injection_blockers(state)
-    scale = request.effective_scale()
     manifest = {
         "request": request.describe(),
         "config": request.config.name,
         "workload": request.workload.name,
         "n_cpus": request.n_cpus,
-        "scale": scale.name,
+        "scale": request.workload.scale.name,
         "placement": request.placement,
         "seed": request.seed,
     }

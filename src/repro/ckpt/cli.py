@@ -191,8 +191,7 @@ def cmd_bisect(args: argparse.Namespace) -> int:
     a, b = (build_request(args, name) for name in (args.config_a,
                                                    args.config_b))
     report = ckpt_bisect.bisect_divergence(
-        a.config, b.config, a.workload, n_cpus=a.n_cpus, scale=a.scale,
-        at_ps=args.at_ps)
+        a.config, b.config, a.workload, n_cpus=a.n_cpus, at_ps=args.at_ps)
     print(report.format())
     if args.json:
         with open(args.json, "w") as fh:

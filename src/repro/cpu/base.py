@@ -59,7 +59,6 @@ class CoreParams:
     window: int = 32
     max_outstanding: int = 4        #: Table 1: max outstanding misses
     miss_hide_cycles: float = 12.0  #: latency the window hides per miss
-    chase_hide_cycles: float = 0.0  #: hiding on dependent (pointer) loads
     mispredict_penalty_cycles: float = 5.0
     interlock_penalty_cycles: float = 0.0      #: R10K address interlocks
     #: Implementation-constraint derate of the real pipeline: the corner
@@ -97,11 +96,6 @@ class CoreParams:
             f"/bug{self.fast_issue_bug_factor}"
         )
 
-    def scaled(self, clock_mhz: float) -> "CoreParams":
-        """The same model at a different clock (the Mipsy methodology)."""
-        return replace(self, clock_mhz=clock_mhz,
-                       name=f"{self.model}-{int(clock_mhz)}")
-
     def with_updates(self, **kwargs) -> "CoreParams":
         return replace(self, **kwargs)
 
@@ -120,9 +114,9 @@ def mipsy_params(clock_mhz: float = 150.0, tuned: bool = False,
     )
 
 
-def mxs_params(clock_mhz: float = 150.0, tuned: bool = False,
-               buggy: bool = False) -> CoreParams:
-    """MXS: generic out-of-order model, optionally with its historic bugs."""
+def mxs_params(clock_mhz: float = 150.0, tuned: bool = False) -> CoreParams:
+    """MXS: the generic out-of-order model (its historic bugs are injected
+    by :mod:`repro.validation.bugs`)."""
     return CoreParams(
         name=f"mxs-{int(clock_mhz)}{'-tuned' if tuned else ''}",
         model="mxs",
@@ -132,8 +126,6 @@ def mxs_params(clock_mhz: float = 150.0, tuned: bool = False,
         miss_hide_cycles=14.0,
         mispredict_penalty_cycles=5.0,
         l2_port_occupancy_cycles=(L2_PORT_OCCUPANCY_CYCLES if tuned else 0.0),
-        fast_issue_bug_factor=0.85 if buggy else 1.0,
-        cacheop_bug_stall_cycles=1_000_000.0 if buggy else 0.0,
     )
 
 

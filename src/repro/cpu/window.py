@@ -138,7 +138,6 @@ class WindowCore(CpuCore):
         tlb_refill = p.tlb_refill_cycles
         l2_hit_wait = max(0.0, p.l2_hit_cycles - self._l2_hit_hide)
         hide = p.miss_hide_cycles
-        chase_hide = p.chase_hide_cycles
         max_out = p.max_outstanding
         wb = iface.write_buffer
         # Observability: hoisted once per chunk so the disabled path costs
@@ -174,7 +173,7 @@ class WindowCore(CpuCore):
                     if op == _LOAD:
                         done_ps = yield payload
                         done_c = self.cycles_at(done_ps)
-                        exposed = done_c - pt - chase_hide
+                        exposed = done_c - pt
                         if exposed > 0:
                             stall += exposed
                             if probe is not None:
@@ -207,7 +206,7 @@ class WindowCore(CpuCore):
                     done_c = self.cycles_at(done_ps)
                     self._observe_latency(done_c - pt)
                     iface.port_fill_at(done_c)
-                    exposed = done_c - pt - chase_hide
+                    exposed = done_c - pt
                     if exposed > 0:
                         stall += exposed
                         if probe is not None:

@@ -24,6 +24,7 @@ from repro.memsys.params import (
     TABLE3_HARDWARE_NS,
     TABLE3_TUNED_NS,
     TABLE3_UNTUNED_NS,
+    numa,
 )
 from repro.sim import farm_hooks
 from repro.sim.configs import (
@@ -313,7 +314,7 @@ def fig2(scale: MachineScale) -> ExperimentResult:
     # anatomy is a simulation side effect the result cache cannot replay).
     result.attribution = evidence(
         hardware_config(), make_app("fft", scale, tuned_inputs=True),
-        n_cpus=1, scale=scale, kinds=("txn",), top_k=3)["txn"]
+        n_cpus=1, kinds=("txn",), top_k=3)["txn"]
     return result
 
 
@@ -388,7 +389,7 @@ def fig5(scale: MachineScale) -> ExperimentResult:
     configs = [hardware_config(), simos_mxs(tuned=True),
                simos_mipsy(225, tuned=True), simos_mipsy(300, tuned=True)]
     workload = make_app("fft", scale, tuned_inputs=True)
-    study = speedup_study(configs, workload, scale=scale)
+    study = speedup_study(configs, workload)
     series = {c.config: c.speedups for c in study.curves}
     rendered = study.format() + "\n\n" + line_chart(
         "Figure 5: FFT speedup", sorted(study.curves[0].times_ps), series)
@@ -416,7 +417,7 @@ def fig6(scale: MachineScale) -> ExperimentResult:
     configs = [hardware_config(), simos_mipsy(225, tuned=True),
                solo_mipsy(225, tuned=True)]
     workload = make_app("radix", scale, tuned_inputs=True)
-    study = speedup_study(configs, workload, scale=scale)
+    study = speedup_study(configs, workload)
     series = {c.config: c.speedups for c in study.curves}
     rendered = study.format() + "\n\n" + line_chart(
         "Figure 6: Radix speedup", sorted(study.curves[0].times_ps), series)
@@ -448,15 +449,11 @@ def fig7(scale: MachineScale) -> ExperimentResult:
     configs = [
         hardware_config(),
         base,
-        simos_mipsy(225, tuned=False).with_core(
-            base.core, suffix=""),                      # untuned FlashLite
-        base.with_memsys_override(
-            __import__("repro.memsys.params", fromlist=["numa"]).numa(),
-            suffix="-numa"),
+        simos_mipsy(225, tuned=False).derive(core=base.core),  # untuned FL
+        base.derive("-numa", memsys=numa()),
     ]
     workload = make_app("radix", scale, tuned_inputs=True)
-    study = hotspot_study(configs, workload, reference_name="hardware",
-                          scale=scale)
+    study = hotspot_study(configs, workload, reference_name="hardware")
     rendered = study.format()
     hw16 = study.study.curve_of("hardware").at(16)
     fl16 = study.study.curve_of(base.name).at(16)
@@ -468,7 +465,7 @@ def fig7(scale: MachineScale) -> ExperimentResult:
     # One extra reference run under the topo and txn recorders (outside
     # the farm -- recorder state is a simulation side effect the result
     # cache cannot replay) supplies both attributions below.
-    observed = evidence(hardware_config(), workload, n_cpus=8, scale=scale,
+    observed = evidence(hardware_config(), workload, n_cpus=8,
                         placement=Placement.NODE0, top_k=3)
     findings = [
         Finding("hotspot ruins hardware speedup",
@@ -562,9 +559,9 @@ def instr_latency(scale: MachineScale) -> ExperimentResult:
     base_cfg = simos_mipsy(225, tuned=True)
     latcore = base_cfg.core.with_updates(model_instruction_latencies=True)
     ref, base, fixed = farm_hooks.dispatch([
-        RunRequest(hardware_config(), workload, 1, scale),
-        RunRequest(base_cfg, workload, 1, scale),
-        RunRequest(base_cfg.with_core(latcore, "-lat"), workload, 1, scale),
+        RunRequest(hardware_config(), workload, 1),
+        RunRequest(base_cfg, workload, 1),
+        RunRequest(base_cfg.derive("-lat", core=latcore), workload, 1),
     ])
     rel_before = base.parallel_ps / ref.parallel_ps
     rel_after = fixed.parallel_ps / ref.parallel_ps

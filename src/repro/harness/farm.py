@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.canonical import code_fingerprint
+from repro.common.errors import ConfigurationError
 from repro.common.stats import StatsRegistry
 from repro.common.store import JsonStore, default_dir
 from repro.obs import hooks as obs_hooks
@@ -74,7 +75,8 @@ class ResultCache(JsonStore):
         data = self.read(key)
         try:
             return None if data is None else RunResult.from_dict(data["result"])
-        except (KeyError, TypeError, ValueError, AttributeError):
+        except (KeyError, TypeError, ValueError, AttributeError,
+                ConfigurationError):
             return None
 
     def put(self, key: str, result: RunResult,

@@ -2,11 +2,11 @@
 
 One engine serves as both of the paper's memory-system simulators:
 
-* **FlashLite** -- ``model_pp_occupancy`` and ``model_net_contention`` on:
-  every transaction queues for the MAGIC protocol processor at its home
-  (and at owners/sharers) and for router ports along its network path.
-* **NUMA** -- both off: the same protocol state machine (coherence must
-  still be *correct*) but controller handling and network hops become pure
+* **FlashLite** -- ``DsmParams.contention`` on: every transaction
+  queues for the MAGIC protocol processor at its home (and at
+  owners/sharers) and for router ports along its network path.
+* **NUMA** -- off: the same protocol state machine (coherence must still
+  be *correct*) but controller handling and network hops become pure
   latencies.  Memory (DRAM) contention is modelled in both, matching the
   paper's description of the NUMA model.
 
@@ -102,10 +102,10 @@ class DsmMemorySystem:
             self._case_label[case] = f"case_{case}"
             self._case_latency_label[case] = f"latency_ps_{case}"
         self.net = Network(env, n_nodes, params.net,
-                           model_contention=params.model_net_contention)
+                           model_contention=params.contention)
         self.magic: List[MagicController] = [
             MagicController(env, node, params.pp_occ_fraction,
-                            model_occupancy=params.model_pp_occupancy)
+                            model_occupancy=params.contention)
             for node in range(n_nodes)
         ]
         self._hooks: Dict[int, object] = {}

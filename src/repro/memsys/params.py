@@ -109,8 +109,8 @@ class DsmParams:
     req_flits: int = 1
     data_flits: int = 4
     case_extra_ps: Mapping[str, int] = field(default_factory=dict)
-    model_pp_occupancy: bool = True      #: False = generic NUMA model
-    model_net_contention: bool = True    #: False = generic NUMA model
+    #: MAGIC occupancy and link contention; False = generic NUMA model.
+    contention: bool = True
     #: Fraction of each handler's time that *occupies* the protocol
     #: processor (the rest is pipelined latency through MAGIC's queues and
     #: interfaces).  Handler latency and handler occupancy are different
@@ -137,15 +137,6 @@ class DsmParams:
 
     def with_updates(self, **kwargs) -> "DsmParams":
         return replace(self, **kwargs)
-
-    def as_dict(self) -> Dict[str, int]:
-        out = {}
-        for f in dataclasses.fields(self):
-            if f.name in ("name", "net", "case_extra_ps",
-                          "model_pp_occupancy", "model_net_contention"):
-                continue
-            out[f.name] = getattr(self, f.name)
-        return out
 
 
 def predict_case_ps(params: DsmParams, case: str,
@@ -201,7 +192,7 @@ def _solve_case_extras(params: DsmParams, targets_ns: Mapping[str, int],
     return params.with_updates(case_extra_ps=extras)
 
 
-def hardware(n_nodes: int = 16) -> DsmParams:
+def hardware() -> DsmParams:
     """The gold-standard memory-system timing (hits Table 3's HW column)."""
     base = DsmParams(
         name="hardware",
@@ -222,7 +213,7 @@ def hardware(n_nodes: int = 16) -> DsmParams:
     return _solve_case_extras(base, TABLE3_HARDWARE_NS, HW_CPU_SIDE_PS)
 
 
-def flashlite_untuned(n_nodes: int = 16) -> DsmParams:
+def flashlite_untuned() -> DsmParams:
     """Design-time FlashLite parameters (hits Table 3's untuned column).
 
     Relative to hardware: the processor-side bus and the reply path are
@@ -249,7 +240,7 @@ def flashlite_untuned(n_nodes: int = 16) -> DsmParams:
     return _solve_case_extras(base, TABLE3_UNTUNED_NS, UNTUNED_CPU_SIDE_PS)
 
 
-def flashlite_tuned(n_nodes: int = 16) -> DsmParams:
+def flashlite_tuned() -> DsmParams:
     """The "tuned FlashLite" set: :func:`hardware`'s parameters renamed.
 
     It stands in for the paper's tuned FlashLite (615 / 2202 / 1457 / 2378
@@ -259,11 +250,10 @@ def flashlite_tuned(n_nodes: int = 16) -> DsmParams:
     untuned handler split and puts the difference into home-handler
     extras, so the two diverge under load.
     """
-    hw = hardware(n_nodes)
-    return hw.with_updates(name="flashlite_tuned")
+    return hardware().with_updates(name="flashlite_tuned")
 
 
-def numa(n_nodes: int = 16) -> DsmParams:
+def numa() -> DsmParams:
     """The generic NUMA model: correct latencies, no controller occupancy
     beyond the latency path, no network/router contention (Section 2.2).
 
@@ -272,12 +262,7 @@ def numa(n_nodes: int = 16) -> DsmParams:
     reuses the hardware latency values with the occupancy modelling
     switched off.
     """
-    hw = hardware(n_nodes)
-    return hw.with_updates(
-        name="numa",
-        model_pp_occupancy=False,
-        model_net_contention=False,
-    )
+    return hardware().with_updates(name="numa", contention=False)
 
 
 PARAM_SETS = {

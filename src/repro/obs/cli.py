@@ -46,6 +46,7 @@ import time
 from typing import List, Optional
 
 from repro.common.config import get_scale
+from repro.common.errors import ReproError
 from repro.obs import hooks
 from repro.obs import topo as obs_topo
 from repro.obs import txn as obs_txn
@@ -65,7 +66,7 @@ from repro.obs.metrics import (
     scan_ledger,
 )
 from repro.obs.trace import TraceRecorder
-from repro.sim.configs import get_config
+from repro.sim.configs import CONFIG_ALIASES, get_config
 from repro.sim.request import RunRequest
 from repro.workloads import APP_NAMES, make_app
 
@@ -73,21 +74,6 @@ DEFAULT_CONFIG = "simos-mipsy-150-tuned"
 
 #: Where the harness writes the ledger unless told otherwise.
 DEFAULT_LEDGER = "out/ledger.jsonl"
-
-#: Shorthand for the figure lineup's usual suspects.
-CONFIG_ALIASES = {
-    "solo": "solo-mipsy-150-tuned",
-    "mipsy": "simos-mipsy-150-tuned",
-    "simos-mipsy": "simos-mipsy-150-tuned",
-    "mxs": "simos-mxs-150-tuned",
-    "simos-mxs": "simos-mxs-150-tuned",
-}
-
-
-def resolve_config(name: str):
-    """A configuration by full name or study shorthand."""
-    return get_config(CONFIG_ALIASES.get(name, name))
-
 
 def shorthand_help(text: str) -> str:
     return (f"{text} (full name, or shorthand: "
@@ -100,8 +86,8 @@ def add_run_args(sub: argparse.ArgumentParser, default_cpus: int,
     """The workload/config/scale argument block every run-style subcommand
     shares.  ``config_default`` adds a ``--config`` option; ``ref_cand``
     adds the diff-style ``--ref``/``--cand`` pair instead.  All three
-    accept full configuration names or the study shorthand
-    (:data:`CONFIG_ALIASES`), resolved via :func:`resolve_config`.
+    accept full configuration names or the study shorthand, resolved by
+    :func:`~repro.sim.configs.get_config`.
     """
     sub.add_argument("workload", choices=APP_NAMES,
                      help="application to run")
@@ -131,8 +117,7 @@ def build_request(args: argparse.Namespace, config_name: str) -> RunRequest:
     scale = get_scale(args.scale)
     workload = make_app(args.workload, scale,
                         tuned_inputs=not args.untuned_inputs)
-    return RunRequest(resolve_config(config_name), workload, args.cpus,
-                      scale)
+    return RunRequest(get_config(config_name), workload, args.cpus)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -328,7 +313,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     wall_s = time.perf_counter() - start
     events = machine.env.events_processed
     case = make_case(args.workload, request.config.name, args.cpus,
-                     request.scale.name, "ref")
+                     request.workload.scale.name, "ref")
     record = run_record("obs_perf", case, wall_s, result=result,
                         events=events)
 
@@ -372,7 +357,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Historical surface: `python -m repro.obs fft --breakdown`.
         argv = ["trace"] + argv
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ReproError as exc:
+        print(f"repro.obs: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

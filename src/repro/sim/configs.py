@@ -1,29 +1,33 @@
 """Named simulator configurations: the columns of the paper's figures.
 
 A :class:`SimulatorConfig` is a complete recipe: processor model (+clock),
-operating-system model, and memory-system parameter set.  The study's
-configurations:
+operating-system model, and memory-system parameter set (``memsys``, a
+:class:`~repro.memsys.params.DsmParams` built by one of
+:mod:`repro.memsys.params`' named factories).  The study's configurations:
 
-=====================  =========  ==========  =====================
-name                   core       OS model    memory system
-=====================  =========  ==========  =====================
-hardware               R10K       SimOS/IRIX  hardware params
-simos-mipsy-<mhz>      Mipsy      SimOS/IRIX  FlashLite (un)tuned
-simos-mxs-150          MXS        SimOS/IRIX  FlashLite (un)tuned
-solo-mipsy-<mhz>       Mipsy      Solo        FlashLite (un)tuned
-*-numa                 any        any         NUMA model
-embra                  Embra      SimOS/IRIX  (none exercised)
-=====================  =========  ==========  =====================
+=====================  =========  ==========  ========================
+name                   core       OS model    ``memsys``
+=====================  =========  ==========  ========================
+hardware               R10K       SimOS/IRIX  ``hardware()``
+simos-mipsy-<mhz>      Mipsy      SimOS/IRIX  ``flashlite_(un)tuned()``
+simos-mxs-150          MXS        SimOS/IRIX  ``flashlite_(un)tuned()``
+solo-mipsy-<mhz>       Mipsy      Solo        ``flashlite_(un)tuned()``
+embra                  Embra      SimOS/IRIX  ``flashlite_untuned()``
+=====================  =========  ==========  ========================
 
 ``tuned=False`` gives the simulators as they existed before the validation
-loop (Figures 1-2); ``tuned=True`` gives them after Section 3.1's tuning
-(TLB refill cost 65 cycles, L2-interface occupancy on, FlashLite latencies
-calibrated) used in Figures 3-7.
+loop (Figures 1-2); ``tuned=True`` (a ``-tuned`` name) gives them after
+Section 3.1's tuning (TLB refill cost 65 cycles, L2-interface occupancy
+on, FlashLite latencies calibrated) used in Figures 3-7.  Variants are
+derived, not named: Figure 7's NUMA column is
+``config.derive("-numa", memsys=numa())``, and the MXS bugs are injected
+by :mod:`repro.validation.bugs`.  :func:`get_config` resolves every name,
+including the study's shorthand (:data:`CONFIG_ALIASES`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigurationError
 from repro.cpu.base import (
@@ -33,11 +37,13 @@ from repro.cpu.base import (
     mxs_params,
     r10k_params,
 )
-from repro.memsys.params import DsmParams, PARAM_SETS
+from repro.memsys.params import (
+    DsmParams,
+    flashlite_tuned,
+    flashlite_untuned,
+    hardware,
+)
 from repro.os.base import OsModel, simos_kernel, solo_backdoor
-
-
-from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -47,41 +53,16 @@ class SimulatorConfig:
     name: str
     core: CoreParams
     os_model: OsModel
-    memsys_key: str          #: key into repro.memsys.params.PARAM_SETS
+    memsys: DsmParams
     description: str = ""
-    #: Direct parameter set (set by the calibration loop); overrides
-    #: ``memsys_key`` when present.
-    memsys_override: Optional[DsmParams] = None
 
-    def memsys_params(self, n_nodes: int) -> DsmParams:
-        if self.memsys_override is not None:
-            return self.memsys_override
-        try:
-            factory = PARAM_SETS[self.memsys_key]
-        except KeyError:
-            raise ConfigurationError(
-                f"unknown memsys parameter set {self.memsys_key!r}"
-            ) from None
-        return factory(n_nodes)
-
-    def with_core(self, core: CoreParams, suffix: str = "") -> "SimulatorConfig":
-        return SimulatorConfig(
-            name=self.name + suffix, core=core, os_model=self.os_model,
-            memsys_key=self.memsys_key, description=self.description,
-            memsys_override=self.memsys_override,
-        )
-
-    def with_memsys_override(self, params: DsmParams,
-                             suffix: str = "") -> "SimulatorConfig":
-        return SimulatorConfig(
-            name=self.name + suffix, core=self.core, os_model=self.os_model,
-            memsys_key=self.memsys_key, description=self.description,
-            memsys_override=params,
-        )
+    def derive(self, suffix: str = "", **changes) -> "SimulatorConfig":
+        """This recipe with *changes* applied and *suffix* on its name."""
+        return replace(self, name=self.name + suffix, **changes)
 
 
-def _fl(tuned: bool) -> str:
-    return "flashlite_tuned" if tuned else "flashlite_untuned"
+def _flashlite(tuned: bool) -> DsmParams:
+    return flashlite_tuned() if tuned else flashlite_untuned()
 
 
 def hardware_config() -> SimulatorConfig:
@@ -90,7 +71,7 @@ def hardware_config() -> SimulatorConfig:
         name="hardware",
         core=r10k_params(150.0),
         os_model=simos_kernel(),
-        memsys_key="hardware",
+        memsys=hardware(),
         description="16-node FLASH stand-in: R10K core + hardware-timed DSM",
     )
 
@@ -100,18 +81,17 @@ def simos_mipsy(clock_mhz: float = 150.0, tuned: bool = False) -> SimulatorConfi
         name=f"simos-mipsy-{int(clock_mhz)}" + ("-tuned" if tuned else ""),
         core=mipsy_params(clock_mhz, tuned=tuned),
         os_model=simos_kernel(),
-        memsys_key=_fl(tuned),
+        memsys=_flashlite(tuned),
         description=f"SimOS with Mipsy at {clock_mhz:g} MHz on FlashLite",
     )
 
 
-def simos_mxs(tuned: bool = False, buggy: bool = False) -> SimulatorConfig:
-    name = "simos-mxs-150" + ("-tuned" if tuned else "") + ("-buggy" if buggy else "")
+def simos_mxs(tuned: bool = False) -> SimulatorConfig:
     return SimulatorConfig(
-        name=name,
-        core=mxs_params(150.0, tuned=tuned, buggy=buggy),
+        name="simos-mxs-150" + ("-tuned" if tuned else ""),
+        core=mxs_params(150.0, tuned=tuned),
         os_model=simos_kernel(),
-        memsys_key=_fl(tuned),
+        memsys=_flashlite(tuned),
         description="SimOS with the MXS out-of-order model on FlashLite",
     )
 
@@ -121,7 +101,7 @@ def solo_mipsy(clock_mhz: float = 150.0, tuned: bool = False) -> SimulatorConfig
         name=f"solo-mipsy-{int(clock_mhz)}" + ("-tuned" if tuned else ""),
         core=mipsy_params(clock_mhz, tuned=tuned),
         os_model=solo_backdoor(),
-        memsys_key=_fl(tuned),
+        memsys=_flashlite(tuned),
         description=f"Solo (no OS, no TLB) with Mipsy at {clock_mhz:g} MHz",
     )
 
@@ -131,7 +111,7 @@ def embra_config() -> SimulatorConfig:
         name="embra",
         core=embra_params(150.0),
         os_model=simos_kernel(),
-        memsys_key="flashlite_untuned",
+        memsys=flashlite_untuned(),
         description="Embra positioning model (fixed CPI)",
     )
 
@@ -150,8 +130,19 @@ def figure_lineup(tuned: bool):
     ]
 
 
+#: Shorthand for the figure lineup's usual suspects (150 MHz, tuned).
+CONFIG_ALIASES = {
+    "solo": "solo-mipsy-150-tuned",
+    "mipsy": "simos-mipsy-150-tuned",
+    "simos-mipsy": "simos-mipsy-150-tuned",
+    "mxs": "simos-mxs-150-tuned",
+    "simos-mxs": "simos-mxs-150-tuned",
+}
+
+
 def get_config(name: str) -> SimulatorConfig:
-    """Resolve a configuration by its canonical name."""
+    """Resolve a configuration by its canonical name or shorthand."""
+    name = CONFIG_ALIASES.get(name, name)
     tuned = name.endswith("-tuned")
     base = name[: -len("-tuned")] if tuned else name
     if base == "hardware":
@@ -160,8 +151,6 @@ def get_config(name: str) -> SimulatorConfig:
         return embra_config()
     if base == "simos-mxs-150":
         return simos_mxs(tuned)
-    if base == "simos-mxs-150-buggy":
-        return simos_mxs(tuned, buggy=True)
     for prefix, factory in (("simos-mipsy-", simos_mipsy),
                             ("solo-mipsy-", solo_mipsy)):
         if base.startswith(prefix):

@@ -47,7 +47,7 @@ class Machine:
         self.env = Engine()
         self.registry = StatsRegistry()
         self.memsys = DsmMemorySystem(
-            self.env, n_cpus, config.memsys_params(n_cpus),
+            self.env, n_cpus, config.memsys,
             scale.l2.line_bytes, self.registry,
         )
         allocator = config.os_model.make_allocator(scale, n_cpus, placement)
@@ -296,9 +296,7 @@ def injection_blockers(state: Dict[str, Any]) -> List[str]:
     return blockers
 
 
-def run_workload(config: SimulatorConfig, workload, n_cpus: int = 1,
-                 scale: Optional[MachineScale] = None,
+def run_workload(config: SimulatorConfig, workload, n_cpus: int = 1, *,
                  placement: str = Placement.FIRST_TOUCH) -> RunResult:
-    """Build a machine, run one workload, return the result."""
-    machine = Machine(config, n_cpus, scale or workload.scale, placement)
-    return machine.run(workload)
+    """Build a machine at *workload*'s scale, run it, return the result."""
+    return Machine(config, n_cpus, workload.scale, placement).run(workload)

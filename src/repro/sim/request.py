@@ -2,23 +2,23 @@
 
 Every simulation the study performs -- a figure bar, a speedup-curve
 point, a microbenchmark probe -- is one ``(configuration, workload,
-n_cpus, scale, placement, seed)`` tuple.  :class:`RunRequest` reifies that
-tuple so it can cross a process boundary (``multiprocessing`` fan-out),
-be content-addressed (the on-disk result cache), and be replayed
-deterministically (per-request seeding of the global RNGs before the run,
-so stray nondeterminism cannot leak in from pool scheduling).
+n_cpus, placement, seed)`` tuple (the machine scale is the workload's).
+:class:`RunRequest` reifies that tuple so it can cross a process boundary
+(``multiprocessing`` fan-out), be content-addressed (the on-disk result
+cache), and be replayed deterministically (per-request seeding of the
+global RNGs before the run, so stray nondeterminism cannot leak in from
+pool scheduling).
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.common.canonical import canonicalize, code_fingerprint, stable_hash
-from repro.common.config import MachineScale
 from repro.common.rng import DEFAULT_SEED
 from repro.sim.configs import SimulatorConfig
 from repro.sim.results import RunResult
@@ -32,19 +32,16 @@ class RunRequest:
     config: SimulatorConfig
     workload: object
     n_cpus: int = 1
-    scale: Optional[MachineScale] = None   #: None -> the workload's scale
+    _: KW_ONLY
     placement: str = Placement.FIRST_TOUCH
     seed: int = DEFAULT_SEED
     #: Display label for progress/obs output; not part of the identity.
     label: str = field(default="", compare=False)
 
-    def effective_scale(self) -> MachineScale:
-        return self.scale if self.scale is not None else self.workload.scale
-
     def describe(self) -> str:
         return self.label or (
             f"{self.workload.name}@{self.config.name}"
-            f"/P{self.n_cpus}/{self.effective_scale().name}"
+            f"/P{self.n_cpus}/{self.workload.scale.name}"
         )
 
     # -- identity ---------------------------------------------------------
@@ -55,7 +52,6 @@ class RunRequest:
             "config": canonicalize(self.config),
             "workload": canonicalize(self.workload),
             "n_cpus": self.n_cpus,
-            "scale": canonicalize(self.effective_scale()),
             "placement": self.placement,
             "seed": self.seed,
         }
@@ -100,7 +96,7 @@ class RunRequest:
         seed = self.request_seed()
         random.seed(seed)
         np.random.seed(seed % 2**32)
-        return Machine(self.config, self.n_cpus, self.effective_scale(),
+        return Machine(self.config, self.n_cpus, self.workload.scale,
                        self.placement)
 
     def execute(self) -> RunResult:

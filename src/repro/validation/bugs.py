@@ -21,7 +21,7 @@ cacheop bug, why it hid (its share of a full application run).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from repro.common.errors import ConfigurationError
 from repro.isa.opcodes import Op
 from repro.isa.trace import ChunkExec, PhaseMark, Trace
 from repro.sim.configs import SimulatorConfig
-from repro.sim.machine import run_workload
 from repro.vm.layout import VirtualLayout
 from repro.workloads.base import Workload
 from repro.workloads.builder import ChunkBuilder
@@ -47,12 +46,12 @@ class PerformanceBug:
 
 def _inject_fast_issue(config: SimulatorConfig) -> SimulatorConfig:
     core = config.core.with_updates(fast_issue_bug_factor=0.85)
-    return config.with_core(core, suffix="+fastissue")
+    return config.derive("+fastissue", core=core)
 
 
 def _inject_cacheop(config: SimulatorConfig) -> SimulatorConfig:
     core = config.core.with_updates(cacheop_bug_stall_cycles=1_000_000.0)
-    return config.with_core(core, suffix="+cacheop")
+    return config.derive("+cacheop", core=core)
 
 
 FAST_ISSUE_BUG = PerformanceBug(
@@ -159,15 +158,14 @@ class BugDemonstration:
 
 
 def demonstrate_bug(bug: PerformanceBug, config: SimulatorConfig, workload,
-                    n_cpus: int = 1,
-                    scale: Optional[MachineScale] = None) -> BugDemonstration:
+                    n_cpus: int = 1) -> BugDemonstration:
     """Run *workload* with and without *bug* injected into *config*."""
     from repro.sim import farm_hooks
     from repro.sim.request import RunRequest
 
     clean, buggy = farm_hooks.dispatch([
-        RunRequest(config, workload, n_cpus, scale),
-        RunRequest(bug.inject(config), workload, n_cpus, scale),
+        RunRequest(config, workload, n_cpus),
+        RunRequest(bug.inject(config), workload, n_cpus),
     ])
     return BugDemonstration(
         bug=bug.name,

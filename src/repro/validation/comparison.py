@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.common.config import MachineScale
 from repro.obs.diff import diff_runs
 from repro.obs.doc import Para, Table, render_text
 from repro.sim import farm_hooks
@@ -83,7 +82,7 @@ def compare_simulators(
     configs: Sequence[SimulatorConfig],
     workloads: Sequence,
     n_cpus: int = 1,
-    scale: Optional[MachineScale] = None,
+    *,
     title: str = "",
     placement: str = Placement.FIRST_TOUCH,
 ) -> ComparisonTable:
@@ -93,7 +92,7 @@ def compare_simulators(
     # One batch for the whole figure: each workload's reference run, then
     # its simulator bars, dispatched together.
     outcomes = iter(farm_hooks.dispatch([
-        RunRequest(config, workload, n_cpus, scale, placement)
+        RunRequest(config, workload, n_cpus, placement=placement)
         for workload in workloads for config in (reference, *configs)]))
     for workload in workloads:
         ref = next(outcomes)

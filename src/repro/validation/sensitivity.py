@@ -10,10 +10,9 @@ the speedup is poor but overpredicts it by tens of percent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence
 
-from repro.common.config import MachineScale
 from repro.obs.doc import Para, Table, render_text
 from repro.sim.configs import SimulatorConfig
 from repro.sim.request import RunRequest
@@ -50,10 +49,9 @@ def hotspot_study(
     workload,
     reference_name: str,
     cpu_counts: Sequence[int] = (1, 8, 16),
-    scale: Optional[MachineScale] = None,
 ) -> HotspotStudy:
     """Run the unplaced-workload sweep (placement forced to node 0)."""
-    study = speedup_study(configs, workload, cpu_counts, scale,
+    study = speedup_study(configs, workload, cpu_counts,
                           placement=Placement.NODE0)
     return HotspotStudy(study=study, reference=reference_name)
 
@@ -62,7 +60,7 @@ def evidence(
     config: SimulatorConfig,
     workload,
     n_cpus: int = 8,
-    scale: Optional[MachineScale] = None,
+    *,
     placement: str = Placement.FIRST_TOUCH,
     kinds: Sequence[str] = ("topo", "txn"),
     top_k: Optional[int] = None,
@@ -93,8 +91,7 @@ def evidence(
                 lambda rec, run: obs_txn.build_report(rec, run, top_k=top_k)),
     }
     recorders = {kind: reports[kind][0]() for kind in kinds}
-    request = RunRequest(config, workload, n_cpus,
-                         scale or workload.scale, placement=placement)
+    request = RunRequest(config, workload, n_cpus, placement=placement)
     with obs_hooks.observing(*recorders.values()):
         result = request.execute()
     return {kind: reports[kind][1](rec, result).to_dict()

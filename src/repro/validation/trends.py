@@ -10,9 +10,8 @@ time yet still predict the speedup curve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.common.config import MachineScale
 from repro.obs.doc import Para, Table, render_text
 from repro.sim import farm_hooks
 from repro.sim.configs import SimulatorConfig
@@ -74,7 +73,7 @@ def speedup_study(
     configs: Sequence[SimulatorConfig],
     workload,
     cpu_counts: Sequence[int] = DEFAULT_CPU_COUNTS,
-    scale: Optional[MachineScale] = None,
+    *,
     placement: str = Placement.FIRST_TOUCH,
 ) -> SpeedupStudy:
     """Run *workload* at each CPU count on each configuration.
@@ -90,7 +89,7 @@ def speedup_study(
             for curve, config in zip(study.curves, configs)
             for n_cpus in cpu_counts]
     outcomes = farm_hooks.dispatch([
-        RunRequest(config, workload, n_cpus, scale, placement)
+        RunRequest(config, workload, n_cpus, placement=placement)
         for _curve, config, n_cpus in grid
     ])
     for (curve, _config, n_cpus), result in zip(grid, outcomes):

@@ -160,14 +160,14 @@ class Tuner:
         occ = measure_port_occupancy_cycles(self.reference, self.scale)
         core = core.with_updates(l2_port_occupancy_cycles=round(occ * 2) / 2)
         report.port_occupancy_cycles = core.l2_port_occupancy_cycles
-        config = config.with_core(core, suffix="-cal")
+        config = config.derive("-cal", core=core)
 
         # Step 3: per-case FlashLite latencies.
         report.target_cases_ns = measure_all_cases(
             self.reference, self.scale, self.n_loads)
         report.before_cases_ns = measure_all_cases(
             config, self.scale, self.n_loads)
-        params = config.memsys_params(MICROBENCH_CPUS)
+        params = config.memsys
         measured = dict(report.before_cases_ns)
         total_adjust = {case: 0 for case in PROTOCOL_CASES}
         for round_no in range(1, self.max_rounds + 1):
@@ -180,7 +180,7 @@ class Tuner:
                 total_adjust[case] += delta_ps
             params = params.with_updates(
                 case_extra_ps=extras, name=params.name + "*")
-            config = config.with_memsys_override(params)
+            config = config.derive(memsys=params)
             measured = {
                 case: measure_dependent_loads(config, case, self.scale,
                                               self.n_loads)

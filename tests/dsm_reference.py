@@ -128,10 +128,10 @@ class ReferenceDsm:
         self.line_shift = line_bytes.bit_length() - 1
         self.stats = (registry or StatsRegistry()).counter_set("memsys")
         self.net = Network(env, n_nodes, params.net,
-                           model_contention=params.model_net_contention)
+                           model_contention=params.contention)
         self.magic = [
             MagicController(env, node, params.pp_occ_fraction,
-                            model_occupancy=params.model_pp_occupancy)
+                            model_occupancy=params.contention)
             for node in range(n_nodes)
         ]
         self._hooks = {}

@@ -53,7 +53,7 @@ _SETTINGS = settings(max_examples=6, deadline=None,
 
 def tiny_request(mhz=150, n_cpus=1, scale=TINY_SCALE):
     return RunRequest(simos_mipsy(mhz), make_app("fft", scale),
-                      n_cpus=n_cpus, scale=scale)
+                      n_cpus=n_cpus)
 
 
 def tiny_batch():
@@ -249,9 +249,8 @@ class TestInjectionBlockers:
 
     def test_window_cores_share_their_fields(self):
         # Why MXS <-> R10K (hardware) bisection injects.
-        fields = [sorted(RunRequest(config, make_app("fft", TINY_SCALE),
-                                    scale=TINY_SCALE).machine()
-                         .cores[0].ckpt_state())
+        fields = [sorted(RunRequest(config, make_app("fft", TINY_SCALE))
+                         .machine().cores[0].ckpt_state())
                   for config in (simos_mxs(), hardware_config())]
         assert fields[0] == fields[1]
         assert "inflight" in fields[0]
@@ -261,7 +260,7 @@ class TestInjectionBlockers:
                            match=r"simos-mxs.*cpu0: .*MxsCore.*'inflight'"):
             ckpt.bisect_divergence(
                 simos_mipsy(150), simos_mxs(), make_app("fft", TINY_SCALE),
-                scale=TINY_SCALE, checkpoint=quiesced)
+                checkpoint=quiesced)
 
 
 class TestEventCalendar:
@@ -437,8 +436,7 @@ class TestCheckpointStore:
 
     def test_warm_start_skips_initialization(self, tmp_path):
         """The injected machine starts past the checkpoint's event prefix."""
-        request = RunRequest(simos_mipsy(150), TlbTimer(TINY_SCALE), 1,
-                             TINY_SCALE)
+        request = RunRequest(simos_mipsy(150), TlbTimer(TINY_SCALE), 1)
         checkpoint = ckpt.save(request, at_ps=1, mode=ckpt.MODE_QUIESCE)
         skipped = checkpoint.stop["events_processed"]
         assert skipped > 0
@@ -480,7 +478,7 @@ class TestBisect:
         workload = make_app("fft", TINY_SCALE)
         report = ckpt.bisect_divergence(
             simos_mipsy(150), simos_mipsy(225), workload,
-            n_cpus=1, scale=TINY_SCALE, at_ps=straight.total_ps // 2)
+            n_cpus=1, at_ps=straight.total_ps // 2)
         assert not report.identical
         assert report.probes <= report.probe_budget
         assert report.event_a is not None and report.event_b is not None
@@ -496,7 +494,7 @@ class TestBisect:
         workload = make_app("fft", TINY_SCALE)
         report = ckpt.bisect_divergence(
             simos_mipsy(150), simos_mipsy(150), workload,
-            n_cpus=1, scale=TINY_SCALE, at_ps=straight.total_ps // 2)
+            n_cpus=1, at_ps=straight.total_ps // 2)
         assert report.identical
         assert report.events_a == report.events_b
 
@@ -523,7 +521,7 @@ class TestBisect:
         the result equals the two-replays-per-side bisector's."""
         report = ckpt.bisect_divergence(
             simos_mipsy(150), simos_mipsy(mhz_b), make_app("fft", TINY_SCALE),
-            n_cpus=1, scale=TINY_SCALE, at_ps=straight.total_ps // 2)
+            n_cpus=1, at_ps=straight.total_ps // 2)
         assert straight.total_ps // 2 == 3402154282
         assert report.resumed_at_ps == 3944713839
         got = {field: getattr(report, field) for field in

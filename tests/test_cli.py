@@ -72,6 +72,19 @@ def test_every_cli_exits_2_with_usage_on_unknown_input(entry, argv,
     assert "usage:" in err or "invalid choice" in err
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--config", "nope"], "unknown simulator configuration 'nope'"),
+    (["--scale", "huge"], "unknown scale 'huge'"),
+    (["--cpus", "3"], "n_cpus must be a power of two"),
+])
+def test_obs_bad_run_exits_2_with_message(argv, message, capsys):
+    # A run the model refuses is one line on stderr, as repro.ckpt does,
+    # not a traceback.
+    from repro.obs.cli import main as obs_main
+    assert obs_main(["trace", "fft", "--scale", "tiny", *argv]) == 2
+    assert f"repro.obs: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_jobs_below_one_rejected(jobs, capsys):
     with pytest.raises(SystemExit) as exc:

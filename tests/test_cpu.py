@@ -10,6 +10,7 @@ from repro.isa.trace import Barrier, ChunkExec, PhaseMark
 from repro.sim import hardware_config, run_workload, simos_mipsy, simos_mxs, solo_mipsy
 from repro.sim.configs import embra_config
 from repro.sim.machine import Machine
+from repro.validation.bugs import CACHEOP_BUG, FAST_ISSUE_BUG
 from repro.vm.layout import VirtualLayout
 from repro.workloads.base import Workload
 from repro.workloads.builder import ChunkBuilder
@@ -57,7 +58,7 @@ def _stream_load_items(n_lines, compute_ops=0, prefetch=False):
 
 
 def _run(config, items, n_cpus=1):
-    return run_workload(config, _OneCpuWorkload(items), n_cpus, TINY_SCALE)
+    return run_workload(config, _OneCpuWorkload(items), n_cpus)
 
 
 class TestMipsy:
@@ -105,9 +106,9 @@ class TestMipsy:
             b.idiv(1, 1)
         chunk = b.build()
         base_cfg = simos_mipsy(150)
-        lat_cfg = base_cfg.with_core(
-            base_cfg.core.with_updates(model_instruction_latencies=True),
-            "-lat")
+        lat_cfg = base_cfg.derive(
+            "-lat",
+            core=base_cfg.core.with_updates(model_instruction_latencies=True))
         base = _run(base_cfg, [ChunkExec(chunk, reps=200)])
         lat = _run(lat_cfg, [ChunkExec(chunk, reps=200)])
         assert lat.parallel_ps > 10 * base.parallel_ps
@@ -172,7 +173,7 @@ class TestWindowCore:
             b.fadd(1 + (i % 4), 1 + (i % 4))
         items = [ChunkExec(b.build(), reps=300)]
         clean = _run(simos_mxs(), items)
-        buggy = _run(simos_mxs(buggy=True), items)
+        buggy = _run(FAST_ISSUE_BUG.inject(simos_mxs()), items)
         assert buggy.parallel_ps < clean.parallel_ps
 
     def test_cacheop_bug_stalls(self):
@@ -181,7 +182,7 @@ class TestWindowCore:
         chunk = b.build()
         addr = np.array([[0x100]], dtype=np.int64)
         clean = _run(simos_mxs(), [ChunkExec(chunk, addr)])
-        buggy = _run(simos_mxs(buggy=True), [ChunkExec(chunk, addr)])
+        buggy = _run(CACHEOP_BUG.inject(simos_mxs()), [ChunkExec(chunk, addr)])
         extra_cycles = (buggy.parallel_ps - clean.parallel_ps) / 6667
         assert extra_cycles == pytest.approx(1_000_000, rel=0.05)
 

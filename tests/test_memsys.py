@@ -67,7 +67,7 @@ _BUILT = []
 
 def build(n_nodes=16, params=None):
     env = Engine()
-    params = params or hardware(n_nodes)
+    params = params or hardware()
     mem = DsmMemorySystem(env, n_nodes, params, LINE)
     hooks = [StubNode() for _ in range(n_nodes)]
     for node, hook in enumerate(hooks):
@@ -132,13 +132,13 @@ class TestProtocolCaseLatencies:
         # Memory-system latency + the hardware CPU-side share (L2-interface
         # occupancy + one issue cycle) must equal the published value.
         from repro.memsys.params import HW_CPU_SIDE_PS
-        params = hardware(16)
+        params = hardware()
         assert predict_case_ps(params, case) + HW_CPU_SIDE_PS == target_ns * 1000
 
     @pytest.mark.parametrize("case,target_ns", sorted(TABLE3_UNTUNED_NS.items()))
     def test_untuned_params_hit_table3(self, case, target_ns):
         from repro.memsys.params import UNTUNED_CPU_SIDE_PS
-        params = flashlite_untuned(16)
+        params = flashlite_untuned()
         assert (predict_case_ps(params, case) + UNTUNED_CPU_SIDE_PS
                 == target_ns * 1000)
 
@@ -246,8 +246,8 @@ class TestContention:
         return env.now
 
     def test_flashlite_queues_at_hot_home(self):
-        finish_fl = self._burst_latencies(hardware(16))
-        finish_numa = self._burst_latencies(numa(16))
+        finish_fl = self._burst_latencies(hardware())
+        finish_numa = self._burst_latencies(numa())
         # The NUMA model omits protocol-processor occupancy, so a burst to
         # one home finishes markedly earlier than under FlashLite.
         assert finish_numa < finish_fl
@@ -255,9 +255,9 @@ class TestContention:
     def test_numa_still_models_memory_contention(self):
         # With DRAM as the only contended resource, a big burst must still
         # take longer than a single access.
-        env, mem, _hooks = build(params=numa(16))
+        env, mem, _hooks = build(params=numa())
         single = run_request(env, mem, 2, node_base(1) + 0x100, MemKind.READ)
-        finish = self._burst_latencies(numa(16), n_requesters=12)
+        finish = self._burst_latencies(numa(), n_requesters=12)
         assert finish > single
 
     def test_same_line_requests_serialize(self):
@@ -311,7 +311,7 @@ def _drive(dsm_class, params, program, observe):
     n_nodes = 4
     env = Engine()
     env.tracer = when = _refresh._WhenDigest()
-    mem = dsm_class(env, n_nodes, PARAM_SETS[params](n_nodes), LINE)
+    mem = dsm_class(env, n_nodes, PARAM_SETS[params](), LINE)
     log = []
     nodes = [_LoggedNode(env, node, log) for node in range(n_nodes)]
     for node, hook in enumerate(nodes):

@@ -25,18 +25,20 @@ class TestNumaTiming:
     def test_numa_uncontended_latency_matches_flashlite_structure(self):
         # Same latency path, occupancy switched off: a single request takes
         # the same time under both (contention is the only difference).
-        env_fl, mem_fl, _ = build(params=hardware(16))
-        env_nu, mem_nu, _ = build(params=numa(16))
+        env_fl, mem_fl, _ = build(params=hardware())
+        env_nu, mem_nu, _ = build(params=numa())
         paddr = node_base(1) + 0x400
         t_fl = run_request(env_fl, mem_fl, 0, paddr, MemKind.READ)
         t_nu = run_request(env_nu, mem_nu, 0, paddr, MemKind.READ)
         assert t_fl == t_nu
 
     def test_numa_parameter_flags(self):
-        params = numa(16)
-        assert not params.model_pp_occupancy
-        assert not params.model_net_contention
-        assert hardware(16).model_pp_occupancy
+        # One switch turns off MAGIC occupancy and link contention together.
+        for params, on in ((numa(), False), (hardware(), True)):
+            assert params.contention is on
+            _env, mem, _hooks = build(params=params)
+            assert mem.net.model_contention is on
+            assert all(magic.model_occupancy is on for magic in mem.magic)
 
 
 class TestProtocolChurn:
@@ -100,7 +102,7 @@ class TestLatencyAccounting:
     def test_prediction_requires_known_case(self):
         from repro.common.errors import ConfigurationError
         with pytest.raises(ConfigurationError):
-            predict_case_ps(hardware(16), "local_mystery")
+            predict_case_ps(hardware(), "local_mystery")
 
 
 class TestParamsAreChecked:
@@ -108,7 +110,7 @@ class TestParamsAreChecked:
 
     @pytest.mark.parametrize("name", sorted(PARAM_SETS))
     def test_every_named_set_is_valid(self, name):
-        assert PARAM_SETS[name](16).name
+        assert PARAM_SETS[name]().name
 
     @pytest.mark.parametrize("fraction", [0.0, 0.55, 1.0])
     def test_occupancy_ablation_endpoints_are_valid(self, fraction):

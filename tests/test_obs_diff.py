@@ -40,7 +40,7 @@ def _nothing_observing():
 def traced_run(config_name: str, workload, n_cpus: int = 1):
     with obs_hooks.observing(TraceRecorder()):
         return farm_hooks.run(
-            RunRequest(get_config(config_name), workload, n_cpus, TINY))
+            RunRequest(get_config(config_name), workload, n_cpus))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ class TestDiffRuns:
         ref, _ = fft_runs
         workload = make_app("fft", TINY)
         untraced = farm_hooks.run(
-            RunRequest(get_config("solo-mipsy-150-tuned"), workload, 1, TINY))
+            RunRequest(get_config("solo-mipsy-150-tuned"), workload, 1))
         with pytest.raises(AttributionError, match="no breakdown"):
             diff_runs(ref, untraced)
 
@@ -418,11 +418,11 @@ class TestDiffCli:
         diff = AttributionDiff.from_dict(payload)
         assert diff.explained_fraction >= 0.9
 
-    def test_unknown_candidate_shorthand_fails_cleanly(self):
-        from repro.common.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            obs_main(["diff", "fft", "--cand", "warp-drive",
-                      "--scale", "tiny"])
+    def test_unknown_candidate_shorthand_fails_cleanly(self, capsys):
+        assert obs_main(["diff", "fft", "--cand", "warp-drive",
+                         "--scale", "tiny"]) == 2
+        assert ("repro.obs: unknown simulator configuration 'warp-drive'"
+                in capsys.readouterr().err)
 
 
 class TestWatchCli:
@@ -475,7 +475,7 @@ class TestFarmLedgerLoop:
 
     def request(self, config=None):
         config = config or get_config("hardware")
-        return RunRequest(config, make_app("fft", TINY), 1, TINY)
+        return RunRequest(config, make_app("fft", TINY), 1)
 
     def test_replay_is_stable_and_knob_change_drifts(self, tmp_path):
         from repro.harness.farm import Farm, ResultCache
@@ -495,10 +495,8 @@ class TestFarmLedgerLoop:
         # Same config *name*, slower TLB refill: the cache key changes,
         # the run re-executes, and watch must flag the time drift.
         config = get_config("hardware")
-        tweaked = config.with_core(
-            config.core.with_updates(
-                tlb_refill_cycles=config.core.tlb_refill_cycles * 4),
-            suffix="")
+        tweaked = config.derive(core=config.core.with_updates(
+            tlb_refill_cycles=config.core.tlb_refill_cycles * 4))
         assert tweaked.name == config.name
         farm2 = Farm(jobs=1, cache=ResultCache(tmp_path / "cache"),
                      metrics=writer)

@@ -209,7 +209,7 @@ class TestIntegration:
         recorder = TopoRecorder(sample_interval_ps=500_000,
                                 sample_capacity=64)
         with obs_hooks.observing(recorder):
-            result = run_workload(config, workload, 2, scale)
+            result = run_workload(config, workload, 2)
         return recorder, result
 
     def test_geometry_binds_from_machine_scale(self, recorded_run):
@@ -263,7 +263,7 @@ class TestIntegration:
         scale = get_scale("tiny")
         config = get_config("simos-mipsy-150-tuned")
         probe = TopoRecorder()
-        run_workload(config, make_app("fft", scale), 1, scale)
+        run_workload(config, make_app("fft", scale), 1)
         assert probe.total_events == 0
         assert obs_hooks.active is None
 

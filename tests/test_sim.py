@@ -16,12 +16,19 @@ from repro.sim import (
     simos_mxs,
     solo_mipsy,
 )
+from repro.sim.configs import embra_config, figure_lineup
 from repro.sim.sync import SyncDomain
 from repro.vm.layout import VirtualLayout
 from repro.workloads.base import Workload
 from repro.workloads.builder import ChunkBuilder
 
 PAGE = TINY_SCALE.tlb.page_bytes
+
+#: Every configuration a name resolves to: both figure line-ups, the
+#: reference and Embra.
+NAMED = {config.name: config
+         for config in [*figure_lineup(False), *figure_lineup(True),
+                        hardware_config(), embra_config()]}
 
 
 class _TwoPhaseWorkload(Workload):
@@ -53,8 +60,7 @@ class _TwoPhaseWorkload(Workload):
 
 class TestMachine:
     def test_runs_and_reports_parallel_phase(self):
-        result = run_workload(simos_mipsy(150), _TwoPhaseWorkload([50]), 2,
-                              TINY_SCALE)
+        result = run_workload(simos_mipsy(150), _TwoPhaseWorkload([50]), 2)
         assert result.parallel_ps > 0
         assert result.n_cpus == 2
         assert result.instructions > 0
@@ -63,9 +69,9 @@ class TestMachine:
         # One CPU does 10x the work before the barrier; total time is set
         # by the slow one, not the sum.
         slow = run_workload(simos_mipsy(150), _TwoPhaseWorkload([1000, 100]),
-                            2, TINY_SCALE)
+                            2)
         uniform = run_workload(simos_mipsy(150), _TwoPhaseWorkload([1000]),
-                               2, TINY_SCALE)
+                               2)
         assert slow.parallel_ps == pytest.approx(uniform.parallel_ps, rel=0.05)
 
     def test_non_power_of_two_cpus_rejected(self):
@@ -86,13 +92,11 @@ class TestMachine:
                 return [[]]  # always one trace
 
         with pytest.raises(ConfigurationError):
-            run_workload(simos_mipsy(150), Bad(TINY_SCALE), 2, TINY_SCALE)
+            run_workload(simos_mipsy(150), Bad(TINY_SCALE), 2)
 
     def test_deterministic_across_runs(self):
-        a = run_workload(hardware_config(), _TwoPhaseWorkload([200]), 2,
-                         TINY_SCALE)
-        b = run_workload(hardware_config(), _TwoPhaseWorkload([200]), 2,
-                         TINY_SCALE)
+        a = run_workload(hardware_config(), _TwoPhaseWorkload([200]), 2)
+        b = run_workload(hardware_config(), _TwoPhaseWorkload([200]), 2)
         assert a.parallel_ps == b.parallel_ps
 
 
@@ -148,21 +152,29 @@ class TestSyncDomain:
                 return traces
 
         result = run_workload(simos_mipsy(150), LockedWorkload(TINY_SCALE),
-                              4, TINY_SCALE)
+                              4)
         # Four CPUs serialized on the lock: at least 4x one CPU's section.
         single = run_workload(simos_mipsy(150), LockedWorkload(TINY_SCALE),
-                              1, TINY_SCALE)
+                              1)
         assert result.parallel_ps >= 3.5 * single.parallel_ps
 
 
 class TestConfigRegistry:
-    @pytest.mark.parametrize("name", [
-        "hardware", "embra", "simos-mxs-150", "simos-mxs-150-tuned",
-        "simos-mipsy-150", "simos-mipsy-225-tuned", "solo-mipsy-300",
-    ])
+    @pytest.mark.parametrize("name", sorted(NAMED))
     def test_round_trips_by_name(self, name):
         config = get_config(name)
         assert config.name == name
+        assert config == NAMED[name]
+
+    @pytest.mark.parametrize("alias,name", [
+        ("solo", "solo-mipsy-150-tuned"),
+        ("mipsy", "simos-mipsy-150-tuned"),
+        ("simos-mipsy", "simos-mipsy-150-tuned"),
+        ("mxs", "simos-mxs-150-tuned"),
+        ("simos-mxs", "simos-mxs-150-tuned"),
+    ])
+    def test_shorthand_resolves(self, alias, name):
+        assert get_config(alias) == NAMED[name]
 
     def test_unknown_name_raises(self):
         with pytest.raises(ConfigurationError):
@@ -172,7 +184,7 @@ class TestConfigRegistry:
         untuned = simos_mipsy(150, tuned=False)
         tuned = simos_mipsy(150, tuned=True)
         assert untuned.core.tlb_refill_cycles < tuned.core.tlb_refill_cycles
-        assert untuned.memsys_key != tuned.memsys_key
+        assert untuned.memsys != tuned.memsys
 
     def test_solo_has_no_tlb_and_solo_allocator(self):
         solo = solo_mipsy(225)
@@ -182,14 +194,14 @@ class TestConfigRegistry:
     def test_hardware_uses_r10k_and_hardware_memsys(self):
         hw = hardware_config()
         assert hw.core.model == "r10k"
-        assert hw.memsys_key == "hardware"
+        assert hw.memsys.name == "hardware"
         assert hw.core.ilp_derate_factor > 1.0
 
-    def test_memsys_override_wins(self):
+    def test_derive_replaces_memsys(self):
         from repro.memsys.params import numa
-        cfg = simos_mipsy(225).with_memsys_override(numa(), "-numa")
-        params = cfg.memsys_params(4)
-        assert not params.model_pp_occupancy
+        cfg = simos_mipsy(225).derive("-numa", memsys=numa())
+        assert cfg.name == "simos-mipsy-225-numa"
+        assert not cfg.memsys.contention
 
     def test_mxs_untuned_has_no_port_occupancy(self):
         assert simos_mxs(tuned=False).core.l2_port_occupancy_cycles == 0

@@ -9,6 +9,8 @@ cannot be written at all is a later miss for the cache (best effort) and
 an error for checkpoints (the caller's only copy).
 """
 
+import dataclasses
+import json
 import signal
 from contextlib import contextmanager
 
@@ -18,6 +20,7 @@ from repro.ckpt import SCHEMA_VERSION, Checkpoint, CheckpointStore
 from repro.common.errors import CheckpointError
 from repro.common.store import JsonStore
 from repro.harness.farm import ResultCache
+from repro.obs.profile import CpuBreakdown, RunBreakdown
 from repro.sim.results import RunResult
 
 KEY = "ab" * 32
@@ -85,6 +88,24 @@ def test_damaged_entry_reads_as_miss_and_put_heals(tmp_path, store_name,
         put(store)
         assert store.get(KEY) == expected
         assert len(store) == 1
+
+
+@pytest.mark.parametrize("where", ["breakdown", "per-cpu row"])
+def test_unknown_breakdown_field_reads_as_miss(tmp_path, where):
+    # JSON-valid and the right shape, but one key no record has: a
+    # foreign or stale entry, read as a miss rather than raised.
+    traced = dataclasses.replace(RESULT, breakdown=RunBreakdown(
+        [CpuBreakdown(cpu=0, total_ps=1000, parts_ps={"busy": 1000.0})]))
+    cache = ResultCache(tmp_path)
+    cache.put(KEY, traced)
+    assert cache.get(KEY) == traced
+    path = cache._path(KEY)
+    entry = json.loads(path.read_text())
+    breakdown = entry["result"]["breakdown"]
+    row = breakdown if where == "breakdown" else breakdown["per_cpu"][0]
+    row["unknown"] = 1
+    path.write_text(json.dumps(entry))
+    assert cache.get(KEY) is None
 
 
 @pytest.mark.parametrize("store_name", STORES)

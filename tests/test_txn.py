@@ -345,7 +345,7 @@ class TestIntegration:
         recorder = TxnRecorder()
         with obs_hooks.observing(recorder):
             result = run_workload(hardware_config(), workload,
-                                  self.N_CPUS, scale)
+                                  self.N_CPUS)
         return recorder, result
 
     def test_transactions_were_recorded(self, recorded_run):
@@ -412,7 +412,7 @@ class TestIntegration:
         _, recorded = recorded_run
         scale = get_scale("tiny")
         bare = run_workload(hardware_config(), make_app("fft", scale),
-                            self.N_CPUS, scale)
+                            self.N_CPUS)
         assert bare.total_ps == recorded.total_ps
         assert bare.phase_spans_ps == recorded.phase_spans_ps
         assert bare.stats == recorded.stats
@@ -423,7 +423,7 @@ class TestIntegration:
         scale = get_scale("tiny")
         probe = TxnRecorder()
         result = run_workload(hardware_config(), make_app("fft", scale),
-                              1, scale)
+                              1)
         assert probe.total_events == 0
         assert result.txn_total is None
         assert obs_hooks.active is None

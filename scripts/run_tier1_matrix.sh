@@ -63,6 +63,10 @@ printf '%-54s %6d\n' \
     "hand-written codecs (def to_dict|from_dict, obs ckpt)" \
     "$(grep -rc --include='*.py' 'def to_dict\|def from_dict' \
             src/repro/obs src/repro/ckpt | awk -F: '{n += $NF} END {print n}')" \
+    "hand-written codecs elsewhere in src (harness, sim)" \
+    "$(grep -rc --include='*.py' --exclude-dir=obs --exclude-dir=ckpt \
+            'def to_dict\|def from_dict' src/repro \
+        | awk -F: '{n += $NF} END {print n}')" \
     "ambient slots (len(repro.lint.rules.AMBIENT_SLOTS))" \
     "$(PYTHONPATH=src python -c \
         'from repro.lint.rules import AMBIENT_SLOTS; print(len(AMBIENT_SLOTS))')" \

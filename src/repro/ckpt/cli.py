@@ -62,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     save.add_argument("--mode", choices=ckpt.MODES, default=ckpt.MODE_REPLAY,
                       help="replay: pause anywhere; quiesce: park every "
                            "core at --at-ps so the state is injectable")
-    save.add_argument("--out", metavar="PATH", default=None,
-                      help="also write the checkpoint to this file")
     _add_store_arg(save)
     save.set_defaults(func=cmd_save)
 
@@ -147,10 +145,6 @@ def cmd_save(args: argparse.Namespace) -> int:
     path = _store(args).put(checkpoint)
     print(checkpoint.describe())
     print(f"  stored: {path}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(checkpoint.to_dict(), fh)
-        print(f"  wrote:  {args.out}")
     return 0
 
 

@@ -7,9 +7,11 @@ EXPERIMENTS.md repeats all of it.  The farm turns that repetition from a
 cost into a cache:
 
 * **fan-out** -- a batch of :class:`~repro.sim.request.RunRequest` runs
-  across a ``multiprocessing`` pool (``jobs`` workers).  Requests are
-  pickleable and self-seeding, and results are collected **in request
-  order**, so a parallel batch is bit-identical to the serial loop.
+  across a process pool (``jobs`` workers).  Requests are pickleable and
+  self-seeding, and results are collected **in request order**, so a
+  parallel batch is bit-identical to the serial loop.  A worker that
+  dies fails the batch with a :class:`SimulationError` naming the
+  requests whose results never came back; nothing is retried.
 * **content-addressed result cache** -- each request's result is stored
   on disk under a stable hash of its canonicalized configuration,
   workload, scale, CPU count, placement, seed and the package source
@@ -34,14 +36,15 @@ module.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
 from repro.common.canonical import code_fingerprint
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.common.store import JsonStore, default_dir
 from repro.obs import hooks as obs_hooks
@@ -103,6 +106,24 @@ def _execute_request(request: RunRequest) -> Tuple[RunResult, float]:
     start = time.perf_counter()
     result = request.execute()
     return result, time.perf_counter() - start
+
+
+def _fan_out(requests: List[RunRequest],
+             jobs: int) -> List[Tuple[RunResult, float]]:
+    """Run *requests* over *jobs* worker processes, results in order."""
+    outcomes, lost = [], []
+    with ProcessPoolExecutor(jobs) as pool:
+        futures = [pool.submit(_execute_request, r) for r in requests]
+        for request, future in zip(requests, futures):
+            try:
+                outcomes.append(future.result())
+            except BrokenProcessPool:
+                lost.append(request.describe())
+    if lost:
+        raise SimulationError(
+            f"a farm worker died; {len(lost)} of {len(requests)} results "
+            f"did not return: {', '.join(lost)}")
+    return outcomes
 
 
 class Farm:
@@ -188,8 +209,7 @@ class Farm:
         if pending:
             todo = [request for _key, request in pending]
             if self.jobs > 1 and len(todo) > 1:
-                with multiprocessing.Pool(min(self.jobs, len(todo))) as pool:
-                    outcomes = pool.map(_execute_request, todo)
+                outcomes = _fan_out(todo, min(self.jobs, len(todo)))
                 self.counters.add("batches.parallel")
             else:
                 outcomes = [_execute_request(request) for request in todo]

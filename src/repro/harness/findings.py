@@ -21,18 +21,18 @@ from repro.obs.doc import (
     render_text,
     status,
 )
+from repro.obs.record import Record, records
 
 
 @dataclass
-class Finding:
+class Finding(Record):
     """One paper-vs-measured comparison.
 
     ``attribution`` is an optional *why* payload: a JSON-serialisable dict
     explaining where the measured error came from (an
     :meth:`~repro.obs.diff.AttributionDiff.to_dict` waterfall, a
     :class:`~repro.validation.tuning.TuningReport` payload recording what
-    the calibration changed, ...).  It rides along in :meth:`to_dict`
-    only when present, so snapshots without attributions are unchanged.
+    the calibration changed, ...).
     """
 
     name: str
@@ -42,23 +42,9 @@ class Finding:
     note: str = ""
     attribution: Optional[dict] = None
 
-    def to_dict(self) -> dict:
-        out = {"name": self.name, "paper": self.paper,
-               "measured": self.measured, "ok": self.ok, "note": self.note}
-        if self.attribution is not None:
-            out["attribution"] = self.attribution
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(name=data["name"], paper=data["paper"],
-                   measured=data["measured"], ok=data["ok"],
-                   note=data.get("note", ""),
-                   attribution=data.get("attribution"))
-
 
 @dataclass
-class ExperimentResult:
+class ExperimentResult(Record):
     """Everything one experiment produced."""
 
     exp_id: str
@@ -73,8 +59,11 @@ class ExperimentResult:
     farm_runs: int = 0
     #: Optional experiment-level *why* payload (same contract as
     #: :attr:`Finding.attribution`): e.g. the calibration deltas behind a
-    #: tuning experiment, serialized only when present.
+    #: tuning experiment.
     attribution: Optional[dict] = None
+
+    def __post_init__(self) -> None:
+        self.findings = records(Finding, self.findings)
 
     @property
     def all_ok(self) -> bool:
@@ -103,32 +92,6 @@ class ExperimentResult:
 
     def to_markdown(self) -> str:
         return render_markdown(self.blocks())
-
-    def to_dict(self) -> dict:
-        """JSON snapshot (golden-regression tests compare these)."""
-        out = {
-            "exp_id": self.exp_id,
-            "title": self.title,
-            "rendered": self.rendered,
-            "findings": [f.to_dict() for f in self.findings],
-            "wall_seconds": self.wall_seconds,
-            "scale_name": self.scale_name,
-        }
-        if self.attribution is not None:
-            out["attribution"] = self.attribution
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentResult":
-        return cls(
-            exp_id=data["exp_id"],
-            title=data["title"],
-            rendered=data["rendered"],
-            findings=[Finding.from_dict(f) for f in data["findings"]],
-            wall_seconds=data.get("wall_seconds", 0.0),
-            scale_name=data.get("scale_name", ""),
-            attribution=data.get("attribution"),
-        )
 
 
 def tally(results: Sequence[ExperimentResult]) -> Tuple[int, int]:

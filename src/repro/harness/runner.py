@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import sys
-from typing import List, Optional, Sequence, TextIO
+from typing import List, Optional, Sequence
 
 from repro.common.config import MachineScale, REPRO_SCALE
 from repro.harness.experiments import run_experiment
@@ -26,33 +25,16 @@ ordering, rough magnitude) holds.  Absolute agreement with the dead
 hardware is not the goal (DESIGN.md, reproduction gate)."""
 
 
-def run_all(scale: MachineScale = REPRO_SCALE,
-            order: Sequence[str] = DEFAULT_ORDER,
-            stream: Optional[TextIO] = None,
-            farm=None) -> List[ExperimentResult]:
-    """Run every experiment in *order*, echoing progress to *stream*.
-
-    Pass a :class:`repro.harness.farm.Farm` to fan each experiment's
-    simulation batches across workers and replay cached results; with
-    ``farm=None`` an already-activated ambient farm (see
-    :mod:`repro.sim.farm_hooks`) still applies, and with neither the run
-    is the historical serial loop.
-    """
-    stream = stream or sys.stdout
+def run_all(scale: MachineScale = REPRO_SCALE) -> List[ExperimentResult]:
+    """Run every experiment in :data:`DEFAULT_ORDER`, printing each as it
+    finishes.  An activated farm (see :mod:`repro.sim.farm_hooks`) fans
+    the simulation batches out and replays cached results."""
     results = []
-
-    def _run() -> None:
-        for exp_id in order:
-            result = run_experiment(exp_id, scale)
-            results.append(result)
-            print(result.format(), file=stream)
-            print(file=stream)
-
-    if farm is not None:
-        with farm.activate():
-            _run()
-    else:
-        _run()
+    for exp_id in DEFAULT_ORDER:
+        result = run_experiment(exp_id, scale)
+        results.append(result)
+        print(result.format())
+        print()
     return results
 
 

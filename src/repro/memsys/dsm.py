@@ -443,13 +443,16 @@ class DsmMemorySystem:
                 probe.commit_txn(txn)
 
     def _written_back(self, t: Transaction) -> None:
-        """Home memory is updated: the directory forgets the writer."""
+        """Home memory is updated: the directory forgets the writer --
+        unless the writer holds the line again (its later request
+        overtook this writeback), when the entry is already current."""
         entry = t.entry
         directory = self.magic[t.home].directory
-        if entry.state == DIRTY and entry.owner == t.node:
-            directory.clear(t.line)
-        elif entry.state == SHARED:
-            directory.drop_sharer(t.line, t.node)
+        if self._hooks[t.node].l2_peek(t.line) is None:
+            if entry.state == DIRTY and entry.owner == t.node:
+                directory.clear(t.line)
+            elif entry.state == SHARED:
+                directory.drop_sharer(t.line, t.node)
         self._release(t)
         txn = t.txn
         if txn is not None:

@@ -54,7 +54,6 @@ from repro.obs.diff import diff_runs
 from repro.obs.export import flame_summary, write_chrome_trace
 from repro.obs.hotspot import build_report
 from repro.obs.metrics import (
-    ERROR_THRESHOLD,
     PERF_THRESHOLD,
     TIME_THRESHOLD,
     detect_drift,
@@ -139,8 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_run_args(trace, default_cpus=4, config_default=DEFAULT_CONFIG)
     trace.add_argument("--capacity", type=int, default=65536,
                        help="trace ring capacity in spans (default 65536)")
-    trace.add_argument("--engine-events", action="store_true",
-                       help="also record raw event-calendar dispatches")
     trace.add_argument("--trace", metavar="PATH", default=None,
                        help="write Chrome trace-event JSON (Perfetto) here")
     trace.add_argument("--breakdown", action="store_true",
@@ -179,9 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     txn.add_argument("--top", type=int, default=obs_txn.DEFAULT_TOP_K,
                      help="slowest transactions to print "
                           f"(default {obs_txn.DEFAULT_TOP_K})")
-    txn.add_argument("--kind", default=None,
-                     help="restrict the slowest-K view to one kind key "
-                          "(e.g. read.remote_clean, writeback)")
     txn.add_argument("--json", metavar="PATH", default=None,
                      help="also write the TxnReport payload here")
     txn.add_argument("--check", action="store_true",
@@ -215,16 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     watch.add_argument("--time-threshold", type=float, default=TIME_THRESHOLD,
                        help="relative parallel-time change that counts as "
                             f"drift (default {TIME_THRESHOLD:g})")
-    watch.add_argument("--error-threshold", type=float,
-                       default=ERROR_THRESHOLD,
-                       help="percent-error-point change that counts as "
-                            f"drift (default {ERROR_THRESHOLD:g})")
     watch.set_defaults(func=cmd_watch)
     return parser
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    recorder = TraceRecorder(args.capacity, engine_events=args.engine_events)
+    recorder = TraceRecorder(args.capacity)
     with hooks.observing(recorder):
         result = build_request(args, args.config).execute()
 
@@ -281,7 +271,7 @@ def cmd_txn(args: argparse.Namespace) -> int:
     report = obs_txn.build_report(recorder, result, top_k=args.top)
     print(result.describe())
     print()
-    print(report.format(top=args.top, kind=args.kind))
+    print(report.format(top=args.top))
     if args.json:
         _write_json(args.json, report.to_dict())
     if args.check:
@@ -343,9 +333,7 @@ def cmd_watch(args: argparse.Namespace) -> int:
         print(f"watch: no ledger records at {args.ledger} "
               f"(run the harness with --ledger, or --dashboard)")
         return 0
-    report = detect_drift(records,
-                          time_threshold=args.time_threshold,
-                          error_threshold=args.error_threshold)
+    report = detect_drift(records, time_threshold=args.time_threshold)
     report.skipped = len(problems)
     print(report.format())
     return 0 if report.ok else 1

@@ -330,7 +330,7 @@ def merge_bench(path, bench: str, records: List[BenchRecord]) -> Path:
 
 #: Default relative change in parallel time that counts as drift.
 TIME_THRESHOLD = 0.02
-#: Default change in percent-error points that counts as accuracy drift.
+#: Change in percent-error points that counts as accuracy drift.
 ERROR_THRESHOLD = 1.0
 #: Default relative events/sec (or wall-time) slowdown that counts as a
 #: regression.  Deliberately generous: BENCH baselines travel between
@@ -423,8 +423,7 @@ class GateReport(Record):
 
 
 def detect_drift(records: List[LedgerRecord],
-                 time_threshold: float = TIME_THRESHOLD,
-                 error_threshold: float = ERROR_THRESHOLD) -> GateReport:
+                 time_threshold: float = TIME_THRESHOLD) -> GateReport:
     """Judge each run group's newest record against its earlier ones:
     parallel time relatively, percent error in points, both two-sided.
     A group of one record has no history; cached replays reproduce the
@@ -446,7 +445,7 @@ def detect_drift(records: List[LedgerRecord],
                   if r.percent_error is not None]
         if latest.percent_error is not None and errors:
             report.judge(series, "accuracy", errors, latest.percent_error,
-                         error_threshold)
+                         ERROR_THRESHOLD)
     return report
 
 

@@ -342,7 +342,6 @@ class TxnRecorder(hooks.Recorder):
 
     def finish(self, machine, result) -> None:
         self.end_ps = max(self.end_ps, machine.env.now)
-        result.txn_total = self.total_txns
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TxnRecorder({self.total_txns} txns, "
@@ -401,11 +400,10 @@ class TxnReport(Record):
         return sum(entry["count"] for key, entry in self.kinds.items()
                    if predicate(key))
 
-    def blocks(self, top: Optional[int] = None,
-               kind: Optional[str] = None) -> list:
+    def blocks(self, top: Optional[int] = None) -> list:
         """The anatomy as :mod:`repro.obs.doc` blocks: per-kind
         percentiles with the wait-vs-service mix, then the slowest *top*
-        critical paths (of *kind*) with their explicit residual rows."""
+        critical paths with their explicit residual rows."""
         label = (f"   [{self.workload} @ `{self.config}`, P={self.n_cpus}]"
                  if self.config else "")
         rows = []
@@ -426,8 +424,7 @@ class TxnReport(Record):
             Para(f"residual: {self.residual_ps} ps across "
                  f"{self.residual_txns} of {self.total_txns} transactions"),
         ]
-        chosen = [t for t in reversed(self.top)          # slowest first
-                  if kind is None or t["kind"] == kind][:top]
+        chosen = list(reversed(self.top))[:top]          # slowest first
         if chosen:
             body = []
             for t in chosen:
@@ -440,13 +437,11 @@ class TxnReport(Record):
                           [[name, fmt_ps(wait), fmt_ps(service)]
                            for name, wait, service in t["segments"]]
                           + [["residual", fmt_ps(t["residual_ps"]), ""]])]
-            out.append(Details(f"slowest {len(chosen)}"
-                               + (f" ({kind})" if kind else "") + ":", body))
+            out.append(Details(f"slowest {len(chosen)}:", body))
         return out
 
-    def format(self, top: Optional[int] = None,
-               kind: Optional[str] = None) -> str:
-        return render_text(self.blocks(top, kind))
+    def format(self, top: Optional[int] = None) -> str:
+        return render_text(self.blocks(top))
 
 
 def build_report(recorder: TxnRecorder, result=None,

@@ -28,13 +28,6 @@ class RunResult:
     #: Per-CPU cycle attribution (repro.obs); populated when the run
     #: executed under an active tracer, else None.
     breakdown: Optional["RunBreakdown"] = None
-    #: Transactions recorded by an ambient txn recorder (repro.obs.txn)
-    #: during this run, or None when none was installed.  Observability
-    #: only: excluded from equality and serialization, so cache replays
-    #: stay indistinguishable -- the anatomy itself lives in the recorder (and
-    #: travels as a ``"kind": "txn"`` payload on Finding/ExperimentResult
-    #: attributions), never inside the cached result.
-    txn_total: Optional[int] = field(default=None, compare=False)
 
     @property
     def parallel_ps(self) -> int:
@@ -62,6 +55,8 @@ class RunResult:
         )
 
     # -- serialization (the farm's on-disk cache format) -------------------
+    # Not a Record: every cache put and hit runs this, 1.4/3.1 us to encode/
+    # decode 130 counters vs Record's 280/70 us (Xeon, CPython 3).
 
     def to_dict(self) -> Dict:
         """A JSON-serialisable snapshot; :meth:`from_dict` inverts it.

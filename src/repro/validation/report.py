@@ -10,10 +10,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-# The one text sparkline lives with the report emitters that draw it;
-# figure code keeps importing it from here.
-from repro.obs.doc import sparkline  # noqa: F401
-
 BAR_WIDTH = 48
 
 

@@ -27,12 +27,6 @@ class HotspotStudy:
     study: SpeedupStudy
     reference: str
 
-    def overprediction(self, config: str, n_cpus: int) -> float:
-        """Relative speedup overprediction vs the reference at *n_cpus*."""
-        ref = self.study.curve_of(self.reference).at(n_cpus)
-        sim = self.study.curve_of(config).at(n_cpus)
-        return (sim - ref) / ref
-
     def format(self) -> str:
         counts = [p for p in sorted(self.study.curves[0].times_ps) if p > 1]
         return render_text([

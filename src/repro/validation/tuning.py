@@ -181,11 +181,7 @@ class Tuner:
             params = params.with_updates(
                 case_extra_ps=extras, name=params.name + "*")
             config = config.derive(memsys=params)
-            measured = {
-                case: measure_dependent_loads(config, case, self.scale,
-                                              self.n_loads)
-                for case in PROTOCOL_CASES
-            }
+            measured = measure_all_cases(config, self.scale, self.n_loads)
             worst = max(
                 abs(measured[c] - report.target_cases_ns[c])
                 / report.target_cases_ns[c]

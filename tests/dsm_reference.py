@@ -384,10 +384,11 @@ class ReferenceDsm:
         try:
             yield seg(txn, "pp_wb", pp_busy(home_magic, p.pp_wb_ps, "wb", txn))
             yield seg(txn, "dram", dram_access(home_magic, p.dram_ps, txn))
-            if entry.state == DIRTY and entry.owner == node:
-                home_magic.directory.clear(line)
-            elif entry.state == SHARED:
-                home_magic.directory.drop_sharer(line, node)
+            if self._hooks[node].l2_peek(line) is None:   # else stale
+                if entry.state == DIRTY and entry.owner == node:
+                    home_magic.directory.clear(line)
+                elif entry.state == SHARED:
+                    home_magic.directory.drop_sharer(line, node)
         finally:
             busy, entry.busy = entry.busy, None
             busy.succeed()

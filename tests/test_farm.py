@@ -14,7 +14,11 @@ that contract:
   lint rule).
 """
 
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +134,43 @@ class TestDeterminism:
         assert replayed == serial
         assert farm.hits == len(requests)
         assert int(farm.counters.get("executed")) == len(requests)
+
+
+#: A two-request batch over two workers whose first request's workload
+#: kills its worker process.
+_DEAD_WORKER = """
+import os
+from repro.common.config import TINY_SCALE
+from repro.common.errors import SimulationError
+from repro.harness import Farm
+from repro.sim import RunRequest, simos_mipsy
+from repro.workloads import make_app
+from repro.workloads.base import Workload
+
+class Dies(Workload):
+    name = "dies"
+
+    def build(self, n_cpus):
+        os._exit(1)
+
+try:
+    Farm(jobs=2).map([RunRequest(simos_mipsy(), Dies(TINY_SCALE), 1),
+                      RunRequest(simos_mipsy(), make_app("fft", TINY_SCALE),
+                                 1)])
+except SimulationError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.farm
+def test_a_dead_worker_fails_the_batch_instead_of_hanging():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-c", _DEAD_WORKER],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "did not return" in done.stdout
+    assert "dies@simos-mipsy-150/P1/tiny" in done.stdout
 
 
 class TestFarmAccounting:

@@ -6,8 +6,8 @@ the figures depend on.  Module-scoped fixtures share gold-standard runs.
 
 import pytest
 
-from repro.common.config import REPRO_SCALE
-from repro.memsys.params import PROTOCOL_CASES, TABLE3_HARDWARE_NS
+from repro.common.config import REPRO_SCALE, get_scale
+from repro.memsys.params import PARAM_SETS, PROTOCOL_CASES, TABLE3_HARDWARE_NS
 from repro.sim import (
     Machine,
     hardware_config,
@@ -16,6 +16,7 @@ from repro.sim import (
     simos_mxs,
     solo_mipsy,
 )
+from repro.sim.configs import get_config
 from repro.validation import Tuner, measure_port_occupancy_cycles
 from repro.workloads import (
     FftWorkload,
@@ -27,6 +28,7 @@ from repro.workloads import (
     pathological_radix,
     tuned_radix,
 )
+from tests.test_memsys import disagreements
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +147,28 @@ class TestCoherenceAtScale:
         r2 = run_workload(hw, make_app("radix"), 4)
         assert r1.parallel_ps == r2.parallel_ps
         assert r1.stat("memsys.req_read") == r2.stat("memsys.req_read")
+
+    @pytest.mark.parametrize("workload,config,memsys", [
+        # The miss_path_tiny golden's four runs ...
+        ("fft", "hardware", "hardware"),
+        ("radix", "hardware", "hardware"),
+        ("radix", "simos-mipsy-150", "numa"),
+        ("lu", "simos-mipsy-150", "flashlite_untuned"),
+        # ... and NUMA, whose pure delays let a request overtake its own
+        # node's writeback, on two more cores.
+        ("radix", "hardware", "numa"),
+        ("radix", "solo-mipsy-150", "numa"),
+    ])
+    def test_directory_agrees_with_the_caches_when_a_run_ends(
+            self, workload, config, memsys):
+        scale = get_scale("tiny")
+        config = get_config(config).derive(memsys=PARAM_SETS[memsys]())
+        machine = Machine(config, 4, scale)
+        machine.run(make_app(workload, scale))
+        machine.env.run()       # drain the writebacks still in flight
+        held = {iface.node: dict(iface.l2.ckpt_state()["state"])
+                for iface in machine.ifaces}
+        assert disagreements(machine.memsys, held) == []
 
     def test_remote_traffic_appears_only_in_parallel_runs(self, hw):
         uni = run_workload(hw, make_app("fft"), 1)

@@ -27,7 +27,7 @@ from repro.memsys import (
     numa,
     predict_case_ps,
 )
-from repro.mem.address import node_base
+from repro.mem.address import home_node, node_base
 from repro.memsys.params import PARAM_SETS
 from repro.obs import hooks as obs_hooks
 from repro.obs.txn import TxnRecorder
@@ -85,6 +85,36 @@ def _directories_stay_consistent():
     for mem in _BUILT:
         for magic in mem.magic:
             magic.directory.check_invariants()
+
+
+def disagreements(mem, held):
+    """Where the directory and the caches tell different stories once no
+    transaction is in flight: a DIRTY entry whose owner does not hold the
+    line M, an M line whose home does not say DIRTY at its node, an S
+    line whose node is not a recorded sharer.  *held* maps each node to
+    its L2 as ``{line: state}``.  Every entry must also pass the
+    directory's own invariants."""
+    out = []
+    for magic in mem.magic:
+        magic.directory.check_invariants()
+        for line, entry in magic.directory.ckpt_state()["entries"]:
+            owner = entry["owner"]
+            if entry["state"] == DIRTY and held[owner].get(line) != MODIFIED:
+                out.append(f"line {line:#x}: DIRTY at {owner}, which holds "
+                           f"{held[owner].get(line)}")
+    for node, lines in held.items():
+        for line, state in lines.items():
+            entry = mem.magic[home_node(line << mem.line_shift)] \
+                .directory.peek(line)
+            if state == MODIFIED:
+                agrees = (entry is not None and entry.state == DIRTY
+                          and entry.owner == node)
+            else:
+                agrees = entry is not None and node in entry.sharers
+            if not agrees:
+                out.append(f"line {line:#x}: {state} at {node}, "
+                           f"directory says {entry!r}")
+    return out
 
 
 def run_request(env, mem, node, paddr, kind):
@@ -210,6 +240,7 @@ class TestCoherence:
         env, mem, hooks = build()
         paddr = node_base(2) + 0x700
         run_request(env, mem, 0, paddr, MemKind.WRITE)
+        hooks[0].l2.pop(paddr >> 7)     # evicted first, as the interface does
         run_request(env, mem, 0, paddr, MemKind.WRITEBACK)
         entry = mem.directory_of(paddr)
         assert entry.state == UNOWNED
@@ -355,6 +386,8 @@ def _drive(dsm_class, params, program, observe):
             env.run()
     else:
         env.run()
+    assert disagreements(mem, {n: hook.l2 for n, hook in enumerate(nodes)}) \
+        == []
     return mem, {
         "log": log, "now": env.now, "events": env.events_processed,
         "when": when.hexdigest(), "state": json.dumps(mem.ckpt_state()),

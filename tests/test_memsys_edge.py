@@ -70,6 +70,7 @@ class TestProtocolChurn:
         paddr = node_base(2) + 0x300
         run_request(env, mem, 0, paddr, MemKind.READ)
         run_request(env, mem, 1, paddr, MemKind.READ)
+        hooks[0].l2.pop(paddr >> 7)     # evicted first, as the interface does
         run_request(env, mem, 0, paddr, MemKind.WRITEBACK)
         entry = mem.directory_of(paddr)
         assert entry.state == SHARED and entry.sharers == {1}
@@ -78,6 +79,7 @@ class TestProtocolChurn:
         env, mem, hooks = build()
         paddr = node_base(2) + 0x380
         run_request(env, mem, 0, paddr, MemKind.READ)
+        hooks[0].l2.pop(paddr >> 7)     # evicted first, as the interface does
         run_request(env, mem, 0, paddr, MemKind.WRITEBACK)
         assert mem.directory_of(paddr).state == UNOWNED
 

@@ -214,7 +214,7 @@ class TestOneRunFeedsEveryRecorder:
         _recorders, observed = together
         plain = RunRequest(get_config("hardware"),
                            make_app("fft", get_scale("tiny")), 4).execute()
-        assert observed.breakdown is not None and observed.txn_total > 0
+        assert observed.breakdown is not None
         assert dataclasses.replace(observed, breakdown=None) == plain
 
     def test_each_report_equals_its_solo_run(self, together):

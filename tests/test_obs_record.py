@@ -3,7 +3,8 @@ and ledger row.
 
 Two layers: the codec's promises checked over a small instance of each
 of the ``Record`` classes under ``repro.obs``, the bisector's
-``DivergenceReport`` and the calibration's ``TuningReport`` (round trip,
+``DivergenceReport``, the calibration's ``TuningReport`` and the
+harness's ``Finding``/``ExperimentResult`` (round trip,
 JSON, copies in both directions, strictness, defaults; a report view
 renders the same from its payload), then the payloads an earlier codec
 wrote -- the three committed payload goldens -- read back equal with no
@@ -19,6 +20,7 @@ import pytest
 
 from repro.ckpt.bisect import DivergenceReport
 from repro.common.errors import ConfigurationError
+from repro.harness.findings import ExperimentResult, Finding
 from repro.obs.diff import AttributionDiff, CategoryDelta
 from repro.obs.doc import render_markdown, render_text
 from repro.obs.hotspot import HotRegion, HotspotReport
@@ -53,6 +55,9 @@ DIVERGENCE = DivergenceReport(
     neighborhood_b=[{"index": 1, "when_ps": 110, "event": "Steps._walk"}],
     context_a=[{"t_ps": 120, "category": "sync", "name": "barrier_wait",
                 "dur_ps": 0, "args": {"bid": 4, "cpu": 0}}])
+
+FINDING = Finding(name="a", paper="+40%", measured="+43%", ok=True,
+                  note="P=16", attribution={"kind": "topo", "samples": 2})
 
 SAMPLES = [
     CpuBreakdown(cpu=0, total_ps=100, parts_ps={"busy": 60.0, "tlb": 40.0}),
@@ -94,6 +99,11 @@ SAMPLES = [
                  target_tlb_cycles=65.0, before_tlb_cycles=25.0,
                  after_tlb_cycles=65.0, port_occupancy_cycles=11.5,
                  rounds=2, case_extra_adjust_ps={"local_clean": 77_000}),
+    FINDING,
+    ExperimentResult(exp_id="fig7", title="hotspot", rendered="P  8  16",
+                     findings=[FINDING, Finding("b", "no", "no", False)],
+                     wall_seconds=1.5, scale_name="tiny", farm_hits=2,
+                     farm_runs=3, attribution={"kind": "txn"}),
 ]
 
 

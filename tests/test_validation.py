@@ -20,7 +20,8 @@ from repro.validation import (
     speedup_study,
     trend_agreement,
 )
-from repro.validation.report import bar_chart, line_chart, sparkline
+from repro.obs.doc import sparkline
+from repro.validation.report import bar_chart, line_chart
 from repro.workloads import make_app
 
 

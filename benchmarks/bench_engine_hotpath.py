@@ -3,17 +3,17 @@
 The four SPLASH-2 stand-ins on the ``simos-mipsy-150`` (fig2) and
 ``hardware`` (table1) configurations at repro scale, one CPU: best-of-N
 wall time and engine events/sec per case, folded into the committed perf
-ledger ``benchmarks/BENCH_engine_hotpath.json`` -- the baseline
-``python -m repro.obs perf --baseline`` diffs against -- plus the engine
+ledger ``benchmarks/BENCH_engine_hotpath.jsonl`` -- the history
+``python -m repro.obs perf --baseline`` judges against -- plus the engine
 primitives on their own (``timeout``, ``use`` free and queued, one
 protocol-processor handler and one two-hop message walked as plans of
 their own) and the row-path primitives beside them
 (a plain-hit reference, an L2-hit reference, an all-hit row through a
 core).  The ledger is the record; the
 assertions are that repeats of one case are bit-identical and that an
-application case still processes exactly the committed record's
+application case still processes exactly its latest committed record's
 ``events`` over the same ``sim_ps`` (the calendar may get cheaper, never
-different); ``speedup`` is the committed wall time over the new one.
+different); ``speedup`` is that record's wall time over the new one.
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_engine_hotpath.py -m slow -s
@@ -35,7 +35,7 @@ from repro.isa.opcodes import Op
 from repro.isa.trace import ChunkExec
 from repro.mem.cache import MODIFIED
 from repro.network.fabric import Network, NetworkParams
-from repro.obs.metrics import make_case, read_bench, run_record
+from repro.obs.metrics import BenchRecord, make_case, read_ledger, run_record
 from repro.proto.magic import MagicController
 from repro.sim.configs import get_config
 from repro.sim.machine import Machine
@@ -72,9 +72,9 @@ def _best_of(app, config, scale, repeats):
 
 
 def _committed():
-    """case -> the ledger's record of it, as committed (before this run)."""
-    return {r.case: r
-            for r in read_bench(BENCH_DIR / "BENCH_engine_hotpath.json")}
+    """case -> its latest record in the ledger (before this run appends)."""
+    return {r.case: r for r in read_ledger(
+        BENCH_DIR / "BENCH_engine_hotpath.jsonl", BenchRecord)}
 
 
 def _app_record(app, config, scale, repeats, committed):
@@ -114,7 +114,7 @@ def test_perf_smoke_baseline():
 
     ``scripts/run_tier1_matrix.sh`` runs ``python -m repro.obs perf fft
     --config simos-mipsy-150 --scale tiny --baseline
-    benchmarks/BENCH_engine_hotpath.json``; the diff matches records by
+    benchmarks/BENCH_engine_hotpath.jsonl``; the gate matches records by
     case string, so this test must emit exactly that case.
     """
     emit_bench("engine_hotpath", [_app_record(

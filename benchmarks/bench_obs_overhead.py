@@ -14,8 +14,8 @@ observability acceptance gate):
   allowed to cost real time (it records one span per stall/transaction)
   but must stay within a small constant factor of the baseline.
 
-The headline numbers fold into the committed BENCH perf ledger
-(``benchmarks/BENCH_obs_overhead.json``) via ``conftest.emit_bench``.
+The headline numbers are appended to the committed BENCH perf ledger
+(``benchmarks/BENCH_obs_overhead.jsonl``) via ``conftest.emit_bench``.
 
 Runs under pytest (``pytest benchmarks/bench_obs_overhead.py -s``; marked
 ``slow``) or directly (``python benchmarks/bench_obs_overhead.py``).
@@ -32,7 +32,7 @@ from repro.obs import hooks as obs_hooks
 from repro.obs.metrics import BenchRecord, make_case
 from repro.obs.trace import TraceRecorder
 from repro.sim.configs import get_config
-from repro.sim.machine import run_workload
+from repro.sim.machine import Machine, run_workload
 from repro.workloads import make_app
 
 #: Enabled run may cost at most this factor over the disabled run.
@@ -42,14 +42,13 @@ MAX_DISABLED_OVERHEAD = 0.05
 
 
 class GuardCounter(obs_hooks.Recorder):
-    """Subscribes to every probe event, per-calendar-event ones included.
+    """Subscribes to every probe event, and on the engine's tracer slot
+    to every calendar event.
 
     Each delivery is one guarded call reached, and no site tests its
     local more often than it delivers (the engine's one site delivers
     one event per calendar event behind one test), so the count is an
     upper bound on the guards a disabled run executes."""
-
-    engine_events = True
 
     def __init__(self):
         self.guards = 0
@@ -62,10 +61,14 @@ for _event in obs_hooks.EVENTS:
     setattr(GuardCounter, _event, GuardCounter._count)
 
 
-def _reference_run(*recorders):
+def _reference():
+    """The reference run's configuration and workload."""
     scale = get_scale("tiny")
-    config = get_config("simos-mipsy-150-tuned")
-    workload = make_app("ocean", scale)
+    return get_config("simos-mipsy-150-tuned"), make_app("ocean", scale)
+
+
+def _reference_run(*recorders):
+    config, workload = _reference()
     start = time.perf_counter()
     if recorders:
         with obs_hooks.observing(*recorders):
@@ -73,6 +76,19 @@ def _reference_run(*recorders):
     else:
         run_workload(config, workload, 2)
     return time.perf_counter() - start
+
+
+def _count_guards() -> int:
+    """Guards one reference run reaches, counted in both slots."""
+    config, workload = _reference()
+    counter = GuardCounter()
+    machine = Machine(config, 2, workload.scale)
+    with obs_hooks.observing(counter):
+        machine.begin(workload)
+        machine.env.tracer = counter
+        machine.advance()
+        machine.finish()
+    return counter.guards
 
 
 def _time_guard(iterations: int = 1_000_000) -> float:
@@ -96,21 +112,20 @@ def measure():
         _reference_run(tracer),
     )
     guard_s = _time_guard()
-    counter = GuardCounter()
-    _reference_run(counter)
+    guards = _count_guards()
     return {
         "t_off_s": t_off,
         "t_on_s": t_on,
         "ratio": t_on / t_off,
         "guard_ns": guard_s * 1e9,
         "spans": tracer.recorded,
-        "guards": counter.guards,
-        "disabled_overhead_fraction": counter.guards * guard_s / t_off,
+        "guards": guards,
+        "disabled_overhead_fraction": guards * guard_s / t_off,
     }
 
 
 def _emit_ledger(m) -> None:
-    """Fold the headline numbers into BENCH_obs_overhead.json."""
+    """Append the headline numbers to BENCH_obs_overhead.jsonl."""
     from conftest import emit_bench
 
     config, scale = "simos-mipsy-150-tuned", "tiny"

@@ -20,10 +20,11 @@ By default (no ``--farm-jobs``) benchmarks run the historical serial
 path, so published timings stay comparable.
 
 Benchmarks that measure the *simulator's* speed (engine hot path, farm
-cache, checkpoints) additionally fold their headline numbers into the
-committed BENCH perf ledger (``benchmarks/BENCH_<name>.json``, the
-frozen schema of :mod:`repro.obs.metrics`) via :func:`emit_bench`, which is
-what ``python -m repro.obs perf --baseline ...`` diffs against.
+cache, checkpoints) additionally append their headline numbers to the
+committed BENCH perf ledger (``benchmarks/BENCH_<name>.jsonl``, JSON
+lines in the frozen schema of :mod:`repro.obs.metrics`) via
+:func:`emit_bench`, which is the history ``python -m repro.obs perf
+--baseline ...`` judges a fresh run against.
 """
 
 from pathlib import Path
@@ -32,22 +33,21 @@ import pytest
 
 from repro.common.config import REPRO_SCALE
 from repro.harness import Farm, ResultCache, run_experiment
-from repro.obs.metrics import merge_bench
+from repro.obs.metrics import append_records
 
-#: Where the committed BENCH_<name>.json perf-ledger files live.
+#: Where the committed BENCH_<name>.jsonl perf-ledger files live.
 BENCH_DIR = Path(__file__).resolve().parent
 
 
 def emit_bench(bench, records):
-    """Merge *records* into the committed ``BENCH_<bench>.json`` ledger.
+    """Append *records* to the committed ``BENCH_<bench>.jsonl`` ledger.
 
-    :func:`repro.obs.metrics.merge_bench` replaces same-case records and
-    keeps the rest, so each benchmark updates only its own cases and
-    reruns stay idempotent.
+    Earlier lines are never rewritten, so every case keeps its history:
+    a rerun adds its measurement after the ones before it.
     """
-    path = BENCH_DIR / f"BENCH_{bench}.json"
-    merge_bench(path, bench, records)
-    print(f"bench ledger: updated {len(records)} case(s) in {path.name}")
+    path = BENCH_DIR / f"BENCH_{bench}.jsonl"
+    append_records(path, records)
+    print(f"bench ledger: appended {len(records)} record(s) to {path.name}")
     return path
 
 

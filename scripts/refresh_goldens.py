@@ -247,13 +247,12 @@ def calendar_snapshot(golden_id: str) -> dict:
 class _ProbeDigest(hooks.Recorder):
     """A recorder hashing every probe event, in the order it is told.
 
-    Installed beside a ``TxnRecorder`` (which opens the records), it
-    folds each sealed record whole -- segments and wait attribution in
-    their order -- and every other event with its arguments, plus the
-    time of every calendar entry (not its callback's name).
+    Installed beside a ``TxnRecorder`` (which opens the records), and on
+    the engine's tracer slot, it folds each sealed record whole --
+    segments and wait attribution in their order -- and every other event
+    with its arguments, plus the time of every calendar entry (not its
+    callback's name).
     """
-
-    engine_events = True
 
     def __init__(self):
         self._hash = hashlib.sha256()
@@ -323,8 +322,12 @@ def miss_path_snapshot(golden_id: str) -> dict:
         # first-touch order, like ``rows_snapshot``.
         memsys_state = json.dumps(machine.memsys.ckpt_state())
         probe_digest = _ProbeDigest()
+        digested = request.machine()
         with hooks.observing(TxnRecorder(), probe_digest):
-            request.execute()
+            digested.begin(request.workload)
+            digested.env.tracer = probe_digest
+            digested.advance()
+            digested.finish()
         out[f"{request.describe()}/{memsys}"] = {
             "events_processed": machine.env.events_processed,
             "now_ps": machine.env.now,

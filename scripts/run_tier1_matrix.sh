@@ -26,13 +26,14 @@ PYTHONPATH=src python -m repro.obs txn fft --config hardware \
 echo "=== tier-1 ==="
 PYTHONPATH=src python -m pytest -x -q "$@"
 
-# Perf smoke (report-only): one timed tiny run diffed against the
-# committed BENCH ledger.  A regression prints its report but does not
-# fail the gate -- wall clocks on shared CI boxes are too noisy for a
-# hard gate; drop --report-only in a dedicated perf lane to enforce it.
+# Perf smoke (report-only): one timed tiny run judged against its case's
+# history in the committed BENCH ledger.  A regression prints its report
+# but does not fail the gate -- wall clocks on shared CI boxes are too
+# noisy for a hard gate; drop --report-only in a dedicated perf lane to
+# enforce it.
 echo "=== perf smoke: python -m repro.obs perf fft (report-only) ==="
 PYTHONPATH=src python -m repro.obs perf fft --config simos-mipsy-150 \
-    --scale tiny --baseline benchmarks/BENCH_engine_hotpath.json \
+    --scale tiny --baseline benchmarks/BENCH_engine_hotpath.jsonl \
     --report-only
 
 echo "=== tier-1 gate passed ==="

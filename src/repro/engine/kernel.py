@@ -97,11 +97,11 @@ class Engine:
         self._defer = self._queue.append
         self.events_processed = 0
         #: Optional per-engine observer: anything with the ``span`` event
-        #: of :class:`repro.obs.hooks.Recorder` (``Machine`` installs the
-        #: probe's engine observer, ``repro.ckpt.bisect`` its event-stream
-        #: recorder).  :meth:`run` reads it once and calls it once per
-        #: calendar event, behind an ``is not None`` guard on a local, so
-        #: the disabled path stays a single test.
+        #: of :class:`repro.obs.hooks.Recorder`, set by whoever wants the
+        #: calendar (``repro.ckpt.bisect`` sets its event-stream recorder;
+        #: the probe never does).  :meth:`run` reads it once and calls it
+        #: once per calendar event, behind an ``is not None`` guard on a
+        #: local, so the disabled path stays a single test.
         self.tracer = None
 
     # -- scheduling ------------------------------------------------------

@@ -21,12 +21,12 @@ cost into a cache:
   is a pure function of its request (all randomness flows through
   ``derive_rng``), cached replay preserves the serial semantics exactly.
 * **accounting** -- per-request wall time and hit/miss counters flow into
-  a :class:`~repro.common.stats.StatsRegistry` (counter set ``farm``) and,
-  when a tracer is observing, into wall-clock ``farm`` spans on the
-  trace timeline.  Given a :class:`~repro.obs.metrics.MetricsWriter`
-  (``Farm(metrics=...)``), every request additionally appends one record
-  to the metrics ledger (cycles, percent error, attribution, cache outcome) --
-  the history ``python -m repro.obs watch`` checks for drift.
+  a :class:`~repro.common.stats.StatsRegistry` (counter set ``farm``);
+  host time stays off the simulated-time trace timeline.  Given a
+  :class:`~repro.obs.metrics.MetricsWriter` (``Farm(metrics=...)``),
+  every request additionally appends one record to the metrics ledger
+  (cycles, percent error, attribution, cache outcome) -- the history
+  ``python -m repro.obs watch`` checks for drift.
 
 Install a farm ambiently with :meth:`Farm.activate` (the harness CLI does
 this for ``--jobs`` / ``--no-cache``); the validation and microbenchmark
@@ -47,7 +47,6 @@ from repro.common.canonical import code_fingerprint
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.common.store import JsonStore, default_dir
-from repro.obs import hooks as obs_hooks
 from repro.sim import farm_hooks
 from repro.sim.request import RunRequest
 from repro.sim.results import RunResult
@@ -140,7 +139,6 @@ class Farm:
         self.metrics = metrics
         self.registry = registry if registry is not None else StatsRegistry()
         self.counters = self.registry.counter_set("farm")
-        self._epoch = time.perf_counter()
 
     # -- counters ---------------------------------------------------------
 
@@ -163,15 +161,7 @@ class Farm:
 
     def _observe(self, request: RunRequest, result: RunResult, wall_s: float,
                  outcome: str, key: str) -> None:
-        """Tell the trace timeline and the ledger about one resolution."""
-        probe = obs_hooks.active
-        if probe is not None:
-            # Farm spans live in wall-clock time (microsecond resolution,
-            # stored as ps since farm creation), unlike simulated-time
-            # spans; the trace viewer shows them on their own track.
-            t_ps = int((time.perf_counter() - self._epoch - wall_s) * 1e12)
-            probe.span(max(0, t_ps), obs_hooks.FARM,
-                       f"{outcome}:{request.describe()}", int(wall_s * 1e12))
+        """Tell the ledger, if there is one, about one resolution."""
         if self.metrics is not None:
             self.metrics.observe(request, result, wall_s, outcome, key=key)
 

@@ -62,21 +62,21 @@ def write_dashboard(results: Sequence[ExperimentResult], out_dir: str,
 
     When *ledger_path* points at an existing metrics ledger its records
     feed the trend sparklines; otherwise that section is omitted.  The
-    committed BENCH perf ledgers under *bench_dir* (default: the
-    repository's ``benchmarks/`` directory) feed the "How fast is the
-    simulator" section; a checkout without them omits it.
+    committed BENCH perf ledgers (``BENCH_*.jsonl``) under *bench_dir*
+    (default: the repository's ``benchmarks/`` directory) feed the "How
+    fast is the simulator" section; a checkout without them omits it.
     """
     from pathlib import Path
 
-    from repro.obs.metrics import read_bench, read_ledger
+    from repro.obs.metrics import BenchRecord, read_ledger
     from repro.validation.dashboard import render_dashboard
 
     records = read_ledger(ledger_path) if ledger_path else []
     if bench_dir is None:
         bench_dir = Path(__file__).resolve().parents[3] / "benchmarks"
     benches = []
-    for path in sorted(Path(bench_dir).glob("BENCH_*.json")):
-        benches.extend(read_bench(path))
+    for path in sorted(Path(bench_dir).glob("BENCH_*.jsonl")):
+        benches.extend(read_ledger(path, BenchRecord))
     return render_dashboard(results, out_dir, records,
                             bench_records=benches)
 

@@ -17,8 +17,10 @@ the reproduction the same visibility into itself:
   per-category waterfall explaining a reference-vs-candidate cycle gap;
 * :mod:`repro.obs.metrics` -- the two frozen-schema ledgers: the
   run-over-run metrics ledger (:class:`~repro.obs.metrics.MetricsWriter`)
-  and the BENCH perf ledger, and the one gate that judges both
-  (:class:`~repro.obs.metrics.GateReport`);
+  and the BENCH perf ledgers, their one append-only JSON-lines format
+  (:func:`~repro.obs.metrics.append_records`,
+  :func:`~repro.obs.metrics.scan_ledger`), and the one gate that judges
+  both (:class:`~repro.obs.metrics.GateReport`);
 * :mod:`repro.obs.topo` -- spatial observability: the
   (requesting node, home node, address region) counters, directory
   transitions, per-link traffic, and the queue-occupancy sampler;
@@ -48,15 +50,14 @@ from repro.obs.metrics import (
     GateReport,
     LedgerRecord,
     MetricsWriter,
+    append_records,
+    by_series,
     detect_drift,
     diff_bench,
     make_case,
-    merge_bench,
-    read_bench,
     read_ledger,
     run_record,
     scan_ledger,
-    write_bench,
 )
 
 __all__ = [
@@ -83,14 +84,13 @@ __all__ = [
     "GateReport",
     "LedgerRecord",
     "MetricsWriter",
+    "append_records",
+    "by_series",
     "detect_drift",
     "read_ledger",
     "scan_ledger",
     "BenchRecord",
     "diff_bench",
     "make_case",
-    "merge_bench",
-    "read_bench",
     "run_record",
-    "write_bench",
 ]

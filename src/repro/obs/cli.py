@@ -21,10 +21,11 @@ Six subcommands::
     python -m repro.obs txn fft --config hardware
 
     # the host-time axis: time one unobserved run (wall, events,
-    # events/s); optionally diff against a committed BENCH baseline and
-    # gate.  Where the time goes: python3 benchmarks/e2e/run.py
+    # events/s); optionally judge it against its case's history in a
+    # committed BENCH ledger and gate.  Where the time goes:
+    # python3 benchmarks/e2e/run.py
     python -m repro.obs perf fft --config simos-mipsy-150 --scale tiny \\
-        --baseline benchmarks/BENCH_engine_hotpath.json
+        --baseline benchmarks/BENCH_engine_hotpath.jsonl
 
     # CI gate: diff the newest metrics-ledger records against history,
     # exit nonzero on accuracy/performance drift beyond threshold
@@ -43,6 +44,7 @@ import argparse
 import json
 import sys
 import time
+from pathlib import Path
 from typing import List, Optional
 
 from repro.common.config import get_scale
@@ -56,11 +58,11 @@ from repro.obs.hotspot import build_report
 from repro.obs.metrics import (
     PERF_THRESHOLD,
     TIME_THRESHOLD,
+    BenchRecord,
+    append_records,
     detect_drift,
     diff_bench,
     make_case,
-    merge_bench,
-    read_bench,
     run_record,
     scan_ledger,
 )
@@ -189,11 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="time one run: wall, events/s, perf gate")
     add_run_args(perf, default_cpus=1, config_default=DEFAULT_CONFIG)
     perf.add_argument("--json", metavar="PATH", default=None,
-                      help="merge this run's BenchRecord into a BENCH "
-                           "ledger file here")
+                      help="append this run's BenchRecord to a BENCH "
+                           "ledger here (after judging it)")
     perf.add_argument("--baseline", metavar="PATH", default=None,
-                      help="BENCH file to diff against (same-case records; "
-                           "exit 1 on regression beyond thresholds)")
+                      help="BENCH ledger to judge against (every earlier "
+                           "same-case record; exit 1 on regression beyond "
+                           "thresholds)")
     perf.add_argument("--time-threshold", type=float,
                       default=PERF_THRESHOLD,
                       help="relative events/sec drop that counts as a "
@@ -295,6 +298,9 @@ def cmd_txn(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
+    if args.baseline and not Path(args.baseline).exists():
+        raise ReproError(f"no BENCH ledger at {args.baseline} to judge "
+                         "against")
     request = build_request(args, args.config)
     # Not request.execute(): the event count lives on the machine's engine.
     machine = request.machine()
@@ -312,16 +318,18 @@ def cmd_perf(args: argparse.Namespace) -> int:
     print(f"host: {wall_s:.3f} s wall, {events:,} events ({per_sec})")
 
     status = 0
-    if args.json:
-        merge_bench(args.json, "obs_perf", [record])
-        print(f"\nwrote {args.json}")
     if args.baseline:
-        report = diff_bench(read_bench(args.baseline), [record],
+        history, problems = scan_ledger(args.baseline, BenchRecord)
+        report = diff_bench(history, [record],
                             time_threshold=args.time_threshold)
+        report.skipped = len(problems)
         print()
         print(report.format())
         if not report.ok and not args.report_only:
             status = 1
+    if args.json:
+        append_records(args.json, [record])
+        print(f"\nappended to {args.json}")
     print("\nwhere the host time goes, layer by layer: "
           "python3 benchmarks/e2e/run.py")
     return status

@@ -39,8 +39,7 @@ SYNC = "sync"        #: barrier/lock waits and arrivals
 OS = "os"            #: syscalls and kernel tick overhead
 DSM = "dsm"          #: memory-system transactions + MAGIC occupancy
 NET = "net"          #: interconnect messages
-ENGINE = "engine"    #: raw event-calendar dispatches (opt-in, voluminous)
-FARM = "farm"        #: experiment-farm requests (wall time, not sim time)
+ENGINE = "engine"    #: raw calendar dispatches (``Engine.tracer``'s spans)
 
 #: Categories the cycle-attribution profiler charges against each CPU's
 #: total; everything else is timeline-only detail.
@@ -67,8 +66,6 @@ class Recorder:
     #: True admits this one to a start from captured state whose caller
     #: accepts a record of the resumed suffix (``allow_partial_obs``).
     ckpt_suffix = False
-    #: Also receive one ``span`` per engine calendar event.
-    engine_events = False
 
     # -- run lifecycle (every recorder, every run) -----------------------
 
@@ -160,12 +157,6 @@ class Probe:
     def finish(self, machine, result) -> None:
         for rec in self.recorders:
             rec.finish(machine, result)
-
-    def engine_observer(self) -> Optional["Probe"]:
-        """What ``Engine.tracer`` should hold for this probe: the
-        recorders that asked for per-calendar-event calls, or None."""
-        wanted = [rec for rec in self.recorders if rec.engine_events]
-        return Probe(*wanted) if wanted else None
 
 
 #: The installed probe, or None when nothing observes.  Module-level on

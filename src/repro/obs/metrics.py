@@ -1,25 +1,30 @@
-"""The two frozen-schema ledgers, and the one gate that watches both.
+"""The two frozen-schema ledgers, their one format, and the one gate.
 
 Ramulator 2.0's real-system accuracy regressed silently because nobody
 *watched* it between validation papers; "Validating Simplified Processor
 Models" argues validation must be continuous, not a one-off table.  Two
 ledgers make the reproduction watchable along both axes: the **metrics
-ledger** (one JSON-lines :class:`LedgerRecord` per farm-dispatched
-simulation: request key, configuration, workload, cycles, percent error
-against the reference, attribution fractions, wall time, cache outcome)
-and the **BENCH perf ledger** (one ``BENCH_<name>.json`` per benchmark, a
-:class:`BenchRecord` per measured case: host wall, simulated ps,
-events/sec, speedup; where the host time *goes* is ``benchmarks/e2e``'s
-business).  Both share one validator (:func:`validate_record`), one
-tolerant scan returning ``(records, problems)``, and the package's dict
-codec; ``tests/test_obs_diff.py`` pins both schemas.
+ledger** (a :class:`LedgerRecord` per farm-dispatched simulation: request
+key, configuration, workload, cycles, percent error against the
+reference, attribution fractions, wall time, cache outcome) and the
+**BENCH perf ledgers** (one ``benchmarks/BENCH_<name>.jsonl`` per
+benchmark, a :class:`BenchRecord` per measured case and run: host wall,
+simulated ps, events/sec, speedup; where the host time *goes* is
+``benchmarks/e2e``'s business).
 
-Both are judged one way (:meth:`GateReport.judge`): a series' latest value
-against the median of its history, relatively or in points, past a
-threshold.  ``python -m repro.obs watch`` (:func:`detect_drift`) judges
-each ledger run group's newest record, two-sided; ``python -m repro.obs
-perf --baseline`` (:func:`diff_bench`) a fresh run against a committed
-BENCH baseline, drop-only.  A :class:`Flag` exits nonzero (CI-able).
+Both are one format: JSON lines, appended and never rewritten
+(:func:`append_records`), so every series keeps its history, and read by
+one tolerant scan (:func:`scan_ledger`) returning ``(records,
+problems)``.  Both share one validator (:func:`validate_record`) and the
+package's dict codec; ``tests/test_obs_diff.py`` pins both schemas.
+
+Both are judged one way: a series' (``record.series()``, grouped by
+:func:`by_series`) newest value against the median of its earlier ones
+(:meth:`GateReport.judge`), relatively or in points, past a threshold.
+``python -m repro.obs watch`` (:func:`detect_drift`) judges every
+metrics-ledger series, two-sided; ``python -m repro.obs perf --baseline``
+(:func:`diff_bench`) a fresh run against its case's history in a BENCH
+ledger, drop-only.  A :class:`Flag` exits nonzero (CI-able).
 
 The metrics writer is an argument of the farm (``Farm(metrics=writer)``);
 without one the farm pays one ``is not None`` test per request, and the
@@ -29,11 +34,12 @@ simulator never imports this module (lint rule L2).
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
-from typing import ClassVar, Dict, List, Optional, Tuple
+from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.doc import Para, Table, render_text
 from repro.obs.record import Record, records
@@ -43,7 +49,7 @@ from repro.obs.record import Record, records
 #: version and the pinned copy in ``tests/test_obs_diff.py`` together.
 Schema = Dict[str, Tuple[type, bool]]
 
-#: Bumped on any incompatible record change; ``watch`` skips foreign versions.
+#: Bumped on any incompatible record change; scans skip foreign versions.
 SCHEMA_VERSION = 1
 
 LEDGER_SCHEMA: Schema = {
@@ -64,7 +70,7 @@ LEDGER_SCHEMA: Schema = {
     "attribution": (dict, False),      # category -> fraction of CPU time
 }
 
-#: Bumped on any incompatible BENCH record change; readers skip foreign
+#: Bumped on any incompatible BENCH record change; scans skip foreign
 #: versions (3: the host-phase table went with the in-model profiler).
 BENCH_SCHEMA_VERSION = 3
 
@@ -137,9 +143,10 @@ class LedgerRecord(Record):
     ts: float = 0.0
     schema: int = SCHEMA_VERSION
 
-    def group(self) -> Tuple[str, str, int, str]:
-        """The drift-tracking identity: same group = comparable records."""
-        return (self.workload, self.config, self.n_cpus, self.scale)
+    def series(self) -> str:
+        """The drift-tracking identity (the run group): records of one
+        series are comparable."""
+        return f"{self.workload}@{self.config}/P{self.n_cpus}/{self.scale}"
 
 
 class MetricsWriter:
@@ -182,18 +189,36 @@ class MetricsWriter:
         return record
 
     def append(self, record: LedgerRecord) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
-            fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+        append_records(self.path, [record])
         self.written += 1
 
 
-def scan_ledger(path) -> Tuple[List[LedgerRecord], List[str]]:
-    """(the current-schema records in *path* in append order, one problem
-    per torn or schema-invalid line skipped).  Other schema versions'
-    records are skipped silently: they are legitimate history."""
+# -- the one ledger format -------------------------------------------------
+
+def append_records(path, records: Iterable[Record]) -> None:
+    """Append one JSON line per record to *path*; nothing already there
+    is rewritten.  A torn last line gets its newline first, so it stays
+    one unreadable line rather than swallowing the first new record."""
     path = Path(path)
-    items = []
+    data = "".join(json.dumps(r.to_dict(), sort_keys=True) + "\n"
+                   for r in records).encode()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a+b") as fh:          # writes always land at the end
+        if fh.seek(0, os.SEEK_END):
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                data = b"\n" + data
+        fh.write(data)
+
+
+def scan_ledger(path, cls=LedgerRecord) -> Tuple[list, List[str]]:
+    """(the *cls* records in *path* in append order, one problem per torn
+    or schema-invalid line skipped).  Records of another schema version
+    than ``cls.schema`` are skipped silently: they are legitimate history.
+    A missing file holds no records."""
+    path = Path(path)
+    version = cls.schema
+    found, problems = [], []
     lines = path.read_text().splitlines() if path.exists() else []
     for number, line in enumerate(lines, 1):
         if not line.strip():
@@ -202,29 +227,29 @@ def scan_ledger(path) -> Tuple[List[LedgerRecord], List[str]]:
             data = json.loads(line)
         except ValueError:
             data = None                    # torn: reported as not an object
-        if (isinstance(data, dict)
-                and data.get("schema", SCHEMA_VERSION) != SCHEMA_VERSION):
+        if isinstance(data, dict) and data.get("schema", version) != version:
             continue
-        items.append((f"line {number}", data))
-    return _admit(LedgerRecord, items)
-
-
-def read_ledger(path) -> List[LedgerRecord]:
-    """The records of :func:`scan_ledger`, problems dropped."""
-    return scan_ledger(path)[0]
-
-
-def _admit(cls, items) -> Tuple[list, List[str]]:
-    """(a *cls* per valid ``(where, payload)`` item, a problem per other)."""
-    found, problems = [], []
-    for where, data in items:
         invalid = (validate_record(data, cls.SCHEMA)
                    if isinstance(data, dict) else ["not an object"])
         if invalid:
-            problems.append(f"invalid {where}: {'; '.join(invalid)}")
+            problems.append(f"invalid line {number}: {'; '.join(invalid)}")
         else:
             found.append(cls.from_dict(data))
     return found, problems
+
+
+def read_ledger(path, cls=LedgerRecord) -> list:
+    """The records of :func:`scan_ledger`, problems dropped."""
+    return scan_ledger(path, cls)[0]
+
+
+def by_series(records: Iterable) -> Dict[str, list]:
+    """*records* grouped by ``record.series()``, each group in append order
+    (its newest record last), the groups in first-appearance order."""
+    groups: Dict[str, list] = {}
+    for record in records:
+        groups.setdefault(record.series(), []).append(record)
+    return groups
 
 
 # -- the BENCH perf ledger -------------------------------------------------
@@ -237,7 +262,8 @@ def make_case(workload: str, config: str, n_cpus: int, scale: str,
 
 @dataclass
 class BenchRecord(Record):
-    """One measured case of one benchmark, as the BENCH ledger keeps it."""
+    """One measured run of one case of one benchmark, as its BENCH ledger
+    keeps it."""
 
     SCHEMA: ClassVar[Schema] = BENCH_SCHEMA
 
@@ -249,6 +275,10 @@ class BenchRecord(Record):
     events_per_sec: Optional[float] = None
     speedup: Optional[float] = None
     schema: int = BENCH_SCHEMA_VERSION
+
+    def series(self) -> str:
+        """The perf-gate identity: records of one case are comparable."""
+        return self.case
 
 
 def run_record(bench: str, case: str, wall_s: float, result=None,
@@ -267,65 +297,6 @@ def run_record(bench: str, case: str, wall_s: float, result=None,
         speedup=speedup)
 
 
-def write_bench(path, bench: str, records: List[BenchRecord]) -> Path:
-    """Write ``BENCH_<name>.json`` -- one file per benchmark, records
-    sorted by case so reruns produce byte-identical files for identical
-    measurements."""
-    path = Path(path)
-    payload = {"schema": BENCH_SCHEMA_VERSION, "bench": bench,
-               "records": [r.to_dict() for r in
-                           sorted(records, key=lambda r: r.case)]}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _scan_bench(path) -> Tuple[List[BenchRecord], List[str]]:
-    """(the valid current-schema records of a BENCH file in file order,
-    everything that kept the rest of it from being read)."""
-    path = Path(path)
-    if not path.exists():
-        return [], []
-    try:
-        payload = json.loads(path.read_text())
-    except ValueError as exc:
-        return [], [f"unparsable JSON ({exc})"]
-    if (not isinstance(payload, dict)
-            or not isinstance(payload.get("records"), list)):
-        return [], ["not a BENCH payload (no records list)"]
-    if payload.get("schema") != BENCH_SCHEMA_VERSION:
-        return [], [f"file schema version is {payload.get('schema')!r}, "
-                    f"this code reads and writes {BENCH_SCHEMA_VERSION}"]
-    return _admit(BenchRecord, ((f"record {index}", data) for index, data
-                                in enumerate(payload["records"])))
-
-
-def read_bench(path) -> List[BenchRecord]:
-    """The valid current-schema records of a BENCH file.  A missing,
-    foreign-schema or unparsable file yields ``[]``: baselines are
-    optional, and a fresh checkout gates nothing."""
-    return _scan_bench(path)[0]
-
-
-def merge_bench(path, bench: str, records: List[BenchRecord]) -> Path:
-    """Write *records* into ``path``, replacing same-case records and
-    keeping the rest, so each benchmark updates only its own cases.
-
-    Raises :class:`ValueError`, leaving the file untouched, when it holds
-    anything this code cannot read: rewriting would drop those records.
-    """
-    kept, problems = _scan_bench(path)
-    if problems:
-        raise ValueError(
-            f"refusing to merge into {path}: {problems[0]}; rewriting it "
-            "would drop every record this code cannot read -- migrate or "
-            "delete the file first")
-    fresh = {r.case: r for r in records}
-    return write_bench(path, bench,
-                       [r for r in kept if r.case not in fresh]
-                       + list(fresh.values()))
-
-
 # -- the gate (the `watch` and `perf` CLI subcommands) ---------------------
 
 #: Default relative change in parallel time that counts as drift.
@@ -333,7 +304,7 @@ TIME_THRESHOLD = 0.02
 #: Change in percent-error points that counts as accuracy drift.
 ERROR_THRESHOLD = 1.0
 #: Default relative events/sec (or wall-time) slowdown that counts as a
-#: regression.  Deliberately generous: BENCH baselines travel between
+#: regression.  Deliberately generous: BENCH ledgers travel between
 #: machines, so only collapses (an accidentally quadratic loop), not
 #: noise, should trip the gate.
 PERF_THRESHOLD = 0.5
@@ -353,7 +324,7 @@ METRICS = {
 class Flag(Record):
     """One series whose latest value moved past its threshold."""
 
-    series: str            #: run group (workload@config/Pn/scale) or case
+    series: str            #: the judged record's ``series()``
     metric: str            #: a :data:`METRICS` key
     baseline: float        #: median of the series' history
     latest: float
@@ -424,21 +395,16 @@ class GateReport(Record):
 
 def detect_drift(records: List[LedgerRecord],
                  time_threshold: float = TIME_THRESHOLD) -> GateReport:
-    """Judge each run group's newest record against its earlier ones:
+    """Judge each series' newest record against its earlier ones:
     parallel time relatively, percent error in points, both two-sided.
-    A group of one record has no history; cached replays reproduce the
+    A series of one record has no history; cached replays reproduce the
     recorded result exactly, so an unchanged simulator never flags."""
     report = GateReport("watch")
-    groups: Dict[Tuple, List[LedgerRecord]] = {}
-    for record in records:
-        groups.setdefault(record.group(), []).append(record)
-    for (workload, config, n_cpus, scale), (*history, latest) in sorted(
-            groups.items()):
+    for series, (*history, latest) in sorted(by_series(records).items()):
         if not history:
             report.unmatched += 1
             continue
         report.checked += 1
-        series = f"{workload}@{config}/P{n_cpus}/{scale}"
         report.judge(series, "time", [r.parallel_ps for r in history],
                      latest.parallel_ps, time_threshold)
         errors = [r.percent_error for r in history
@@ -451,15 +417,14 @@ def detect_drift(records: List[LedgerRecord],
 
 def diff_bench(baseline: List[BenchRecord], current: List[BenchRecord],
                time_threshold: float = PERF_THRESHOLD) -> GateReport:
-    """Judge each *current* record's throughput against its same-case
-    *baseline* records, drop-only: events/sec when every record carries
-    it (the machine-independent-ish metric), else inverse wall time."""
+    """Judge each *current* record, the newest of its series, against
+    every earlier same-case *baseline* record, drop-only: events/sec when
+    every record carries it (the machine-independent-ish metric), else
+    inverse wall time."""
     report = GateReport("perf")
-    history: Dict[str, List[BenchRecord]] = {}
-    for record in baseline:
-        history.setdefault(record.case, []).append(record)
+    history = by_series(baseline)
     for record in current:
-        base = history.get(record.case)
+        base = history.get(record.series())
         if base is None:
             report.unmatched += 1
             continue
@@ -470,5 +435,5 @@ def diff_bench(baseline: List[BenchRecord], current: List[BenchRecord],
             was, now = [1.0 / b.wall_s for b in base], 1.0 / record.wall_s
         else:
             continue
-        report.judge(record.case, "throughput", was, now, time_threshold)
+        report.judge(record.series(), "throughput", was, now, time_threshold)
     return report

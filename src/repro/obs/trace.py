@@ -58,13 +58,10 @@ class TraceRecorder(hooks.Recorder):
     #: from the resume point on, and only when the caller asks for that.
     ckpt_suffix = True
 
-    def __init__(self, capacity: int = 65536, engine_events: bool = False):
+    def __init__(self, capacity: int = 65536):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        #: also feed raw engine dispatch events (one per calendar event --
-        #: voluminous; off by default).
-        self.engine_events = engine_events
         self._ring: Deque[Span] = deque(maxlen=capacity)
         #: Total spans ever recorded (including any since overwritten).
         self.recorded = 0

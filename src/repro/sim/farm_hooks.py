@@ -9,8 +9,8 @@ installed every request simply executes serially in-process -- byte-for-
 byte the behaviour the serial harness always had.
 
 The module mirrors :mod:`repro.obs.hooks` on purpose: a module-level
-``active`` slot, ``install``/``uninstall``, and a context manager, so the
-two ambient subsystems read the same way at call sites.
+``active`` slot installed by one context manager, so the two ambient
+subsystems read the same way at call sites.
 """
 
 from __future__ import annotations
@@ -27,25 +27,12 @@ from repro.sim.results import RunResult
 active: Optional[object] = None
 
 
-def install(farm: object) -> object:
-    """Route subsequent request batches through *farm*."""
-    global active
-    active = farm
-    return farm
-
-
-def uninstall() -> None:
-    """Restore direct in-process serial execution."""
-    global active
-    active = None
-
-
 @contextmanager
 def farming(farm: object):
     """Context manager: dispatch through *farm* inside the block."""
     global active
     previous = active
-    install(farm)
+    active = farm
     try:
         yield farm
     finally:

@@ -110,7 +110,6 @@ class Machine:
         self._probe = probe = obs_hooks.active
         if probe is not None:
             probe.bind(self)
-            self.env.tracer = probe.engine_observer()
         traces = workload.build(self.n_cpus)
         if len(traces) != self.n_cpus:
             raise ConfigurationError(

@@ -23,6 +23,7 @@ from repro.obs import doc
 from repro.obs.diff import AttributionDiff
 from repro.obs.doc import Heading, Items, Para, Table, spark
 from repro.obs.hotspot import HotspotReport
+from repro.obs.metrics import by_series
 from repro.obs.txn import TxnReport
 from repro.validation.tuning import TuningReport
 
@@ -64,9 +65,10 @@ SECTION_LEGENDS = {
         "Parallel time per run group, oldest → newest, low … high within "
         "each row.",
     "How fast is the simulator":
-        "Headline wall clocks from the committed BENCH perf ledgers "
-        "(`benchmarks/BENCH_*.json`); `python -m repro.obs perf --baseline "
-        "...` gates regressions against these numbers.",
+        "Each case's latest headline wall clock from the committed BENCH "
+        "perf ledgers (`benchmarks/BENCH_*.jsonl`, appended per run), its "
+        "wall-clock trend oldest → newest; `python -m repro.obs perf "
+        "--baseline ...` gates a fresh run against that history.",
 }
 
 
@@ -92,14 +94,6 @@ def collect_attributions(results: Sequence) -> List[Tuple[str, str, Dict]]:
             if finding.attribution is not None:
                 out.append((result.exp_id, finding.name, finding.attribution))
     return out
-
-
-def group_ledger(records: Sequence) -> Dict[Tuple, List]:
-    """Ledger records grouped for trend rows, insertion-ordered."""
-    groups: Dict[Tuple, List] = {}
-    for record in records:
-        groups.setdefault(record.group(), []).append(record)
-    return groups
 
 
 def section(title: str, body: list) -> list:
@@ -139,12 +133,10 @@ def attribution_sections(results: Sequence) -> list:
 
 def ledger_blocks(ledger_records: Sequence) -> list:
     rows = []
-    for group, history in sorted(group_ledger(ledger_records).items()):
-        workload, config, n_cpus, scale = group
+    for series, history in sorted(by_series(ledger_records).items()):
         latest = history[-1]
         rows.append([
-            f"{workload}@{config}/P{n_cpus}/{scale}", len(history),
-            spark([r.parallel_ps for r in history]),
+            series, len(history), spark([r.parallel_ps for r in history]),
             f"{latest.parallel_ps / 1e9:.3f}",
             ("" if latest.percent_error is None
              else f"{latest.percent_error:+.1f}%")])
@@ -153,12 +145,19 @@ def ledger_blocks(ledger_records: Sequence) -> list:
 
 
 def bench_blocks(bench_records: Sequence) -> list:
-    rows = [[r.bench, r.case, f"{r.wall_s:.3f}",
-             "" if r.events_per_sec is None else f"{r.events_per_sec:,.0f}",
-             "" if r.speedup is None else f"{r.speedup:.1f}x"]
-            for r in sorted(bench_records, key=lambda r: (r.bench, r.case))]
-    return [Table("tcnnn", ["bench", "case", "wall (s)", "events/s",
-                            "speedup"], rows)] if rows else []
+    rows = []
+    for history in sorted(by_series(bench_records).values(),
+                          key=lambda h: (h[-1].bench, h[-1].case)):
+        latest = history[-1]
+        rows.append([
+            latest.bench, latest.case, len(history),
+            spark([r.wall_s for r in history]), f"{latest.wall_s:.3f}",
+            ("" if latest.events_per_sec is None
+             else f"{latest.events_per_sec:,.0f}"),
+            "" if latest.speedup is None else f"{latest.speedup:.1f}x"])
+    return [Table("tcntnnn", ["bench", "case", "records", "trend",
+                              "wall (s)", "events/s", "speedup"],
+                  rows)] if rows else []
 
 
 def dashboard_blocks(results: Sequence, ledger_records: Sequence = (),
@@ -206,9 +205,9 @@ def render_dashboard(results: Sequence, out_dir,
     return the two paths.
 
     *ledger_records* normally comes from
-    :func:`repro.obs.metrics.read_ledger` and *bench_records* from
-    :func:`repro.obs.metrics.read_bench` over the committed
-    ``benchmarks/BENCH_*.json``; empty omits the section it feeds.
+    :func:`repro.obs.metrics.read_ledger`, and *bench_records* from the
+    same reader over the committed ``benchmarks/BENCH_*.jsonl``; empty
+    omits the section it feeds.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

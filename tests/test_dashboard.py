@@ -13,7 +13,6 @@ from repro.validation import dashboard
 from repro.validation.dashboard import (
     collect_attributions,
     dashboard_blocks,
-    group_ledger,
     render_dashboard,
     render_html,
     render_markdown,
@@ -127,6 +126,10 @@ def bench_records():
     from repro.obs.metrics import BenchRecord
 
     return [
+        # An earlier run of the case below: history, not a row of its own.
+        BenchRecord(bench="engine_hotpath",
+                    case="fft@simos-mipsy-150/P1/repro/ref",
+                    wall_s=2.5, events=100000, events_per_sec=40000.0),
         BenchRecord(bench="engine_hotpath",
                     case="fft@simos-mipsy-150/P1/repro/ref",
                     wall_s=1.25, events=100000, events_per_sec=80000.0),
@@ -145,10 +148,10 @@ class TestHelpers:
         assert ("fig7", "") in owners
         assert len(found) == 3
 
-    def test_group_ledger_keys_by_run_identity(self):
-        groups = group_ledger(ledger_records())
-        assert list(groups) == [("fft", "hardware", 1, "tiny")]
-        assert len(groups[("fft", "hardware", 1, "tiny")]) == 4
+    def test_ledger_series_key_is_the_run_identity(self):
+        groups = obs_metrics.by_series(ledger_records())
+        assert list(groups) == ["fft@hardware/P1/tiny"]
+        assert len(groups["fft@hardware/P1/tiny"]) == 4
 
 
 class TestMarkdown:
@@ -204,6 +207,11 @@ class TestMarkdown:
         assert "## How fast is the simulator" in text
         assert "`fft@simos-mipsy-150/P1/repro/ref`" in text
         assert "80,000" in text and "6.2x" in text
+        # One row per case: its latest record, its history as a trend.
+        row = next(line for line in text.splitlines()
+                   if "fft@simos-mipsy-150/P1/repro/ref" in line)
+        assert "| 2 |" in row and "1.250" in row and "█" in row
+        assert "40,000" not in text
 
     def test_no_bench_records_means_no_speed_section(self):
         assert "How fast is the simulator" not in render_markdown(results())

@@ -133,12 +133,6 @@ class TestHooks:
         assert obs_hooks.Probe(topo).open_txn(0, 0, "read") is None
         assert obs_hooks.Probe(tracer).drain(3) is None
 
-    def test_engine_observer_keeps_only_recorders_that_asked(self):
-        plain, engine = TraceRecorder(), TraceRecorder(engine_events=True)
-        assert obs_hooks.Probe(plain, TopoRecorder()).engine_observer() is None
-        observer = obs_hooks.Probe(plain, engine, TxnRecorder()).engine_observer()
-        assert observer.recorders == (engine,)
-
     def test_ckpt_tolerance_follows_the_declared_property(self):
         def check(allow_partial=False):
             obs_hooks.require_ckpt_tolerant("resume", SimulationError,
@@ -182,15 +176,6 @@ class TestDisabledNoOp:
             machine.run(make_app("fft", scale))
         assert machine.env.tracer is None
         assert all(s.category != "engine" for s in rec.spans())
-
-    def test_engine_events_opt_in(self):
-        rec = TraceRecorder(capacity=1024, engine_events=True)
-        scale = get_scale("tiny")
-        machine = Machine(get_config("simos-mipsy-150-tuned"), 2, scale)
-        with obs_hooks.observing(rec):
-            machine.run(make_app("fft", scale))
-        assert machine.env.tracer.recorders == (rec,)
-        assert any(s.category == "engine" for s in rec.spans())
 
 
 class TestOneRunFeedsEveryRecorder:

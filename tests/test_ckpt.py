@@ -43,6 +43,7 @@ from repro.obs.topo import TopoRecorder
 from repro.obs.trace import TraceRecorder
 from repro.obs.txn import TxnRecorder
 from repro.sim import RunRequest, hardware_config, simos_mipsy, simos_mxs
+from repro.sim.configs import get_config
 from repro.sim import machine as machine_mod
 from repro.workloads import TlbTimer, make_app
 
@@ -499,37 +500,61 @@ class TestBisect:
         assert report.events_a == report.events_b
 
 
-    #: What the earlier bisector (a recorded and a traced replay per side)
-    #: returned for the two pairs above; the checkpoint key is left out
-    #: because it is keyed by the source fingerprint.
+    #: What the checkpoint-injecting bisector returned with A =
+    #: simos-mipsy-150 stopped at half its straight run: case id ->
+    #: ((B, workload, P), report fields and context-span names).
     RECORDED = {
-        225: dict(index=0, probes=16, events_a=26476, events_b=26475,
-                  event_a={"event": "Event._fire", "when_ps": 3947099122},
-                  event_b={"event": "Steps._walk", "when_ps": 3944768839},
-                  spans_a=["barrier_arrive", "barrier_release",
-                           "barrier_wait", "miss", "l1d0.miss", "l20.miss"],
-                  spans_b=["total", "txn.read", "chunk:fft/row_fft",
-                           "barrier_arrive", "barrier_release", "pp.home"]),
-        150: dict(index=None, probes=1, events_a=26476, events_b=26476,
-                  event_a=None, event_b=None, spans_a=[], spans_b=[]),
+        "150": (("simos-mipsy-150", "fft", 1), dict(
+            half_ps=3402154282, resumed_at_ps=3944713839, index=None,
+            probes=1, events_a=26476, events_b=26476, event_a=None,
+            event_b=None, spans_a=[], spans_b=[])),
+        "225": (("simos-mipsy-225", "fft", 1), dict(
+            half_ps=3402154282, resumed_at_ps=3944713839, index=0,
+            probes=16, events_a=26476, events_b=26475,
+            event_a={"event": "Event._fire", "when_ps": 3947099122},
+            event_b={"event": "Steps._walk", "when_ps": 3944768839},
+            spans_a=["barrier_arrive", "barrier_release", "barrier_wait",
+                     "miss", "l1d0.miss", "l20.miss"],
+            spans_b=["total", "txn.read", "chunk:fft/row_fft",
+                     "barrier_arrive", "barrier_release", "pp.home"])),
+        # Core and DsmParams both change.
+        "150-tuned": (("simos-mipsy-150-tuned", "fft", 1), dict(
+            half_ps=3402154282, resumed_at_ps=3944713839, index=1,
+            probes=16, events_a=26476, events_b=26476,
+            event_a={"event": "Steps._walk", "when_ps": 3947154122},
+            event_b={"event": "Steps._walk", "when_ps": 3947184122},
+            spans_a=["total", "txn.read", "chunk:fft/row_fft",
+                     "barrier_arrive", "barrier_release", "pp.home"],
+            spans_b=["total", "txn.read", "chunk:fft/row_fft",
+                     "barrier_arrive", "barrier_release", "pp.home"])),
+        "radix-p2-300-tuned": (("simos-mipsy-300-tuned", "radix", 2), dict(
+            half_ps=420931439, resumed_at_ps=480690920, index=0,
+            probes=15, events_a=15493, events_b=15532,
+            event_a={"event": "Event._fire", "when_ps": 508790706},
+            event_b={"event": "Steps._walk", "when_ps": 480775920},
+            spans_a=["total", "total", "barrier_arrive", "barrier_wait",
+                     "barrier_arrive", "barrier_release"],
+            spans_b=["pp.home", "refill", "refill", "chunk:radix/prefix2",
+                     "pp.out", "load_miss"])),
     }
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("mhz_b", sorted(RECORDED))
-    def test_bisect_result_is_the_recorded_one(self, straight, mhz_b):
-        """One replay per side feeds the digest chain and the span tracer;
-        the result equals the two-replays-per-side bisector's."""
+    @pytest.mark.parametrize("case", sorted(RECORDED))
+    def test_bisect_result_is_the_recorded_one(self, case):
+        (config_b, app, n_cpus), want = self.RECORDED[case]
+        workload = make_app(app, TINY_SCALE)
+        half = RunRequest(simos_mipsy(150), workload,
+                          n_cpus).execute().total_ps // 2
         report = ckpt.bisect_divergence(
-            simos_mipsy(150), simos_mipsy(mhz_b), make_app("fft", TINY_SCALE),
-            n_cpus=1, at_ps=straight.total_ps // 2)
-        assert straight.total_ps // 2 == 3402154282
-        assert report.resumed_at_ps == 3944713839
+            simos_mipsy(150), get_config(config_b), workload,
+            n_cpus=n_cpus, at_ps=half)
         got = {field: getattr(report, field) for field in
-               ("index", "probes", "events_a", "events_b", "event_a",
-                "event_b")}
+               ("resumed_at_ps", "index", "probes", "events_a", "events_b",
+                "event_a", "event_b")}
+        got["half_ps"] = half
         got["spans_a"] = [span["name"] for span in report.context_a]
         got["spans_b"] = [span["name"] for span in report.context_b]
-        assert got == self.RECORDED[mhz_b]
+        assert got == want
 
 
 # -- command line ---------------------------------------------------------

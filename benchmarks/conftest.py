@@ -20,11 +20,11 @@ By default (no ``--farm-jobs``) benchmarks run the historical serial
 path, so published timings stay comparable.
 
 Benchmarks that measure the *simulator's* speed (engine hot path, farm
-cache, checkpoints) additionally append their headline numbers to the
-committed BENCH perf ledger (``benchmarks/BENCH_<name>.jsonl``, JSON
-lines in the frozen schema of :mod:`repro.obs.metrics`) via
-:func:`emit_bench`, which is the history ``python -m repro.obs perf
---baseline ...`` judges a fresh run against.
+cache, observability overhead) additionally append their headline
+numbers to the committed BENCH perf ledger
+(``benchmarks/BENCH_<name>.jsonl``, JSON lines in the frozen schema of
+:mod:`repro.obs.metrics`) via :func:`emit_bench`, which is the history
+``python -m repro.obs perf --baseline ...`` judges a fresh run against.
 """
 
 from pathlib import Path

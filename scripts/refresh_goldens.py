@@ -61,16 +61,6 @@ TXN_IDS = {
     "txn_fft_hardware": ("fft", "hardware", 4),
 }
 
-#: Checkpoint snapshots: golden id -> (workload, configuration, n_cpus).
-#: These pin the repro.ckpt capture pipeline -- per-component state
-#: schema, digesting, stop bookkeeping -- by checkpointing one run
-#: halfway through and recording its manifest, stop record and state
-#: digests.  The content-address *key* is deliberately not pinned: it
-#: folds in the package source fingerprint, which changes with any edit.
-CKPT_IDS = {
-    "ckpt_fft_hardware": ("fft", "hardware", 1),
-}
-
 #: Calendar snapshots: golden id -> ((workload, n_cpus), ...), each run
 #: at tiny scale on ``hardware``.  These pin the engine's calendar itself
 #: -- how many entries ran, when the last one did, and a digest over the
@@ -174,36 +164,6 @@ def txn_snapshot(golden_id: str) -> dict:
     scale = get_scale("tiny")
     return evidence(get_config(config_name), make_app(workload_name, scale),
                     n_cpus, kinds=("txn",))["txn"]
-
-
-def ckpt_snapshot(golden_id: str) -> dict:
-    """Manifest, stop record and state digests of one pinned checkpoint.
-
-    The checkpoint is taken in replay mode at half the run's straight
-    total time -- an arbitrary between-events instant, which is exactly
-    what replay mode must handle.  Every field here is a pure function
-    of the request, so drift means the simulated machine's state at that
-    instant changed.
-    """
-    from repro.ckpt import save
-    from repro.common.config import get_scale
-    from repro.sim.configs import get_config
-    from repro.sim.request import RunRequest
-    from repro.workloads import make_app
-
-    workload_name, config_name, n_cpus = CKPT_IDS[golden_id]
-    scale = get_scale("tiny")
-    workload = make_app(workload_name, scale)
-    request = RunRequest(get_config(config_name), workload, n_cpus)
-    straight = request.execute()
-    checkpoint = save(request, at_ps=straight.total_ps // 2)
-    return {
-        "manifest": checkpoint.manifest,
-        "stop": checkpoint.stop,
-        "injectable": checkpoint.injectable,
-        "digests": checkpoint.digests,
-        "digest": checkpoint.digest,
-    }
 
 
 class _WhenDigest:
@@ -320,7 +280,7 @@ def miss_path_snapshot(golden_id: str) -> dict:
         result = machine.finish()
         # Every order kept: counters, directory entries and link ports in
         # first-touch order, like ``rows_snapshot``.
-        memsys_state = json.dumps(machine.memsys.ckpt_state())
+        memsys_state = json.dumps(machine.memsys.snapshot())
         probe_digest = _ProbeDigest()
         digested = request.machine()
         with hooks.observing(TxnRecorder(), probe_digest):
@@ -407,10 +367,14 @@ def rows_snapshot(golden_id: str) -> dict:
             request = RunRequest(get_config(config_name), workload, 1)
             machine = request.machine()
             result = machine.run(workload)
-            state = machine.ckpt_state()
+            # The icache is keyed by each chunk's rank in the traces.
+            chunk_uids = list(dict.fromkeys(
+                item.chunk.uid for trace in machine.traces for item in trace
+                if type(item) is ChunkExec))
             # json.dumps without sort_keys: dict order (counter and page
             # first touch) is part of what is pinned, like list order.
-            ordered = json.dumps([state["ifaces"][0], state["page_table"]])
+            ordered = json.dumps([machine.ifaces[0].snapshot(chunk_uids),
+                                  machine.page_table.snapshot()])
             out[request.describe()] = {
                 "result_hash": stable_hash(result.to_dict()),
                 "events_processed": machine.env.events_processed,
@@ -442,11 +406,6 @@ def main() -> int:
         path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
         print(f"wrote {path} ({data['total_txns']} transactions, "
               f"{len(data['kinds'])} kinds)")
-    for golden_id in CKPT_IDS:
-        path = GOLDEN_DIR / f"{golden_id}.json"
-        data = ckpt_snapshot(golden_id)
-        path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {path} ({len(data['digests'])} component digests)")
     for golden_id in CALENDAR_IDS:
         path = GOLDEN_DIR / f"{golden_id}.json"
         data = calendar_snapshot(golden_id)

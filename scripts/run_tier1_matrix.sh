@@ -54,18 +54,17 @@ printf '%-54s %6d\n' \
              src/repro/os)" \
     "sim (machine assembly; neither model nor tooling)" \
     "$(lines src/repro/sim)" \
-    "tooling (obs lint ckpt)" \
-    "$(lines src/repro/obs src/repro/lint src/repro/ckpt)" \
+    "tooling (obs lint)" \
+    "$(lines src/repro/obs src/repro/lint)" \
     "  obs" "$(lines src/repro/obs)" \
     "  lint" "$(lines src/repro/lint)" \
-    "  ckpt" "$(lines src/repro/ckpt)" \
     "validation/dashboard.py" \
     "$(lines src/repro/validation/dashboard.py)" \
-    "hand-written codecs (def to_dict|from_dict, obs ckpt)" \
+    "hand-written codecs (def to_dict|from_dict, obs)" \
     "$(grep -rc --include='*.py' 'def to_dict\|def from_dict' \
-            src/repro/obs src/repro/ckpt | awk -F: '{n += $NF} END {print n}')" \
+            src/repro/obs | awk -F: '{n += $NF} END {print n}')" \
     "hand-written codecs elsewhere in src (harness, sim)" \
-    "$(grep -rc --include='*.py' --exclude-dir=obs --exclude-dir=ckpt \
+    "$(grep -rc --include='*.py' --exclude-dir=obs \
             'def to_dict\|def from_dict' src/repro \
         | awk -F: '{n += $NF} END {print n}')" \
     "ambient slots (len(repro.lint.rules.AMBIENT_SLOTS))" \
@@ -85,7 +84,7 @@ print(sum(len(dataclasses.fields(cls)) for cls in (
     RunRequest)))')"
 # Options a user can pass (positionals included, --help not), summed over
 # each CLI's subcommands by argparse introspection.
-printf '%-54s %6s\n' "CLI options (repro.obs/repro.ckpt/repro.harness)" \
+printf '%-54s %6s\n' "CLI options (repro.obs/repro.harness)" \
     "$(PYTHONPATH=src python -c '
 import argparse, importlib
 def count(parser):
@@ -95,4 +94,4 @@ def count(parser):
                for a in parser._actions)
 print("/".join(str(count(importlib.import_module(f"repro.{cli}.cli")
                          .build_parser()))
-               for cli in ("obs", "ckpt", "harness")))')"
+               for cli in ("obs", "harness")))')"

@@ -33,7 +33,3 @@ class WorkloadError(ReproError):
 
 class AttributionError(ReproError):
     """Differential error attribution was asked for runs it cannot compare."""
-
-
-class CheckpointError(ReproError):
-    """A checkpoint could not be captured, verified, or restored."""

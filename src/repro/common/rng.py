@@ -5,19 +5,11 @@ workload must produce the same cycle counts on every host.  All randomness
 therefore flows through :func:`derive_rng`, which derives an independent
 ``numpy`` generator from a root seed and a tuple of string labels, so
 components do not perturb each other's streams when the code evolves.
-
-Components that need their stream to survive a checkpoint round-trip wrap
-it in an :class:`RngStream`: the same derived generator, plus explicit
-``getstate()``/``setstate()`` so ``repro.ckpt`` can capture the stream
-mid-run instead of silently re-seeding on restore (which would replay the
-stream from the start and diverge).
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
-from typing import Dict
 
 import numpy as np
 
@@ -36,66 +28,3 @@ def derive_rng(*labels: object, seed: int = DEFAULT_SEED) -> np.random.Generator
         ("/".join(str(label) for label in labels) + f"#{seed}").encode()
     ).digest()
     return np.random.default_rng(int.from_bytes(digest[:8], "little"))
-
-
-class RngStream:
-    """A labelled random stream with explicit, serializable state.
-
-    Wraps the generator :func:`derive_rng` would return for the same
-    ``(*labels, seed)`` path and forwards every drawing method to it
-    (``integers``, ``random``, ``choice``, ...).  The additions are the
-    checkpoint contract:
-
-    * :meth:`getstate` returns a plain-dict snapshot of the underlying
-      bit generator (JSON-serializable: names and Python ints only);
-    * :meth:`setstate` winds an equally-labelled stream forward to that
-      exact point, so draws after restore continue the original sequence;
-    * :meth:`substream` derives a child stream by extending the label
-      path -- the seeded-substream case: a child's state captures and
-      restores independently of its parent's.
-    """
-
-    def __init__(self, *labels: object, seed: int = DEFAULT_SEED):
-        self.labels = tuple(str(label) for label in labels)
-        self.seed = seed
-        self.generator = derive_rng(*self.labels, seed=seed)
-
-    def substream(self, *labels: object) -> "RngStream":
-        """A child stream at ``(*self.labels, *labels)`` under the same seed."""
-        return RngStream(*(self.labels + tuple(labels)), seed=self.seed)
-
-    # -- checkpoint contract ---------------------------------------------
-
-    def getstate(self) -> Dict:
-        """The bit-generator state as a JSON-able dict (deep-copied)."""
-        return copy.deepcopy(self.generator.bit_generator.state)
-
-    def setstate(self, state: Dict) -> None:
-        expected = self.generator.bit_generator.state.get("bit_generator")
-        if state.get("bit_generator") != expected:
-            raise ValueError(
-                f"rng stream {'/'.join(self.labels)}: state is for "
-                f"{state.get('bit_generator')!r}, this stream uses "
-                f"{expected!r}"
-            )
-        self.generator.bit_generator.state = copy.deepcopy(state)
-
-    def ckpt_state(self) -> Dict:
-        return {"labels": list(self.labels), "seed": self.seed,
-                "state": self.getstate()}
-
-    def ckpt_restore(self, state: Dict) -> None:
-        if tuple(state["labels"]) != self.labels or state["seed"] != self.seed:
-            raise ValueError(
-                f"rng stream {'/'.join(self.labels)}#{self.seed}: "
-                f"checkpoint is for stream "
-                f"{'/'.join(state['labels'])}#{state['seed']}"
-            )
-        self.setstate(state["state"])
-
-    def __getattr__(self, name: str):
-        # Delegate draws (integers, random, choice, shuffle, ...) to numpy.
-        return getattr(self.generator, name)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"RngStream({'/'.join(self.labels)}#{self.seed})"

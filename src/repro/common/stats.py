@@ -104,17 +104,9 @@ class CounterSet:
             return 0.0
         return self.get(numerator) / denom
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, float]:
+    def snapshot(self) -> Dict[str, float]:
         """Counters in first-touch insertion order (JSON-able)."""
         return {key: float(value) for key, value in self._counters.items()}
-
-    def ckpt_restore(self, state: Mapping[str, float]) -> None:
-        """Replace all counters, preserving the captured insertion order."""
-        self._counters.clear()
-        for key, value in state.items():
-            self._counters[key] = float(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         inner = ", ".join(f"{k}={v:g}" for k, v in self.items())
@@ -156,13 +148,3 @@ class StatsRegistry:
     def total(self, counter: str) -> float:
         """Sum a counter name across every registered set."""
         return sum(cs.get(counter) for cs in self._sets.values())
-
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> Dict[str, Dict[str, float]]:
-        """Every registered set's counters, in registration order."""
-        return {name: cs.ckpt_state() for name, cs in self._sets.items()}
-
-    def ckpt_restore(self, state: Mapping[str, Mapping[str, float]]) -> None:
-        for name, counters in state.items():
-            self.counter_set(name).ckpt_restore(counters)

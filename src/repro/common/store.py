@@ -1,10 +1,9 @@
 """One content-addressed on-disk JSON store.
 
-The farm's :class:`~repro.harness.farm.ResultCache` and the checkpoint
-plane's :class:`~repro.ckpt.store.CheckpointStore` are its two typed
-halves: both keep entries under ``<root>/<key[:2]>/<key>.json`` where
-*key* is a 64-hex-char content address, both share one directory between
-concurrent processes, and both treat anything unreadable as absent.
+The farm's :class:`~repro.harness.farm.ResultCache` is its typed half:
+entries live under ``<root>/<key[:2]>/<key>.json`` where *key* is a
+64-hex-char content address, one directory is shared between concurrent
+processes, and anything unreadable reads as absent.
 """
 
 from __future__ import annotations

@@ -26,15 +26,20 @@ _CORE_CLASSES = {
 }
 
 
-def make_core(env, node, params, iface, os_model, registry=None) -> CpuCore:
-    """Instantiate the core class selected by ``params.model``."""
+def core_class(model: str) -> type:
+    """The core class a ``CoreParams.model`` selects."""
     try:
-        cls = _CORE_CLASSES[params.model]
+        return _CORE_CLASSES[model]
     except KeyError:
         raise ConfigurationError(
-            f"unknown core model {params.model!r}; known: {sorted(_CORE_CLASSES)}"
+            f"unknown core model {model!r}; known: {sorted(_CORE_CLASSES)}"
         ) from None
-    return cls(env, node, params, iface, os_model, registry)
+
+
+def make_core(env, node, params, iface, os_model, registry=None) -> CpuCore:
+    """Instantiate the core class selected by ``params.model``."""
+    return core_class(params.model)(env, node, params, iface, os_model,
+                                    registry)
 
 
 __all__ = [
@@ -54,5 +59,6 @@ __all__ = [
     "MxsCore",
     "R10kCore",
     "WindowCore",
+    "core_class",
     "make_core",
 ]

@@ -49,19 +49,26 @@ class CpuCore:
         registry = registry or StatsRegistry()
         self.env = env
         self.node = node
-        self.params = params
         self.iface = iface
-        self.os_model = os_model
         self.stats = registry.counter_set(f"cpu{node}")
-        self.cycle_ps = params.clock.cycle_ps
         self.cycles = 0.0
         self._start_ps = 0
         #: (phase name, begin?, absolute ps) marks, consumed by RunResult.
         self.phase_marks: List[Tuple[str, bool, int]] = []
-        #: Index of the next unexecuted trace item (checkpoint cursor).
+        #: Index of the next unexecuted trace item (where a restart
+        #: resumes).
         self.trace_pos = 0
         #: True once the trace (and its final write drain) completed.
         self.done = False
+        self.reconfigure(params, os_model)
+
+    def reconfigure(self, params: CoreParams, os_model: OsModel) -> None:
+        """Take *params* and *os_model*, and everything derived from them,
+        for every trace item from the next one on.  The clock keeps its
+        cycle count, so a faster clock puts the core earlier in time."""
+        self.params = params
+        self.os_model = os_model
+        self.cycle_ps = params.clock.cycle_ps
 
     # -- time bookkeeping ----------------------------------------------------
 
@@ -92,12 +99,12 @@ class CpuCore:
     def run_trace(self, trace, sync, start: int = 0, gate=None):
         """The DES process body: execute every trace item in order.
 
-        *start* resumes mid-trace (checkpoint injection); the caller must
-        have restored clocks and memory state first.  *gate* is a
-        checkpoint stop line (anything with ``at_ps`` and ``hold(node,
-        env)``; almost always None): between items the core parks on a
-        hold event once its local clock passes the line, leaving
-        ``trace_pos`` at the first unexecuted item.
+        *start* resumes mid-trace (:meth:`Machine.resume
+        <repro.sim.machine.Machine.resume>`).  *gate* is a stop line
+        (anything with ``at_ps`` and ``hold(node, env)``; almost always
+        None): between items the core parks on a hold event once its
+        local clock passes the line, leaving ``trace_pos`` at the first
+        unexecuted item.
         """
         self.trace_pos = start
         for item in (trace[start:] if start else trace):
@@ -192,31 +199,6 @@ class CpuCore:
                 probe.drain(self.env.now - t0)
             self._catch_up_to_engine()
             wb.reap()
-
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        """Local clock, trace cursor, phase marks, and counters."""
-        return {
-            "cycles": float(self.cycles),
-            "start_ps": int(self._start_ps),
-            "trace_pos": int(self.trace_pos),
-            "done": bool(self.done),
-            "phase_marks": [[name, begin, ps]
-                            for name, begin, ps in self.phase_marks],
-            "stats": self.stats.ckpt_state(),
-        }
-
-    def ckpt_restore(self, state: dict) -> None:
-        # Deliberately not start_at(): that resets the clock; injection must
-        # plant the captured mid-run clock exactly.
-        self.cycles = state["cycles"]
-        self._start_ps = state["start_ps"]
-        self.trace_pos = state["trace_pos"]
-        self.done = state["done"]
-        self.phase_marks = [(name, begin, ps)
-                            for name, begin, ps in state["phase_marks"]]
-        self.stats.ckpt_restore(state["stats"])
 
     # -- hooks ----------------------------------------------------------------
 

@@ -7,9 +7,8 @@ allows us to boot the operating system and position our workloads."
 (Section 2.2.)
 
 Accordingly, Embra here charges a fixed CPI and touches no caches; it
-exists so positioning runs (and the checkpoint-restore workflow in the
-examples) have a faithful stand-in, and as the degenerate point of the
-accuracy spectrum in the validation experiments.
+exists so positioning runs have a faithful stand-in, and as the
+degenerate point of the accuracy spectrum in the validation experiments.
 """
 
 from __future__ import annotations

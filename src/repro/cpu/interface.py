@@ -62,7 +62,6 @@ class CpuMemInterface:
         self.scale = scale
         self.memsys = memsys
         self.page_table = page_table
-        self.params = params
         self.stats = registry.counter_set(f"iface{node}")
         self.l1d = SetAssocCache(
             f"l1d{node}", scale.l1d, registry.counter_set(f"l1d{node}"),
@@ -75,8 +74,7 @@ class CpuMemInterface:
             if model_tlb else None
         )
         self.write_buffer = WriteBuffer(
-            params.write_buffer_entries,
-            registry.counter_set(f"wb{node}"))
+            stats=registry.counter_set(f"wb{node}"))
         self._mshr: Dict[int, object] = {}     # l2 line -> completion event
         self._issue_label = {
             MemKind.READ: "issued_read",
@@ -92,6 +90,13 @@ class CpuMemInterface:
         # Chunk-footprint instruction cache model.
         self._icache: "OrderedDict[int, int]" = OrderedDict()
         self._icache_bytes = 0
+        self.reconfigure(params)
+
+    def reconfigure(self, params: CoreParams) -> None:
+        """Take the CPU-side timing of *params* (L2-interface occupancy,
+        icache refills, write-buffer depth) from the next reference on."""
+        self.params = params
+        self.write_buffer.capacity = params.write_buffer_entries
 
     # ------------------------------------------------------------------
     # Core-facing: data references
@@ -117,9 +122,8 @@ class CpuMemInterface:
         ``tests/classify_reference.py`` is the oracle.
 
         The closure binds the hot containers themselves, so it is valid
-        for the one ``_exec_chunk`` call that built it: a ``ckpt_restore``
-        rebinds them, and runs in ``Machine.begin`` before any core
-        starts.  Build one per chunk execution; never keep one.
+        for the one ``_exec_chunk`` call that built it.  Build one per
+        chunk execution; never keep one.
         """
         n_mem = len(kinds)
         node = self.node
@@ -318,58 +322,31 @@ class CpuMemInterface:
         for l1_line in range(first, first + self._l1_per_l2):
             self.l1d.invalidate(l1_line)
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self, chunk_uids: Optional[List[int]] = None) -> dict:
+    def snapshot(self, chunk_uids: Optional[List[int]] = None) -> dict:
         """Caches, TLB, write buffer, MSHR markers, port, and icache.
 
         The icache is keyed by ``Chunk.uid`` -- a process-lifetime counter
-        whose absolute values differ between the saving and restoring
-        process -- so entries are recorded under the chunk's *trace rank*
-        (its index in *chunk_uids*, the machine's first-appearance list
-        over its traces), which is identical for identical runs in any
-        process.
+        whose absolute values differ between processes -- so entries are
+        recorded under the chunk's *trace rank* (its index in
+        *chunk_uids*, the first-appearance list over the machine's
+        traces), which is identical for identical runs in any process.
         """
         if self._icache and chunk_uids is None:
             raise SimulationError(
                 f"iface{self.node}: icache is warm but no chunk rank "
-                "list was supplied (capture must go through the machine)"
+                "list was supplied"
             )
         icache = [[chunk_uids.index(uid), code_bytes]
                   for uid, code_bytes in self._icache.items()]
         return {
-            "l1d": self.l1d.ckpt_state(),
-            "l2": self.l2.ckpt_state(),
-            "tlb": None if self.tlb is None else self.tlb.ckpt_state(),
-            "write_buffer": self.write_buffer.ckpt_state(),
-            "stats": self.stats.ckpt_state(),
+            "l1d": self.l1d.snapshot(),
+            "l2": self.l2.snapshot(),
+            "tlb": None if self.tlb is None else self.tlb.snapshot(),
+            "write_buffer": self.write_buffer.snapshot(),
+            "stats": self.stats.snapshot(),
             "mshr": [[line, bool(event.fired)]
                      for line, event in self._mshr.items()],
             "port_busy_until": float(self.port_busy_until),
             "icache": icache,
             "icache_bytes": int(self._icache_bytes),
         }
-
-    def ckpt_restore(self, state: dict,
-                     chunk_uids: Optional[List[int]] = None) -> None:
-        """Inject; *chunk_uids* lists this process's chunk uid per rank."""
-        self.l1d.ckpt_restore(state["l1d"])
-        self.l2.ckpt_restore(state["l2"])
-        if (self.tlb is None) != (state["tlb"] is None):
-            raise SimulationError(
-                f"iface{self.node}: TLB modelling mismatch with checkpoint"
-            )
-        if self.tlb is not None:
-            self.tlb.ckpt_restore(state["tlb"])
-        self.write_buffer.ckpt_restore(state["write_buffer"])
-        self.stats.ckpt_restore(state["stats"])
-        self.port_busy_until = state["port_busy_until"]
-        self._icache = OrderedDict()
-        for rank, code_bytes in state["icache"]:
-            if chunk_uids is None or rank not in range(len(chunk_uids)):
-                raise SimulationError(
-                    f"iface{self.node}: checkpoint icache rank {rank} has "
-                    "no chunk in the restored traces"
-                )
-            self._icache[chunk_uids[rank]] = code_bytes
-        self._icache_bytes = state["icache_bytes"]

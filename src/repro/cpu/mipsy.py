@@ -34,8 +34,8 @@ class MipsyCore(CpuCore):
 
     model_name = "mipsy"
 
-    def __init__(self, env, node, params, iface, os_model, registry=None):
-        super().__init__(env, node, params, iface, os_model, registry)
+    def reconfigure(self, params, os_model) -> None:
+        super().reconfigure(params, os_model)
         self._lat_table = params.latency_table()
         self._lat_key = params.timing_key()
 

@@ -50,14 +50,17 @@ class WindowCore(CpuCore):
 
     def __init__(self, env, node, params, iface, os_model, registry=None):
         super().__init__(env, node, params, iface, os_model, registry)
+        self._inflight = []          # [(event, issue_cycles)]
+        self._miss_ema = 100.0       # running estimate of miss latency
+
+    def reconfigure(self, params, os_model) -> None:
+        super().reconfigure(params, os_model)
         self._timing = CoreTiming(
             key=params.timing_key(),
             width=params.width,
             window=params.window,
             latency=params.latency_table(),
         )
-        self._inflight = []          # [(event, issue_cycles)]
-        self._miss_ema = 100.0       # running estimate of miss latency
         self._l2_hit_hide = min(6.0, params.miss_hide_cycles / 2.0)
 
     # -- branch/bug accounting --------------------------------------------------
@@ -92,20 +95,6 @@ class WindowCore(CpuCore):
             else:
                 kept.append((event, issue_c))
         self._inflight = kept
-
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        state = super().ckpt_state()
-        state["miss_ema"] = float(self._miss_ema)
-        state["inflight"] = [[bool(event.fired), float(issue_c)]
-                             for event, issue_c in self._inflight]
-        return state
-
-    def ckpt_restore(self, state: dict) -> None:
-        super().ckpt_restore(state)
-        self._miss_ema = state["miss_ema"]
-        self._inflight = []
 
     # -- chunk execution -----------------------------------------------------------
 

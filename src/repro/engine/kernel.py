@@ -98,7 +98,7 @@ class Engine:
         self.events_processed = 0
         #: Optional per-engine observer: anything with the ``span`` event
         #: of :class:`repro.obs.hooks.Recorder`, set by whoever wants the
-        #: calendar (``repro.ckpt.bisect`` sets its event-stream recorder;
+        #: calendar (``repro.obs.bisect`` sets its event-stream recorder;
         #: the probe never does).  :meth:`run` reads it once and calls it
         #: once per calendar event, behind an ``is not None`` guard on a
         #: local, so the disabled path stays a single test.
@@ -137,30 +137,18 @@ class Engine:
 
     # -- main loop -------------------------------------------------------
 
-    def step(self) -> bool:
-        """Process the next timestamped event.  Returns False when empty."""
-        before = self.events_processed
-        self.run(max_events=1)
-        return self.events_processed != before
+    def run(self, until: Optional[Event] = None) -> Any:
+        """Run until *until* fires or the calendar drains.
 
-    def run(self, until: Optional[Event] = None, max_ps: Optional[int] = None,
-            max_events: Optional[int] = None) -> Any:
-        """Run until *until* fires, the calendar drains, or a limit is hit.
-
-        ``max_ps`` stops before the first event scheduled past that time;
-        ``max_events`` stops after that many further calendar events.
-        Both leave the engine at a clean between-events boundary (deferred
-        same-time callbacks drained), so a paused run can be resumed by
-        calling :meth:`run` again -- that is what ``repro.ckpt`` relies on.
-
-        Returns ``until.value`` when *until* is given and fired.
+        Returns ``until.value`` when *until* is given and fired; a drained
+        calendar before then is a deadlock.  With no *until*, drains the
+        calendar.
         """
         heap = self._heap
         queue = self._queue
         next_deferred = queue.popleft
         heappop = heapq.heappop
         obs = self.tracer
-        budget = -1 if max_events is None else max_events
         while True:
             while queue:
                 fn, arg = next_deferred()
@@ -169,46 +157,17 @@ class Engine:
                 if until._failed is not None:
                     raise until._failed
                 return until.value
-            if (budget == 0 or not heap
-                    or (max_ps is not None and heap[0][0] > max_ps)):
+            if not heap:
                 break
             when, _seq, fn, arg = heappop(heap)
             self.now = when
             self.events_processed += 1
-            budget -= 1
             if obs is not None:
                 obs.span(when, "engine", getattr(fn, "__qualname__", "callback"))
             fn(arg)
-        if until is not None and not heap and budget != 0:
+        if until is not None:
             raise SimulationError(
                 f"event queue drained at t={self.now} ps before target fired "
                 "(deadlock: a process is blocked forever)"
             )
         return None
-
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        """Clock, counters, and a structural view of the calendar.
-
-        Heap entries carry the callback's qualified name, not the callback:
-        coroutine frames cannot be serialized, so a non-empty calendar can
-        be *captured* (for digests and inspection) but only an empty one can
-        be restored by injection -- replay-mode restore reconstructs live
-        frames by re-running to the stop point instead.
-        """
-        return {
-            "now": int(self.now),
-            "seq": int(self._seq),
-            "events_processed": int(self.events_processed),
-            "pending_dispatch": len(self._queue),
-            "heap": [[int(when), int(seq),
-                      getattr(fn, "__qualname__", "callback")]
-                     for when, seq, fn, _arg in self._heap],
-        }
-
-    def ckpt_restore(self, state: dict) -> None:
-        """Inject clock and counters into a fresh (empty-calendar) engine."""
-        self.now = state["now"]
-        self._seq = state["seq"]
-        self.events_processed = state["events_processed"]

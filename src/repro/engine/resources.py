@@ -152,16 +152,9 @@ class Resource:
         self.release()
         use._held()
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        """Occupancy, queue shape, and accumulated statistics.
-
-        Queued grants are captured as ``(fired, enqueued_at)`` markers --
-        the waiting coroutine frames themselves are not serializable, so a
-        busy resource documents its shape for digests but only an idle one
-        (``in_use == 0``, empty queue) can be injected on restore.
-        """
+    def snapshot(self) -> dict:
+        """Occupancy, queue shape (``(fired, enqueued_at)`` per queued
+        grant), and accumulated statistics, as JSON-able data."""
         return {
             "in_use": int(self.in_use),
             "requests": int(self.requests),
@@ -169,13 +162,8 @@ class Resource:
                       for event, enqueued_at in self._queue],
             "busy_since": (None if self._busy_since is None
                            else int(self._busy_since)),
-            "stats": self.stats.ckpt_state(),
+            "stats": self.stats.snapshot(),
         }
-
-    def ckpt_restore(self, state: dict) -> None:
-        self.requests = state["requests"]
-        self._busy_since = None
-        self.stats.ckpt_restore(state["stats"])
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

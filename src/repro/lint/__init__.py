@@ -1,8 +1,8 @@
 """``repro.lint``: the invariant checks, as a table of rules.
 
 The reproduction asserts contracts in prose -- zero-cost-when-disabled
-observability, complete checkpoint capture, bit-identical determinism
--- and this package is where they are *checked*.  The table is the
+observability, model code free of harness-side imports, bit-identical
+determinism -- and this package is where they are *checked*.  The table is the
 registry in ``repro.lint.rules`` (``python -m repro.lint --explain``
 prints it, with each rule's rationale and fix) beside ``ALLOW``, the
 reasoned deliberate violations; DESIGN.md ("Static guarantees") names

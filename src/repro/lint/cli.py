@@ -26,7 +26,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
         description="static invariant checks: observability cost, "
-                    "checkpoint coverage, determinism hazards")
+                    "layering, determinism hazards")
     parser.add_argument("--rule", metavar="ID[,ID...]", default=None,
                         help="run only these rules (default: the full "
                              f"registry: {', '.join(RULES_BY_ID)})")

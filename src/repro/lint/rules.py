@@ -1,9 +1,9 @@
-"""The rule registry: contract checks (L1-L3) and determinism hazards
+"""The rule registry: contract checks (L1-L2) and determinism hazards
 (D1-D5), and the deliberate exceptions to them (``ALLOW``).
 
 The L rules pin the subsystem contracts; the D rules guard the property
 the whole reproduction stands on -- bit-identical replay -- at its weakest
-points.  Eight rules, five mechanisms: L2, D2, D3 and D5 are one check
+points.  Seven rules, four mechanisms: L2, D2, D3 and D5 are one check
 -- *this dotted name may not be imported / referenced / called through
 in these packages* -- so they are four :class:`BanRule` tables of
 :class:`Ban` rows.  Scopes are dotted-module based so the same registry
@@ -50,23 +50,9 @@ AMBIENT_BANNED_PACKAGES = (
 #: dotted scope (module + class/function chain), or the bare module for
 #: the whole file -- to the reason.  A blank reason is an error (an
 #: allowlist without reasons decays into a mute button) and an entry
-#: that stops suppressing anything is an A0 violation.  A key written
-#: twice in a dict literal is last-wins; with four entries, read them.
-ALLOW: Dict[str, str] = {
-    # Engine event machinery: live waiter lists are coroutine plumbing.
-    # Owners capture events as fired/pending markers; whole-event state is
-    # reconstructed by replay, never injected.
-    "L3:repro.engine.events.Event":
-        "transient event: owners capture it as a fired/pending marker",
-    "L3:repro.engine.events.AllOf":
-        "transient combinator over live events",
-    # Captured wholesale by their owning component's ckpt_state.
-    "L3:repro.proto.directory.DirEntry":
-        "captured line-by-line by Directory.ckpt_state",
-    # Build-time-constant structure: reconstructed from the request.
-    "L3:repro.vm.layout.VirtualLayout":
-        "build-time address-space plan; part of the workload",
-}
+#: that stops suppressing anything is an A0 violation.  The live tree
+#: needs none today.
+ALLOW: Dict[str, str] = {}
 
 
 # -- L1: hot-path tracer guards -----------------------------------------------
@@ -195,19 +181,16 @@ def _use_slot(slot: str) -> str:
 IMPORT_BANS = BanRule(
     id="L2",
     title="model code must not import harness-side subsystems",
-    subsystem="repro.obs / repro.ckpt",
+    subsystem="repro.obs",
     rationale=(
         "The models' only channels to observability and the farm are "
         f"the ambient slots ({', '.join(AMBIENT_SLOTS)}): one attribute "
-        "read and a None test when disabled.  Checkpointing needs no "
-        "channel at all: a gate and a starting state arrive as "
-        "`Machine.begin` arguments.  Importing the subsystems themselves "
-        "couples reference semantics to optional machinery and "
-        "re-introduces cost and cycles into the dependency graph."),
+        "read and a None test when disabled.  Importing the subsystems "
+        "themselves couples reference semantics to optional machinery "
+        "and re-introduces cost and cycles into the dependency graph."),
     hint=("reach the subsystem through its sanctioned slot instead: "
           + ", ".join(f"{module} ({what})"
-                      for module, what in AMBIENT_SLOTS.items())
-          + "; model code needs nothing from repro.ckpt"),
+                      for module, what in AMBIENT_SLOTS.items())),
     bans=(
         Ban(("repro.obs.metrics",), "imported",
             ("repro.cpu", "repro.mem", "repro.engine"),
@@ -220,12 +203,6 @@ IMPORT_BANS = BanRule(
             ("repro.cpu", "repro.mem", "repro.memsys", "repro.proto",
              "repro.network", "repro.engine"),
             "in model code", hint=_use_slot("repro.obs.hooks")),
-        Ban(("repro.ckpt",), "imported",
-            ("repro.cpu", "repro.mem", "repro.engine"),
-            "in model code",
-            hint="model code needs nothing from repro.ckpt: implement "
-                 "ckpt_state/ckpt_restore and duck-type the `gate` "
-                 "argument (`at_ps`, `hold(node, env)`)"),
     ))
 
 AMBIENT_READS = BanRule(
@@ -288,7 +265,7 @@ HOST_CLOCK = BanRule(
         "duplicates that machinery ad hoc -- unguarded, so it costs "
         "every run -- or creeps toward making simulated behaviour depend "
         "on host timing.  D2 already bans the machine's core packages; "
-        "this rule closes the rest of the tree (sim, ckpt, validation, "
+        "this rule closes the rest of the tree (sim, validation, "
         "...), so 'where does the wall time go' has one answer: the "
         "outside-in per-layer trace of benchmarks/e2e, which times the "
         "model without editing it."),
@@ -302,13 +279,7 @@ HOST_CLOCK = BanRule(
     ))
 
 
-# -- L3: checkpoint coverage --------------------------------------------------
-
-_CONTAINER_CALLS = {"dict", "list", "set", "deque", "OrderedDict",
-                    "defaultdict", "Counter"}
-_CONTAINER_NODES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
-                    ast.SetComp)
-
+# -- D1: hash-order-dependent set iteration -----------------------------------
 
 def _bare_name(node: ast.AST) -> str:
     """``x`` of the name ``x`` or the attribute chain ``a.b.x``."""
@@ -316,97 +287,6 @@ def _bare_name(node: ast.AST) -> str:
         return node.id
     return node.attr if isinstance(node, ast.Attribute) else ""
 
-
-def _is_container(value: ast.AST) -> bool:
-    return (isinstance(value, _CONTAINER_NODES)
-            or (isinstance(value, ast.Call)
-                and _bare_name(value.func) in _CONTAINER_CALLS))
-
-
-def _assigns_self_container(fn: ast.FunctionDef) -> bool:
-    for node in ast.walk(fn):
-        if (isinstance(node, (ast.Assign, ast.AnnAssign))
-                and node.value is not None and _is_container(node.value)):
-            for target in (node.targets if isinstance(node, ast.Assign)
-                           else [node.target]):
-                if (isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"):
-                    return True
-    return False
-
-
-class CkptCoverageRule(Rule):
-    """Every stateful simulator class implements the checkpoint
-    contract, both halves."""
-
-    id = "L3"
-    title = ("stateful simulator classes must implement ckpt_state and "
-             "ckpt_restore")
-    rationale = (
-        "repro.ckpt can only promise a *complete* machine capture if no "
-        "component quietly accumulates state outside the "
-        "ckpt_state/ckpt_restore protocol.  A class whose __init__ "
-        "assigns a mutable container to an instance attribute holds "
-        "state; if neither it nor a scanned base defines ckpt_state, "
-        "that state silently escapes every checkpoint.")
-    hint = ("implement ckpt_state/ckpt_restore, or allowlist the class in "
-            "repro.lint.rules.ALLOW with the reason it is deliberately not "
-            "Checkpointable (transient event machinery, build-time-"
-            "constant structure)")
-    subsystem = "repro.ckpt"
-
-    packages = (
-        "repro.engine", "repro.cpu", "repro.mem", "repro.memsys",
-        "repro.proto", "repro.network", "repro.sim", "repro.vm",
-    )
-    PROTOCOL = ("ckpt_state", "ckpt_restore")
-
-    def __init__(self) -> None:
-        #: bare class name (base-chain references are bare names too) ->
-        #: (protocol halves it defines, base names, and -- for a stateful
-        #: class only -- where to report it: relpath, line, qualname).
-        self._classes: Dict[str, tuple] = {}
-
-    def visit(self, ctx: FileContext, node: ast.AST) -> None:
-        if not isinstance(node, ast.ClassDef):
-            return
-        methods = {item.name: item for item in node.body
-                   if isinstance(item, ast.FunctionDef)}
-        stateful = ("__init__" in methods
-                    and _assigns_self_container(methods["__init__"]))
-        self._classes[node.name] = (
-            set(methods).intersection(self.PROTOCOL),
-            [_bare_name(base) for base in node.bases],
-            (ctx.relpath, node.lineno, f"{ctx.qualname}.{node.name}")
-            if stateful else None)
-
-    def _implemented(self, name: str, seen: set) -> set:
-        """The protocol halves *name* defines or inherits from a scanned
-        base."""
-        if name in seen or name not in self._classes:
-            return set()
-        seen.add(name)
-        defines, bases, _where = self._classes[name]
-        return defines.union(*(self._implemented(b, seen) for b in bases))
-
-    def finalize(self) -> Iterable[Violation]:
-        found = []
-        for name, (_defines, _bases, where) in sorted(self._classes.items()):
-            missing = (where and
-                       [half for half in self.PROTOCOL
-                        if half not in self._implemented(name, set())])
-            if missing:
-                found.append(Violation(
-                    self.id, *where,
-                    f"stateful class {name} implements no "
-                    f"{' and no '.join(missing)} (and inherits none from "
-                    "a scanned base)", self.hint))
-        self._classes.clear()
-        return found
-
-
-# -- D1: hash-order-dependent set iteration -----------------------------------
 
 #: Consumers whose result does not depend on iteration order, so feeding
 #: them a set directly is deterministic.
@@ -533,8 +413,8 @@ class IdOrderingRule(Rule):
         "id() is a memory address: unique per process, unstable across "
         "processes, and reusable within one.  Keying, sorting, or "
         "deduplicating simulated objects by id() produces orderings "
-        "that differ between the saving and restoring process, so "
-        "checkpoints and replays silently diverge.  Simulated objects "
+        "that differ between two processes, so replays and the digests "
+        "that compare them silently diverge.  Simulated objects "
         "already carry stable identities (node index, chunk uid, name).")
     hint = ("key by the object's stable identity -- node index, uid, "
             "name -- never id()")
@@ -557,7 +437,6 @@ class IdOrderingRule(Rule):
 REGISTRY: Tuple[Rule, ...] = (
     HotPathGuardRule(),
     IMPORT_BANS,
-    CkptCoverageRule(),
     SetIterationRule(),
     AMBIENT_READS,
     HOOK_SLOTS,

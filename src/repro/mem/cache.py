@@ -126,22 +126,10 @@ class SetAssocCache:
         for ways in self._sets:
             ways.clear()
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
+    def snapshot(self) -> dict:
         """Exact tag arrays: per-set LRU order plus per-line MSI state."""
         return {
             "sets": [list(ways) for ways in self._sets],
             "state": [[line, state] for line, state in self._state.items()],
-            "stats": self.stats.ckpt_state(),
+            "stats": self.stats.snapshot(),
         }
-
-    def ckpt_restore(self, state: dict) -> None:
-        if len(state["sets"]) != self.n_sets:
-            raise ValueError(
-                f"cache {self.name}: checkpoint has {len(state['sets'])} "
-                f"sets, geometry needs {self.n_sets}"
-            )
-        self._sets = [list(ways) for ways in state["sets"]]
-        self._state = {line: line_state for line, line_state in state["state"]}
-        self.stats.ckpt_restore(state["stats"])

@@ -51,15 +51,9 @@ class PageTable:
         """The frame of *vpn* if already mapped, else None (no allocation)."""
         return self._map.get(vpn)
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
+    def snapshot(self) -> dict:
         """The vpn -> pfn map in first-touch order, plus statistics."""
         return {
             "map": [[vpn, pfn] for vpn, pfn in self._map.items()],
-            "stats": self.stats.ckpt_state(),
+            "stats": self.stats.snapshot(),
         }
-
-    def ckpt_restore(self, state: dict) -> None:
-        self._map = {vpn: pfn for vpn, pfn in state["map"]}
-        self.stats.ckpt_restore(state["stats"])

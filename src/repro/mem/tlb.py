@@ -73,17 +73,6 @@ class Tlb:
     def __contains__(self, vpn: int) -> bool:
         return vpn in self._map
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
+    def snapshot(self) -> dict:
         """Resident VPNs in exact LRU (oldest-first) order."""
-        return {"vpns": list(self._map), "stats": self.stats.ckpt_state()}
-
-    def ckpt_restore(self, state: dict) -> None:
-        if len(state["vpns"]) > self.entries:
-            raise ValueError(
-                f"tlb: checkpoint holds {len(state['vpns'])} entries, "
-                f"geometry allows {self.entries}"
-            )
-        self._map = OrderedDict((vpn, True) for vpn in state["vpns"])
-        self.stats.ckpt_restore(state["stats"])
+        return {"vpns": list(self._map), "stats": self.stats.snapshot()}

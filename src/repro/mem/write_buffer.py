@@ -55,20 +55,11 @@ class WriteBuffer:
         """All in-flight events (drained at barriers)."""
         return list(self._inflight)
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        """Entry fired-flags (FIFO order) plus statistics.
-
-        Already-fired entries awaiting a :meth:`reap` are semantically
-        invisible (every consumer reaps before reading occupancy), so they
-        are captured for digest fidelity but dropped on injection.
-        """
+    def snapshot(self) -> dict:
+        """Entry fired-flags (FIFO order) plus statistics.  Fired entries
+        awaiting a :meth:`reap` are kept: every consumer reaps before
+        reading occupancy, but the digests see them."""
         return {
             "pending": [bool(event.fired) for event in self._inflight],
-            "stats": self.stats.ckpt_state(),
+            "stats": self.stats.snapshot(),
         }
-
-    def ckpt_restore(self, state: dict) -> None:
-        self._inflight = deque()
-        self.stats.ckpt_restore(state["stats"])

@@ -85,7 +85,6 @@ class DsmMemorySystem:
                  line_bytes: int, registry: Optional[StatsRegistry] = None):
         self.env = env
         self.n_nodes = n_nodes
-        self.params = params
         self.line_shift = line_bytes.bit_length() - 1
         if 1 << self.line_shift != line_bytes:
             raise ConfigurationError("line_bytes must be a power of two")
@@ -109,6 +108,17 @@ class DsmMemorySystem:
             for node in range(n_nodes)
         ]
         self._hooks: Dict[int, object] = {}
+        self.reconfigure(params)
+
+    def reconfigure(self, params: DsmParams) -> None:
+        """Time every transaction from now on by *params*, fabric and
+        MAGIC included; stage tables built before are dropped.  Whether
+        MAGIC occupancy and link contention are modelled at all
+        (``params.contention``) is fixed at construction."""
+        self.params = params
+        self.net.reconfigure(params.net)
+        for magic in self.magic:
+            magic.reconfigure(params.pp_occ_fraction)
         self._plans: Dict[tuple, tuple] = {}
         self._stages: Dict[tuple, tuple] = {}
 
@@ -483,23 +493,11 @@ class DsmMemorySystem:
             paddr >> self.line_shift
         )
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        """Transaction counters, the fabric, and every node's MAGIC."""
+    def snapshot(self) -> dict:
+        """Transaction counters, the fabric, and every node's MAGIC, as
+        JSON-able data with every order kept."""
         return {
-            "stats": self.stats.ckpt_state(),
-            "net": self.net.ckpt_state(),
-            "magic": [magic.ckpt_state() for magic in self.magic],
+            "stats": self.stats.snapshot(),
+            "net": self.net.snapshot(),
+            "magic": [magic.snapshot() for magic in self.magic],
         }
-
-    def ckpt_restore(self, state: dict) -> None:
-        if len(state["magic"]) != self.n_nodes:
-            raise ProtocolError(
-                f"checkpoint has {len(state['magic'])} MAGIC nodes, "
-                f"this machine has {self.n_nodes}"
-            )
-        self.stats.ckpt_restore(state["stats"])
-        self.net.ckpt_restore(state["net"])
-        for magic, magic_state in zip(self.magic, state["magic"]):
-            magic.ckpt_restore(magic_state)

@@ -43,16 +43,21 @@ class Network:
                  model_contention: bool = True):
         self.env = env
         self.cube = Hypercube(n_nodes)
-        self.params = params
         self.model_contention = model_contention
         self.stats = CounterSet("network")
         self._links: Dict[Tuple[int, int], Resource] = {}
-        self._messages: Dict[tuple, tuple] = {}
         if model_contention:
             for link in self.cube.links():
                 self._links[link] = Resource(
                     env, f"link{link[0]}->{link[1]}"
                 )
+        self.reconfigure(params)
+
+    def reconfigure(self, params: NetworkParams) -> None:
+        """Time every message by *params* from now on; message stages
+        built before are dropped."""
+        self.params = params
+        self._messages: Dict[tuple, tuple] = {}
 
     def send_stages(self, src: int, dst: int, flits: int = 1,
                     seg: Optional[str] = None) -> tuple:
@@ -120,27 +125,11 @@ class Network:
         """Per-link resource stats (contention analysis)."""
         return {link: res.stats for link, res in self._links.items()}
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        """Aggregate message counters plus every link port's state.
-
-        Links are keyed ``"src->dst"``; iteration order is the topology's
-        link enumeration, identical across machines of the same shape.
-        """
+    def snapshot(self) -> dict:
+        """Aggregate message counters plus every link port's state, keyed
+        ``"src->dst"`` in the topology's link order."""
         return {
-            "stats": self.stats.ckpt_state(),
-            "links": [[f"{src}->{dst}", res.ckpt_state()]
+            "stats": self.stats.snapshot(),
+            "links": [[f"{src}->{dst}", res.snapshot()]
                       for (src, dst), res in self._links.items()],
         }
-
-    def ckpt_restore(self, state: dict) -> None:
-        links = dict(state["links"])
-        if set(links) != {f"{s}->{d}" for (s, d) in self._links}:
-            raise ValueError(
-                f"network: checkpoint has {len(links)} links, "
-                f"this fabric has {len(self._links)} (topology mismatch)"
-            )
-        self.stats.ckpt_restore(state["stats"])
-        for (src, dst), res in self._links.items():
-            res.ckpt_restore(links[f"{src}->{dst}"])

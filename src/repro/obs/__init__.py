@@ -33,8 +33,10 @@ the reproduction the same visibility into itself:
   row above is a dataclass whose payload is its field list;
 * :mod:`repro.obs.doc` -- report documents: the block vocabulary every
   report above describes itself in, and the text/markdown/HTML emitters;
+* :mod:`repro.obs.bisect` -- the first event where two configurations'
+  timelines part, from one state forked at a quiescent gate;
 * :mod:`repro.obs.cli` -- ``python -m repro.obs
-  trace|diff|hotspot|txn|perf|watch``.
+  trace|diff|hotspot|txn|bisect|perf|watch``.
 """
 
 from repro.obs.trace import Span, TraceRecorder

@@ -1,6 +1,7 @@
-"""``python -m repro.obs``: trace, attribute, locate, time, and watch.
+"""``python -m repro.obs``: trace, attribute, locate, bisect, time, and
+watch.
 
-Six subcommands::
+Seven subcommands::
 
     # run one workload under the tracer (the historical surface; the
     # subcommand word is optional -- a bare workload name still works)
@@ -19,6 +20,12 @@ Six subcommands::
     # and print each kind's latency percentiles plus the slowest-K
     # transactions' segment anatomy (queue wait vs. service vs. wire)
     python -m repro.obs txn fft --config hardware
+
+    # the first event where two configurations' timelines part: run the
+    # reference to a gate at --at-ps, fork, replay both rest-of-runs
+    # (exit 1 when they diverge, 0 when identical)
+    python -m repro.obs bisect fft --ref hardware --cand mxs \
+        --scale tiny --cpus 2 --at-ps 1600000000
 
     # the host-time axis: time one unobserved run (wall, events,
     # events/s); optionally judge it against its case's history in a
@@ -52,6 +59,7 @@ from repro.common.errors import ReproError
 from repro.obs import hooks
 from repro.obs import topo as obs_topo
 from repro.obs import txn as obs_txn
+from repro.obs.bisect import bisect_divergence
 from repro.obs.diff import diff_runs
 from repro.obs.export import flame_summary, write_chrome_trace
 from repro.obs.hotspot import build_report
@@ -186,6 +194,17 @@ def build_parser() -> argparse.ArgumentParser:
                           "is zero")
     txn.set_defaults(func=cmd_txn)
 
+    bisect = sub.add_parser(
+        "bisect",
+        help="find the first divergent event between two configurations")
+    add_run_args(bisect, default_cpus=1, ref_cand=True)
+    bisect.add_argument("--at-ps", type=int, required=True,
+                        help="gate time in picoseconds: the reference "
+                             "runs to it, then both sides replay the rest")
+    bisect.add_argument("--json", metavar="PATH", default=None,
+                        help="also write the DivergenceReport payload here")
+    bisect.set_defaults(func=cmd_bisect)
+
     perf = sub.add_parser(
         "perf",
         help="time one run: wall, events/s, perf gate")
@@ -295,6 +314,16 @@ def cmd_txn(args: argparse.Namespace) -> int:
         print(f"\ntxn check ok: {report.total_txns} transactions, "
               f"{remote_dirty} remote-dirty, residual 0")
     return 0
+
+
+def cmd_bisect(args: argparse.Namespace) -> int:
+    ref, cand = (build_request(args, name) for name in (args.ref, args.cand))
+    report = bisect_divergence(ref.config, cand.config, ref.workload,
+                               n_cpus=ref.n_cpus, at_ps=args.at_ps)
+    print(report.format())
+    if args.json:
+        _write_json(args.json, report.to_dict())
+    return 0 if report.identical else 1
 
 
 def cmd_perf(args: argparse.Namespace) -> int:

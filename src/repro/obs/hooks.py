@@ -61,12 +61,6 @@ class Recorder:
 
     __slots__ = ()
 
-    #: Recorder state is not checkpoint state, so ``repro.ckpt`` refuses
-    #: to work under any recorder (counters would be silently partial).
-    #: True admits this one to a start from captured state whose caller
-    #: accepts a record of the resumed suffix (``allow_partial_obs``).
-    ckpt_suffix = False
-
     # -- run lifecycle (every recorder, every run) -----------------------
 
     def bind(self, machine) -> None:
@@ -163,21 +157,6 @@ class Probe:
 #: purpose: reading it is the cheapest guard Python offers short of
 #: deleting the call sites.
 active: Optional[Probe] = None
-
-
-def require_ckpt_tolerant(what: str, error: type,
-                          allow_partial: bool = False) -> None:
-    """Raise *error* if an installed recorder does not tolerate *what*:
-    none does, except a ``ckpt_suffix`` recorder when *allow_partial*."""
-    probe = active
-    refusing = [type(rec).__name__
-                for rec in (probe.recorders if probe is not None else ())
-                if not (allow_partial and rec.ckpt_suffix)]
-    if refusing:
-        raise error(
-            f"{what} cannot run under {', '.join(refusing)}: recorder "
-            "state is deliberately not part of checkpoint state, so the "
-            "record would be silently partial")
 
 
 @contextmanager

@@ -54,10 +54,6 @@ class TraceRecorder(hooks.Recorder):
     test a module global before touching the recorder at all.
     """
 
-    #: The ring is not checkpoint state; a resumed run can only be traced
-    #: from the resume point on, and only when the caller asks for that.
-    ckpt_suffix = True
-
     def __init__(self, capacity: int = 65536):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")

@@ -104,15 +104,9 @@ class Directory:
             if probe is not None:
                 probe.dir_transition(self.node, line, "to_unowned")
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        """Every entry's protocol state; busy handoffs as boolean markers.
-
-        A ``busy`` entry means a transaction is mid-flight at this home;
-        its coroutine cannot be serialized, so busy entries document the
-        shape for digests and block injection.
-        """
+    def snapshot(self) -> dict:
+        """Every entry's protocol state (``busy``: a transaction holds the
+        line at this home), in first-touch order, plus statistics."""
         return {
             "entries": [
                 [line, {"state": ent.state,
@@ -121,18 +115,8 @@ class Directory:
                         "busy": ent.busy is not None}]
                 for line, ent in self._entries.items()
             ],
-            "stats": self.stats.ckpt_state(),
+            "stats": self.stats.snapshot(),
         }
-
-    def ckpt_restore(self, state: dict) -> None:
-        self._entries = {}
-        for line, ent_state in state["entries"]:
-            ent = DirEntry()
-            ent.state = ent_state["state"]
-            ent.sharers = set(ent_state["sharers"])
-            ent.owner = ent_state["owner"]
-            self._entries[line] = ent
-        self.stats.ckpt_restore(state["stats"])
 
     def check_invariants(self, line: Optional[int] = None) -> None:
         """Raise ProtocolError if *line*'s entry (every entry homed here

@@ -32,7 +32,6 @@ class MagicController:
         self.env = env
         self.node = node
         self.model_occupancy = model_occupancy
-        self.pp_occ_fraction = pp_occ_fraction
         self.stats = CounterSet(f"magic{node}")
         self.pp = Resource(env, f"magic{node}.pp", capacity=1,
                            stats=CounterSet(f"magic{node}.pp"))
@@ -41,6 +40,12 @@ class MagicController:
         self.dram = Resource(env, f"magic{node}.dram", capacity=1,
                              stats=CounterSet(f"magic{node}.dram"))
         self.directory = Directory(node)
+        self.reconfigure(pp_occ_fraction)
+
+    def reconfigure(self, pp_occ_fraction: float) -> None:
+        """Occupy the protocol processor for *pp_occ_fraction* of each
+        handler from now on; handler stages built before are dropped."""
+        self.pp_occ_fraction = pp_occ_fraction
         self._pp_plans = {}
 
     def pp_stages(self, hold_ps: int, label: str = "handler",
@@ -98,18 +103,10 @@ class MagicController:
         """One access to this node's memory, as an event of its own."""
         return self.dram.use(hold_ps, txn)
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
+    def snapshot(self) -> dict:
         return {
-            "stats": self.stats.ckpt_state(),
-            "pp": self.pp.ckpt_state(),
-            "dram": self.dram.ckpt_state(),
-            "directory": self.directory.ckpt_state(),
+            "stats": self.stats.snapshot(),
+            "pp": self.pp.snapshot(),
+            "dram": self.dram.snapshot(),
+            "directory": self.directory.snapshot(),
         }
-
-    def ckpt_restore(self, state: dict) -> None:
-        self.stats.ckpt_restore(state["stats"])
-        self.pp.ckpt_restore(state["pp"])
-        self.dram.ckpt_restore(state["dram"])
-        self.directory.ckpt_restore(state["directory"])

@@ -84,8 +84,7 @@ class RunRequest:
         """A cold :class:`~repro.sim.machine.Machine` for this request.
 
         The one way a request becomes a machine -- a straight run, a
-        checkpoint capture or restore, a timed or snapshotted run all
-        start here.  The global RNGs are seeded from the request identity
+        bisection, a timed or snapshotted run all start here.  The global RNGs are seeded from the request identity
         first; the simulator itself only uses
         :func:`repro.common.rng.derive_rng` streams, so this is a
         belt-and-braces guarantee that results do not depend on which

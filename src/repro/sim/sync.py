@@ -65,26 +65,3 @@ class SyncDomain:
     def open_barriers(self) -> int:
         """Barriers some CPU is still waiting on (deadlock diagnostics)."""
         return len(self._barriers)
-
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        """Open barriers (arrival counts) and every lock's state.
-
-        A completed barrier leaves no state (its entry is deleted on
-        release), so an empty ``barriers`` list plus each core's trace
-        position fully determines synchronisation progress.
-        """
-        return {
-            "barriers": [[bid, arrived]
-                         for bid, (arrived, _event) in self._barriers.items()],
-            "locks": [[lid, lock.ckpt_state()]
-                      for lid, lock in self._locks.items()],
-        }
-
-    def ckpt_restore(self, state: dict) -> None:
-        self._locks = {}
-        for lid, lock_state in state["locks"]:
-            lock = Resource(self.env, f"lock{lid}")
-            lock.ckpt_restore(lock_state)
-            self._locks[lid] = lock

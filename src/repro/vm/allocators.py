@@ -32,7 +32,7 @@ from typing import Dict, List
 
 from repro.common.config import MachineScale
 from repro.common.errors import ConfigurationError
-from repro.common.rng import RngStream
+from repro.common.rng import derive_rng
 from repro.common.stats import CounterSet
 from repro.mem.address import NODE_MEM_BYTES
 
@@ -96,15 +96,6 @@ class PageAllocator(abc.ABC):
     def color_of_vpn(self, vpn: int) -> int:
         return vpn % self.n_colors
 
-    # -- checkpoint contract ---------------------------------------------
-
-    def ckpt_state(self) -> dict:
-        return {"rr_next": self._rr_next, "stats": self.stats.ckpt_state()}
-
-    def ckpt_restore(self, state: dict) -> None:
-        self._rr_next = state["rr_next"]
-        self.stats.ckpt_restore(state["stats"])
-
 
 class IrixColoringAllocator(PageAllocator):
     """Virtual-address page coloring (physical color == virtual color)."""
@@ -124,17 +115,6 @@ class IrixColoringAllocator(PageAllocator):
             raise ConfigurationError(f"node {node} out of frames of color {color}")
         return pfn
 
-    def ckpt_state(self) -> dict:
-        state = super().ckpt_state()
-        state["next_k"] = [sorted(per_color.items())
-                           for per_color in self._next_k]
-        return state
-
-    def ckpt_restore(self, state: dict) -> None:
-        super().ckpt_restore(state)
-        self._next_k = [{color: k for color, k in per_color}
-                        for per_color in state["next_k"]]
-
 
 class SoloSequentialAllocator(PageAllocator):
     """Sequential first-touch frames per node (no coloring at all)."""
@@ -150,15 +130,6 @@ class SoloSequentialAllocator(PageAllocator):
             raise ConfigurationError(f"node {node} out of frames")
         return node * self.frames_per_node + index
 
-    def ckpt_state(self) -> dict:
-        state = super().ckpt_state()
-        state["next"] = list(self._next)
-        return state
-
-    def ckpt_restore(self, state: dict) -> None:
-        super().ckpt_restore(state)
-        self._next = list(state["next"])
-
 
 class RandomColorAllocator(PageAllocator):
     """Uniform-random color per page (ablation baseline)."""
@@ -166,9 +137,7 @@ class RandomColorAllocator(PageAllocator):
     def __init__(self, scale, n_nodes, placement=Placement.FIRST_TOUCH,
                  seed: int = 0):
         super().__init__(scale, n_nodes, placement)
-        # Same label path derive_rng would use, but with explicit state
-        # capture so the stream position survives checkpoint round-trips.
-        self._rng = RngStream("random-alloc", seed)
+        self._rng = derive_rng("random-alloc", seed=seed)
         self._next_k: List[Dict[int, int]] = [dict() for _ in range(n_nodes)]
 
     def _pick_frame(self, vpn: int, node: int) -> int:
@@ -177,19 +146,6 @@ class RandomColorAllocator(PageAllocator):
         k = per_color.get(color, 0)
         per_color[color] = k + 1
         return node * self.frames_per_node + k * self.n_colors + color
-
-    def ckpt_state(self) -> dict:
-        state = super().ckpt_state()
-        state["next_k"] = [sorted(per_color.items())
-                           for per_color in self._next_k]
-        state["rng"] = self._rng.ckpt_state()
-        return state
-
-    def ckpt_restore(self, state: dict) -> None:
-        super().ckpt_restore(state)
-        self._next_k = [{color: k for color, k in per_color}
-                        for per_color in state["next_k"]]
-        self._rng.ckpt_restore(state["rng"])
 
 
 ALLOCATORS = {

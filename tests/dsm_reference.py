@@ -119,7 +119,7 @@ def seg(txn, name, event, all_wait=False):
 
 class ReferenceDsm:
     """The coroutine ``DsmMemorySystem``: same constructor, same
-    ``attach``/``request``/``ckpt_state``."""
+    ``attach``/``request``/``snapshot``."""
 
     def __init__(self, env, n_nodes, params, line_bytes, registry=None):
         self.env = env
@@ -405,9 +405,9 @@ class ReferenceDsm:
             raise ProtocolError(f"no processor hook attached at node {node}")
         hook.l2_fill(line, state)
 
-    def ckpt_state(self):
+    def snapshot(self):
         return {
-            "stats": self.stats.ckpt_state(),
-            "net": self.net.ckpt_state(),
-            "magic": [magic.ckpt_state() for magic in self.magic],
+            "stats": self.stats.snapshot(),
+            "net": self.net.snapshot(),
+            "magic": [magic.snapshot() for magic in self.magic],
         }

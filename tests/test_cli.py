@@ -45,7 +45,10 @@ def test_unknown_scale_exits_2_with_usage(capsys):
 @pytest.mark.parametrize("entry,argv", [
     ("repro.harness.runner", ["frobnicate"]),
     ("repro.obs.cli", ["frobnicate"]),
-    ("repro.ckpt.cli", ["frobnicate"]),
+    # The retired checkpoint store's option, on the bisect that outlived
+    # it.
+    ("repro.obs.cli", ["bisect", "fft", "--cand", "mxs", "--at-ps", "5",
+                       "--checkpoint-dir", "ckpt"]),
     ("repro.lint.cli", ["--rule", "Z9"]),
     # A retired flag (lint L5's runtime knob) is unknown input like any
     # other.
@@ -78,8 +81,7 @@ def test_every_cli_exits_2_with_usage_on_unknown_input(entry, argv,
     (["--cpus", "3"], "n_cpus must be a power of two"),
 ])
 def test_obs_bad_run_exits_2_with_message(argv, message, capsys):
-    # A run the model refuses is one line on stderr, as repro.ckpt does,
-    # not a traceback.
+    # A run the model refuses is one line on stderr, not a traceback.
     from repro.obs.cli import main as obs_main
     assert obs_main(["trace", "fft", "--scale", "tiny", *argv]) == 2
     assert f"repro.obs: {message}" in capsys.readouterr().err

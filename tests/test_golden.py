@@ -8,9 +8,7 @@ waterfall (``attribution_fft_solo``: fft, hardware vs Solo, P=1), one
 spatial-hotspot report (``hotspot_ocean_hardware``: ocean on hardware,
 P=4, under the topo recorder), one transaction-anatomy report
 (``txn_fft_hardware``: fft on hardware, P=4, under the txn recorder --
-per-kind latency histograms and the slowest-K segment lists), one
-mid-run checkpoint (``ckpt_fft_hardware``: fft on hardware at half time
--- manifest, stop record, and per-component state digests), the
+per-kind latency histograms and the slowest-K segment lists), the
 engine's calendar for two tiny runs (``calendar_tiny``: event count,
 final clock, digest of every entry's time), and the row path in both
 its regimes on three core/TLB combinations (``rows_tiny``: result hash,
@@ -125,12 +123,6 @@ class TestGoldenSnapshots:
         all be deterministic (integer picoseconds throughout)."""
         check_payload("txn_fft_hardware", refresh_goldens.txn_snapshot)
 
-    @pytest.mark.slow
-    def test_ckpt_snapshot(self):
-        """The fft-on-hardware checkpoint is pinned end to end: every
-        component's ckpt_state schema and digest must be deterministic."""
-        check_payload("ckpt_fft_hardware", refresh_goldens.ckpt_snapshot)
-
     def test_calendar_snapshot(self):
         """The engine's calendar is pinned: event count, final clock and
         a digest over every entry's time in pop order, for a multi-node
@@ -160,7 +152,6 @@ class TestGoldenSnapshots:
                            | set(refresh_goldens.ATTRIBUTION_IDS)
                            | set(refresh_goldens.HOTSPOT_IDS)
                            | set(refresh_goldens.TXN_IDS)
-                           | set(refresh_goldens.CKPT_IDS)
                            | set(refresh_goldens.CALENDAR_IDS)
                            | set(refresh_goldens.ROWS_IDS)
                            | set(refresh_goldens.MISS_PATH_IDS))

@@ -36,14 +36,13 @@ BADTREE = FIXTURES / "badtree"
 STALE_ALLOW = {
     "D1:repro.memsys.hazards.HazardSoup.invalidate":
         "exercises suppression in tests",
-    "L3:repro.mem.leaky.LongGoneClass": "this class no longer exists",
+    "D1:repro.mem.leaky.LongGoneClass": "this class no longer exists",
 }
 
 #: Every violation seeded into the fixture tree: rule -> {basename: lines}.
 SEEDED = {
     "L1": {"kernel.py": [6]},
-    "L2": {"leaky.py": [3, 4, 5, 6, 50]},
-    "L3": {"leaky.py": [10, 39], "hazards.py": [16]},
+    "L2": {"leaky.py": [3, 4, 5, 10]},
     "D1": {"hazards.py": [22, 29]},
     "D2": {"hazards.py": [33, 34, 49, 53]},
     "D3": {"hazards.py": [38], "hostclock.py": [17]},
@@ -69,8 +68,7 @@ class TestRegistry:
     def test_rule_ids_are_unique_and_expected(self):
         ids = [rule.id for rule in REGISTRY]
         assert len(ids) == len(set(ids))
-        assert set(ids) == {"L1", "L2", "L3",
-                            "D1", "D2", "D3", "D4", "D5"}
+        assert set(ids) == {"L1", "L2", "D1", "D2", "D3", "D4", "D5"}
 
     def test_every_rule_carries_its_documentation(self):
         for rule in REGISTRY:
@@ -82,7 +80,7 @@ class TestRegistry:
 
     def test_select_rules(self):
         assert select_rules(None) == list(REGISTRY)
-        assert [r.id for r in select_rules(["D1", "L3"])] == ["D1", "L3"]
+        assert [r.id for r in select_rules(["D1", "L2"])] == ["D1", "L2"]
         with pytest.raises(KeyError, match="Z9"):
             select_rules(["Z9"])
 
@@ -104,8 +102,7 @@ class TestSeededViolations:
     def test_no_violations_beyond_the_seeded_ones(self, report):
         # Any extra hit would be a false positive on one of the
         # deliberately-sanctioned patterns sitting next to each seed
-        # (guarded tracer call, hooks/gate imports, ckpt_state classes,
-        # sorted() wrappers, frozenset/sum consumers, hoisted slot read).
+        # (guarded tracer call, the hooks import, sorted() wrappers, frozenset/sum consumers, hoisted slot read).
         assert len(report.violations) == SEEDED_TOTAL
         assert set(v.rule for v in report.violations) == set(SEEDED)
 
@@ -123,14 +120,6 @@ class TestSeededViolations:
         assert report.rules == ["D1"]
         assert {v.rule for v in report.violations} == {"D1"}
         assert lines_of(report, "D1", "hazards.py") == [22, 29]
-
-    def test_l3_names_the_missing_half(self, report):
-        # A class that can be captured and not restored fails later,
-        # inside Machine.ckpt_restore; L3 catches it here.
-        by_line = {v.line: v.message for v in report.violations
-                   if v.rule == "L3" and v.path.endswith("leaky.py")}
-        assert "implements no ckpt_restore" in by_line[39]
-        assert "implements no ckpt_state and no ckpt_restore" in by_line[10]
 
     def test_every_ban_row_is_exercised(self, report):
         # A row nobody tests cannot be added: each row of each ban table
@@ -154,11 +143,11 @@ class TestSeededViolations:
         assert [(v.rule, v.line) for v in report.violations] == [("D2", 2)]
 
     def test_rule_state_does_not_leak_between_runs(self, report):
-        # L3 and D1 keep cross-file registries; each run must start empty.
+        # D1 keeps a cross-file registry; each run must start empty.
         again = badtree_report()
         assert again == report
-        assert badtree_report(rules=["L3", "D1"]).violations == [
-            v for v in report.violations if v.rule in ("L3", "D1")]
+        assert badtree_report(rules=["D1"]).violations == [
+            v for v in report.violations if v.rule == "D1"]
 
 
 class TestAllowlist:
@@ -172,7 +161,7 @@ class TestAllowlist:
         # The entry for the long-gone class suppresses nothing -> A0.
         stale = [v for v in report.violations if v.rule == STALE_RULE]
         assert len(stale) == 1
-        assert stale[0].qualname == "L3:repro.mem.leaky.LongGoneClass"
+        assert stale[0].qualname == "D1:repro.mem.leaky.LongGoneClass"
         assert len(report.violations) == SEEDED_TOTAL  # -1 suppressed, +1 A0
 
     def test_partial_runs_do_not_judge_staleness(self):
@@ -229,7 +218,7 @@ class TestCli:
         code, out, _err = self.run(capsys)
         assert code == 0
         assert out.startswith("ok:")
-        assert "8 rules" in out
+        assert "7 rules" in out
 
     def test_unknown_rule_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -257,10 +246,8 @@ class TestLiveTree:
         report = run_lint(repo_root())
         assert report.ok, report.format()
         assert report.files_scanned > 0
-        # Every ALLOW entry is live (else A0 would have fired) and today
-        # they are all deliberate L3 non-Checkpointables, one class each.
-        assert len(report.suppressed) == len(ALLOW) == 4
-        assert {v.rule for v in report.suppressed} == {"L3"}
+        # Nothing is allowlisted: the live tree needs no exception.
+        assert report.suppressed == [] and ALLOW == {}
 
     def test_no_ambient_slot_beyond_the_table(self):
         # An ambient slot is a module-level `active` rebound by an

@@ -97,7 +97,7 @@ def disagreements(mem, held):
     out = []
     for magic in mem.magic:
         magic.directory.check_invariants()
-        for line, entry in magic.directory.ckpt_state()["entries"]:
+        for line, entry in magic.directory.snapshot()["entries"]:
             owner = entry["owner"]
             if entry["state"] == DIRTY and held[owner].get(line) != MODIFIED:
                 out.append(f"line {line:#x}: DIRTY at {owner}, which holds "
@@ -390,7 +390,7 @@ def _drive(dsm_class, params, program, observe):
         == []
     return mem, {
         "log": log, "now": env.now, "events": env.events_processed,
-        "when": when.hexdigest(), "state": json.dumps(mem.ckpt_state()),
+        "when": when.hexdigest(), "state": json.dumps(mem.snapshot()),
         "probe": (probe.events, probe.hexdigest()),
     }
 

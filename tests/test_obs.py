@@ -133,21 +133,6 @@ class TestHooks:
         assert obs_hooks.Probe(topo).open_txn(0, 0, "read") is None
         assert obs_hooks.Probe(tracer).drain(3) is None
 
-    def test_ckpt_tolerance_follows_the_declared_property(self):
-        def check(allow_partial=False):
-            obs_hooks.require_ckpt_tolerant("resume", SimulationError,
-                                            allow_partial)
-        check()                                  # nothing observing
-        with obs_hooks.observing(TraceRecorder()):
-            check(allow_partial=True)            # suffix-only tracing
-            with pytest.raises(SimulationError, match="TraceRecorder"):
-                check()
-        with obs_hooks.observing(TraceRecorder(), TopoRecorder(),
-                                 TxnRecorder()):
-            with pytest.raises(SimulationError,
-                               match="TopoRecorder, TxnRecorder"):
-                check(allow_partial=True)
-
 
 def _tiny_run(tracer=None, workload="fft", n_cpus=2):
     scale = get_scale("tiny")

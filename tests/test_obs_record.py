@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.ckpt.bisect import DivergenceReport
+from repro.obs.bisect import DivergenceReport
 from repro.common.errors import ConfigurationError
 from repro.harness.findings import ExperimentResult, Finding
 from repro.obs.diff import AttributionDiff, CategoryDelta
@@ -46,8 +46,7 @@ GATE = GateReport(gate="watch", checked=2, unmatched=1, skipped=1,
                               threshold=0.02)])
 DIVERGENCE = DivergenceReport(
     config_a="simos-mipsy-150", config_b="simos-mipsy-225",
-    workload="fft-tlb", checkpoint_key="be89942349272b10",
-    resumed_at_ps=100, events_a=12, events_b=11, index=1, probes=4,
+    workload="fft-tlb", resumed_at_ps=100, events_a=12, events_b=11, index=1, probes=4,
     event_a={"when_ps": 120, "event": "Event._fire"},
     event_b={"when_ps": 110, "event": "Steps._walk"},
     neighborhood_a=[{"index": 0, "when_ps": 100, "event": "Steps._walk"},

@@ -117,8 +117,8 @@ class TestTlbProperties:
                 reference.insert(vpn)
             assert (slot in missed) == (not hit)
         # Oldest-first, so equal lists mean equal LRU order.
-        assert (iface.tlb.ckpt_state()["vpns"]
-                == reference.ckpt_state()["vpns"])
+        assert (iface.tlb.snapshot()["vpns"]
+                == reference.snapshot()["vpns"])
         for counter in ("misses", "evictions"):
             assert iface.tlb.stats[counter] == reference.stats[counter]
         assert reference.stats["misses"] >= len(set(vpns))
@@ -224,10 +224,10 @@ class TestResolverMatchesReference:
         # CounterSet's first-touch key order must all agree.
         for other_machine, other in ((one_machine, one_iface),
                                      (machine, iface)):
-            assert (json.dumps(other.ckpt_state())
-                    == json.dumps(ref_iface.ckpt_state()))
-            assert (json.dumps(other_machine.page_table.ckpt_state())
-                    == json.dumps(ref_machine.page_table.ckpt_state()))
+            assert (json.dumps(other.snapshot())
+                    == json.dumps(ref_iface.snapshot()))
+            assert (json.dumps(other_machine.page_table.snapshot())
+                    == json.dumps(ref_machine.page_table.snapshot()))
 
 
 class TestAllocatorProperties:

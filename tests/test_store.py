@@ -1,12 +1,10 @@
-"""The shared content-addressed store (``repro.common.store``), tested
-once for both typed halves: the farm's ``ResultCache`` and the checkpoint
-plane's ``CheckpointStore`` (ROADMAP item 4, first bullet).
+"""The content-addressed store (``repro.common.store``) under its typed
+half, the farm's ``ResultCache``.
 
 A damaged entry -- a torn write, an empty file, JSON of the wrong shape,
 even a directory squatting the file's name -- must read as a miss, never
 raise, and never hang; the next ``put`` must heal it.  A store that
-cannot be written at all is a later miss for the cache (best effort) and
-an error for checkpoints (the caller's only copy).
+cannot be written at all is a later miss for the cache (best effort).
 """
 
 import dataclasses
@@ -16,8 +14,6 @@ from contextlib import contextmanager
 
 import pytest
 
-from repro.ckpt import SCHEMA_VERSION, Checkpoint, CheckpointStore
-from repro.common.errors import CheckpointError
 from repro.common.store import JsonStore
 from repro.harness.farm import ResultCache
 from repro.obs.profile import CpuBreakdown, RunBreakdown
@@ -30,18 +26,10 @@ RESULT = RunResult(config_name="hardware", workload_name="fft", n_cpus=1,
                    phase_spans_ps={"parallel": (10, 990)}, instructions=64,
                    stats={"cpu0.instructions": 64})
 
-CHECKPOINT = Checkpoint(schema=SCHEMA_VERSION, code="c" * 64, key=KEY,
-                        manifest={"request": "fft@hardware/P1/tiny"},
-                        stop={"mode": "replay", "now_ps": 500},
-                        injectable=False, request_pickle="", state={},
-                        digests={}, digest="d" * 64)
-
 #: name -> (store class, put the entry under KEY, what get(KEY) returns).
 STORES = {
     "ResultCache": (ResultCache,
                     lambda store: store.put(KEY, RESULT), RESULT),
-    "CheckpointStore": (CheckpointStore,
-                        lambda store: store.put(CHECKPOINT), CHECKPOINT),
 }
 
 
@@ -133,7 +121,3 @@ class TestUnwritableStore:
         cache = ResultCache(occupied)
         cache.put(KEY, RESULT)           # must not raise
         assert cache.get(KEY) is None    # ... and costs a later miss
-
-    def test_checkpoint_store_put_raises_naming_the_path(self, occupied):
-        with pytest.raises(CheckpointError, match="occupied"):
-            CheckpointStore(occupied).put(CHECKPOINT)

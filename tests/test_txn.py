@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.common.config import get_scale
-from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.errors import ConfigurationError
 from repro.obs import hooks as obs_hooks
 from repro.obs.txn import (
     EDGES,
@@ -423,12 +423,3 @@ class TestIntegration:
         run_workload(hardware_config(), make_app("fft", scale), 1)
         assert probe.total_events == 0
         assert obs_hooks.active is None
-
-    def test_checkpoint_resume_rejects_txn_recorder(self):
-        from repro.sim.machine import Machine
-
-        scale = get_scale("tiny")
-        machine = Machine(hardware_config(), 1, scale)
-        with obs_hooks.observing(TxnRecorder()):
-            with pytest.raises(SimulationError, match="TxnRecorder"):
-                machine.begin(make_app("fft", scale), state={})

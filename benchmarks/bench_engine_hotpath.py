@@ -198,7 +198,7 @@ def _node(n_lines, in_l1):
     addrs = DATA_BASE + np.arange(n_lines) * scale.l1d.line_bytes
     for vaddr in addrs.tolist():
         paddr = machine.page_table.translate(vaddr, 0)
-        iface.tlb.insert(iface.tlb.vpn_of(vaddr))
+        iface.tlb.insert(iface.tlb.vpn_of(vaddr), paddr - vaddr)
         iface.l2.fill(paddr >> iface.l2.line_shift, MODIFIED)
         if in_l1:
             iface.l1d.fill(paddr >> iface.l1d.line_shift, MODIFIED)

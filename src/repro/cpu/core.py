@@ -41,8 +41,6 @@ _ROW_BLOCK = 256
 class CpuCore:
     """Base processor model; subclasses implement ``_exec_chunk``."""
 
-    model_name = "base"
-
     def __init__(self, env, node: int, params: CoreParams,
                  iface: Optional[CpuMemInterface], os_model: OsModel,
                  registry: Optional[StatsRegistry] = None):

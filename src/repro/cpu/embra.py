@@ -20,8 +20,6 @@ from repro.isa.trace import ChunkExec
 class EmbraCore(CpuCore):
     """Fixed-CPI functional model; no memory system interaction."""
 
-    model_name = "embra"
-
     def _exec_chunk(self, ce: ChunkExec):
         self.cycles += ce.n_instructions * self.params.embra_cpi
         self.stats.add("instructions", ce.n_instructions)

@@ -121,6 +121,15 @@ class CpuMemInterface:
         ``PageTable.translate``, ``SetAssocCache.lookup``) would produce;
         ``tests/classify_reference.py`` is the oracle.
 
+        What a plain hit costs is cut to what its page has not already
+        paid.  A reference on the previous reference's page skips the TLB
+        and the translation: that page is MRU and mapped, since a TLB
+        miss returns.  A TLB entry holds its page's translation offset
+        (``paddr - vaddr``), so a TLB hit translates by subscript.  L1
+        hits are counted in a local, added to ``l1d.hits`` before any
+        other ``l1d`` counter is touched and at the return, which keeps
+        the counters' first-touch order.
+
         The closure binds the hot containers themselves, so it is valid
         for the one ``_exec_chunk`` call that built it.  Build one per
         chunk execution; never keep one.
@@ -131,13 +140,13 @@ class CpuMemInterface:
         tlb_map = None if tlb is None else tlb._map
         tlb_touch = None if tlb is None else tlb_map.move_to_end
         page_shift = self._page_shift
-        page_mask = (1 << page_shift) - 1
         frame_of = self.page_table._map.get
         translate_vpn = self.page_table.translate_vpn
         l1d, l2 = self.l1d, self.l2
         l1_shift, l2_shift = self._l1_shift, self._l2_shift
         l1_state = l1d._state.get
         l1_sets, l1_mask = l1d._sets, l1d._set_mask
+        l1_two_way = l1d.geometry.assoc == 2
         l1_counters = l1d.stats._counters
         mshr = self._mshr.get
         stats = self.stats
@@ -145,39 +154,52 @@ class CpuMemInterface:
         def resolve(row, j):
             outcome = HIT
             tlb_miss = False      # a reference that sets it returns
+            page = None           # the last reference's page: MRU, mapped
+            hits = 0              # l1d hits not yet in its counters
             while j < n_mem:
                 vaddr = row[j]
                 vpn = vaddr >> page_shift
-                if tlb_map is not None:
-                    if vpn in tlb_map:
-                        tlb_touch(vpn)
+                if vpn != page:
+                    page = vpn
+                    if tlb_map is None:
+                        pfn = frame_of(vpn)
+                        if pfn is None:
+                            pfn = translate_vpn(vpn, node)     # first touch
+                        offset = (pfn - vpn) << page_shift
                     else:
-                        tlb_miss = True
-                        tlb.stats.add("misses")
-                        if len(tlb_map) >= tlb.entries:
-                            tlb_map.popitem(last=False)
-                            tlb.stats.add("evictions")
-                        tlb_map[vpn] = True
-                        probe = obs_hooks.active
-                        if probe is not None:
-                            probe.tlb_miss(vpn, node)
-                pfn = frame_of(vpn)
-                if pfn is None:
-                    pfn = translate_vpn(vpn, node)     # first touch
+                        try:
+                            tlb_touch(vpn)
+                            offset = tlb_map[vpn]
+                        except KeyError:
+                            tlb_miss = True
+                            tlb.stats.add("misses")
+                            if len(tlb_map) >= tlb.entries:
+                                tlb_map.popitem(last=False)
+                                tlb.stats.add("evictions")
+                            pfn = frame_of(vpn)
+                            if pfn is None:
+                                pfn = translate_vpn(vpn, node)
+                            tlb_map[vpn] = offset = (pfn - vpn) << page_shift
+                            probe = obs_hooks.active
+                            if probe is not None:
+                                probe.tlb_miss(vpn, node)
                 op = kinds[j]
                 if op == _CACHEOP:
                     outcome = NOOP
                 else:
-                    paddr = (pfn << page_shift) | (vaddr & page_mask)
+                    paddr = vaddr + offset
                     line1 = paddr >> l1_shift
                     state1 = l1_state(line1)
                     if state1 is not None:
                         # SetAssocCache.lookup's hit, without the call.
-                        l1_counters["hits"] += 1.0
+                        hits += 1
                         ways = l1_sets[line1 & l1_mask]
                         if ways[-1] != line1:
-                            ways.remove(line1)
-                            ways.append(line1)
+                            if l1_two_way:
+                                ways.reverse()
+                            else:
+                                ways.remove(line1)
+                                ways.append(line1)
                         outcome = HIT
                         if op == _STORE and state1 != MODIFIED:
                             # Store to an L1 SHARED line: the L2 decides.
@@ -188,34 +210,47 @@ class CpuMemInterface:
                                 outcome = NOOP     # merged with in-flight
                             else:
                                 stats.add("upgrades")
-                                return (j, MISS, paddr, MemKind.UPGRADE,
-                                        tlb_miss)
+                                result = (j, MISS, paddr, MemKind.UPGRADE,
+                                          tlb_miss)
+                                break
                     else:
+                        if hits:
+                            l1_counters["hits"] += hits
+                            hits = 0
                         l1d.lookup(line1)     # counts and reports the miss
                         line2 = paddr >> l2_shift
                         pending = mshr(line2)
                         if pending is not None:
                             if op != _PREFETCH and op != _STORE:
                                 stats.add("pending_hits")
-                                return (j, PENDING, pending, None, tlb_miss)
+                                result = (j, PENDING, pending, None, tlb_miss)
+                                break
                         else:
                             state2 = l2.lookup(line2)
                             if state2 is None:
                                 kind = (MemKind.WRITE if op == _STORE
                                         else MemKind.READ)
-                                return (j, MISS, paddr, kind, tlb_miss)
+                                result = (j, MISS, paddr, kind, tlb_miss)
+                                break
                             if op == _STORE and state2 != MODIFIED:
                                 stats.add("upgrades")
-                                return (j, MISS, paddr, MemKind.UPGRADE,
-                                        tlb_miss)
+                                result = (j, MISS, paddr, MemKind.UPGRADE,
+                                          tlb_miss)
+                                break
                             l1d.fill(line1, state2)
                             if op != _PREFETCH:
-                                return (j, L2_HIT, None, None, tlb_miss)
+                                result = (j, L2_HIT, None, None, tlb_miss)
+                                break
                         outcome = NOOP
                 if tlb_miss:
-                    return (j, outcome, None, None, True)
+                    result = (j, outcome, None, None, True)
+                    break
                 j += 1
-            return (j, outcome, None, None, False)
+            else:
+                result = (j, outcome, None, None, False)
+            if hits:
+                l1_counters["hits"] += hits
+            return result
 
         return resolve
 

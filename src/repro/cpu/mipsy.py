@@ -32,8 +32,6 @@ _STORE = int(Op.STORE)
 class MipsyCore(CpuCore):
     """Blocking-read, one-IPC core with write buffer and prefetching."""
 
-    model_name = "mipsy"
-
     def reconfigure(self, params, os_model) -> None:
         super().reconfigure(params, os_model)
         self._lat_table = params.latency_table()

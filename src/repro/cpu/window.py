@@ -46,8 +46,6 @@ _STORE = int(Op.STORE)
 class WindowCore(CpuCore):
     """Four-issue out-of-order model with bounded miss overlap."""
 
-    model_name = "window"
-
     def __init__(self, env, node, params, iface, os_model, registry=None):
         super().__init__(env, node, params, iface, os_model, registry)
         self._inflight = []          # [(event, issue_cycles)]
@@ -253,8 +251,6 @@ class WindowCore(CpuCore):
 class MxsCore(WindowCore):
     """MXS: the generic out-of-order model (no implementation constraints)."""
 
-    model_name = "mxs"
-
 
 class R10kCore(WindowCore):
     """The reference core standing in for the real MIPS R10000.
@@ -264,5 +260,3 @@ class R10kCore(WindowCore):
     refill) that the paper shows generic models lack.  Declared the gold
     standard for every experiment.
     """
-
-    model_name = "r10k"

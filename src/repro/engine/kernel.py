@@ -85,6 +85,14 @@ class Engine:
     package preserves): calendar entries run in ``(when, seq)`` order;
     callbacks deferred while one entry runs are called first-in first-out;
     a calendar entry is popped only when that queue is empty.
+
+    From it follows the in-place rule: a callback the loop called itself
+    (a calendar entry or a deferred callback -- not one of several
+    waiters ``Event._fire`` calls in turn) that, as its last act, defers
+    into an empty queue would have that deferral run next.  Running it
+    in place instead draws the same ``seq``, at the same ``now``, for
+    everything it schedules.  :class:`~repro.engine.resources.Steps`
+    walks rest on this.
     """
 
     def __init__(self):

@@ -216,6 +216,13 @@ class Steps(_Use):
     (``txn.cut``) as the walk continues past it -- at the ``env.now``
     and queue position where a process's cut after the yield ran.
     Plans are tuples, built once and shared; a walk only reads them.
+
+    What a stage would defer into an empty queue runs in place (the
+    in-place rule of :class:`~repro.engine.kernel.Engine`): a free unit
+    is granted and its hold armed at once, a ``HOP`` walks on, and the
+    end of a hold that released to nobody resumes the walk.  A walk
+    woken as an event's waiter defers as before, since other waiters
+    of that event may still be due to run first.
     """
 
     __slots__ = ("_plan", "_at", "_wake", "_seg", "note")
@@ -237,12 +244,17 @@ class Steps(_Use):
         self._plan = stages
         self._at = 0
 
-    def _walk(self, _arg) -> None:
+    def _walk(self, woke) -> None:
         env = self.env
         txn = self.txn
         if txn is not None and self._seg is not None:
             txn.cut(self._seg, env.now)
             self._seg = None
+        # What a stage would defer runs in place when it would run next
+        # (the in-place rule, see ``Engine``): the queue is empty and the
+        # walk is the tail of a top-level callback.  A walk woken as an
+        # event's waiter (*woke*) may have waiters still to run after it.
+        queue = None if woke is not None else env._queue
         stages = self._plan
         at = self._at
         while True:
@@ -256,6 +268,10 @@ class Steps(_Use):
                 heappush(env._heap, (env.now + arg, seq, self._wake, None))
                 return
             if who is HOP:
+                if queue is not None and not queue:
+                    if txn is not None and seg is not None:
+                        txn.cut(seg, env.now)
+                    continue
                 self._at = at
                 if txn is not None:
                     self._seg = seg
@@ -279,6 +295,17 @@ class Steps(_Use):
             self._at = at
             if txn is not None:
                 self._seg = seg
+            if queue is not None and not queue and who.in_use < who.capacity:
+                # ``Resource._request``'s free grant and ``_arm``, in place.
+                who.requests += 1
+                who.in_use += 1
+                if who._busy_since is None:
+                    who._busy_since = env.now
+                if txn is not None:
+                    txn.add_wait(who.name, 0)
+                env._seq = seq = env._seq + 1
+                heappush(env._heap, (env.now + arg, seq, who._finish_cb, self))
+                return
             self.hold_ps = arg
             who._request(self)
             return
@@ -290,5 +317,9 @@ class Steps(_Use):
         return True
 
     def _held(self) -> None:
-        # Where the child process's resume after the use ran.
-        self.env._defer((self._wake, None))
+        # Where the child process's resume after the use ran: next, if
+        # ``release`` deferred nothing, so the walk goes on in place.
+        if self.env._queue:
+            self.env._defer((self._wake, None))
+        else:
+            self._walk(None)

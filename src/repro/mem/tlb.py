@@ -21,7 +21,11 @@ from repro.obs import hooks as obs_hooks
 
 
 class Tlb:
-    """Fully-associative LRU TLB over virtual page numbers."""
+    """Fully-associative LRU TLB over virtual page numbers.
+
+    An entry holds its page's translation offset (``paddr - vaddr``), as
+    a hardware TLB holds the frame: a hit translates without the page
+    table."""
 
     __slots__ = ("geometry", "page_shift", "entries", "_map", "stats")
 
@@ -29,39 +33,42 @@ class Tlb:
         self.geometry = geometry
         self.page_shift = bit_length_shift(geometry.page_bytes)
         self.entries = geometry.entries
-        self._map: "OrderedDict[int, bool]" = OrderedDict()
+        self._map: "OrderedDict[int, int]" = OrderedDict()
         self.stats = stats if stats is not None else CounterSet("tlb")
 
     def vpn_of(self, vaddr: int) -> int:
         return vaddr >> self.page_shift
 
-    def lookup(self, vpn: int) -> bool:
-        """True on hit (refreshing LRU).  Only misses are counted: they are
-        the architecturally visible events (each costs a refill).
+    def lookup(self, vpn: int) -> Optional[int]:
+        """The translation offset on a hit (refreshing LRU), None on a
+        miss.  Only misses are counted: they are the architecturally
+        visible events (each costs a refill).
 
         The row path does not call this: ``CpuMemInterface.resolver``
         inlines lookup and :meth:`insert`, and both stay as the reference
         that copy is tested against (``tests/test_properties.py``)."""
-        if vpn in self._map:
+        offset = self._map.get(vpn)
+        if offset is not None:
             self._map.move_to_end(vpn)
-            return True
+            return offset
         self.stats.add("misses")
         probe = obs_hooks.active
         if probe is not None:
             # Instant only: the refill *cost* is a core property, so the
             # timed refill span is recorded by the processor model.
             probe.tlb_miss(vpn)
-        return False
+        return None
 
-    def insert(self, vpn: int) -> None:
-        """Install *vpn*, evicting the LRU entry when full."""
+    def insert(self, vpn: int, offset: int) -> None:
+        """Install *vpn* with its translation *offset*, evicting the LRU
+        entry when full."""
         if vpn in self._map:
             self._map.move_to_end(vpn)
             return
         if len(self._map) >= self.entries:
             self._map.popitem(last=False)
             self.stats.add("evictions")
-        self._map[vpn] = True
+        self._map[vpn] = offset
 
     def flush(self) -> None:
         self._map.clear()

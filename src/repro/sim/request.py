@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import KW_ONLY, dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -56,6 +57,12 @@ class RunRequest:
             "seed": self.seed,
         }
 
+    @cached_property
+    def _identity(self) -> str:
+        """The digest of :meth:`payload`, canonicalised once per request:
+        nothing changes a request after it is built."""
+        return stable_hash(self.payload())
+
     def cache_key(self, traced: Optional[bool] = None) -> str:
         """Content address of the result this request would produce.
 
@@ -71,12 +78,12 @@ class RunRequest:
         return stable_hash({
             "code": code_fingerprint(),
             "traced": bool(traced),
-            "request": self.payload(),
+            "request": self._identity,
         })
 
     def request_seed(self) -> int:
         """Deterministic per-request seed, independent of code version."""
-        return int(stable_hash(self.payload())[:16], 16)
+        return int(self._identity[:16], 16)
 
     # -- execution --------------------------------------------------------
 

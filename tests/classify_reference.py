@@ -1,5 +1,5 @@
 """The per-reference ``CpuMemInterface.classify`` body as it stood before
-the resolver (PR 20), kept verbatim as a test oracle.
+the resolver, kept as a test oracle.
 
 The simulator resolves references through the closure
 ``CpuMemInterface.resolver`` builds, which absorbs plain hits in place
@@ -8,7 +8,9 @@ body it replaced: one reference in, one ``(outcome, payload, kind,
 tlb_miss)`` out, every step a method call on the TLB, page table and
 caches.  ``tests/test_properties.py`` drives an interface through each
 and requires the same events, recency orders and counter orders.
-Nothing under ``src/`` imports this module.
+The one change since: a TLB entry holds its page's translation offset
+(``paddr - vaddr``), filled once the miss has translated, as the
+resolver's entries are.  Nothing under ``src/`` imports this module.
 """
 
 from repro.cpu.interface import (
@@ -39,12 +41,14 @@ def classify(self, vaddr, op):
             if len(tlb_map) >= tlb.entries:
                 tlb_map.popitem(last=False)
                 tlb.stats.add("evictions")
-            tlb_map[vpn] = True
             probe = obs_hooks.active
             if probe is not None:
                 # Mirrors Tlb.lookup's instant (this path inlines it).
                 probe.tlb_miss(vpn, self.node)
     paddr = self.page_table.translate(vaddr, self.node)
+    if tlb_miss:
+        # The new entry holds the page's translation offset.
+        tlb_map[vpn] = paddr - vaddr
 
     if op == _CACHEOP:
         return (NOOP, None, None, tlb_miss)

@@ -215,9 +215,23 @@ class Resource:
 
 def steps(env, sequence, txn=None):
     """A multi-step wait the way ``MagicController.pp_busy`` and
-    ``Network.send`` did it: one child process, one yield per step."""
+    ``Network.send`` did it: one child process, one yield per step.
+
+    A step is ``(who, ps, seg)``: a delay (*who* None), a use of the
+    resource *who*, one deferral (``"hop"``: a wait on a fired event) or
+    a wait on the event *who*.  After each wait the process cuts *seg*,
+    when it has one, at the time it resumed."""
     def body():
-        for res, ps in sequence:
-            yield env.timeout(ps) if res is None else res.use(ps, txn)
+        for who, ps, seg in sequence:
+            if who is None:
+                yield env.timeout(ps)
+            elif who == "hop":
+                yield env.event().succeed()
+            elif isinstance(who, Event):
+                yield who
+            else:
+                yield who.use(ps, txn)
+            if txn is not None and seg is not None:
+                txn.cut(seg, env.now)
         return env.now
     return env.process(body())

@@ -1,12 +1,15 @@
 """Unit tests for the discrete-event kernel."""
 
+import sys
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SimulationError
 from repro.engine import Engine, Resource, Steps
-from repro.engine.resources import FINISH
+from repro.engine.events import Event
+from repro.engine.resources import CALL, FINISH, HOP
 from repro.obs import hooks as obs_hooks
 from tests import engine_reference as reference
 
@@ -296,10 +299,19 @@ class _Kit:
             module.Engine, module.Resource, steps)
 
 
-def _steps(env, pairs, txn=None):
-    """A walk of the plan made of *pairs*, no segments."""
-    return Steps(env, tuple((res, ps, None) for res, ps in pairs) + (FINISH,),
-                 txn)
+def _steps(env, sequence, txn=None):
+    """A walk of *sequence*, in ``engine_reference.steps``'s terms: a
+    ``"hop"`` is a ``HOP`` and an event a ``CALL`` that waits on it."""
+    stages = []
+    for who, ps, seg in sequence:
+        if who == "hop":
+            stages.append((HOP, 0, seg))
+        elif isinstance(who, Event):
+            stages.append((CALL, lambda walk, event=who: walk.wait(event),
+                           None))
+        else:
+            stages.append((who, ps, seg))
+    return Steps(env, tuple(stages) + (FINISH,), txn)
 
 
 KITS = (_Kit(reference, reference.steps),
@@ -314,8 +326,11 @@ _LEAF_OPS = st.one_of(
     st.tuples(st.just("lock"), _RES, _DELAY),
     st.tuples(st.just("all_of"), st.lists(_DELAY, max_size=3)),
     st.tuples(st.just("any_of"), st.lists(_DELAY, min_size=1, max_size=3)),
+    # A stage: a delay, a use, a HOP or a wait on the shared timer.
     st.tuples(st.just("steps"), st.lists(
-        st.tuples(st.one_of(st.none(), _RES), _DELAY), max_size=4)),
+        st.tuples(st.one_of(st.none(), _RES, st.just("hop"),
+                            st.just("tick")), _DELAY), max_size=4)),
+    st.tuples(st.just("tick")),
     st.tuples(st.just("fired")),
     st.tuples(st.just("fire"), _RES),
     st.tuples(st.just("wait"), _RES),
@@ -332,10 +347,15 @@ def _run_program(kit, capacities, program):
     resources = [kit.Resource(env, f"r{i}", capacity=capacity)
                  for i, capacity in enumerate(capacities)]
     shared = [env.event(), env.event()]
+    #: One calendar-fired event that walks and processes may share.
+    timer = env.timeout(10)
 
     class Txn:
         def add_wait(self, name, waited_ps):
             log.append(("add_wait", name, waited_ps, env.now))
+
+        def cut(self, seg, now):
+            log.append(("cut", seg, now, env.now))
 
     txn = Txn()
 
@@ -356,9 +376,15 @@ def _run_program(kit, capacities, program):
             elif kind == "any_of":
                 yield env.any_of([env.timeout(d) for d in op[1]])
             elif kind == "steps":
+                # A CALL has no segment, so a wait on the timer cuts none.
                 yield kit.steps(env, [
-                    (None if r is None else resources[r % len(resources)], ps)
-                    for r, ps in op[1]], txn)
+                    (timer, 0, None) if r == "tick" else
+                    (r if r is None or r == "hop"
+                     else resources[r % len(resources)], ps,
+                     f"{tag}.{index}.{k}")
+                    for k, (r, ps) in enumerate(op[1])], txn)
+            elif kind == "tick":
+                yield timer
             elif kind == "fired":
                 yield env.event().succeed(tag)
             elif kind == "fire":
@@ -385,14 +411,89 @@ def _run_program(kit, capacities, program):
 @given(capacities=st.lists(st.integers(1, 2), min_size=1, max_size=2),
        program=st.lists(_OPS, min_size=1, max_size=5))
 @settings(max_examples=150, deadline=None)
+# A walk and a process share the calendar-fired timer, the walk first
+# among its waiters: the process's timeout must draw its ``seq`` before
+# the walk's grant arms, as it would had the walk deferred.
+@example(capacities=[1], program=[
+    [("steps", [("tick", 0), (0, 0), ("hop", 0)])],
+    [("timeout", 0), ("tick",), ("timeout", 0)]])
+# A HOP, then a free resource stage, reached with a process's resume
+# still queued: each must defer behind it, not run in place.
+@example(capacities=[1], program=[
+    [("steps", [("hop", 0), (None, 0)])], [("fired",), ("timeout", 0)]])
+@example(capacities=[1], program=[
+    [("steps", [(0, 0)])], [("fired",), ("timeout", 0)]])
+# A walk's hold ends and its release grants a queued use: the walk's
+# resume must queue behind that grant.
+@example(capacities=[1], program=[
+    [("steps", [(0, 0), (None, 0)])], [("fired",), ("use", 0, 0)]])
 def test_engine_matches_reference_engine(capacities, program):
     """Random process graphs -- tied timeouts, contended ``use``, locks,
-    combinators, child processes, step sequences, waits on fired events
-    -- complete in the same order, at the same times, over the same
-    number of calendar entries as on the pre-fusion reference engine."""
+    combinators, child processes, step sequences (delays, uses, HOPs and
+    waits on a shared calendar-fired timer, with segment cuts), waits on
+    fired events -- complete in the same order, at the same times, over
+    the same number of calendar entries as on the pre-fusion reference
+    engine."""
     expected, actual = (_run_program(kit, capacities, program)
                         for kit in KITS)
     assert actual == expected
+
+
+class TestPlanCallCount:
+    """A deferral that would run next runs in place: in a walk entered
+    from the engine loop, an uncontended resource stage and a HOP into
+    an empty queue cost no deferral.  Counts repeat exactly where
+    timings do not."""
+
+    @staticmethod
+    def _walk(stages, profiled):
+        """Python ``call`` events (*profiled*) or deferrals while the
+        engine walks one plan of *stages* on a free resource."""
+        env = Engine()
+        res = Resource(env, "pp")
+        count = 0
+        if not profiled:
+            append = env._queue.append
+
+            def defer(item):
+                nonlocal count
+                count += 1
+                append(item)
+
+            env._defer = defer
+        walk = Steps(env, tuple((res if who == "pp" else who, arg, seg)
+                                for who, arg, seg in stages) + (FINISH,))
+
+        def profile(_frame, event, _arg):
+            nonlocal count
+            count += event == "call"
+
+        if profiled:
+            sys.setprofile(profile)
+        try:
+            env.run(until=walk)
+        finally:
+            sys.setprofile(None)
+        return count
+
+    def _extra(self, stage, profiled):
+        """What 100 more *stage* stages cost; the start cancels."""
+        return (self._walk((stage,) * 200, profiled)
+                - self._walk((stage,) * 100, profiled))
+
+    def test_hop_into_an_empty_queue_costs_nothing(self):
+        hop = (HOP, 0, None)
+        assert self._extra(hop, profiled=False) == 0
+        assert self._extra(hop, profiled=True) == 0
+
+    def test_uncontended_stage_costs_only_its_hold(self):
+        """Each stage's one calling chain is its hold's calendar entry:
+        ``_finish_hold``, ``release`` and its ``busy_ps`` add, ``_held``
+        and the walk resumed in place.  Deferring the arm and the resume
+        cost three calls more."""
+        stage = ("pp", 5, None)
+        assert self._extra(stage, profiled=False) == 0
+        assert 0 < self._extra(stage, profiled=True) <= 5 * 100
 
 
 class TestEngineObserver:

@@ -98,6 +98,21 @@ class TestCacheKey:
         assert (tiny_request(seed=1).request_seed()
                 != tiny_request(seed=2).request_seed())
 
+    def test_map_and_execute_canonicalise_each_request_once(
+            self, monkeypatch, tmp_path):
+        """The cache key and the run's seed share one canonical form."""
+        canonicalised = []
+        payload = RunRequest.payload
+
+        def counted(request):
+            canonicalised.append(request)
+            return payload(request)
+
+        monkeypatch.setattr(RunRequest, "payload", counted)
+        batch = [tiny_request(150), tiny_request(225)]
+        Farm(jobs=1, cache=ResultCache(tmp_path)).map(batch)
+        assert [id(r) for r in canonicalised] == [id(r) for r in batch]
+
 
 class TestResultCache:
     def test_round_trip(self, tmp_path):

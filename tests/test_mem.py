@@ -93,18 +93,26 @@ class TestCache:
 
 class TestTlb:
     def test_hit_after_insert(self):
+        """A hit returns the translation offset the entry holds."""
         t = Tlb(TlbGeometry(entries=4, page_bytes=256))
         vpn = t.vpn_of(1024)
-        assert not t.lookup(vpn)
-        t.insert(vpn)
-        assert t.lookup(vpn)
+        assert t.lookup(vpn) is None
+        t.insert(vpn, 0x3000)
+        assert t.lookup(vpn) == 0x3000
+
+    def test_zero_offset_is_a_hit(self):
+        # An identity-mapped page: the entry is 0, and still a hit.
+        t = Tlb(TlbGeometry(entries=4, page_bytes=256))
+        t.insert(7, 0)
+        assert t.lookup(7) == 0
+        assert t.stats["misses"] == 0
 
     def test_lru_eviction(self):
         t = Tlb(TlbGeometry(entries=2, page_bytes=256))
-        t.insert(1)
-        t.insert(2)
+        t.insert(1, 0)
+        t.insert(2, 0)
         t.lookup(1)       # refresh 1; 2 becomes LRU
-        t.insert(3)
+        t.insert(3, 0)
         assert 1 in t and 3 in t and 2 not in t
 
     def test_reach_limits_working_set(self):
@@ -112,16 +120,16 @@ class TestTlb:
         t = Tlb(TlbGeometry(entries=4, page_bytes=256))
         for vpn in range(8):
             t.lookup(vpn)
-            t.insert(vpn)
+            t.insert(vpn, 0)
         misses_before = t.stats["misses"]
         for vpn in range(8):
-            if not t.lookup(vpn):
-                t.insert(vpn)
+            if t.lookup(vpn) is None:
+                t.insert(vpn, 0)
         assert t.stats["misses"] == misses_before + 8
 
     def test_flush_empties(self):
         t = Tlb(TlbGeometry(entries=4, page_bytes=256))
-        t.insert(5)
+        t.insert(5, 0)
         t.flush()
         assert len(t) == 0
 

@@ -78,8 +78,8 @@ class TestTlbProperties:
     def test_size_bounded_and_recent_resident(self, vpns, entries):
         tlb = Tlb(TlbGeometry(entries=entries, page_bytes=256))
         for vpn in vpns:
-            if not tlb.lookup(vpn):
-                tlb.insert(vpn)
+            if tlb.lookup(vpn) is None:
+                tlb.insert(vpn, 0)
             assert len(tlb) <= entries
             assert vpn in tlb
 
@@ -111,26 +111,48 @@ class TestTlbProperties:
             assert iface.tlb is None and not missed
             return
         reference = Tlb(scale.tlb)
+        shift = iface.page_table.page_shift
         for slot, vpn in enumerate(vpns):
-            hit = reference.lookup(vpn)
+            hit = reference.lookup(vpn) is not None
             if not hit:
-                reference.insert(vpn)
+                offset = (iface.page_table.frame_of(vpn) - vpn) << shift
+                reference.insert(vpn, offset)
             assert (slot in missed) == (not hit)
         # Oldest-first, so equal lists mean equal LRU order.
         assert (iface.tlb.snapshot()["vpns"]
                 == reference.snapshot()["vpns"])
+        # Each entry holds its page's translation offset.
+        assert list(iface.tlb._map.items()) == list(reference._map.items())
         for counter in ("misses", "evictions"):
             assert iface.tlb.stats[counter] == reference.stats[counter]
         assert reference.stats["misses"] >= len(set(vpns))
 
 
 _OPS = [int(op) for op in (Op.LOAD, Op.STORE, Op.PREFETCH, Op.CACHEOP)]
-#: A reference: (page 0-7, L1 line within the page 0-3, op) -- 32 lines.
-_refs = st.tuples(st.integers(0, 7), st.integers(0, 3), st.sampled_from(_OPS))
+#: Pages a row may touch: more than the largest TLB drawn (8 entries).
+_PAGES = 12
+_pages = st.integers(0, _PAGES - 1)
+_l1_lines = st.integers(0, 3)
+_ops = st.sampled_from(_OPS)
+#: A reference: (page, L1 line within the page 0-3, op).
+_refs = st.tuples(_pages, _l1_lines, _ops)
 _line_states = st.sampled_from([None, SHARED, MODIFIED])
 #: A pre-seeded line: (page, line, L1 state, L2 state, live MSHR entry?).
-_seeds = st.tuples(st.integers(0, 7), st.integers(0, 3), _line_states,
-                   _line_states, st.booleans())
+_seeds = st.tuples(_pages, _l1_lines, _line_states, _line_states,
+                   st.booleans())
+
+
+@st.composite
+def _revisit_rows(draw):
+    """A row that leaves a page for 8 others and comes back to it: under
+    any TLB drawn, the page is evicted and faults again mid-row, and the
+    unseeded pages among the others are first touches mid-row."""
+    home = draw(_pages)
+    others = draw(st.permutations([p for p in range(_PAGES) if p != home]))
+    refs = [(page, draw(_l1_lines), draw(_ops))
+            for page in [home] + others[:8] + [home]]
+    # Same-page runs are what the resolver's page memo skips.
+    return [ref for ref in refs for _ in range(draw(st.integers(1, 2)))]
 
 
 class TestResolverMatchesReference:
@@ -178,7 +200,8 @@ class TestResolverMatchesReference:
     @_SETTINGS
     @given(st.integers(0, 8).filter(lambda n: n != 1),
            st.lists(_seeds, max_size=12),
-           st.lists(st.lists(_refs, min_size=1, max_size=12),
+           st.lists(st.one_of(st.lists(_refs, min_size=1, max_size=12),
+                              _revisit_rows()),
                     min_size=1, max_size=6))
     def test_same_events_state_and_counter_order(self, entries, seeds, rows):
         """Three identical interfaces: the oracle and ``classify`` (the
@@ -228,6 +251,15 @@ class TestResolverMatchesReference:
                     == json.dumps(ref_iface.snapshot()))
             assert (json.dumps(other_machine.page_table.snapshot())
                     == json.dumps(ref_machine.page_table.snapshot()))
+            # The snapshot keeps the TLB's keys; its entries are offsets.
+            if entries:
+                assert (list(other.tlb._map.items())
+                        == list(ref_iface.tlb._map.items()))
+        if entries:
+            shift = ref_iface.page_table.page_shift
+            for vpn, offset in ref_iface.tlb._map.items():
+                frame = ref_iface.page_table.frame_of(vpn)
+                assert offset == (frame - vpn) << shift
 
 
 class TestAllocatorProperties:

@@ -8,6 +8,8 @@ occupies the controller -- the design choice behind splitting handler
 latency from occupancy (DESIGN.md).
 """
 
+from dataclasses import replace
+
 from repro.sim import simos_mipsy
 from repro.sim.machine import run_workload
 from repro.obs.doc import Para, Table, render_text
@@ -20,8 +22,8 @@ def _sweep():
     rows = []
     times = []
     for fraction in (0.0, 0.55, 1.0):
-        params = base.memsys.with_updates(
-            pp_occ_fraction=fraction, name=f"fl-occ{fraction}")
+        params = replace(base.memsys, pp_occ_fraction=fraction,
+                         name=f"fl-occ{fraction}")
         config = base.derive(f"-occ{fraction}", memsys=params)
         result = run_workload(config, make_app("radix"), 16,
                               placement=Placement.NODE0)

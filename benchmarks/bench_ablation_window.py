@@ -7,6 +7,8 @@ sensibly: narrower machines are slower, and the effect saturates once
 width exceeds the workload's ILP.
 """
 
+from dataclasses import replace
+
 from repro.sim import simos_mxs
 from repro.sim.machine import run_workload
 from repro.obs.doc import Para, Table, render_text
@@ -19,7 +21,7 @@ def _sweep():
     for width in (1, 2, 4, 8):
         base = simos_mxs(tuned=True)
         config = base.derive(f"-w{width}",
-                             core=base.core.with_updates(width=width))
+                             core=replace(base.core, width=width))
         result = run_workload(config, make_app("fft"), 1)
         rows.append([str(width), f"{result.parallel_ns / 1e6:.2f}"])
         times.append(result.parallel_ps)

@@ -13,7 +13,10 @@ core).  The ledger is the record; the
 assertions are that repeats of one case are bit-identical and that an
 application case still processes exactly its latest committed record's
 ``events`` over the same ``sim_ps`` (the calendar may get cheaper, never
-different); ``speedup`` is that record's wall time over the new one.
+different).  No ``speedup`` is computed: a committed record was timed in
+another process at another time, and on a small shared host consecutive
+processes drift by +-20%, more than the changes being judged.  The speed
+judge is the alternating parent/change pairs of ``benchmarks/e2e/run.py``.
 Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/bench_engine_hotpath.py -m slow -s
@@ -78,24 +81,21 @@ def _committed():
 
 
 def _app_record(app, config, scale, repeats, committed):
-    """One application case, checked against and compared with the
-    committed record of the same case (when there is one)."""
+    """One application case, checked against the committed record of the
+    same case (when there is one)."""
     seconds, result, events = _best_of(app, config, scale, repeats)
     case = make_case(app, config.name, 1, scale.name, "ref")
     committed = committed.get(case)
-    speedup = None
     if committed is not None:
         assert (events, result.total_ps) == (committed.events,
                                              committed.sim_ps), (
             f"{case}: the calendar changed -- {events} events over "
             f"{result.total_ps} ps, committed {committed.events} over "
             f"{committed.sim_ps}")
-        speedup = committed.wall_s / seconds
     print(f"{case:36s} {seconds * 1e3:7.1f} ms  "
-          f"{events / seconds:9,.0f} events/s"
-          + ("" if speedup is None else f"  {speedup:.2f}x committed"))
+          f"{events / seconds:9,.0f} events/s")
     return run_record("engine_hotpath", case, seconds, result=result,
-                      events=events, speedup=speedup)
+                      events=events)
 
 
 @pytest.mark.slow

@@ -71,7 +71,6 @@ class MachineScale:
     l2: CacheGeometry
     tlb: TlbGeometry
     problem_factor: float
-    description: str = ""
 
     def __post_init__(self):
         # Inclusion maps each L2 line onto whole L1d lines.
@@ -94,8 +93,9 @@ class MachineScale:
         return max(1, way_bytes // self.tlb.page_bytes)
 
 
-#: Table 1 of the paper: the real FLASH hardware hierarchy. Full-size runs
-#: at this scale are supported by the models but are not CI-feasible.
+#: Table 1 of the paper: the real FLASH hardware hierarchy, full problem
+#: sizes. Full-size runs at this scale are supported by the models but are
+#: not CI-feasible.
 PAPER_SCALE = MachineScale(
     name="paper",
     l1i=CacheGeometry(32 * 1024, 64, 2),
@@ -103,12 +103,12 @@ PAPER_SCALE = MachineScale(
     l2=CacheGeometry(2 * 1024 * 1024, 128, 2),
     tlb=TlbGeometry(entries=64, page_bytes=4096),
     problem_factor=1.0,
-    description="FLASH hardware geometry (Table 1), full problem sizes",
 )
 
-#: Default reproduction scale: ~64x smaller problems with a hierarchy that
-#: keeps each workload in the paper's regime (e.g. FFT transpose rows span
-#: more pages than the TLB holds; Ocean grids exceed the L2).
+#: Default reproduction scale: ~64x smaller problems with a shrunk
+#: hierarchy that keeps each workload in the paper's regime (e.g. FFT
+#: transpose rows span more pages than the TLB holds; Ocean grids exceed
+#: the L2).
 REPRO_SCALE = MachineScale(
     name="repro",
     l1i=CacheGeometry(4 * 1024, 64, 2),
@@ -116,10 +116,9 @@ REPRO_SCALE = MachineScale(
     l2=CacheGeometry(64 * 1024, 128, 2),
     tlb=TlbGeometry(entries=16, page_bytes=512),
     problem_factor=1.0 / 64.0,
-    description="default repro scale (~64x shrink of hierarchy + problems)",
 )
 
-#: Miniature scale for unit tests: runs finish in milliseconds.
+#: Miniature unit-test scale: runs finish in milliseconds.
 TINY_SCALE = MachineScale(
     name="tiny",
     l1i=CacheGeometry(1024, 64, 2),
@@ -127,7 +126,6 @@ TINY_SCALE = MachineScale(
     l2=CacheGeometry(8 * 1024, 128, 2),
     tlb=TlbGeometry(entries=8, page_bytes=256),
     problem_factor=1.0 / 1024.0,
-    description="unit-test scale",
 )
 
 SCALES = {scale.name: scale for scale in (PAPER_SCALE, REPRO_SCALE, TINY_SCALE)}

@@ -15,27 +15,6 @@ from pathlib import Path
 from typing import Optional
 
 
-def default_dir(env_var: str, leaf: str) -> Path:
-    """``$<env_var>``, else ``~/.cache/repro/<leaf>``."""
-    env = os.environ.get(env_var)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro" / leaf
-
-
-def check_dir_arg(parser, flag: str, value: Optional[str]) -> None:
-    """``parser.error`` out when the store directory *flag* names has no
-    parent to create it in (a typo would otherwise surface only at the
-    first write, after the simulation it was meant to save)."""
-    if value is None:
-        return
-    parent = os.path.dirname(os.path.abspath(value))
-    if not os.path.isdir(parent):
-        parser.error(
-            f"{flag} parent directory does not exist: {parent} "
-            f"(create it first, or point {flag} somewhere that exists)")
-
-
 class JsonStore:
     """``key -> JSON object`` under *root*, atomic and torn-write safe."""
 

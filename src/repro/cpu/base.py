@@ -21,7 +21,7 @@ and enables the occupancy model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.common.units import Clock
@@ -48,18 +48,14 @@ MXS_UNTUNED_TLB_CYCLES = 35
 class CoreParams:
     """Complete parameterisation of one processor model instance."""
 
-    name: str
     model: str                       #: 'mipsy' | 'mxs' | 'r10k' | 'embra'
     clock_mhz: float = 150.0
     tlb_refill_cycles: float = HW_TLB_REFILL_CYCLES
     model_instruction_latencies: bool = False   #: Mipsy ablation switch
 
     # Window-core (MXS / R10K) parameters.
-    width: int = 4
-    window: int = 32
-    max_outstanding: int = 4        #: Table 1: max outstanding misses
+    width: int = 4                  #: Table 1: max IPC
     miss_hide_cycles: float = 12.0  #: latency the window hides per miss
-    mispredict_penalty_cycles: float = 5.0
     interlock_penalty_cycles: float = 0.0      #: R10K address interlocks
     #: Implementation-constraint derate of the real pipeline: the corner
     #: cases (address interlocks, partial bypassing, issue-queue
@@ -72,11 +68,7 @@ class CoreParams:
     cacheop_bug_stall_cycles: float = 0.0      #: MXS CACHE-instruction bug
 
     # CPU-side memory interface.
-    l2_hit_cycles: float = 10.0
     l2_port_occupancy_cycles: float = 0.0
-    icache_refill_cycles_per_line: float = 10.0
-    write_buffer_entries: int = 4
-    embra_cpi: float = 1.0
 
     @property
     def clock(self) -> Clock:
@@ -91,20 +83,16 @@ class CoreParams:
     def timing_key(self) -> str:
         """Cache key for per-chunk schedules."""
         return (
-            f"{self.model}/w{self.width}/win{self.window}"
+            f"{self.model}/w{self.width}"
             f"/lat{int(self.model_instruction_latencies)}"
             f"/bug{self.fast_issue_bug_factor}"
         )
-
-    def with_updates(self, **kwargs) -> "CoreParams":
-        return replace(self, **kwargs)
 
 
 def mipsy_params(clock_mhz: float = 150.0, tuned: bool = False,
                  model_instruction_latencies: bool = False) -> CoreParams:
     """Mipsy as shipped (untuned) or after the Section 3.1.2 tuning."""
     return CoreParams(
-        name=f"mipsy-{int(clock_mhz)}{'-tuned' if tuned else ''}",
         model="mipsy",
         clock_mhz=clock_mhz,
         tlb_refill_cycles=(HW_TLB_REFILL_CYCLES if tuned
@@ -118,13 +106,11 @@ def mxs_params(clock_mhz: float = 150.0, tuned: bool = False) -> CoreParams:
     """MXS: the generic out-of-order model (its historic bugs are injected
     by :mod:`repro.validation.bugs`)."""
     return CoreParams(
-        name=f"mxs-{int(clock_mhz)}{'-tuned' if tuned else ''}",
         model="mxs",
         clock_mhz=clock_mhz,
         tlb_refill_cycles=(HW_TLB_REFILL_CYCLES if tuned
                            else MXS_UNTUNED_TLB_CYCLES),
         miss_hide_cycles=14.0,
-        mispredict_penalty_cycles=5.0,
         l2_port_occupancy_cycles=(L2_PORT_OCCUPANCY_CYCLES if tuned else 0.0),
     )
 
@@ -132,12 +118,10 @@ def mxs_params(clock_mhz: float = 150.0, tuned: bool = False) -> CoreParams:
 def r10k_params(clock_mhz: float = 150.0) -> CoreParams:
     """The gold-standard core: MXS plus the implementation constraints."""
     return CoreParams(
-        name="r10k-150",
         model="r10k",
         clock_mhz=clock_mhz,
         tlb_refill_cycles=HW_TLB_REFILL_CYCLES,
         miss_hide_cycles=10.0,
-        mispredict_penalty_cycles=5.0,
         interlock_penalty_cycles=1.6,
         ilp_derate_factor=1.28,
         l2_port_occupancy_cycles=L2_PORT_OCCUPANCY_CYCLES,
@@ -146,7 +130,6 @@ def r10k_params(clock_mhz: float = 150.0) -> CoreParams:
 
 def embra_params(clock_mhz: float = 150.0) -> CoreParams:
     return CoreParams(
-        name="embra",
         model="embra",
         clock_mhz=clock_mhz,
     )

@@ -16,12 +16,16 @@ from __future__ import annotations
 from repro.cpu.core import CpuCore
 from repro.isa.trace import ChunkExec
 
+#: Embra's fixed cycles per instruction (Section 2.2: it models neither
+#: the processor nor the memory system).
+EMBRA_CPI = 1.0
+
 
 class EmbraCore(CpuCore):
     """Fixed-CPI functional model; no memory system interaction."""
 
     def _exec_chunk(self, ce: ChunkExec):
-        self.cycles += ce.n_instructions * self.params.embra_cpi
+        self.cycles += ce.n_instructions * EMBRA_CPI
         self.stats.add("instructions", ce.n_instructions)
         return
         yield  # pragma: no cover -- keeps this a generator

@@ -39,10 +39,17 @@ from repro.obs import hooks as obs_hooks
 
 # Outcomes of a resolved reference.
 HIT = 0        #: satisfied locally, no cost beyond the scheduled cycle
-L2_HIT = 1     #: L1 miss, L2 hit: charge l2_hit_cycles (+ port wait)
+L2_HIT = 1     #: L1 miss, L2 hit: charge L2_HIT_CYCLES (+ port wait)
 PENDING = 2    #: line already in flight: wait on the returned event
 MISS = 3       #: issue a transaction (returned kind) for the returned paddr
 NOOP = 4       #: absorbed (store merge, prefetch to a present line, ...)
+
+#: Cycles an L2 hit costs the core (the R10000's secondary-cache hit
+#: latency at 150 MHz; an out-of-order core hides part of it).
+L2_HIT_CYCLES = 10.0
+
+#: Cycles to refill one instruction-cache line from the L2.
+ICACHE_REFILL_CYCLES_PER_LINE = 10.0
 
 _STORE = int(Op.STORE)
 _PREFETCH = int(Op.PREFETCH)
@@ -93,10 +100,9 @@ class CpuMemInterface:
         self.reconfigure(params)
 
     def reconfigure(self, params: CoreParams) -> None:
-        """Take the CPU-side timing of *params* (L2-interface occupancy,
-        icache refills, write-buffer depth) from the next reference on."""
+        """Take the CPU-side timing of *params* (L2-interface occupancy)
+        from the next reference on."""
         self.params = params
-        self.write_buffer.capacity = params.write_buffer_entries
 
     # ------------------------------------------------------------------
     # Core-facing: data references
@@ -313,7 +319,7 @@ class CpuMemInterface:
             _uid, size = self._icache.popitem(last=False)
             self._icache_bytes -= size
         self.stats.add("icache_refills")
-        return lines * self.params.icache_refill_cycles_per_line
+        return lines * ICACHE_REFILL_CYCLES_PER_LINE
 
     # ------------------------------------------------------------------
     # Protocol-facing hooks (called by DsmMemorySystem)

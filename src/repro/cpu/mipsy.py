@@ -19,7 +19,7 @@ in-order schedule.
 from __future__ import annotations
 
 from repro.cpu.core import CpuCore
-from repro.cpu.interface import L2_HIT, MISS, PENDING
+from repro.cpu.interface import L2_HIT, L2_HIT_CYCLES, MISS, PENDING
 from repro.obs import hooks as obs_hooks
 from repro.isa.opcodes import Op
 from repro.isa.schedule import schedule_inorder
@@ -58,7 +58,6 @@ class MipsyCore(CpuCore):
         issue_miss = iface.issue_miss
         port_wait = iface.port_wait_cycles
         tlb_refill = self.params.tlb_refill_cycles
-        l2_hit_cycles = self.params.l2_hit_cycles
         wb = iface.write_buffer
         env = self.env
         # Observability: hoisted once per chunk so the disabled path costs
@@ -84,7 +83,7 @@ class MipsyCore(CpuCore):
                             int(tlb_refill * cycle_ps), node)
                 pt = base + offsets[j] + stall
                 if outcome == L2_HIT:
-                    wait = l2_hit_cycles + port_wait(pt)
+                    wait = L2_HIT_CYCLES + port_wait(pt)
                     stall += wait
                     if probe is not None:
                         probe.span(start_ps + int(pt * cycle_ps),

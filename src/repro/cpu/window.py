@@ -8,7 +8,7 @@ same branch prediction strategy." (Section 2.2.)
 
 The per-chunk dataflow schedule (:mod:`repro.isa.schedule`) supplies the
 all-hits cost; at run time the core only walks memory operations, tracking
-up to ``max_outstanding`` in-flight misses:
+up to :data:`MAX_OUTSTANDING` in-flight misses:
 
 * independent misses overlap; an isolated miss is exposed for roughly its
   latency minus ``miss_hide_cycles`` (what the window can cover);
@@ -32,7 +32,7 @@ instruction.
 from __future__ import annotations
 
 from repro.cpu.core import CpuCore
-from repro.cpu.interface import L2_HIT, MISS, PENDING
+from repro.cpu.interface import L2_HIT, L2_HIT_CYCLES, MISS, PENDING
 from repro.obs import hooks as obs_hooks
 from repro.isa.chunk import Chunk
 from repro.isa.opcodes import Op
@@ -41,6 +41,17 @@ from repro.isa.trace import ChunkExec
 
 _LOAD = int(Op.LOAD)
 _STORE = int(Op.STORE)
+
+#: The R10000's 32-entry active list: how far past the oldest unfinished
+#: instruction the dataflow schedule may issue.
+WINDOW = 32
+
+#: Table 1: max outstanding misses.
+MAX_OUTSTANDING = 4
+
+#: Cycles a mispredicted branch costs (MXS models the R10000's branch
+#: prediction strategy, Section 2.2).
+MISPREDICT_PENALTY_CYCLES = 5.0
 
 
 class WindowCore(CpuCore):
@@ -56,7 +67,7 @@ class WindowCore(CpuCore):
         self._timing = CoreTiming(
             key=params.timing_key(),
             width=params.width,
-            window=params.window,
+            window=WINDOW,
             latency=params.latency_table(),
         )
         self._l2_hit_hide = min(6.0, params.miss_hide_cycles / 2.0)
@@ -69,7 +80,7 @@ class WindowCore(CpuCore):
         if chunk.n_branches:
             rate = chunk.branch_profile.mispredicts_per_branch()
             if rate:
-                penalty += chunk.n_branches * rate * p.mispredict_penalty_cycles
+                penalty += chunk.n_branches * rate * MISPREDICT_PENALTY_CYCLES
         if p.interlock_penalty_cycles and chunk.interlock_pairs:
             penalty += chunk.interlock_pairs * p.interlock_penalty_cycles
         if p.cacheop_bug_stall_cycles:
@@ -107,7 +118,7 @@ class WindowCore(CpuCore):
         self.cycles += iface.fetch_cost_cycles(chunk)
         # Cold first iteration + one loop-exit mispredict per chunk run.
         self.cycles += (sched.first_cycles - sched.steady_cycles) * bug
-        self.cycles += p.mispredict_penalty_cycles if chunk.n_branches else 0.0
+        self.cycles += MISPREDICT_PENALTY_CYCLES if chunk.n_branches else 0.0
         self.stats.add("instructions", ce.n_instructions)
 
         if chunk.n_mem == 0:
@@ -123,9 +134,9 @@ class WindowCore(CpuCore):
         issue_miss = iface.issue_miss
         port_wait = iface.port_wait_cycles
         tlb_refill = p.tlb_refill_cycles
-        l2_hit_wait = max(0.0, p.l2_hit_cycles - self._l2_hit_hide)
+        l2_hit_wait = max(0.0, L2_HIT_CYCLES - self._l2_hit_hide)
         hide = p.miss_hide_cycles
-        max_out = p.max_outstanding
+        max_out = MAX_OUTSTANDING
         wb = iface.write_buffer
         # Observability: hoisted once per chunk so the disabled path costs
         # one local None-test per stall event (never per reference).

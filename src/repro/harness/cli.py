@@ -28,7 +28,6 @@ import sys
 from typing import List, Optional
 
 from repro.common.config import SCALES, get_scale
-from repro.common.store import check_dir_arg
 from repro.harness.experiments import experiment_ids, run_experiment
 from repro.harness.farm import Farm, ResultCache, default_cache_dir
 
@@ -71,7 +70,15 @@ def validate_args(parser: argparse.ArgumentParser,
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs} "
                      "(1 means serial; N fans batches over N workers)")
-    check_dir_arg(parser, "--cache-dir", args.cache_dir)
+    if args.cache_dir is not None:
+        # A typo would otherwise surface only at the first write, after
+        # the simulation it was meant to save.
+        parent = os.path.dirname(os.path.abspath(args.cache_dir))
+        if not os.path.isdir(parent):
+            parser.error(
+                f"--cache-dir parent directory does not exist: {parent} "
+                "(create it first, or point --cache-dir somewhere that "
+                "exists)")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -10,6 +10,7 @@ EXPERIMENTS.md.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Callable, Dict, List, Optional
 
 from repro.common.config import MachineScale, REPRO_SCALE
@@ -19,6 +20,7 @@ from repro.cpu.base import (
     MIPSY_UNTUNED_TLB_CYCLES,
     MXS_UNTUNED_TLB_CYCLES,
 )
+from repro.cpu.window import MAX_OUTSTANDING
 from repro.memsys.params import (
     PROTOCOL_CASES,
     TABLE3_HARDWARE_NS,
@@ -119,10 +121,11 @@ def _within(measured: float, low: float, high: float) -> bool:
 def table1(scale: MachineScale) -> ExperimentResult:
     from repro.common.config import PAPER_SCALE
 
+    hw = hardware_config()
     rows = [
         ["Processor", "MIPS R10000", "R10K window model"],
         ["Number of processors", "1-16", "1-16"],
-        ["Processor clock", "150 MHz", "150 MHz"],
+        ["Processor clock", "150 MHz", f"{hw.core.clock_mhz:g} MHz"],
         ["System (MAGIC) clock", "75 MHz", "75 MHz"],
         ["Instruction cache",
          f"{PAPER_SCALE.l1i.size_bytes // 1024} KB, {PAPER_SCALE.l1i.line_bytes} B lines",
@@ -133,12 +136,14 @@ def table1(scale: MachineScale) -> ExperimentResult:
         ["Secondary cache",
          f"{PAPER_SCALE.l2.size_bytes // 1024} KB, {PAPER_SCALE.l2.line_bytes} B lines",
          f"{scale.l2.size_bytes // 1024} KB, {scale.l2.line_bytes} B lines"],
-        ["Max IPC", "4", "4"],
-        ["Max outstanding misses", "4", "4"],
+        ["Max IPC", "4", str(hw.core.width)],
+        ["Max outstanding misses", "4", str(MAX_OUTSTANDING)],
         ["TLB", "64 entries, 4 KB pages",
          f"{scale.tlb.entries} entries, {scale.tlb.page_bytes} B pages"],
-        ["Network", "50 ns hops, hypercube", "50 ns hops, hypercube"],
-        ["Memory", "140 ns to first word", "140 ns access"],
+        ["Network", "50 ns hops, hypercube",
+         f"{hw.memsys.net.hop_ps / 1000:g} ns hops, hypercube"],
+        ["Memory", "140 ns to first word",
+         f"{hw.memsys.dram_ps / 1000:g} ns access"],
         ["Coherence protocol", "dynamic pointer allocation",
          "exact-sharer directory (MSI)"],
     ]
@@ -557,7 +562,7 @@ def tlb_blocking(scale: MachineScale) -> ExperimentResult:
 def instr_latency(scale: MachineScale) -> ExperimentResult:
     workload = make_app("radix", scale, tuned_inputs=True)
     base_cfg = simos_mipsy(225, tuned=True)
-    latcore = base_cfg.core.with_updates(model_instruction_latencies=True)
+    latcore = replace(base_cfg.core, model_instruction_latencies=True)
     ref, base, fixed = farm_hooks.dispatch([
         RunRequest(hardware_config(), workload, 1),
         RunRequest(base_cfg, workload, 1),

@@ -46,7 +46,7 @@ from typing import List, Optional, Sequence, Tuple
 from repro.common.canonical import code_fingerprint
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.stats import StatsRegistry
-from repro.common.store import JsonStore, default_dir
+from repro.common.store import JsonStore
 from repro.sim import farm_hooks
 from repro.sim.request import RunRequest
 from repro.sim.results import RunResult
@@ -57,7 +57,10 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``~/.cache/repro/farm``."""
-    return default_dir(CACHE_DIR_ENV, "farm")
+    env = os.environ.get(CACHE_DIR_ENV)
+    if env:
+        return Path(env)
+    return Path.home() / ".cache" / "repro" / "farm"
 
 
 class ResultCache(JsonStore):

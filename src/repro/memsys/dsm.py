@@ -32,12 +32,14 @@ from repro.engine.resources import AGAIN, CALL, FINISH
 from repro.mem.address import home_node
 from repro.mem.cache import MODIFIED, SHARED as CACHE_SHARED
 from repro.memsys.params import (
+    DATA_FLITS,
     DsmParams,
     LOCAL_CLEAN,
     LOCAL_DIRTY_REMOTE,
     REMOTE_CLEAN,
     REMOTE_DIRTY_HOME,
     REMOTE_DIRTY_REMOTE,
+    REQ_FLITS,
 )
 from repro.network.fabric import Network
 from repro.obs import hooks as obs_hooks
@@ -196,7 +198,7 @@ class DsmMemorySystem:
             if home != node:
                 stages += pp(node, p.pp_out_ps, "out", "pp_out")
                 stages += send(node, home,
-                               p.data_flits if wb else p.req_flits,
+                               DATA_FLITS if wb else REQ_FLITS,
                                "net_req")
             stages += call(self._gate)
             if wb:
@@ -228,7 +230,7 @@ class DsmMemorySystem:
             home, owner = args
             stages = ()
             if owner != home:
-                stages += (send(home, owner, p.req_flits, "net_fwd")
+                stages += (send(home, owner, REQ_FLITS, "net_fwd")
                            + pp(owner, p.pp_ivn_ps, "ivn", "pp_owner"))
             # Data extraction through the owner R10000's secondary cache.
             return stages + ((None, p.owner_cache_ps, "owner_cache"),) + call(
@@ -236,7 +238,7 @@ class DsmMemorySystem:
         if what == "data":
             # The data from *src* to the requester, then its fill.
             src, node = args
-            stages = (send(src, node, p.data_flits, "net_reply")
+            stages = (send(src, node, DATA_FLITS, "net_reply")
                       if src != node else ())
             return stages + call(self._filled)
         if what == "upgrade":
@@ -257,14 +259,14 @@ class DsmMemorySystem:
             # Invalidation round trip home -> sharer -> home (ack).
             home, sharer = args
             return (call(self._inval_sent)
-                    + send(home, sharer, p.req_flits)
+                    + send(home, sharer, REQ_FLITS)
                     + pp(sharer, p.pp_inval_ps, "inval")
                     + call(self._invalidate)
-                    + send(sharer, home, p.req_flits) + (FINISH,))
+                    + send(sharer, home, REQ_FLITS) + (FINISH,))
         if what == "shwb":
             # Sharing writeback to home memory, off the critical path.
             owner, home = args
-            stages = (send(owner, home, p.data_flits)
+            stages = (send(owner, home, DATA_FLITS)
                       if owner != home else ())
             return (stages + pp(home, p.pp_wb_ps, "shwb") + dram(home)
                     + (FINISH,))

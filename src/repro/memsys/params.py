@@ -83,6 +83,11 @@ CORE_CYCLE_PS_150 = 6_667
 HW_CPU_SIDE_PS = L2_PORT_CHASE_PS + CORE_CYCLE_PS_150
 UNTUNED_CPU_SIDE_PS = CORE_CYCLE_PS_150
 
+#: Network flits per message: a request, forward or acknowledgement is a
+#: header alone; a data message carries a 128-byte L2 line (Table 1).
+REQ_FLITS = 1
+DATA_FLITS = 4
+
 
 @dataclass(frozen=True)
 class DsmParams:
@@ -106,8 +111,6 @@ class DsmParams:
     dram_ps: int              #: memory access (latency == occupancy)
     owner_cache_ps: int       #: data extraction through the owner R10000
     net: NetworkParams
-    req_flits: int = 1
-    data_flits: int = 4
     case_extra_ps: Mapping[str, int] = field(default_factory=dict)
     #: MAGIC occupancy and link contention; False = generic NUMA model.
     contention: bool = True
@@ -123,9 +126,6 @@ class DsmParams:
         bad = [f"{f.name}={getattr(self, f.name)} < 0"
                for f in dataclasses.fields(self) if f.name.endswith("_ps")
                and f.name != "case_extra_ps" and getattr(self, f.name) < 0]
-        bad += [f"{name}={getattr(self, name)} < 1"
-                for name in ("req_flits", "data_flits")
-                if getattr(self, name) < 1]
         if not 0.0 <= self.pp_occ_fraction <= 1.0:
             bad.append(
                 f"pp_occ_fraction={self.pp_occ_fraction} not in [0, 1]")
@@ -134,9 +134,6 @@ class DsmParams:
 
     def extra(self, case: str) -> int:
         return self.case_extra_ps.get(case, 0)
-
-    def with_updates(self, **kwargs) -> "DsmParams":
-        return replace(self, **kwargs)
 
 
 def predict_case_ps(params: DsmParams, case: str,
@@ -149,8 +146,8 @@ def predict_case_ps(params: DsmParams, case: str,
     is one hop and owner->requester is two).
     """
     p = params
-    n_req = lambda hops: hops * (p.net.occupancy_ps(p.req_flits) + p.net.hop_ps)
-    n_data = lambda hops: hops * (p.net.occupancy_ps(p.data_flits) + p.net.hop_ps)
+    n_req = lambda hops: hops * (p.net.occupancy_ps(REQ_FLITS) + p.net.hop_ps)
+    n_data = lambda hops: hops * (p.net.occupancy_ps(DATA_FLITS) + p.net.hop_ps)
     two_bus = 2 * p.bus_ps
     extra = p.extra(case)
 
@@ -179,7 +176,7 @@ def _solve_case_extras(params: DsmParams, targets_ns: Mapping[str, int],
                        cpu_side_ps: int) -> DsmParams:
     """Set per-case handler extras so a measured dependent load (closed-form
     memory latency + the configuration's CPU-side share) hits *targets_ns*."""
-    base = params.with_updates(case_extra_ps={})
+    base = replace(params, case_extra_ps={})
     extras = {}
     for case, target_ns in targets_ns.items():
         predicted = predict_case_ps(base, case)
@@ -189,7 +186,7 @@ def _solve_case_extras(params: DsmParams, targets_ns: Mapping[str, int],
             raise ConfigurationError(
                 f"{params.name}: base parameters overshoot {case} by {-value} ps"
             )
-    return params.with_updates(case_extra_ps=extras)
+    return replace(params, case_extra_ps=extras)
 
 
 def hardware() -> DsmParams:
@@ -250,7 +247,7 @@ def flashlite_tuned() -> DsmParams:
     untuned handler split and puts the difference into home-handler
     extras, so the two diverge under load.
     """
-    return hardware().with_updates(name="flashlite_tuned")
+    return replace(hardware(), name="flashlite_tuned")
 
 
 def numa() -> DsmParams:
@@ -262,7 +259,7 @@ def numa() -> DsmParams:
     reuses the hardware latency values with the occupancy modelling
     switched off.
     """
-    return hardware().with_updates(name="numa", contention=False)
+    return replace(hardware(), name="numa", contention=False)
 
 
 PARAM_SETS = {

@@ -116,16 +116,12 @@ def add_run_args(sub: argparse.ArgumentParser, default_cpus: int,
                           f"default {default_cpus})")
     sub.add_argument("--scale", default="repro",
                      help="machine scale (paper, repro, tiny)")
-    sub.add_argument("--untuned-inputs", action="store_true",
-                     help="use the pre-fix application inputs")
 
 
 def build_request(args: argparse.Namespace, config_name: str) -> RunRequest:
     """The run a parsed :func:`add_run_args` block describes, under the
     configuration *config_name* (full name or shorthand)."""
-    scale = get_scale(args.scale)
-    workload = make_app(args.workload, scale,
-                        tuned_inputs=not args.untuned_inputs)
+    workload = make_app(args.workload, get_scale(args.scale))
     return RunRequest(get_config(config_name), workload, args.cpus)
 
 

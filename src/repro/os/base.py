@@ -24,7 +24,6 @@ from repro.vm.allocators import PageAllocator, Placement, make_allocator
 class OsModel:
     """What the 'operating system' contributes to a simulation."""
 
-    name: str
     models_tlb: bool            #: is there a TLB (and TLB-miss cost) at all?
     allocator_kind: str         #: page-frame policy ('irix', 'solo', 'random')
     syscall_cycles: float       #: processor cycles per emulated system call
@@ -45,7 +44,6 @@ class OsModel:
 def simos_kernel() -> OsModel:
     """The SimOS-hosted IRIX model: TLB, page coloring, kernel ticks."""
     return OsModel(
-        name="simos-irix",
         models_tlb=True,
         allocator_kind="irix",
         syscall_cycles=800.0,
@@ -57,7 +55,6 @@ def solo_backdoor() -> OsModel:
     """Solo's OS emulation: no TLB, simulator-owned sequential allocation,
     free backdoor system calls."""
     return OsModel(
-        name="solo-backdoor",
         models_tlb=False,
         allocator_kind="solo",
         syscall_cycles=0.0,

@@ -23,6 +23,16 @@ derived, not named: Figure 7's NUMA column is
 ``config.derive("-numa", memsys=numa())``, and the MXS bugs are injected
 by :mod:`repro.validation.bugs`.  :func:`get_config` resolves every name,
 including the study's shorthand (:data:`CONFIG_ALIASES`).
+
+A recipe holds only what some configuration sets to a second value.
+What every configuration shares is a constant in the module that uses
+it: the Table 1 core limits ``WINDOW`` (32) and ``MAX_OUTSTANDING`` (4)
+and ``MISPREDICT_PENALTY_CYCLES`` (5) in :mod:`repro.cpu.window`,
+``L2_HIT_CYCLES`` and ``ICACHE_REFILL_CYCLES_PER_LINE`` (10 each) in
+:mod:`repro.cpu.interface`, ``EMBRA_CPI`` (1) in :mod:`repro.cpu.embra`,
+the four-entry write buffer in :mod:`repro.mem.write_buffer`, and the
+message sizes ``REQ_FLITS`` (1) and ``DATA_FLITS`` (4) in
+:mod:`repro.memsys.params`.
 """
 
 from __future__ import annotations
@@ -54,7 +64,6 @@ class SimulatorConfig:
     core: CoreParams
     os_model: OsModel
     memsys: DsmParams
-    description: str = ""
 
     def derive(self, suffix: str = "", **changes) -> "SimulatorConfig":
         """This recipe with *changes* applied and *suffix* on its name."""
@@ -72,7 +81,6 @@ def hardware_config() -> SimulatorConfig:
         core=r10k_params(150.0),
         os_model=simos_kernel(),
         memsys=hardware(),
-        description="16-node FLASH stand-in: R10K core + hardware-timed DSM",
     )
 
 
@@ -82,7 +90,6 @@ def simos_mipsy(clock_mhz: float = 150.0, tuned: bool = False) -> SimulatorConfi
         core=mipsy_params(clock_mhz, tuned=tuned),
         os_model=simos_kernel(),
         memsys=_flashlite(tuned),
-        description=f"SimOS with Mipsy at {clock_mhz:g} MHz on FlashLite",
     )
 
 
@@ -92,7 +99,6 @@ def simos_mxs(tuned: bool = False) -> SimulatorConfig:
         core=mxs_params(150.0, tuned=tuned),
         os_model=simos_kernel(),
         memsys=_flashlite(tuned),
-        description="SimOS with the MXS out-of-order model on FlashLite",
     )
 
 
@@ -102,7 +108,6 @@ def solo_mipsy(clock_mhz: float = 150.0, tuned: bool = False) -> SimulatorConfig
         core=mipsy_params(clock_mhz, tuned=tuned),
         os_model=solo_backdoor(),
         memsys=_flashlite(tuned),
-        description=f"Solo (no OS, no TLB) with Mipsy at {clock_mhz:g} MHz",
     )
 
 
@@ -112,7 +117,6 @@ def embra_config() -> SimulatorConfig:
         core=embra_params(150.0),
         os_model=simos_kernel(),
         memsys=flashlite_untuned(),
-        description="Embra positioning model (fixed CPI)",
     )
 
 

@@ -13,7 +13,7 @@ pool scheduling).
 from __future__ import annotations
 
 import random
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -36,14 +36,10 @@ class RunRequest:
     _: KW_ONLY
     placement: str = Placement.FIRST_TOUCH
     seed: int = DEFAULT_SEED
-    #: Display label for progress/obs output; not part of the identity.
-    label: str = field(default="", compare=False)
 
     def describe(self) -> str:
-        return self.label or (
-            f"{self.workload.name}@{self.config.name}"
-            f"/P{self.n_cpus}/{self.workload.scale.name}"
-        )
+        return (f"{self.workload.name}@{self.config.name}"
+                f"/P{self.n_cpus}/{self.workload.scale.name}")
 
     # -- identity ---------------------------------------------------------
 

@@ -20,7 +20,7 @@ cacheop bug, why it hid (its share of a full application run).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -45,12 +45,12 @@ class PerformanceBug:
 
 
 def _inject_fast_issue(config: SimulatorConfig) -> SimulatorConfig:
-    core = config.core.with_updates(fast_issue_bug_factor=0.85)
+    core = replace(config.core, fast_issue_bug_factor=0.85)
     return config.derive("+fastissue", core=core)
 
 
 def _inject_cacheop(config: SimulatorConfig) -> SimulatorConfig:
-    core = config.core.with_updates(cacheop_bug_stall_cycles=1_000_000.0)
+    core = replace(config.core, cacheop_bug_stall_cycles=1_000_000.0)
     return config.derive("+cacheop", core=core)
 
 

@@ -24,7 +24,7 @@ generated from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 from repro.common.config import MachineScale, REPRO_SCALE
@@ -153,12 +153,12 @@ class Tuner:
         report.before_tlb_cycles = measure_tlb_refill(config, self.scale)
         core = config.core
         if config.os_model.models_tlb:
-            core = core.with_updates(
-                tlb_refill_cycles=round(report.target_tlb_cycles))
+            core = replace(core,
+                           tlb_refill_cycles=round(report.target_tlb_cycles))
 
         # Step 2: secondary-cache interface occupancy.
         occ = measure_port_occupancy_cycles(self.reference, self.scale)
-        core = core.with_updates(l2_port_occupancy_cycles=round(occ * 2) / 2)
+        core = replace(core, l2_port_occupancy_cycles=round(occ * 2) / 2)
         report.port_occupancy_cycles = core.l2_port_occupancy_cycles
         config = config.derive("-cal", core=core)
 
@@ -178,8 +178,8 @@ class Tuner:
                     (report.target_cases_ns[case] - measured[case]) * 1000)
                 extras[case] = extras.get(case, 0) + delta_ps
                 total_adjust[case] += delta_ps
-            params = params.with_updates(
-                case_extra_ps=extras, name=params.name + "*")
+            params = replace(params, case_extra_ps=extras,
+                             name=params.name + "*")
             config = config.derive(memsys=params)
             measured = measure_all_cases(config, self.scale, self.n_loads)
             worst = max(

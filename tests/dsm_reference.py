@@ -26,11 +26,13 @@ from repro.mem.address import home_node
 from repro.mem.cache import MODIFIED, SHARED as CACHE_SHARED
 from repro.memsys.dsm import MemKind
 from repro.memsys.params import (
+    DATA_FLITS,
     LOCAL_CLEAN,
     LOCAL_DIRTY_REMOTE,
     REMOTE_CLEAN,
     REMOTE_DIRTY_HOME,
     REMOTE_DIRTY_REMOTE,
+    REQ_FLITS,
 )
 from repro.network.fabric import Network
 from repro.obs import hooks as obs_hooks
@@ -165,7 +167,7 @@ class ReferenceDsm:
             yield seg(txn, "pp_out",
                       pp_busy(self.magic[node], p.pp_out_ps, "out", txn))
             yield seg(txn, "net_req",
-                      send(self.net, node, home, p.req_flits, txn))
+                      send(self.net, node, home, REQ_FLITS, txn))
 
         home_magic = self.magic[home]
         entry = home_magic.directory.entry(line)
@@ -239,7 +241,7 @@ class ReferenceDsm:
             fill_state = CACHE_SHARED
         if home != node:
             yield seg(txn, "net_reply",
-                      send(self.net, home, node, p.data_flits, txn))
+                      send(self.net, home, node, DATA_FLITS, txn))
         self._fill(node, line, fill_state)
         return case
 
@@ -273,14 +275,14 @@ class ReferenceDsm:
                 fill_state = CACHE_SHARED
             if home != node:
                 yield seg(txn, "net_reply",
-                          send(self.net, home, node, p.data_flits, txn))
+                          send(self.net, home, node, DATA_FLITS, txn))
             self._fill(node, line, fill_state)
             return case
 
         self.branches[f"intervene_{case}"] += 1
         if owner != home:
             yield seg(txn, "net_fwd",
-                      send(self.net, home, owner, p.req_flits, txn))
+                      send(self.net, home, owner, REQ_FLITS, txn))
             yield seg(txn, "pp_owner",
                       pp_busy(self.magic[owner], p.pp_ivn_ps, "ivn", txn))
         yield seg(txn, "owner_cache", env.timeout(p.owner_cache_ps))
@@ -299,7 +301,7 @@ class ReferenceDsm:
                         name=f"shwb{owner}->{home}")
         if owner != node:
             yield seg(txn, "net_reply",
-                      send(self.net, owner, node, p.data_flits, txn))
+                      send(self.net, owner, node, DATA_FLITS, txn))
         self._fill(node, line, fill_state)
         return case
 
@@ -339,17 +341,17 @@ class ReferenceDsm:
     def _invalidate_gen(self, home, sharer, line):
         p = self.params
         self.stats.add("invalidations_sent")
-        yield send(self.net, home, sharer, p.req_flits)
+        yield send(self.net, home, sharer, REQ_FLITS)
         yield pp_busy(self.magic[sharer], p.pp_inval_ps, "inval")
         hook = self._hooks.get(sharer)
         if hook is not None:
             hook.l2_invalidate(line)
-        yield send(self.net, sharer, home, p.req_flits)
+        yield send(self.net, sharer, home, REQ_FLITS)
 
     def _sharing_writeback(self, owner, home):
         p = self.params
         if owner != home:
-            yield send(self.net, owner, home, p.data_flits)
+            yield send(self.net, owner, home, DATA_FLITS)
         yield pp_busy(self.magic[home], p.pp_wb_ps, "shwb")
         yield dram_access(self.magic[home], p.dram_ps)
 
@@ -372,7 +374,7 @@ class ReferenceDsm:
             yield seg(txn, "pp_out",
                       pp_busy(self.magic[node], p.pp_out_ps, "out", txn))
             yield seg(txn, "net_req",
-                      send(self.net, node, home, p.data_flits, txn))
+                      send(self.net, node, home, DATA_FLITS, txn))
         home_magic = self.magic[home]
         entry = home_magic.directory.entry(line)
         while entry.busy is not None:

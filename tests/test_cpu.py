@@ -1,6 +1,7 @@
 """Processor-model behaviour tests (tiny scale, hand-built workloads)."""
 
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,7 +109,7 @@ class TestMipsy:
         base_cfg = simos_mipsy(150)
         lat_cfg = base_cfg.derive(
             "-lat",
-            core=base_cfg.core.with_updates(model_instruction_latencies=True))
+            core=replace(base_cfg.core, model_instruction_latencies=True))
         base = _run(base_cfg, [ChunkExec(chunk, reps=200)])
         lat = _run(lat_cfg, [ChunkExec(chunk, reps=200)])
         assert lat.parallel_ps > 10 * base.parallel_ps

@@ -5,7 +5,7 @@ The farm's whole contract is that parallel fan-out and cached replay are
 that contract:
 
 * cache keys are stable content addresses (identity in, identity out;
-  seeds/scales/shapes change the key, display labels do not);
+  seeds/scales/shapes change the key);
 * serial execution, a ``jobs=2`` pool, and cache-hit replay of the same
   batch produce identical :class:`RunResult` payloads;
 * every experiment's result survives a process boundary (pickle), and
@@ -84,14 +84,6 @@ class TestCacheKey:
             assert base.cache_key() == base.cache_key(traced=False)
         with observing(TopoRecorder(), TraceRecorder()):
             assert base.cache_key() == base.cache_key(traced=True)
-
-    def test_label_is_display_only(self):
-        workload = make_app("fft", TINY_SCALE)
-        a = RunRequest(simos_mipsy(150), workload)
-        b = RunRequest(simos_mipsy(150), workload, label="pretty name")
-        assert a == b
-        assert a.cache_key() == b.cache_key()
-        assert b.describe() == "pretty name"
 
     def test_request_seed_tracks_identity(self):
         assert tiny_request().request_seed() == tiny_request().request_seed()

@@ -1,5 +1,6 @@
 """Harness tests: registry, findings, cheap experiments, markdown output."""
 
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -41,6 +42,21 @@ class TestCheapExperiments:
         assert result.all_ok
         assert "Table 1" in result.rendered
         assert result.scale_name == "repro"
+
+    def test_table1_repro_column_reads_the_model(self, monkeypatch):
+        # The repro column is derived from the hardware configuration, not
+        # typed beside it: change the DRAM access and the row follows.
+        from repro.harness import experiments
+        from repro.sim.configs import hardware_config
+
+        hw = hardware_config()
+        slow = hw.derive(memsys=dataclasses.replace(hw.memsys,
+                                                    dram_ps=175_000))
+        monkeypatch.setattr(experiments, "hardware_config", lambda: slow)
+        rendered = run_experiment("table1", TINY_SCALE).rendered
+        memory = [line for line in rendered.splitlines()
+                  if line.strip().startswith("Memory")]
+        assert memory and memory[0].rstrip().endswith("175 ns access")
 
     def test_table2_lists_four_apps(self):
         result = run_experiment("table2", REPRO_SCALE)

@@ -495,8 +495,8 @@ class TestFarmLedgerLoop:
         # Same config *name*, slower TLB refill: the cache key changes,
         # the run re-executes, and watch must flag the time drift.
         config = get_config("hardware")
-        tweaked = config.derive(core=config.core.with_updates(
-            tlb_refill_cycles=config.core.tlb_refill_cycles * 4))
+        tweaked = config.derive(core=dataclasses.replace(
+            config.core, tlb_refill_cycles=config.core.tlb_refill_cycles * 4))
         assert tweaked.name == config.name
         farm2 = Farm(jobs=1, cache=ResultCache(tmp_path / "cache"),
                      metrics=writer)

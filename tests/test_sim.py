@@ -1,5 +1,7 @@
 """Machine assembly, synchronization, configuration registry tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -206,3 +208,44 @@ class TestConfigRegistry:
     def test_mxs_untuned_has_no_port_occupancy(self):
         assert simos_mxs(tuned=False).core.l2_port_occupancy_cycles == 0
         assert simos_mxs(tuned=True).core.l2_port_occupancy_cycles > 0
+
+
+class TestRecipeFields:
+    """Every field of a run's recipe is a setting some configuration in the
+    study varies or the model reads.  Adding or removing one means editing
+    this pin, so a new knob is a reviewed decision, not a side effect."""
+
+    def test_recipe_field_names_are_pinned(self):
+        from repro.common.config import MachineScale
+        from repro.cpu.base import CoreParams
+        from repro.memsys.params import DsmParams
+        from repro.network.fabric import NetworkParams
+        from repro.os.base import OsModel
+        from repro.sim.configs import SimulatorConfig
+        from repro.sim.request import RunRequest
+
+        fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
+                  for cls in (SimulatorConfig, CoreParams, DsmParams,
+                              NetworkParams, OsModel, RunRequest,
+                              MachineScale)}
+        assert fields == {
+            "SimulatorConfig": ["name", "core", "os_model", "memsys"],
+            "CoreParams": [
+                "model", "clock_mhz", "tlb_refill_cycles",
+                "model_instruction_latencies", "width", "miss_hide_cycles",
+                "interlock_penalty_cycles", "ilp_derate_factor",
+                "fast_issue_bug_factor", "cacheop_bug_stall_cycles",
+                "l2_port_occupancy_cycles"],
+            "DsmParams": [
+                "name", "bus_ps", "pp_out_ps", "pp_home_ps", "pp_mem_ps",
+                "pp_redirect_ps", "pp_ivn_ps", "pp_inval_ps", "pp_reply_ps",
+                "pp_wb_ps", "dram_ps", "owner_cache_ps", "net",
+                "case_extra_ps", "contention", "pp_occ_fraction"],
+            "NetworkParams": ["hop_ps", "router_occ_ps", "flit_occ_ps"],
+            "OsModel": ["models_tlb", "allocator_kind", "syscall_cycles",
+                        "tick_overhead_factor"],
+            "RunRequest": ["config", "workload", "n_cpus", "placement",
+                           "seed"],
+            "MachineScale": ["name", "l1i", "l1d", "l2", "tlb",
+                             "problem_factor"],
+        }

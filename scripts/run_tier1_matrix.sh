@@ -43,8 +43,9 @@ echo "=== tier-1 gate passed ==="
 # observes, the machine assembly (`sim`) that is neither (so code moved
 # into it reads as a move, not a cut), the ambient slots, and the dict
 # codecs written by hand (a payload kind that spells its fields out
-# again shows up here), and the configuration fields a run is spelled
-# in (one decision, one field) -- so a PR can quote them.
+# again shows up here), the machine-assembly files that reach into the
+# tooling (the probe slot needs two), and the configuration fields a run
+# is spelled in (one decision, one field) -- so a PR can quote them.
 lines() { find "$@" -name '*.py' -exec cat {} + | wc -l; }
 echo "=== size budget (wc -l and a slot count, report-only) ==="
 printf '%-54s %6d\n' \
@@ -67,6 +68,9 @@ printf '%-54s %6d\n' \
     "$(grep -rc --include='*.py' --exclude-dir=obs \
             'def to_dict\|def from_dict' src/repro \
         | awk -F: '{n += $NF} END {print n}')" \
+    "files under src/repro/sim importing repro.obs" \
+    "$(grep -rl --include='*.py' '^ *\(from\|import\) repro\.obs' \
+            src/repro/sim | wc -l)" \
     "ambient slots (len(repro.lint.rules.AMBIENT_SLOTS))" \
     "$(PYTHONPATH=src python -c \
         'from repro.lint.rules import AMBIENT_SLOTS; print(len(AMBIENT_SLOTS))')" \

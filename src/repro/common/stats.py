@@ -8,39 +8,7 @@ Every component (cache, TLB, MAGIC controller, processor core, ...) owns a
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Mapping, Tuple
-
-
-class ScopedCounters:
-    """A write-through view of a :class:`CounterSet` under a key prefix.
-
-    ``cs.scoped("tlb").add("misses")`` increments ``cs["tlb.misses"]`` --
-    the same dotted naming :meth:`StatsRegistry.flat` produces, so
-    subsystems (observability, per-phase stats) can nest counters without
-    inventing a second naming scheme.
-    """
-
-    __slots__ = ("_base", "_prefix")
-
-    def __init__(self, base: "CounterSet", prefix: str):
-        self._base = base
-        self._prefix = prefix
-
-    def add(self, key: str, amount: float = 1.0) -> None:
-        self._base.add(self._prefix + key, amount)
-
-    def set(self, key: str, value: float) -> None:
-        self._base.set(self._prefix + key, value)
-
-    def get(self, key: str) -> float:
-        return self._base.get(self._prefix + key)
-
-    def scoped(self, prefix: str) -> "ScopedCounters":
-        """A deeper view: prefixes compose (``a.scoped("b")`` -> ``a.b.``)."""
-        return ScopedCounters(self._base, f"{self._prefix}{prefix}.")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"ScopedCounters({self._base.name}, prefix={self._prefix!r})"
+from typing import Dict, List, Tuple
 
 
 class CounterSet:
@@ -73,36 +41,10 @@ class CounterSet:
         return key in self._counters
 
     def items(self) -> List[Tuple[str, float]]:
-        """All counters as a list of ``(key, value)``, sorted by key.
-
-        Note the ordering contract: :meth:`items` is *sorted* (stable
-        display/debug order) while :meth:`as_dict` preserves first-touch
-        insertion order.
-        """
+        """All counters as a list of ``(key, value)``, sorted by key
+        (stable display/debug order; :meth:`snapshot` keeps first-touch
+        insertion order)."""
         return sorted(self._counters.items())
-
-    def as_dict(self) -> Dict[str, float]:
-        """A plain-dict snapshot of all counters, in insertion order."""
-        return dict(self._counters)
-
-    def scoped(self, prefix: str) -> ScopedCounters:
-        """A view of this set under ``prefix.`` (see :class:`ScopedCounters`)."""
-        return ScopedCounters(self, prefix + ".")
-
-    def merge(self, other: "CounterSet") -> None:
-        """Add all of *other*'s counters into this set."""
-        for key, value in other._counters.items():
-            self._counters[key] += value
-
-    def clear(self) -> None:
-        self._counters.clear()
-
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """``numerator / denominator``, or 0.0 when the denominator is 0."""
-        denom = self.get(denominator)
-        if denom == 0:
-            return 0.0
-        return self.get(numerator) / denom
 
     def snapshot(self) -> Dict[str, float]:
         """Counters in first-touch insertion order (JSON-able)."""
@@ -125,9 +67,6 @@ class StatsRegistry:
             self._sets[name] = CounterSet(name)
         return self._sets[name]
 
-    def sets(self) -> Mapping[str, CounterSet]:
-        return dict(self._sets)
-
     def flat(self) -> Dict[str, float]:
         """All counters as ``{"set.counter": value}``."""
         out: Dict[str, float] = {}
@@ -135,16 +74,3 @@ class StatsRegistry:
             for key, value in counters.items():
                 out[f"{set_name}.{key}"] = value
         return out
-
-    def as_nested_dict(self) -> Dict[str, Dict[str, float]]:
-        """All counters as ``{set_name: {counter: value}}``, sorted both
-        levels -- the structured sibling of :meth:`flat`, shared with the
-        observability layer's exports."""
-        return {
-            set_name: dict(counters.items())
-            for set_name, counters in sorted(self._sets.items())
-        }
-
-    def total(self, counter: str) -> float:
-        """Sum a counter name across every registered set."""
-        return sum(cs.get(counter) for cs in self._sets.values())

@@ -54,8 +54,3 @@ class JsonStore:
                 pass
             raise
         return path
-
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))

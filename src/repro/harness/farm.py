@@ -25,7 +25,7 @@ cost into a cache:
   host time stays off the simulated-time trace timeline.  Given a
   :class:`~repro.obs.metrics.MetricsWriter` (``Farm(metrics=...)``),
   every request additionally appends one record to the metrics ledger
-  (cycles, percent error, attribution, cache outcome) -- the history
+  (cycles, percent error, cache outcome) -- the history
   ``python -m repro.obs watch`` checks for drift.
 
 Install a farm ambiently with :meth:`Farm.activate` (the harness CLI does
@@ -155,10 +155,11 @@ class Farm:
 
     def summary(self) -> str:
         c = self.counters
+        cache = "off" if self.cache is None else "on"
         return (
             f"farm: {int(c.get('requests'))} requests, "
             f"{self.hits} cache hits, {int(c.get('executed'))} executed "
-            f"(jobs={self.jobs}, cache={'on' if self.cache else 'off'}), "
+            f"(jobs={self.jobs}, cache={cache}), "
             f"simulation wall {c.get('wall_ms') / 1000.0:.1f}s"
         )
 

@@ -8,13 +8,16 @@ the reproduction the same visibility into itself:
 * :mod:`repro.obs.trace` -- a ring-buffered low-overhead span recorder;
 * :mod:`repro.obs.hooks` -- the probe: the one ambient slot the simulator's
   hot paths check (a single ``active is not None`` test when disabled),
-  the event vocabulary, and ``observing(*recorders)``;
-* :mod:`repro.obs.profile` -- folds recorded spans into a per-CPU
-  cycle-attribution breakdown attached to :class:`~repro.sim.results.RunResult`;
+  the event vocabulary, and ``observing(*recorders)``.  Observation is
+  out of band: a run's :class:`~repro.sim.results.RunResult` is the same
+  observed or not, and each report is read from its recorder afterwards;
+* :mod:`repro.obs.profile` -- folds a tracer's spans into a per-CPU
+  cycle-attribution breakdown (``build_breakdown(tracer)``);
 * :mod:`repro.obs.export` -- Chrome ``trace_event`` JSON (Perfetto) and a
   flamegraph-style text summary;
-* :mod:`repro.obs.diff` -- differential error attribution: the signed
-  per-category waterfall explaining a reference-vs-candidate cycle gap;
+* :mod:`repro.obs.diff` -- differential error attribution: runs a
+  reference and a candidate request, each under a fresh tracer, into the
+  signed per-category waterfall explaining their cycle gap;
 * :mod:`repro.obs.metrics` -- the two frozen-schema ledgers: the
   run-over-run metrics ledger (:class:`~repro.obs.metrics.MetricsWriter`)
   and the BENCH perf ledgers, their one append-only JSON-lines format

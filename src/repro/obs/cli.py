@@ -74,6 +74,7 @@ from repro.obs.metrics import (
     run_record,
     scan_ledger,
 )
+from repro.obs.profile import build_breakdown
 from repro.obs.trace import TraceRecorder
 from repro.sim.configs import CONFIG_ALIASES, get_config
 from repro.sim.request import RunRequest
@@ -239,10 +240,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(result.describe())
     print(f"traced {recorder.recorded} spans "
           f"({recorder.dropped} dropped by the ring)")
-    if args.breakdown and result.breakdown is not None:
+    if args.breakdown:
         print()
         print("cycle attribution (% of each CPU's time):")
-        print(result.breakdown.format_table())
+        print(build_breakdown(recorder).format_table())
     if args.flame:
         print()
         print(flame_summary(recorder))
@@ -257,12 +258,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
-    runs = []
-    for config_name in (args.ref, args.cand):
-        # One fresh recorder per run: breakdowns must not blend.
-        with hooks.observing(TraceRecorder()):
-            runs.append(build_request(args, config_name).execute())
-    diff = diff_runs(runs[0], runs[1])
+    diff = diff_runs(build_request(args, args.ref),
+                     build_request(args, args.cand))
     print(diff.format_waterfall())
     if args.json:
         _write_json(args.json, diff.to_dict())

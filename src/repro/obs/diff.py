@@ -4,10 +4,11 @@ The paper never stops at "the simulator is 30% fast"; it decomposes the
 FLASH-vs-simulator gap into named causes -- no TLB model, missing L2
 interface occupancy, synchronisation imbalance -- and re-checks the
 decomposition after every tuning step.  This module automates that
-decomposition for the reproduction: given a *reference* run (normally the
-``hardware`` configuration) and a *candidate* run (Solo, SimOS-Mipsy,
-SimOS-MXS) of the same workload, both executed under the tracer so they
-carry a :class:`~repro.obs.profile.RunBreakdown`, it produces an
+decomposition for the reproduction: given a *reference* request (normally
+the ``hardware`` configuration) and a *candidate* request (Solo,
+SimOS-Mipsy, SimOS-MXS) of the same workload, :func:`diff_runs` runs each
+under its own fresh tracer, folds each tracer into a
+:class:`~repro.obs.profile.RunBreakdown`, and produces an
 :class:`AttributionDiff` -- a signed per-category waterfall explaining the
 total machine-cycle gap.
 
@@ -23,8 +24,7 @@ The accounting is conservative by construction:
   residual is reported, never silently folded into a category.
 
 ``python -m repro.obs diff <workload> --ref hardware --cand solo`` prints
-the resulting table; :mod:`repro.validation.comparison` attaches the same
-payload to its rows when the comparison matrix runs traced.
+the resulting table.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ from typing import Dict, List, Tuple
 
 from repro.common.errors import AttributionError
 from repro.obs.doc import Details, Para, Table, bar, render_text
-from repro.obs.profile import CATEGORIES, RunBreakdown
+from repro.obs.hooks import observing
+from repro.obs.profile import CATEGORIES, RunBreakdown, build_breakdown
 from repro.obs.record import Record, records
+from repro.obs.trace import TraceRecorder
 
 #: Label of the explicit not-attributed row in tables and payloads.
 RESIDUAL = "residual"
@@ -215,41 +217,44 @@ class AttributionDiff(Record):
 
 
 def diff_runs(ref, cand) -> AttributionDiff:
-    """Attribute the cycle gap between two traced :class:`RunResult`\\ s.
+    """Run two :class:`~repro.sim.request.RunRequest`\\ s, each under its
+    own fresh tracer, and attribute the cycle gap between them.
 
-    Both runs must carry a breakdown (i.e. have executed under a tracer,
-    ``repro.obs.hooks.observing(TraceRecorder())``) and must have simulated
-    the same workload at the same CPU count; anything else is an
-    :class:`~repro.common.errors.AttributionError`, not a silent zero.
+    Both must simulate the same workload at the same CPU count; anything
+    else is an :class:`~repro.common.errors.AttributionError`, raised
+    before either runs.  The runs execute here, never through the farm:
+    a cached result cannot feed a tracer.
     """
-    for label, run in (("reference", ref), ("candidate", cand)):
-        if run.breakdown is None:
-            raise AttributionError(
-                f"{label} run {run.config_name!r} carries no breakdown; "
-                f"re-run it under "
-                f"repro.obs.hooks.observing(TraceRecorder())"
-            )
-    if ref.workload_name != cand.workload_name:
+    if ref.workload.name != cand.workload.name:
         raise AttributionError(
-            f"cannot attribute across workloads: reference ran "
-            f"{ref.workload_name!r}, candidate {cand.workload_name!r}"
+            f"cannot attribute across workloads: reference runs "
+            f"{ref.workload.name!r}, candidate {cand.workload.name!r}"
         )
     if ref.n_cpus != cand.n_cpus:
         raise AttributionError(
             f"cannot attribute across CPU counts: reference P={ref.n_cpus}, "
             f"candidate P={cand.n_cpus}"
         )
-    overall, per_cpu = diff_breakdowns(ref.breakdown, cand.breakdown)
+    (ref_run, ref_parts), (cand_run, cand_parts) = map(_traced, (ref, cand))
+    overall, per_cpu = diff_breakdowns(ref_parts, cand_parts)
     return AttributionDiff(
-        workload=ref.workload_name,
-        ref_config=ref.config_name,
-        cand_config=cand.config_name,
-        n_cpus=ref.n_cpus,
-        scale_name=ref.scale_name,
-        ref_machine_ps=ref.n_cpus * ref.total_ps,
-        cand_machine_ps=cand.n_cpus * cand.total_ps,
-        ref_parallel_ps=ref.parallel_ps,
-        cand_parallel_ps=cand.parallel_ps,
+        workload=ref_run.workload_name,
+        ref_config=ref_run.config_name,
+        cand_config=cand_run.config_name,
+        n_cpus=ref_run.n_cpus,
+        scale_name=ref_run.scale_name,
+        ref_machine_ps=ref_run.n_cpus * ref_run.total_ps,
+        cand_machine_ps=cand_run.n_cpus * cand_run.total_ps,
+        ref_parallel_ps=ref_run.parallel_ps,
+        cand_parallel_ps=cand_run.parallel_ps,
         overall=overall,
         per_cpu=per_cpu,
     )
+
+
+def _traced(request):
+    """*request*'s result and the breakdown of a tracer that saw only it."""
+    tracer = TraceRecorder()
+    with observing(tracer):
+        result = request.execute()
+    return result, build_breakdown(tracer)

@@ -66,8 +66,8 @@ class Recorder:
     def bind(self, machine) -> None:
         """*machine* is about to start (or resume) a run."""
 
-    def finish(self, machine, result) -> None:
-        """The run completed; *result* may be annotated."""
+    def finish(self, machine) -> None:
+        """*machine* completed its run."""
 
     # -- events ----------------------------------------------------------
 
@@ -139,18 +139,13 @@ class Probe:
                 [getattr(rec, event) for rec in recorders
                  if getattr(type(rec), event) is not inherited]))
 
-    @property
-    def traced(self) -> bool:
-        """A tracer is subscribed: the result will carry a breakdown."""
-        return self.span is not _ignore
-
     def bind(self, machine) -> None:
         for rec in self.recorders:
             rec.bind(machine)
 
-    def finish(self, machine, result) -> None:
+    def finish(self, machine) -> None:
         for rec in self.recorders:
-            rec.finish(machine, result)
+            rec.finish(machine)
 
 
 #: The installed probe, or None when nothing observes.  Module-level on

@@ -6,11 +6,11 @@ Models" argues validation must be continuous, not a one-off table.  Two
 ledgers make the reproduction watchable along both axes: the **metrics
 ledger** (a :class:`LedgerRecord` per farm-dispatched simulation: request
 key, configuration, workload, cycles, percent error against the
-reference, attribution fractions, wall time, cache outcome) and the
-**BENCH perf ledgers** (one ``benchmarks/BENCH_<name>.jsonl`` per
-benchmark, a :class:`BenchRecord` per measured case and run: host wall,
-simulated ps, events/sec, speedup; where the host time *goes* is
-``benchmarks/e2e``'s business).
+reference, wall time, cache outcome) and the **BENCH perf ledgers**
+(one ``benchmarks/BENCH_<name>.jsonl`` per benchmark, a
+:class:`BenchRecord` per measured case and run: host wall, simulated ps,
+events/sec, speedup; where the host time *goes* is ``benchmarks/e2e``'s
+business).
 
 Both are one format: JSON lines, appended and never rewritten
 (:func:`append_records`), so every series keeps its history, and read by
@@ -67,7 +67,7 @@ LEDGER_SCHEMA: Schema = {
     "wall_s": (float, True),       # host seconds (0.0 for cache hits)
     "outcome": (str, True),        # "run" | "hit"
     "percent_error": (float, False),   # vs reference, when one is known
-    "attribution": (dict, False),      # category -> fraction of CPU time
+    "attribution": (dict, False),      # read from older ledgers only
 }
 
 #: Bumped on any incompatible BENCH record change; scans skip foreign
@@ -174,17 +174,13 @@ class MetricsWriter:
         ref_ps = self._refs.get(ref_key)
         if ref_ps is not None and result.config_name != self.reference_config:
             percent_error = (result.parallel_ps / ref_ps - 1.0) * 100.0
-        attribution = None
-        if result.breakdown is not None:
-            attribution = result.breakdown.overall().fractions()
         record = LedgerRecord(
             key=key if key is not None else request.cache_key(),
             config=result.config_name, workload=result.workload_name,
             n_cpus=result.n_cpus, scale=result.scale_name, seed=request.seed,
             parallel_ps=result.parallel_ps, total_ps=result.total_ps,
             instructions=result.instructions, wall_s=wall_s, outcome=outcome,
-            percent_error=percent_error, attribution=attribution,
-            ts=time.time())
+            percent_error=percent_error, ts=time.time())
         self.append(record)
         return record
 

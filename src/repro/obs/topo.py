@@ -272,7 +272,7 @@ class TopoRecorder(hooks.Recorder):
                     self.sample_capacity)
             ring.push(float(res.queue_length + res.in_use))
 
-    def finish(self, machine, result) -> None:
+    def finish(self, machine) -> None:
         """Capture cumulative resource heat at the end of a run."""
         self.end_ps = max(self.end_ps, machine.env.now)
         for name, res in self._sampled_resources():

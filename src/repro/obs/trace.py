@@ -19,7 +19,6 @@ from collections import deque
 from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import hooks
-from repro.obs.profile import build_breakdown
 
 
 class Span(NamedTuple):
@@ -69,9 +68,6 @@ class TraceRecorder(hooks.Recorder):
     def bind(self, machine) -> None:
         """Use *machine*'s engine clock to timestamp clockless events."""
         self._engine = machine.env
-
-    def finish(self, machine, result) -> None:
-        result.breakdown = build_breakdown(self)
 
     def now_ps(self) -> int:
         """Current simulated time of the bound engine (0 when unbound)."""
@@ -138,17 +134,16 @@ class TraceRecorder(hooks.Recorder):
         """The aggregate table as a :class:`~repro.common.stats.CounterSet`.
 
         Keys follow the registry naming scheme (``cpu0.tlb.refill.dur_ps``),
-        built through :meth:`CounterSet.scoped`, so observability numbers
-        and simulator statistics read the same way.
+        so observability numbers and simulator statistics read the same
+        way.
         """
         from repro.common.stats import CounterSet
 
         cs = CounterSet("obs")
         for (cpu, category, name), (count, dur_ps) in self._agg.items():
             prefix = category if cpu is None else f"cpu{cpu}.{category}"
-            scope = cs.scoped(prefix)
-            scope.add(f"{name}.events", count)
-            scope.add(f"{name}.dur_ps", dur_ps)
+            cs.add(f"{prefix}.{name}.events", count)
+            cs.add(f"{prefix}.{name}.dur_ps", dur_ps)
         return cs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -340,7 +340,7 @@ class TxnRecorder(hooks.Recorder):
         """Adopt *machine*'s geometry (called by ``Machine.begin``)."""
         self.n_nodes = max(self.n_nodes, machine.n_cpus)
 
-    def finish(self, machine, result) -> None:
+    def finish(self, machine) -> None:
         self.end_ps = max(self.end_ps, machine.env.now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -206,7 +206,7 @@ class Machine:
             stats=self.registry.flat(),
         )
         if self._probe is not None:
-            self._probe.finish(self, result)
+            self._probe.finish(self)
         return result
 
     def run(self, workload) -> RunResult:

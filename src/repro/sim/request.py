@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 from dataclasses import KW_ONLY, dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -59,21 +58,15 @@ class RunRequest:
         nothing changes a request after it is built."""
         return stable_hash(self.payload())
 
-    def cache_key(self, traced: Optional[bool] = None) -> str:
+    def cache_key(self) -> str:
         """Content address of the result this request would produce.
 
         Folds in the package source fingerprint (stale entries die with
-        the code) and whether a tracer is observing (a traced result
-        carries a breakdown an untraced one lacks; topo, txn and perf
-        recorders leave the result as it is).
+        the code).  Nothing else: a result is a pure function of its
+        request, observed or not -- recorders keep what they see.
         """
-        if traced is None:
-            from repro.obs import hooks as obs_hooks
-            probe = obs_hooks.active
-            traced = probe is not None and probe.traced
         return stable_hash({
             "code": code_fingerprint(),
-            "traced": bool(traced),
             "request": self._identity,
         })
 

@@ -3,14 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import SimulationError
 from repro.common.units import ps_to_ns
 from repro.isa.trace import PhaseMark
-
-if TYPE_CHECKING:  # pragma: no cover - import is typing-only
-    from repro.obs.profile import RunBreakdown
 
 
 @dataclass
@@ -25,9 +22,6 @@ class RunResult:
     phase_spans_ps: Dict[str, Tuple[int, int]]
     instructions: float
     stats: Dict[str, float] = field(default_factory=dict)
-    #: Per-CPU cycle attribution (repro.obs); populated when the run
-    #: executed under an active tracer, else None.
-    breakdown: Optional["RunBreakdown"] = None
 
     @property
     def parallel_ps(self) -> int:
@@ -75,15 +69,10 @@ class RunResult:
                                for name, span in self.phase_spans_ps.items()},
             "instructions": self.instructions,
             "stats": dict(self.stats),
-            "breakdown": (None if self.breakdown is None
-                          else self.breakdown.to_dict()),
         }
 
     @classmethod
     def from_dict(cls, data: Dict) -> "RunResult":
-        from repro.obs.profile import RunBreakdown
-
-        breakdown = data.get("breakdown")
         return cls(
             config_name=data["config_name"],
             workload_name=data["workload_name"],
@@ -94,8 +83,6 @@ class RunResult:
                             for name, span in data["phase_spans_ps"].items()},
             instructions=data["instructions"],
             stats=dict(data["stats"]),
-            breakdown=(None if breakdown is None
-                       else RunBreakdown.from_dict(breakdown)),
         )
 
 

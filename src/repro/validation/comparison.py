@@ -15,9 +15,8 @@ when no farm is active, fanned out and cached when one is.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.obs.diff import diff_runs
 from repro.obs.doc import Para, Table, render_text
 from repro.sim import farm_hooks
 from repro.sim.configs import SimulatorConfig, hardware_config
@@ -28,21 +27,14 @@ from repro.vm.allocators import Placement
 
 @dataclass
 class ComparisonRow:
-    """One bar of a comparison figure.
-
-    ``attribution`` explains *why* the bar sits where it does: when the
-    matrix ran under the tracer (both the reference and this simulator's
-    run carry breakdowns), it holds the
-    :meth:`~repro.obs.diff.AttributionDiff.to_dict` waterfall of the gap.
-    Untraced runs leave it None at zero cost.
-    """
+    """One bar of a comparison figure.  *Why* the bar sits where it does
+    is :func:`repro.obs.diff.diff_runs` of the two requests."""
 
     workload: str
     config: str
     n_cpus: int
     sim_ps: int
     reference_ps: int
-    attribution: Optional[Dict] = None
 
     @property
     def relative(self) -> float:
@@ -98,15 +90,11 @@ def compare_simulators(
         ref = next(outcomes)
         for config in configs:
             sim = next(outcomes)
-            attribution = None
-            if ref.breakdown is not None and sim.breakdown is not None:
-                attribution = diff_runs(ref, sim).to_dict()
             table.rows.append(ComparisonRow(
                 workload=workload.name,
                 config=config.name,
                 n_cpus=n_cpus,
                 sim_ps=sim.parallel_ps,
                 reference_ps=ref.parallel_ps,
-                attribution=attribution,
             ))
     return table

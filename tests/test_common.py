@@ -76,28 +76,19 @@ class TestScales:
 
 
 class TestStats:
-    def test_counterset_defaults_and_ratio(self):
+    def test_counterset_defaults(self):
         cs = CounterSet("x")
         cs.add("hits", 3)
         cs.add("misses")
         assert cs["hits"] == 3 and cs["absent"] == 0
-        assert cs.ratio("misses", "hits") == pytest.approx(1 / 3)
-        assert cs.ratio("hits", "absent") == 0.0
-
-    def test_merge(self):
-        a, b = CounterSet("a"), CounterSet("b")
-        a.add("n", 2)
-        b.add("n", 5)
-        a.merge(b)
-        assert a["n"] == 7
+        assert cs.get("misses") == 1 and "absent" not in cs
 
     def test_registry_flat_namespacing(self):
         reg = StatsRegistry()
         reg.counter_set("l1").add("misses", 4)
         reg.counter_set("l2").add("misses", 6)
         flat = reg.flat()
-        assert flat["l1.misses"] == 4
-        assert reg.total("misses") == 10
+        assert flat == {"l1.misses": 4, "l2.misses": 6}
 
     def test_items_is_a_sorted_list(self):
         cs = CounterSet("x")
@@ -106,33 +97,8 @@ class TestStats:
         items = cs.items()
         assert isinstance(items, list)
         assert items == [("alpha", 2.0), ("zeta", 1.0)]
-        # as_dict, in contrast, preserves insertion order.
-        assert list(cs.as_dict()) == ["zeta", "alpha"]
-
-    def test_scoped_writes_through_with_prefix(self):
-        cs = CounterSet("obs")
-        tlb = cs.scoped("tlb")
-        tlb.add("misses", 2)
-        tlb.set("refill_cycles", 65)
-        assert cs["tlb.misses"] == 2
-        assert tlb.get("misses") == 2
-        assert cs["tlb.refill_cycles"] == 65
-        nested = tlb.scoped("cpu0")
-        nested.add("events")
-        assert cs["tlb.cpu0.events"] == 1
-
-    def test_registry_as_nested_dict(self):
-        reg = StatsRegistry()
-        reg.counter_set("l2").add("misses", 6)
-        reg.counter_set("l1").add("misses", 4)
-        nested = reg.as_nested_dict()
-        assert list(nested) == ["l1", "l2"]
-        assert nested["l2"] == {"misses": 6.0}
-        # the nested view and the flat view agree
-        assert {
-            f"{s}.{k}": v for s, counters in nested.items()
-            for k, v in counters.items()
-        } == reg.flat()
+        # snapshot, in contrast, preserves insertion order.
+        assert list(cs.snapshot()) == ["zeta", "alpha"]
 
 
 class TestRng:

@@ -66,24 +66,21 @@ class TestCacheKey:
         assert base.cache_key() != tiny_request(n_cpus=2).cache_key()
         assert base.cache_key() != tiny_request(mhz=225).cache_key()
 
-    def test_traced_flag_changes_key(self):
-        base = tiny_request()
-        assert base.cache_key(traced=True) != base.cache_key(traced=False)
-
-    def test_only_a_tracer_makes_the_key_traced(self):
-        # The traced bit means "the result carries a breakdown"; a topo-
-        # or txn-only probe must not fork the result cache.
-        from repro.obs import TopoRecorder, TraceRecorder
+    def test_a_batch_under_one_tracer_returns_the_unobserved_results(self):
+        # One recorder around a batch sees every run; the results must
+        # not carry any of it, so they and their keys are the plain ones.
+        from repro.obs import TraceRecorder
         from repro.obs.hooks import observing
-        from repro.obs.txn import TxnRecorder
 
-        base = tiny_request()
-        with observing(TopoRecorder()):
-            assert base.cache_key() == base.cache_key(traced=False)
-        with observing(TxnRecorder()):
-            assert base.cache_key() == base.cache_key(traced=False)
-        with observing(TopoRecorder(), TraceRecorder()):
-            assert base.cache_key() == base.cache_key(traced=True)
+        batch = [tiny_request(150), tiny_request(225)]
+        keys = [request.cache_key() for request in batch]
+        plain = farm_hooks.dispatch(batch)
+        tracer = TraceRecorder()
+        with observing(tracer):
+            assert [request.cache_key() for request in batch] == keys
+            observed = farm_hooks.dispatch(batch)
+        assert observed == plain
+        assert tracer.recorded > 0
 
     def test_request_seed_tracks_identity(self):
         assert tiny_request().request_seed() == tiny_request().request_seed()
@@ -112,7 +109,7 @@ class TestResultCache:
         request = tiny_request()
         result = request.execute()
         cache.put(request.cache_key(), result, request)
-        assert len(cache) == 1
+        assert len(list(tmp_path.glob("*/*.json"))) == 1
         assert cache.get(request.cache_key()) == result
 
     def test_miss_is_none(self, tmp_path):
@@ -121,6 +118,10 @@ class TestResultCache:
     def test_default_dir_honours_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "elsewhere"))
         assert default_cache_dir() == tmp_path / "elsewhere"
+
+    def test_summary_reports_an_empty_cache_as_on(self, tmp_path):
+        assert "cache=on" in Farm(cache=ResultCache(tmp_path)).summary()
+        assert "cache=off" in Farm().summary()
 
 
 @pytest.mark.farm

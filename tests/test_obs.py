@@ -1,6 +1,5 @@
 """Tests for the repro.obs observability subsystem."""
 
-import dataclasses
 import json
 
 import pytest
@@ -127,7 +126,6 @@ class TestHooks:
         assert tracer.recorded == 2
         assert topo.struct_misses == {"l2": 1}
         assert (txn.cache_misses, txn.write_drains) == ({"l2": 1}, 1)
-        assert probe.traced and not obs_hooks.Probe(topo, txn).traced
         # Unsubscribed events are inert, and open_txn yields no record
         # without a txn recorder (so the DSM's txn.cut guards stay off).
         assert obs_hooks.Probe(topo).open_txn(0, 0, "read") is None
@@ -150,7 +148,7 @@ class TestDisabledNoOp:
         config = get_config("simos-mipsy-150-tuned")
         machine = Machine(config, 2, scale)
         result = machine.run(make_app("fft", scale))
-        assert result.breakdown is None
+        assert "breakdown" not in result.to_dict()
         assert machine.env.tracer is None
 
     def test_engine_events_off_by_default(self):
@@ -164,38 +162,55 @@ class TestDisabledNoOp:
 
 
 class TestOneRunFeedsEveryRecorder:
-    """The subscriber property: observing changes nothing, and a recorder
-    sees the same stream whether it listens alone or with the others."""
+    """The subscriber property: observing changes nothing -- not the
+    result, not its cache key -- and a recorder sees the same stream
+    whether it listens alone or with the others."""
 
     @staticmethod
-    def run(*recorders):
-        scale = get_scale("tiny")
-        request = RunRequest(get_config("hardware"), make_app("fft", scale),
-                             4)
+    def request():
+        return RunRequest(get_config("hardware"),
+                          make_app("fft", get_scale("tiny")), 4)
+
+    @classmethod
+    def run(cls, *recorders):
+        request = cls.request()
         with obs_hooks.observing(*recorders):
             return request.execute()
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        return self.request().execute()
 
     @pytest.fixture(scope="class")
     def together(self):
         recorders = (TraceRecorder(), TopoRecorder(), TxnRecorder())
         return recorders, self.run(*recorders)
 
-    def test_result_equals_the_unobserved_run(self, together):
+    def test_result_equals_the_unobserved_run(self, together, plain):
         _recorders, observed = together
-        plain = RunRequest(get_config("hardware"),
-                           make_app("fft", get_scale("tiny")), 4).execute()
-        assert observed.breakdown is not None
-        assert dataclasses.replace(observed, breakdown=None) == plain
+        assert observed == plain
+
+    @pytest.mark.parametrize("recorders", [
+        (), (TraceRecorder,), (TopoRecorder,), (TxnRecorder,),
+        (TraceRecorder, TopoRecorder, TxnRecorder),
+    ], ids=["none", "trace", "topo", "txn", "all"])
+    def test_observing_changes_neither_result_nor_key(self, recorders,
+                                                      plain):
+        request = self.request()
+        key = request.cache_key()
+        with obs_hooks.observing(*(make() for make in recorders)):
+            assert request.cache_key() == key
+            observed = request.execute()
+        assert observed == plain
 
     def test_each_report_equals_its_solo_run(self, together):
         (tracer, topo, txn), observed = together
         solo_tracer, solo_topo, solo_txn = (TraceRecorder(), TopoRecorder(),
                                             TxnRecorder())
-        solo_traced = self.run(solo_tracer)
+        self.run(solo_tracer)
         solo_spatial = self.run(solo_topo)
         solo_anatomy = self.run(solo_txn)
         assert build_breakdown(tracer) == build_breakdown(solo_tracer)
-        assert observed.breakdown == solo_traced.breakdown
         assert (hotspot.build_report(topo, observed).to_dict()
                 == hotspot.build_report(solo_topo, solo_spatial).to_dict())
         assert (obs_txn.build_report(txn, observed).to_dict()
@@ -248,9 +263,8 @@ class TestChromeExport:
 class TestBreakdownIntegration:
     def test_fft_on_flashlite_fractions_sum_to_one(self):
         rec = TraceRecorder(capacity=32768)
-        result = _tiny_run(rec, workload="fft", n_cpus=2)
-        breakdown = result.breakdown
-        assert breakdown is not None
+        _tiny_run(rec, workload="fft", n_cpus=2)
+        breakdown = build_breakdown(rec)
         assert len(breakdown.per_cpu) == 2
         for row in breakdown.per_cpu:
             assert row.total_ps > 0
@@ -267,8 +281,8 @@ class TestBreakdownIntegration:
 
     def test_breakdown_table_renders_every_cpu(self):
         rec = TraceRecorder(capacity=8192)
-        result = _tiny_run(rec, n_cpus=2)
-        breakdown = result.breakdown
+        _tiny_run(rec, n_cpus=2)
+        breakdown = build_breakdown(rec)
         rows = [line.split() for line in
                 breakdown.format_table().splitlines()]
         # Header, one row per CPU, then ALL: every fraction printed.
@@ -285,9 +299,9 @@ class TestBreakdownIntegration:
         # A ring far too small for the run: the timeline drops spans but
         # the attribution (fed by aggregates) still sums to 1.
         rec = TraceRecorder(capacity=64)
-        result = _tiny_run(rec, n_cpus=2)
+        _tiny_run(rec, n_cpus=2)
         assert rec.dropped > 0
-        for row in result.breakdown.per_cpu:
+        for row in build_breakdown(rec).per_cpu:
             assert sum(row.fractions().values()) == pytest.approx(1.0, abs=0.01)
 
     def test_spans_cover_paper_categories(self):

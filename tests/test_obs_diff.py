@@ -37,10 +37,8 @@ def _nothing_observing():
     assert obs_hooks.active is None
 
 
-def traced_run(config_name: str, workload, n_cpus: int = 1):
-    with obs_hooks.observing(TraceRecorder()):
-        return farm_hooks.run(
-            RunRequest(get_config(config_name), workload, n_cpus))
+def request(config_name: str, workload, n_cpus: int = 1):
+    return RunRequest(get_config(config_name), workload, n_cpus)
 
 
 # ---------------------------------------------------------------------------
@@ -146,40 +144,41 @@ class TestAttributionDiff:
 
 class TestDiffRuns:
     @pytest.fixture(scope="class")
-    def fft_runs(self):
-        workload = make_app("fft", TINY)
-        ref = traced_run("hardware", workload)
-        cand = traced_run("solo-mipsy-150-tuned", workload)
-        return ref, cand
+    def fft_ref(self):
+        return request("hardware", make_app("fft", TINY))
 
-    def test_attributes_at_least_90_percent_of_the_gap(self, fft_runs):
-        diff = diff_runs(*fft_runs)
-        assert diff.gap_ps != 0
-        assert diff.explained_fraction >= 0.9
+    @pytest.fixture(scope="class")
+    def fft_cand(self, fft_ref):
+        return request("solo-mipsy-150-tuned", fft_ref.workload)
+
+    @pytest.fixture(scope="class")
+    def fft_diff(self, fft_ref, fft_cand):
+        return diff_runs(fft_ref, fft_cand)
+
+    def test_attributes_at_least_90_percent_of_the_gap(self, fft_diff):
+        assert fft_diff.gap_ps != 0
+        assert fft_diff.explained_fraction >= 0.9
         # Solo has no TLB model: the tlb column must push the candidate
         # *below* the reference.
-        tlb = next(d for d in diff.overall if d.category == "tlb")
+        tlb = next(d for d in fft_diff.overall if d.category == "tlb")
         assert tlb.cand_ps == 0.0 and tlb.ref_ps > 0
 
-    def test_untraced_run_is_rejected(self, fft_runs):
-        ref, _ = fft_runs
-        workload = make_app("fft", TINY)
-        untraced = farm_hooks.run(
-            RunRequest(get_config("solo-mipsy-150-tuned"), workload, 1))
-        with pytest.raises(AttributionError, match="no breakdown"):
-            diff_runs(ref, untraced)
-
-    def test_mismatched_workload_rejected(self, fft_runs):
-        ref, _ = fft_runs
-        other = traced_run("solo-mipsy-150-tuned", make_app("radix", TINY))
+    def test_mismatched_workload_rejected(self, fft_ref):
+        other = request("solo-mipsy-150-tuned", make_app("radix", TINY))
         with pytest.raises(AttributionError, match="workload"):
-            diff_runs(ref, other)
+            diff_runs(fft_ref, other)
 
-    def test_mismatched_cpu_count_rejected(self, fft_runs):
-        ref, _ = fft_runs
-        wide = traced_run("solo-mipsy-150-tuned", make_app("fft", TINY), 2)
+    def test_mismatched_cpu_count_rejected(self, fft_ref):
+        wide = request("solo-mipsy-150-tuned", fft_ref.workload, 2)
         with pytest.raises(AttributionError, match="CPU count"):
-            diff_runs(ref, wide)
+            diff_runs(fft_ref, wide)
+
+    def test_an_outer_tracer_does_not_blend_the_sides(self, fft_ref,
+                                                      fft_cand, fft_diff):
+        # Each side's breakdown is that side's own run, whatever else
+        # observes around the call.
+        with obs_hooks.observing(TraceRecorder()):
+            assert diff_runs(fft_ref, fft_cand) == fft_diff
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +286,11 @@ class TestFrozenSchemas:
         assert records[1].percent_error is None
 
 
-def fake_result(config="hardware", parallel_ps=1000, breakdown=None):
+def fake_result(config="hardware", parallel_ps=1000):
     return SimpleNamespace(
         config_name=config, workload_name="fft", n_cpus=1, scale_name="tiny",
         parallel_ps=parallel_ps, total_ps=parallel_ps + 100,
-        instructions=50.0, breakdown=breakdown)
+        instructions=50.0)
 
 
 def fake_request():
@@ -325,13 +324,12 @@ class TestMetricsWriter:
             "run")
         assert record.percent_error is None
 
-    def test_traced_result_carries_attribution_fractions(self, tmp_path):
+    def test_records_carry_no_attribution(self, tmp_path):
+        # The optional field stays in the schema so older ledgers read;
+        # a result carries no breakdown, so nothing writes it.
         writer = obs_metrics.MetricsWriter(tmp_path / "l.jsonl")
-        breakdown = RunBreakdown(
-            [CpuBreakdown(0, 1000, {"busy": 750, "tlb": 250})])
-        record = writer.observe(
-            fake_request(), fake_result(breakdown=breakdown), 0.1, "run")
-        assert record.attribution["tlb"] == pytest.approx(0.25)
+        record = writer.observe(fake_request(), fake_result(), 0.1, "run")
+        assert record.attribution is None
 
     def test_read_ledger_skips_torn_blank_and_foreign_lines(self, tmp_path):
         path = tmp_path / "ledger.jsonl"

@@ -176,7 +176,6 @@ class TestAmbientSlot:
         with obs_hooks.observing(rec) as probe:
             assert obs_hooks.active is probe
             assert probe.recorders == (rec,)
-            assert not probe.traced
         assert obs_hooks.active is None
 
     def test_recording_restores_previous(self):

@@ -223,11 +223,12 @@ class TestRecipeFields:
         from repro.os.base import OsModel
         from repro.sim.configs import SimulatorConfig
         from repro.sim.request import RunRequest
+        from repro.sim.results import RunResult
 
         fields = {cls.__name__: [f.name for f in dataclasses.fields(cls)]
                   for cls in (SimulatorConfig, CoreParams, DsmParams,
                               NetworkParams, OsModel, RunRequest,
-                              MachineScale)}
+                              MachineScale, RunResult)}
         assert fields == {
             "SimulatorConfig": ["name", "core", "os_model", "memsys"],
             "CoreParams": [
@@ -248,4 +249,7 @@ class TestRecipeFields:
                            "seed"],
             "MachineScale": ["name", "l1i", "l1d", "l2", "tlb",
                              "problem_factor"],
+            "RunResult": ["config_name", "workload_name", "n_cpus",
+                          "scale_name", "total_ps", "phase_spans_ps",
+                          "instructions", "stats"],
         }

@@ -7,8 +7,6 @@ raise, and never hang; the next ``put`` must heal it.  A store that
 cannot be written at all is a later miss for the cache (best effort).
 """
 
-import dataclasses
-import json
 import signal
 from contextlib import contextmanager
 
@@ -16,7 +14,6 @@ import pytest
 
 from repro.common.store import JsonStore
 from repro.harness.farm import ResultCache
-from repro.obs.profile import CpuBreakdown, RunBreakdown
 from repro.sim.results import RunResult
 
 KEY = "ab" * 32
@@ -48,6 +45,11 @@ DAMAGE = {
 }
 
 
+def entries(store) -> int:
+    """Entry files under *store*'s root (the layout ``_path`` writes)."""
+    return len(list(store.root.glob("*/*.json")))
+
+
 @contextmanager
 def time_limit(seconds: float):
     """Fail, rather than hang the suite, if the block outlives *seconds*."""
@@ -75,32 +77,14 @@ def test_damaged_entry_reads_as_miss_and_put_heals(tmp_path, store_name,
         assert store.get(KEY) is None
         put(store)
         assert store.get(KEY) == expected
-        assert len(store) == 1
-
-
-@pytest.mark.parametrize("where", ["breakdown", "per-cpu row"])
-def test_unknown_breakdown_field_reads_as_miss(tmp_path, where):
-    # JSON-valid and the right shape, but one key no record has: a
-    # foreign or stale entry, read as a miss rather than raised.
-    traced = dataclasses.replace(RESULT, breakdown=RunBreakdown(
-        [CpuBreakdown(cpu=0, total_ps=1000, parts_ps={"busy": 1000.0})]))
-    cache = ResultCache(tmp_path)
-    cache.put(KEY, traced)
-    assert cache.get(KEY) == traced
-    path = cache._path(KEY)
-    entry = json.loads(path.read_text())
-    breakdown = entry["result"]["breakdown"]
-    row = breakdown if where == "breakdown" else breakdown["per_cpu"][0]
-    row["unknown"] = 1
-    path.write_text(json.dumps(entry))
-    assert cache.get(KEY) is None
+        assert entries(store) == 1
 
 
 @pytest.mark.parametrize("store_name", STORES)
 def test_missing_entry_is_a_miss(tmp_path, store_name):
     make, _put, _expected = STORES[store_name]
     assert make(tmp_path / "never-created").get(KEY) is None
-    assert len(make(tmp_path / "never-created")) == 0
+    assert entries(make(tmp_path / "never-created")) == 0
 
 
 class TestUnwritableStore:

@@ -44,8 +44,10 @@ echo "=== tier-1 gate passed ==="
 # into it reads as a move, not a cut), the ambient slots, and the dict
 # codecs written by hand (a payload kind that spells its fields out
 # again shows up here), the machine-assembly files that reach into the
-# tooling (the probe slot needs two), and the configuration fields a run
-# is spelled in (one decision, one field) -- so a PR can quote them.
+# tooling (the probe slot needs two), the configuration fields a run
+# is spelled in (one decision, one field), and the trace item kinds and
+# core classes the model runs (each one some workload or configuration
+# uses) -- so a PR can quote them.
 lines() { find "$@" -name '*.py' -exec cat {} + | wc -l; }
 echo "=== size budget (wc -l and a slot count, report-only) ==="
 printf '%-54s %6d\n' \
@@ -86,6 +88,12 @@ from repro.sim.request import RunRequest
 print(sum(len(dataclasses.fields(cls)) for cls in (
     SimulatorConfig, CoreParams, DsmParams, NetworkParams, OsModel,
     RunRequest)))')"
+printf '%-54s %6s\n' "trace item kinds / core classes" \
+    "$(PYTHONPATH=src python -c '
+import typing
+from repro.cpu import _CORE_CLASSES
+from repro.isa.trace import TraceItem
+print(f"{len(typing.get_args(TraceItem))}/{len(_CORE_CLASSES)}")')"
 # Options a user can pass (positionals included, --help not), summed over
 # each CLI's subcommands by argparse introspection.
 printf '%-54s %6s\n' "CLI options (repro.obs/repro.harness)" \

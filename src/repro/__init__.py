@@ -35,7 +35,6 @@ from repro.sim import (
     RunRequest,
     RunResult,
     SimulatorConfig,
-    embra_config,
     figure_lineup,
     get_config,
     hardware_config,
@@ -78,7 +77,6 @@ __all__ = [
     "RunRequest",
     "RunResult",
     "SimulatorConfig",
-    "embra_config",
     "figure_lineup",
     "get_config",
     "hardware_config",

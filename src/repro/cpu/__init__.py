@@ -1,4 +1,4 @@
-"""Processor models: Mipsy, MXS, Embra, and the R10K gold standard."""
+"""Processor models: Mipsy, MXS, and the R10K gold standard."""
 
 from repro.common.errors import ConfigurationError
 from repro.cpu.base import (
@@ -7,13 +7,11 @@ from repro.cpu.base import (
     L2_PORT_OCCUPANCY_CYCLES,
     MIPSY_UNTUNED_TLB_CYCLES,
     MXS_UNTUNED_TLB_CYCLES,
-    embra_params,
     mipsy_params,
     mxs_params,
     r10k_params,
 )
 from repro.cpu.core import CpuCore
-from repro.cpu.embra import EmbraCore
 from repro.cpu.interface import CpuMemInterface
 from repro.cpu.mipsy import MipsyCore
 from repro.cpu.window import MxsCore, R10kCore, WindowCore
@@ -22,7 +20,6 @@ _CORE_CLASSES = {
     "mipsy": MipsyCore,
     "mxs": MxsCore,
     "r10k": R10kCore,
-    "embra": EmbraCore,
 }
 
 
@@ -48,13 +45,11 @@ __all__ = [
     "L2_PORT_OCCUPANCY_CYCLES",
     "MIPSY_UNTUNED_TLB_CYCLES",
     "MXS_UNTUNED_TLB_CYCLES",
-    "embra_params",
     "mipsy_params",
     "mxs_params",
     "r10k_params",
     "CpuCore",
     "CpuMemInterface",
-    "EmbraCore",
     "MipsyCore",
     "MxsCore",
     "R10kCore",

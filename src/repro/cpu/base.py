@@ -11,7 +11,6 @@ Every simulator configuration in the study is a :class:`CoreParams` choice:
 * **R10K** -- the gold-standard core: MXS plus the constraints the paper
   found missing (address interlocks, secondary-cache interface occupancy,
   the 65-cycle TLB refill, exception serialisation).
-* **Embra** -- fixed-CPI functional model used for positioning workloads.
 
 The untuned/tuned split of Section 3.1 is expressed in these parameters:
 untuned Mipsy charges 25 cycles per TLB miss and models no L2-interface
@@ -48,7 +47,7 @@ MXS_UNTUNED_TLB_CYCLES = 35
 class CoreParams:
     """Complete parameterisation of one processor model instance."""
 
-    model: str                       #: 'mipsy' | 'mxs' | 'r10k' | 'embra'
+    model: str                       #: 'mipsy' | 'mxs' | 'r10k'
     clock_mhz: float = 150.0
     tlb_refill_cycles: float = HW_TLB_REFILL_CYCLES
     model_instruction_latencies: bool = False   #: Mipsy ablation switch
@@ -125,11 +124,4 @@ def r10k_params(clock_mhz: float = 150.0) -> CoreParams:
         interlock_penalty_cycles=1.6,
         ilp_derate_factor=1.28,
         l2_port_occupancy_cycles=L2_PORT_OCCUPANCY_CYCLES,
-    )
-
-
-def embra_params(clock_mhz: float = 150.0) -> CoreParams:
-    return CoreParams(
-        model="embra",
-        clock_mhz=clock_mhz,
     )

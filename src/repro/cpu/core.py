@@ -3,7 +3,7 @@
 A core executes its trace as a DES process.  Between memory-system events
 it advances a *local* cycle counter without touching the event queue (the
 trick that keeps pure-Python simulation fast); it re-synchronises with
-global time at every blocking miss, barrier, and lock.  The residual clock
+global time at every blocking miss and barrier.  The residual clock
 skew is bounded by one chunk repetition and is part of the documented
 modelling error budget (DESIGN.md).
 
@@ -23,14 +23,7 @@ from repro.common.stats import StatsRegistry
 from repro.obs import hooks as obs_hooks
 from repro.cpu.base import CoreParams
 from repro.cpu.interface import CpuMemInterface
-from repro.isa.trace import (
-    Barrier,
-    ChunkExec,
-    LockAcq,
-    LockRel,
-    PhaseMark,
-    SyscallOp,
-)
+from repro.isa.trace import Barrier, ChunkExec, PhaseMark
 from repro.os.base import OsModel
 
 #: Address rows turned into Python lists at a time: the whole matrix of a
@@ -42,7 +35,7 @@ class CpuCore:
     """Base processor model; subclasses implement ``_exec_chunk``."""
 
     def __init__(self, env, node: int, params: CoreParams,
-                 iface: Optional[CpuMemInterface], os_model: OsModel,
+                 iface: CpuMemInterface, os_model: OsModel,
                  registry: Optional[StatsRegistry] = None):
         registry = registry or StatsRegistry()
         self.env = env
@@ -123,30 +116,8 @@ class CpuCore:
                     probe.span(arrived_ps, obs_hooks.SYNC, "barrier_wait",
                                self.time_ps() - arrived_ps,
                                {"cpu": self.node, "bid": item.bid})
-            elif kind is LockAcq:
-                yield from self._sync_to_local_time()
-                arrived_ps = self.time_ps()
-                yield sync.lock_acquire(item.lid)
-                self._catch_up_to_engine()
-                self.stats.add("lock_acquires")
-                probe = obs_hooks.active
-                if probe is not None:
-                    probe.span(arrived_ps, obs_hooks.SYNC, "lock_wait",
-                               self.time_ps() - arrived_ps,
-                               {"cpu": self.node, "lid": item.lid})
-            elif kind is LockRel:
-                yield from self._sync_to_local_time()
-                sync.lock_release(item.lid)
             elif kind is PhaseMark:
                 self.phase_marks.append((item.name, item.begin, self.time_ps()))
-            elif kind is SyscallOp:
-                cost = self.os_model.syscall_cost(item.service)
-                self.cycles += cost
-                self.stats.add("syscalls")
-                probe = obs_hooks.active
-                if probe is not None:
-                    probe.span(self.time_ps(), obs_hooks.OS, "syscall",
-                               int(cost * self.cycle_ps), self.node)
             else:
                 raise SimulationError(f"unknown trace item {item!r}")
             self.trace_pos += 1
@@ -181,8 +152,6 @@ class CpuCore:
     def _drain_writes(self):
         """Wait out the write buffer (stores must be globally visible at
         synchronisation points)."""
-        if self.iface is None:
-            return
         wb = self.iface.write_buffer
         wb.reap()
         pending = wb.pending_events()

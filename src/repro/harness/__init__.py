@@ -1,11 +1,11 @@
 """Experiment harness: one registered experiment per paper table/figure."""
 
+from repro.harness.cli import main
 from repro.harness.experiments import experiment_ids, run_experiment
 from repro.harness.farm import Farm, ResultCache, default_cache_dir
 from repro.harness.findings import ExperimentResult, Finding
 from repro.harness.runner import (
     DEFAULT_ORDER,
-    main,
     run_all,
     summarize,
     write_experiments_md,

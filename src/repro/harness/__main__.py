@@ -2,7 +2,7 @@
 
 import sys
 
-from repro.harness.runner import main
+from repro.harness.cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -30,6 +30,12 @@ from typing import List, Optional
 from repro.common.config import SCALES, get_scale
 from repro.harness.experiments import experiment_ids, run_experiment
 from repro.harness.farm import Farm, ResultCache, default_cache_dir
+from repro.harness.runner import (
+    run_all,
+    summarize,
+    write_dashboard,
+    write_experiments_md,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -83,12 +89,6 @@ def validate_args(parser: argparse.ArgumentParser,
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit status."""
-    from repro.harness.runner import (
-        run_all,
-        summarize,
-        write_dashboard,
-        write_experiments_md,
-    )
     from repro.obs.metrics import MetricsWriter
 
     parser = build_parser()

@@ -164,10 +164,10 @@ class Farm:
         )
 
     def _observe(self, request: RunRequest, result: RunResult, wall_s: float,
-                 outcome: str, key: str) -> None:
+                 outcome: str) -> None:
         """Tell the ledger, if there is one, about one resolution."""
         if self.metrics is not None:
-            self.metrics.observe(request, result, wall_s, outcome, key=key)
+            self.metrics.observe(request, result, wall_s, outcome)
 
     # -- execution --------------------------------------------------------
 
@@ -191,7 +191,7 @@ class Farm:
                 hit = self.cache.get(key)
                 if hit is not None:
                     self.counters.add("cache.hits")
-                    self._observe(request, hit, 0.0, "hit", key)
+                    self._observe(request, hit, 0.0, "hit")
                     results[i] = hit
                     continue
                 self.counters.add("cache.misses")
@@ -211,7 +211,7 @@ class Farm:
             for (key, request), (result, wall_s) in zip(pending, outcomes):
                 self.counters.add("executed")
                 self.counters.add("wall_ms", wall_s * 1000.0)
-                self._observe(request, result, wall_s, "run", key)
+                self._observe(request, result, wall_s, "run")
                 if self.cache is not None:
                     self.cache.put(key, result, request)
                 for i in shared[key]:

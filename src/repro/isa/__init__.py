@@ -14,13 +14,9 @@ from repro.isa.schedule import ChunkSchedule, CoreTiming, schedule_chunk, schedu
 from repro.isa.trace import (
     Barrier,
     ChunkExec,
-    LockAcq,
-    LockRel,
     PhaseMark,
-    SyscallOp,
     Trace,
     TraceItem,
-    parallel_section,
 )
 
 __all__ = [
@@ -40,11 +36,7 @@ __all__ = [
     "schedule_inorder",
     "Barrier",
     "ChunkExec",
-    "LockAcq",
-    "LockRel",
     "PhaseMark",
-    "SyscallOp",
     "Trace",
     "TraceItem",
-    "parallel_section",
 ]

@@ -4,13 +4,13 @@ A workload produces, per CPU, an iterable of trace items:
 
 * :class:`ChunkExec` -- execute a chunk template ``reps`` times with the
   given virtual addresses (one row of addresses per repetition);
-* :class:`Barrier` / :class:`LockAcq` / :class:`LockRel` -- synchronisation,
-  resolved by the machine's sync primitives;
+* :class:`Barrier` -- synchronisation, resolved by the machine's sync
+  domain;
 * :class:`PhaseMark` -- named timing markers; the harness reports the
   duration of the ``"parallel"`` phase, matching the paper's methodology of
-  timing the parallel section of each application;
-* :class:`SyscallOp` -- an operating-system service request, whose cost
-  depends on the OS model (SimOS charges it; Solo emulates it for free).
+  timing the parallel section of each application.
+
+That is the whole vocabulary: it is what the workloads issue.
 
 Traces are ordinary generators so multi-million-instruction runs never
 materialise in memory.
@@ -78,24 +78,6 @@ class Barrier:
         return f"Barrier({self.bid})"
 
 
-class LockAcq:
-    """Acquire mutex ``lid`` (FIFO)."""
-
-    __slots__ = ("lid",)
-
-    def __init__(self, lid: int):
-        self.lid = int(lid)
-
-
-class LockRel:
-    """Release mutex ``lid``."""
-
-    __slots__ = ("lid",)
-
-    def __init__(self, lid: int):
-        self.lid = int(lid)
-
-
 class PhaseMark:
     """Named timing marker.  ``begin=True`` opens the phase."""
 
@@ -111,22 +93,5 @@ class PhaseMark:
         return f"PhaseMark({self.name}, {'begin' if self.begin else 'end'})"
 
 
-class SyscallOp:
-    """An OS service request; cost decided by the OS model."""
-
-    __slots__ = ("service",)
-
-    def __init__(self, service: str = "generic"):
-        self.service = service
-
-
-TraceItem = Union[ChunkExec, Barrier, LockAcq, LockRel, PhaseMark, SyscallOp]
+TraceItem = Union[ChunkExec, Barrier, PhaseMark]
 Trace = Iterable[TraceItem]
-
-
-def parallel_section(items: Trace) -> Trace:
-    """Wrap *items* in begin/end markers for the parallel phase."""
-    yield PhaseMark(PhaseMark.PARALLEL, begin=True)
-    for item in items:
-        yield item
-    yield PhaseMark(PhaseMark.PARALLEL, begin=False)

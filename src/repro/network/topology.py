@@ -24,10 +24,6 @@ class Hypercube:
         self.n_nodes = n_nodes
         self.dimensions = n_nodes.bit_length() - 1
 
-    def distance(self, src: int, dst: int) -> int:
-        """Hop count between two nodes (Hamming distance)."""
-        return bin(src ^ dst).count("1")
-
     def route(self, src: int, dst: int) -> List[Tuple[int, int]]:
         """Dimension-ordered list of (from, to) links from *src* to *dst*."""
         self._check(src)

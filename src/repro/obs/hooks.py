@@ -35,8 +35,8 @@ CPU = "cpu"          #: per-chunk execution and per-CPU totals
 TLB = "tlb"          #: TLB misses and refill stalls
 MEM = "mem"          #: cache-hierarchy stalls (L2 hits, miss waits, WB)
 CACHE = "cache"      #: raw cache miss instants (per-structure)
-SYNC = "sync"        #: barrier/lock waits and arrivals
-OS = "os"            #: syscalls and kernel tick overhead
+SYNC = "sync"        #: barrier waits, arrivals and releases
+OS = "os"            #: kernel tick overhead
 DSM = "dsm"          #: memory-system transactions + MAGIC occupancy
 NET = "net"          #: interconnect messages
 ENGINE = "engine"    #: raw calendar dispatches (``Engine.tracer``'s spans)

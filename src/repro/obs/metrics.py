@@ -5,7 +5,7 @@ Ramulator 2.0's real-system accuracy regressed silently because nobody
 Models" argues validation must be continuous, not a one-off table.  Two
 ledgers make the reproduction watchable along both axes: the **metrics
 ledger** (a :class:`LedgerRecord` per farm-dispatched simulation: request
-key, configuration, workload, cycles, percent error against the
+identity, configuration, workload, cycles, percent error against the
 reference, wall time, cache outcome) and the **BENCH perf ledgers**
 (one ``benchmarks/BENCH_<name>.jsonl`` per benchmark, a
 :class:`BenchRecord` per measured case and run: host wall, simulated ps,
@@ -19,7 +19,8 @@ problems)``.  Both share one validator (:func:`validate_record`) and the
 package's dict codec; ``tests/test_obs_diff.py`` pins both schemas.
 
 Both are judged one way: a series' (``record.series()``, grouped by
-:func:`by_series`) newest value against the median of its earlier ones
+:func:`by_series`; in the metrics ledger one series is one request)
+newest value against the median of its earlier ones
 (:meth:`GateReport.judge`), relatively or in points, past a threshold.
 ``python -m repro.obs watch`` (:func:`detect_drift`) judges every
 metrics-ledger series, two-sided; ``python -m repro.obs perf --baseline``
@@ -36,11 +37,13 @@ from __future__ import annotations
 import json
 import os
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from statistics import median
 from typing import ClassVar, Dict, Iterable, List, Optional, Tuple
 
+from repro.common.canonical import stable_hash
 from repro.obs.doc import Para, Table, render_text
 from repro.obs.record import Record, records
 
@@ -49,13 +52,15 @@ from repro.obs.record import Record, records
 #: version and the pinned copy in ``tests/test_obs_diff.py`` together.
 Schema = Dict[str, Tuple[type, bool]]
 
-#: Bumped on any incompatible record change; scans skip foreign versions.
-SCHEMA_VERSION = 1
+#: Bumped on any incompatible record change; scans skip foreign versions
+#: (2: ``key`` is the request identity, not the cache key, and the
+#: never-written ``attribution`` went).
+SCHEMA_VERSION = 2
 
 LEDGER_SCHEMA: Schema = {
     "schema": (int, True),         # SCHEMA_VERSION of the writing code
     "ts": (float, True),           # wall-clock unix time of the append
-    "key": (str, True),            # content address (RunRequest.cache_key)
+    "key": (str, True),            # RunRequest.identity: no code version
     "config": (str, True),
     "workload": (str, True),
     "n_cpus": (int, True),
@@ -67,7 +72,6 @@ LEDGER_SCHEMA: Schema = {
     "wall_s": (float, True),       # host seconds (0.0 for cache hits)
     "outcome": (str, True),        # "run" | "hit"
     "percent_error": (float, False),   # vs reference, when one is known
-    "attribution": (dict, False),      # read from older ledgers only
 }
 
 #: Bumped on any incompatible BENCH record change; scans skip foreign
@@ -139,35 +143,41 @@ class LedgerRecord(Record):
     wall_s: float
     outcome: str
     percent_error: Optional[float] = None
-    attribution: Optional[Dict[str, float]] = None
     ts: float = 0.0
     schema: int = SCHEMA_VERSION
 
     def series(self) -> str:
-        """The drift-tracking identity (the run group): records of one
-        series are comparable."""
-        return f"{self.workload}@{self.config}/P{self.n_cpus}/{self.scale}"
+        """The drift-tracking identity: the request's, behind a readable
+        ``workload@config/Pn/scale`` prefix.  Records of one series are
+        one request run again, so they are comparable, across commits
+        too (the identity carries no code version); requests that differ
+        only in placement, seed or a parameter under the same config
+        name are separate series."""
+        return (f"{self.workload}@{self.config}/P{self.n_cpus}/{self.scale}"
+                f"#{self.key}")
 
 
 class MetricsWriter:
     """Appends one :class:`LedgerRecord` per observed simulation,
     line-atomically (interleaved writers corrupt nothing).
 
-    It keeps the latest reference timing per ``(workload, n_cpus, scale)``,
-    so a candidate carries a percent error whenever the reference ran
-    earlier in the session (the comparison matrix batches references first).
+    It keeps the latest reference timing per request less its
+    configuration (workload content, CPU count, placement, seed), so a
+    candidate carries a percent error whenever its reference ran earlier
+    in the session (the comparison matrix batches references first).
     """
 
     def __init__(self, path, reference_config: str = "hardware"):
         self.path = Path(path)
         self.reference_config = reference_config
         self.written = 0
-        self._refs: Dict[Tuple[str, int, str], int] = {}
+        self._refs: Dict[Tuple[str, int, str, int], int] = {}
 
-    def observe(self, request, result, wall_s: float, outcome: str,
-                key: Optional[str] = None) -> LedgerRecord:
+    def observe(self, request, result, wall_s: float,
+                outcome: str) -> LedgerRecord:
         """Record one request/result pair and return the appended record."""
-        ref_key = (result.workload_name, result.n_cpus, result.scale_name)
+        ref_key = (stable_hash(request.workload), request.n_cpus,
+                   request.placement, request.seed)
         if result.config_name == self.reference_config:
             self._refs[ref_key] = result.parallel_ps
         percent_error = None
@@ -175,7 +185,7 @@ class MetricsWriter:
         if ref_ps is not None and result.config_name != self.reference_config:
             percent_error = (result.parallel_ps / ref_ps - 1.0) * 100.0
         record = LedgerRecord(
-            key=key if key is not None else request.cache_key(),
+            key=request.identity,
             config=result.config_name, workload=result.workload_name,
             n_cpus=result.n_cpus, scale=result.scale_name, seed=request.seed,
             parallel_ps=result.parallel_ps, total_ps=result.total_ps,
@@ -241,11 +251,23 @@ def read_ledger(path, cls=LedgerRecord) -> list:
 
 def by_series(records: Iterable) -> Dict[str, list]:
     """*records* grouped by ``record.series()``, each group in append order
-    (its newest record last), the groups in first-appearance order."""
+    (its newest record last), the groups in first-appearance order.
+
+    A group is named by its series' readable prefix (before ``#``), with
+    the first 12 characters of the identity after it only where two
+    series share that prefix (fig6 and fig7 both run radix at P=16 on
+    ``hardware``, under different placements).
+    """
     groups: Dict[str, list] = {}
     for record in records:
         groups.setdefault(record.series(), []).append(record)
-    return groups
+    prefixes = Counter(series.partition("#")[0] for series in groups)
+    named = {}
+    for series, group in groups.items():
+        prefix, _, identity = series.partition("#")
+        named[prefix if prefixes[prefix] == 1
+              else f"{prefix}#{identity[:12]}"] = group
+    return named
 
 
 # -- the BENCH perf ledger -------------------------------------------------

@@ -2,14 +2,15 @@
 
 The paper's simulators differ in *who* provides OS services:
 
-* **SimOS** boots a (modified) IRIX: page mapping and system calls are the
-  kernel's job, the TLB is modelled, and background kernel activity
-  (scheduler ticks) perturbs the application.
-* **Solo** emulates system calls through backdoor routines, performs
-  physical page allocation itself, and models no TLB at all -- the
-  omissions whose consequences Section 3.1.2 dissects.
+* **SimOS** boots a (modified) IRIX: page mapping is the kernel's job, the
+  TLB is modelled, and background kernel activity (scheduler ticks)
+  perturbs the application.
+* **Solo** performs physical page allocation itself and models no TLB at
+  all -- the omissions whose consequences Section 3.1.2 dissects.
 
 An :class:`OsModel` bundles those choices; the machine builder consumes it.
+System calls are not modelled: the workloads' parallel sections, which
+the paper times, make none.
 """
 
 from __future__ import annotations
@@ -26,19 +27,11 @@ class OsModel:
 
     models_tlb: bool            #: is there a TLB (and TLB-miss cost) at all?
     allocator_kind: str         #: page-frame policy ('irix', 'solo', 'random')
-    syscall_cycles: float       #: processor cycles per emulated system call
     tick_overhead_factor: float #: fraction of cycles lost to kernel ticks
 
     def make_allocator(self, scale: MachineScale, n_nodes: int,
                        placement: str = Placement.FIRST_TOUCH) -> PageAllocator:
         return make_allocator(self.allocator_kind, scale, n_nodes, placement)
-
-    def syscall_cost(self, service: str) -> float:
-        """Cycles charged for one system call of *service* class."""
-        if self.syscall_cycles == 0:
-            return 0.0
-        heavy = {"io": 4.0, "fork": 8.0}
-        return self.syscall_cycles * heavy.get(service, 1.0)
 
 
 def simos_kernel() -> OsModel:
@@ -46,17 +39,15 @@ def simos_kernel() -> OsModel:
     return OsModel(
         models_tlb=True,
         allocator_kind="irix",
-        syscall_cycles=800.0,
         tick_overhead_factor=0.002,
     )
 
 
 def solo_backdoor() -> OsModel:
-    """Solo's OS emulation: no TLB, simulator-owned sequential allocation,
-    free backdoor system calls."""
+    """Solo's OS emulation: no TLB, simulator-owned sequential
+    allocation."""
     return OsModel(
         models_tlb=False,
         allocator_kind="solo",
-        syscall_cycles=0.0,
         tick_overhead_factor=0.0,
     )

@@ -2,7 +2,6 @@
 
 from repro.sim.configs import (
     SimulatorConfig,
-    embra_config,
     figure_lineup,
     get_config,
     hardware_config,
@@ -18,7 +17,6 @@ from repro.sim.sync import SyncDomain
 __all__ = [
     "RunRequest",
     "SimulatorConfig",
-    "embra_config",
     "figure_lineup",
     "get_config",
     "hardware_config",

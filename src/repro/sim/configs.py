@@ -12,7 +12,6 @@ hardware               R10K       SimOS/IRIX  ``hardware()``
 simos-mipsy-<mhz>      Mipsy      SimOS/IRIX  ``flashlite_(un)tuned()``
 simos-mxs-150          MXS        SimOS/IRIX  ``flashlite_(un)tuned()``
 solo-mipsy-<mhz>       Mipsy      Solo        ``flashlite_(un)tuned()``
-embra                  Embra      SimOS/IRIX  ``flashlite_untuned()``
 =====================  =========  ==========  ========================
 
 ``tuned=False`` gives the simulators as they existed before the validation
@@ -29,10 +28,9 @@ What every configuration shares is a constant in the module that uses
 it: the Table 1 core limits ``WINDOW`` (32) and ``MAX_OUTSTANDING`` (4)
 and ``MISPREDICT_PENALTY_CYCLES`` (5) in :mod:`repro.cpu.window`,
 ``L2_HIT_CYCLES`` and ``ICACHE_REFILL_CYCLES_PER_LINE`` (10 each) in
-:mod:`repro.cpu.interface`, ``EMBRA_CPI`` (1) in :mod:`repro.cpu.embra`,
-the four-entry write buffer in :mod:`repro.mem.write_buffer`, and the
-message sizes ``REQ_FLITS`` (1) and ``DATA_FLITS`` (4) in
-:mod:`repro.memsys.params`.
+:mod:`repro.cpu.interface`, the four-entry write buffer in
+:mod:`repro.mem.write_buffer`, and the message sizes ``REQ_FLITS`` (1)
+and ``DATA_FLITS`` (4) in :mod:`repro.memsys.params`.
 """
 
 from __future__ import annotations
@@ -40,13 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from repro.common.errors import ConfigurationError
-from repro.cpu.base import (
-    CoreParams,
-    embra_params,
-    mipsy_params,
-    mxs_params,
-    r10k_params,
-)
+from repro.cpu.base import CoreParams, mipsy_params, mxs_params, r10k_params
 from repro.memsys.params import (
     DsmParams,
     flashlite_tuned,
@@ -111,15 +103,6 @@ def solo_mipsy(clock_mhz: float = 150.0, tuned: bool = False) -> SimulatorConfig
     )
 
 
-def embra_config() -> SimulatorConfig:
-    return SimulatorConfig(
-        name="embra",
-        core=embra_params(150.0),
-        os_model=simos_kernel(),
-        memsys=flashlite_untuned(),
-    )
-
-
 #: The simulator line-up of the uniprocessor comparison figures, in the
 #: paper's X-axis order (Figures 1-3).
 def figure_lineup(tuned: bool):
@@ -151,8 +134,6 @@ def get_config(name: str) -> SimulatorConfig:
     base = name[: -len("-tuned")] if tuned else name
     if base == "hardware":
         return hardware_config()
-    if base == "embra":
-        return embra_config()
     if base == "simos-mxs-150":
         return simos_mxs(tuned)
     for prefix, factory in (("simos-mipsy-", simos_mipsy),

@@ -1,7 +1,7 @@
 """Machine: one fully assembled simulated multiprocessor.
 
 Construction wires the pieces exactly as the simulator configuration
-dictates: cores (Mipsy/MXS/R10K/Embra) on top of per-node memory
+dictates: cores (Mipsy/MXS/R10K) on top of per-node memory
 interfaces, a shared page table filled by the OS model's allocator, and a
 DSM memory system (FlashLite- or NUMA-parameterised) over a hypercube.
 

@@ -53,9 +53,11 @@ class RunRequest:
         }
 
     @cached_property
-    def _identity(self) -> str:
+    def identity(self) -> str:
         """The digest of :meth:`payload`, canonicalised once per request:
-        nothing changes a request after it is built."""
+        nothing changes a request after it is built.  The metrics ledger
+        keys its records by it (one request, one series, across code
+        versions)."""
         return stable_hash(self.payload())
 
     def cache_key(self) -> str:
@@ -67,12 +69,12 @@ class RunRequest:
         """
         return stable_hash({
             "code": code_fingerprint(),
-            "request": self._identity,
+            "request": self.identity,
         })
 
     def request_seed(self) -> int:
         """Deterministic per-request seed, independent of code version."""
-        return int(self._identity[:16], 16)
+        return int(self.identity[:16], 16)
 
     # -- execution --------------------------------------------------------
 

@@ -1,10 +1,11 @@
-"""Synchronisation primitives shared by the simulated processors.
+"""The barriers the simulated processors meet at.
 
-Barriers and locks are modelled at the machine level (their memory traffic
-is not separately simulated; the paper's applications synchronise rarely
-relative to their memory traffic).  Arrival/acquire times use each core's
-local clock, so imbalance between processors -- the amplifier behind the
-Radix conflict story -- is captured.
+Barriers are modelled at the machine level (their memory traffic is not
+separately simulated; the paper's applications synchronise rarely
+relative to their memory traffic).  Arrival times use each core's local
+clock, so imbalance between processors -- the amplifier behind the Radix
+conflict story -- is captured.  Barriers are the only synchronisation
+the workloads issue, so they are the only one modelled.
 """
 
 from __future__ import annotations
@@ -12,18 +13,17 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.common.errors import SimulationError
-from repro.engine import Engine, Event, Resource
+from repro.engine import Engine, Event
 from repro.obs import hooks as obs_hooks
 
 
 class SyncDomain:
-    """Barriers + locks for one machine run."""
+    """The barriers of one machine run."""
 
     def __init__(self, env: Engine, n_cpus: int):
         self.env = env
         self.n_cpus = n_cpus
         self._barriers: Dict[int, List] = {}   # bid -> [arrived, event]
-        self._locks: Dict[int, Resource] = {}
 
     def barrier_arrive(self, bid: int, node: int) -> Event:
         """Register arrival; the returned event fires when all have arrived.
@@ -48,19 +48,6 @@ class SyncDomain:
                 probe.span(self.env.now, obs_hooks.SYNC,
                            "barrier_release", 0, {"bid": bid})
         return state[1]
-
-    def lock_acquire(self, lid: int) -> Event:
-        lock = self._locks.get(lid)
-        if lock is None:
-            lock = Resource(self.env, f"lock{lid}")
-            self._locks[lid] = lock
-        return lock.acquire()
-
-    def lock_release(self, lid: int) -> None:
-        lock = self._locks.get(lid)
-        if lock is None:
-            raise SimulationError(f"release of never-acquired lock {lid}")
-        lock.release()
 
     def open_barriers(self) -> int:
         """Barriers some CPU is still waiting on (deadlock diagnostics)."""

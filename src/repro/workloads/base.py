@@ -1,14 +1,15 @@
 """Workload base class and helpers.
 
 A workload is the stand-in for a SPLASH-2 application binary: it produces,
-per CPU, a trace of chunk executions and synchronisation events.  Crucially
+per CPU, a trace of chunk executions, barriers and phase marks -- the
+whole :mod:`repro.isa.trace` vocabulary.  Crucially
 the trace is a pure function of (workload parameters, machine *scale*,
 CPU count) -- never of the simulator configuration -- mirroring the paper's
 methodology: "The same application binaries are used for all platforms."
 
-Workloads surround their timed region with
-:func:`~repro.isa.trace.parallel_section` marks; the harness reports that
-phase's duration, like the paper's parallel-section timings.
+Workloads open and close their timed region with ``PhaseMark.PARALLEL``
+marks; the harness reports that phase's duration, like the paper's
+parallel-section timings.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.harness.runner import main
+from repro.harness.cli import main
 
 
 def test_single_experiment(capsys):
@@ -43,7 +43,7 @@ def test_unknown_scale_exits_2_with_usage(capsys):
 
 
 @pytest.mark.parametrize("entry,argv", [
-    ("repro.harness.runner", ["frobnicate"]),
+    ("repro.harness.cli", ["frobnicate"]),
     ("repro.obs.cli", ["frobnicate"]),
     # The retired checkpoint store's option, on the bisect that outlived
     # it.

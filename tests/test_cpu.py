@@ -9,7 +9,6 @@ import pytest
 from repro.common.config import TINY_SCALE
 from repro.isa.trace import Barrier, ChunkExec, PhaseMark
 from repro.sim import hardware_config, run_workload, simos_mipsy, simos_mxs, solo_mipsy
-from repro.sim.configs import embra_config
 from repro.sim.machine import Machine
 from repro.validation.bugs import CACHEOP_BUG, FAST_ISSUE_BUG
 from repro.vm.layout import VirtualLayout
@@ -186,14 +185,6 @@ class TestWindowCore:
         buggy = _run(CACHEOP_BUG.inject(simos_mxs()), [ChunkExec(chunk, addr)])
         extra_cycles = (buggy.parallel_ps - clean.parallel_ps) / 6667
         assert extra_cycles == pytest.approx(1_000_000, rel=0.05)
-
-
-class TestEmbra:
-    def test_fixed_cpi_no_memory(self):
-        items = _stream_load_items(64)
-        result = _run(embra_config(), items)
-        cycles = result.parallel_ps / embra_config().core.clock.cycle_ps
-        assert cycles == pytest.approx(64, rel=0.2)  # 1 instr per line, CPI 1
 
 
 class TestWriteBufferBehaviour:

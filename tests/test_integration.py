@@ -35,7 +35,7 @@ def live_machinery(machine):
     """What is still in flight on *machine*, one line per kind and place
     (empty: nothing): calendar entries, dispatches, MSHR entries, unfired
     write-buffer entries, open barriers, busy directory lines, and busy
-    or queued resources -- locks, links, protocol processors, DRAM.  A
+    or queued resources -- links, protocol processors, DRAM.  A
     window core's miss slots are not here; they are state the core keeps
     (``miss_slots``)."""
     live = []
@@ -53,11 +53,9 @@ def live_machinery(machine):
         count(iface.write_buffer.snapshot()["pending"].count(False),
               "unfired write-buffer entries", where)
     count(machine.sync.open_barriers(), "open barriers")
-    resources = [(f"lock{lid}", lock.snapshot())
-                 for lid, lock in machine.sync._locks.items()]
     memsys = machine.memsys.snapshot()
-    resources += [(f"network link {key}", link)
-                  for key, link in memsys["net"]["links"]]
+    resources = [(f"network link {key}", link)
+                 for key, link in memsys["net"]["links"]]
     for node, magic in enumerate(memsys["magic"]):
         resources += [(f"node{node}: protocol processor", magic["pp"]),
                       (f"node{node}: DRAM bank", magic["dram"])]

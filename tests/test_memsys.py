@@ -17,6 +17,7 @@ from repro.memsys import (
     LOCAL_CLEAN,
     LOCAL_DIRTY_REMOTE,
     MemKind,
+    PROTOCOL_CASES,
     REMOTE_CLEAN,
     REMOTE_DIRTY_HOME,
     REMOTE_DIRTY_REMOTE,
@@ -123,39 +124,50 @@ def run_request(env, mem, node, paddr, kind):
     return done - start
 
 
+#: How each Table 3 case is staged for a read by node 0: (home node of
+#: the line, offset in it, the node that writes the line first or None).
+CASE_SETUPS = {
+    LOCAL_CLEAN: (0, 0x400, None),
+    REMOTE_CLEAN: (1, 0x400, None),
+    LOCAL_DIRTY_REMOTE: (0, 0x800, 1),     # owner = node 1
+    REMOTE_DIRTY_HOME: (1, 0x800, 1),      # home's CPU owns it
+    REMOTE_DIRTY_REMOTE: (1, 0x800, 3),    # third-party owner
+}
+
+
 class TestProtocolCaseLatencies:
     """The DES transaction must agree with the closed-form prediction."""
 
+    @staticmethod
+    def check_case(params, case):
+        env, mem, _hooks = build(params=PARAM_SETS[params]())
+        home, offset, owner = CASE_SETUPS[case]
+        paddr = node_base(home) + offset
+        if owner is not None:
+            run_request(env, mem, owner, paddr, MemKind.WRITE)
+        latency = run_request(env, mem, 0, paddr, MemKind.READ)
+        assert latency == predict_case_ps(mem.params, case)
+
     def test_local_clean(self):
-        env, mem, _hooks = build()
-        latency = run_request(env, mem, 0, node_base(0) + 0x400, MemKind.READ)
-        assert latency == predict_case_ps(mem.params, LOCAL_CLEAN)
+        self.check_case("hardware", LOCAL_CLEAN)
 
     def test_remote_clean(self):
-        env, mem, _hooks = build()
-        latency = run_request(env, mem, 0, node_base(1) + 0x400, MemKind.READ)
-        assert latency == predict_case_ps(mem.params, REMOTE_CLEAN)
+        self.check_case("hardware", REMOTE_CLEAN)
 
     def test_local_dirty_remote(self):
-        env, mem, hooks = build()
-        paddr = node_base(0) + 0x800
-        run_request(env, mem, 1, paddr, MemKind.WRITE)  # owner = node 1
-        latency = run_request(env, mem, 0, paddr, MemKind.READ)
-        assert latency == predict_case_ps(mem.params, LOCAL_DIRTY_REMOTE)
+        self.check_case("hardware", LOCAL_DIRTY_REMOTE)
 
     def test_remote_dirty_home(self):
-        env, mem, hooks = build()
-        paddr = node_base(1) + 0x800
-        run_request(env, mem, 1, paddr, MemKind.WRITE)  # home's CPU owns it
-        latency = run_request(env, mem, 0, paddr, MemKind.READ)
-        assert latency == predict_case_ps(mem.params, REMOTE_DIRTY_HOME)
+        self.check_case("hardware", REMOTE_DIRTY_HOME)
 
     def test_remote_dirty_remote(self):
-        env, mem, hooks = build()
-        paddr = node_base(1) + 0x800
-        run_request(env, mem, 3, paddr, MemKind.WRITE)  # third-party owner
-        latency = run_request(env, mem, 0, paddr, MemKind.READ)
-        assert latency == predict_case_ps(mem.params, REMOTE_DIRTY_REMOTE)
+        self.check_case("hardware", REMOTE_DIRTY_REMOTE)
+
+    @pytest.mark.parametrize("params,case", [
+        (params, case) for params in sorted(PARAM_SETS)
+        if params != "hardware" for case in PROTOCOL_CASES])
+    def test_des_latency_is_the_prediction(self, params, case):
+        self.check_case(params, case)
 
     @pytest.mark.parametrize("case,target_ns", sorted(TABLE3_HARDWARE_NS.items()))
     def test_hardware_params_hit_table3(self, case, target_ns):

@@ -191,7 +191,7 @@ def sample_record(**overrides):
         "config": "hardware", "workload": "fft", "n_cpus": 1,
         "scale": "tiny", "seed": 7, "parallel_ps": 1000, "total_ps": 1100,
         "instructions": 50.0, "wall_s": 0.25, "outcome": "run",
-        "percent_error": None, "attribution": None,
+        "percent_error": None,
     }
     base.update(overrides)
     return base
@@ -221,8 +221,8 @@ class TestValidateRecord:
         assert obs_metrics.validate_record(sample_record(outcome="warped"))
 
 
-#: Two ledger lines exactly as the pre-schema-driven-codec writer
-#: appended them (one with every optional field, one cache hit).
+#: Two schema-1 ledger lines exactly as the pre-schema-driven-codec
+#: writer appended them (one with every optional field, one cache hit).
 PARENT_LINES = (
     '{"attribution": {"busy": 0.6, "mem": 0.15, "tlb": 0.25}, '
     '"config": "solo-mipsy-150-tuned", "instructions": 1000000, '
@@ -247,7 +247,7 @@ class TestFrozenSchemas:
                 for name, (typ, required) in schema.items()}
 
     def test_metrics_ledger_schema_is_pinned(self):
-        assert obs_metrics.SCHEMA_VERSION == 1
+        assert obs_metrics.SCHEMA_VERSION == 2
         assert self.pinned(obs_metrics.LEDGER_SCHEMA) == {
             "schema": ("int", True), "ts": ("float", True),
             "key": ("str", True), "config": ("str", True),
@@ -256,7 +256,6 @@ class TestFrozenSchemas:
             "parallel_ps": ("int", True), "total_ps": ("int", True),
             "instructions": ("float", True), "wall_s": ("float", True),
             "outcome": ("str", True), "percent_error": ("float", False),
-            "attribution": ("dict", False),
         }
 
     def test_bench_ledger_schema_is_pinned(self):
@@ -276,13 +275,23 @@ class TestFrozenSchemas:
 
     def test_lines_written_before_the_shared_codec_read_back_equal(
             self, tmp_path):
+        # Schema-1 lines are history of another version: skipped, and
+        # not reported as problems.
         path = tmp_path / "ledger.jsonl"
         path.write_text("\n".join(PARENT_LINES) + "\n")
+        assert obs_metrics.scan_ledger(path) == ([], [])
+        # The same lines as schema 2 writes them (no attribution) read
+        # back byte-equal.
+        lines = []
+        for line in PARENT_LINES:
+            data = json.loads(line)
+            del data["attribution"]
+            data["schema"] = obs_metrics.SCHEMA_VERSION
+            lines.append(json.dumps(data, sort_keys=True))
+        path.write_text("\n".join(lines) + "\n")
         records = obs_metrics.read_ledger(path)
         assert [json.dumps(r.to_dict(), sort_keys=True)
-                for r in records] == list(PARENT_LINES)
-        assert records[0].attribution == {"busy": 0.6, "mem": 0.15,
-                                          "tlb": 0.25}
+                for r in records] == lines
         assert records[1].percent_error is None
 
 
@@ -294,7 +303,8 @@ def fake_result(config="hardware", parallel_ps=1000):
 
 
 def fake_request():
-    return SimpleNamespace(cache_key=lambda: "deadbeef", seed=42)
+    return SimpleNamespace(identity="deadbeef", workload="fft", n_cpus=1,
+                           placement="first_touch", seed=42)
 
 
 class TestMetricsWriter:
@@ -325,11 +335,11 @@ class TestMetricsWriter:
         assert record.percent_error is None
 
     def test_records_carry_no_attribution(self, tmp_path):
-        # The optional field stays in the schema so older ledgers read;
-        # a result carries no breakdown, so nothing writes it.
+        # A result carries no breakdown, so the ledger has no field for
+        # one (schema 2 dropped it).
         writer = obs_metrics.MetricsWriter(tmp_path / "l.jsonl")
         record = writer.observe(fake_request(), fake_result(), 0.1, "run")
-        assert record.attribution is None
+        assert "attribution" not in record.to_dict()
 
     def test_read_ledger_skips_torn_blank_and_foreign_lines(self, tmp_path):
         path = tmp_path / "ledger.jsonl"
@@ -469,13 +479,16 @@ class TestWatchCli:
 
 class TestFarmLedgerLoop:
     """The acceptance loop: farm runs ledger themselves; replays are
-    drift-free; a tweaked tuning knob under the same config name flags."""
+    drift-free; a model knob that moves a request's result flags, and
+    distinct requests never judge one another."""
 
-    def request(self, config=None):
+    def request(self, config=None, workload="fft", n_cpus=1, **kwargs):
         config = config or get_config("hardware")
-        return RunRequest(config, make_app("fft", TINY), 1)
+        return RunRequest(config, make_app(workload, TINY), n_cpus, **kwargs)
 
-    def test_replay_is_stable_and_knob_change_drifts(self, tmp_path):
+    def test_replay_is_stable_and_knob_change_drifts(self, tmp_path,
+                                                     monkeypatch):
+        from repro.cpu import window
         from repro.harness.farm import Farm, ResultCache
 
         ledger = tmp_path / "ledger.jsonl"
@@ -490,17 +503,43 @@ class TestFarmLedgerLoop:
         assert records[0].parallel_ps == records[1].parallel_ps
         assert obs_main(["watch", "--ledger", str(ledger)]) == 0
 
-        # Same config *name*, slower TLB refill: the cache key changes,
-        # the run re-executes, and watch must flag the time drift.
+        # A model knob moves (as an edit to the model would; the new
+        # code's cache is empty): the same request re-executes, lands in
+        # its own series, and watch must flag the time drift.
+        monkeypatch.setattr(window, "L2_HIT_CYCLES", 4 * window.L2_HIT_CYCLES)
+        farm2 = Farm(jobs=1, cache=ResultCache(tmp_path / "cache2"),
+                     metrics=writer)
+        with farm2.activate():
+            farm_hooks.run(self.request())
+        records = obs_metrics.read_ledger(ledger)
+        assert records[-1].outcome == "run"
+        assert records[-1].key == records[0].key
+        assert records[-1].parallel_ps != records[0].parallel_ps
+        assert obs_main(["watch", "--ledger", str(ledger)]) == 1
+
+    def test_requests_differing_only_in_placement_are_separate_series(
+            self, tmp_path):
+        # Two radix runs at P=4 that differ only in where their pages
+        # live, and a slower TLB refill under the same config name (as
+        # the Tuner's rounds are): each is its own series, none has a
+        # history, and nothing flags.
+        from repro.harness.farm import Farm
+        from repro.vm.allocators import Placement
+
         config = get_config("hardware")
         tweaked = config.derive(core=dataclasses.replace(
             config.core, tlb_refill_cycles=config.core.tlb_refill_cycles * 4))
         assert tweaked.name == config.name
-        farm2 = Farm(jobs=1, cache=ResultCache(tmp_path / "cache"),
-                     metrics=writer)
-        with farm2.activate():
-            farm_hooks.run(self.request(tweaked))
+        ledger = tmp_path / "ledger.jsonl"
+        farm = Farm(jobs=1, metrics=obs_metrics.MetricsWriter(ledger))
+        farm.map([self.request(workload="radix", n_cpus=4),
+                  self.request(workload="radix", n_cpus=4,
+                               placement=Placement.NODE0),
+                  self.request(tweaked)])
         records = obs_metrics.read_ledger(ledger)
-        assert records[-1].outcome == "run"
-        assert records[-1].parallel_ps != records[0].parallel_ps
-        assert obs_main(["watch", "--ledger", str(ledger)]) == 1
+        assert len({r.parallel_ps for r in records[:2]}) == 2
+        assert records[2].parallel_ps != records[0].parallel_ps
+        assert len(obs_metrics.by_series(records)) == 3
+        report = obs_metrics.detect_drift(records)
+        assert (report.checked, report.unmatched, report.ok) == (0, 3, True)
+        assert obs_main(["watch", "--ledger", str(ledger)]) == 0

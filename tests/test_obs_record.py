@@ -86,7 +86,7 @@ SAMPLES = [
     LedgerRecord(key="k", config="solo", workload="fft", n_cpus=1,
                  scale="tiny", seed=1, parallel_ps=10, total_ps=11,
                  instructions=5.0, wall_s=0.1, outcome="run",
-                 percent_error=-3.25, attribution={"busy": 1.0}, ts=2.5),
+                 percent_error=-3.25, ts=2.5),
     BenchRecord(bench="b", case="fft@solo/P1/tiny/ref", wall_s=0.5,
                 events=100, events_per_sec=200.0),
     GATE,

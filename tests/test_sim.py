@@ -8,7 +8,7 @@ import pytest
 from repro.common.config import TINY_SCALE
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.engine import Engine
-from repro.isa.trace import Barrier, ChunkExec, LockAcq, LockRel, PhaseMark
+from repro.isa.trace import Barrier, ChunkExec, PhaseMark
 from repro.sim import (
     Machine,
     get_config,
@@ -18,7 +18,7 @@ from repro.sim import (
     simos_mxs,
     solo_mipsy,
 )
-from repro.sim.configs import embra_config, figure_lineup
+from repro.sim.configs import figure_lineup
 from repro.sim.sync import SyncDomain
 from repro.vm.layout import VirtualLayout
 from repro.workloads.base import Workload
@@ -26,11 +26,11 @@ from repro.workloads.builder import ChunkBuilder
 
 PAGE = TINY_SCALE.tlb.page_bytes
 
-#: Every configuration a name resolves to: both figure line-ups, the
-#: reference and Embra.
+#: Every configuration a name resolves to: both figure line-ups and the
+#: reference.
 NAMED = {config.name: config
          for config in [*figure_lineup(False), *figure_lineup(True),
-                        hardware_config(), embra_config()]}
+                        hardware_config()]}
 
 
 class _TwoPhaseWorkload(Workload):
@@ -103,29 +103,6 @@ class TestMachine:
 
 
 class TestSyncDomain:
-    def test_lock_serializes(self):
-        env = Engine()
-        sync = SyncDomain(env, 2)
-        order = []
-
-        def worker(tag, hold):
-            yield sync.lock_acquire(7)
-            order.append((tag, env.now))
-            yield env.timeout(hold)
-            sync.lock_release(7)
-
-        env.process(worker("a", 100))
-        env.process(worker("b", 100))
-        env.run()
-        assert order[0][0] == "a"
-        assert order[1][1] >= order[0][1] + 100
-
-    def test_release_unacquired_lock_raises(self):
-        env = Engine()
-        sync = SyncDomain(env, 1)
-        with pytest.raises(SimulationError):
-            sync.lock_release(3)
-
     def test_barrier_completion_removes_state(self):
         env = Engine()
         sync = SyncDomain(env, 2)
@@ -133,32 +110,6 @@ class TestSyncDomain:
         assert sync.open_barriers() == 1
         sync.barrier_arrive(1, 1)
         assert sync.open_barriers() == 0
-
-    def test_locks_in_traces(self):
-        class LockedWorkload(Workload):
-            name = "locked"
-
-            def build(self, n_cpus):
-                b = ChunkBuilder("lk")
-                b.ialu(1, 1)
-                chunk = b.build()
-                traces = []
-                for _cpu in range(n_cpus):
-                    traces.append([
-                        PhaseMark(PhaseMark.PARALLEL, True),
-                        LockAcq(1),
-                        ChunkExec(chunk, reps=100),
-                        LockRel(1),
-                        PhaseMark(PhaseMark.PARALLEL, False),
-                    ])
-                return traces
-
-        result = run_workload(simos_mipsy(150), LockedWorkload(TINY_SCALE),
-                              4)
-        # Four CPUs serialized on the lock: at least 4x one CPU's section.
-        single = run_workload(simos_mipsy(150), LockedWorkload(TINY_SCALE),
-                              1)
-        assert result.parallel_ps >= 3.5 * single.parallel_ps
 
 
 class TestConfigRegistry:
@@ -243,7 +194,7 @@ class TestRecipeFields:
                 "pp_wb_ps", "dram_ps", "owner_cache_ps", "net",
                 "case_extra_ps", "contention", "pp_occ_fraction"],
             "NetworkParams": ["hop_ps", "router_occ_ps", "flit_occ_ps"],
-            "OsModel": ["models_tlb", "allocator_kind", "syscall_cycles",
+            "OsModel": ["models_tlb", "allocator_kind",
                         "tick_overhead_factor"],
             "RunRequest": ["config", "workload", "n_cpus", "placement",
                            "seed"],

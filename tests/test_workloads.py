@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.config import TINY_SCALE
 from repro.common.errors import WorkloadError
-from repro.isa.trace import Barrier, ChunkExec, LockAcq, LockRel, PhaseMark
+from repro.isa.trace import Barrier, ChunkExec, PhaseMark
 from repro.workloads import (
     FftWorkload,
     LuWorkload,

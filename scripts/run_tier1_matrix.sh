@@ -45,9 +45,10 @@ echo "=== tier-1 gate passed ==="
 # codecs written by hand (a payload kind that spells its fields out
 # again shows up here), the machine-assembly files that reach into the
 # tooling (the probe slot needs two), the configuration fields a run
-# is spelled in (one decision, one field), and the trace item kinds and
+# is spelled in (one decision, one field), the trace item kinds and
 # core classes the model runs (each one some workload or configuration
-# uses) -- so a PR can quote them.
+# uses), and the counter bumps the model pays a call for (it bumps its
+# counter dicts in place) -- so a change can quote them.
 lines() { find "$@" -name '*.py' -exec cat {} + | wc -l; }
 echo "=== size budget (wc -l and a slot count, report-only) ==="
 printf '%-54s %6d\n' \
@@ -73,6 +74,11 @@ printf '%-54s %6d\n' \
     "files under src/repro/sim importing repro.obs" \
     "$(grep -rl --include='*.py' '^ *\(from\|import\) repro\.obs' \
             src/repro/sim | wc -l)" \
+    "counter bumps through a call in the model (stats.add()" \
+    "$(grep -rc --include='*.py' 'stats\.add(' src/repro/cpu \
+            src/repro/memsys src/repro/isa src/repro/engine src/repro/mem \
+            src/repro/vm src/repro/proto src/repro/network src/repro/os \
+        | awk -F: '{n += $NF} END {print n}')" \
     "ambient slots (len(repro.lint.rules.AMBIENT_SLOTS))" \
     "$(PYTHONPATH=src python -c \
         'from repro.lint.rules import AMBIENT_SLOTS; print(len(AMBIENT_SLOTS))')" \

@@ -14,8 +14,11 @@ from typing import Dict, List, Tuple
 class CounterSet:
     """A named bag of integer/float counters.
 
-    Counters spring into existence on first use and default to zero, so
-    simulator hot paths can simply do ``stats.add("misses")``.
+    Counters spring into existence on first use and default to zero, in
+    first-touch order.  Model components bind the dict once and bump it
+    in place (``counters = stats._counters``, then ``counters["misses"]
+    += 1.0``), which touches keys in the same order as :meth:`add`
+    without a call per bump; :meth:`add` is for cold callers.
     """
 
     def __init__(self, name: str):

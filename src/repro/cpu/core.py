@@ -42,6 +42,7 @@ class CpuCore:
         self.node = node
         self.iface = iface
         self.stats = registry.counter_set(f"cpu{node}")
+        self._counters = self.stats._counters
         self.cycles = 0.0
         self._start_ps = 0
         #: (phase name, begin?, absolute ps) marks, consumed by RunResult.
@@ -110,7 +111,7 @@ class CpuCore:
                 arrived_ps = self.time_ps()
                 yield sync.barrier_arrive(item.bid, self.node)
                 self._catch_up_to_engine()
-                self.stats.add("barriers")
+                self._counters["barriers"] += 1.0
                 probe = obs_hooks.active
                 if probe is not None:
                     probe.span(arrived_ps, obs_hooks.SYNC, "barrier_wait",
@@ -123,7 +124,7 @@ class CpuCore:
             self.trace_pos += 1
         yield from self._drain_writes()
         self.done = True
-        self.stats.set("final_cycles", self.cycles)
+        self._counters["final_cycles"] = self.cycles
         probe = obs_hooks.active
         if probe is not None:
             # The per-CPU total span: denominator of the attribution table.

@@ -70,6 +70,7 @@ class CpuMemInterface:
         self.memsys = memsys
         self.page_table = page_table
         self.stats = registry.counter_set(f"iface{node}")
+        self._counters = self.stats._counters
         self.l1d = SetAssocCache(
             f"l1d{node}", scale.l1d, registry.counter_set(f"l1d{node}"),
             node=node)
@@ -134,7 +135,10 @@ class CpuMemInterface:
         (``paddr - vaddr``), so a TLB hit translates by subscript.  L1
         hits are counted in a local, added to ``l1d.hits`` before any
         other ``l1d`` counter is touched and at the return, which keeps
-        the counters' first-touch order.
+        the counters' first-touch order.  An L1 miss and the L2 lookup
+        behind it are walked in place too: counters bumped in their
+        dicts, recency and probe events as ``SetAssocCache.lookup``
+        has them.
 
         The closure binds the hot containers themselves, so it is valid
         for the one ``_exec_chunk`` call that built it.  Build one per
@@ -153,9 +157,15 @@ class CpuMemInterface:
         l1_state = l1d._state.get
         l1_sets, l1_mask = l1d._sets, l1d._set_mask
         l1_two_way = l1d.geometry.assoc == 2
-        l1_counters = l1d.stats._counters
+        l1_counters = l1d._counters
+        l1_name = l1d.name
+        l2_state = l2._state.get
+        l2_sets, l2_mask = l2._sets, l2._set_mask
+        l2_counters = l2._counters
+        l2_name = l2.name
+        tlb_counters = None if tlb is None else tlb._counters
         mshr = self._mshr.get
-        stats = self.stats
+        counters = self._counters
 
         def resolve(row, j):
             outcome = HIT
@@ -178,10 +188,10 @@ class CpuMemInterface:
                             offset = tlb_map[vpn]
                         except KeyError:
                             tlb_miss = True
-                            tlb.stats.add("misses")
+                            tlb_counters["misses"] += 1.0
                             if len(tlb_map) >= tlb.entries:
                                 tlb_map.popitem(last=False)
-                                tlb.stats.add("evictions")
+                                tlb_counters["evictions"] += 1.0
                             pfn = frame_of(vpn)
                             if pfn is None:
                                 pfn = translate_vpn(vpn, node)
@@ -210,36 +220,50 @@ class CpuMemInterface:
                         if op == _STORE and state1 != MODIFIED:
                             # Store to an L1 SHARED line: the L2 decides.
                             line2 = paddr >> l2_shift
-                            if l2.peek(line2) == MODIFIED:
+                            if l2_state(line2) == MODIFIED:
                                 l1d.set_state(line1, MODIFIED)
                             elif mshr(line2) is not None:
                                 outcome = NOOP     # merged with in-flight
                             else:
-                                stats.add("upgrades")
+                                counters["upgrades"] += 1.0
                                 result = (j, MISS, paddr, MemKind.UPGRADE,
                                           tlb_miss)
                                 break
                     else:
+                        # SetAssocCache.lookup's miss, without the call.
                         if hits:
                             l1_counters["hits"] += hits
                             hits = 0
-                        l1d.lookup(line1)     # counts and reports the miss
+                        l1_counters["misses"] += 1.0
+                        probe = obs_hooks.active
+                        if probe is not None:
+                            probe.cache_miss(l1_name, node, line1 << l1_shift)
                         line2 = paddr >> l2_shift
                         pending = mshr(line2)
                         if pending is not None:
                             if op != _PREFETCH and op != _STORE:
-                                stats.add("pending_hits")
+                                counters["pending_hits"] += 1.0
                                 result = (j, PENDING, pending, None, tlb_miss)
                                 break
                         else:
-                            state2 = l2.lookup(line2)
+                            # SetAssocCache.lookup on the L2, likewise.
+                            state2 = l2_state(line2)
                             if state2 is None:
+                                l2_counters["misses"] += 1.0
+                                if probe is not None:
+                                    probe.cache_miss(l2_name, node,
+                                                     line2 << l2_shift)
                                 kind = (MemKind.WRITE if op == _STORE
                                         else MemKind.READ)
                                 result = (j, MISS, paddr, kind, tlb_miss)
                                 break
+                            l2_counters["hits"] += 1.0
+                            ways = l2_sets[line2 & l2_mask]
+                            if ways[-1] != line2:
+                                ways.remove(line2)
+                                ways.append(line2)
                             if op == _STORE and state2 != MODIFIED:
-                                stats.add("upgrades")
+                                counters["upgrades"] += 1.0
                                 result = (j, MISS, paddr, MemKind.UPGRADE,
                                           tlb_miss)
                                 break
@@ -280,7 +304,7 @@ class CpuMemInterface:
         event = self.memsys.request(self.node, paddr, kind, txn)
         self._mshr[line2] = event
         event.add_waiter(lambda _ev, line=line2: self._mshr.pop(line, None))
-        self.stats.add(self._issue_label[kind])
+        self._counters[self._issue_label[kind]] += 1.0
         if probe is not None:
             probe.span(self.env.now, obs_hooks.MEM, f"issue.{kind}", 0,
                        self.node)
@@ -291,7 +315,7 @@ class CpuMemInterface:
     def port_wait_cycles(self, at_cycles: float) -> float:
         """Extra cycles a tag check at *at_cycles* waits for the interface."""
         if at_cycles < self.port_busy_until:
-            self.stats.add("port_waits")
+            self._counters["port_waits"] += 1.0
             return self.port_busy_until - at_cycles
         return 0.0
 
@@ -318,7 +342,7 @@ class CpuMemInterface:
         while self._icache_bytes > budget and len(self._icache) > 1:
             _uid, size = self._icache.popitem(last=False)
             self._icache_bytes -= size
-        self.stats.add("icache_refills")
+        self._counters["icache_refills"] += 1.0
         return lines * ICACHE_REFILL_CYCLES_PER_LINE
 
     # ------------------------------------------------------------------
@@ -330,14 +354,16 @@ class CpuMemInterface:
 
     def l2_fill(self, line: int, state: str) -> None:
         victim = self.l2.fill(line, state)
-        self._l1_fill_mirror(line, state)
+        # Fill the first L1 line of the L2 line (the critical word's
+        # line); neighbouring L1 lines fault in on first use via L2 hits.
+        self.l1d.fill(line * self._l1_per_l2, state)
         if victim is not None:
             victim_line, victim_state = victim
             self._l1_invalidate_range(victim_line)
             if victim_state == MODIFIED:
                 paddr = victim_line << self._l2_shift
                 self.memsys.request(self.node, paddr, MemKind.WRITEBACK)
-                self.stats.add("victim_writebacks")
+                self._counters["victim_writebacks"] += 1.0
 
     def l2_invalidate(self, line: int) -> None:
         self.l2.invalidate(line)
@@ -352,16 +378,17 @@ class CpuMemInterface:
 
     # -- helpers ------------------------------------------------------------
 
-    def _l1_fill_mirror(self, l2_line: int, state: str) -> None:
-        # Fill the first L1 line of the L2 line (the critical word's line);
-        # neighbouring L1 lines fault in on first use via l2 hits.
-        l1_line = l2_line * self._l1_per_l2
-        self.l1d.fill(l1_line, state)
-
     def _l1_invalidate_range(self, l2_line: int) -> None:
+        # SetAssocCache.invalidate for each L1 line of the L2 line,
+        # without a call per line.
+        l1d = self.l1d
+        state, sets, mask = l1d._state, l1d._sets, l1d._set_mask
+        counters = l1d._counters
         first = l2_line * self._l1_per_l2
         for l1_line in range(first, first + self._l1_per_l2):
-            self.l1d.invalidate(l1_line)
+            if state.pop(l1_line, None) is not None:
+                sets[l1_line & mask].remove(l1_line)
+                counters["invalidations"] += 1.0
 
     def snapshot(self, chunk_uids: Optional[List[int]] = None) -> dict:
         """Caches, TLB, write buffer, MSHR markers, port, and icache.

@@ -44,7 +44,8 @@ class MipsyCore(CpuCore):
         per_rep = sched.steady_cycles
         chunk_start_cycles = self.cycles
         self.cycles += iface.fetch_cost_cycles(chunk)
-        self.stats.add("instructions", ce.n_instructions)
+        counters = self._counters
+        counters["instructions"] += ce.n_instructions
 
         if chunk.n_mem == 0:
             self.cycles += per_rep * ce.reps
@@ -75,7 +76,7 @@ class MipsyCore(CpuCore):
                 op = kinds[j]
                 if tlb_miss:
                     stall += tlb_refill
-                    self.stats.add("tlb_refills")
+                    counters["tlb_refills"] += 1.0
                     if probe is not None:
                         probe.span(
                             start_ps + int((base + offsets[j]) * cycle_ps),
@@ -118,7 +119,7 @@ class MipsyCore(CpuCore):
                     done_c = self.cycles_at(done_ps)
                     iface.port_fill_at(done_c)
                     stall = done_c - (base + offsets[j])
-                    self.stats.add("load_miss_waits")
+                    counters["load_miss_waits"] += 1.0
                     if probe is not None:
                         probe.span(start_ps + int(pt * cycle_ps),
                                    obs_hooks.MEM, "load_miss",
@@ -136,11 +137,11 @@ class MipsyCore(CpuCore):
                                 probe.span(start_ps + int(pt * cycle_ps),
                                            obs_hooks.MEM, "wb_full",
                                            int(wait * cycle_ps), node)
-                        self.stats.add("wb_full_stalls")
+                        counters["wb_full_stalls"] += 1.0
                     wb.add(issue_miss(payload, kind))
                 elif outcome == MISS:  # PREFETCH
                     issue_miss(payload, kind)
-                    self.stats.add("prefetches_issued")
+                    counters["prefetches_issued"] += 1.0
                 # Anything else was a hit, here only for its TLB refill.  On
                 # to the next reference that matters: the resolver absorbs
                 # the plain hits in between.

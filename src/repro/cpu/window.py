@@ -87,7 +87,7 @@ class WindowCore(CpuCore):
             n_cacheops = chunk.count(Op.CACHEOP)
             if n_cacheops:
                 penalty += n_cacheops * p.cacheop_bug_stall_cycles
-                self.stats.add("cacheop_bug_stalls", n_cacheops)
+                self._counters["cacheop_bug_stalls"] += n_cacheops
         return penalty
 
     def _observe_latency(self, latency_cycles: float) -> None:
@@ -99,7 +99,7 @@ class WindowCore(CpuCore):
             return
         kept = []
         for event, issue_c in self._inflight:
-            if event.fired:
+            if event._fired:
                 self._observe_latency(self.cycles_at(event.value) - issue_c)
             else:
                 kept.append((event, issue_c))
@@ -119,7 +119,8 @@ class WindowCore(CpuCore):
         # Cold first iteration + one loop-exit mispredict per chunk run.
         self.cycles += (sched.first_cycles - sched.steady_cycles) * bug
         self.cycles += MISPREDICT_PENALTY_CYCLES if chunk.n_branches else 0.0
-        self.stats.add("instructions", ce.n_instructions)
+        counters = self._counters
+        counters["instructions"] += ce.n_instructions
 
         if chunk.n_mem == 0:
             self.cycles += per_rep * ce.reps
@@ -153,7 +154,7 @@ class WindowCore(CpuCore):
                 op = kinds[j]
                 if tlb_miss:
                     stall += tlb_refill
-                    self.stats.add("tlb_refills")
+                    counters["tlb_refills"] += 1.0
                     if probe is not None:
                         probe.span(
                             start_ps + int((base + offsets[j]) * cycle_ps),
@@ -191,7 +192,7 @@ class WindowCore(CpuCore):
                                 probe.span(start_ps + int(pt * cycle_ps),
                                            obs_hooks.MEM, "wb_full",
                                            int(wait * cycle_ps), node)
-                        self.stats.add("wb_full_stalls")
+                        counters["wb_full_stalls"] += 1.0
                     wb.add(issue_miss(payload, kind))
                 elif outcome == MISS and op == _LOAD and chases[j]:
                     stall += port_wait(pt)
@@ -211,7 +212,7 @@ class WindowCore(CpuCore):
                             probe.span(start_ps + int(pt * cycle_ps),
                                        obs_hooks.MEM, "chase_miss",
                                        int(exposed * cycle_ps), node)
-                    self.stats.add("chase_miss_waits")
+                    counters["chase_miss_waits"] += 1.0
                 elif outcome == MISS:
                     stall += port_wait(pt)
                     pt = base + offsets[j] + stall
@@ -232,7 +233,7 @@ class WindowCore(CpuCore):
                                            obs_hooks.MEM, "slot_full",
                                            int(wait * cycle_ps), node)
                             pt = base + offsets[j] + stall
-                        self.stats.add("slot_full_stalls")
+                        counters["slot_full_stalls"] += 1.0
                     event = issue_miss(payload, kind)
                     overlapped = bool(self._inflight)
                     self._inflight.append((event, pt))

@@ -40,6 +40,12 @@ class Resource:
     Processes call :meth:`acquire` and wait on the returned event, then must
     call :meth:`release` exactly once.  Utilisation and queueing statistics
     accumulate in :attr:`stats`.
+
+    A hold's end (:meth:`_finish_hold`) is always a calendar entry, so
+    the deferred queue is empty when it runs: the grant it makes to the
+    next queued use is armed in place, where ``release`` from process
+    code defers it (the in-place rule of
+    :class:`~repro.engine.kernel.Engine`).
     """
 
     def __init__(self, env: Engine, name: str, capacity: int = 1,
@@ -53,6 +59,7 @@ class Resource:
         self.requests = 0
         self._queue: Deque = deque()
         self.stats = stats if stats is not None else CounterSet(name)
+        self._counters = self.stats._counters
         self._busy_since: Optional[int] = None
         # Bound once: every ``use`` hands these to the engine.
         self._arm_cb = self._arm
@@ -65,51 +72,34 @@ class Resource:
     def acquire(self) -> Event:
         """Request one unit; the event fires when the unit is granted."""
         event = Event(self.env)
-        self.requests += 1
-        if self.in_use < self.capacity:
-            self._grant(event, waited_ps=0)
-        else:
-            self._queue.append((event, self.env.now))
+        self._request(event)
         return event
 
-    def _request(self, use: "_Use") -> None:
-        """Queue the use record *use*, or grant it a free unit at once:
-        :meth:`_grant`'s bookkeeping, inlined for the uncontended case."""
+    def _request(self, event: Event) -> None:
+        """Queue *event* (a use record, or an :meth:`acquire` event), or
+        grant it a free unit at once."""
         self.requests += 1
         if self.in_use < self.capacity:
             self.in_use += 1
             if self._busy_since is None:
                 self._busy_since = self.env.now
-            use.waited_ps = 0
-            self.env._defer((self._arm_cb, use))
+            if isinstance(event, _Use):
+                # Arm the hold where the grant's one waiter used to run.
+                event.waited_ps = 0
+                self.env._defer((self._arm_cb, event))
+            else:
+                event.succeed(self)
         else:
-            self._queue.append((use, self.env.now))
-
-    def _grant(self, event: Event, waited_ps: int) -> None:
-        self.in_use += 1
-        if self._busy_since is None:
-            self._busy_since = self.env.now
-        if waited_ps > 0:
-            self.stats.add("queued_grants")
-            self.stats.add("wait_ps", waited_ps)
-        if isinstance(event, _Use):
-            # Arm the hold where the grant's one waiter used to run.
-            event.waited_ps = waited_ps
-            self.env._defer((self._arm_cb, event))
-        else:
-            event.succeed(self)
+            self._queue.append((event, self.env.now))
 
     def release(self) -> None:
-        """Return one unit, granting the head of the queue if any."""
+        """Return one unit, granting the head of the queue if any.
+
+        Called from process code, the grant is not the caller's last
+        act, so a granted use's arm is deferred."""
         if self.in_use <= 0:
             raise SimulationError(f"resource {self.name}: release without acquire")
-        self.in_use -= 1
-        if self.in_use == 0 and self._busy_since is not None:
-            self.stats.add("busy_ps", self.env.now - self._busy_since)
-            self._busy_since = None
-        if self._queue:
-            event, enqueued_at = self._queue.popleft()
-            self._grant(event, waited_ps=self.env.now - enqueued_at)
+        self._finish_hold(None)
 
     def use(self, hold_ps: int, txn=None) -> "Event":
         """Acquire, hold for *hold_ps*, release.
@@ -121,9 +111,9 @@ class Resource:
 
         Occupancy is by far the most frequent operation in a simulation,
         so a use is one record -- the returned event carries the hold --
-        and one deferred callback, whether or not a unit is free: the
-        grant (now, or at a later :meth:`release`) defers :meth:`_arm`,
-        which puts the end of the hold on the calendar.
+        and at most one deferred callback: a grant now defers
+        :meth:`_arm`, which puts the end of the hold on the calendar; a
+        grant at the end of an earlier hold arms it in place.
 
         *txn* is an optional :class:`repro.obs.txn.TxnRecord`: at grant
         time the queueing delay is reported via ``txn.add_wait`` so the
@@ -148,9 +138,42 @@ class Resource:
         env._seq = seq = env._seq + 1
         heappush(env._heap, (env.now + use.hold_ps, seq, self._finish_cb, use))
 
-    def _finish_hold(self, use: "_Use") -> None:
-        self.release()
-        use._held()
+    def _finish_hold(self, use: Optional["_Use"]) -> None:
+        """The end of *use*'s hold, from its calendar entry: return the
+        unit, grant it to the head of the queue, then fire *use*.
+
+        The deferred queue is empty here, so the arm ``release`` would
+        defer for a granted use is the deferral that would run next: it
+        runs in place, drawing the same ``seq``, and *use* fires behind
+        it (a walk then resumes in place, see :meth:`Steps._held`).
+        :meth:`release` shares this body with *use* None, and defers
+        the arm instead."""
+        env = self.env
+        now = env.now
+        self.in_use -= 1
+        if self.in_use == 0 and self._busy_since is not None:
+            self._counters["busy_ps"] += now - self._busy_since
+            self._busy_since = None
+        if self._queue:
+            event, enqueued_at = self._queue.popleft()
+            self.in_use += 1
+            if self._busy_since is None:
+                self._busy_since = now
+            waited_ps = now - enqueued_at
+            if waited_ps > 0:
+                counters = self._counters
+                counters["queued_grants"] += 1.0
+                counters["wait_ps"] += waited_ps
+            if isinstance(event, _Use):
+                event.waited_ps = waited_ps
+                if use is None:
+                    env._defer((self._arm_cb, event))
+                else:
+                    self._arm(event)
+            else:
+                event.succeed(self)
+        if use is not None:
+            use._held()
 
     def snapshot(self) -> dict:
         """Occupancy, queue shape (``(fired, enqueued_at)`` per queued
@@ -220,9 +243,10 @@ class Steps(_Use):
     What a stage would defer into an empty queue runs in place (the
     in-place rule of :class:`~repro.engine.kernel.Engine`): a free unit
     is granted and its hold armed at once, a ``HOP`` walks on, and the
-    end of a hold that released to nobody resumes the walk.  A walk
-    woken as an event's waiter defers as before, since other waiters
-    of that event may still be due to run first.
+    end of a hold resumes the walk -- after arming, in place, the grant
+    it made to the next queued use.  A walk woken as an event's waiter
+    defers as before, since other waiters of that event may still be
+    due to run first.
     """
 
     __slots__ = ("_plan", "_at", "_wake", "_seg", "note")
@@ -318,7 +342,9 @@ class Steps(_Use):
 
     def _held(self) -> None:
         # Where the child process's resume after the use ran: next, if
-        # ``release`` deferred nothing, so the walk goes on in place.
+        # the hold's end deferred nothing (it arms a granted use in
+        # place; only an ``acquire`` event it grants defers its waiters),
+        # so the walk goes on in place.
         if self.env._queue:
             self.env._defer((self._wake, None))
         else:

@@ -30,7 +30,7 @@ class Op(IntEnum):
     PREFETCH = 8  #: non-binding prefetch (hand-inserted, per the paper)
     BRANCH = 9    #: conditional branch
     NOP = 10      #: filler
-    SYSCALL = 11  #: operating-system service request
+    # 11 is unassigned: chunks store uint8 codes, so values stay stable.
     CACHEOP = 12  #: MIPS CACHE instruction (subject of an MXS bug)
     COPROC = 13   #: coprocessor-0 move (pipeline-flushing; TLB handler)
 
@@ -60,7 +60,6 @@ R10K_LATENCY: Dict[Op, int] = {
     Op.PREFETCH: 1,
     Op.BRANCH: 1,
     Op.NOP: 1,
-    Op.SYSCALL: 1,
     Op.CACHEOP: 1,
     Op.COPROC: 3,    # coprocessor moves serialize parts of the pipeline
 }
@@ -86,7 +85,6 @@ FUNIT_OF: Dict[Op, str] = {
     Op.PREFETCH: "ls",
     Op.BRANCH: "int",
     Op.NOP: "int",
-    Op.SYSCALL: "int",
     Op.CACHEOP: "ls",
     Op.COPROC: "int",
 }

@@ -19,13 +19,14 @@ from repro.mem.address import bit_length_shift
 class PageTable:
     """vpn -> pfn map, filled on first touch by the installed allocator."""
 
-    __slots__ = ("page_shift", "_allocator", "_map", "stats")
+    __slots__ = ("page_shift", "_allocator", "_map", "stats", "_counters")
 
     def __init__(self, page_bytes: int, allocator, stats=None):
         self.page_shift = bit_length_shift(page_bytes)
         self._allocator = allocator
         self._map: Dict[int, int] = {}
         self.stats = stats if stats is not None else CounterSet("pagetable")
+        self._counters = self.stats._counters
 
     def translate_vpn(self, vpn: int, node: int) -> int:
         """Return the frame of *vpn*, allocating on first touch from *node*."""
@@ -33,7 +34,7 @@ class PageTable:
         if pfn is None:
             pfn = self._allocator.allocate(vpn, node)
             self._map[vpn] = pfn
-            self.stats.add("pages_touched")
+            self._counters["pages_touched"] += 1.0
         return pfn
 
     def translate(self, vaddr: int, node: int) -> int:

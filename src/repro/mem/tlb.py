@@ -27,7 +27,8 @@ class Tlb:
     a hardware TLB holds the frame: a hit translates without the page
     table."""
 
-    __slots__ = ("geometry", "page_shift", "entries", "_map", "stats")
+    __slots__ = ("geometry", "page_shift", "entries", "_map", "stats",
+                 "_counters")
 
     def __init__(self, geometry: TlbGeometry, stats: Optional[CounterSet] = None):
         self.geometry = geometry
@@ -35,6 +36,7 @@ class Tlb:
         self.entries = geometry.entries
         self._map: "OrderedDict[int, int]" = OrderedDict()
         self.stats = stats if stats is not None else CounterSet("tlb")
+        self._counters = self.stats._counters
 
     def vpn_of(self, vaddr: int) -> int:
         return vaddr >> self.page_shift
@@ -51,7 +53,7 @@ class Tlb:
         if offset is not None:
             self._map.move_to_end(vpn)
             return offset
-        self.stats.add("misses")
+        self._counters["misses"] += 1.0
         probe = obs_hooks.active
         if probe is not None:
             # Instant only: the refill *cost* is a core property, so the
@@ -67,12 +69,12 @@ class Tlb:
             return
         if len(self._map) >= self.entries:
             self._map.popitem(last=False)
-            self.stats.add("evictions")
+            self._counters["evictions"] += 1.0
         self._map[vpn] = offset
 
     def flush(self) -> None:
         self._map.clear()
-        self.stats.add("flushes")
+        self._counters["flushes"] += 1.0
 
     def __len__(self) -> int:
         return len(self._map)

@@ -19,22 +19,23 @@ from repro.engine.events import Event
 class WriteBuffer:
     """Tracks in-flight store-miss completion events, FIFO, bounded."""
 
-    __slots__ = ("capacity", "_inflight", "stats")
+    __slots__ = ("capacity", "_inflight", "stats", "_counters")
 
     def __init__(self, capacity: int = 4, stats: Optional[CounterSet] = None):
         self.capacity = capacity
         self._inflight: Deque[Event] = deque()
         self.stats = stats if stats is not None else CounterSet("write_buffer")
+        self._counters = self.stats._counters
 
     def reap(self) -> None:
         """Drop entries whose store has completed."""
         inflight = self._inflight
-        while inflight and inflight[0].fired:
+        while inflight and inflight[0]._fired:
             inflight.popleft()
         # Completion events can fire out of FIFO order (different homes);
         # sweep the middle too so capacity reflects truly outstanding stores.
-        if any(ev.fired for ev in inflight):
-            self._inflight = deque(ev for ev in inflight if not ev.fired)
+        if any(ev._fired for ev in inflight):
+            self._inflight = deque(ev for ev in inflight if not ev._fired)
 
     @property
     def full(self) -> bool:
@@ -46,7 +47,7 @@ class WriteBuffer:
 
     def add(self, event: Event) -> None:
         self._inflight.append(event)
-        self.stats.add("admitted")
+        self._counters["admitted"] += 1.0
 
     def __len__(self) -> int:
         return len(self._inflight)

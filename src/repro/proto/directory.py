@@ -42,12 +42,13 @@ class DirEntry:
 class Directory:
     """All directory entries homed at one node."""
 
-    __slots__ = ("node", "_entries", "stats")
+    __slots__ = ("node", "_entries", "stats", "_counters")
 
     def __init__(self, node: int):
         self.node = node
         self._entries: Dict[int, DirEntry] = {}
         self.stats = CounterSet(f"directory{node}")
+        self._counters = self.stats._counters
 
     def entry(self, line: int) -> DirEntry:
         ent = self._entries.get(line)
@@ -68,7 +69,7 @@ class Directory:
         ent.state = SHARED
         ent.sharers.add(node)
         ent.owner = None
-        self.stats.add("to_shared")
+        self._counters["to_shared"] += 1.0
         probe = obs_hooks.active
         if probe is not None:
             probe.dir_transition(self.node, line, "to_shared",
@@ -79,7 +80,7 @@ class Directory:
         ent.state = DIRTY
         ent.owner = owner
         ent.sharers = set()
-        self.stats.add("to_dirty")
+        self._counters["to_dirty"] += 1.0
         probe = obs_hooks.active
         if probe is not None:
             probe.dir_transition(self.node, line, "to_dirty")
@@ -89,7 +90,7 @@ class Directory:
         ent.state = UNOWNED
         ent.sharers = set()
         ent.owner = None
-        self.stats.add("to_unowned")
+        self._counters["to_unowned"] += 1.0
         probe = obs_hooks.active
         if probe is not None:
             probe.dir_transition(self.node, line, "to_unowned")
@@ -99,7 +100,7 @@ class Directory:
         ent.sharers.discard(node)
         if not ent.sharers and ent.state == SHARED:
             ent.state = UNOWNED
-            self.stats.add("to_unowned")
+            self._counters["to_unowned"] += 1.0
             probe = obs_hooks.active
             if probe is not None:
                 probe.dir_transition(self.node, line, "to_unowned")

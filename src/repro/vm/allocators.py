@@ -61,6 +61,7 @@ class PageAllocator(abc.ABC):
         self.frames_per_node = NODE_MEM_BYTES // self.page_bytes
         self.n_colors = scale.l2_colors
         self.stats = CounterSet("page_allocator")
+        self._counters = self.stats._counters
         self._rr_next = 0
 
     def target_node(self, vpn: int, touch_node: int) -> int:
@@ -76,8 +77,8 @@ class PageAllocator(abc.ABC):
     def allocate(self, vpn: int, touch_node: int) -> int:
         """Public entry point used by the page table."""
         node = self.target_node(vpn, touch_node)
-        self.stats.add("allocations")
-        self.stats.add(f"allocations_node{node}")
+        self._counters["allocations"] += 1.0
+        self._counters[f"allocations_node{node}"] += 1.0
         pfn = self._pick_frame(vpn, node)
         if not 0 <= pfn - node * self.frames_per_node < self.frames_per_node:
             raise ConfigurationError("allocator produced frame outside node range")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.common.config import TINY_SCALE
+from repro.common.stats import CounterSet
 from repro.isa.trace import Barrier, ChunkExec, PhaseMark
 from repro.sim import hardware_config, run_workload, simos_mipsy, simos_mxs, solo_mipsy
 from repro.sim.machine import Machine
@@ -14,6 +15,7 @@ from repro.validation.bugs import CACHEOP_BUG, FAST_ISSUE_BUG
 from repro.vm.layout import VirtualLayout
 from repro.workloads.base import Workload
 from repro.workloads.builder import ChunkBuilder
+from repro.workloads.registry import make_app
 from tests.test_golden import refresh_goldens
 
 LINE = TINY_SCALE.l2.line_bytes
@@ -238,3 +240,33 @@ class TestRowPathCallCount:
         each reference through methods costs over 100 per row."""
         extra = self._calls(config, 600) - self._calls(config, 100)
         assert 0 < extra <= 2 * 500
+
+
+class TestCountingCallsNothing:
+    def test_a_run_enters_no_counter_set_method(self):
+        """Every model component bumps its counters in its set's dict,
+        bound once: while a tiny fft at P=2 on ``hardware`` runs (TLB,
+        L1, L2, remote misses and invalidations through MAGIC and the
+        network, barriers), no ``CounterSet`` method is entered."""
+        machine = Machine(hardware_config(), 2, TINY_SCALE)
+        machine.begin(make_app("fft", TINY_SCALE))
+        methods = {fn.__code__: name for name, fn in vars(CounterSet).items()
+                   if hasattr(fn, "__code__")}
+        entered = set()
+
+        def profile(frame, event, _arg):
+            if event == "call" and frame.f_code in methods:
+                entered.add(methods[frame.f_code])
+
+        sys.setprofile(profile)
+        try:
+            machine.advance()
+        finally:
+            sys.setprofile(None)
+        stats = machine.finish().stats
+        assert entered == set()
+        for counter in ("tlb0.misses", "l1d1.misses", "l21.hits",
+                        "l20.misses", "memsys.case_remote_clean",
+                        "memsys.invalidations_sent", "cpu1.barriers",
+                        "iface0.issued_read"):
+            assert stats[counter] > 0, counter

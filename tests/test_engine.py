@@ -488,12 +488,35 @@ class TestPlanCallCount:
 
     def test_uncontended_stage_costs_only_its_hold(self):
         """Each stage's one calling chain is its hold's calendar entry:
-        ``_finish_hold``, ``release`` and its ``busy_ps`` add, ``_held``
-        and the walk resumed in place.  Deferring the arm and the resume
-        cost three calls more."""
+        ``_finish_hold`` (the release and its ``busy_ps`` bump inline),
+        ``_held`` and the walk resumed in place.  A call to ``release``
+        and one to ``CounterSet.add`` cost two more."""
         stage = ("pp", 5, None)
         assert self._extra(stage, profiled=False) == 0
-        assert 0 < self._extra(stage, profiled=True) <= 5 * 100
+        assert 0 < self._extra(stage, profiled=True) <= 3 * 100
+
+    def test_contended_stage_grant_costs_no_deferral(self):
+        """Two walks queue on one unit.  The end of the first's hold is
+        a calendar entry, so the grant it makes to the second is armed
+        in place and the first's walk resumes in place behind it:
+        nothing is deferred from then on.  Deferring the arm put the
+        resume behind it, two deferrals."""
+        env = Engine()
+        res = Resource(env, "pp")
+        deferred = []
+        append = env._queue.append
+
+        def defer(item):
+            deferred.append((env.now, item[0].__name__))
+            append(item)
+
+        env._defer = defer
+        walks = [Steps(env, ((res, 5, None), FINISH)) for _ in range(2)]
+        env.run()
+        assert [walk.value for walk in walks] == [5, 10]
+        assert res.stats.snapshot() == {
+            "busy_ps": 10.0, "queued_grants": 1.0, "wait_ps": 5.0}
+        assert all(now == 0 for now, _name in deferred), deferred
 
 
 class TestEngineObserver:

@@ -17,6 +17,7 @@ from repro.isa.schedule import CoreTiming, schedule_chunk
 from repro.isa.opcodes import R10K_LATENCY
 from repro.mem.cache import MODIFIED, SHARED, SetAssocCache
 from repro.mem.tlb import Tlb
+from repro.obs import hooks as obs_hooks
 from repro.sim import Machine, simos_mipsy, solo_mipsy
 from repro.vm.allocators import IrixColoringAllocator, SoloSequentialAllocator
 from repro.vm.layout import DATA_BASE
@@ -155,6 +156,21 @@ def _revisit_rows(draw):
     return [ref for ref in refs for _ in range(draw(st.integers(1, 2)))]
 
 
+class _MissLog(obs_hooks.Recorder):
+    """The probe's miss instants, in order."""
+
+    __slots__ = ("events",)
+
+    def __init__(self):
+        self.events = []
+
+    def cache_miss(self, name, node, paddr):
+        self.events.append(("cache_miss", name, node, paddr))
+
+    def tlb_miss(self, vpn, cpu=None):
+        self.events.append(("tlb_miss", vpn, cpu))
+
+
 class TestResolverMatchesReference:
     """``CpuMemInterface.resolver`` against the per-reference body it
     replaced (``tests/classify_reference.py``)."""
@@ -206,9 +222,11 @@ class TestResolverMatchesReference:
     def test_same_events_state_and_counter_order(self, entries, seeds, rows):
         """Three identical interfaces: the oracle and ``classify`` (the
         resolver's one-slot spelling) take one reference at a time, the
-        resolver takes whole rows the way the cores drive it."""
+        resolver takes whole rows the way the cores drive it.  Each side
+        feeds its own probe log."""
         (ref_machine, ref_iface), (one_machine, one_iface), (machine, iface) = (
             self._iface(entries, seeds) for _ in range(3))
+        ref_log, one_log, log = _MissLog(), _MissLog(), _MissLog()
         for refs in rows:
             row = [self._vaddr(page, line) for page, line, _op in refs]
             kinds = [op for _page, _line, op in refs]
@@ -217,8 +235,10 @@ class TestResolverMatchesReference:
             # or that missed the TLB.
             expected = []
             for slot, (vaddr, op) in enumerate(zip(row, kinds)):
-                result = classify_reference.classify(ref_iface, vaddr, op)
-                single = one_iface.classify(vaddr, op)
+                with obs_hooks.observing(ref_log):
+                    result = classify_reference.classify(ref_iface, vaddr, op)
+                with obs_hooks.observing(one_log):
+                    single = one_iface.classify(vaddr, op)
                 assert (self._portable(one_iface, *single)
                         == self._portable(ref_iface, *result))
                 if result[0] not in (HIT, NOOP) or result[3]:
@@ -233,7 +253,8 @@ class TestResolverMatchesReference:
             resolve = iface.resolver(kinds)
             events, j = [], 0
             while True:
-                j, *event = resolve(row, j)
+                with obs_hooks.observing(log):
+                    j, *event = resolve(row, j)
                 if j == len(row):
                     break
                 events.append((j,) + self._portable(iface, *event))
@@ -241,6 +262,9 @@ class TestResolverMatchesReference:
                     self._issue(machine, iface, event[1])
                 j += 1
             assert events == expected
+        # The probe saw the same L1/L2 misses and TLB misses, in order.
+        assert one_log.events == ref_log.events
+        assert log.events == ref_log.events
 
         # json.dumps keeps list *and* dict order: TLB LRU, per-set L1/L2
         # recency and states, MSHR lines, page first touch, and every

@@ -100,6 +100,28 @@ import typing
 from repro.cpu import _CORE_CLASSES
 from repro.isa.trace import TraceItem
 print(f"{len(typing.get_args(TraceItem))}/{len(_CORE_CLASSES)}")')"
+# The probe-only stages (MAGIC's span, the fabric's delivery report) are
+# in a run's plans only when a probe is installed: distinct CALL stages
+# the memory system built, without a probe / under one.
+printf '%-54s %6s\n' "CALL stages in plan tables, tiny fft P=4 (unobs/obs)" \
+    "$(PYTHONPATH=src python -c '
+from repro.common.config import TINY_SCALE
+from repro.engine.resources import CALL
+from repro.obs.hooks import observing
+from repro.obs.trace import TraceRecorder
+from repro.sim import hardware_config
+from repro.sim.machine import Machine
+from repro.workloads import make_app
+def calls(observe):
+    machine = Machine(hardware_config(), 4, TINY_SCALE)
+    workload = make_app("fft", TINY_SCALE)
+    if observe:
+        with observing(TraceRecorder()):
+            machine.run(workload)
+    else:
+        machine.run(workload)
+    return sum(stage[0] is CALL for stage in machine.memsys._stages)
+print(f"{calls(False)}/{calls(True)}")')"
 # Options a user can pass (positionals included, --help not), summed over
 # each CLI's subcommands by argparse introspection.
 printf '%-54s %6s\n' "CLI options (repro.obs/repro.harness)" \

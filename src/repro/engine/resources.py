@@ -32,20 +32,28 @@ class _Use(Event):
 
     #: The hold is over and the unit released: fire (waiters deferred).
     _held = Event.succeed
+    #: No walk to resume at the hold's end (a :class:`Steps` has one).
+    _wake = None
 
 
 class Resource:
     """A capacity-limited FIFO server.
 
-    Processes call :meth:`acquire` and wait on the returned event, then must
-    call :meth:`release` exactly once.  Utilisation and queueing statistics
-    accumulate in :attr:`stats`.
+    The model occupies a resource from a walk: a ``(resource, hold_ps,
+    seg)`` stage of a :class:`Steps` plan, which :meth:`Steps._walk`
+    grants (or queues) itself and whose hold's end resumes the walk.
+    Utilisation and queueing statistics accumulate in :attr:`stats`.
 
     A hold's end (:meth:`_finish_hold`) is always a calendar entry, so
     the deferred queue is empty when it runs: the grant it makes to the
     next queued use is armed in place, where ``release`` from process
     code defers it (the in-place rule of
     :class:`~repro.engine.kernel.Engine`).
+
+    :meth:`acquire`/:meth:`release` (a process waits on the grant, then
+    releases exactly once) and :meth:`use` (one hold as an event) stay
+    for the tests that drive queueing through processes and for the
+    boundaries ``benchmarks/e2e/trace.py`` times; no walk calls them.
     """
 
     def __init__(self, env: Engine, name: str, capacity: int = 1,
@@ -104,16 +112,17 @@ class Resource:
     def use(self, hold_ps: int, txn=None) -> "Event":
         """Acquire, hold for *hold_ps*, release.
 
-        Returns an event firing when the hold completes.  This is the
-        one-line occupancy idiom used throughout the memory system::
+        Returns an event firing when the hold completes, for a process
+        to wait on::
 
-            yield magic.dram.use(params.dram_ps)
+            yield res.use(hold_ps)
 
-        Occupancy is by far the most frequent operation in a simulation,
-        so a use is one record -- the returned event carries the hold --
-        and at most one deferred callback: a grant now defers
-        :meth:`_arm`, which puts the end of the hold on the calendar; a
-        grant at the end of an earlier hold arms it in place.
+        The model's own occupancy is a walk's resource stage
+        (:class:`Steps`), which schedules exactly what this does: one
+        record -- the returned event carries the hold -- and at most one
+        deferred callback: a grant now defers :meth:`_arm`, which puts
+        the end of the hold on the calendar; a grant at the end of an
+        earlier hold arms it in place.
 
         *txn* is an optional :class:`repro.obs.txn.TxnRecord`: at grant
         time the queueing delay is reported via ``txn.add_wait`` so the
@@ -145,9 +154,11 @@ class Resource:
         The deferred queue is empty here, so the arm ``release`` would
         defer for a granted use is the deferral that would run next: it
         runs in place, drawing the same ``seq``, and *use* fires behind
-        it (a walk then resumes in place, see :meth:`Steps._held`).
-        :meth:`release` shares this body with *use* None, and defers
-        the arm instead."""
+        it.  A walk's use resumes the walk instead, where the child
+        process's resume after the use ran: in place if nothing was
+        deferred (only an ``acquire`` event granted defers, its
+        waiters), else behind what was.  :meth:`release` shares this
+        body with *use* None, and defers the arm instead."""
         env = self.env
         now = env.now
         self.in_use -= 1
@@ -173,7 +184,13 @@ class Resource:
             else:
                 event.succeed(self)
         if use is not None:
-            use._held()
+            wake = use._wake
+            if wake is None:
+                use._held()
+            elif env._queue:
+                env._defer((wake, None))
+            else:
+                wake(None)
 
     def snapshot(self) -> dict:
         """Occupancy, queue shape (``(fired, enqueued_at)`` per queued
@@ -220,6 +237,8 @@ END = _Op("END")
 FINISH = (END, 0, None)
 #: What a ``CALL`` returns to be run again when the walk resumes.
 AGAIN = _Op("AGAIN")
+#: The deferred queue as a walk woken as an event's waiter sees it.
+_NEVER_EMPTY = (None,)
 
 
 class Steps(_Use):
@@ -277,8 +296,9 @@ class Steps(_Use):
         # What a stage would defer runs in place when it would run next
         # (the in-place rule, see ``Engine``): the queue is empty and the
         # walk is the tail of a top-level callback.  A walk woken as an
-        # event's waiter (*woke*) may have waiters still to run after it.
-        queue = None if woke is not None else env._queue
+        # event's waiter (*woke*) may have waiters still to run after it,
+        # so for it the queue is never empty.
+        queue = _NEVER_EMPTY if woke is not None else env._queue
         stages = self._plan
         at = self._at
         while True:
@@ -292,7 +312,7 @@ class Steps(_Use):
                 heappush(env._heap, (env.now + arg, seq, self._wake, None))
                 return
             if who is HOP:
-                if queue is not None and not queue:
+                if not queue:
                     if txn is not None and seg is not None:
                         txn.cut(seg, env.now)
                     continue
@@ -316,22 +336,29 @@ class Steps(_Use):
                 self._wake = None
                 self.succeed(env.now)
                 return
+            # A resource: ``Resource._request`` for this use, inline.
             self._at = at
             if txn is not None:
                 self._seg = seg
-            if queue is not None and not queue and who.in_use < who.capacity:
-                # ``Resource._request``'s free grant and ``_arm``, in place.
-                who.requests += 1
+            who.requests += 1
+            if who.in_use < who.capacity:
                 who.in_use += 1
                 if who._busy_since is None:
                     who._busy_since = env.now
-                if txn is not None:
-                    txn.add_wait(who.name, 0)
-                env._seq = seq = env._seq + 1
-                heappush(env._heap, (env.now + arg, seq, who._finish_cb, self))
+                if not queue:
+                    # The deferred ``_arm`` would run next: arm in place.
+                    if txn is not None:
+                        txn.add_wait(who.name, 0)
+                    env._seq = seq = env._seq + 1
+                    heappush(env._heap,
+                             (env.now + arg, seq, who._finish_cb, self))
+                    return
+                self.waited_ps = 0
+                self.hold_ps = arg
+                env._defer((who._arm_cb, self))
                 return
             self.hold_ps = arg
-            who._request(self)
+            who._queue.append((self, env.now))
             return
 
     def wait(self, event: Event) -> bool:
@@ -339,13 +366,3 @@ class Steps(_Use):
         process waiting on it would); returns True, for the ``CALL``."""
         event.add_waiter(self._wake)
         return True
-
-    def _held(self) -> None:
-        # Where the child process's resume after the use ran: next, if
-        # the hold's end deferred nothing (it arms a granted use in
-        # place; only an ``acquire`` event it grants defers its waiters),
-        # so the walk goes on in place.
-        if self.env._queue:
-            self.env._defer((self._wake, None))
-        else:
-            self._walk(None)

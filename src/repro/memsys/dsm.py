@@ -68,7 +68,20 @@ class Transaction(Steps):
 
     def __init__(self, env: Engine, stages: tuple, node: int, home: int,
                  paddr: int, kind: str, line: int, txn=None):
-        Steps.__init__(self, env, stages, txn)
+        # ``Steps.__init__`` and ``Event.__init__``, inline: a walk is
+        # built per transaction.
+        self.env = env
+        self.value = None
+        self._fired = False
+        self._failed = None
+        self._waiters = []
+        self.txn = txn
+        self._plan = stages
+        self._at = 0
+        self._seg = None
+        self.note = None
+        self._wake = wake = self._walk
+        env._defer((wake, None))
         self.node = node
         self.home = home
         self.paddr = paddr
@@ -110,6 +123,9 @@ class DsmMemorySystem:
             for node in range(n_nodes)
         ]
         self._hooks: Dict[int, object] = {}
+        #: Whether plans carry the probe's stages (:meth:`watch`); the
+        #: network and MAGIC start from the same probe.
+        self.observed = obs_hooks.active is not None
         self.reconfigure(params)
 
     def reconfigure(self, params: DsmParams) -> None:
@@ -121,8 +137,39 @@ class DsmMemorySystem:
         self.net.reconfigure(params.net)
         for magic in self.magic:
             magic.reconfigure(params.pp_occ_fraction)
-        self._plans: Dict[tuple, tuple] = {}
         self._stages: Dict[tuple, tuple] = {}
+        # One table per phase, indexed by what its plan depends on and
+        # filled on first use (:meth:`_phase`); see :meth:`_build`.
+        n = self.n_nodes
+        row = lambda: [None] * n
+        grid = lambda: [row() for _ in range(n)]
+        demand = grid()
+        self._head = {MemKind.READ: demand, MemKind.WRITE: demand,
+                      MemKind.UPGRADE: demand, MemKind.WRITEBACK: grid()}
+        self._clean = {case: (row(), row())
+                       for case in (LOCAL_CLEAN, REMOTE_CLEAN)}
+        self._dirty = {case: row() for case in (
+            LOCAL_DIRTY_REMOTE, REMOTE_DIRTY_HOME, REMOTE_DIRTY_REMOTE)}
+        self._upgrade = row()
+        self._race = row()
+        self._intervene = grid()
+        self._data = grid()
+        self._reply_via = (row(), row())
+        self._inval = grid()
+        self._shwb = grid()
+
+    def watch(self, observed: bool) -> None:
+        """Build plans with the probe's stages from now on if *observed*
+        (MAGIC's handler span, the fabric's ``net_msg``), without them
+        if not; tables built the other way are dropped.  Stages that
+        only report to the probe schedule nothing, so the calendar is
+        the same either way.  For a quiescent machine: ``Machine``
+        calls it where it binds the probe."""
+        if observed != self.observed:
+            self.observed = self.net.observed = observed
+            for magic in self.magic:
+                magic.observed = observed
+            self.reconfigure(self.params)
 
     # -- wiring ----------------------------------------------------------
 
@@ -145,8 +192,10 @@ class DsmMemorySystem:
         (victim writebacks, direct test calls).
         """
         home = home_node(paddr)
-        return Transaction(self.env, self._plan(
-                               ("head", kind == MemKind.WRITEBACK, node, home)),
+        heads = self._head[kind][node]
+        return Transaction(self.env, heads[home] or self._phase(
+                               heads, home, "head",
+                               kind == MemKind.WRITEBACK, node, home),
                            node, home, paddr, kind, paddr >> self.line_shift,
                            txn)
 
@@ -164,14 +213,13 @@ class DsmMemorySystem:
     # excluded, and only the non-overlapped remainder surfaces, as
     # ``inval_wait``.
 
-    def _plan(self, key: tuple) -> tuple:
-        """The stage table named *key*, built on first use; equal stages
-        of different tables are one object (the tables are many)."""
-        stages = self._plans.get(key)
-        if stages is None:
-            shared = self._stages
-            stages = self._plans[key] = tuple(
-                shared.setdefault(stage, stage) for stage in self._build(*key))
+    def _phase(self, table: list, at, what: str, *args) -> tuple:
+        """Build phase *what* of *args* into ``table[at]``, the slot a
+        read found empty, and return it; equal stages of different
+        tables are one object (the tables are many)."""
+        shared = self._stages
+        table[at] = stages = tuple(shared.setdefault(stage, stage)
+                                   for stage in self._build(what, *args))
         return stages
 
     def _build(self, what: str, *args) -> tuple:
@@ -181,6 +229,10 @@ class DsmMemorySystem:
         follows a decision (the data's trip to the requester, the reply)
         is a phase of its own, reached by ``goto``, so the tables grow
         with the pairs of nodes that talk, not with their triples.
+        Every site reads its phase's table (``self._<phase>``, indexed
+        by these arguments) and builds here only on a miss.  The
+        probe's stages are in the plan only when it is observed
+        (:meth:`watch`, ``pp_stages``, ``send_stages``).
         """
         p = self.params
         pp = lambda node, hold, label, seg=None: (
@@ -236,11 +288,11 @@ class DsmMemorySystem:
             return stages + ((None, p.owner_cache_ps, "owner_cache"),) + call(
                 self._intervened)
         if what == "data":
-            # The data from *src* to the requester, then its fill.
+            # The data from *src* to the requester, then its fill (data
+            # already at the requester has no phase: ``_send_data``).
             src, node = args
-            stages = (send(src, node, DATA_FLITS, "net_reply")
-                      if src != node else ())
-            return stages + call(self._filled)
+            return send(src, node, DATA_FLITS, "net_reply") + call(
+                self._filled)
         if what == "upgrade":
             home, = args
             return (pp(home, p.pp_mem_ps, "upgrade", "pp_upgrade")
@@ -328,7 +380,9 @@ class DsmMemorySystem:
         if t.kind == MemKind.UPGRADE:
             if entry.state == SHARED and node in entry.sharers:
                 t.case = LOCAL_CLEAN if home == node else REMOTE_CLEAN
-                t.goto(self._plan(("upgrade", home)))
+                table = self._upgrade
+                t.goto(table[home]
+                       or self._phase(table, home, "upgrade", home))
                 return
             # Raced: our copy was invalidated while the upgrade was in
             # flight; escalate to a full read-exclusive.
@@ -338,16 +392,21 @@ class DsmMemorySystem:
             # Directory DIRTY at another node: intervene at the owner.
             t.owner = owner = entry.owner
             if home == node:
-                t.case = LOCAL_DIRTY_REMOTE
+                t.case = case = LOCAL_DIRTY_REMOTE
             elif owner == home:
-                t.case = REMOTE_DIRTY_HOME
+                t.case = case = REMOTE_DIRTY_HOME
             else:
-                t.case = REMOTE_DIRTY_REMOTE
-            t.goto(self._plan(("dirty", t.case, home)))
+                t.case = case = REMOTE_DIRTY_REMOTE
+            table = self._dirty[case]
+            t.goto(table[home]
+                   or self._phase(table, home, "dirty", case, home))
         else:
             # UNOWNED/SHARED (or the requester already owns it).
-            t.case = LOCAL_CLEAN if home == node else REMOTE_CLEAN
-            t.goto(self._plan(("clean", t.write, t.case, home)))
+            t.case = case = LOCAL_CLEAN if home == node else REMOTE_CLEAN
+            write = t.write
+            table = self._clean[case][write]
+            t.goto(table[home]
+                   or self._phase(table, home, "clean", write, case, home))
 
     def _fan_out(self, t: Transaction) -> None:
         """A write to a SHARED line: invalidate the other sharers."""
@@ -361,8 +420,10 @@ class DsmMemorySystem:
             if t.txn is not None:
                 t.txn.inval_fanout = len(others)
             home, line = t.home, t.line
+            table = self._inval[home]
             t.acks = self.env.all_of([
-                Transaction(self.env, self._plan(("inval", home, sharer)),
+                Transaction(self.env, table[sharer] or self._phase(
+                                table, sharer, "inval", home, sharer),
                             sharer, home, line << self.line_shift,
                             MemKind.WRITE, line)
                 for sharer in others])
@@ -387,14 +448,29 @@ class DsmMemorySystem:
                 directory.clear(t.line)
             directory.add_sharer(t.line, t.node)
             t.fill = CACHE_SHARED
-        t.goto(self._plan(("data", t.home, t.node)))
+        self._send_data(t, t.home)
+
+    def _send_data(self, t: Transaction, src: int) -> None:
+        """The data's trip from *src* to the requester, then its fill:
+        with no trip (the requester is *src*) the fill runs here, as
+        the one ``CALL`` of that phase would."""
+        node = t.node
+        if src == node:
+            self._filled(t)
+            return
+        table = self._data[src]
+        t.goto(table[node] or self._phase(table, node, "data", src, node))
 
     def _peek_owner(self, t: Transaction) -> None:
-        if self._hooks[t.owner].l2_peek(t.line) != MODIFIED:
+        home, owner = t.home, t.owner
+        if self._hooks[owner].l2_peek(t.line) != MODIFIED:
             self._counters["race_to_memory"] += 1.0
-            t.goto(self._plan(("race", t.home)))
+            table = self._race
+            t.goto(table[home] or self._phase(table, home, "race", home))
         else:
-            t.goto(self._plan(("intervene", t.home, t.owner)))
+            table = self._intervene[home]
+            t.goto(table[owner]
+                   or self._phase(table, owner, "intervene", home, owner))
 
     def _race_done(self, t: Transaction) -> None:
         directory = self.magic[t.home].directory
@@ -405,7 +481,7 @@ class DsmMemorySystem:
             directory.clear(t.line)
             directory.add_sharer(t.line, t.node)
             t.fill = CACHE_SHARED
-        t.goto(self._plan(("data", t.home, t.node)))
+        self._send_data(t, t.home)
 
     def _intervened(self, t: Transaction) -> None:
         directory = self.magic[t.home].directory
@@ -420,9 +496,12 @@ class DsmMemorySystem:
             directory.add_sharer(t.line, t.owner)
             directory.add_sharer(t.line, t.node)
             t.fill = CACHE_SHARED
-            Transaction(self.env, self._plan(("shwb", t.owner, t.home)),
-                        t.owner, t.home, t.paddr, MemKind.WRITEBACK, t.line)
-        t.goto(self._plan(("data", t.owner, t.node)))
+            owner, home = t.owner, t.home
+            table = self._shwb[owner]
+            Transaction(self.env, table[home] or self._phase(
+                            table, home, "shwb", owner, home),
+                        owner, home, t.paddr, MemKind.WRITEBACK, t.line)
+        self._send_data(t, t.owner)
 
     def _upgraded(self, t: Transaction) -> None:
         self.magic[t.home].directory.set_dirty(t.line, t.node)
@@ -436,7 +515,10 @@ class DsmMemorySystem:
 
     def _reply(self, t: Transaction) -> None:
         self._release(t)
-        t.goto(self._plan(("reply", t.node, t.case != LOCAL_CLEAN)))
+        node, through_magic = t.node, t.case != LOCAL_CLEAN
+        table = self._reply_via[through_magic]
+        t.goto(table[node] or self._phase(
+            table, node, "reply", node, through_magic))
 
     def _close(self, t: Transaction) -> None:
         now = self.env.now

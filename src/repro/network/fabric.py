@@ -51,6 +51,9 @@ class Network:
                 self._links[link] = Resource(
                     env, f"link{link[0]}->{link[1]}"
                 )
+        #: Whether message stages carry the probe's ``net_msg`` (see
+        #: :meth:`send_stages`); the memory system sets it with its own.
+        self.observed = obs_hooks.active is not None
         self.reconfigure(params)
 
     def reconfigure(self, params: NetworkParams) -> None:
@@ -70,32 +73,38 @@ class Network:
         The stages schedule what a process yielding a delivery event
         did: the message counters at send time, one deferred start, the
         hops, one deferred firing -- where the probe's ``net_msg`` runs,
-        right before whoever waits on delivery.  The transaction's record
-        rides to each router port on the route, so per-hop queueing is
-        captured as wait (wire/occupancy time stays service); see
-        :mod:`repro.obs.txn`.
+        right before whoever waits on delivery.  That is a ``CALL`` stage
+        behind the message, and only :attr:`observed` stages have it
+        (and a ``sent`` that reads the probe): it schedules nothing, so
+        a plan without it walks the same calendar.  The transaction's
+        record rides to each router port on the route, so per-hop
+        queueing is captured as wait (wire/occupancy time stays
+        service); see :mod:`repro.obs.txn`.
         """
         message = self._messages.get((src, dst, flits))
         if message is None:
             message = self._messages[(src, dst, flits)] = self._message(
                 src, dst, flits)
         sent, route, delivered = message
-        return (sent, _DEFER) + route + ((HOP, 0, seg), delivered)
+        return (sent, _DEFER) + route + ((HOP, 0, seg),) + delivered
 
     def _message(self, src: int, dst: int, flits: int) -> tuple:
         """``(sent, route, delivered)``: the stages :meth:`send_stages`
-        puts around its deferrals, built once per distinct message."""
+        puts around its deferrals, built once per distinct message;
+        *delivered* is empty unless :attr:`observed`."""
         hops = self.cube.route(src, dst) if src != dst else ()
         counters = self.stats._counters
+        observed = self.observed
 
         def sent(walk):
             counters["messages"] += 1.0
             counters["flits"] += flits
             if hops:
                 counters["hops"] += len(hops)
-                probe = obs_hooks.active
-                if probe is not None:
-                    walk.note = (probe, walk.env.now)
+                if observed:
+                    probe = obs_hooks.active
+                    if probe is not None:
+                        walk.note = (probe, walk.env.now)
 
         def delivered(walk):
             note = walk.note
@@ -111,7 +120,8 @@ class Network:
         for link in hops:
             port = self._links[link] if self.model_contention else None
             route += ((port, occupancy, None), wire)
-        return (CALL, sent, None), route, (CALL, delivered, None)
+        return ((CALL, sent, None), route,
+                ((CALL, delivered, None),) if observed else ())
 
     def send(self, src: int, dst: int, flits: int = 1, txn=None):
         """One message (:meth:`send_stages`) as an event of its own,

@@ -40,6 +40,9 @@ class MagicController:
         self.dram = Resource(env, f"magic{node}.dram", capacity=1,
                              stats=CounterSet(f"magic{node}.dram"))
         self.directory = Directory(node)
+        #: Whether handler stages carry the probe's span (see
+        #: :meth:`pp_stages`); the memory system sets it with its own.
+        self.observed = obs_hooks.active is not None
         self.reconfigure(pp_occ_fraction)
 
     def reconfigure(self, pp_occ_fraction: float) -> None:
@@ -60,7 +63,10 @@ class MagicController:
         modelled -- one deferred start, the pp use, the pipelined rest
         as a delay, one deferred firing; a handler with no rest is the
         pp use alone, and one without occupancy (NUMA) a plain delay.
-        Built once per distinct handler and shared.
+        The span is a ``CALL`` stage in front of the handler, and only
+        :attr:`observed` stages have it: it schedules nothing, so a
+        plan without it walks the same calendar.  Built once per
+        distinct handler and shared (until :meth:`reconfigure`).
         """
         key = (hold_ps, label, seg)
         stages = self._pp_plans.get(key)
@@ -87,7 +93,9 @@ class MagicController:
             else:
                 core = ((HOP, 0, None), (self.pp, occ, None),
                         (None, rest, None), (HOP, 0, seg))
-            stages = self._pp_plans[key] = ((CALL, span, None),) + core
+            if self.observed:
+                core = ((CALL, span, None),) + core
+            stages = self._pp_plans[key] = core
         return stages
 
     # The model never calls the two below (a transaction's plan embeds

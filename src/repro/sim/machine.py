@@ -121,6 +121,8 @@ class Machine:
         self._probe = probe = obs_hooks.active
         if probe is not None:
             probe.bind(self)
+        # A quiescent point: the plans follow the probe from here on.
+        self.memsys.watch(probe is not None)
         processes = [
             self.env.process(
                 core.run_trace(trace, self.sync, core.trace_pos, gate),

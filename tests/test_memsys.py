@@ -1,8 +1,10 @@
 """Protocol-engine tests: the five Table 3 cases, coherence, contention."""
 
+import contextlib
 import importlib.util
 import json
 import random
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +33,7 @@ from repro.memsys import (
 from repro.mem.address import home_node, node_base
 from repro.memsys.params import PARAM_SETS
 from repro.obs import hooks as obs_hooks
+from repro.obs.trace import TraceRecorder
 from repro.obs.txn import TxnRecorder
 from repro.proto.directory import DIRTY, SHARED, UNOWNED
 from tests.dsm_reference import ReferenceDsm
@@ -140,13 +143,20 @@ class TestProtocolCaseLatencies:
 
     @staticmethod
     def check_case(params, case):
-        env, mem, _hooks = build(params=PARAM_SETS[params]())
-        home, offset, owner = CASE_SETUPS[case]
-        paddr = node_base(home) + offset
-        if owner is not None:
-            run_request(env, mem, owner, paddr, MemKind.WRITE)
-        latency = run_request(env, mem, 0, paddr, MemKind.READ)
-        assert latency == predict_case_ps(mem.params, case)
+        """Both plan variants -- built with no probe installed, and
+        under one (MAGIC's span and the fabric's ``net_msg`` stages
+        in) -- time the case as the closed form does."""
+        for observe in (False, True):
+            with (obs_hooks.observing(TraceRecorder()) if observe
+                  else contextlib.nullcontext()):
+                env, mem, _hooks = build(params=PARAM_SETS[params]())
+                assert mem.observed == observe
+                home, offset, owner = CASE_SETUPS[case]
+                paddr = node_base(home) + offset
+                if owner is not None:
+                    run_request(env, mem, owner, paddr, MemKind.WRITE)
+                latency = run_request(env, mem, 0, paddr, MemKind.READ)
+            assert latency == predict_case_ps(mem.params, case), observe
 
     def test_local_clean(self):
         self.check_case("hardware", LOCAL_CLEAN)
@@ -350,7 +360,18 @@ def _drive(dsm_class, params, program, observe):
     """Run *program* -- ``(node, line_no, store, gap_ps)`` accesses, each
     issued *gap_ps* after the one before without waiting for it -- on a
     fresh 4-node memory system; everything either implementation could
-    order differently comes back."""
+    order differently comes back.  Under *observe* the memory system is
+    built and run under the probe (its plans follow the probe present
+    when they are built)."""
+    probe = _refresh._ProbeDigest()
+    with (obs_hooks.observing(TxnRecorder(), probe) if observe
+          else contextlib.nullcontext()):
+        mem, out = _drive_built(dsm_class, params, program)
+    out["probe"] = (probe.events, probe.hexdigest())
+    return mem, out
+
+
+def _drive_built(dsm_class, params, program):
     n_nodes = 4
     env = Engine()
     env.tracer = when = _refresh._WhenDigest()
@@ -392,18 +413,12 @@ def _drive(dsm_class, params, program, observe):
                     lambda ev, index=index, key=key: finished(ev, index, key))
 
     env.process(issue_all())
-    probe = _refresh._ProbeDigest()
-    if observe:
-        with obs_hooks.observing(TxnRecorder(), probe):
-            env.run()
-    else:
-        env.run()
+    env.run()
     assert disagreements(mem, {n: hook.l2 for n, hook in enumerate(nodes)}) \
         == []
     return mem, {
         "log": log, "now": env.now, "events": env.events_processed,
         "when": when.hexdigest(), "state": json.dumps(mem.snapshot()),
-        "probe": (probe.events, probe.hexdigest()),
     }
 
 
@@ -460,3 +475,46 @@ class TestPlansMatchCoroutines:
         _, expected = _drive(ReferenceDsm, params, program, observe)
         _, got = _drive(DsmMemorySystem, params, program, observe)
         assert got == expected
+
+
+class TestUnobservedRunWalksOnlyItsWaits:
+    def test_no_probe_stage_and_no_per_phase_call(self):
+        """While a tiny fft at P=4 on ``hardware`` runs with no probe
+        (remote misses, interventions, invalidations through MAGIC and
+        the network), no probe-only stage is walked -- MAGIC's handler
+        span, the fabric's ``delivered`` -- and no phase change calls a
+        method for its plan: each phase's table is read, and a plan is
+        built (``_phase``) at most once, the first time it is read."""
+        from repro.common.config import TINY_SCALE
+        from repro.sim import hardware_config
+        from repro.sim.machine import Machine
+        from repro.workloads.registry import make_app
+
+        machine = Machine(hardware_config(), 4, TINY_SCALE)
+        machine.begin(make_app("fft", TINY_SCALE))
+        forbidden = {"MagicController.pp_stages.<locals>.span",
+                     "Network._message.<locals>.delivered",
+                     "DsmMemorySystem._plan"}
+        entered = set()
+        built = []
+
+        def profile(frame, event, _arg):
+            if event == "call":
+                name = frame.f_code.co_qualname
+                if name in forbidden:
+                    entered.add(name)
+                elif name == "DsmMemorySystem._phase":
+                    built.append((frame.f_locals["what"],
+                                  frame.f_locals["args"]))
+
+        sys.setprofile(profile)
+        try:
+            machine.advance()
+        finally:
+            sys.setprofile(None)
+        stats = machine.finish().stats
+        assert entered == set()
+        assert built and len(set(built)) == len(built)
+        assert stats["memsys.invalidations_sent"] > 0
+        assert sum(stats.get(f"memsys.case_{case}", 0) for case in (
+            LOCAL_DIRTY_REMOTE, REMOTE_DIRTY_HOME, REMOTE_DIRTY_REMOTE)) > 0

@@ -347,6 +347,55 @@ class TestBreakdownIntegration:
         assert sum(overall.fractions().values()) == pytest.approx(1.0)
 
 
+class TestProbeStagesFollowTheProbe:
+    """A plan carries MAGIC's span and the fabric's ``net_msg`` stages
+    only when the probe is installed where the machine starts (or
+    resumes): both schedule nothing, so the observed and the unobserved
+    runs walk the same calendar and give the same result."""
+
+    @staticmethod
+    def _fft_p4():
+        scale = get_scale("tiny")
+        return (Machine(get_config("hardware"), 4, scale),
+                make_app("fft", scale))
+
+    def test_observed_and_unobserved_walk_the_same_calendar(self):
+        plain_machine, workload = self._fft_p4()
+        plain = plain_machine.run(workload)
+        assert not plain_machine.memsys.observed
+        tracer = TraceRecorder(capacity=1 << 20)
+        machine, workload = self._fft_p4()
+        with obs_hooks.observing(tracer):
+            observed = machine.run(workload)
+        assert machine.memsys.observed
+        assert observed == plain
+        assert ((machine.env.events_processed, machine.env._seq)
+                == (plain_machine.env.events_processed,
+                    plain_machine.env._seq))
+        names = {(span.category, span.name) for span in tracer.spans()}
+        assert ("dsm", "pp.home") in names
+        assert ("net", "msg") in names
+
+    def test_a_resume_under_the_probe_records_the_rest(self):
+        from repro.obs.bisect import Gate
+
+        machine, workload = self._fft_p4()
+        gate = Gate(1_000_000_000)
+        machine.begin(workload, gate=gate)
+        assert not machine.advance_until_blocked()
+        assert not machine.memsys.observed
+        resumed_at = machine.env.now
+        tracer = TraceRecorder(capacity=1 << 20)
+        with obs_hooks.observing(tracer):
+            machine.resume()
+            machine.advance()
+            machine.finish()
+        pp = [span for span in tracer.spans()
+              if span.name.startswith("pp.")]
+        assert pp and all(span.t_ps >= resumed_at for span in pp)
+        assert any(span.category == "net" for span in tracer.spans())
+
+
 class TestMachineSingleUse:
     def test_second_run_raises(self):
         scale = get_scale("tiny")

@@ -47,8 +47,10 @@ echo "=== tier-1 gate passed ==="
 # tooling (the probe slot needs two), the configuration fields a run
 # is spelled in (one decision, one field), the trace item kinds and
 # core classes the model runs (each one some workload or configuration
-# uses), and the counter bumps the model pays a call for (it bumps its
-# counter dicts in place) -- so a change can quote them.
+# uses), the counter bumps the model pays a call for (it bumps its
+# counter dicts in place), and the modules every run imports before its
+# first event (tooling no run uses stays out of `import repro`) -- so a
+# change can quote them.
 lines() { find "$@" -name '*.py' -exec cat {} + | wc -l; }
 echo "=== size budget (wc -l and a slot count, report-only) ==="
 printf '%-54s %6d\n' \
@@ -100,6 +102,12 @@ import typing
 from repro.cpu import _CORE_CLASSES
 from repro.isa.trace import TraceItem
 print(f"{len(typing.get_args(TraceItem))}/{len(_CORE_CLASSES)}")')"
+printf '%-54s %6s\n' "modules \`import repro\` loads (\`repro.*\` / all)" \
+    "$(PYTHONPATH=src python -c '
+import sys
+import repro
+names = [name for name in sys.modules if name.split(".")[0] == "repro"]
+print(f"{len(names)}/{len(sys.modules)}")')"
 # The probe-only stages (MAGIC's span, the fabric's delivery report) are
 # in a run's plans only when a probe is installed: distinct CALL stages
 # the memory system built, without a probe / under one.

@@ -1,6 +1,9 @@
-"""Experiment harness: one registered experiment per paper table/figure."""
+"""Experiment harness: one registered experiment per paper table/figure.
 
-from repro.harness.cli import main
+The command line is :mod:`repro.harness.cli` (``python -m repro.harness``);
+importing the package does not load it.
+"""
+
 from repro.harness.experiments import experiment_ids, run_experiment
 from repro.harness.farm import Farm, ResultCache, default_cache_dir
 from repro.harness.findings import ExperimentResult, Finding
@@ -20,7 +23,6 @@ __all__ = [
     "ExperimentResult",
     "Finding",
     "DEFAULT_ORDER",
-    "main",
     "run_all",
     "summarize",
     "write_experiments_md",

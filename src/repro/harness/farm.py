@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -113,6 +111,10 @@ def _execute_request(request: RunRequest) -> Tuple[RunResult, float]:
 def _fan_out(requests: List[RunRequest],
              jobs: int) -> List[Tuple[RunResult, float]]:
     """Run *requests* over *jobs* worker processes, results in order."""
+    # Imported here: only a batch with jobs > 1 needs a process pool.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     outcomes, lost = [], []
     with ProcessPoolExecutor(jobs) as pool:
         futures = [pool.submit(_execute_request, r) for r in requests]

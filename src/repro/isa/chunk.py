@@ -143,20 +143,18 @@ class Chunk:
         """
         chase = np.zeros(self.n_mem, dtype=bool)
         load_code = int(Op.LOAD)
+        ops, dst, src1 = self.ops.tolist(), self.dst.tolist(), self.src1.tolist()
         # last_writer[r] = op class of the most recent instruction writing r
         # (wraparound: prime with one full pass first).
-        last_writer = np.full(N_REGS, -1, dtype=np.int64)
+        last_writer = [-1] * N_REGS
         for _pass in range(2):
             mem_slot = 0
-            for i in range(self.n_instr):
-                op = int(self.ops[i])
+            for op, d, addr_reg in zip(ops, dst, src1):
                 if op in _MEM_CODES:
-                    addr_reg = int(self.src1[i])
                     if _pass == 1 and addr_reg != NO_REG:
                         if last_writer[addr_reg] == load_code:
                             chase[mem_slot] = True
                     mem_slot += 1
-                d = int(self.dst[i])
                 if d != NO_REG:
                     last_writer[d] = op
         return chase
@@ -165,8 +163,8 @@ class Chunk:
         """Static store->load pairs within the interlock window."""
         pairs = 0
         store_code, load_code = int(Op.STORE), int(Op.LOAD)
-        positions = self.mem_index
-        kinds = self.mem_kind
+        positions = self.mem_index.tolist()
+        kinds = self.mem_kind.tolist()
         for a in range(len(positions)):
             if kinds[a] != store_code:
                 continue

@@ -440,13 +440,14 @@ class DsmMemorySystem:
 
     def _clean_done(self, t: Transaction) -> None:
         directory = self.magic[t.home].directory
+        entry, line = t.entry, t.line
         if t.write:
-            directory.set_dirty(t.line, t.node)
+            directory.set_dirty(entry, line, t.node)
             t.fill = MODIFIED
         else:
-            if t.entry.state == DIRTY:  # requester re-reads its dirty line
-                directory.clear(t.line)
-            directory.add_sharer(t.line, t.node)
+            if entry.state == DIRTY:  # requester re-reads its dirty line
+                directory.clear(entry, line)
+            directory.add_sharer(entry, line, t.node)
             t.fill = CACHE_SHARED
         self._send_data(t, t.home)
 
@@ -474,27 +475,29 @@ class DsmMemorySystem:
 
     def _race_done(self, t: Transaction) -> None:
         directory = self.magic[t.home].directory
+        entry, line = t.entry, t.line
         if t.write:
-            directory.set_dirty(t.line, t.node)
+            directory.set_dirty(entry, line, t.node)
             t.fill = MODIFIED
         else:
-            directory.clear(t.line)
-            directory.add_sharer(t.line, t.node)
+            directory.clear(entry, line)
+            directory.add_sharer(entry, line, t.node)
             t.fill = CACHE_SHARED
         self._send_data(t, t.home)
 
     def _intervened(self, t: Transaction) -> None:
         directory = self.magic[t.home].directory
+        entry, line = t.entry, t.line
         hook = self._hooks[t.owner]
         if t.write:
-            hook.l2_invalidate(t.line)
-            directory.set_dirty(t.line, t.node)
+            hook.l2_invalidate(line)
+            directory.set_dirty(entry, line, t.node)
             t.fill = MODIFIED
         else:
-            hook.l2_downgrade(t.line)
-            directory.clear(t.line)
-            directory.add_sharer(t.line, t.owner)
-            directory.add_sharer(t.line, t.node)
+            hook.l2_downgrade(line)
+            directory.clear(entry, line)
+            directory.add_sharer(entry, line, t.owner)
+            directory.add_sharer(entry, line, t.node)
             t.fill = CACHE_SHARED
             owner, home = t.owner, t.home
             table = self._shwb[owner]
@@ -504,7 +507,7 @@ class DsmMemorySystem:
         self._send_data(t, t.owner)
 
     def _upgraded(self, t: Transaction) -> None:
-        self.magic[t.home].directory.set_dirty(t.line, t.node)
+        self.magic[t.home].directory.set_dirty(t.entry, t.line, t.node)
         self._fill(t.node, t.line, MODIFIED)
         self._counters["upgrades_clean"] += 1.0
         self._reply(t)
@@ -544,9 +547,9 @@ class DsmMemorySystem:
         directory = self.magic[t.home].directory
         if self._hooks[t.node].l2_peek(t.line) is None:
             if entry.state == DIRTY and entry.owner == t.node:
-                directory.clear(t.line)
+                directory.clear(entry, t.line)
             elif entry.state == SHARED:
-                directory.drop_sharer(t.line, t.node)
+                directory.drop_sharer(entry, t.line, t.node)
         self._release(t)
         txn = t.txn
         if txn is not None:

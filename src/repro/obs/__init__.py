@@ -40,62 +40,8 @@ the reproduction the same visibility into itself:
   timelines part, from one state forked at a quiescent gate;
 * :mod:`repro.obs.cli` -- ``python -m repro.obs
   trace|diff|hotspot|txn|bisect|perf|watch``.
+
+The package itself imports nothing: import each name from its submodule
+(``from repro.obs.trace import TraceRecorder``).  The model imports only
+:mod:`repro.obs.hooks`, so a run loads none of the tooling above.
 """
-
-from repro.obs.trace import Span, TraceRecorder
-from repro.obs.hooks import Probe, Recorder, observing
-from repro.obs.topo import TopoRecorder
-from repro.obs.hotspot import HotRegion, HotspotReport, build_report
-from repro.obs.profile import CpuBreakdown, RunBreakdown, build_breakdown
-from repro.obs.export import chrome_trace, flame_summary, write_chrome_trace
-from repro.obs.diff import AttributionDiff, CategoryDelta, diff_breakdowns, diff_runs
-from repro.obs.metrics import (
-    BenchRecord,
-    Flag,
-    GateReport,
-    LedgerRecord,
-    MetricsWriter,
-    append_records,
-    by_series,
-    detect_drift,
-    diff_bench,
-    make_case,
-    read_ledger,
-    run_record,
-    scan_ledger,
-)
-
-__all__ = [
-    "Span",
-    "TraceRecorder",
-    "TopoRecorder",
-    "HotRegion",
-    "HotspotReport",
-    "build_report",
-    "Probe",
-    "Recorder",
-    "observing",
-    "CpuBreakdown",
-    "RunBreakdown",
-    "build_breakdown",
-    "chrome_trace",
-    "flame_summary",
-    "write_chrome_trace",
-    "AttributionDiff",
-    "CategoryDelta",
-    "diff_breakdowns",
-    "diff_runs",
-    "Flag",
-    "GateReport",
-    "LedgerRecord",
-    "MetricsWriter",
-    "append_records",
-    "by_series",
-    "detect_drift",
-    "read_ledger",
-    "scan_ledger",
-    "BenchRecord",
-    "diff_bench",
-    "make_case",
-    "run_record",
-]

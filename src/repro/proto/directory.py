@@ -60,10 +60,10 @@ class Directory:
     def peek(self, line: int) -> Optional[DirEntry]:
         return self._entries.get(line)
 
-    # -- transitions (called by the memory-system transaction code) -------
+    # -- transitions (called by the memory-system transaction code, which
+    # already holds the line's entry) -------------------------------------
 
-    def add_sharer(self, line: int, node: int) -> None:
-        ent = self.entry(line)
+    def add_sharer(self, ent: DirEntry, line: int, node: int) -> None:
         if ent.state == DIRTY:
             raise ProtocolError(f"line {line:#x}: add_sharer while DIRTY")
         ent.state = SHARED
@@ -75,28 +75,25 @@ class Directory:
             probe.dir_transition(self.node, line, "to_shared",
                                  len(ent.sharers))
 
-    def set_dirty(self, line: int, owner: int) -> None:
-        ent = self.entry(line)
+    def set_dirty(self, ent: DirEntry, line: int, owner: int) -> None:
         ent.state = DIRTY
         ent.owner = owner
-        ent.sharers = set()
+        ent.sharers.clear()
         self._counters["to_dirty"] += 1.0
         probe = obs_hooks.active
         if probe is not None:
             probe.dir_transition(self.node, line, "to_dirty")
 
-    def clear(self, line: int) -> None:
-        ent = self.entry(line)
+    def clear(self, ent: DirEntry, line: int) -> None:
         ent.state = UNOWNED
-        ent.sharers = set()
+        ent.sharers.clear()
         ent.owner = None
         self._counters["to_unowned"] += 1.0
         probe = obs_hooks.active
         if probe is not None:
             probe.dir_transition(self.node, line, "to_unowned")
 
-    def drop_sharer(self, line: int, node: int) -> None:
-        ent = self.entry(line)
+    def drop_sharer(self, ent: DirEntry, line: int, node: int) -> None:
         ent.sharers.discard(node)
         if not ent.sharers and ent.state == SHARED:
             ent.state = UNOWNED

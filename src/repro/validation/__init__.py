@@ -3,7 +3,9 @@
 Compare simulators against a gold standard (:mod:`comparison`), calibrate
 them with microbenchmarks (:mod:`tuning`), evaluate trend prediction
 (:mod:`trends`), probe memory-model sensitivity (:mod:`sensitivity`), and
-inject/demonstrate the classic performance bugs (:mod:`bugs`).
+inject/demonstrate the classic performance bugs (:mod:`bugs`).  The
+results dashboard is :mod:`repro.validation.dashboard`; importing the
+package does not load it.
 """
 
 from repro.validation.bugs import (
@@ -19,11 +21,6 @@ from repro.validation.comparison import (
     ComparisonRow,
     ComparisonTable,
     compare_simulators,
-)
-from repro.validation.dashboard import (
-    render_dashboard,
-    render_html,
-    render_markdown,
 )
 from repro.validation.metrics import (
     mean_abs_percent_error,
@@ -57,9 +54,6 @@ __all__ = [
     "ComparisonRow",
     "ComparisonTable",
     "compare_simulators",
-    "render_dashboard",
-    "render_html",
-    "render_markdown",
     "mean_abs_percent_error",
     "percent_error",
     "rank_order_preserved",

@@ -174,30 +174,21 @@ class FftWorkload(Workload):
         writes dst column down-stride).
         """
         blk = self.block
-        rows = self.rows
-        row_bytes = self.row_bytes
-        dst_rows = np.arange(band.start, band.stop, dtype=np.int64)
-        reps = []
-        for dst_block in range(band.start, band.stop, blk):
-            for src_block in range(0, rows, blk):
-                for c in range(blk):
-                    src_row = src_block + c
-                    # reads: src[src_row][dst_block : dst_block+blk]
-                    read = (src_base + src_row * row_bytes
-                            + (dst_block + np.arange(blk, dtype=np.int64))
-                            * COMPLEX_BYTES)
-                    # writes: dst[dst_block+i][src_row]
-                    write = (dst_base
-                             + (dst_block + np.arange(blk, dtype=np.int64))
-                             * row_bytes + src_row * COMPLEX_BYTES)
-                    row = np.empty(2 + 2 * blk, dtype=np.int64)
-                    row[0] = read[-1] + COMPLEX_BYTES
-                    row[1] = write[-1] + COMPLEX_BYTES  # next column's lines
-                    row[2::2] = read
-                    row[3::2] = write
-                    reps.append(row)
-        del dst_rows
-        return np.stack(reps)
+        # Axes: (dst block, src row, i); src rows run in order, so the
+        # block columns of one dst block row follow each other.
+        dst = (np.arange(band.start, band.stop, blk, dtype=np.int64)[:, None]
+               + np.arange(blk, dtype=np.int64)[None, :])[:, None, :]
+        src_row = np.arange(self.rows, dtype=np.int64)[None, :, None]
+        # reads: src[src_row][dst_block : dst_block+blk]
+        read = src_base + src_row * self.row_bytes + dst * COMPLEX_BYTES
+        # writes: dst[dst_block+i][src_row]
+        write = dst_base + dst * self.row_bytes + src_row * COMPLEX_BYTES
+        reps = np.empty(read.shape[:2] + (2 + 2 * blk,), dtype=np.int64)
+        reps[..., 0] = read[..., -1] + COMPLEX_BYTES
+        reps[..., 1] = write[..., -1] + COMPLEX_BYTES  # next column's lines
+        reps[..., 2::2] = read
+        reps[..., 3::2] = write
+        return reps.reshape(-1, 2 + 2 * blk)
 
     # -- trace construction --------------------------------------------------------
 

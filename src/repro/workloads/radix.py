@@ -186,15 +186,13 @@ class RadixWorkload(Workload):
 
     # -- address generation -------------------------------------------------
 
-    def _hist_addrs(self, cpu: int, n_cpus: int, pass_no: int) -> np.ndarray:
+    def _hist_addrs(self, cpu: int, n_cpus: int, pass_no: int,
+                    digit: np.ndarray) -> np.ndarray:
+        """*digit*: each key slot's digit in the pass's read order."""
         src = self.key_regions[pass_no % 2].base
         sl = self.split_even(self.n_keys, n_cpus, cpu)
         idx = np.arange(sl.start, sl.stop, dtype=np.int64)
         key_addr = src + idx * KEY_BYTES
-        digit = self.digits[pass_no]
-        if pass_no == 1:
-            # Pass 2 reads the pass-1 output in its sorted order.
-            digit = digit[np.argsort(self.positions[0], kind="stable")]
         rank_addr = self._rank_base(cpu) + digit[sl.start:sl.stop] * KEY_BYTES
         reps = len(idx) // KEYS_PER_REP
         rows = np.empty((reps, 1 + 3 * KEYS_PER_REP), dtype=np.int64)
@@ -206,18 +204,15 @@ class RadixWorkload(Workload):
         rows[:, 3::3] = ra
         return rows
 
-    def _permute_addrs(self, cpu: int, n_cpus: int, pass_no: int) -> np.ndarray:
+    def _permute_addrs(self, cpu: int, n_cpus: int, pass_no: int,
+                       pos: np.ndarray, digit: np.ndarray) -> np.ndarray:
+        """*pos*, *digit*: each key slot's destination and digit in the
+        pass's read order."""
         src = self.key_regions[pass_no % 2].base
         dst = self.key_regions[(pass_no + 1) % 2].base
         sl = self.split_even(self.n_keys, n_cpus, cpu)
         idx = np.arange(sl.start, sl.stop, dtype=np.int64)
         key_addr = src + idx * KEY_BYTES
-        pos = self.positions[pass_no]
-        if pass_no == 1:
-            pos = pos[np.argsort(self.positions[0], kind="stable")]
-        digit = self.digits[pass_no]
-        if pass_no == 1:
-            digit = digit[np.argsort(self.positions[0], kind="stable")]
         dst_addr = dst + pos[sl.start:sl.stop] * KEY_BYTES
         ptr_addr = self._ptr_base(cpu) + digit[sl.start:sl.stop] * 8
         rank_addr = self._rank_base(cpu) + digit[sl.start:sl.stop] * KEY_BYTES
@@ -285,10 +280,16 @@ class RadixWorkload(Workload):
         for trace in traces:
             trace.append(Barrier(b0))
             trace.append(PhaseMark(PhaseMark.PARALLEL, begin=True))
-        for pass_no in range(PASSES):
+        # Pass 2 reads the pass-1 output in its sorted order: the inverse
+        # of the pass-1 permutation, gathered once for every CPU's slice.
+        order = np.empty(self.n_keys, dtype=np.int64)
+        order[self.positions[0]] = np.arange(self.n_keys, dtype=np.int64)
+        read_order = ((self.positions[0], self.digits[0]),
+                      (self.positions[1][order], self.digits[1][order]))
+        for pass_no, (pos, digit) in enumerate(read_order):
             for cpu in range(n_cpus):
                 traces[cpu].append(ChunkExec(
-                    hist, self._hist_addrs(cpu, n_cpus, pass_no)))
+                    hist, self._hist_addrs(cpu, n_cpus, pass_no, digit)))
             b = next_bid()
             for cpu in range(n_cpus):
                 traces[cpu].append(Barrier(b))
@@ -298,7 +299,8 @@ class RadixWorkload(Workload):
             for cpu in range(n_cpus):
                 traces[cpu].append(Barrier(b))
                 traces[cpu].append(ChunkExec(
-                    permute, self._permute_addrs(cpu, n_cpus, pass_no)))
+                    permute,
+                    self._permute_addrs(cpu, n_cpus, pass_no, pos, digit)))
             b = next_bid()
             for cpu in range(n_cpus):
                 traces[cpu].append(Barrier(b))

@@ -232,12 +232,12 @@ class ReferenceDsm:
             yield seg(txn, "inval_wait", inval_done, all_wait=True)
 
         if kind == MemKind.WRITE:
-            home_magic.directory.set_dirty(line, node)
+            home_magic.directory.set_dirty(entry, line, node)
             fill_state = MODIFIED
         else:
             if entry.state == DIRTY:
-                home_magic.directory.clear(line)
-            home_magic.directory.add_sharer(line, node)
+                home_magic.directory.clear(entry, line)
+            home_magic.directory.add_sharer(entry, line, node)
             fill_state = CACHE_SHARED
         if home != node:
             yield seg(txn, "net_reply",
@@ -267,11 +267,11 @@ class ReferenceDsm:
             self.branches["race_to_memory"] += 1
             yield seg(txn, "dram", dram_access(home_magic, p.dram_ps, txn))
             if kind == MemKind.WRITE:
-                home_magic.directory.set_dirty(line, node)
+                home_magic.directory.set_dirty(entry, line, node)
                 fill_state = MODIFIED
             else:
-                home_magic.directory.clear(line)
-                home_magic.directory.add_sharer(line, node)
+                home_magic.directory.clear(entry, line)
+                home_magic.directory.add_sharer(entry, line, node)
                 fill_state = CACHE_SHARED
             if home != node:
                 yield seg(txn, "net_reply",
@@ -288,13 +288,13 @@ class ReferenceDsm:
         yield seg(txn, "owner_cache", env.timeout(p.owner_cache_ps))
         if kind == MemKind.WRITE:
             hook.l2_invalidate(line)
-            home_magic.directory.set_dirty(line, node)
+            home_magic.directory.set_dirty(entry, line, node)
             fill_state = MODIFIED
         else:
             hook.l2_downgrade(line)
-            home_magic.directory.clear(line)
-            home_magic.directory.add_sharer(line, owner)
-            home_magic.directory.add_sharer(line, node)
+            home_magic.directory.clear(entry, line)
+            home_magic.directory.add_sharer(entry, line, owner)
+            home_magic.directory.add_sharer(entry, line, node)
             fill_state = CACHE_SHARED
             self.branches["sharing_writeback"] += 1
             env.process(self._sharing_writeback(owner, home),
@@ -327,7 +327,7 @@ class ReferenceDsm:
             yield seg(txn, "inval_wait", env.all_of(
                 [self._invalidate_sharer(home, s, line) for s in others]
             ), all_wait=True)
-        home_magic.directory.set_dirty(line, node)
+        home_magic.directory.set_dirty(entry, line, node)
         self._fill(node, line, MODIFIED)
         self.stats.add("upgrades_clean")
         return case
@@ -388,9 +388,9 @@ class ReferenceDsm:
             yield seg(txn, "dram", dram_access(home_magic, p.dram_ps, txn))
             if self._hooks[node].l2_peek(line) is None:   # else stale
                 if entry.state == DIRTY and entry.owner == node:
-                    home_magic.directory.clear(line)
+                    home_magic.directory.clear(entry, line)
                 elif entry.state == SHARED:
-                    home_magic.directory.drop_sharer(line, node)
+                    home_magic.directory.drop_sharer(entry, line, node)
         finally:
             busy, entry.busy = entry.busy, None
             busy.succeed()

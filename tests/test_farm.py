@@ -69,8 +69,8 @@ class TestCacheKey:
     def test_a_batch_under_one_tracer_returns_the_unobserved_results(self):
         # One recorder around a batch sees every run; the results must
         # not carry any of it, so they and their keys are the plain ones.
-        from repro.obs import TraceRecorder
         from repro.obs.hooks import observing
+        from repro.obs.trace import TraceRecorder
 
         batch = [tiny_request(150), tiny_request(225)]
         keys = [request.cache_key() for request in batch]

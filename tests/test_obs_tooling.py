@@ -5,11 +5,19 @@
   violations -- both unguarded tracer calls and metrics-ledger imports
   in the models;
 * the overhead benchmark must import and expose its budgets (the timed
-  run itself lives in ``benchmarks/bench_obs_overhead.py``, marked slow).
+  run itself lives in ``benchmarks/bench_obs_overhead.py``, marked slow);
+* a run loads no tooling: ``import repro`` and the model's probe import
+  stay clear of the recorders, reports, ledgers and CLIs, checked in a
+  fresh interpreter.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from repro.lint.engine import repo_root, run_lint
 from repro.lint.rules import RULES_BY_ID
@@ -123,3 +131,57 @@ class TestOverheadBench:
         # The timed test is opt-in via the slow marker.
         assert any(m.name == "slow"
                    for m in bench.test_obs_overhead.pytestmark)
+
+
+#: What no simulation runs: ``import repro`` must load none of these.
+TOOLING = (
+    *(f"repro.obs.{name}" for name in (
+        "trace", "topo", "hotspot", "profile", "export", "diff", "metrics",
+        "txn", "bisect", "cli")),
+    "repro.harness.cli",
+    "repro.validation.dashboard",
+    "repro.lint",
+    "concurrent.futures.process",
+)
+
+
+def run_fresh(*argv):
+    """Run a fresh interpreter over the source tree."""
+    done = subprocess.run(
+        [sys.executable, *argv],
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def modules_loaded_by(statement):
+    """Every module name in ``sys.modules`` after *statement*."""
+    return set(json.loads(run_fresh(
+        "-c", f"{statement}; import json, sys; "
+              "print(json.dumps(sorted(sys.modules)))")))
+
+
+class TestImportHygiene:
+    def test_import_repro_loads_no_tooling(self):
+        loaded = modules_loaded_by("import repro")
+        assert "repro.sim.machine" in loaded
+        assert sorted(loaded.intersection(TOOLING)) == []
+
+    def test_the_probe_loads_no_other_obs_module(self):
+        # ``repro``'s own ``__init__`` (the public API) is left out, so
+        # what loads is the probe and the package it lives in: the model's
+        # ``from repro.obs import hooks`` must not reach the recorders and
+        # ledgers lint rule L2 bans from model packages.
+        loaded = modules_loaded_by(
+            "import sys, types; "
+            "pkg = types.ModuleType('repro'); "
+            f"pkg.__path__ = [{str(REPO / 'src' / 'repro')!r}]; "
+            "sys.modules['repro'] = pkg; "
+            "import repro.obs.hooks")
+        assert sorted(m for m in loaded if m.startswith("repro.")) == [
+            "repro.obs", "repro.obs.hooks"]
+
+    @pytest.mark.parametrize("package", ["repro.harness", "repro.obs"])
+    def test_command_lines_still_start(self, package):
+        assert "usage:" in run_fresh("-m", package, "--help")

@@ -1,10 +1,14 @@
 """Workload structure tests: trace well-formedness, determinism, regimes."""
 
+import types
+
 import numpy as np
 import pytest
 
-from repro.common.config import TINY_SCALE
+from repro.common.config import REPRO_SCALE, TINY_SCALE
 from repro.common.errors import WorkloadError
+from repro.isa.chunk import Chunk
+from repro.isa.opcodes import NO_REG, Op
 from repro.isa.trace import Barrier, ChunkExec, PhaseMark
 from repro.workloads import (
     FftWorkload,
@@ -17,6 +21,8 @@ from repro.workloads import (
     tuned_radix,
 )
 from repro.workloads.microbench import DependentLoads, TlbTimer
+
+from tests import builder_reference as reference
 
 ALL_WORKLOADS = [
     lambda: FftWorkload(TINY_SCALE, blocking="cache"),
@@ -111,6 +117,100 @@ class TestRadix:
     def test_scaled_radix_values(self):
         assert pathological_radix(TINY_SCALE) == 4 * TINY_SCALE.tlb.entries
         assert tuned_radix(TINY_SCALE) == TINY_SCALE.tlb.entries // 2
+
+
+def reference_build(workload, n_cpus):
+    """``workload.build(n_cpus)`` through the loop-form address builders
+    of ``tests/builder_reference.py``."""
+    if isinstance(workload, FftWorkload):
+        workload._transpose_addrs = types.MethodType(
+            reference.transpose_addrs, workload)
+    else:
+        workload._hist_addrs = (
+            lambda cpu, n, pass_no, *_: reference.hist_addrs(
+                workload, cpu, n, pass_no))
+        workload._permute_addrs = (
+            lambda cpu, n, pass_no, *_: reference.permute_addrs(
+                workload, cpu, n, pass_no))
+    return workload.build(n_cpus)
+
+
+def assert_analysis_matches(chunk):
+    chase = reference.find_pointer_chases(chunk)
+    assert chunk.pointer_chase.dtype == chase.dtype
+    assert np.array_equal(chunk.pointer_chase, chase)
+    assert chunk.interlock_pairs == reference.count_interlock_pairs(chunk)
+
+
+BUILDERS = [
+    *[pytest.param(lambda scale, b=blocking: FftWorkload(scale, blocking=b),
+                   id=f"fft-{blocking}") for blocking in ("cache", "tlb")],
+    *[pytest.param(lambda scale, s=seed: RadixWorkload(scale, seed=s),
+                   id=f"radix-seed{seed}") for seed in (1, 2)],
+]
+
+
+class TestBuildersMatchReference:
+    """The vectorised trace builders return, array for array, what the
+    loop-form builders they replaced return."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 4, 16])
+    @pytest.mark.parametrize("scale", [TINY_SCALE, REPRO_SCALE],
+                             ids=lambda s: s.name)
+    @pytest.mark.parametrize("factory", BUILDERS)
+    def test_every_address_array_equals_the_reference(self, factory, scale,
+                                                      n_cpus):
+        built = factory(scale).build(n_cpus)
+        expected = reference_build(factory(scale), n_cpus)
+        compared = 0
+        for trace, ref_trace in zip(built, expected, strict=True):
+            for item, ref in zip(trace, ref_trace, strict=True):
+                assert type(item) is type(ref)
+                if isinstance(item, ChunkExec):
+                    assert item.chunk.name == ref.chunk.name
+                    assert item.addrs.dtype == ref.addrs.dtype
+                    assert item.addrs.shape == ref.addrs.shape
+                    assert np.array_equal(item.addrs, ref.addrs)
+                    compared += 1
+        assert compared >= 4 * n_cpus
+
+    @pytest.mark.parametrize("factory", ALL_WORKLOADS + [
+        lambda: DependentLoads("local_clean", TINY_SCALE),
+        lambda: TlbTimer(TINY_SCALE)])
+    def test_chunk_analysis_equals_the_reference(self, factory):
+        chunks = {item.chunk.uid: item.chunk
+                  for trace in factory().build(4) for item in trace
+                  if isinstance(item, ChunkExec)}
+        assert chunks
+        for chunk in chunks.values():
+            assert_analysis_matches(chunk)
+
+    def test_random_chunk_analysis_equals_the_reference(self):
+        # Few registers and a short mix, so chases, wraparound chases and
+        # pairs at the interlock window's edge all occur.
+        rng = np.random.default_rng(7)
+        kinds = [int(op) for op in (Op.IALU, Op.LOAD, Op.STORE,
+                                    Op.PREFETCH, Op.BRANCH)]
+        for n in rng.integers(1, 40, size=300):
+            dst, src1, src2 = rng.integers(NO_REG, 4, size=(3, n))
+            assert_analysis_matches(Chunk(
+                "random", rng.choice(kinds, size=n), dst, src1, src2))
+
+    def test_radix_build_keeps_no_array(self):
+        workload = RadixWorkload(TINY_SCALE)
+
+        def arrays():
+            found = set()
+            for value in vars(workload).values():
+                for part in value if isinstance(value, tuple) else (value,):
+                    if isinstance(part, np.ndarray):
+                        found.add(id(part))
+            return found
+
+        names, held = set(vars(workload)), arrays()
+        workload.build(16)
+        assert set(vars(workload)) == names
+        assert arrays() == held
 
 
 class TestLu:

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
 import sys
 
 import pytest
@@ -468,12 +469,20 @@ class TestPlanCallCount:
             nonlocal count
             count += event == "call"
 
+        # A cyclic collection inside the run would enter ``gc.callbacks``
+        # (Hypothesis registers one) and the finalizers of generators
+        # earlier tests left suspended: calls that are not the model's.
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
         if profiled:
             sys.setprofile(profile)
         try:
             env.run(until=walk)
         finally:
             sys.setprofile(None)
+            if enabled:
+                gc.enable()
         return count
 
     def _extra(self, stage, profiled):

@@ -5,9 +5,9 @@ The four SPLASH-2 stand-ins on the ``simos-mipsy-150`` (fig2) and
 wall time and engine events/sec per case, folded into the committed perf
 ledger ``benchmarks/BENCH_engine_hotpath.jsonl`` -- the history
 ``python -m repro.obs perf --baseline`` judges against -- plus the engine
-primitives on their own (``timeout``, ``use`` free and queued, one
-protocol-processor handler and one two-hop message walked as plans of
-their own) and the row-path primitives beside them
+primitives on their own (``timeout``, a one-stage hold free and
+queued, one protocol-processor handler and one two-hop message walked
+as plans of their own) and the row-path primitives beside them
 (a plain-hit reference, an L2-hit reference, an all-hit row through a
 core).  The ledger is the record; the
 assertions are that repeats of one case are bit-identical and that an
@@ -127,10 +127,11 @@ def test_perf_smoke_baseline():
 #: free; four keep a capacity-1 resource queued.
 PRIMITIVES = {
     "timeout": (1, lambda env: None, lambda env, ctx: env.timeout(100)),
-    "use-free": (1, lambda env: Resource(env, "r"),
-                 lambda env, res: res.use(100)),
-    "use-queued": (4, lambda env: Resource(env, "r"),
-                   lambda env, res: res.use(100)),
+    "stage-free": (1, lambda env: Resource(env, "r"),
+                   lambda env, res: Steps(env, ((res, 100, None), FINISH))),
+    "stage-queued": (4, lambda env: Resource(env, "r"),
+                     lambda env, res: Steps(env, ((res, 100, None),
+                                                  FINISH))),
     # 0.45 is the occupancy split this primitive has always timed.
     "pp_busy": (1, lambda env: MagicController(env, 0, 0.45),
                 lambda env, magic: Steps(env, magic.pp_stages(1000)
@@ -168,7 +169,7 @@ def test_primitive_throughput():
         runs = [_primitive_run(name) for _ in range(5)]
         assert len({run[1:] for run in runs}) == 1, f"{name}: runs diverged"
         seconds, events, _now = min(runs)
-        print(f"{name:11s} {seconds / PRIMITIVE_OPS * 1e6:6.2f} us/op  "
+        print(f"{name:12s} {seconds / PRIMITIVE_OPS * 1e6:6.2f} us/op  "
               f"{events / seconds:9,.0f} events/s")
         records.append(run_record(
             "engine_hotpath", make_case(name, "engine", 1, "primitive", "ref"),

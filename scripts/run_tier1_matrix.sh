@@ -58,6 +58,7 @@ printf '%-54s %6d\n' \
     "$(lines src/repro/cpu src/repro/memsys src/repro/isa src/repro/engine \
              src/repro/mem src/repro/vm src/repro/proto src/repro/network \
              src/repro/os)" \
+    "  engine" "$(lines src/repro/engine)" \
     "sim (machine assembly; neither model nor tooling)" \
     "$(lines src/repro/sim)" \
     "tooling (obs lint)" \

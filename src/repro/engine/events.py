@@ -121,21 +121,3 @@ class AllOf(Event):
         self._remaining -= 1
         if self._remaining == 0 and not self.fired:
             self.succeed([child.value for child in self._children])
-
-
-class AnyOf(Event):
-    """Fires when the first child event fires; value is that child's value."""
-
-    __slots__ = ()
-
-    def __init__(self, env, children):
-        super().__init__(env)
-        children = list(children)
-        if not children:
-            raise SimulationError("AnyOf needs at least one child event")
-        for child in children:
-            child.add_waiter(self._child_done)
-
-    def _child_done(self, event: Event) -> None:
-        if not self.fired:
-            self.succeed(event.value)

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Any, Callable, Generator, Optional
 
 from repro.common.errors import SimulationError
-from repro.engine.events import AllOf, AnyOf, Event, Timeout
+from repro.engine.events import AllOf, Event, Timeout
 
 ProcessGen = Generator[Event, Any, Any]
 
@@ -135,9 +135,6 @@ class Engine:
 
     def all_of(self, events) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events) -> AnyOf:
-        return AnyOf(self, events)
 
     def process(self, gen: ProcessGen, name: str = "proc") -> Process:
         """Spawn a coroutine as a process."""

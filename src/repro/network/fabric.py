@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from repro.common.stats import CounterSet
-from repro.engine import Engine, Resource, Steps
-from repro.engine.resources import CALL, FINISH, HOP
+from repro.engine import Engine, Resource
+from repro.engine.resources import CALL, HOP
 from repro.network.topology import Hypercube
 from repro.obs import hooks as obs_hooks
 
@@ -122,14 +122,6 @@ class Network:
             route += ((port, occupancy, None), wire)
         return ((CALL, sent, None), route,
                 ((CALL, delivered, None),) if observed else ())
-
-    def send(self, src: int, dst: int, flits: int = 1, txn=None):
-        """One message (:meth:`send_stages`) as an event of its own,
-        firing one deferral after delivery.  The model never calls it (a
-        transaction's plan embeds the stages); ``benchmarks/e2e/trace.py``
-        names it as a boundary."""
-        return Steps(self.env, self.send_stages(src, dst, flits) + (FINISH,),
-                     txn)
 
     def link_stats(self):
         """Per-link resource stats (contention analysis)."""

@@ -26,9 +26,9 @@ segment it is charged to, and the walk charges the elapsed time to
 exactly that one segment (:meth:`TxnRecord.cut`), so
 the segments *partition* the end-to-end latency: their sum equals
 ``end_ps - start_ps`` by construction and the explicit residual row is
-zero in-model.  Queue wait is split from service by threading the
-record through :meth:`repro.engine.resources.Resource.use`, which
-reports the grant delay via :meth:`TxnRecord.add_wait`; the enclosing
+zero in-model.  Queue wait is split from service by the walk carrying
+the record to each resource stage (:class:`repro.engine.Steps`), whose
+grant reports its delay via :meth:`TxnRecord.add_wait`; the enclosing
 segment then splits as ``service = elapsed - wait``.  Segment ownership
 (which component opens, cuts, and closes what) is documented in
 DESIGN.md.

@@ -18,8 +18,8 @@ from typing import Optional
 
 from repro.common.errors import SimulationError
 from repro.common.stats import CounterSet
-from repro.engine import Engine, Resource, Steps
-from repro.engine.resources import CALL, FINISH, HOP
+from repro.engine import Engine, Resource
+from repro.engine.resources import CALL, HOP
 from repro.obs import hooks as obs_hooks
 from repro.proto.directory import Directory
 
@@ -60,9 +60,9 @@ class MagicController:
 
         The stages schedule what a process yielding a handler's event
         did: the probe span at request time, then -- occupancy
-        modelled -- one deferred start, the pp use, the pipelined rest
+        modelled -- one deferred start, the pp hold, the pipelined rest
         as a delay, one deferred firing; a handler with no rest is the
-        pp use alone, and one without occupancy (NUMA) a plain delay.
+        pp hold alone, and one without occupancy (NUMA) a plain delay.
         The span is a ``CALL`` stage in front of the handler, and only
         :attr:`observed` stages have it: it schedules nothing, so a
         plan without it walks the same calendar.  Built once per
@@ -97,19 +97,6 @@ class MagicController:
                 core = ((CALL, span, None),) + core
             stages = self._pp_plans[key] = core
         return stages
-
-    # The model never calls the two below (a transaction's plan embeds
-    # the stages); ``benchmarks/e2e/trace.py`` names them as boundaries.
-
-    def pp_busy(self, hold_ps: int, label: str = "handler", txn=None):
-        """One handler (:meth:`pp_stages`) as an event of its own, firing
-        one deferral after the handler is over."""
-        return Steps(self.env, self.pp_stages(hold_ps, label) + (FINISH,),
-                     txn)
-
-    def dram_access(self, hold_ps: int, txn=None):
-        """One access to this node's memory, as an event of its own."""
-        return self.dram.use(hold_ps, txn)
 
     def snapshot(self) -> dict:
         return {

@@ -3,8 +3,9 @@
 A reference implementation the memory-system tests compare
 ``repro.memsys.dsm`` against -- never imported by ``src/``.  It is the
 parent commit's coroutine ``DsmMemorySystem`` with the bodies of
-``MagicController.pp_busy``/``dram_access``, ``Network.send`` and the
-pairs-form ``Steps`` it waited on, every scheduling decision kept: a
+``MagicController.pp_busy``/``dram_access``, ``Network.send``, the
+pairs-form ``Steps`` and the ``Resource.use`` grant path they waited on,
+every scheduling decision kept: a
 transaction is a process, each critical-path wait is a ``yield`` whose
 segment cut rides as the event's first waiter (``seg``), the busy gate
 is an event per entry, invalidations and sharing writebacks are child
@@ -21,7 +22,6 @@ from heapq import heappush
 from repro.common.errors import ProtocolError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.engine.events import Event
-from repro.engine.resources import _Use
 from repro.mem.address import home_node
 from repro.mem.cache import MODIFIED, SHARED as CACHE_SHARED
 from repro.memsys.dsm import MemKind
@@ -40,15 +40,82 @@ from repro.proto.directory import DIRTY, SHARED
 from repro.proto.magic import MagicController
 
 
-class PairSteps(_Use):
+class Use(Event):
+    """One ``Resource.use``: the completion event is also the record the
+    resource queues, arms and finishes."""
+
+    def __init__(self, env, hold_ps=0, txn=None):
+        Event.__init__(self, env)
+        self.hold_ps = hold_ps
+        self.txn = txn
+        self.waited_ps = 0
+
+    def _held(self):
+        """The hold is over and the unit released: fire (waiters
+        deferred)."""
+        self.succeed()
+
+
+def request(res, use):
+    """``Resource._request`` for a use, on the live resource's fields:
+    grant a free unit (its arm deferred), or queue."""
+    env = res.env
+    res.requests += 1
+    if res.in_use < res.capacity:
+        res.in_use += 1
+        if res._busy_since is None:
+            res._busy_since = env.now
+        use.waited_ps = 0
+        env._defer((_arm, (res, use)))
+    else:
+        res._queue.append((use, env.now))
+
+
+def _arm(hold):
+    res, use = hold
+    if use.txn is not None:
+        use.txn.add_wait(res.name, use.waited_ps)
+    env = res.env
+    env._seq = seq = env._seq + 1
+    heappush(env._heap, (env.now + use.hold_ps, seq, _finish_hold, hold))
+
+
+def _finish_hold(hold):
+    """The end of a use's hold, from its calendar entry: return the unit,
+    grant it to the head of the queue and arm that in place, then fire."""
+    res, use = hold
+    now = res.env.now
+    res.in_use -= 1
+    if res.in_use == 0 and res._busy_since is not None:
+        res._counters["busy_ps"] += now - res._busy_since
+        res._busy_since = None
+    if res._queue:
+        head, enqueued_at = res._queue.popleft()
+        res.in_use += 1
+        if res._busy_since is None:
+            res._busy_since = now
+        head.waited_ps = waited_ps = now - enqueued_at
+        if waited_ps > 0:
+            res._counters["queued_grants"] += 1.0
+            res._counters["wait_ps"] += waited_ps
+        _arm((res, head))
+    use._held()
+
+
+def use(res, hold_ps, txn=None):
+    """``Resource.use``: acquire, hold for *hold_ps*, release, as one
+    event."""
+    record = Use(res.env, hold_ps, txn)
+    request(res, record)
+    return record
+
+
+class PairSteps(Use):
     """``Steps`` before plans: ``(resource | None, ps)`` pairs, one at a
     time, as one event."""
 
-    __slots__ = ("_todo", "_next")
-
     def __init__(self, env, steps, txn=None):
-        Event.__init__(self, env)
-        self.txn = txn
+        Use.__init__(self, env, txn=txn)
         self._todo = iter(steps)
         self._next = self._advance
         env._defer((self._next, None))
@@ -68,7 +135,7 @@ class PairSteps(_Use):
             heappush(env._heap, (env.now + ps, seq, self._next, None))
         else:
             self.hold_ps = ps
-            res._request(self)
+            request(res, self)
 
     def _held(self):
         self.env._defer((self._next, None))
@@ -84,12 +151,12 @@ def pp_busy(magic, hold_ps, label="handler", txn=None):
     occ = int(hold_ps * magic.pp_occ_fraction)
     rest = hold_ps - occ
     if rest <= 0:
-        return magic.pp.use(hold_ps, txn)
+        return use(magic.pp, hold_ps, txn)
     return PairSteps(magic.env, ((magic.pp, occ), (None, rest)), txn)
 
 
 def dram_access(magic, hold_ps, txn=None):
-    return magic.dram.use(hold_ps, txn)
+    return use(magic.dram, hold_ps, txn)
 
 
 def send(net, src, dst, flits=1, txn=None):

@@ -2,8 +2,8 @@
 
 A reference implementation the engine tests compare ``repro.engine``
 against -- never imported by ``src/``.  It is the parent commit's
-``Event``/``Timeout``/``AllOf``/``AnyOf``/``Process``/``Engine``/
-``Resource`` with the checkpoint contract and the tracer slot stripped,
+``Event``/``Timeout``/``AllOf``/``Process``/``Engine``/``Resource``
+with the checkpoint contract, the tracer slot and ``AnyOf`` stripped,
 every scheduling decision kept: a ``Timeout`` is a bound ``succeed`` on
 the calendar, every firing goes through the pending-dispatch double
 buffer, ``Resource.use`` is a grant event plus a closure, and a
@@ -72,17 +72,6 @@ class AllOf(Event):
             self.succeed([child.value for child in self._children])
 
 
-class AnyOf(Event):
-    def __init__(self, env, children):
-        super().__init__(env)
-        for child in list(children):
-            child.add_waiter(self._child_done)
-
-    def _child_done(self, event):
-        if not self.fired:
-            self.succeed(event.value)
-
-
 class Process(Event):
     def __init__(self, env, gen, name="proc"):
         super().__init__(env)
@@ -126,9 +115,6 @@ class Engine:
 
     def all_of(self, events):
         return AllOf(self, events)
-
-    def any_of(self, events):
-        return AnyOf(self, events)
 
     def process(self, gen, name="proc"):
         return Process(self, gen, name)

@@ -123,16 +123,6 @@ def test_all_of_waits_for_every_child():
     assert len(values) == 2
 
 
-def test_any_of_fires_on_first_child():
-    env = Engine()
-
-    def proc():
-        yield env.any_of([env.timeout(10), env.timeout(30)])
-        return env.now
-
-    assert env.run(until=env.process(proc())) == 10
-
-
 def test_deadlock_detected():
     env = Engine()
 
@@ -154,85 +144,88 @@ def test_process_yielding_non_event_fails():
         env.run(until=env.process(bad()))
 
 
+def _hold(env, res, hold_ps, *after, txn=None):
+    """A walk holding one unit of *res* for *hold_ps*, then *after*."""
+    return Steps(env, ((res, hold_ps, None),) + after + (FINISH,), txn)
+
+
+class _Grants:
+    """A walk's ``txn``: logs each grant it is reported as ``(tag, now,
+    waited_ps, units in use)``."""
+
+    def __init__(self, res, log, tag):
+        self.res, self.log, self.tag = res, log, tag
+
+    def add_wait(self, _name, waited_ps):
+        self.log.append((self.tag, self.res.env.now, waited_ps,
+                         self.res.in_use))
+
+
 class TestResource:
-    def test_serializes_two_users(self):
+    def test_serializes_two_walks(self):
         env = Engine()
         res = Resource(env, "magic")
-        finish = []
-
-        def user(tag):
-            yield res.acquire()
-            yield env.timeout(100)
-            res.release()
-            finish.append((tag, env.now))
-
-        env.process(user("a"))
-        env.process(user("b"))
+        walks = [_hold(env, res, 100) for _ in range(2)]
         env.run()
-        assert finish == [("a", 100), ("b", 200)]
+        assert [walk.value for walk in walks] == [100, 200]
+        assert res.in_use == 0
 
     def test_capacity_two_overlaps(self):
         env = Engine()
         res = Resource(env, "dram", capacity=2)
-        finish = []
-
-        def user(tag):
-            yield res.acquire()
-            yield env.timeout(100)
-            res.release()
-            finish.append((tag, env.now))
-
-        for tag in range(3):
-            env.process(user(tag))
+        walks = [_hold(env, res, 100) for _ in range(3)]
         env.run()
-        assert [t for _, t in finish] == [100, 100, 200]
-
-    def test_use_helper(self):
-        env = Engine()
-        res = Resource(env, "router")
-
-        def user():
-            yield res.use(75)
-            return env.now
-
-        assert env.run(until=env.process(user())) == 75
+        assert [walk.value for walk in walks] == [100, 100, 200]
         assert res.in_use == 0
 
-    def test_release_without_acquire_raises(self):
+    def test_walk_resumes_after_its_hold(self):
         env = Engine()
-        res = Resource(env, "x")
+        res = Resource(env, "router")
+        walk = _hold(env, res, 75, (None, 5, None))
+        assert env.run(until=walk) == 80
+        assert res.in_use == 0
+
+    def test_zero_capacity_refused(self):
         with pytest.raises(SimulationError):
-            res.release()
+            Resource(Engine(), "x", capacity=0)
 
     def test_wait_statistics_accumulate(self):
         env = Engine()
         res = Resource(env, "pp")
-
-        def user():
-            yield res.use(100)
-
-        env.process(user())
-        env.process(user())
+        for _ in range(2):
+            _hold(env, res, 100)
         env.run()
         assert res.requests == 2
-        assert res.stats["queued_grants"] == 1
-        assert res.stats["wait_ps"] == 100
+        assert res.stats.snapshot() == {
+            "busy_ps": 200.0, "queued_grants": 1.0, "wait_ps": 100.0}
 
     def test_fifo_grant_order(self):
+        """Queued walks are granted head first, each its measured wait,
+        the unit counted in use from its grant."""
         env = Engine()
         res = Resource(env, "link")
+        grants = []
+        for tag in range(4):
+            _hold(env, res, 10, txn=_Grants(res, grants, tag))
+        env.run()
+        assert grants == [(0, 0, 0, 1), (1, 10, 10, 1), (2, 20, 20, 1),
+                          (3, 30, 30, 1)]
+        assert res.in_use == 0
+
+    def test_grant_is_armed_before_the_walk_resumes(self):
+        """The end of a hold arms the next walk's hold before the walk
+        it ends moves on: at a tie, the granted hold ends first."""
+        env = Engine()
+        res = Resource(env, "pp")
         order = []
 
-        def user(tag):
-            yield res.acquire()
-            order.append(tag)
-            yield env.timeout(10)
-            res.release()
+        def log(tag):
+            return (CALL, lambda _walk: order.append((tag, env.now)), None)
 
-        for tag in range(4):
-            env.process(user(tag))
+        _hold(env, res, 10, (None, 5, None), log("released"))
+        _hold(env, res, 5, log("granted"))
         env.run()
-        assert order == [0, 1, 2, 3]
+        assert order == [("granted", 15), ("released", 15)]
 
 
 class TestOrderingRule:
@@ -279,12 +272,11 @@ class TestOrderingRule:
 
         def user(delay):
             yield env.timeout(delay)
-            yield pp.use(7)
+            yield _hold(env, pp, 7)
             yield Steps(env, ((link, 3, None), (None, 4, None),
                               (pp, 2, None), FINISH))
-            yield link.acquire()
+            yield _hold(env, link, delay, (HOP, 0, None))
             yield env.all_of([env.timeout(0), env.timeout(delay)])
-            link.release()
 
         for delay in (0, 5, 5, 9):
             env.process(user(delay))
@@ -323,10 +315,7 @@ _DELAY = st.sampled_from((0, 10, 25))
 _RES = st.integers(0, 1)
 _LEAF_OPS = st.one_of(
     st.tuples(st.just("timeout"), _DELAY),
-    st.tuples(st.just("use"), _RES, _DELAY),
-    st.tuples(st.just("lock"), _RES, _DELAY),
     st.tuples(st.just("all_of"), st.lists(_DELAY, max_size=3)),
-    st.tuples(st.just("any_of"), st.lists(_DELAY, min_size=1, max_size=3)),
     # A stage: a delay, a use, a HOP or a wait on the shared timer.
     st.tuples(st.just("steps"), st.lists(
         st.tuples(st.one_of(st.none(), _RES, st.just("hop"),
@@ -365,17 +354,8 @@ def _run_program(kit, capacities, program):
             kind = op[0]
             if kind == "timeout":
                 yield env.timeout(op[1])
-            elif kind == "use":
-                yield resources[op[1] % len(resources)].use(op[2], txn)
-            elif kind == "lock":
-                res = resources[op[1] % len(resources)]
-                yield res.acquire()
-                yield env.timeout(op[2])
-                res.release()
             elif kind == "all_of":
                 yield env.all_of([env.timeout(d) for d in op[1]])
-            elif kind == "any_of":
-                yield env.any_of([env.timeout(d) for d in op[1]])
             elif kind == "steps":
                 # A CALL has no segment, so a wait on the timer cuts none.
                 yield kit.steps(env, [
@@ -424,16 +404,16 @@ def _run_program(kit, capacities, program):
     [("steps", [("hop", 0), (None, 0)])], [("fired",), ("timeout", 0)]])
 @example(capacities=[1], program=[
     [("steps", [(0, 0)])], [("fired",), ("timeout", 0)]])
-# A walk's hold ends and its release grants a queued use: the walk's
-# resume must queue behind that grant.
+# A walk's hold ends and grants a queued walk: the walk's resume must
+# queue behind that grant.
 @example(capacities=[1], program=[
-    [("steps", [(0, 0), (None, 0)])], [("fired",), ("use", 0, 0)]])
+    [("steps", [(0, 0), (None, 0)])], [("fired",), ("steps", [(0, 0)])]])
 def test_engine_matches_reference_engine(capacities, program):
-    """Random process graphs -- tied timeouts, contended ``use``, locks,
-    combinators, child processes, step sequences (delays, uses, HOPs and
-    waits on a shared calendar-fired timer, with segment cuts), waits on
-    fired events -- complete in the same order, at the same times, over
-    the same number of calendar entries as on the pre-fusion reference
+    """Random process graphs -- tied timeouts, ``all_of``, child
+    processes, step sequences (delays, contended holds, HOPs and waits
+    on a shared calendar-fired timer, with segment cuts), waits on fired
+    events -- complete in the same order, at the same times, over the
+    same number of calendar entries as on the pre-fusion reference
     engine."""
     expected, actual = (_run_program(kit, capacities, program)
                         for kit in KITS)
@@ -499,8 +479,8 @@ class TestPlanCallCount:
         """Each stage's one calling chain is its hold's calendar entry:
         ``_finish_hold`` (the release and its ``busy_ps`` bump inline)
         and the walk it resumes in place, which grants the next stage's
-        unit itself.  A ``_held`` frame, a call to ``release``,
-        ``_request`` or ``CounterSet.add`` would each cost one more."""
+        unit itself.  A grant or release out of line, or a call to
+        ``CounterSet.add``, would each cost one more."""
         stage = ("pp", 5, None)
         assert self._extra(stage, profiled=False) == 0
         assert self._extra(stage, profiled=True) == 2 * 100
@@ -550,7 +530,7 @@ class TestEngineObserver:
 
         def user(delay):
             yield env.timeout(delay)
-            yield res.use(50)
+            yield _hold(env, res, 50)
             yield env.all_of([env.timeout(5), env.timeout(9)])
 
         for delay in (10, 10, 30):

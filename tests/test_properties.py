@@ -10,7 +10,8 @@ from repro.common.canonical import canonicalize, stable_hash
 from repro.common.config import CacheGeometry, TINY_SCALE, TlbGeometry
 from repro.cpu.interface import HIT, MISS, NOOP, PENDING
 from repro.sim.results import RunResult
-from repro.engine import Engine, Resource
+from repro.engine import Engine, Resource, Steps
+from repro.engine.resources import FINISH
 from repro.isa.opcodes import NO_REG, Op
 from repro.isa.chunk import Chunk
 from repro.isa.schedule import CoreTiming, schedule_chunk
@@ -333,20 +334,21 @@ class TestEngineProperties:
     def test_resource_conserves_capacity(self, holds, capacity):
         env = Engine()
         res = Resource(env, "r", capacity=capacity)
-        peak = [0]
+        in_use = []
 
-        def user(hold):
-            yield res.acquire()
-            peak[0] = max(peak[0], res.in_use)
-            assert res.in_use <= capacity
-            yield env.timeout(hold)
-            res.release()
+        class Grants:
+            """A walk's ``txn``: told of each grant as it is armed."""
 
-        for hold in holds:
-            env.process(user(hold))
+            def add_wait(self, _name, _waited_ps):
+                in_use.append(res.in_use)
+
+        walks = [Steps(env, ((res, hold, None), FINISH), Grants())
+                 for hold in holds]
         env.run()
+        assert all(walk.fired for walk in walks)
         assert res.in_use == 0
-        assert peak[0] <= capacity
+        assert len(in_use) == len(holds)
+        assert 0 < min(in_use) and max(in_use) <= capacity
         # Work conservation: total time >= sum(holds)/capacity.
         assert env.now >= sum(holds) / capacity - 1
 

@@ -252,14 +252,6 @@ class _ProbeDigest(hooks.Recorder):
         return self._hash.hexdigest()
 
 
-def pinned_form(result) -> dict:
-    """``result.to_dict()`` as the result hashes were first cut: a result
-    then also carried a ``"breakdown"`` key, null in every run pinned
-    here.  Hashing it keeps each pinned hash comparable with its first
-    cut, so a refresh still shows that no field of a result moved."""
-    return {**result.to_dict(), "breakdown": None}
-
-
 def miss_path_snapshot(golden_id: str) -> dict:
     """Calendar, memory-system state and probe-stream digests per run."""
     from repro.common.config import get_scale
@@ -296,7 +288,7 @@ def miss_path_snapshot(golden_id: str) -> dict:
             "memsys_sha256": hashlib.sha256(
                 memsys_state.encode()).hexdigest(),
             "result_sha256": hashlib.sha256(json.dumps(
-                pinned_form(result), sort_keys=True).encode()).hexdigest(),
+                result.to_dict(), sort_keys=True).encode()).hexdigest(),
             "probe_events": probe_digest.events,
             "probe_sha256": probe_digest.hexdigest(),
         }
@@ -377,7 +369,7 @@ def rows_snapshot(golden_id: str) -> dict:
             ordered = json.dumps([machine.ifaces[0].snapshot(chunk_uids),
                                   machine.page_table.snapshot()])
             out[request.describe()] = {
-                "result_hash": stable_hash(pinned_form(result)),
+                "result_hash": stable_hash(result.to_dict()),
                 "events_processed": machine.env.events_processed,
                 "state_sha256": hashlib.sha256(ordered.encode()).hexdigest(),
             }

@@ -280,13 +280,10 @@ class RadixWorkload(Workload):
         for trace in traces:
             trace.append(Barrier(b0))
             trace.append(PhaseMark(PhaseMark.PARALLEL, begin=True))
-        # Pass 2 reads the pass-1 output in its sorted order: the inverse
-        # of the pass-1 permutation, gathered once for every CPU's slice.
-        order = np.empty(self.n_keys, dtype=np.int64)
-        order[self.positions[0]] = np.arange(self.n_keys, dtype=np.int64)
-        read_order = ((self.positions[0], self.digits[0]),
-                      (self.positions[1][order], self.digits[1][order]))
-        for pass_no, (pos, digit) in enumerate(read_order):
+        # Each pass reads its source array in slot order, and both tables
+        # are indexed by that slot: pass 2's by pass-1 output slot.
+        for pass_no, (pos, digit) in enumerate(zip(self.positions,
+                                                    self.digits)):
             for cpu in range(n_cpus):
                 traces[cpu].append(ChunkExec(
                     hist, self._hist_addrs(cpu, n_cpus, pass_no, digit)))

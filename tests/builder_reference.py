@@ -2,11 +2,11 @@
 test oracles.
 
 ``FftWorkload._transpose_addrs`` built one rep row at a time in a triple
-Python loop; ``RadixWorkload._hist_addrs`` and ``_permute_addrs`` sorted
-the pass-1 permutation again for every CPU to find pass 2's read order;
+Python loop; ``RadixWorkload._hist_addrs`` and ``_permute_addrs`` read
+each pass's digit and destination tables from the workload themselves;
 ``Chunk``'s dependence scans read numpy scalars one by one.  The shipped
-builders compute the same arrays with broadcasting, one inverse
-permutation per ``build()`` and Python lists.
+builders compute the same arrays with broadcasting, tables handed in
+once per pass and Python lists.
 ``tests/test_workloads.py`` requires every address array fft's and
 radix's ``build()`` return, and every chunk's ``pointer_chase`` and
 ``interlock_pairs``, to equal these in dtype, shape and values.
@@ -55,9 +55,6 @@ def hist_addrs(self, cpu, n_cpus, pass_no):
     idx = np.arange(sl.start, sl.stop, dtype=np.int64)
     key_addr = src + idx * KEY_BYTES
     digit = self.digits[pass_no]
-    if pass_no == 1:
-        # Pass 2 reads the pass-1 output in its sorted order.
-        digit = digit[np.argsort(self.positions[0], kind="stable")]
     rank_addr = self._rank_base(cpu) + digit[sl.start:sl.stop] * KEY_BYTES
     reps = len(idx) // KEYS_PER_REP
     rows = np.empty((reps, 1 + 3 * KEYS_PER_REP), dtype=np.int64)
@@ -78,11 +75,7 @@ def permute_addrs(self, cpu, n_cpus, pass_no):
     idx = np.arange(sl.start, sl.stop, dtype=np.int64)
     key_addr = src + idx * KEY_BYTES
     pos = self.positions[pass_no]
-    if pass_no == 1:
-        pos = pos[np.argsort(self.positions[0], kind="stable")]
     digit = self.digits[pass_no]
-    if pass_no == 1:
-        digit = digit[np.argsort(self.positions[0], kind="stable")]
     dst_addr = dst + pos[sl.start:sl.stop] * KEY_BYTES
     ptr_addr = self._ptr_base(cpu) + digit[sl.start:sl.stop] * 8
     rank_addr = self._rank_base(cpu) + digit[sl.start:sl.stop] * KEY_BYTES

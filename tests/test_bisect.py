@@ -103,7 +103,9 @@ class TestBisect:
 
     #: What the checkpoint-injecting bisector returned with A =
     #: simos-mipsy-150 stopped at half its straight run: case id ->
-    #: ((B, workload, P), report fields and context-span names).
+    #: ((B, workload, P), report fields and context-span names).  The
+    #: radix case is what the forking bisector returned once radix's
+    #: second pass read its input in slot order (the workload moved).
     RECORDED = {
         "150": (("simos-mipsy-150", "fft", 1), dict(
             half_ps=3402154282, resumed_at_ps=3944713839, index=None,
@@ -129,14 +131,14 @@ class TestBisect:
             spans_b=["total", "txn.read", "chunk:fft/row_fft",
                      "barrier_arrive", "barrier_release", "pp.home"])),
         "radix-p2-300-tuned": (("simos-mipsy-300-tuned", "radix", 2), dict(
-            half_ps=420931439, resumed_at_ps=480690920, index=0,
-            probes=15, events_a=15493, events_b=15532,
-            event_a={"event": "Event._fire", "when_ps": 508790706},
-            event_b={"event": "Steps._walk", "when_ps": 480775920},
+            half_ps=400751022, resumed_at_ps=355806103, index=0,
+            probes=15, events_a=9477, events_b=9546,
+            event_a={"event": "Event._fire", "when_ps": 404433327},
+            event_b={"event": "Steps._walk", "when_ps": 355891103},
             spans_a=["total", "total", "barrier_arrive", "barrier_wait",
                      "barrier_arrive", "barrier_release"],
-            spans_b=["pp.home", "refill", "refill", "chunk:radix/prefix2",
-                     "pp.out", "load_miss"])),
+            spans_b=["pp.home", "pp.home", "pp.home", "refill",
+                     "txn.upgrade", "txn.read"])),
     }
 
     @pytest.mark.slow

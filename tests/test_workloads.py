@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.config import REPRO_SCALE, TINY_SCALE
 from repro.common.errors import WorkloadError
+from repro.common.rng import derive_rng
 from repro.isa.chunk import Chunk
 from repro.isa.opcodes import NO_REG, Op
 from repro.isa.trace import Barrier, ChunkExec, PhaseMark
@@ -21,6 +22,7 @@ from repro.workloads import (
     tuned_radix,
 )
 from repro.workloads.microbench import DependentLoads, TlbTimer
+from repro.workloads.radix import KEY_BYTES, PASSES
 
 from tests import builder_reference as reference
 
@@ -117,6 +119,52 @@ class TestRadix:
     def test_scaled_radix_values(self):
         assert pathological_radix(TINY_SCALE) == 4 * TINY_SCALE.tlb.entries
         assert tuned_radix(TINY_SCALE) == TINY_SCALE.tlb.entries // 2
+
+
+def radix_keys(workload):
+    """The keys *workload* sorts, drawn as its constructor draws them."""
+    bits = 2 * (workload.radix.bit_length() - 1)
+    rng = derive_rng("radix", workload.n_keys, workload.radix, workload.seed)
+    return rng.integers(0, 1 << bits, workload.n_keys, dtype=np.int64)
+
+
+def replay_permutes(workload, traces):
+    """The key array the permute stores of *traces* leave behind.
+
+    Pass by pass, every CPU's permute chunk moves each key from the slot
+    its key load reads (a group's first reference after the prefetch)
+    to the slot its key store writes (the group's last); each pass must
+    read and write every slot exactly once."""
+    n_keys = workload.n_keys
+    slots = np.arange(n_keys)
+    permutes = [[item for item in trace if isinstance(item, ChunkExec)
+                 and item.chunk.name == "radix/permute"] for trace in traces]
+    keys = radix_keys(workload)
+    for pass_no in range(PASSES):
+        src, dst = (workload.key_regions[(pass_no + k) % 2].base
+                    for k in (0, 1))
+        addrs = np.concatenate([execs[pass_no].addrs for execs in permutes])
+        read = (addrs[:, 1::5].ravel() - src) // KEY_BYTES
+        written = (addrs[:, 5::5].ravel() - dst) // KEY_BYTES
+        assert np.array_equal(np.sort(read), slots)
+        assert np.array_equal(np.sort(written), slots)
+        out = np.empty_like(keys)
+        out[written] = keys[read]
+        keys = out
+    return keys
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2, 4, 16])
+@pytest.mark.parametrize("scale", [TINY_SCALE, REPRO_SCALE],
+                         ids=lambda s: s.name)
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("radix", [pathological_radix, tuned_radix],
+                         ids=lambda f: f.__name__)
+def test_radix_sorts(radix, seed, scale, n_cpus):
+    """Replaying the permute stores of every CPU's trace sorts the keys."""
+    workload = RadixWorkload(scale, radix=radix(scale), seed=seed)
+    out = replay_permutes(workload, workload.build(n_cpus))
+    assert np.array_equal(out, np.sort(radix_keys(workload)))
 
 
 def reference_build(workload, n_cpus):

@@ -56,34 +56,34 @@ class Use(Event):
         self.succeed()
 
 
-def request(res, use):
-    """``Resource._request`` for a use, on the live resource's fields:
-    grant a free unit (its arm deferred), or queue."""
+def request(res, record):
+    """``Resource._request`` for a use *record*, on the live resource's
+    fields: grant a free unit (its arm deferred), or queue."""
     env = res.env
     res.requests += 1
     if res.in_use < res.capacity:
         res.in_use += 1
         if res._busy_since is None:
             res._busy_since = env.now
-        use.waited_ps = 0
-        env._defer((_arm, (res, use)))
+        record.waited_ps = 0
+        env._defer((_arm, (res, record)))
     else:
-        res._queue.append((use, env.now))
+        res._queue.append((record, env.now))
 
 
 def _arm(hold):
-    res, use = hold
-    if use.txn is not None:
-        use.txn.add_wait(res.name, use.waited_ps)
+    res, record = hold
+    if record.txn is not None:
+        record.txn.add_wait(res.name, record.waited_ps)
     env = res.env
     env._seq = seq = env._seq + 1
-    heappush(env._heap, (env.now + use.hold_ps, seq, _finish_hold, hold))
+    heappush(env._heap, (env.now + record.hold_ps, seq, _finish_hold, hold))
 
 
 def _finish_hold(hold):
     """The end of a use's hold, from its calendar entry: return the unit,
     grant it to the head of the queue and arm that in place, then fire."""
-    res, use = hold
+    res, record = hold
     now = res.env.now
     res.in_use -= 1
     if res.in_use == 0 and res._busy_since is not None:
@@ -99,7 +99,7 @@ def _finish_hold(hold):
             res._counters["queued_grants"] += 1.0
             res._counters["wait_ps"] += waited_ps
         _arm((res, head))
-    use._held()
+    record._held()
 
 
 def use(res, hold_ps, txn=None):

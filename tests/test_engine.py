@@ -144,12 +144,12 @@ def test_process_yielding_non_event_fails():
         env.run(until=env.process(bad()))
 
 
-def _hold(env, res, hold_ps, *after, txn=None):
+def hold_walk(env, res, hold_ps, *after, txn=None):
     """A walk holding one unit of *res* for *hold_ps*, then *after*."""
     return Steps(env, ((res, hold_ps, None),) + after + (FINISH,), txn)
 
 
-class _Grants:
+class GrantLog:
     """A walk's ``txn``: logs each grant it is reported as ``(tag, now,
     waited_ps, units in use)``."""
 
@@ -165,7 +165,7 @@ class TestResource:
     def test_serializes_two_walks(self):
         env = Engine()
         res = Resource(env, "magic")
-        walks = [_hold(env, res, 100) for _ in range(2)]
+        walks = [hold_walk(env, res, 100) for _ in range(2)]
         env.run()
         assert [walk.value for walk in walks] == [100, 200]
         assert res.in_use == 0
@@ -173,7 +173,7 @@ class TestResource:
     def test_capacity_two_overlaps(self):
         env = Engine()
         res = Resource(env, "dram", capacity=2)
-        walks = [_hold(env, res, 100) for _ in range(3)]
+        walks = [hold_walk(env, res, 100) for _ in range(3)]
         env.run()
         assert [walk.value for walk in walks] == [100, 100, 200]
         assert res.in_use == 0
@@ -181,7 +181,7 @@ class TestResource:
     def test_walk_resumes_after_its_hold(self):
         env = Engine()
         res = Resource(env, "router")
-        walk = _hold(env, res, 75, (None, 5, None))
+        walk = hold_walk(env, res, 75, (None, 5, None))
         assert env.run(until=walk) == 80
         assert res.in_use == 0
 
@@ -193,7 +193,7 @@ class TestResource:
         env = Engine()
         res = Resource(env, "pp")
         for _ in range(2):
-            _hold(env, res, 100)
+            hold_walk(env, res, 100)
         env.run()
         assert res.requests == 2
         assert res.stats.snapshot() == {
@@ -206,7 +206,7 @@ class TestResource:
         res = Resource(env, "link")
         grants = []
         for tag in range(4):
-            _hold(env, res, 10, txn=_Grants(res, grants, tag))
+            hold_walk(env, res, 10, txn=GrantLog(res, grants, tag))
         env.run()
         assert grants == [(0, 0, 0, 1), (1, 10, 10, 1), (2, 20, 20, 1),
                           (3, 30, 30, 1)]
@@ -222,8 +222,8 @@ class TestResource:
         def log(tag):
             return (CALL, lambda _walk: order.append((tag, env.now)), None)
 
-        _hold(env, res, 10, (None, 5, None), log("released"))
-        _hold(env, res, 5, log("granted"))
+        hold_walk(env, res, 10, (None, 5, None), log("released"))
+        hold_walk(env, res, 5, log("granted"))
         env.run()
         assert order == [("granted", 15), ("released", 15)]
 
@@ -272,10 +272,10 @@ class TestOrderingRule:
 
         def user(delay):
             yield env.timeout(delay)
-            yield _hold(env, pp, 7)
+            yield hold_walk(env, pp, 7)
             yield Steps(env, ((link, 3, None), (None, 4, None),
                               (pp, 2, None), FINISH))
-            yield _hold(env, link, delay, (HOP, 0, None))
+            yield hold_walk(env, link, delay, (HOP, 0, None))
             yield env.all_of([env.timeout(0), env.timeout(delay)])
 
         for delay in (0, 5, 5, 9):
@@ -530,7 +530,7 @@ class TestEngineObserver:
 
         def user(delay):
             yield env.timeout(delay)
-            yield _hold(env, res, 50)
+            yield hold_walk(env, res, 50)
             yield env.all_of([env.timeout(5), env.timeout(9)])
 
         for delay in (10, 10, 30):

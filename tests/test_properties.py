@@ -10,8 +10,7 @@ from repro.common.canonical import canonicalize, stable_hash
 from repro.common.config import CacheGeometry, TINY_SCALE, TlbGeometry
 from repro.cpu.interface import HIT, MISS, NOOP, PENDING
 from repro.sim.results import RunResult
-from repro.engine import Engine, Resource, Steps
-from repro.engine.resources import FINISH
+from repro.engine import Engine, Resource
 from repro.isa.opcodes import NO_REG, Op
 from repro.isa.chunk import Chunk
 from repro.isa.schedule import CoreTiming, schedule_chunk
@@ -23,6 +22,7 @@ from repro.sim import Machine, simos_mipsy, solo_mipsy
 from repro.vm.allocators import IrixColoringAllocator, SoloSequentialAllocator
 from repro.vm.layout import DATA_BASE
 from tests import classify_reference
+from tests.test_engine import GrantLog, hold_walk
 
 _SETTINGS = settings(max_examples=60, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -334,19 +334,13 @@ class TestEngineProperties:
     def test_resource_conserves_capacity(self, holds, capacity):
         env = Engine()
         res = Resource(env, "r", capacity=capacity)
-        in_use = []
-
-        class Grants:
-            """A walk's ``txn``: told of each grant as it is armed."""
-
-            def add_wait(self, _name, _waited_ps):
-                in_use.append(res.in_use)
-
-        walks = [Steps(env, ((res, hold, None), FINISH), Grants())
-                 for hold in holds]
+        grants = []
+        walks = [hold_walk(env, res, hold, txn=GrantLog(res, grants, tag))
+                 for tag, hold in enumerate(holds)]
         env.run()
         assert all(walk.fired for walk in walks)
         assert res.in_use == 0
+        in_use = [units for _tag, _now, _waited, units in grants]
         assert len(in_use) == len(holds)
         assert 0 < min(in_use) and max(in_use) <= capacity
         # Work conservation: total time >= sum(holds)/capacity.

@@ -88,6 +88,11 @@ class Network:
         sent, route, delivered = message
         return (sent, _DEFER) + route + ((HOP, 0, seg),) + delivered
 
+    #: The fabric's name in the end-to-end benchmark's tracer
+    #: (``benchmarks/e2e/trace.py``'s ``BOUNDARIES``), the only row of its
+    #: ``network`` layer; it goes with that row.
+    send = send_stages
+
     def _message(self, src: int, dst: int, flits: int) -> tuple:
         """``(sent, route, delivered)``: the stages :meth:`send_stages`
         puts around its deferrals, built once per distinct message;

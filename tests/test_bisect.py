@@ -2,8 +2,9 @@
 
 * the digest chain and its binary search keep the prefix property;
 * the bisector returns, field by field, what the checkpoint-injecting
-  bisector it replaced returned for four pairs (clock, tuning, DSM
-  parameters, a P=2 radix);
+  bisector it replaced returned for three fft pairs (clock, tuning, DSM
+  parameters), and a P=2 radix pin recorded when radix began to sort;
+* a core parks at the gate on its own clock, ahead of the engine's;
 * window cores can be bisected (their occupied miss slots used to
   refuse injection), and a configuration against itself is identical;
 * :meth:`Machine.reconfigure` refuses another machine shape in one error
@@ -23,6 +24,7 @@ from repro.isa.trace import Barrier, ChunkExec
 from repro.memsys.params import numa
 from repro.obs.bisect import (
     EventStreamRecorder,
+    Gate,
     bisect_divergence,
     first_divergence,
 )
@@ -105,7 +107,9 @@ class TestBisect:
     #: simos-mipsy-150 stopped at half its straight run: case id ->
     #: ((B, workload, P), report fields and context-span names).  The
     #: radix case is what the forking bisector returned once radix's
-    #: second pass read its input in slot order (the workload moved).
+    #: second pass read its input in slot order (the workload moved); it
+    #: resumes before its gate time because a core parks on its own
+    #: clock (``test_a_core_parks_on_its_own_clock``).
     RECORDED = {
         "150": (("simos-mipsy-150", "fft", 1), dict(
             half_ps=3402154282, resumed_at_ps=3944713839, index=None,
@@ -156,6 +160,21 @@ class TestBisect:
         got["spans_a"] = [span["name"] for span in report.context_a]
         got["spans_b"] = [span["name"] for span in report.context_b]
         assert got == want
+
+    @pytest.mark.slow
+    def test_a_core_parks_on_its_own_clock(self):
+        """The gate is judged on each core's local clock, which runs
+        ahead of the engine's between synchronisations: radix at P=2
+        quiesces with both cores held past the line while the engine's
+        clock, where the bisector resumes, is still short of it."""
+        workload, half = half_time(simos_mipsy(150), "radix", 2)
+        gate = Gate(half)
+        machine = RunRequest(simos_mipsy(150), workload, 2).machine()
+        machine.begin(workload, gate=gate)
+        assert not machine.advance_until_blocked()
+        assert gate.held == {0, 1}
+        assert min(core.time_ps() for core in machine.cores) >= half
+        assert machine.env.now == 355806103 < half
 
 
 class TestWindowCores:
